@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .protocol import nearest_rank
 from .workload import Direction, TraceRecord
-
-TimeMs = int
 
 # A flat series must clear this autocorrelation to count as periodic.
 PERIOD_STRENGTH_THRESHOLD = 0.3
@@ -124,6 +123,8 @@ def compute_stats(
             ack_bytes += r.total_bytes
     if packets == 0:
         raise ValueError(f"trace has no packets in direction {direction.value}")
+    if total_bytes == 0:
+        raise ValueError(f"trace packets in direction {direction.value} carry no bytes")
 
     return TraceStats(
         direction=direction,
@@ -166,14 +167,12 @@ def interarrival_stats(
     mean = math.fsum(gaps) / len(gaps)
     var = math.fsum((g - mean) ** 2 for g in gaps) / len(gaps)
     ordered = sorted(gaps)
-    pct = {}
-    for p in (50, 90, 95, 99):
-        rank = max(1, math.ceil(p / 100.0 * len(ordered)))  # nearest rank
-        pct[p] = float(ordered[rank - 1])
     return InterarrivalStats(
         mean_ms=mean,
         stddev_ms=math.sqrt(var),
-        percentiles_ms=pct,
+        percentiles_ms={
+            p: float(nearest_rank(ordered, p / 100.0)) for p in (50, 90, 95, 99)
+        },
         samples=len(gaps),
     )
 

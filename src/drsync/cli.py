@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 for validation or usage problems (bad flags,
-malformed config or CSV input), 2 for I/O failures.  Set ``DRSYNC_LOG`` to
-``info`` or ``debug`` for progress logging on stderr; it defaults to ``off``.
+Exit codes: 0 on success, 1 for validation or usage problems (bad flags, or
+a malformed config, profile, weights or CSV file), 2 for I/O failures.  Set
+``DRSYNC_LOG`` to ``info`` or ``debug`` for progress logging on stderr; it
+defaults to ``off``.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -28,6 +30,7 @@ from .qon import (
 )
 from .scenario import (
     ConfigError,
+    compare_payload,
     config_from_json,
     run_compare,
     run_simulation,
@@ -69,6 +72,16 @@ def _configure_logging() -> None:
     )
 
 
+def _probability(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text!r}")
+    return value
+
+
 def _cmd_simulate(args) -> int:
     cfg = config_from_json(args.config)
     if args.seed is not None:
@@ -94,26 +107,7 @@ def _cmd_compare(args) -> int:
     cfg = config_from_json(args.config)
     seeds = _parse_seeds(args.seeds)
     rows = run_compare(cfg, seeds, out_dir=args.out)
-    payload = {
-        "seeds": seeds,
-        "unreliable_mean_lower_count": sum(
-            1 for row in rows if row.mean_unreliable < row.mean_reliable
-        ),
-        "rows": [
-            {
-                "seed": row.seed,
-                "mean_unreliable": row.mean_unreliable,
-                "mean_reliable": row.mean_reliable,
-                "mean_diff": row.mean_diff,
-                "max_unreliable": row.max_unreliable,
-                "max_reliable": row.max_reliable,
-                "p95_unreliable": row.p95_unreliable,
-                "p95_reliable": row.p95_reliable,
-            }
-            for row in rows
-        ],
-    }
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    json.dump(compare_payload(rows), sys.stdout, indent=2, sort_keys=True)
     print()
     return 0
 
@@ -255,7 +249,10 @@ def _build_parser() -> _Parser:
     pred = sub.add_parser("predict", help="score sessions for quit risk")
     pred.add_argument("--metrics", required=True, help="session metrics CSV")
     pred.add_argument("--weights", help="predictor weights JSON (default: built-in)")
-    pred.add_argument("--threshold", type=float, default=DECISION_THRESHOLD)
+    pred.add_argument(
+        "--threshold", type=_probability, default=DECISION_THRESHOLD,
+        help="risk score at which to act, in [0, 1]",
+    )
     pred.add_argument("--out", help="write CSV here instead of stdout")
     pred.set_defaults(func=_cmd_predict)
 

@@ -16,9 +16,10 @@ piecewise-linear path through timed waypoints.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 from dataclasses import dataclass
+
+from . import spec
 
 # Milliseconds, non-negative. Kept as int so tick grids compare exactly.
 TimeMs = int
@@ -128,25 +129,19 @@ class TrajectoryScript:
     @classmethod
     def from_csv(cls, path: str) -> TrajectoryScript:
         """Load waypoints from a CSV file with header ``t_ms,x,y,z``."""
-        waypoints: list[tuple[TimeMs, Vec3]] = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            expected = ["t_ms", "x", "y", "z"]
-            if reader.fieldnames != expected:
-                raise ValueError(
-                    f"trajectory CSV header must be {','.join(expected)}, "
-                    f"got {reader.fieldnames}"
+        waypoints = spec.read_csv(
+            path,
+            {
+                ("t_ms", "x", "y", "z"): lambda row: (
+                    int(row[0]),
+                    Vec3(float(row[1]), float(row[2]), float(row[3])),
                 )
-            for row in reader:
-                try:
-                    t = int(row["t_ms"])
-                    pos = Vec3(float(row["x"]), float(row["y"]), float(row["z"]))
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(
-                        f"bad trajectory row {reader.line_num}: {row}"
-                    ) from exc
-                waypoints.append((t, pos))
-        return cls(waypoints)
+            },
+        )
+        try:
+            return cls(waypoints)
+        except ValueError as exc:
+            raise spec.ConfigError([f"{path}: {exc}"]) from exc
 
     def __repr__(self) -> str:
         return (

@@ -26,33 +26,24 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 import random
 from dataclasses import dataclass
 
+from . import spec
+from .core import TimeMs
 from .rng import mix64
-
-TimeMs = int
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
     """One-way impaired link: fixed base delay, bounded jitter, Bernoulli loss."""
 
-    base_latency_ms: int
-    jitter_max_ms: int
-    loss_rate: float
-    seed: int
+    base_latency_ms: int = spec.field(spec.Int(ge=0))
+    jitter_max_ms: int = spec.field(spec.Int(ge=0))
+    loss_rate: float = spec.field(spec.Real(ge=0, le=1))
+    seed: int = spec.field(spec.Int(ge=0))
 
-    def __post_init__(self) -> None:
-        if self.base_latency_ms < 0:
-            raise ValueError(f"base_latency_ms must be >= 0, got {self.base_latency_ms}")
-        if self.jitter_max_ms < 0:
-            raise ValueError(f"jitter_max_ms must be >= 0, got {self.jitter_max_ms}")
-        if not (math.isfinite(self.loss_rate) and 0.0 <= self.loss_rate <= 1.0):
-            raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+    __post_init__ = spec.check
 
 
 class LatePolicy(enum.Enum):
@@ -64,25 +55,21 @@ class LatePolicy(enum.Enum):
 
 @dataclass(frozen=True)
 class DejitterConfig:
-    playout_delay_ms: int
-    late_policy: LatePolicy = LatePolicy.DELIVER_LATE
+    playout_delay_ms: int = spec.field(spec.Int(ge=0), 0)
+    late_policy: LatePolicy = spec.field(
+        spec.Choice(LatePolicy), LatePolicy.DELIVER_LATE
+    )
 
-    def __post_init__(self) -> None:
-        if self.playout_delay_ms < 0:
-            raise ValueError(
-                f"playout_delay_ms must be >= 0, got {self.playout_delay_ms}"
-            )
+    __post_init__ = spec.check
 
 
 @dataclass(frozen=True)
 class ReliableOrdered:
     """In-order transport with fixed-interval retransmission, like simplified TCP."""
 
-    rto_ms: int
+    rto_ms: int = spec.field(spec.Int(ge=1))
 
-    def __post_init__(self) -> None:
-        if self.rto_ms < 1:
-            raise ValueError(f"rto_ms must be >= 1, got {self.rto_ms}")
+    __post_init__ = spec.check
 
 
 @dataclass(frozen=True)
@@ -250,7 +237,7 @@ def unreliable_run(
     return events
 
 
-_EVENT_FIELDS = ["seq", "send_ms", "arrive_ms", "deliver_ms", "late", "retransmissions"]
+_EVENT_FIELDS = ("seq", "send_ms", "arrive_ms", "deliver_ms", "late", "retransmissions")
 
 
 def write_delivery_csv(events: list[DeliveryEvent], path: str) -> None:
@@ -276,23 +263,16 @@ def write_delivery_csv(events: list[DeliveryEvent], path: str) -> None:
 
 def read_delivery_csv(path: str) -> list[DeliveryEvent]:
     """Inverse of :func:`write_delivery_csv`."""
-    events: list[DeliveryEvent] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _EVENT_FIELDS:
-            raise ValueError(
-                f"delivery CSV header must be {','.join(_EVENT_FIELDS)}, "
-                f"got {reader.fieldnames}"
-            )
-        for row in reader:
-            events.append(
-                DeliveryEvent(
-                    seq=int(row["seq"]),
-                    send_ms=int(row["send_ms"]),
-                    arrive_ms=int(row["arrive_ms"]) if row["arrive_ms"] else None,
-                    deliver_ms=int(row["deliver_ms"]) if row["deliver_ms"] else None,
-                    late=row["late"] == "true",
-                    retransmissions=int(row["retransmissions"]),
-                )
-            )
-    return events
+
+    def event(row: list[str]) -> DeliveryEvent:
+        seq, send, arrive, deliver, late, retrans = row
+        return DeliveryEvent(
+            seq=int(seq),
+            send_ms=int(send),
+            arrive_ms=int(arrive) if arrive else None,
+            deliver_ms=int(deliver) if deliver else None,
+            late=spec.flag(late),
+            retransmissions=int(retrans),
+        )
+
+    return spec.read_csv(path, {_EVENT_FIELDS: event})

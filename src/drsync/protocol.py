@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .core import DRVector, TimeMs, Vec3, ZERO, deviation, extrapolate
-
-_MS_PER_S = 1000.0
+from . import spec
+from .core import _MS_PER_S, DRVector, TimeMs, Vec3, ZERO, deviation, extrapolate
 
 
 @dataclass(frozen=True)
@@ -34,19 +34,11 @@ class ProtocolConfig:
     rate-limits snapshots regardless of deviation.
     """
 
-    threshold: float
-    tick_ms: int
-    min_send_interval_ms: int = 0
+    threshold: float = spec.field(spec.Real(ge=0))
+    tick_ms: int = spec.field(spec.Int(ge=1))
+    min_send_interval_ms: int = spec.field(spec.Int(ge=0), 0)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.threshold) and self.threshold >= 0):
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        if self.tick_ms < 1:
-            raise ValueError(f"tick_ms must be >= 1, got {self.tick_ms}")
-        if self.min_send_interval_ms < 0:
-            raise ValueError(
-                f"min_send_interval_ms must be >= 0, got {self.min_send_interval_ms}"
-            )
+    __post_init__ = spec.check
 
 
 @dataclass
@@ -151,11 +143,14 @@ class ExportErrorReport:
     warmup_ticks: int = 0
 
 
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank ``q`` quantile (0 < q <= 1) of a non-empty sorted sequence."""
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+
 def percentile_95(values: list[float]) -> float:
     """Nearest-rank 95th percentile of a non-empty list."""
-    ordered = sorted(values)
-    rank = math.ceil(0.95 * len(ordered))  # 1-based nearest rank
-    return ordered[max(rank, 1) - 1]
+    return nearest_rank(sorted(values), 0.95)
 
 
 def compute_export_error(

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import spec
 
 # Feature normalization constants shared by scoring and fitting.
 RTT_SCALE_MS = 500.0
@@ -47,14 +48,18 @@ class SessionMetrics:
     elapsed_min: float
 
     def __post_init__(self) -> None:
-        if self.rtt_mean_ms < 0:
-            raise ValueError(f"rtt_mean_ms must be >= 0, got {self.rtt_mean_ms}")
-        if self.rtt_jitter_ms < 0:
-            raise ValueError(f"rtt_jitter_ms must be >= 0, got {self.rtt_jitter_ms}")
+        # Plain checks, not spec rules: one is built per session row.  The
+        # chained comparisons also reject NaN.
+        if not 0.0 <= self.rtt_mean_ms < math.inf:
+            raise ValueError(f"rtt_mean_ms must be in [0, inf), got {self.rtt_mean_ms}")
+        if not 0.0 <= self.rtt_jitter_ms < math.inf:
+            raise ValueError(
+                f"rtt_jitter_ms must be in [0, inf), got {self.rtt_jitter_ms}"
+            )
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
-        if self.elapsed_min < 0:
-            raise ValueError(f"elapsed_min must be >= 0, got {self.elapsed_min}")
+        if not 0.0 <= self.elapsed_min < math.inf:
+            raise ValueError(f"elapsed_min must be in [0, inf), got {self.elapsed_min}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +92,12 @@ def ground_truth_quit(
 
 @dataclass(frozen=True)
 class PredictorWeights:
-    bias: float
-    w_latency: float
-    w_loss: float
-    w_jitter: float
+    bias: float = spec.field(spec.Real())
+    w_latency: float = spec.field(spec.Real())
+    w_loss: float = spec.field(spec.Real())
+    w_jitter: float = spec.field(spec.Real())
+
+    __post_init__ = spec.check
 
 
 def _sigmoid(z: float) -> float:
@@ -219,8 +226,8 @@ def fit_weights(
         raise ValueError(
             "degenerate dataset: both quitting and staying sessions are required"
         )
-    if learn_rate <= 0:
-        raise ValueError(f"learn_rate must be > 0, got {learn_rate}")
+    if not 0 < learn_rate < math.inf:
+        raise ValueError(f"learn_rate must be finite and > 0, got {learn_rate}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
 
@@ -304,13 +311,8 @@ DEFAULT_WEIGHTS = PredictorWeights(
 )
 
 
-_SESSION_FIELDS = [
-    "rtt_mean_ms",
-    "rtt_jitter_ms",
-    "loss_rate",
-    "elapsed_min",
-    "quit_premature",
-]
+_METRICS_FIELDS = ("rtt_mean_ms", "rtt_jitter_ms", "loss_rate", "elapsed_min")
+_SESSION_FIELDS = (*_METRICS_FIELDS, "quit_premature")
 
 
 def write_sessions_csv(sessions: list[LabeledSession], path: str) -> None:
@@ -330,90 +332,38 @@ def write_sessions_csv(sessions: list[LabeledSession], path: str) -> None:
             )
 
 
+def _metrics(row: list[str]) -> SessionMetrics:
+    return SessionMetrics(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
+
+
 def read_sessions_csv(path: str) -> list[LabeledSession]:
     """Inverse of :func:`write_sessions_csv`."""
-    sessions: list[LabeledSession] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _SESSION_FIELDS:
-            raise ValueError(
-                f"sessions CSV header must be {','.join(_SESSION_FIELDS)}, "
-                f"got {reader.fieldnames}"
-            )
-        for row in reader:
-            sessions.append(
-                (
-                    SessionMetrics(
-                        rtt_mean_ms=float(row["rtt_mean_ms"]),
-                        rtt_jitter_ms=float(row["rtt_jitter_ms"]),
-                        loss_rate=float(row["loss_rate"]),
-                        elapsed_min=float(row["elapsed_min"]),
-                    ),
-                    row["quit_premature"] == "true",
-                )
-            )
-    return sessions
+    return spec.read_csv(
+        path, {_SESSION_FIELDS: lambda row: (_metrics(row), spec.flag(row[4]))}
+    )
 
 
 def read_metrics_csv(path: str) -> list[tuple[SessionMetrics, bool | None]]:
     """Read unlabeled metrics; an optional ``connectivity_recoverable`` column rides along."""
-    required = _SESSION_FIELDS[:-1]
-    out: list[tuple[SessionMetrics, bool | None]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        names = reader.fieldnames or []
-        if names[: len(required)] != required or len(names) > len(required) + 1:
-            raise ValueError(
-                f"metrics CSV header must start with {','.join(required)}, "
-                f"got {names}"
-            )
-        has_recoverable = len(names) == len(required) + 1
-        if has_recoverable and names[-1] != "connectivity_recoverable":
-            raise ValueError(
-                f"unexpected extra metrics column {names[-1]!r}; "
-                "only connectivity_recoverable is understood"
-            )
-        for row in reader:
-            m = SessionMetrics(
-                rtt_mean_ms=float(row["rtt_mean_ms"]),
-                rtt_jitter_ms=float(row["rtt_jitter_ms"]),
-                loss_rate=float(row["loss_rate"]),
-                elapsed_min=float(row["elapsed_min"]),
-            )
-            rec = row["connectivity_recoverable"] == "true" if has_recoverable else None
-            out.append((m, rec))
-    return out
+    return spec.read_csv(
+        path,
+        {
+            _METRICS_FIELDS: lambda row: (_metrics(row), None),
+            (*_METRICS_FIELDS, "connectivity_recoverable"): lambda row: (
+                _metrics(row),
+                spec.flag(row[4]),
+            ),
+        },
+    )
 
 
 def weights_to_dict(w: PredictorWeights) -> dict:
-    return {
-        "bias": w.bias,
-        "w_latency": w.w_latency,
-        "w_loss": w.w_loss,
-        "w_jitter": w.w_jitter,
-    }
+    return spec.dump(w)
 
 
 def weights_to_json(w: PredictorWeights, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(weights_to_dict(w), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    spec.write_json(weights_to_dict(w), path)
 
 
 def weights_from_json(path: str) -> PredictorWeights:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("weights JSON must be an object")
-    unknown = set(data) - {"bias", "w_latency", "w_loss", "w_jitter"}
-    if unknown:
-        raise ValueError(f"unknown weight keys: {sorted(unknown)}")
-    missing = {"bias", "w_latency", "w_loss", "w_jitter"} - set(data)
-    if missing:
-        raise ValueError(f"weights JSON missing keys: {sorted(missing)}")
-    return PredictorWeights(
-        bias=float(data["bias"]),
-        w_latency=float(data["w_latency"]),
-        w_loss=float(data["w_loss"]),
-        w_jitter=float(data["w_jitter"]),
-    )
+    return spec.parse(PredictorWeights, spec.load_json(path))

@@ -15,13 +15,14 @@ transmission, making the per-seed comparison a genuinely paired experiment.
 
 from __future__ import annotations
 
-import json
+import csv
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
+from . import spec
 from .core import TimeMs, TrajectoryScript, Vec3, sample_trajectory
 from .netsim import (
     ChannelConfig,
@@ -47,6 +48,7 @@ from .protocol import (
 )
 from .qon import DEFAULT_WEIGHTS, RiskAssessment, SessionMetrics, assess
 from .rng import TAG_CHANNEL, TAG_TRAJECTORY, mix64, substream
+from .spec import ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -61,58 +63,93 @@ DR_PACKET_BYTES = 100
 RECOVERABLE_LOSS_LIMIT = 0.5
 
 
-class ConfigError(ValueError):
-    """Scenario config rejected; ``problems`` lists every violated field."""
-
-    def __init__(self, problems: list[str]):
-        self.problems = list(problems)
-        super().__init__(
-            "invalid scenario config: " + "; ".join(self.problems)
-        )
-
-
 @dataclass(frozen=True)
 class TrajectoryGenConfig:
     """Random-waypoint generator: wander inside a cubic box at bounded speed."""
 
-    box_size: float = 1000.0
-    speed_min: float = 1.0
-    speed_max: float = 10.0
-    waypoint_interval_min_ms: int = 2000
-    waypoint_interval_max_ms: int = 5000
+    box_size: float = spec.field(spec.Real(gt=0), 1000.0)
+    speed_min: float = spec.field(spec.Real(gt=0), 1.0)
+    speed_max: float = spec.field(spec.Real(gt=0), 10.0)
+    waypoint_interval_min_ms: int = spec.field(spec.Int(ge=1), 2000)
+    waypoint_interval_max_ms: int = spec.field(spec.Int(ge=1), 5000)
+
+    __post_init__ = spec.check
+
+    @staticmethod
+    def _relations(v: dict) -> list[str]:
+        problems = []
+        for lo, hi in (
+            ("speed_min", "speed_max"),
+            ("waypoint_interval_min_ms", "waypoint_interval_max_ms"),
+        ):
+            if v[hi] < v[lo]:
+                problems.append(f"{hi}: must be >= {lo} ({v[lo]}), got {v[hi]}")
+        return problems
 
 
 @dataclass(frozen=True)
 class TrajectorySource:
     """Where ground truth comes from: a CSV file, or the built-in generator."""
 
-    file: str | None = None
-    generator: TrajectoryGenConfig | None = None
+    file: str | None = spec.field(spec.Str(), None)
+    generator: TrajectoryGenConfig | None = spec.field(
+        spec.Nested(TrajectoryGenConfig), None
+    )
+
+    __post_init__ = spec.check
+
+    @staticmethod
+    def _relations(v: dict) -> list[str]:
+        if (v["file"] is None) == (v["generator"] is None):
+            return ["file: exactly one of 'file' or 'generator' must be given"]
+        return []
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """Channel parameters; seed defaults to a substream of the scenario seed."""
 
-    base_latency_ms: int
-    jitter_max_ms: int
-    loss_rate: float
-    seed: int | None = None
+    base_latency_ms: int = spec.like(ChannelConfig, "base_latency_ms")
+    jitter_max_ms: int = spec.like(ChannelConfig, "jitter_max_ms")
+    loss_rate: float = spec.like(ChannelConfig, "loss_rate")
+    seed: int | None = spec.like(ChannelConfig, "seed", None)
+
+    __post_init__ = spec.check
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int
-    duration_ms: int
-    trajectory: TrajectorySource
-    protocol: ProtocolConfig
-    channel: ChannelSpec
-    mode: str = MODE_UNRELIABLE
-    rto_ms: int = 400
-    dejitter: DejitterConfig = field(
-        default_factory=lambda: DejitterConfig(playout_delay_ms=0)
+    seed: int = spec.field(spec.Int(ge=0))
+    duration_ms: int = spec.field(spec.Int())
+    trajectory: TrajectorySource = spec.field(spec.Nested(TrajectorySource))
+    protocol: ProtocolConfig = spec.field(spec.Nested(ProtocolConfig))
+    channel: ChannelSpec = spec.field(spec.Nested(ChannelSpec))
+    mode: str = spec.field(
+        spec.Choice((MODE_RELIABLE, MODE_UNRELIABLE)),
+        MODE_UNRELIABLE,
+        key="transport.mode",
     )
-    entity_id: str = "player-0"
+    rto_ms: int = spec.like(ReliableOrdered, "rto_ms", 400, key="transport.rto_ms")
+    dejitter: DejitterConfig = spec.field(spec.Nested(DejitterConfig), DejitterConfig())
+    entity_id: str = spec.field(spec.Str(), "player-0")
+
+    __post_init__ = spec.check
+
+    @staticmethod
+    def _relations(v: dict) -> list[str]:
+        problems = []
+        duration, proto, chan = v["duration_ms"], v["protocol"], v["channel"]
+        if duration < proto.tick_ms:
+            problems.append(
+                f"duration_ms: must cover at least one tick ({proto.tick_ms} ms), "
+                f"got {duration}"
+            )
+        if v["mode"] == MODE_RELIABLE and chan.loss_rate >= 1.0:
+            problems.append(
+                f"channel.loss_rate: must be < 1 for {MODE_RELIABLE}, "
+                f"got {chan.loss_rate}"
+            )
+        return problems
 
 
 def generate_trajectory(
@@ -170,12 +207,7 @@ def _resolve_channel(cfg: ScenarioConfig) -> ChannelConfig:
     seed = cfg.channel.seed
     if seed is None:
         seed = mix64(cfg.seed, TAG_CHANNEL)
-    return ChannelConfig(
-        base_latency_ms=cfg.channel.base_latency_ms,
-        jitter_max_ms=cfg.channel.jitter_max_ms,
-        loss_rate=cfg.channel.loss_rate,
-        seed=seed,
-    )
+    return ChannelConfig(**{**asdict(cfg.channel), "seed": seed})
 
 
 @dataclass
@@ -200,7 +232,6 @@ def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
     transports over one config).
     """
     started = time.monotonic()
-    validate_config(cfg)
     mode = cfg.mode if mode is None else mode
     if mode not in (MODE_RELIABLE, MODE_UNRELIABLE):
         raise ConfigError([f"mode: unknown transport mode {mode!r}"])
@@ -241,13 +272,13 @@ def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
         rendered.append((t, render_position(receiver, t)))
 
     report = compute_export_error(true_series, rendered, entity_id=cfg.entity_id)
-    session = _session_metrics(cfg, chan, events)
+    session, counts = _session_metrics(cfg, chan, events)
     risk = assess(
         DEFAULT_WEIGHTS,
         session,
         connectivity_recoverable=session.loss_rate < RECOVERABLE_LOSS_LIMIT,
     )
-    summary = _summary_dict(cfg, mode, report, events, sends, session, risk)
+    summary = _summary_dict(cfg, mode, report, counts, sends, session, risk)
     wall = time.monotonic() - started
     log.info(
         "run %s seed=%d: %d ticks, %d sends, mean error %s (%.2fs)",
@@ -268,21 +299,26 @@ def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
 
 def _session_metrics(
     cfg: ScenarioConfig, chan: ChannelConfig, events: list[DeliveryEvent]
-) -> SessionMetrics:
-    """Connection-quality metrics as a session monitor would compute them.
+) -> tuple[SessionMetrics, dict]:
+    """Session metrics and the summary's delivery counters, in one pass.
 
-    Observed RTT is twice the base latency plus the mean one-way jitter of
-    packets that arrived; jitter spread is the population stddev.
+    The metrics are what a session monitor would compute.  Observed RTT is
+    twice the base latency plus the mean one-way jitter of packets that
+    arrived; jitter spread is the population stddev.
     """
     jitters: list[int] = []
-    transmissions = 0
-    lost = 0
+    transmissions = lost = delivered = late = dropped_late = 0
     for ev in events:
         transmissions += ev.retransmissions + 1
         lost += ev.retransmissions
+        late += ev.late
+        if ev.deliver_ms is not None:
+            delivered += 1
         if ev.arrive_ms is None:
             lost += 1
             continue
+        if ev.deliver_ms is None:
+            dropped_late += 1
         attempt_send = ev.send_ms + ev.retransmissions * cfg.rto_ms
         jitters.append(ev.arrive_ms - attempt_send - chan.base_latency_ms)
     if jitters:
@@ -290,44 +326,38 @@ def _session_metrics(
         var_j = math.fsum((j - mean_j) ** 2 for j in jitters) / len(jitters)
     else:
         mean_j, var_j = 0.0, 0.0
-    loss_rate = lost / transmissions if transmissions else 0.0
-    return SessionMetrics(
+    session = SessionMetrics(
         rtt_mean_ms=2.0 * chan.base_latency_ms + mean_j,
         rtt_jitter_ms=math.sqrt(var_j),
-        loss_rate=loss_rate,
+        loss_rate=lost / transmissions if transmissions else 0.0,
         elapsed_min=cfg.duration_ms / 60_000.0,
     )
-
-
-def _summary_dict(
-    cfg: ScenarioConfig,
-    mode: str,
-    report: ExportErrorReport,
-    events: list[DeliveryEvent],
-    sends: list,
-    session: SessionMetrics,
-    risk: RiskAssessment,
-) -> dict:
-    transmissions = sum(ev.retransmissions + 1 for ev in events)
-    delivered = sum(1 for ev in events if ev.deliver_ms is not None)
-    lost = sum(ev.retransmissions for ev in events) + sum(
-        1 for ev in events if ev.arrive_ms is None
-    )
-    late = sum(1 for ev in events if ev.late)
-    dropped_late = sum(
-        1 for ev in events if ev.arrive_ms is not None and ev.deliver_ms is None
-    )
-    return {
-        "transport": mode,
-        "seed": cfg.seed,
-        "ticks": len(report.series),
-        "sends": len(sends),
+    counts = {
         "transmissions": transmissions,
         "delivered": delivered,
         "lost_transmissions": lost,
         "late_count": late,
         "dropped_late": dropped_late,
         "dr_bytes_total": transmissions * DR_PACKET_BYTES,
+    }
+    return session, counts
+
+
+def _summary_dict(
+    cfg: ScenarioConfig,
+    mode: str,
+    report: ExportErrorReport,
+    counts: dict,
+    sends: list,
+    session: SessionMetrics,
+    risk: RiskAssessment,
+) -> dict:
+    return {
+        "transport": mode,
+        "seed": cfg.seed,
+        "ticks": len(report.series),
+        "sends": len(sends),
+        **counts,
         "export_error": {
             "mean": report.mean,
             "max": report.max,
@@ -335,54 +365,11 @@ def _summary_dict(
             "samples": report.samples_count,
             "warmup_ticks": report.warmup_ticks,
         },
-        "session_metrics": {
-            "rtt_mean_ms": session.rtt_mean_ms,
-            "rtt_jitter_ms": session.rtt_jitter_ms,
-            "loss_rate": session.loss_rate,
-            "elapsed_min": session.elapsed_min,
-        },
+        "session_metrics": asdict(session),
         "risk": {
             "score": risk.score,
             "premature_flag": risk.premature_flag,
             "action": risk.action.value,
-        },
-    }
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Canonical dict form of a scenario config (round-trips through the parser)."""
-    traj: dict = {}
-    if cfg.trajectory.file is not None:
-        traj["file"] = cfg.trajectory.file
-    if cfg.trajectory.generator is not None:
-        g = cfg.trajectory.generator
-        traj["generator"] = {
-            "box_size": g.box_size,
-            "speed_min": g.speed_min,
-            "speed_max": g.speed_max,
-            "waypoint_interval_min_ms": g.waypoint_interval_min_ms,
-            "waypoint_interval_max_ms": g.waypoint_interval_max_ms,
-        }
-    return {
-        "seed": cfg.seed,
-        "duration_ms": cfg.duration_ms,
-        "entity_id": cfg.entity_id,
-        "trajectory": traj,
-        "protocol": {
-            "threshold": cfg.protocol.threshold,
-            "tick_ms": cfg.protocol.tick_ms,
-            "min_send_interval_ms": cfg.protocol.min_send_interval_ms,
-        },
-        "channel": {
-            "base_latency_ms": cfg.channel.base_latency_ms,
-            "jitter_max_ms": cfg.channel.jitter_max_ms,
-            "loss_rate": cfg.channel.loss_rate,
-            **({"seed": cfg.channel.seed} if cfg.channel.seed is not None else {}),
-        },
-        "transport": {"mode": cfg.mode, "rto_ms": cfg.rto_ms},
-        "dejitter": {
-            "playout_delay_ms": cfg.dejitter.playout_delay_ms,
-            "late_policy": cfg.dejitter.late_policy.value,
         },
     }
 
@@ -399,12 +386,8 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> None:
     write_delivery_csv(result.events, str(out / "deliveries.csv"))
     resolved = config_to_dict(result.config)
     resolved["transport"]["mode"] = result.mode
-    with open(out / "resolved_config.json", "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    spec.write_json(resolved, str(out / "resolved_config.json"))
+    spec.write_json(result.summary, str(out / "summary.json"))
 
 
 @dataclass(frozen=True)
@@ -431,7 +414,6 @@ def run_compare(
     config is ignored.  Needs at least two seeds to say anything about
     variability across trials.
     """
-    validate_config(cfg)
     if len(seeds) < 2:
         raise ValueError(
             f"comparison needs at least 2 seeds to be meaningful, got {len(seeds)}"
@@ -473,60 +455,30 @@ def run_compare(
     return rows
 
 
-_COMPARE_FIELDS = [
-    "seed",
-    "mean_unreliable",
-    "mean_reliable",
-    "mean_diff",
-    "max_unreliable",
-    "max_reliable",
-    "p95_unreliable",
-    "p95_reliable",
-]
+_COMPARE_FIELDS = [f.name for f in fields(CompareRow)]
 
 
-def _write_compare_outputs(rows: list[CompareRow], out: Path) -> None:
-    import csv as _csv
-
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(_COMPARE_FIELDS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.seed,
-                    repr(row.mean_unreliable),
-                    repr(row.mean_reliable),
-                    repr(row.mean_diff),
-                    repr(row.max_unreliable),
-                    repr(row.max_reliable),
-                    repr(row.p95_unreliable),
-                    repr(row.p95_reliable),
-                ]
-            )
-    payload = {
+def compare_payload(rows: list[CompareRow]) -> dict:
+    """The ``comparison.json`` document, which ``drsync compare`` also prints."""
+    return {
         "seeds": [row.seed for row in rows],
         "unreliable_mean_lower_count": sum(
             1 for row in rows if row.mean_unreliable < row.mean_reliable
         ),
-        "rows": [
-            {
-                "seed": row.seed,
-                "mean_unreliable": row.mean_unreliable,
-                "mean_reliable": row.mean_reliable,
-                "mean_diff": row.mean_diff,
-                "max_unreliable": row.max_unreliable,
-                "max_reliable": row.max_reliable,
-                "p95_unreliable": row.p95_unreliable,
-                "p95_reliable": row.p95_reliable,
-            }
-            for row in rows
-        ],
+        "rows": [asdict(row) for row in rows],
     }
-    with open(out / "comparison.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+
+def _write_compare_outputs(rows: list[CompareRow], out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "comparison.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_COMPARE_FIELDS)
+        for row in rows:
+            writer.writerow(
+                [row.seed] + [repr(getattr(row, name)) for name in _COMPARE_FIELDS[1:]]
+            )
+    spec.write_json(compare_payload(rows), str(out / "comparison.json"))
 
 
 def comparison_scenario() -> ScenarioConfig:
@@ -559,127 +511,9 @@ def comparison_scenario() -> ScenarioConfig:
     )
 
 
-# --- config validation and JSON parsing ---------------------------------
-
-
 def validate_config(cfg: ScenarioConfig) -> None:
-    """Check a constructed config; raises ConfigError listing every problem."""
-    problems: list[str] = []
-    if cfg.seed < 0:
-        problems.append(f"seed: must be >= 0, got {cfg.seed}")
-    if cfg.duration_ms < cfg.protocol.tick_ms:
-        problems.append(
-            f"duration_ms: must cover at least one tick ({cfg.protocol.tick_ms} ms), "
-            f"got {cfg.duration_ms}"
-        )
-    src = cfg.trajectory
-    if (src.file is None) == (src.generator is None):
-        problems.append(
-            "trajectory: exactly one of 'file' or 'generator' must be given"
-        )
-    if src.generator is not None:
-        problems.extend(_gen_problems(src.generator))
-    if cfg.mode not in (MODE_RELIABLE, MODE_UNRELIABLE):
-        problems.append(f"transport.mode: unknown mode {cfg.mode!r}")
-    if cfg.rto_ms < 1:
-        problems.append(f"transport.rto_ms: must be >= 1, got {cfg.rto_ms}")
-    if cfg.mode == MODE_RELIABLE and cfg.channel.loss_rate >= 1.0:
-        problems.append(
-            "channel.loss_rate: must be < 1 for reliable_ordered, "
-            f"got {cfg.channel.loss_rate}"
-        )
-    if cfg.channel.base_latency_ms < 0:
-        problems.append(
-            f"channel.base_latency_ms: must be >= 0, got {cfg.channel.base_latency_ms}"
-        )
-    if cfg.channel.jitter_max_ms < 0:
-        problems.append(
-            f"channel.jitter_max_ms: must be >= 0, got {cfg.channel.jitter_max_ms}"
-        )
-    if not (
-        isinstance(cfg.channel.loss_rate, (int, float))
-        and math.isfinite(cfg.channel.loss_rate)
-        and 0.0 <= cfg.channel.loss_rate <= 1.0
-    ):
-        problems.append(
-            f"channel.loss_rate: must be in [0, 1], got {cfg.channel.loss_rate}"
-        )
-    if cfg.channel.seed is not None and cfg.channel.seed < 0:
-        problems.append(f"channel.seed: must be >= 0, got {cfg.channel.seed}")
-    if not cfg.entity_id:
-        problems.append("entity_id: must be non-empty")
-    if problems:
-        raise ConfigError(problems)
-
-
-def _gen_problems(gen: TrajectoryGenConfig) -> list[str]:
-    problems = []
-    if gen.box_size <= 0:
-        problems.append(
-            f"trajectory.generator.box_size: must be > 0, got {gen.box_size}"
-        )
-    if gen.speed_min <= 0 or gen.speed_max < gen.speed_min:
-        problems.append(
-            "trajectory.generator: speeds must satisfy 0 < speed_min <= speed_max, "
-            f"got [{gen.speed_min}, {gen.speed_max}]"
-        )
-    if (
-        gen.waypoint_interval_min_ms < 1
-        or gen.waypoint_interval_max_ms < gen.waypoint_interval_min_ms
-    ):
-        problems.append(
-            "trajectory.generator: waypoint interval must satisfy "
-            "1 <= min <= max, got "
-            f"[{gen.waypoint_interval_min_ms}, {gen.waypoint_interval_max_ms}]"
-        )
-    return problems
-
-
-def _want_int(d: dict, key: str, problems: list[str], ctx: str) -> int | None:
-    v = d.get(key)
-    if isinstance(v, bool) or not isinstance(v, int):
-        problems.append(f"{ctx}{key}: must be an integer, got {v!r}")
-        return None
-    return v
-
-
-def _want_num(d: dict, key: str, problems: list[str], ctx: str) -> float | None:
-    v = d.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        problems.append(f"{ctx}{key}: must be a number, got {v!r}")
-        return None
-    if not math.isfinite(v):
-        problems.append(f"{ctx}{key}: must be finite, got {v!r}")
-        return None
-    return float(v)
-
-
-def _check_keys(
-    d: dict, known: set[str], required: set[str], problems: list[str], ctx: str
-) -> bool:
-    ok = True
-    for key in sorted(set(d) - known):
-        problems.append(f"{ctx}{key}: unknown key")
-        ok = False
-    for key in sorted(required - set(d)):
-        problems.append(f"{ctx}{key}: missing required key")
-        ok = False
-    return ok
-
-
-def _section(
-    data: dict, key: str, problems: list[str], required: bool = True
-) -> dict | None:
-    """Fetch a sub-object; None means absent or wrong type (already reported)."""
-    if key not in data:
-        if required:
-            problems.append(f"{key}: missing required section")
-        return None
-    v = data[key]
-    if not isinstance(v, dict):
-        problems.append(f"{key}: must be an object, got {type(v).__name__}")
-        return None
-    return v
+    """Re-check a constructed config; raises ConfigError listing every problem."""
+    spec.check(cfg)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -687,266 +521,13 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
     Collects every problem before failing so one round trip fixes them all.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(
-            [f"config: must be an object, got {type(data).__name__}"]
-        )
-    problems: list[str] = []
-    _check_keys(
-        data,
-        known={
-            "seed",
-            "duration_ms",
-            "entity_id",
-            "trajectory",
-            "protocol",
-            "channel",
-            "transport",
-            "dejitter",
-        },
-        required={"seed", "duration_ms", "trajectory", "protocol", "channel"},
-        problems=problems,
-        ctx="",
-    )
+    return spec.parse(ScenarioConfig, data)
 
-    seed = _want_int(data, "seed", problems, "") if "seed" in data else None
-    duration = (
-        _want_int(data, "duration_ms", problems, "") if "duration_ms" in data else None
-    )
-    entity_id = data.get("entity_id", "player-0")
-    if not isinstance(entity_id, str) or not entity_id:
-        problems.append(f"entity_id: must be a non-empty string, got {entity_id!r}")
-        entity_id = "player-0"
 
-    # trajectory
-    traj_data = _section(data, "trajectory", problems)
-    trajectory = TrajectorySource(generator=TrajectoryGenConfig())
-    if traj_data is not None:
-        _check_keys(traj_data, {"file", "generator"}, set(), problems, "trajectory.")
-        has_file = "file" in traj_data
-        has_gen = "generator" in traj_data
-        if has_file == has_gen:
-            problems.append(
-                "trajectory: exactly one of 'file' or 'generator' must be given"
-            )
-        elif has_file:
-            if not isinstance(traj_data["file"], str) or not traj_data["file"]:
-                problems.append(
-                    f"trajectory.file: must be a non-empty path, got {traj_data['file']!r}"
-                )
-            else:
-                trajectory = TrajectorySource(file=traj_data["file"])
-        else:
-            gen_data = traj_data["generator"]
-            if not isinstance(gen_data, dict):
-                problems.append("trajectory.generator: must be an object")
-            else:
-                ctx = "trajectory.generator."
-                _check_keys(
-                    gen_data,
-                    {
-                        "box_size",
-                        "speed_min",
-                        "speed_max",
-                        "waypoint_interval_min_ms",
-                        "waypoint_interval_max_ms",
-                    },
-                    set(),
-                    problems,
-                    ctx,
-                )
-                defaults = TrajectoryGenConfig()
-                box = (
-                    _want_num(gen_data, "box_size", problems, ctx)
-                    if "box_size" in gen_data
-                    else defaults.box_size
-                )
-                smin = (
-                    _want_num(gen_data, "speed_min", problems, ctx)
-                    if "speed_min" in gen_data
-                    else defaults.speed_min
-                )
-                smax = (
-                    _want_num(gen_data, "speed_max", problems, ctx)
-                    if "speed_max" in gen_data
-                    else defaults.speed_max
-                )
-                wmin = (
-                    _want_int(gen_data, "waypoint_interval_min_ms", problems, ctx)
-                    if "waypoint_interval_min_ms" in gen_data
-                    else defaults.waypoint_interval_min_ms
-                )
-                wmax = (
-                    _want_int(gen_data, "waypoint_interval_max_ms", problems, ctx)
-                    if "waypoint_interval_max_ms" in gen_data
-                    else defaults.waypoint_interval_max_ms
-                )
-                if None not in (box, smin, smax, wmin, wmax):
-                    gen = TrajectoryGenConfig(
-                        box_size=box,
-                        speed_min=smin,
-                        speed_max=smax,
-                        waypoint_interval_min_ms=wmin,
-                        waypoint_interval_max_ms=wmax,
-                    )
-                    problems.extend(_gen_problems(gen))
-                    trajectory = TrajectorySource(generator=gen)
-
-    # protocol
-    proto_data = _section(data, "protocol", problems)
-    threshold, tick_ms, min_interval = 1.0, 100, 0
-    if proto_data is not None:
-        ctx = "protocol."
-        _check_keys(
-            proto_data,
-            {"threshold", "tick_ms", "min_send_interval_ms"},
-            {"threshold", "tick_ms"},
-            problems,
-            ctx,
-        )
-        if "threshold" in proto_data:
-            v = _want_num(proto_data, "threshold", problems, ctx)
-            if v is not None:
-                if v < 0:
-                    problems.append(f"protocol.threshold: must be >= 0, got {v}")
-                else:
-                    threshold = v
-        if "tick_ms" in proto_data:
-            v = _want_int(proto_data, "tick_ms", problems, ctx)
-            if v is not None:
-                if v < 1:
-                    problems.append(f"protocol.tick_ms: must be >= 1, got {v}")
-                else:
-                    tick_ms = v
-        if "min_send_interval_ms" in proto_data:
-            v = _want_int(proto_data, "min_send_interval_ms", problems, ctx)
-            if v is not None:
-                if v < 0:
-                    problems.append(
-                        f"protocol.min_send_interval_ms: must be >= 0, got {v}"
-                    )
-                else:
-                    min_interval = v
-
-    # channel
-    chan_data = _section(data, "channel", problems)
-    base, jmax, loss, chan_seed = 0, 0, 0.0, None
-    if chan_data is not None:
-        ctx = "channel."
-        _check_keys(
-            chan_data,
-            {"base_latency_ms", "jitter_max_ms", "loss_rate", "seed"},
-            {"base_latency_ms", "jitter_max_ms", "loss_rate"},
-            problems,
-            ctx,
-        )
-        if "base_latency_ms" in chan_data:
-            v = _want_int(chan_data, "base_latency_ms", problems, ctx)
-            if v is not None:
-                if v < 0:
-                    problems.append(f"channel.base_latency_ms: must be >= 0, got {v}")
-                else:
-                    base = v
-        if "jitter_max_ms" in chan_data:
-            v = _want_int(chan_data, "jitter_max_ms", problems, ctx)
-            if v is not None:
-                if v < 0:
-                    problems.append(f"channel.jitter_max_ms: must be >= 0, got {v}")
-                else:
-                    jmax = v
-        if "loss_rate" in chan_data:
-            v = _want_num(chan_data, "loss_rate", problems, ctx)
-            if v is not None:
-                if not 0.0 <= v <= 1.0:
-                    problems.append(f"channel.loss_rate: must be in [0, 1], got {v}")
-                else:
-                    loss = v
-        if "seed" in chan_data:
-            v = _want_int(chan_data, "seed", problems, ctx)
-            if v is not None:
-                if v < 0:
-                    problems.append(f"channel.seed: must be >= 0, got {v}")
-                else:
-                    chan_seed = v
-
-    # transport
-    mode, rto_ms = MODE_UNRELIABLE, 400
-    trans_data = _section(data, "transport", problems, required=False)
-    if trans_data is not None:
-        ctx = "transport."
-        _check_keys(trans_data, {"mode", "rto_ms"}, {"mode"}, problems, ctx)
-        if "mode" in trans_data:
-            v = trans_data["mode"]
-            if v not in (MODE_RELIABLE, MODE_UNRELIABLE):
-                problems.append(f"transport.mode: unknown mode {v!r}")
-            else:
-                mode = v
-        if "rto_ms" in trans_data:
-            v = _want_int(trans_data, "rto_ms", problems, ctx)
-            if v is not None:
-                if v < 1:
-                    problems.append(f"transport.rto_ms: must be >= 1, got {v}")
-                else:
-                    rto_ms = v
-
-    # dejitter
-    playout, policy = 0, LatePolicy.DELIVER_LATE
-    dj_data = _section(data, "dejitter", problems, required=False)
-    if dj_data is not None:
-        ctx = "dejitter."
-        _check_keys(dj_data, {"playout_delay_ms", "late_policy"}, set(), problems, ctx)
-        if "playout_delay_ms" in dj_data:
-            v = _want_int(dj_data, "playout_delay_ms", problems, ctx)
-            if v is not None:
-                if v < 0:
-                    problems.append(f"dejitter.playout_delay_ms: must be >= 0, got {v}")
-                else:
-                    playout = v
-        if "late_policy" in dj_data:
-            v = dj_data["late_policy"]
-            try:
-                policy = LatePolicy(v)
-            except ValueError:
-                problems.append(
-                    f"dejitter.late_policy: must be one of "
-                    f"{[p.value for p in LatePolicy]}, got {v!r}"
-                )
-
-    if seed is not None and seed < 0:
-        problems.append(f"seed: must be >= 0, got {seed}")
-    if duration is not None and duration < tick_ms:
-        problems.append(
-            f"duration_ms: must cover at least one tick ({tick_ms} ms), got {duration}"
-        )
-    if mode == MODE_RELIABLE and loss >= 1.0:
-        problems.append(
-            f"channel.loss_rate: must be < 1 for reliable_ordered, got {loss}"
-        )
-
-    if problems:
-        raise ConfigError(problems)
-    assert seed is not None and duration is not None
-    return ScenarioConfig(
-        seed=seed,
-        duration_ms=duration,
-        trajectory=trajectory,
-        protocol=ProtocolConfig(
-            threshold=threshold, tick_ms=tick_ms, min_send_interval_ms=min_interval
-        ),
-        channel=ChannelSpec(
-            base_latency_ms=base, jitter_max_ms=jmax, loss_rate=loss, seed=chan_seed
-        ),
-        mode=mode,
-        rto_ms=rto_ms,
-        dejitter=DejitterConfig(playout_delay_ms=playout, late_policy=policy),
-        entity_id=entity_id,
-    )
+def config_to_dict(cfg: ScenarioConfig) -> dict:
+    """Canonical dict form of a scenario config (round-trips through the parser)."""
+    return spec.dump(cfg)
 
 
 def config_from_json(path: str) -> ScenarioConfig:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"config: not valid JSON ({exc})"]) from exc
-    return config_from_dict(data)
+    return config_from_dict(spec.load_json(path))

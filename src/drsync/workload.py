@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
+from . import spec
+from .core import TimeMs
 from .rng import TAG_CLIENT, TAG_EVENTS, TAG_SERVER, substream
-
-TimeMs = int
+from .spec import INVALID
 
 
 class Direction(enum.Enum):
@@ -48,26 +48,24 @@ class PayloadSizeDist:
     and tail mass must sum to 1.
     """
 
-    body: tuple[tuple[int, float], ...]
-    tail_prob: float = 0.0
-    tail_range: tuple[int, int] = (0, 0)
+    body: tuple[tuple[int, float], ...] = spec.field(
+        spec.Seq(spec.Pair(spec.Int(ge=0), spec.Real(ge=0)))
+    )
+    tail_prob: float = spec.field(spec.Real(ge=0, le=1), 0.0)
+    tail_range: tuple[int, int] = spec.field(
+        spec.Pair(spec.Int(ge=0), spec.Int(ge=0), ordered=True), (0, 0)
+    )
 
-    def __post_init__(self) -> None:
-        if not self.body:
-            raise ValueError("payload body distribution must not be empty")
-        for size, prob in self.body:
-            if size < 0:
-                raise ValueError(f"payload size must be >= 0, got {size}")
-            if prob < 0:
-                raise ValueError(f"payload probability must be >= 0, got {prob}")
-        if not 0.0 <= self.tail_prob <= 1.0:
-            raise ValueError(f"tail_prob must be in [0, 1], got {self.tail_prob}")
-        lo, hi = self.tail_range
-        if self.tail_prob > 0 and (lo < 0 or hi < lo):
-            raise ValueError(f"bad tail_range {self.tail_range}")
-        mass = math.fsum(p for _, p in self.body) + self.tail_prob
+    __post_init__ = spec.check
+
+    @staticmethod
+    def _relations(v: dict) -> list[str]:
+        if INVALID in (v["body"], v["tail_prob"]):
+            return []
+        mass = math.fsum(p for _, p in v["body"]) + v["tail_prob"]
         if abs(mass - 1.0) > 1e-9:
-            raise ValueError(f"body mass + tail_prob must be 1, got {mass}")
+            return [f"body: probabilities plus tail_prob must sum to 1, got {mass}"]
+        return []
 
     def sample(self, rng: random.Random) -> int:
         u = rng.random()
@@ -94,63 +92,42 @@ class PayloadSizeDist:
 class BurstModel:
     """Two-state ON/OFF activity machine; ``p_enter == 0`` means always ON."""
 
-    p_enter: float = 0.0
-    p_exit: float = 0.0
-    rate_multiplier: float = 1.0
+    p_enter: float = spec.field(spec.Real(ge=0, le=1), 0.0)
+    p_exit: float = spec.field(spec.Real(ge=0, le=1), 0.0)
+    rate_multiplier: float = spec.field(spec.Real(ge=0), 1.0)
 
-    def __post_init__(self) -> None:
-        for name in ("p_enter", "p_exit"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.rate_multiplier < 0:
-            raise ValueError(
-                f"rate_multiplier must be >= 0, got {self.rate_multiplier}"
-            )
+    __post_init__ = spec.check
 
 
 @dataclass(frozen=True)
 class GlobalEventModel:
     """Periodic all-hands moment; ``period_ms == 0`` disables it."""
 
-    period_ms: int = 0
-    participation: float = 0.0
+    period_ms: int = spec.field(spec.Int(ge=0), 0)
+    participation: float = spec.field(spec.Real(ge=0, le=1), 0.0)
 
-    def __post_init__(self) -> None:
-        if self.period_ms < 0:
-            raise ValueError(f"period_ms must be >= 0, got {self.period_ms}")
-        if not 0.0 <= self.participation <= 1.0:
-            raise ValueError(
-                f"participation must be in [0, 1], got {self.participation}"
-            )
+    __post_init__ = spec.check
 
 
 @dataclass(frozen=True)
 class WorkloadProfile:
     """Everything that shapes one synthetic workload."""
 
-    tick_period_ms: int
-    payload_size_dist: PayloadSizeDist
-    burst: BurstModel = field(default_factory=BurstModel)
-    header_bytes: int = 40
-    ack_every_n: int = 2
-    global_event: GlobalEventModel = field(default_factory=GlobalEventModel)
+    tick_period_ms: int = spec.field(spec.Int(ge=1))
+    payload_size_dist: PayloadSizeDist = spec.field(spec.Nested(PayloadSizeDist))
+    burst: BurstModel = spec.field(spec.Nested(BurstModel), BurstModel())
+    header_bytes: int = spec.field(spec.Int(ge=0), 40)
+    ack_every_n: int = spec.field(spec.Int(ge=1), 2)
+    global_event: GlobalEventModel = spec.field(
+        spec.Nested(GlobalEventModel), GlobalEventModel()
+    )
     # Server-side "nearby characters" activity multiplier, resampled per epoch.
-    server_scale_range: tuple[float, float] = (1.0, 1.0)
-    server_epoch_ms: int = 10_000
+    server_scale_range: tuple[float, float] = spec.field(
+        spec.Pair(spec.Real(ge=0), spec.Real(ge=0), ordered=True), (1.0, 1.0)
+    )
+    server_epoch_ms: int = spec.field(spec.Int(ge=1), 10_000)
 
-    def __post_init__(self) -> None:
-        if self.tick_period_ms < 1:
-            raise ValueError(f"tick_period_ms must be >= 1, got {self.tick_period_ms}")
-        if self.header_bytes < 0:
-            raise ValueError(f"header_bytes must be >= 0, got {self.header_bytes}")
-        if self.ack_every_n < 1:
-            raise ValueError(f"ack_every_n must be >= 1, got {self.ack_every_n}")
-        lo, hi = self.server_scale_range
-        if lo < 0 or hi < lo:
-            raise ValueError(f"bad server_scale_range {self.server_scale_range}")
-        if self.server_epoch_ms < 1:
-            raise ValueError(f"server_epoch_ms must be >= 1, got {self.server_epoch_ms}")
+    __post_init__ = spec.check
 
 
 @dataclass(frozen=True)
@@ -350,7 +327,9 @@ def _ack(
     )
 
 
-_TRACE_FIELDS = ["t_ms", "conn_id", "direction", "payload_bytes", "header_bytes", "is_ack"]
+_TRACE_FIELDS = (
+    "t_ms", "conn_id", "direction", "payload_bytes", "header_bytes", "is_ack"
+)
 
 
 def write_trace_csv(records: list[TraceRecord], path: str) -> None:
@@ -372,127 +351,42 @@ def write_trace_csv(records: list[TraceRecord], path: str) -> None:
 
 
 def read_trace_csv(path: str) -> list[TraceRecord]:
-    """Inverse of :func:`write_trace_csv`."""
-    records: list[TraceRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != _TRACE_FIELDS:
+    """Inverse of :func:`write_trace_csv`; the rows must be sorted by time."""
+    last_t = 0
+
+    def record(row: list[str]) -> TraceRecord:
+        nonlocal last_t
+        t, payload, header = int(row[0]), int(row[3]), int(row[4])
+        if t < last_t or payload < 0 or header < 0:
+            if t < 0 or payload < 0 or header < 0:
+                raise ValueError("t_ms, payload_bytes and header_bytes must be >= 0")
             raise ValueError(
-                f"trace CSV header must be {','.join(_TRACE_FIELDS)}, "
-                f"got {reader.fieldnames}"
+                f"t_ms {t} precedes the previous row's {last_t}; "
+                "a trace must be sorted by time"
             )
-        for row in reader:
-            records.append(
-                TraceRecord(
-                    t_ms=int(row["t_ms"]),
-                    conn_id=row["conn_id"],
-                    direction=Direction(row["direction"]),
-                    payload_bytes=int(row["payload_bytes"]),
-                    header_bytes=int(row["header_bytes"]),
-                    is_ack=row["is_ack"] == "true",
-                )
-            )
-    return records
+        last_t = t
+        direction, is_ack = Direction(row[2]), spec.flag(row[5])
+        return TraceRecord(t, row[1], direction, payload, header, is_ack)
+
+    return spec.read_csv(path, {_TRACE_FIELDS: record})
 
 
 def profile_to_dict(profile: WorkloadProfile) -> dict:
     """Plain-dict form of a profile, suitable for JSON dumping and editing."""
-    return {
-        "tick_period_ms": profile.tick_period_ms,
-        "payload_size_dist": {
-            "body": [[size, prob] for size, prob in profile.payload_size_dist.body],
-            "tail_prob": profile.payload_size_dist.tail_prob,
-            "tail_range": list(profile.payload_size_dist.tail_range),
-        },
-        "burst": {
-            "p_enter": profile.burst.p_enter,
-            "p_exit": profile.burst.p_exit,
-            "rate_multiplier": profile.burst.rate_multiplier,
-        },
-        "header_bytes": profile.header_bytes,
-        "ack_every_n": profile.ack_every_n,
-        "global_event": {
-            "period_ms": profile.global_event.period_ms,
-            "participation": profile.global_event.participation,
-        },
-        "server_scale_range": list(profile.server_scale_range),
-        "server_epoch_ms": profile.server_epoch_ms,
-    }
+    return spec.dump(profile)
 
 
 def profile_from_dict(data: dict) -> WorkloadProfile:
     """Parse a profile dict, rejecting unknown keys so typos do not pass silently."""
-    if not isinstance(data, dict):
-        raise ValueError(f"profile must be an object, got {type(data).__name__}")
-    known = {
-        "tick_period_ms",
-        "payload_size_dist",
-        "burst",
-        "header_bytes",
-        "ack_every_n",
-        "global_event",
-        "server_scale_range",
-        "server_epoch_ms",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown profile keys: {sorted(unknown)}")
-    missing = {"tick_period_ms", "payload_size_dist"} - set(data)
-    if missing:
-        raise ValueError(f"profile missing required keys: {sorted(missing)}")
-
-    dist_data = data["payload_size_dist"]
-    if not isinstance(dist_data, dict):
-        raise ValueError("payload_size_dist must be an object")
-    unknown = set(dist_data) - {"body", "tail_prob", "tail_range"}
-    if unknown:
-        raise ValueError(f"unknown payload_size_dist keys: {sorted(unknown)}")
-    dist = PayloadSizeDist(
-        body=tuple((int(s), float(p)) for s, p in dist_data.get("body", [])),
-        tail_prob=float(dist_data.get("tail_prob", 0.0)),
-        tail_range=tuple(dist_data.get("tail_range", (0, 0))),  # type: ignore[arg-type]
-    )
-
-    burst_data = data.get("burst", {})
-    unknown = set(burst_data) - {"p_enter", "p_exit", "rate_multiplier"}
-    if unknown:
-        raise ValueError(f"unknown burst keys: {sorted(unknown)}")
-    burst = BurstModel(
-        p_enter=float(burst_data.get("p_enter", 0.0)),
-        p_exit=float(burst_data.get("p_exit", 0.0)),
-        rate_multiplier=float(burst_data.get("rate_multiplier", 1.0)),
-    )
-
-    event_data = data.get("global_event", {})
-    unknown = set(event_data) - {"period_ms", "participation"}
-    if unknown:
-        raise ValueError(f"unknown global_event keys: {sorted(unknown)}")
-    event = GlobalEventModel(
-        period_ms=int(event_data.get("period_ms", 0)),
-        participation=float(event_data.get("participation", 0.0)),
-    )
-
-    return WorkloadProfile(
-        tick_period_ms=int(data["tick_period_ms"]),
-        payload_size_dist=dist,
-        burst=burst,
-        header_bytes=int(data.get("header_bytes", 40)),
-        ack_every_n=int(data.get("ack_every_n", 2)),
-        global_event=event,
-        server_scale_range=tuple(data.get("server_scale_range", (1.0, 1.0))),  # type: ignore[arg-type]
-        server_epoch_ms=int(data.get("server_epoch_ms", 10_000)),
-    )
+    return spec.parse(WorkloadProfile, data)
 
 
 def profile_to_json(profile: WorkloadProfile, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(profile_to_dict(profile), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    spec.write_json(profile_to_dict(profile), path)
 
 
 def profile_from_json(path: str) -> WorkloadProfile:
-    with open(path) as fh:
-        return profile_from_dict(json.load(fh))
+    return profile_from_dict(spec.load_json(path))
 
 
 def without_bursts_and_events(profile: WorkloadProfile) -> WorkloadProfile:
