@@ -14,11 +14,23 @@ from pathlib import Path
 
 import pytest
 
+from drsync.analysis import compute_stats, write_histogram_csv
 from drsync.cli import main
 from drsync.qon import generate_labeled_sessions, write_sessions_csv
-from drsync.workload import preset, profile_to_json
+from drsync.workload import preset, profile_to_json, read_trace_csv
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fast_maneuver.json"
+
+# Session metrics for ``predict``: clean and impaired links, each recovery state.
+METRICS_CSV = """\
+rtt_mean_ms,rtt_jitter_ms,loss_rate,elapsed_min,connectivity_recoverable
+40.0,2.5,0.0,12.0,true
+95.25,18.0,0.01,3.5,false
+180.0,45.5,0.08,0.75,true
+310.5,90.0,0.2,1.0,false
+600.0,150.0,0.45,0.25,true
+1200.0,400.0,0.9,30.0,false
+"""
 
 GOLDEN = {
     "analyze/mmorpg": (
@@ -33,11 +45,20 @@ GOLDEN = {
     "generate/mmorpg": (
         "4c36307c693fd3446f3f9bd846c9ba9948269599cdff258356d051b236103235"
     ),
+    "histogram/mmorpg_c2s": (
+        "13d3db0254b8c1a508a67c7c7acf2200456139964eebafd32dc690e638abc396"
+    ),
+    "predict/metrics": (
+        "2e9b76fc49b6f891fbdf9906034fe593ddf3e9532a9bca34d308e2882a6f8a48"
+    ),
     "profile/fps": (
         "38faa8cf860d28f25b9614382c64481b8f112e0b2d305c048851ce8064302035"
     ),
     "profile/mmorpg": (
         "dc7e7e7a923bcfbeda03d5948887b69a5b3d6be9136be9be20a3b47e4c445206"
+    ),
+    "sessions/200_321": (
+        "f5cbe911bfedae7a1fffe9dd94c9c9a5cda581d14f94dace0d9680f1f7c7e3f6"
     ),
     "simulate/reliable_ordered/seed_1": (
         "81aed8750bf28badf50b2a383405eb4e9e05edc39711854707009bb197d5a956"
@@ -109,10 +130,22 @@ def compute_digests(tmp: Path) -> dict[str, str]:
     )
     digests["generate/mmorpg"] = _sha(trace.read_bytes())
     digests["analyze/mmorpg"] = _sha(_run(["analyze", "--trace", str(trace)]).encode())
+    histogram = tmp / "histogram.csv"
+    write_histogram_csv(compute_stats(read_trace_csv(str(trace)), "c2s"), str(histogram))
+    digests["histogram/mmorpg_c2s"] = _sha(histogram.read_bytes())
 
     sessions = tmp / "sessions.csv"
     write_sessions_csv(generate_labeled_sessions(200, 321), str(sessions))
+    digests["sessions/200_321"] = _sha(sessions.read_bytes())
     digests["fit/sessions_200_321"] = _sha(_run(["fit", "--data", str(sessions)]).encode())
+
+    metrics = tmp / "metrics.csv"
+    metrics.write_text(METRICS_CSV)
+    stdout = _run(["predict", "--metrics", str(metrics)])
+    predicted = tmp / "predicted.csv"
+    _run(["predict", "--metrics", str(metrics), "--out", str(predicted)])
+    assert predicted.read_bytes() == stdout.encode(), "predict --out differs from stdout"
+    digests["predict/metrics"] = _sha(stdout.encode())
 
     for name in ("mmorpg", "fps"):
         path = tmp / f"{name}.json"
