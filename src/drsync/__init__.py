@@ -39,8 +39,6 @@ from .netsim import (
     DeliveryEvent,
     LatePolicy,
     ReliableOrdered,
-    TransportMode,
-    UnreliableDR,
     channel_transmit,
     dejitter_deliver,
     reliable_run,

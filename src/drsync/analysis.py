@@ -15,7 +15,6 @@ so ``r(0) == 1`` exactly and ``|r(k)| <= 1`` always.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from collections.abc import Sequence
@@ -23,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import spec
 from .protocol import nearest_rank
 from .workload import Direction, TraceRecord
 
@@ -281,8 +281,6 @@ def write_histogram_csv(
     stats: TraceStats, path: str, bucket_bytes: int = 8
 ) -> None:
     """Write the wire-size histogram as ``bucket_low,bucket_high,count``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bucket_low", "bucket_high", "count"])
-        for low, high, count in stats.size_histogram(bucket_bytes):
-            writer.writerow([low, high, count])
+    spec.write_csv(
+        path, ("bucket_low", "bucket_high", "count"), stats.size_histogram(bucket_bytes)
+    )

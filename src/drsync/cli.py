@@ -15,7 +15,7 @@ import math
 import os
 import sys
 
-from . import __version__
+from . import __version__, spec
 from .analysis import bucket_counts, compute_stats, detect_period
 from .qon import (
     DECISION_THRESHOLD,
@@ -177,23 +177,17 @@ def _cmd_predict(args) -> int:
     if args.weights is not None:
         weights = weights_from_json(args.weights)
     rows = read_metrics_csv(args.metrics)
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="")
-    try:
-        out.write("risk_score,premature_flag,action\n")
-        for metrics, recoverable in rows:
-            # Unknown recovery state gets the conservative path: a message
-            # works whether or not the connection came back.
-            result = assess(
-                weights,
-                metrics,
-                connectivity_recoverable=bool(recoverable),
-                threshold=args.threshold,
-            )
-            flag = "true" if result.premature_flag else "false"
-            out.write(f"{result.score!r},{flag},{result.action.value}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    # Unknown recovery state gets the conservative path: a message works
+    # whether or not the connection came back.
+    results = (
+        assess(weights, metrics, bool(recoverable), threshold=args.threshold)
+        for metrics, recoverable in rows
+    )
+    spec.write_csv(
+        sys.stdout if args.out is None else args.out,
+        ("risk_score", "premature_flag", "action"),
+        ((r.score, spec.FLAG_TEXT[r.premature_flag], r.action.value) for r in results),
+    )
     return 0
 
 
@@ -273,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print("error: invalid config", file=sys.stderr)
+        print(f"error: invalid {exc.what}", file=sys.stderr)
         for problem in exc.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 1

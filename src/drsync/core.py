@@ -141,7 +141,7 @@ class TrajectoryScript:
         try:
             return cls(waypoints)
         except ValueError as exc:
-            raise spec.ConfigError([f"{path}: {exc}"]) from exc
+            raise spec.InputFileError([f"{path}: {exc}"]) from exc
 
     def __repr__(self) -> str:
         return (

@@ -12,19 +12,20 @@ retransmissions consume extra draws.
 
 Transports:
 
-* ``ReliableOrdered`` retransmits each lost packet at the prior attempt time
-  plus a fixed ``rto_ms`` until it gets through, then releases packets to the
+* ``reliable_run`` (configured by ``ReliableOrdered``) retransmits each lost
+  packet at the prior attempt time plus a fixed ``rto_ms``, up to
+  :data:`MAX_RETRANSMISSIONS` times, then releases packets to the
   application strictly in order, so one straggler holds back everything
-  behind it.
-* ``UnreliableDR`` sends each packet once; losses simply vanish.  Survivors
-  pass through a de-jitter buffer that holds early arrivals until a playout
-  deadline of ``send + base_latency + playout_delay``; later arrivals are
-  either delivered immediately (late) or dropped, per policy.
+  behind it.  A packet lost on every attempt is given up: it gets no arrival
+  or delivery and holds back nothing.
+* ``unreliable_run`` sends each packet once; losses simply vanish.
+  Survivors pass through a de-jitter buffer that holds early arrivals until
+  a playout deadline of ``send + base_latency + playout_delay``; later
+  arrivals are either delivered immediately (late) or dropped, per policy.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import random
 from dataclasses import dataclass
@@ -32,6 +33,10 @@ from dataclasses import dataclass
 from . import spec
 from .core import TimeMs
 from .rng import mix64
+
+# Attempts after the first before a reliable transport gives a packet up;
+# Linux's default ``tcp_retries2``.
+MAX_RETRANSMISSIONS = 15
 
 
 @dataclass(frozen=True)
@@ -73,21 +78,13 @@ class ReliableOrdered:
 
 
 @dataclass(frozen=True)
-class UnreliableDR:
-    """Fire-and-forget transport; reordering and loss are the receiver's problem."""
-
-
-TransportMode = ReliableOrdered | UnreliableDR
-
-
-@dataclass(frozen=True)
 class DeliveryEvent:
     """Fate of one packet: when it was sent, arrived, and reached the application.
 
-    ``arrive_ms`` is None when every transmission was lost (unreliable only);
-    ``deliver_ms`` is None when the packet never reached the application
-    (lost, or dropped as late).  ``late`` marks arrivals past their de-jitter
-    playout time.
+    ``arrive_ms`` is None when every transmission was lost (for the reliable
+    transport, all ``MAX_RETRANSMISSIONS + 1`` of them); ``deliver_ms`` is
+    None when the packet never reached the application (lost, or dropped as
+    late).  ``late`` marks arrivals past their de-jitter playout time.
     """
 
     seq: int
@@ -153,42 +150,45 @@ def _check_sends(sends: list[tuple[int, TimeMs]]) -> None:
         prev_t = t
 
 
+def _first_arrival(
+    chan: ChannelConfig, seq: int, send_ms: TimeMs, rto_ms: int, retries: int
+) -> tuple[TimeMs | None, int]:
+    """Transmit one packet until it arrives or ``retries`` retransmissions fail.
+
+    Attempt ``k`` leaves at ``send_ms + k * rto_ms``.  Returns the arrival
+    time, None if every attempt was lost, and the retransmissions made.
+    """
+    for attempt in range(retries + 1):
+        arrive = channel_transmit(
+            chan, transmission_rng(chan.seed, seq, attempt), send_ms + attempt * rto_ms
+        )
+        if arrive is not None:
+            return arrive, attempt
+    return None, retries
+
+
 def reliable_run(
     chan: ChannelConfig, transport: ReliableOrdered, sends: list[tuple[int, TimeMs]]
 ) -> list[DeliveryEvent]:
-    """Deliver every packet in order, retransmitting losses every ``rto_ms``.
+    """Deliver packets in order, retransmitting losses every ``rto_ms``.
 
     ``sends`` is a list of ``(seq, send_ms)`` with seqs contiguous from 1 and
-    monotone times.  No packet is ever given up on, which is also why a
-    channel with ``loss_rate == 1`` is rejected: it would retransmit forever.
+    monotone times.  A packet still lost after ``MAX_RETRANSMISSIONS``
+    retransmissions is given up and holds back nothing behind it.
     """
     _check_sends(sends)
-    if chan.loss_rate >= 1.0:
-        raise ValueError("reliable transport cannot terminate at loss_rate >= 1")
     events: list[DeliveryEvent] = []
     prev_deliver: TimeMs = 0
     for seq, send_ms in sends:
-        attempt = 0
-        while True:
-            attempt_send = send_ms + attempt * transport.rto_ms
-            arrive = channel_transmit(
-                chan, transmission_rng(chan.seed, seq, attempt), attempt_send
-            )
-            if arrive is not None:
-                break
-            attempt += 1
-        # In-order release: nothing overtakes an earlier packet.
-        deliver = max(arrive, prev_deliver)
-        prev_deliver = deliver
+        arrive, retransmissions = _first_arrival(
+            chan, seq, send_ms, transport.rto_ms, MAX_RETRANSMISSIONS
+        )
+        deliver = None
+        if arrive is not None:
+            # In-order release: nothing overtakes an earlier packet.
+            deliver = prev_deliver = max(arrive, prev_deliver)
         events.append(
-            DeliveryEvent(
-                seq=seq,
-                send_ms=send_ms,
-                arrive_ms=arrive,
-                deliver_ms=deliver,
-                late=False,
-                retransmissions=attempt,
-            )
+            DeliveryEvent(seq, send_ms, arrive, deliver, False, retransmissions)
         )
     return events
 
@@ -204,36 +204,12 @@ def unreliable_run(
     _check_sends(sends)
     events: list[DeliveryEvent] = []
     for seq, send_ms in sends:
-        arrive = channel_transmit(
-            chan, transmission_rng(chan.seed, seq, 0), send_ms
-        )
-        if arrive is None:
-            events.append(
-                DeliveryEvent(
-                    seq=seq,
-                    send_ms=send_ms,
-                    arrive_ms=None,
-                    deliver_ms=None,
-                    late=False,
-                    retransmissions=0,
-                )
-            )
-            continue
-        slot = dejitter_deliver(dejitter, chan.base_latency_ms, send_ms, arrive)
-        if slot is None:
-            deliver, late = None, True
-        else:
-            deliver, late = slot
-        events.append(
-            DeliveryEvent(
-                seq=seq,
-                send_ms=send_ms,
-                arrive_ms=arrive,
-                deliver_ms=deliver,
-                late=late,
-                retransmissions=0,
-            )
-        )
+        arrive, _ = _first_arrival(chan, seq, send_ms, 0, 0)
+        deliver, late = None, False
+        if arrive is not None:
+            slot = dejitter_deliver(dejitter, chan.base_latency_ms, send_ms, arrive)
+            deliver, late = (None, True) if slot is None else slot
+        events.append(DeliveryEvent(seq, send_ms, arrive, deliver, late, 0))
     return events
 
 
@@ -245,20 +221,12 @@ def write_delivery_csv(events: list[DeliveryEvent], path: str) -> None:
 
     Absent times serialize as empty fields; booleans as ``true``/``false``.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_EVENT_FIELDS)
-        for ev in events:
-            writer.writerow(
-                [
-                    ev.seq,
-                    ev.send_ms,
-                    "" if ev.arrive_ms is None else ev.arrive_ms,
-                    "" if ev.deliver_ms is None else ev.deliver_ms,
-                    "true" if ev.late else "false",
-                    ev.retransmissions,
-                ]
-            )
+    flag = spec.FLAG_TEXT
+    rows = (
+        (e.seq, e.send_ms, e.arrive_ms, e.deliver_ms, flag[e.late], e.retransmissions)
+        for e in events
+    )
+    spec.write_csv(path, _EVENT_FIELDS, rows)
 
 
 def read_delivery_csv(path: str) -> list[DeliveryEvent]:

@@ -15,7 +15,6 @@ reported separately.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -201,8 +200,6 @@ def compute_export_error(
 
 def write_export_error_csv(report: ExportErrorReport, path: str) -> None:
     """Write the error series as ``t_ms,entity_id,error`` (empty error = warm-up)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_ms", "entity_id", "error"])
-        for t, err in report.series:
-            writer.writerow([t, report.entity_id, "" if err is None else repr(err)])
+    entity = report.entity_id
+    rows = ((t, entity, err) for t, err in report.series)
+    spec.write_csv(path, ("t_ms", "entity_id", "error"), rows)

@@ -19,7 +19,6 @@ gets a heads-up message about their network.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import random
@@ -317,19 +316,12 @@ _SESSION_FIELDS = (*_METRICS_FIELDS, "quit_premature")
 
 def write_sessions_csv(sessions: list[LabeledSession], path: str) -> None:
     """Write ``rtt_mean_ms,rtt_jitter_ms,loss_rate,elapsed_min,quit_premature``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_SESSION_FIELDS)
-        for m, quit_early in sessions:
-            writer.writerow(
-                [
-                    repr(m.rtt_mean_ms),
-                    repr(m.rtt_jitter_ms),
-                    repr(m.loss_rate),
-                    repr(m.elapsed_min),
-                    "true" if quit_early else "false",
-                ]
-            )
+    flag = spec.FLAG_TEXT
+    rows = (
+        (m.rtt_mean_ms, m.rtt_jitter_ms, m.loss_rate, m.elapsed_min, flag[quit_early])
+        for m, quit_early in sessions
+    )
+    spec.write_csv(path, _SESSION_FIELDS, rows)
 
 
 def _metrics(row: list[str]) -> SessionMetrics:

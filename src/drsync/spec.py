@@ -10,7 +10,7 @@ gets :data:`INVALID` for a field that broke its own rule.
 
 CSV readers share :func:`read_csv` and the cell converters ``int``,
 ``float`` and :func:`flag`; float cells go into constructors that reject
-NaN and infinity.
+NaN and infinity.  Every CSV output goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import enum
 import json
 import sys
 import types
-from collections.abc import Callable, Iterable
-from typing import Any, TypeVar
+from collections.abc import Callable, Iterable, Sequence
+from typing import IO, Any, TypeVar
 
 T = TypeVar("T")
 _MISSING = dataclasses.MISSING
@@ -31,9 +31,17 @@ _MISSING = dataclasses.MISSING
 class ConfigError(ValueError):
     """Input rejected; ``problems`` lists every violated field or row."""
 
+    what = "config"
+
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
-        super().__init__("invalid config: " + "; ".join(self.problems))
+        super().__init__(f"invalid {self.what}: " + "; ".join(self.problems))
+
+
+class InputFileError(ConfigError):
+    """A CSV input file rejected; each problem names the file and row."""
+
+    what = "input file"
 
 
 class _Invalid:
@@ -366,6 +374,8 @@ def write_json(data: dict, path: str) -> None:
 
 
 _FLAGS = {"true": True, "false": False}
+# How a flag is written: the inverse of :func:`flag`.
+FLAG_TEXT = {value: text for text, value in _FLAGS.items()}
 
 
 def flag(cell: str) -> bool:
@@ -383,8 +393,8 @@ def read_csv(
 
     ``builders`` maps every accepted header to a function of one row's
     cells.  Blank lines are skipped.  A wrong header, a row of the wrong
-    width, or a ``ValueError`` from the builder ends as a
-    :class:`ConfigError` that names the file and row.
+    width, or a ``ValueError`` from the builder ends as an
+    :class:`InputFileError` that names the file and row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -401,5 +411,23 @@ def read_csv(
                 elif row:
                     raise ValueError(f"expected {width} cells, got {len(row)}")
         except (ValueError, csv.Error) as exc:
-            raise ConfigError([f"{path} row {reader.line_num}: {exc}"]) from exc
+            raise InputFileError([f"{path} row {reader.line_num}: {exc}"]) from exc
     return out
+
+
+def write_csv(
+    dest: str | IO[str], header: Sequence[str], rows: Iterable[Sequence[Any]]
+) -> None:
+    """Write a header and rows to a path or an open text file.
+
+    ``None`` is written as an empty cell and a float as its ``repr``, so
+    :func:`read_csv` reads back the same values; flags are written through
+    :data:`FLAG_TEXT`.  Lines end in ``\\n``.
+    """
+    if not hasattr(dest, "write"):
+        with open(dest, "w", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    writer = csv.writer(dest, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)

@@ -22,7 +22,6 @@ generation order.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import random
@@ -275,56 +274,55 @@ def generate_trace(
             n_client, client_on = _tick_sends(client_rng, client_on, profile.burst, 1.0)
             if k in event_ticks and event_rng.random() < event.participation:
                 n_client += 1  # flash crowd: one forced action even when idle
-            for _ in range(n_client):
-                records.append(
-                    TraceRecord(
-                        t_ms=t,
-                        conn_id=conn_id,
-                        direction=Direction.CLIENT_TO_SERVER,
-                        payload_bytes=profile.payload_size_dist.sample(client_rng),
-                        header_bytes=profile.header_bytes,
-                        is_ack=False,
-                    )
-                )
-                client_data += 1
-                if client_data % profile.ack_every_n == 0:
-                    records.append(_ack(t, conn_id, Direction.SERVER_TO_CLIENT, profile))
+            client_data = _emit(
+                records, profile, t, conn_id, _CLIENT_SIDE, client_rng, n_client,
+                client_data,
+            )
 
             if k % epoch_ticks == 0:
                 nearby = server_rng.uniform(*profile.server_scale_range)
             n_server, server_on = _tick_sends(
                 server_rng, server_on, profile.burst, nearby
             )
-            for _ in range(n_server):
-                records.append(
-                    TraceRecord(
-                        t_ms=t,
-                        conn_id=conn_id,
-                        direction=Direction.SERVER_TO_CLIENT,
-                        payload_bytes=profile.payload_size_dist.sample(server_rng),
-                        header_bytes=profile.header_bytes,
-                        is_ack=False,
-                    )
-                )
-                server_data += 1
-                if server_data % profile.ack_every_n == 0:
-                    records.append(_ack(t, conn_id, Direction.CLIENT_TO_SERVER, profile))
+            server_data = _emit(
+                records, profile, t, conn_id, _SERVER_SIDE, server_rng, n_server,
+                server_data,
+            )
 
     records.sort(key=lambda r: r.t_ms)  # stable: generation order breaks ties
     return records
 
 
-def _ack(
-    t: TimeMs, conn_id: str, direction: Direction, profile: WorkloadProfile
-) -> TraceRecord:
-    return TraceRecord(
-        t_ms=t,
-        conn_id=conn_id,
-        direction=direction,
-        payload_bytes=0,
-        header_bytes=profile.header_bytes,
-        is_ack=True,
-    )
+# The (data, ack) directions of each side of a connection.
+_CLIENT_SIDE = (Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT)
+_SERVER_SIDE = (Direction.SERVER_TO_CLIENT, Direction.CLIENT_TO_SERVER)
+
+
+def _emit(
+    records: list[TraceRecord],
+    profile: WorkloadProfile,
+    t: TimeMs,
+    conn_id: str,
+    side: tuple[Direction, Direction],
+    rng: random.Random,
+    n_data: int,
+    sent: int,
+) -> int:
+    """Append one side's ``n_data`` packets at ``t`` and the acks they trigger.
+
+    ``sent`` counts the side's earlier data packets; each ``ack_every_n``-th
+    one is acknowledged by a header-only packet in the other direction.
+    Returns the new count.
+    """
+    data_dir, ack_dir = side
+    header = profile.header_bytes
+    for _ in range(n_data):
+        payload = profile.payload_size_dist.sample(rng)
+        records.append(TraceRecord(t, conn_id, data_dir, payload, header, False))
+        sent += 1
+        if sent % profile.ack_every_n == 0:
+            records.append(TraceRecord(t, conn_id, ack_dir, 0, header, True))
+    return sent
 
 
 _TRACE_FIELDS = (
@@ -334,20 +332,13 @@ _TRACE_FIELDS = (
 
 def write_trace_csv(records: list[TraceRecord], path: str) -> None:
     """Write ``t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_TRACE_FIELDS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.t_ms,
-                    r.conn_id,
-                    r.direction.value,
-                    r.payload_bytes,
-                    r.header_bytes,
-                    "true" if r.is_ack else "false",
-                ]
-            )
+    flag = spec.FLAG_TEXT
+    rows = (
+        (r.t_ms, r.conn_id, r.direction.value, r.payload_bytes, r.header_bytes,
+         flag[r.is_ack])
+        for r in records
+    )
+    spec.write_csv(path, _TRACE_FIELDS, rows)
 
 
 def read_trace_csv(path: str) -> list[TraceRecord]:

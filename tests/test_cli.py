@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from drsync.scenario import (
     config_to_dict,
 )
 from drsync.workload import read_trace_csv
+
+FAST_MANEUVER = Path(__file__).resolve().parent.parent / "configs" / "fast_maneuver.json"
 
 
 @pytest.fixture
@@ -105,6 +108,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "invalid config" in err
         assert err.count("  - ") == 3
+
+    def test_reliable_near_total_loss_finishes(self, capsys, tmp_path):
+        # Without a retransmission cap this run would take hours.
+        data = json.loads(FAST_MANEUVER.read_text())
+        data["transport"]["mode"] = "reliable_ordered"
+        data["channel"]["loss_rate"] = 0.999999
+        path = tmp_path / "lossy.json"
+        path.write_text(json.dumps(data))
+        assert main(["simulate", "--config", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["transmissions"] == 16 * summary["sends"]
 
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "mangled.json"

@@ -132,6 +132,7 @@ class TestCliDefects:
         )
         code, _, err = run_cli(["analyze", "--trace", str(path)])
         assert code == 1
+        assert err.startswith("error: invalid input file\n")
         assert "row 4" in err and "sorted" in err
 
 

@@ -1,12 +1,12 @@
 import pytest
 
 from drsync.netsim import (
+    MAX_RETRANSMISSIONS,
     ChannelConfig,
     DejitterConfig,
     DeliveryEvent,
     LatePolicy,
     ReliableOrdered,
-    UnreliableDR,
     channel_transmit,
     dejitter_deliver,
     read_delivery_csv,
@@ -54,11 +54,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             unreliable_run(chan(), DejitterConfig(playout_delay_ms=0), [(1, 100), (2, 50)])
 
-    def test_reliable_rejects_total_loss(self):
-        # A retransmit-forever transport never finishes on a dead link.
-        with pytest.raises(ValueError):
-            reliable_run(chan(loss=1.0), ReliableOrdered(rto_ms=100), THREE_SENDS)
-
 
 class TestTransmissionRng:
     def test_same_triple_same_stream(self):
@@ -94,6 +89,16 @@ class TestHandWorkedDeliveries:
             (3, 250, 350, 0),
         ]
         assert all(not e.late for e in events)
+
+    def test_reliable_given_up_packet_holds_nothing_back(self):
+        # Seed 16 at 90% loss loses all 16 copies of packet 2.  Packet 3
+        # arrived at 250 and is released then; nothing waits for packet 2.
+        events = reliable_run(chan(seed=16, loss=0.9), ReliableOrdered(rto_ms=100), THREE_SENDS)
+        assert [(e.seq, e.arrive_ms, e.deliver_ms, e.retransmissions) for e in events] == [
+            (1, 150, 150, 1),
+            (2, None, None, MAX_RETRANSMISSIONS),
+            (3, 250, 250, 0),
+        ]
 
     def test_reliable_double_loss(self):
         # Seed 0 drops packet 2 twice; second retransmit at 500 lands at 550.
@@ -150,6 +155,14 @@ class TestChannelBehavior:
     def test_total_loss_unreliable(self):
         events = unreliable_run(chan(loss=1.0), DejitterConfig(playout_delay_ms=0), THREE_SENDS)
         assert all(e.arrive_ms is None and e.deliver_ms is None for e in events)
+
+    def test_total_loss_reliable_gives_up(self):
+        # Every packet is given up after MAX_RETRANSMISSIONS (15) retries.
+        events = reliable_run(chan(loss=1.0), ReliableOrdered(rto_ms=100), THREE_SENDS)
+        assert MAX_RETRANSMISSIONS == 15
+        assert [(e.arrive_ms, e.deliver_ms, e.late, e.retransmissions) for e in events] == [
+            (None, None, False, 15)
+        ] * 3
 
     def test_runs_are_deterministic(self):
         cfg = chan(base=20, jitter=60, loss=0.3, seed=1234)

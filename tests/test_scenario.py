@@ -299,12 +299,19 @@ class TestConfigParsing:
         ):
             assert fragment in text, fragment
 
-    def test_reliable_mode_rejects_certain_loss(self):
+    def test_reliable_mode_gives_up_at_certain_loss(self):
         data = config_to_dict(comparison_scenario())
         data["transport"]["mode"] = "reliable_ordered"
         data["channel"]["loss_rate"] = 1.0
-        with pytest.raises(ConfigError, match="loss_rate"):
-            config_from_dict(data)
+        data["duration_ms"] = 2000
+        result = run_simulation(config_from_dict(data))
+        assert all(
+            ev.arrive_ms is None and ev.retransmissions == 15 for ev in result.events
+        )
+        summary = result.summary
+        assert summary["transmissions"] == 16 * summary["sends"] > 0
+        assert summary["lost_transmissions"] == summary["transmissions"]
+        assert summary["delivered"] == 0
 
     def test_json_file_parsing(self, tmp_path):
         path = tmp_path / "cfg.json"
