@@ -11,6 +11,10 @@ between a sender and a receiver: a position/velocity snapshot taken at
 :func:`deviation` measures the distance between a true and a predicted
 position, and :class:`TrajectoryScript` supplies ground-truth motion as a
 piecewise-linear path through timed waypoints.
+
+Finiteness is checked where positions enter (:class:`TrajectoryScript`) and
+where the export error leaves (:func:`~drsync.protocol.compute_export_error`),
+never per :class:`Vec3`: an overflow in between is caught at the output.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import spec
 
@@ -27,19 +32,12 @@ TimeMs = int
 _MS_PER_S = 1000.0
 
 
-@dataclass(frozen=True)
-class Vec3:
-    """Point or velocity in 3-D world units. Components must be finite."""
+class Vec3(NamedTuple):
+    """Point or velocity in 3-D world units; a plain, unchecked value."""
 
     x: float
     y: float
     z: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"Vec3.{name} must be finite, got {v!r}")
 
     def __add__(self, other: Vec3) -> Vec3:
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -98,8 +96,9 @@ def deviation(true_pos: Vec3, predicted_pos: Vec3) -> float:
 class TrajectoryScript:
     """Ground-truth motion as straight segments between timed waypoints.
 
-    Waypoint times must be strictly increasing and there must be at least two
-    waypoints; positions between waypoints are linear interpolations.
+    Waypoint times must be strictly increasing, every coordinate must be
+    finite and there must be at least two waypoints; positions between
+    waypoints are linear interpolations.
     """
 
     def __init__(self, waypoints: list[tuple[TimeMs, Vec3]]):
@@ -115,6 +114,11 @@ class TrajectoryScript:
                 )
         if times[0] < 0:
             raise ValueError(f"waypoint times must be >= 0, got {times[0]}")
+        for t, pos in waypoints:
+            if not all(map(math.isfinite, pos)):
+                raise ValueError(
+                    f"waypoint at t_ms={t}: coordinates must be finite, got {pos}"
+                )
         self.waypoints: tuple[tuple[TimeMs, Vec3], ...] = tuple(waypoints)
         self._times: list[TimeMs] = times
 

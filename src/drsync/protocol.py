@@ -160,39 +160,39 @@ def compute_export_error(
     """Per-tick distance between truth and the rendered view, with aggregates.
 
     Both series must cover exactly the same tick instants; anything else is a
-    data-alignment bug in the caller.
+    data-alignment bug in the caller.  A non-finite mean (an overflow from huge
+    coordinates) is a ``ValueError`` naming the first non-finite tick.
     """
     if len(true_series) != len(rendered_series):
         raise ValueError(
             "tick grids differ: "
             f"{len(true_series)} true vs {len(rendered_series)} rendered samples"
         )
-    errors: list[float] = []
     series: list[tuple[TimeMs, float | None]] = []
-    warmup = 0
     for (t_true, pos), (t_rend, rendered) in zip(true_series, rendered_series):
         if t_true != t_rend:
             raise ValueError(
                 f"tick grids differ: true tick {t_true} vs rendered tick {t_rend}"
             )
-        if rendered is None:
-            warmup += 1
-            series.append((t_true, None))
-            continue
-        err = deviation(pos, rendered)
-        errors.append(err)
-        series.append((t_true, err))
+        series.append((t_true, None if rendered is None else deviation(pos, rendered)))
+    errors = [err for _, err in series if err is not None]
 
     report = ExportErrorReport(
         entity_id=entity_id,
         series=series,
         samples_count=len(errors),
-        warmup_ticks=warmup,
+        warmup_ticks=len(series) - len(errors),
     )
     if errors:
         # fsum keeps the mean correctly rounded and therefore reproducible by
         # any other exact-summation implementation.
         report.mean = math.fsum(errors) / len(errors)
+        if not math.isfinite(report.mean):
+            bad = next(t for t, e in series if e is not None and not math.isfinite(e))
+            raise ValueError(
+                f"export error at t_ms={bad} is not finite: "
+                "trajectory coordinates are too large"
+            )
         report.max = max(errors)
         report.p95 = percentile_95(errors)
     return report

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,9 +179,7 @@ def _unpack(w: PredictorWeights) -> np.ndarray:
 
 
 def _pack(v: np.ndarray) -> PredictorWeights:
-    return PredictorWeights(
-        bias=float(v[0]), w_latency=float(v[1]), w_loss=float(v[2]), w_jitter=float(v[3])
-    )
+    return PredictorWeights(*map(float, v))
 
 
 def log_loss(w: PredictorWeights, labeled: list[LabeledSession]) -> float:
@@ -201,10 +199,12 @@ def log_loss_gradient(
     if not labeled:
         raise ValueError("cannot evaluate gradient on an empty dataset")
     x, y = _design_matrix(labeled)
-    z = x @ _unpack(w)
-    p = 1.0 / (1.0 + np.exp(-z))
-    grad = x.T @ (p - y) / len(labeled)
-    return _pack(grad)
+    return _pack(_gradient(x, y, _unpack(w)))
+
+
+def _gradient(x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    p = 1.0 / (1.0 + np.exp(-(x @ v)))
+    return x.T @ (p - y) / len(y)
 
 
 def fit_weights(
@@ -216,7 +216,8 @@ def fit_weights(
 
     Deterministic: same data and hyperparameters give identical weights.
     Refuses degenerate datasets (empty, or only one label present) because
-    the loss would push weights to infinity or the fit would be vacuous.
+    the loss would push weights to infinity or the fit would be vacuous, and
+    raises when the descent diverges (the learn rate is too large).
     """
     if not labeled:
         raise ValueError("cannot fit weights on an empty dataset")
@@ -232,11 +233,11 @@ def fit_weights(
 
     x, y = _design_matrix(labeled)
     v = np.zeros(4, dtype=float)
-    n = len(labeled)
-    for _ in range(epochs):
-        z = x @ v
-        p = 1.0 / (1.0 + np.exp(-z))
-        v -= learn_rate * (x.T @ (p - y) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            v -= learn_rate * _gradient(x, y, v)
+    if not np.isfinite(v).all():
+        raise ValueError(f"fit diverged: learn_rate {learn_rate!r} is too large")
     return _pack(v)
 
 
@@ -281,17 +282,7 @@ def generate_labeled_sessions(
                 quit_early = True
                 elapsed = minute
                 break
-        sessions.append(
-            (
-                SessionMetrics(
-                    rtt_mean_ms=m.rtt_mean_ms,
-                    rtt_jitter_ms=m.rtt_jitter_ms,
-                    loss_rate=m.loss_rate,
-                    elapsed_min=float(elapsed),
-                ),
-                quit_early,
-            )
-        )
+        sessions.append((replace(m, elapsed_min=float(elapsed)), quit_early))
     return sessions
 
 

@@ -13,6 +13,7 @@ from drsync.core import (
     extrapolate,
     sample_trajectory,
 )
+from drsync.protocol import compute_export_error
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -31,15 +32,6 @@ class TestVec3:
         assert b - a == vec(9, 18, 27)
         assert a.scaled(2.0) == vec(2, 4, 6)
         assert a.scaled(0.0) == ZERO
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError):
-            Vec3(bad, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            Vec3(0.0, bad, 0.0)
-        with pytest.raises(ValueError):
-            Vec3(0.0, 0.0, bad)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -120,6 +112,12 @@ class TestTrajectoryScript:
         with pytest.raises(ValueError):
             TrajectoryScript([(-5, ZERO), (100, vec(1, 0, 0))])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_coordinates(self, bad):
+        for pos in (vec(bad, 0, 0), vec(0, bad, 0), vec(0, 0, bad)):
+            with pytest.raises(ValueError, match="t_ms=500: coordinates must be finite"):
+                TrajectoryScript([(0, ZERO), (500, pos)])
+
     def test_sampling_interpolates(self):
         script = TrajectoryScript([(0, ZERO), (1000, vec(10, 0, 0))])
         assert sample_trajectory(script, 0) == ZERO
@@ -170,6 +168,14 @@ class TestTrajectoryScript:
         path.write_text("t_ms,x,y,z\n0,0,0,0\n500,oops,0,0\n")
         with pytest.raises(ValueError, match="row 3"):
             TrajectoryScript.from_csv(str(path))
+
+
+def test_export_error_rejects_an_overflowed_distance():
+    # Each coordinate is finite, but squaring the 1e200 offset overflows.
+    truth = [(0, ZERO), (100, ZERO)]
+    rendered = [(0, ZERO), (100, vec(1e200, 0, 0))]
+    with pytest.raises(ValueError, match="t_ms=100 is not finite"):
+        compute_export_error(truth, rendered)
 
 
 def test_deviation_of_extrapolations_grows_linearly():

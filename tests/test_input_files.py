@@ -27,6 +27,7 @@ from drsync.qon import (
 from drsync.scenario import (
     ConfigError,
     TrajectoryGenConfig,
+    TrajectorySource,
     comparison_scenario,
     config_to_dict,
 )
@@ -57,8 +58,29 @@ METRICS_CSV = (
 )
 
 
+TRAJECTORY_CSV = (
+    "t_ms,x,y,z\n"
+    "0,0.0,0.0,0.0\n"
+    "700,5.0,1.0,0.0\n"
+    "1400,9.0,-3.0,2.0\n"
+    "2000,12.0,0.0,1.0\n"
+)
+
+
 def fps_profile() -> dict:
     return profile_to_dict(preset("fps"))
+
+
+def simulate_trajectory_argv(trajectory_csv: Path) -> list[str]:
+    """``simulate`` argv for a 2 s scenario whose truth is ``trajectory_csv``."""
+    cfg = replace(
+        comparison_scenario(),
+        duration_ms=2000,
+        trajectory=TrajectorySource(file=str(trajectory_csv)),
+    )
+    config = trajectory_csv.with_name(trajectory_csv.stem + "_config.json")
+    config.write_text(json.dumps(config_to_dict(cfg)))
+    return ["simulate", "--config", str(config)]
 
 
 class TestProfileDefects:
@@ -135,6 +157,34 @@ class TestCliDefects:
         assert err.startswith("error: invalid input file\n")
         assert "row 4" in err and "sorted" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_waypoint_names_its_time(self, tmp_path, cell):
+        path = tmp_path / "trajectory.csv"
+        path.write_text(TRAJECTORY_CSV.replace("9.0", cell))
+        code, out, err = run_cli(simulate_trajectory_argv(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid input file\n")
+        assert "t_ms=1400" in err
+
+    def test_overflowing_waypoint_is_an_error_not_infinity(self, tmp_path):
+        # Every coordinate is finite, but the squared distance overflows.
+        path = tmp_path / "trajectory.csv"
+        path.write_text(TRAJECTORY_CSV.replace("9.0", "1e200"))
+        code, out, err = run_cli(simulate_trajectory_argv(path))
+        assert code == 1
+        assert "Infinity" not in out
+        assert err.startswith("error: export error at t_ms=")
+        assert "trajectory coordinates are too large" in err
+
+    def test_diverging_fit_names_the_learn_rate(self, tmp_path):
+        path = tmp_path / "sessions.csv"
+        write_sessions_csv(generate_labeled_sessions(20, 3), str(path))
+        code, out, err = run_cli(["fit", "--data", str(path), "--learn-rate", "1e308"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: fit diverged: learn_rate 1e+308 is too large\n"
+
 
 # --- fuzzing every input file through the CLI ----------------------------
 
@@ -186,11 +236,12 @@ def _build_inputs(root: Path) -> dict:
             lambda p: ["fit", "--data", p, "--epochs", "20"],
         ),
         "trace": (trace.read_text(), lambda p: ["analyze", "--trace", p]),
+        "trajectory": (TRAJECTORY_CSV, lambda p: simulate_trajectory_argv(Path(p))),
     }
 
 
 JSON_KINDS = ["config", "profile", "weights"]
-CSV_KINDS = ["metrics", "sessions", "trace"]
+CSV_KINDS = ["metrics", "sessions", "trace", "trajectory"]
 FUZZ = settings(
     max_examples=150,
     deadline=None,
