@@ -42,7 +42,6 @@ from .netsim import (
     channel_transmit,
     dejitter_deliver,
     reliable_run,
-    transmission_rng,
     unreliable_run,
 )
 from .workload import (
@@ -50,6 +49,7 @@ from .workload import (
     Direction,
     GlobalEventModel,
     PayloadSizeDist,
+    Trace,
     TraceRecord,
     WorkloadProfile,
     generate_trace,

@@ -1,6 +1,6 @@
 """Descriptive statistics and structure detection over packet traces.
 
-Works on :class:`~drsync.workload.TraceRecord` lists: wire-size composition
+Works on the columns of a :class:`~drsync.workload.Trace`: wire-size composition
 (histograms, header and ack byte shares, per-client bandwidth), per-connection
 inter-arrival statistics, and sample autocorrelation over bucketed packet
 counts, which is what exposes tick periodicity and burst locality.
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import spec
 from .protocol import nearest_rank
-from .workload import Direction, TraceRecord
+from .workload import Direction, Trace
 
 # A flat series must clear this autocorrelation to count as periodic.
 PERIOD_STRENGTH_THRESHOLD = 0.3
@@ -81,7 +81,7 @@ class TraceStats:
 
 
 def compute_stats(
-    trace: list[TraceRecord],
+    trace: Trace,
     direction: Direction | str,
     duration_ms: int | None = None,
 ) -> TraceStats:
@@ -93,10 +93,10 @@ def compute_stats(
     in the whole trace.
     """
     direction = Direction(direction)
-    if not trace:
+    if not len(trace):
         raise ValueError("cannot compute stats for an empty trace")
     if duration_ms is None:
-        duration_ms = trace[-1].t_ms - trace[0].t_ms
+        duration_ms = int(trace.t_ms[-1] - trace.t_ms[0])
         if duration_ms <= 0:
             raise ValueError(
                 "trace has no time span; pass duration_ms explicitly"
@@ -104,38 +104,26 @@ def compute_stats(
     elif duration_ms <= 0:
         raise ValueError(f"duration_ms must be > 0, got {duration_ms}")
 
-    n_clients = len({r.conn_id for r in trace})
-    packets = 0
-    total_bytes = 0
-    header_bytes = 0
-    ack_bytes = 0
-    ack_packets = 0
-    size_counts: Counter = Counter()
-    for r in trace:
-        if r.direction is not direction:
-            continue
-        packets += 1
-        total_bytes += r.total_bytes
-        header_bytes += r.header_bytes
-        size_counts[r.total_bytes] += 1
-        if r.is_ack:
-            ack_packets += 1
-            ack_bytes += r.total_bytes
-    if packets == 0:
+    mask = trace.in_direction(direction)
+    sizes = trace.payload_bytes[mask] + trace.header_bytes[mask]
+    ack_sizes = sizes[trace.is_ack[mask]]
+    total_bytes = int(sizes.sum())
+    if not len(sizes):
         raise ValueError(f"trace has no packets in direction {direction.value}")
     if total_bytes == 0:
         raise ValueError(f"trace packets in direction {direction.value} carry no bytes")
+    values, counts = np.unique(sizes, return_counts=True)
 
     return TraceStats(
         direction=direction,
-        packets=packets,
+        packets=len(sizes),
         total_bytes=total_bytes,
-        header_bytes=header_bytes,
-        ack_bytes=ack_bytes,
-        ack_packets=ack_packets,
+        header_bytes=int(trace.header_bytes[mask].sum()),
+        ack_bytes=int(ack_sizes.sum()),
+        ack_packets=len(ack_sizes),
         duration_ms=duration_ms,
-        n_clients=n_clients,
-        size_counts=size_counts,
+        n_clients=len(trace.conn_ids),
+        size_counts=Counter(dict(zip(values.tolist(), counts.tolist()))),
     )
 
 
@@ -150,23 +138,25 @@ class InterarrivalStats:
 
 
 def interarrival_stats(
-    trace: list[TraceRecord], conn_id: str, direction: Direction | str
+    trace: Trace, conn_id: str, direction: Direction | str
 ) -> InterarrivalStats:
     """Inter-arrival gap statistics for one connection in one direction.
 
-    Needs at least two matching packets; the trace must already be sorted by
-    time, as produced by the generator.
+    Needs at least two matching packets.
     """
     direction = Direction(direction)
-    times = [r.t_ms for r in trace if r.conn_id == conn_id and r.direction is direction]
+    # -1 matches no row when the connection is not in the trace.
+    conn = trace.conn_ids.index(conn_id) if conn_id in trace.conn_ids else -1
+    times = trace.t_ms[(trace.conn == conn) & trace.in_direction(direction)]
     if len(times) < 2:
         raise ValueError(
             f"need at least 2 packets for {conn_id}/{direction.value}, got {len(times)}"
         )
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    mean = math.fsum(gaps) / len(gaps)
-    var = math.fsum((g - mean) ** 2 for g in gaps) / len(gaps)
-    ordered = sorted(gaps)
+    gaps = np.diff(times)
+    mean = math.fsum(gaps.tolist()) / len(gaps)
+    deviations = gaps - mean
+    var = math.fsum((deviations * deviations).tolist()) / len(gaps)
+    ordered = np.sort(gaps).tolist()
     return InterarrivalStats(
         mean_ms=mean,
         stddev_ms=math.sqrt(var),
@@ -179,7 +169,7 @@ def interarrival_stats(
 
 @dataclass(frozen=True)
 class CountSeries:
-    """Packet (or byte) counts per fixed-width time bucket."""
+    """Packet counts per fixed-width time bucket."""
 
     bucket_ms: int
     counts: tuple[float, ...]
@@ -190,30 +180,25 @@ class CountSeries:
 
 
 def bucket_counts(
-    trace: list[TraceRecord],
+    trace: Trace,
     bucket_ms: int,
     direction: Direction | str | None = None,
     duration_ms: int | None = None,
-    bytes_mode: bool = False,
 ) -> CountSeries:
-    """Aggregate a trace into per-bucket packet counts (or byte totals)."""
-    if direction is not None:
-        direction = Direction(direction)
+    """Aggregate a trace into per-bucket packet counts."""
     if bucket_ms < 1:
         raise ValueError(f"bucket_ms must be >= 1, got {bucket_ms}")
     if duration_ms is None:
-        if not trace:
+        if not len(trace):
             raise ValueError("cannot infer duration from an empty trace")
-        duration_ms = trace[-1].t_ms + 1
+        duration_ms = int(trace.t_ms[-1]) + 1
     n_buckets = -(-duration_ms // bucket_ms)
-    counts = [0.0] * n_buckets
-    for r in trace:
-        if direction is not None and r.direction is not direction:
-            continue
-        b = r.t_ms // bucket_ms
-        if 0 <= b < n_buckets:
-            counts[b] += r.total_bytes if bytes_mode else 1
-    return CountSeries(bucket_ms=bucket_ms, counts=tuple(counts))
+    times = trace.t_ms
+    if direction is not None:
+        times = times[trace.in_direction(direction)]
+    buckets = times // bucket_ms
+    counts = np.bincount(buckets[buckets < n_buckets], minlength=n_buckets)
+    return CountSeries(bucket_ms=bucket_ms, counts=tuple(counts.astype(float).tolist()))
 
 
 def autocorr(series: CountSeries | Sequence[float], lag: int) -> float:

@@ -144,7 +144,7 @@ def _cmd_analyze(args) -> int:
     directions = [args.direction] if args.direction else ["c2s", "s2c"]
     report: dict = {"directions": {}}
     for direction in directions:
-        if any(rec.direction.value == direction for rec in trace):
+        if trace.in_direction(direction).any():
             report["directions"][direction] = _direction_stats(
                 trace, direction, args.duration_ms
             )
@@ -176,13 +176,17 @@ def _cmd_predict(args) -> int:
     weights = DEFAULT_WEIGHTS
     if args.weights is not None:
         weights = weights_from_json(args.weights)
-    rows = read_metrics_csv(args.metrics)
-    # Unknown recovery state gets the conservative path: a message works
-    # whether or not the connection came back.
-    results = (
-        assess(weights, metrics, bool(recoverable), threshold=args.threshold)
-        for metrics, recoverable in rows
-    )
+    # Every row is scored before any is written, so a bad row leaves no output.
+    results = []
+    for n, (metrics, recoverable) in enumerate(read_metrics_csv(args.metrics), 1):
+        # Unknown recovery state gets the conservative path: a message works
+        # whether or not the connection came back.
+        try:
+            results.append(
+                assess(weights, metrics, bool(recoverable), threshold=args.threshold)
+            )
+        except ValueError as exc:
+            raise ValueError(f"{args.metrics} data row {n}: {exc}") from None
     spec.write_csv(
         sys.stdout if args.out is None else args.out,
         ("risk_score", "premature_flag", "action"),

@@ -3,8 +3,8 @@
 The channel applies two impairments per transmission, drawn in a fixed,
 documented order: first a Bernoulli loss test against ``loss_rate``, then an
 integer jitter uniform on ``{0..jitter_max_ms}``.  Draws come from a
-``random.Random`` derived per transmission from ``(seed, seq, attempt)`` via
-:func:`drsync.rng.mix64`, so the impairment of any given transmission is a
+``random.Random`` derived per transmission from ``(seed, seq, attempt)`` by
+:func:`drsync.rng.substream`, so the impairment of any given transmission is a
 pure function of the channel seed and never depends on how other packets
 fared.  Two runs over the same channel seed therefore impair the first
 attempt of each packet identically, whichever transport is in use; only
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from . import spec
 from .core import TimeMs
-from .rng import mix64
+from .rng import substream
 
 # Attempts after the first before a reliable transport gives a packet up;
 # Linux's default ``tcp_retries2``.
@@ -95,11 +95,6 @@ class DeliveryEvent:
     retransmissions: int
 
 
-def transmission_rng(seed: int, seq: int, attempt: int) -> random.Random:
-    """Generator governing one transmission attempt of one packet."""
-    return random.Random(mix64(seed, seq, attempt))
-
-
 def channel_transmit(
     cfg: ChannelConfig, rng: random.Random, send_ms: TimeMs
 ) -> TimeMs | None:
@@ -160,7 +155,7 @@ def _first_arrival(
     """
     for attempt in range(retries + 1):
         arrive = channel_transmit(
-            chan, transmission_rng(chan.seed, seq, attempt), send_ms + attempt * rto_ms
+            chan, substream(chan.seed, seq, attempt), send_ms + attempt * rto_ms
         )
         if arrive is not None:
             return arrive, attempt

@@ -115,9 +115,15 @@ def _features(m: SessionMetrics) -> tuple[float, float, float]:
 
 
 def risk_score(w: PredictorWeights, m: SessionMetrics) -> float:
-    """Premature-quit risk in (0, 1)."""
+    """Premature-quit risk in [0, 1].
+
+    Raises ``ValueError`` when the weighted sum is undefined: finite but
+    huge terms of both signs overflow to ``inf - inf``.
+    """
     f_lat, f_loss, f_jit = _features(m)
     z = w.bias + w.w_latency * f_lat + w.w_loss * f_loss + w.w_jitter * f_jit
+    if math.isnan(z):
+        raise ValueError("risk score undefined: weighted metrics sum to inf - inf")
     return _sigmoid(z)
 
 

@@ -496,11 +496,6 @@ def comparison_scenario() -> ScenarioConfig:
     )
 
 
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Re-check a constructed config; raises ConfigError listing every problem."""
-    spec.check(cfg)
-
-
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Parse and validate a scenario config dict; unknown keys are errors.
 

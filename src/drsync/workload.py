@@ -17,7 +17,8 @@ to send in the same tick.
 
 All randomness is drawn from substreams derived from ``(seed, stream tag,
 client index)``, so traces are bit-reproducible and independent of
-generation order.
+generation order.  A trace is a :class:`Trace` of numpy columns; its rows
+are :class:`TraceRecord` tuples, built only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -25,12 +26,22 @@ from __future__ import annotations
 import enum
 import math
 import random
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
+from operator import itemgetter
+from typing import Any, NamedTuple
+
+import numpy as np
 
 from . import spec
 from .core import TimeMs
 from .rng import TAG_CLIENT, TAG_EVENTS, TAG_SERVER, substream
 from .spec import INVALID
+
+
+# The most data packets one side of a connection may send in one tick.  A
+# profile above it is rejected: generation time grows with the rate.
+MAX_PACKETS_PER_TICK = 1000
 
 
 class Direction(enum.Enum):
@@ -128,9 +139,21 @@ class WorkloadProfile:
 
     __post_init__ = spec.check
 
+    @staticmethod
+    def _relations(v: dict) -> list[str]:
+        rate, scale = v["burst"].rate_multiplier, v["server_scale_range"]
+        if INVALID in (rate, scale):
+            return []
+        peak = rate * max(1.0, scale[1])
+        if peak > MAX_PACKETS_PER_TICK:
+            return [
+                "burst.rate_multiplier: times the top of server_scale_range must "
+                f"be <= {MAX_PACKETS_PER_TICK} packets per tick, got {peak}"
+            ]
+        return []
 
-@dataclass(frozen=True)
-class TraceRecord:
+
+class TraceRecord(NamedTuple):
     """One packet observed on the wire (a pure ack has payload 0)."""
 
     t_ms: TimeMs
@@ -143,6 +166,82 @@ class TraceRecord:
     @property
     def total_bytes(self) -> int:
         return self.payload_bytes + self.header_bytes
+
+
+# The direction column holds each row's index into this tuple.
+_DIRECTIONS = tuple(Direction)
+# The int64 columns' bounds; sizes stay below 2**32 so that the byte sum of
+# 2**31 packets fits too.
+_MAX_T_MS, _MAX_BYTES = 2**63, 2**32
+_OUT_OF_RANGE = (
+    "t_ms must be in [0, 2**63), payload_bytes and header_bytes in [0, 2**32)"
+)
+
+
+class Trace:
+    """A packet trace held as columns, in time order.
+
+    ``t_ms``, ``payload_bytes`` and ``header_bytes`` are int64 arrays,
+    ``is_ack`` a bool array, ``direction`` an index into ``tuple(Direction)``
+    and ``conn`` an index into ``conn_ids``, the connection names in order
+    of first appearance.  It is built from ``(t_ms, conn_id, direction,
+    payload_bytes, header_bytes, is_ack)`` rows in time order; ``len``,
+    indexing and iteration give them back as :class:`TraceRecord` tuples.
+    """
+
+    def __init__(self, rows: Sequence[tuple]) -> None:
+        def column(field: int, dtype: Any, convert: Any = None) -> np.ndarray:
+            cells = map(itemgetter(field), rows)
+            if convert is not None:
+                cells = map(convert, cells)
+            return np.fromiter(cells, dtype, len(rows))
+
+        try:
+            t, payload, header = (column(k, np.int64) for k in (0, 3, 4))
+        except OverflowError:
+            raise ValueError(_OUT_OF_RANGE) from None
+        if len(t) and (
+            min(t.min(), payload.min(), header.min()) < 0
+            or max(payload.max(), header.max()) >= _MAX_BYTES
+        ):
+            raise ValueError(_OUT_OF_RANGE)
+        back = np.flatnonzero(t[1:] < t[:-1])
+        if back.size:
+            raise ValueError(f"rows must be in time order; row {back[0] + 1} goes back")
+        ids: dict[str, int] = {}
+        self.t_ms, self.payload_bytes, self.header_bytes = t, payload, header
+        self.conn = column(1, np.int64, lambda c: ids.setdefault(c, len(ids)))
+        self.conn_ids = tuple(ids)
+        self.direction = column(2, np.int8, _DIRECTIONS.index)
+        self.is_ack = column(5, bool)
+
+    def in_direction(self, direction: Direction | str) -> np.ndarray:
+        """Bool mask of the rows sent in ``direction``."""
+        return self.direction == _DIRECTIONS.index(Direction(direction))
+
+    def __len__(self) -> int:
+        return len(self.t_ms)
+
+    def __getitem__(self, i: int) -> TraceRecord:
+        (row,) = map(TraceRecord, *self._columns(_DIRECTIONS, (False, True), [i]))
+        return row
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(TraceRecord, *self._columns(_DIRECTIONS, (False, True)))
+
+    def _columns(
+        self, directions: Sequence[Any], flags: Any, rows: Any = slice(None)
+    ) -> list[Iterable]:
+        """The fields of ``rows`` as plain Python values, the direction index
+        and the ack flag spelt by indexing ``directions`` and ``flags``."""
+        return [
+            self.t_ms[rows].tolist(),
+            map(self.conn_ids.__getitem__, self.conn[rows].tolist()),
+            map(directions.__getitem__, self.direction[rows].tolist()),
+            self.payload_bytes[rows].tolist(),
+            self.header_bytes[rows].tolist(),
+            map(flags.__getitem__, self.is_ack[rows].tolist()),
+        ]
 
 
 # Calibrated so a long default-profile run reproduces the headline traffic
@@ -230,7 +329,7 @@ def _tick_sends(
 
 def generate_trace(
     profile: WorkloadProfile, n_clients: int, duration_ms: int, seed: int
-) -> list[TraceRecord]:
+) -> Trace:
     """Generate a full bidirectional trace, sorted by timestamp.
 
     ``n_clients == 0`` legitimately yields an empty trace.  Duration must
@@ -256,7 +355,7 @@ def generate_trace(
             e += event.period_ms
     epoch_ticks = max(1, profile.server_epoch_ms // tick)
 
-    records: list[TraceRecord] = []
+    rows: list[tuple] = []
     for idx in range(n_clients):
         conn_id = f"c{idx:04d}"
         client_rng = substream(seed, TAG_CLIENT, idx)
@@ -275,7 +374,7 @@ def generate_trace(
             if k in event_ticks and event_rng.random() < event.participation:
                 n_client += 1  # flash crowd: one forced action even when idle
             client_data = _emit(
-                records, profile, t, conn_id, _CLIENT_SIDE, client_rng, n_client,
+                rows, profile, t, conn_id, _CLIENT_SIDE, client_rng, n_client,
                 client_data,
             )
 
@@ -285,12 +384,12 @@ def generate_trace(
                 server_rng, server_on, profile.burst, nearby
             )
             server_data = _emit(
-                records, profile, t, conn_id, _SERVER_SIDE, server_rng, n_server,
+                rows, profile, t, conn_id, _SERVER_SIDE, server_rng, n_server,
                 server_data,
             )
 
-    records.sort(key=lambda r: r.t_ms)  # stable: generation order breaks ties
-    return records
+    rows.sort(key=itemgetter(0))  # stable: generation order breaks ties
+    return Trace(rows)
 
 
 # The (data, ack) directions of each side of a connection.
@@ -299,7 +398,7 @@ _SERVER_SIDE = (Direction.SERVER_TO_CLIENT, Direction.CLIENT_TO_SERVER)
 
 
 def _emit(
-    records: list[TraceRecord],
+    rows: list[tuple],
     profile: WorkloadProfile,
     t: TimeMs,
     conn_id: str,
@@ -318,10 +417,10 @@ def _emit(
     header = profile.header_bytes
     for _ in range(n_data):
         payload = profile.payload_size_dist.sample(rng)
-        records.append(TraceRecord(t, conn_id, data_dir, payload, header, False))
+        rows.append((t, conn_id, data_dir, payload, header, False))
         sent += 1
         if sent % profile.ack_every_n == 0:
-            records.append(TraceRecord(t, conn_id, ack_dir, 0, header, True))
+            rows.append((t, conn_id, ack_dir, 0, header, True))
     return sent
 
 
@@ -330,36 +429,35 @@ _TRACE_FIELDS = (
 )
 
 
-def write_trace_csv(records: list[TraceRecord], path: str) -> None:
+def write_trace_csv(trace: Trace, path: str) -> None:
     """Write ``t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack``."""
-    flag = spec.FLAG_TEXT
-    rows = (
-        (r.t_ms, r.conn_id, r.direction.value, r.payload_bytes, r.header_bytes,
-         flag[r.is_ack])
-        for r in records
-    )
+    directions = [d.value for d in _DIRECTIONS]
+    rows = zip(*trace._columns(directions, spec.FLAG_TEXT))
     spec.write_csv(path, _TRACE_FIELDS, rows)
 
 
-def read_trace_csv(path: str) -> list[TraceRecord]:
+def read_trace_csv(path: str) -> Trace:
     """Inverse of :func:`write_trace_csv`; the rows must be sorted by time."""
-    last_t = 0
+    last_t, names = 0, {}
 
-    def record(row: list[str]) -> TraceRecord:
+    def record(row: list[str]) -> tuple:
         nonlocal last_t
         t, payload, header = int(row[0]), int(row[3]), int(row[4])
-        if t < last_t or payload < 0 or header < 0:
-            if t < 0 or payload < 0 or header < 0:
-                raise ValueError("t_ms, payload_bytes and header_bytes must be >= 0")
+        sizes_ok = 0 <= payload < _MAX_BYTES and 0 <= header < _MAX_BYTES
+        if not (sizes_ok and 0 <= t < _MAX_T_MS):
+            raise ValueError(_OUT_OF_RANGE)
+        if t < last_t:
             raise ValueError(
                 f"t_ms {t} precedes the previous row's {last_t}; "
                 "a trace must be sorted by time"
             )
         last_t = t
         direction, is_ack = Direction(row[2]), spec.flag(row[5])
-        return TraceRecord(t, row[1], direction, payload, header, is_ack)
+        # One string per connection, not per row, while all rows are held.
+        conn_id = names.setdefault(row[1], row[1])
+        return t, conn_id, direction, payload, header, is_ack
 
-    return spec.read_csv(path, {_TRACE_FIELDS: record})
+    return Trace(spec.read_csv(path, {_TRACE_FIELDS: record}))
 
 
 def profile_to_dict(profile: WorkloadProfile) -> dict:

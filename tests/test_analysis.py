@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from drsync.analysis import (
     interarrival_stats,
     write_histogram_csv,
 )
-from drsync.workload import Direction, TraceRecord, generate_trace, preset
+from drsync.workload import Direction, Trace, TraceRecord, generate_trace, preset
 
 
 def rec(t, conn="c0000", direction=Direction.CLIENT_TO_SERVER, payload=20,
@@ -34,7 +35,7 @@ def brute_autocorr(xs, lag):
 
 class TestComputeStats:
     def test_hand_example(self):
-        trace = [rec(0, payload=20), rec(1000, payload=2, ack=True)]
+        trace = Trace([rec(0, payload=20), rec(1000, payload=2, ack=True)])
         stats = compute_stats(trace, Direction.CLIENT_TO_SERVER)
         assert stats.packets == 2
         assert stats.total_bytes == 102
@@ -47,13 +48,13 @@ class TestComputeStats:
         assert stats.mean_client_bandwidth_bps == 102 * 8 / 1.0
 
     def test_direction_accepts_string(self):
-        trace = [rec(0), rec(500)]
+        trace = Trace([rec(0), rec(500)])
         by_enum = compute_stats(trace, Direction.CLIENT_TO_SERVER)
         by_str = compute_stats(trace, "c2s")
         assert by_enum == by_str
 
     def test_fraction_below_is_strict(self):
-        trace = [rec(0, payload=20), rec(100, payload=2)]  # wire sizes 60, 42
+        trace = Trace([rec(0, payload=20), rec(100, payload=2)])  # wire sizes 60, 42
         stats = compute_stats(trace, "c2s", duration_ms=1000)
         assert stats.fraction_below(71) == 1.0
         assert stats.fraction_below(60) == 0.5  # 60 is not below 60
@@ -62,32 +63,79 @@ class TestComputeStats:
 
     def test_explicit_duration_required_for_zero_span(self):
         with pytest.raises(ValueError):
-            compute_stats([rec(0)], "c2s")
-        stats = compute_stats([rec(0)], "c2s", duration_ms=1000)
+            compute_stats(Trace([rec(0)]), "c2s")
+        stats = compute_stats(Trace([rec(0)]), "c2s", duration_ms=1000)
         assert stats.mean_client_bandwidth_bps == 60 * 8
 
     def test_empty_and_missing_direction(self):
         with pytest.raises(ValueError):
-            compute_stats([], "c2s")
+            compute_stats(Trace([]), "c2s")
         with pytest.raises(ValueError):
-            compute_stats([rec(0)], "s2c", duration_ms=100)
+            compute_stats(Trace([rec(0)]), "s2c", duration_ms=100)
 
     def test_bandwidth_divides_across_clients(self):
-        trace = [rec(0, conn="c0000"), rec(1000, conn="c0001")]
+        trace = Trace([rec(0, conn="c0000"), rec(1000, conn="c0001")])
         stats = compute_stats(trace, "c2s")
         # 120 bytes over 1 s shared by 2 clients.
         assert stats.mean_client_bandwidth_bps == 120 * 8 / 2
 
+    def test_n_clients_counts_connections_in_either_direction(self):
+        # c0001 only receives; it still counts as a client of the c2s side.
+        receiver = rec(1000, conn="c0001", direction=Direction.SERVER_TO_CLIENT)
+        trace = Trace([rec(0), receiver])
+        stats = compute_stats(trace, "c2s")
+        assert stats.packets == 1
+        assert stats.n_clients == 2
+        assert stats.mean_client_bandwidth_bps == 60 * 8 / 2
+
+    def test_matches_a_loop_over_rows(self):
+        trace = generate_trace(preset("mmorpg"), n_clients=3, duration_ms=20_000, seed=9)
+        for direction in Direction:
+            rows = [r for r in trace if r.direction is direction]
+            acks = [r for r in rows if r.is_ack]
+            stats = compute_stats(trace, direction)
+            assert stats.packets == len(rows)
+            assert stats.total_bytes == sum(r.total_bytes for r in rows)
+            assert stats.header_bytes == sum(r.header_bytes for r in rows)
+            assert stats.ack_packets == len(acks)
+            assert stats.ack_bytes == sum(r.total_bytes for r in acks)
+            assert stats.size_counts == Counter(r.total_bytes for r in rows)
+            assert all(type(k) is int and type(v) is int
+                       for k, v in stats.size_counts.items())
+            assert stats.duration_ms == trace[-1].t_ms - trace[0].t_ms
+            assert stats.n_clients == len({r.conn_id for r in trace})
+
+            counts = [0.0] * 200
+            for r in rows:
+                counts[r.t_ms // 100] += 1
+            series = bucket_counts(trace, 100, direction=direction, duration_ms=20_000)
+            assert series.counts == tuple(counts)
+            assert all(type(c) is float for c in series.counts)
+
+            times = [r.t_ms for r in rows if r.conn_id == "c0001"]
+            gaps = [b - a for a, b in zip(times, times[1:])]
+            mean = math.fsum(gaps) / len(gaps)
+            inter = interarrival_stats(trace, "c0001", direction)
+            assert inter.mean_ms == mean
+            assert inter.stddev_ms == math.sqrt(
+                math.fsum((g - mean) ** 2 for g in gaps) / len(gaps)
+            )
+            ordered = sorted(gaps)
+            assert inter.percentiles_ms == {
+                p: float(ordered[max(1, math.ceil(p / 100 * len(gaps))) - 1])
+                for p in (50, 90, 95, 99)
+            }
+
     def test_size_histogram_buckets(self):
-        trace = [rec(0, payload=0), rec(1, payload=7), rec(2, payload=8),
-                 rec(3, payload=24)]
+        trace = Trace([rec(0, payload=0), rec(1, payload=7), rec(2, payload=8),
+                       rec(3, payload=24)])
         stats = compute_stats(trace, "c2s", duration_ms=10)
         hist = stats.size_histogram(bucket_bytes=8)
         # Wire sizes are 40, 47, 48, 64: [40,48) holds two, then one each.
         assert hist == [(40, 48, 2), (48, 56, 1), (64, 72, 1)]
 
     def test_histogram_csv(self, tmp_path):
-        stats = compute_stats([rec(0, payload=0), rec(1, payload=8)], "c2s",
+        stats = compute_stats(Trace([rec(0, payload=0), rec(1, payload=8)]), "c2s",
                               duration_ms=10)
         path = tmp_path / "hist.csv"
         write_histogram_csv(stats, str(path))
@@ -96,7 +144,7 @@ class TestComputeStats:
 
 class TestInterarrival:
     def test_hand_example(self):
-        trace = [rec(0), rec(100), rec(300)]
+        trace = Trace([rec(0), rec(100), rec(300)])
         stats = interarrival_stats(trace, "c0000", "c2s")
         assert stats.samples == 2
         assert stats.mean_ms == 150.0
@@ -105,36 +153,31 @@ class TestInterarrival:
 
     def test_needs_two_packets(self):
         with pytest.raises(ValueError):
-            interarrival_stats([rec(0)], "c0000", "c2s")
+            interarrival_stats(Trace([rec(0)]), "c0000", "c2s")
 
     def test_filters_by_connection(self):
-        trace = [rec(0), rec(40, conn="c0001"), rec(100)]
+        trace = Trace([rec(0), rec(40, conn="c0001"), rec(100)])
         stats = interarrival_stats(trace, "c0000", "c2s")
         assert stats.mean_ms == 100.0
 
 
 class TestBucketCounts:
     def test_hand_example(self):
-        trace = [rec(0), rec(50), rec(150)]
+        trace = Trace([rec(0), rec(50), rec(150)])
         series = bucket_counts(trace, bucket_ms=100, duration_ms=300)
         assert series.bucket_ms == 100
         assert list(series.counts) == [2, 1, 0]
 
-    def test_bytes_mode(self):
-        trace = [rec(0, payload=20), rec(10, payload=2)]
-        series = bucket_counts(trace, bucket_ms=100, duration_ms=100, bytes_mode=True)
-        assert list(series.counts) == [102]
-
     def test_direction_filter(self):
-        trace = [rec(0), rec(0, direction=Direction.SERVER_TO_CLIENT)]
+        trace = Trace([rec(0), rec(0, direction=Direction.SERVER_TO_CLIENT)])
         series = bucket_counts(trace, bucket_ms=50, direction="s2c", duration_ms=50)
         assert list(series.counts) == [1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bucket_counts([rec(0)], bucket_ms=0, duration_ms=100)
+            bucket_counts(Trace([rec(0)]), bucket_ms=0, duration_ms=100)
         with pytest.raises(ValueError):
-            bucket_counts([], bucket_ms=100)
+            bucket_counts(Trace([]), bucket_ms=100)
 
 
 class TestAutocorr:

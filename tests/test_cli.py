@@ -172,6 +172,17 @@ class TestGenerateAnalyze:
         assert stats["n_clients"] == 5
         assert "period" in report
 
+    def test_generate_zero_clients_writes_header_only(self, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        code = main(
+            ["generate", "--preset", "fps", "--clients", "0",
+             "--duration-ms", "1000", "--out", str(trace_path)]
+        )
+        assert code == 0
+        header = "t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack\n"
+        assert trace_path.read_text() == header
+        assert len(read_trace_csv(str(trace_path))) == 0
+
     def test_analyze_detects_tick_period(self, capsys, tmp_path):
         trace_path = tmp_path / "steady.csv"
         profile = tmp_path / "profile.json"

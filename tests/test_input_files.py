@@ -96,6 +96,20 @@ class TestProfileDefects:
         with pytest.raises(ConfigError, match="server_scale_range: must be a pair"):
             profile_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "rate, scale", [(1e12, [1.0, 1.0]), (600.0, [1.0, 2.0]), (1001.0, [0.0, 0.5])]
+    )
+    def test_rate_above_the_per_tick_cap_is_rejected(self, rate, scale):
+        # Generation sends int(rate * scale) packets per tick, so a huge rate
+        # used to run for hours.
+        data = fps_profile()
+        data["burst"]["rate_multiplier"] = rate
+        data["server_scale_range"] = scale
+        with pytest.raises(ConfigError, match="burst.rate_multiplier: .* <= 1000"):
+            profile_from_dict(data)
+        data["burst"]["rate_multiplier"] = 1000.0 / max(1.0, scale[1])
+        profile_from_dict(data)
+
     def test_fractional_integer_is_rejected_not_truncated(self):
         data = fps_profile()
         data["tick_period_ms"] = 1.7
@@ -144,6 +158,34 @@ class TestCliDefects:
         assert out == ""
         assert "error: argument --threshold" in err
 
+    def test_predict_names_the_row_whose_score_is_undefined(self, tmp_path):
+        # Finite metrics and weights whose terms overflow to inf - inf.
+        weights = tmp_path / "w.json"
+        weights.write_text(
+            json.dumps({"bias": 0, "w_latency": 1e10, "w_loss": 0, "w_jitter": -1e10})
+        )
+        metrics = tmp_path / "m.csv"
+        metrics.write_text(METRICS_CSV + "1e308,1e308,0.0,1.0,true\n")
+        code, out, err = run_cli(
+            ["predict", "--metrics", str(metrics), "--weights", str(weights)]
+        )
+        assert code == 1
+        assert out == ""  # the good rows before it are not printed either
+        assert err.startswith(f"error: {metrics} data row 3: risk score undefined")
+
+    def test_oversized_trace_value_is_an_error(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack\n"
+            "100,c0,c2s,10,40,false\n"
+            f"200,c0,c2s,{2**32},40,false\n"
+        )
+        code, out, err = run_cli(["analyze", "--trace", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: invalid input file\n")
+        assert "row 3" in err and "payload_bytes" in err
+
     def test_unsorted_trace_names_the_row(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(
@@ -188,8 +230,10 @@ class TestCliDefects:
 
 # --- fuzzing every input file through the CLI ----------------------------
 
-JUNK_JSON = ["x", -3, 1.7, None, [], {}, True, float("nan"), float("inf")]
-JUNK_CELLS = ["x", "-3", "1.7", "", "[]", "{}", "true", "NaN", "inf"]
+JUNK_JSON = [
+    "x", -3, 1.7, None, [], {}, True, float("nan"), float("inf"), 1e308, -1e308
+]
+JUNK_CELLS = ["x", "-3", "1.7", "", "[]", "{}", "true", "NaN", "inf", "1e308"]
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 

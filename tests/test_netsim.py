@@ -11,10 +11,10 @@ from drsync.netsim import (
     dejitter_deliver,
     read_delivery_csv,
     reliable_run,
-    transmission_rng,
     unreliable_run,
     write_delivery_csv,
 )
+from drsync.rng import substream
 
 THREE_SENDS = [(1, 0), (2, 100), (3, 200)]
 
@@ -57,19 +57,19 @@ class TestConfigValidation:
 
 class TestTransmissionRng:
     def test_same_triple_same_stream(self):
-        assert transmission_rng(7, 3, 1).random() == transmission_rng(7, 3, 1).random()
+        assert substream(7, 3, 1).random() == substream(7, 3, 1).random()
 
     def test_any_coordinate_changes_the_stream(self):
-        base = transmission_rng(7, 3, 1).random()
-        assert transmission_rng(8, 3, 1).random() != base
-        assert transmission_rng(7, 4, 1).random() != base
-        assert transmission_rng(7, 3, 2).random() != base
+        base = substream(7, 3, 1).random()
+        assert substream(8, 3, 1).random() != base
+        assert substream(7, 4, 1).random() != base
+        assert substream(7, 3, 2).random() != base
 
     def test_draw_order_is_loss_then_jitter(self):
         cfg = chan(base=10, jitter=30, loss=0.0, seed=12)
-        rng = transmission_rng(cfg.seed, 1, 0)
+        rng = substream(cfg.seed, 1, 0)
         arrive = channel_transmit(cfg, rng, send_ms=100)
-        reference = transmission_rng(cfg.seed, 1, 0)
+        reference = substream(cfg.seed, 1, 0)
         reference.random()  # loss draw happens even at loss_rate 0
         expected_jitter = reference.randint(0, 30)
         assert arrive == 110 + expected_jitter

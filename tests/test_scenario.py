@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from drsync import spec
 from drsync.core import TrajectoryScript, Vec3
 from drsync.netsim import DejitterConfig, LatePolicy, read_delivery_csv
 from drsync.protocol import ProtocolConfig
@@ -20,7 +21,6 @@ from drsync.scenario import (
     generate_trajectory,
     run_compare,
     run_simulation,
-    validate_config,
     write_run_outputs,
 )
 
@@ -323,11 +323,11 @@ class TestConfigParsing:
 
     def test_validate_config_checks_constructed_values(self):
         with pytest.raises(ConfigError):
-            validate_config(quiet_config(seed=-1))
+            spec.check(quiet_config(seed=-1))
         with pytest.raises(ConfigError):
-            validate_config(quiet_config(duration_ms=10))
+            spec.check(quiet_config(duration_ms=10))
         with pytest.raises(ConfigError):
-            validate_config(quiet_config(mode="smoke_signals"))
+            spec.check(quiet_config(mode="smoke_signals"))
 
     def test_fuzzed_mutations_always_raise_config_error(self):
         # Whatever garbage lands in a field, the outcome is a ConfigError
@@ -355,4 +355,4 @@ class TestConfigParsing:
                 except ConfigError:
                     continue
                 # Mutation happened to be valid; config must then be usable.
-                validate_config(cfg)
+                spec.check(cfg)

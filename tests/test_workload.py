@@ -7,6 +7,7 @@ from drsync.workload import (
     Direction,
     GlobalEventModel,
     PayloadSizeDist,
+    Trace,
     WorkloadProfile,
     generate_trace,
     preset,
@@ -97,7 +98,7 @@ class TestGenerateTrace:
             generate_trace(profile, n_clients=-1, duration_ms=1000, seed=0)
         with pytest.raises(ValueError):
             generate_trace(profile, n_clients=1, duration_ms=99, seed=0)
-        assert generate_trace(profile, n_clients=0, duration_ms=1000, seed=0) == []
+        assert len(generate_trace(profile, n_clients=0, duration_ms=1000, seed=0)) == 0
 
     def test_always_on_profile_is_exactly_periodic(self):
         trace = generate_trace(steady_profile(), n_clients=1, duration_ms=3000, seed=4)
@@ -116,16 +117,16 @@ class TestGenerateTrace:
         profile = preset("mmorpg")
         a = generate_trace(profile, n_clients=3, duration_ms=30_000, seed=11)
         b = generate_trace(profile, n_clients=3, duration_ms=30_000, seed=11)
-        assert a == b
+        assert list(a) == list(b)
         c = generate_trace(profile, n_clients=3, duration_ms=30_000, seed=12)
-        assert a != c
+        assert list(a) != list(c)
 
     def test_clients_are_independent_substreams(self):
         # Adding a second client must not disturb the first one's packets.
         profile = preset("mmorpg")
         solo = generate_trace(profile, n_clients=1, duration_ms=20_000, seed=5)
         pair = generate_trace(profile, n_clients=2, duration_ms=20_000, seed=5)
-        assert [r for r in pair if r.conn_id == "c0000"] == solo
+        assert [r for r in pair if r.conn_id == "c0000"] == list(solo)
 
     def test_global_event_adds_exactly_one_send(self):
         profile = steady_profile(
@@ -259,7 +260,7 @@ class TestTraceCsv:
         trace = generate_trace(preset("mmorpg"), n_clients=2, duration_ms=15_000, seed=1)
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, str(path))
-        assert read_trace_csv(str(path)) == trace
+        assert list(read_trace_csv(str(path))) == list(trace)
 
     def test_file_format(self, tmp_path):
         trace = generate_trace(steady_profile(ack_every_n=1), 1, 200, seed=0)
@@ -269,3 +270,36 @@ class TestTraceCsv:
         assert lines[0] == "t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack"
         assert lines[1] == "0,c0000,c2s,10,40,false"
         assert any(line.endswith(",true") for line in lines[1:])
+
+
+class TestTrace:
+    ROWS = [
+        (0, "b", Direction.CLIENT_TO_SERVER, 12, 40, False),
+        (0, "a", Direction.SERVER_TO_CLIENT, 0, 40, True),
+        (100, "b", Direction.SERVER_TO_CLIENT, 200, 28, False),
+        (250, "a", Direction.CLIENT_TO_SERVER, 7, 40, False),
+    ]
+
+    def test_rows_come_back_as_built(self):
+        trace = Trace(self.ROWS)
+        assert len(trace) == 4
+        assert list(trace) == self.ROWS
+        assert [trace[i] for i in range(4)] == self.ROWS
+        assert trace[-1] == self.ROWS[-1]
+        assert trace[2].total_bytes == 228
+        assert trace.conn_ids == ("b", "a")
+        for row in (trace[0], *trace):
+            assert [type(v) for v in row] == [int, str, Direction, int, int, bool]
+
+    def test_rows_must_be_in_time_order(self):
+        with pytest.raises(ValueError, match="row 3 goes back"):
+            Trace([*self.ROWS[:3], self.ROWS[0]])
+
+    @pytest.mark.parametrize(
+        "field, value", [(0, -1), (0, 2**63), (3, -1), (3, 2**32), (4, 2**32)]
+    )
+    def test_values_outside_the_columns_are_rejected(self, field, value):
+        row = list(self.ROWS[0])
+        row[field] = value
+        with pytest.raises(ValueError, match="payload_bytes and header_bytes in"):
+            Trace([tuple(row)])
