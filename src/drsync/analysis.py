@@ -19,6 +19,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,16 +168,11 @@ def interarrival_stats(
     )
 
 
-@dataclass(frozen=True)
-class CountSeries:
-    """Packet counts per fixed-width time bucket."""
+class CountSeries(NamedTuple):
+    """Packet counts per fixed-width time bucket; :func:`bucket_counts` makes it."""
 
     bucket_ms: int
     counts: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.bucket_ms < 1:
-            raise ValueError(f"bucket_ms must be >= 1, got {self.bucket_ms}")
 
 
 def bucket_counts(

@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__, spec
 from .analysis import bucket_counts, compute_stats, detect_period
@@ -85,8 +86,6 @@ def _probability(text: str) -> float:
 def _cmd_simulate(args) -> int:
     cfg = config_from_json(args.config)
     if args.seed is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, seed=args.seed)
     result = run_simulation(cfg)
     if args.out is not None:

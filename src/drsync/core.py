@@ -12,16 +12,16 @@ between a sender and a receiver: a position/velocity snapshot taken at
 position, and :class:`TrajectoryScript` supplies ground-truth motion as a
 piecewise-linear path through timed waypoints.
 
-Finiteness is checked where positions enter (:class:`TrajectoryScript`) and
-where the export error leaves (:func:`~drsync.protocol.compute_export_error`),
-never per :class:`Vec3`: an overflow in between is caught at the output.
+Values are checked where they enter, not per record: finiteness in
+:class:`TrajectoryScript` and, for an overflow in between, where the export
+error leaves (:func:`~drsync.protocol.compute_export_error`); a snapshot's
+``seq`` and ``t_sent`` by :func:`~drsync.protocol.sender_tick`, which makes it.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import spec
@@ -52,12 +52,11 @@ class Vec3(NamedTuple):
 ZERO = Vec3(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class DRVector:
+class DRVector(NamedTuple):
     """Position/velocity snapshot of one entity, stamped when it was taken.
 
     ``velocity`` is world units per second; ``seq`` orders snapshots from the
-    same sender (higher is newer).
+    same sender (higher is newer, from 1).
     """
 
     entity_id: str
@@ -65,12 +64,6 @@ class DRVector:
     t_sent: TimeMs
     position: Vec3
     velocity: Vec3
-
-    def __post_init__(self) -> None:
-        if self.seq < 1:
-            raise ValueError(f"DRVector.seq must be >= 1, got {self.seq}")
-        if self.t_sent < 0:
-            raise ValueError(f"DRVector.t_sent must be >= 0, got {self.t_sent}")
 
 
 def extrapolate(dr: DRVector, t: TimeMs) -> Vec3:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import spec
 from .core import TimeMs
@@ -77,8 +78,7 @@ class ReliableOrdered:
     __post_init__ = spec.check
 
 
-@dataclass(frozen=True)
-class DeliveryEvent:
+class DeliveryEvent(NamedTuple):
     """Fate of one packet: when it was sent, arrived, and reached the application.
 
     ``arrive_ms`` is None when every transmission was lost (for the reliable

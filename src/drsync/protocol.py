@@ -48,7 +48,8 @@ class SenderState:
     next_seq: int = 1
     last_sent: DRVector | None = None
     prev_true_pos: Vec3 | None = None
-    last_tick_ms: TimeMs | None = None
+    # Below every valid tick, so the first one must be >= 0.
+    last_tick_ms: TimeMs = -1
 
 
 @dataclass
@@ -68,12 +69,10 @@ def sender_tick(
     Velocity in an emitted snapshot is the one-tick backward finite
     difference of the true positions, scaled to per-second; the very first
     tick has no history and claims zero velocity.  Ticks must be called with
-    strictly increasing ``t``.
+    strictly increasing ``t`` from 0 up.
     """
-    if state.last_tick_ms is not None and t <= state.last_tick_ms:
-        raise ValueError(
-            f"sender clock must advance: tick at t={t} after t={state.last_tick_ms}"
-        )
+    if t <= state.last_tick_ms:
+        raise ValueError(f"sender ticks must be >= 0 and increasing, got t={t}")
     state.last_tick_ms = t
 
     if state.prev_true_pos is None:
@@ -92,13 +91,7 @@ def sender_tick(
     if not send:
         return None
 
-    dr = DRVector(
-        entity_id=state.entity_id,
-        seq=state.next_seq,
-        t_sent=t,
-        position=true_pos,
-        velocity=velocity,
-    )
+    dr = DRVector(state.entity_id, state.next_seq, t, true_pos, velocity)
     state.next_seq += 1
     state.last_sent = dr
     return dr

@@ -22,7 +22,8 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,39 +38,24 @@ PREMATURE_WINDOW_MIN = 5
 LATENCY_KNEE_MS = 100.0
 
 
-@dataclass(frozen=True)
-class SessionMetrics:
-    """Connection quality observed over one session."""
+class SessionMetrics(NamedTuple):
+    """Connection quality observed over one session; the CSV readers check
+    what they read (:func:`_metrics`), the rest is computed in range."""
 
     rtt_mean_ms: float
     rtt_jitter_ms: float
     loss_rate: float
     elapsed_min: float
 
-    def __post_init__(self) -> None:
-        # Plain checks, not spec rules: one is built per session row.  The
-        # chained comparisons also reject NaN.
-        if not 0.0 <= self.rtt_mean_ms < math.inf:
-            raise ValueError(f"rtt_mean_ms must be in [0, inf), got {self.rtt_mean_ms}")
-        if not 0.0 <= self.rtt_jitter_ms < math.inf:
-            raise ValueError(
-                f"rtt_jitter_ms must be in [0, inf), got {self.rtt_jitter_ms}"
-            )
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1], got {self.loss_rate}")
-        if not 0.0 <= self.elapsed_min < math.inf:
-            raise ValueError(f"elapsed_min must be in [0, inf), got {self.elapsed_min}")
-
 
 @dataclass(frozen=True)
 class ChurnModelParams:
-    """Ground-truth quit model: q = clamp(q0 + a*loss + b*max(0, rtt-knee)/100)."""
+    """Ground-truth quit model: q = clamp(q0 + a*loss + b*max(0, rtt-knee)/100),
+    with the knee at :data:`LATENCY_KNEE_MS`."""
 
     q0: float
     a: float
     b: float
-    latency_knee_ms: float = LATENCY_KNEE_MS
-    premature_window_min: int = PREMATURE_WINDOW_MIN
 
 
 def quit_probability(params: ChurnModelParams, m: SessionMetrics) -> float:
@@ -77,7 +63,7 @@ def quit_probability(params: ChurnModelParams, m: SessionMetrics) -> float:
     q = (
         params.q0
         + params.a * m.loss_rate
-        + params.b * max(0.0, m.rtt_mean_ms - params.latency_knee_ms) / 100.0
+        + params.b * max(0.0, m.rtt_mean_ms - LATENCY_KNEE_MS) / 100.0
     )
     return min(1.0, max(0.0, q))
 
@@ -253,10 +239,8 @@ CALIBRATION_SEED = 20260815
 CALIBRATION_SESSIONS = 1000
 
 
-def generate_labeled_sessions(
-    n: int, seed: int, params: ChurnModelParams = CALIBRATION_PARAMS
-) -> list[LabeledSession]:
-    """Synthesize labeled sessions from the ground-truth quit model.
+def generate_labeled_sessions(n: int, seed: int) -> list[LabeledSession]:
+    """Synthesize labeled sessions from the :data:`CALIBRATION_PARAMS` quit model.
 
     Half the population gets clean connections, half impaired ones, so both
     labels are well represented.  A session is labeled True when the
@@ -282,13 +266,13 @@ def generate_labeled_sessions(
                 elapsed_min=0.0,
             )
         quit_early = False
-        elapsed = params.premature_window_min
-        for minute in range(1, params.premature_window_min + 1):
-            if ground_truth_quit(params, m, rng):
+        elapsed = PREMATURE_WINDOW_MIN
+        for minute in range(1, PREMATURE_WINDOW_MIN + 1):
+            if ground_truth_quit(CALIBRATION_PARAMS, m, rng):
                 quit_early = True
                 elapsed = minute
                 break
-        sessions.append((replace(m, elapsed_min=float(elapsed)), quit_early))
+        sessions.append((m._replace(elapsed_min=float(elapsed)), quit_early))
     return sessions
 
 
@@ -322,7 +306,17 @@ def write_sessions_csv(sessions: list[LabeledSession], path: str) -> None:
 
 
 def _metrics(row: list[str]) -> SessionMetrics:
-    return SessionMetrics(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
+    """The metrics of one CSV row, each checked; the comparisons reject NaN."""
+    m = SessionMetrics(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
+    if not 0.0 <= m.rtt_mean_ms < math.inf:
+        raise ValueError(f"rtt_mean_ms must be in [0, inf), got {m.rtt_mean_ms}")
+    if not 0.0 <= m.rtt_jitter_ms < math.inf:
+        raise ValueError(f"rtt_jitter_ms must be in [0, inf), got {m.rtt_jitter_ms}")
+    if not 0.0 <= m.loss_rate <= 1.0:
+        raise ValueError(f"loss_rate must be in [0, 1], got {m.loss_rate}")
+    if not 0.0 <= m.elapsed_min < math.inf:
+        raise ValueError(f"elapsed_min must be in [0, inf), got {m.elapsed_min}")
+    return m
 
 
 def read_sessions_csv(path: str) -> list[LabeledSession]:

@@ -190,7 +190,6 @@ def _load_trajectory(cfg: ScenarioConfig) -> TrajectoryScript:
                 ]
             )
         return script
-    assert src.generator is not None  # validated at parse time
     return generate_trajectory(src.generator, cfg.duration_ms, cfg.seed)
 
 
@@ -205,27 +204,23 @@ def _resolve_channel(cfg: ScenarioConfig) -> ChannelConfig:
 class RunResult:
     """Everything a simulation run produced, plus the JSON-ready summary."""
 
-    config: ScenarioConfig
+    config: ScenarioConfig  # its ``mode`` is the transport that ran
     mode: str
     report: ExportErrorReport
     events: list[DeliveryEvent]
     sends: list[tuple[int, TimeMs]]
-    session: SessionMetrics
-    risk: RiskAssessment
     summary: dict
-    wall_clock_s: float  # deliberately absent from summary/files
 
 
 def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
     """Run one scenario end to end and return its result bundle.
 
     ``mode`` overrides ``cfg.mode`` (used by :func:`run_compare` to run both
-    transports over one config).
+    transports over one config); the config's own check judges it.
     """
     started = time.monotonic()
-    mode = cfg.mode if mode is None else mode
-    if mode not in (MODE_RELIABLE, MODE_UNRELIABLE):
-        raise ConfigError([f"mode: unknown transport mode {mode!r}"])
+    cfg = cfg if mode is None else replace(cfg, mode=mode)
+    mode = cfg.mode
 
     script = _load_trajectory(cfg)
     chan = _resolve_channel(cfg)
@@ -269,23 +264,13 @@ def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
         session,
         connectivity_recoverable=session.loss_rate < RECOVERABLE_LOSS_LIMIT,
     )
-    summary = _summary_dict(cfg, mode, report, counts, sends, session, risk)
-    wall = time.monotonic() - started
+    summary = _summary_dict(cfg, report, counts, sends, session, risk)
     log.info(
         "run %s seed=%d: %d ticks, %d sends, mean error %s (%.2fs)",
-        mode, cfg.seed, len(ticks), len(sends), summary["export_error"]["mean"], wall,
+        mode, cfg.seed, len(ticks), len(sends), summary["export_error"]["mean"],
+        time.monotonic() - started,
     )
-    return RunResult(
-        config=cfg,
-        mode=mode,
-        report=report,
-        events=events,
-        sends=sends,
-        session=session,
-        risk=risk,
-        summary=summary,
-        wall_clock_s=wall,
-    )
+    return RunResult(cfg, mode, report, events, sends, summary)
 
 
 def _session_metrics(
@@ -336,7 +321,6 @@ def _session_metrics(
 
 def _summary_dict(
     cfg: ScenarioConfig,
-    mode: str,
     report: ExportErrorReport,
     counts: dict,
     sends: list,
@@ -344,7 +328,7 @@ def _summary_dict(
     risk: RiskAssessment,
 ) -> dict:
     return {
-        "transport": mode,
+        "transport": cfg.mode,
         "seed": cfg.seed,
         "ticks": len(report.series),
         "sends": len(sends),
@@ -356,7 +340,7 @@ def _summary_dict(
             "samples": report.samples_count,
             "warmup_ticks": report.warmup_ticks,
         },
-        "session_metrics": asdict(session),
+        "session_metrics": session._asdict(),
         "risk": {
             "score": risk.score,
             "premature_flag": risk.premature_flag,
@@ -375,9 +359,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_export_error_csv(result.report, str(out / "export_error.csv"))
     write_delivery_csv(result.events, str(out / "deliveries.csv"))
-    resolved = config_to_dict(result.config)
-    resolved["transport"]["mode"] = result.mode
-    spec.write_json(resolved, str(out / "resolved_config.json"))
+    spec.write_json(config_to_dict(result.config), str(out / "resolved_config.json"))
     spec.write_json(result.summary, str(out / "summary.json"))
 
 

@@ -1,16 +1,17 @@
 """Declarative field rules: parse, check and dump configs from one statement.
 
 Config dataclasses declare each field with :func:`field`: its rule, default
-and, where the JSON layout differs, dotted JSON key.  :func:`parse` builds
-one from a JSON-shaped dict and reports every problem at once
-(``channel.loss_rate: must be in [0, 1], got 2.0``); :func:`check`, used as
-``__post_init__``, validates a built one; :func:`dump` writes it back.  Rules
-that relate fields live in a class's static ``_relations(values)``, which
-gets :data:`INVALID` for a field that broke its own rule.
+and, where the JSON layout differs, dotted JSON key.  :func:`check`, their
+``__post_init__``, is the one judge of a value and reports every problem at
+once (``channel.loss_rate: must be in [0, 1], got 2.0``); :func:`parse`
+reshapes a JSON-shaped dict and builds the class; :func:`dump` writes it
+back.  Rules that relate fields live in a class's static
+``_relations(values)``, which gets :data:`INVALID` for a field that broke
+its own rule.
 
 CSV readers share :func:`read_csv` and the cell converters ``int``,
-``float`` and :func:`flag`; float cells go into constructors that reject
-NaN and infinity.  Every CSV output goes through :func:`write_csv`.
+``float`` and :func:`flag`; each reader's row builder checks the ranges of
+its cells.  Every CSV output goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -63,15 +64,16 @@ class _Invalid:
 INVALID: Any = _Invalid()
 
 
-class _Rule:
-    """A rule whose JSON form is its Python form; ``problem`` checks a value."""
+class _Parts(types.SimpleNamespace):
+    """The fields of a section that failed, for the parent's relations."""
 
-    def parse(self, raw: Any, path: str, problems: list[str]) -> Any:
-        msg = self.problem(raw)
-        if msg is None:
-            return raw
-        problems.append(f"{path}: {msg}")
-        return INVALID
+
+class _Rule:
+    """A rule: ``load`` reshapes a JSON value and judges nothing (a value it
+    cannot reshape is returned as is); ``problem`` judges the result."""
+
+    def load(self, raw: Any, path: str, problems: list[str]) -> Any:
+        return raw
 
     def dump(self, v: Any) -> Any:
         return v
@@ -104,9 +106,9 @@ class Real(_Rule):
             return f"must be finite, got {v!r}"
         return _bounds(v, self.ge, self.gt, self.le)
 
-    def parse(self, raw: Any, path: str, problems: list[str]) -> Any:
-        v = super().parse(raw, path, problems)
-        return v if v is INVALID else float(v)
+    def load(self, raw: Any, path: str, problems: list[str]) -> Any:
+        fits = type(raw) is int and abs(raw) <= sys.float_info.max
+        return float(raw) if fits else raw
 
 
 def _bounds(v, ge, gt, le) -> str | None:
@@ -145,11 +147,9 @@ class Choice(_Rule):
         ok = isinstance(v, self.options) if is_enum else v in self.options
         return None if ok else f"must be one of {self._values()}, got {v!r}"
 
-    def parse(self, raw: Any, path: str, problems: list[str]) -> Any:
-        if raw in self._values():
-            return raw if isinstance(self.options, tuple) else self.options(raw)
-        problems.append(f"{path}: must be one of {self._values()}, got {raw!r}")
-        return INVALID
+    def load(self, raw: Any, path: str, problems: list[str]) -> Any:
+        is_member = isinstance(self.options, type) and raw in self._values()
+        return self.options(raw) if is_member else raw
 
     def dump(self, v: Any) -> Any:
         return v.value if isinstance(v, enum.Enum) else v
@@ -167,28 +167,32 @@ class Nested(_Rule):
             return None
         return f"must be a {self.cls.__name__}, got {type(v).__name__}"
 
-    def parse(self, raw: Any, path: str, problems: list[str]) -> Any:
+    def load(self, raw: Any, path: str, problems: list[str]) -> Any:
         return _parse(self.cls, raw, path, problems)
 
     def dump(self, v: Any) -> Any:
         return dump(v)
 
 
+def _at(path: str, msg: str) -> str:
+    """``msg`` about the value at ``path``; an item's index joins the path."""
+    return f"{path}{msg}" if msg.startswith("[") else f"{path}: {msg}"
+
+
 def _items_problem(pairs: Iterable[tuple[_Rule, Any]]) -> str | None:
     for i, (rule, item) in enumerate(pairs):
         msg = rule.problem(item)
         if msg is not None:
-            return f"[{i}] {msg}"
+            return _at(f"[{i}]", msg)
     return None
 
 
-def _parse_items(
+def _load_items(
     pairs: Iterable[tuple[_Rule, Any]], path: str, problems: list[str]
-) -> Any:
-    items = tuple(
-        rule.parse(raw, f"{path}[{i}]", problems) for i, (rule, raw) in enumerate(pairs)
+) -> tuple:
+    return tuple(
+        rule.load(raw, f"{path}[{i}]", problems) for i, (rule, raw) in enumerate(pairs)
     )
-    return INVALID if INVALID in items else items
 
 
 @dataclasses.dataclass(frozen=True)
@@ -210,11 +214,10 @@ class Pair(_Rule):
             msg = f"must be [low, high] with low <= high, got {list(v)!r}"
         return msg
 
-    def parse(self, raw: Any, path: str, problems: list[str]) -> Any:
+    def load(self, raw: Any, path: str, problems: list[str]) -> Any:
         if not isinstance(raw, (tuple, list)) or len(raw) != 2:
-            return super().parse(raw, path, problems)
-        items = _parse_items(zip((self.first, self.second), raw), path, problems)
-        return items if items is INVALID else super().parse(items, path, problems)
+            return raw
+        return _load_items(zip((self.first, self.second), raw), path, problems)
 
     def dump(self, v: Any) -> Any:
         return [self.first.dump(v[0]), self.second.dump(v[1])]
@@ -231,10 +234,10 @@ class Seq(_Rule):
             return f"must be a non-empty list, got {v!r}"
         return _items_problem((self.item, x) for x in v)
 
-    def parse(self, raw: Any, path: str, problems: list[str]) -> Any:
+    def load(self, raw: Any, path: str, problems: list[str]) -> Any:
         if not isinstance(raw, (tuple, list)) or not raw:
-            return super().parse(raw, path, problems)
-        return _parse_items(((self.item, x) for x in raw), path, problems)
+            return raw
+        return _load_items(((self.item, x) for x in raw), path, problems)
 
     def dump(self, v: Any) -> Any:
         return [self.item.dump(x) for x in v]
@@ -263,34 +266,41 @@ def _specs(cls_or_obj: Any) -> list[tuple[dataclasses.Field, _Rule, list[str]]]:
     ]
 
 
-def _relations(cls: type, values: dict[str, Any]) -> list[str]:
+def _judge(cls: type, values: dict[str, Any]) -> list[str]:
+    """The problems of the fields of ``cls`` in ``values``, then its relations.
+
+    A field that breaks its rule is set to :data:`INVALID`; one already
+    :data:`INVALID`, or a section that failed, is skipped.
+    """
+    problems = []
+    for f, rule, key in _specs(cls):
+        value = values[f.name]
+        if value is INVALID or isinstance(value, _Parts):
+            continue
+        msg = None if value is None and f.default is None else rule.problem(value)
+        if msg is not None:
+            problems.append(_at(".".join(key), msg))
+            values[f.name] = INVALID
     relations = getattr(cls, "_relations", None)
-    return [] if relations is None else relations(values)
+    return problems if relations is None else problems + relations(values)
 
 
 def check(obj: Any) -> None:
-    """Check every declared field of a built object, then its relations.
+    """Judge every declared field of a built object, then its relations.
 
-    Config classes use this as ``__post_init__``.  It raises one
+    Config classes use this as ``__post_init__``.  Raises one
     :class:`ConfigError` listing every problem.
     """
-    problems: list[str] = []
-    values: dict[str, Any] = {}
-    for f, rule, key in _specs(obj):
-        values[f.name] = value = getattr(obj, f.name)
-        msg = None if value is None and f.default is None else rule.problem(value)
-        if msg is not None:
-            problems.append(f"{'.'.join(key)}: {msg}")
-            values[f.name] = INVALID
-    problems.extend(_relations(type(obj), values))
+    problems = _judge(type(obj), dict(vars(obj)))
     if problems:
         raise ConfigError(problems)
 
 
 def parse(cls: type[T], data: Any) -> T:
-    """Build ``cls`` from a JSON-shaped dict; unknown keys are errors.
+    """Build ``cls``, and so :func:`check` it, from a JSON-shaped dict.
 
-    Collects every problem before raising one :class:`ConfigError`.
+    Unknown keys are errors.  Raises one :class:`ConfigError` listing every
+    problem.
     """
     problems: list[str] = []
     obj = _parse(cls, data, "", problems)
@@ -321,17 +331,20 @@ def _parse(cls: type, data: Any, path: str, problems: list[str]) -> Any:
         for part in key:
             raw = raw.get(part, _MISSING) if isinstance(raw, dict) else _MISSING
         if raw is not _MISSING:
-            values[f.name] = rule.parse(raw, prefix + ".".join(key), problems)
+            values[f.name] = rule.load(raw, prefix + ".".join(key), problems)
         elif f.default is not _MISSING:
             values[f.name] = f.default
         else:
             problems.append(f"{prefix}{'.'.join(key)}: missing required key")
             values[f.name] = INVALID
-    problems.extend(prefix + p for p in _relations(cls, values))
-    if len(problems) > start:
-        # The parts, so that the parent's relations can read the good ones.
-        return types.SimpleNamespace(**values)
-    return cls(**values)
+    if len(problems) == start:
+        try:
+            return cls(**values)
+        except ConfigError:
+            pass  # judged again below, to mark the fields that failed
+    problems.extend(prefix + p for p in _judge(cls, values))
+    # The parts, so that the parent's relations can read the good ones.
+    return _Parts(**values)
 
 
 def _unknown_keys(data: dict, known: dict, prefix: str, problems: list[str]) -> None:

@@ -39,12 +39,6 @@ class TestVec3:
 
 
 class TestDRVector:
-    def test_field_validation(self):
-        with pytest.raises(ValueError):
-            DRVector(entity_id="e", seq=0, t_sent=0, position=ZERO, velocity=ZERO)
-        with pytest.raises(ValueError):
-            DRVector(entity_id="e", seq=1, t_sent=-1, position=ZERO, velocity=ZERO)
-
     def test_extrapolate_hand_value(self):
         # 500 ms at (2, -4, 1) units/s moves exactly half the velocity vector.
         dr = DRVector(

@@ -17,21 +17,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from drsync import spec
 from drsync.cli import main
 from drsync.qon import (
     DEFAULT_WEIGHTS,
+    PredictorWeights,
     generate_labeled_sessions,
     weights_to_dict,
     write_sessions_csv,
 )
 from drsync.scenario import (
     ConfigError,
+    ScenarioConfig,
     TrajectoryGenConfig,
     TrajectorySource,
     comparison_scenario,
     config_to_dict,
 )
 from drsync.workload import (
+    WorkloadProfile,
     generate_trace,
     preset,
     profile_from_dict,
@@ -335,3 +339,65 @@ def test_fuzzed_csv_inputs_never_escape_main(inputs, data):
     file = root / f"{kind}_fuzzed.csv"
     file.write_text("".join(",".join(row) + "\n" for row in rows))
     _assert_clean_outcome(argv(str(file)))
+
+
+# --- parse judges through the constructor ----------------------------------
+
+
+def _built_with(obj, path, raw):
+    """``obj`` rebuilt through its constructors with the JSON value at ``path``
+    replaced by ``raw``: the field that holds it gets its rule's ``load`` of
+    the field's new JSON value, and each section up the way is rebuilt."""
+    for f, rule, key in spec._specs(obj):
+        n = len(key)
+        if list(path[:n]) != key:
+            continue
+        if isinstance(rule, spec.Nested):
+            try:
+                section = _built_with(getattr(obj, f.name), path[n:], raw)
+            except ConfigError as exc:
+                raise ConfigError([f"{'.'.join(key)}.{p}" for p in exc.problems])
+            return replace(obj, **{f.name: section})
+        value = rule.dump(getattr(obj, f.name))
+        value = _set(value, path[n:], raw) if path[n:] else raw
+        return replace(obj, **{f.name: rule.load(value, "", [])})
+    raise LookupError(path)  # a section of dotted keys, not a field
+
+
+def _is_leaf(obj, path) -> bool:
+    """Whether ``path`` lies in a field that is not a section."""
+    for f, rule, key in spec._specs(obj):
+        n = len(key)
+        if list(path[:n]) == key:
+            if isinstance(rule, spec.Nested):
+                return len(path) > n and _is_leaf(getattr(obj, f.name), path[n:])
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "cls, obj",
+    [
+        (ScenarioConfig, replace(comparison_scenario(), duration_ms=2000)),
+        (WorkloadProfile, preset("mmorpg")),
+        (PredictorWeights, DEFAULT_WEIGHTS),
+    ],
+    ids=["config", "profile", "weights"],
+)
+def test_parse_judges_as_the_constructor_does(cls, obj):
+    # For every leaf field and junk value, parsing reports exactly what
+    # building the object from the loaded value reports: one judge.
+    base = spec.dump(obj)
+    paths = [path for path in _json_paths(base) if _is_leaf(obj, path)]
+    assert paths
+    for path in paths:
+        for junk in JUNK_JSON:
+            try:
+                parsed = spec.parse(cls, _set(base, path, junk))
+            except ConfigError as exc:
+                parsed = exc.problems
+            try:
+                built = _built_with(obj, path, junk)
+            except ConfigError as exc:
+                built = exc.problems
+            assert parsed == built, (path, junk)

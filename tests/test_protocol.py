@@ -88,6 +88,17 @@ class TestSender:
         with pytest.raises(ValueError):
             sender_tick(state, cfg, ZERO, 0)
 
+    def test_rejects_a_negative_first_tick(self):
+        # The sender is where a snapshot's t_sent and seq are made, so it is
+        # where they are checked; DRVector itself checks nothing.
+        cfg = ProtocolConfig(threshold=1.0, tick_ms=100)
+        state = SenderState(entity_id="e")
+        with pytest.raises(ValueError, match="must be >= 0 and increasing, got t=-1"):
+            sender_tick(state, cfg, ZERO, -1)
+        assert state.next_seq == 1 and state.last_sent is None
+        dr = sender_tick(state, cfg, ZERO, 0)
+        assert (dr.seq, dr.t_sent) == (1, 0)
+
     def test_min_send_interval_rate_limits(self):
         cfg = ProtocolConfig(threshold=0.0, tick_ms=100, min_send_interval_ms=250)
         # Accelerating motion so the constant-velocity prediction always lags.

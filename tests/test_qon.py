@@ -26,6 +26,7 @@ from drsync.qon import (
     weights_to_json,
     write_sessions_csv,
 )
+from drsync.spec import ConfigError
 
 
 def metrics(rtt=50.0, jitter=5.0, loss=0.01, elapsed=5.0):
@@ -38,15 +39,29 @@ ZERO_W = PredictorWeights(bias=0.0, w_latency=0.0, w_loss=0.0, w_jitter=0.0)
 
 
 class TestSessionMetrics:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            metrics(rtt=-1)
-        with pytest.raises(ValueError):
-            metrics(jitter=-1)
-        with pytest.raises(ValueError):
-            metrics(loss=1.1)
-        with pytest.raises(ValueError):
-            metrics(elapsed=-0.1)
+    def test_readers_check_each_metric_column(self, tmp_path):
+        # SessionMetrics checks nothing itself; the CSV rows are checked
+        # where they are read, and the error names the file, row and column.
+        header = "rtt_mean_ms,rtt_jitter_ms,loss_rate,elapsed_min"
+        good = ["50.0", "5.0", "0.01", "5.0"]
+        readers = {
+            "sessions": (read_sessions_csv, ",quit_premature", ",true"),
+            "metrics": (read_metrics_csv, "", ""),
+        }
+        for name, (read, extra_head, extra_cell) in readers.items():
+            for col, column in enumerate(header.split(",")):
+                for cell in ("-1", "nan", "inf"):
+                    row = list(good)
+                    row[col] = cell
+                    path = tmp_path / f"{name}.csv"
+                    path.write_text(
+                        f"{header}{extra_head}\n{','.join(good)}{extra_cell}\n"
+                        f"{','.join(row)}{extra_cell}\n"
+                    )
+                    with pytest.raises(ConfigError) as exc_info:
+                        read(str(path))
+                    (problem,) = exc_info.value.problems
+                    assert problem.startswith(f"{path} row 3: {column} must be in ")
 
 
 class TestQuitModel:

@@ -184,8 +184,12 @@ class TestRunSimulation:
             channel=ChannelSpec(base_latency_ms=10, jitter_max_ms=0, loss_rate=0.0)
         )
         result = run_simulation(cfg, mode="reliable_ordered")
-        assert result.mode == "reliable_ordered"
+        assert result.mode == result.config.mode == "reliable_ordered"
         assert result.summary["transport"] == "reliable_ordered"
+
+    def test_mode_override_is_judged_by_the_config(self):
+        with pytest.raises(ConfigError, match="transport.mode: must be one of"):
+            run_simulation(quiet_config(), mode="carrier_pigeon")
 
 
 class TestRunOutputs:
@@ -312,6 +316,28 @@ class TestConfigParsing:
         assert summary["transmissions"] == 16 * summary["sends"] > 0
         assert summary["lost_transmissions"] == summary["transmissions"]
         assert summary["delivered"] == 0
+
+    def test_each_value_is_judged_once(self, monkeypatch):
+        # 18 leaf values and 5 sections: one problem() call each, and the
+        # relations of each object run once.
+        expected = comparison_scenario()
+        data = config_to_dict(expected)
+        calls = []
+        for rule in (spec.Int, spec.Real, spec.Str, spec.Choice, spec.Nested,
+                     spec.Pair, spec.Seq):
+            judge = rule.problem
+            monkeypatch.setattr(
+                rule, "problem", lambda self, v, judge=judge: calls.append(v) or judge(self, v)
+            )
+        relations = []
+        for cls in (ScenarioConfig, TrajectorySource, TrajectoryGenConfig):
+            rel = cls._relations
+            monkeypatch.setattr(
+                cls, "_relations", staticmethod(lambda v, rel=rel: relations.append(1) or rel(v))
+            )
+        assert config_from_dict(data) == expected
+        assert len(calls) == 23
+        assert len(relations) == 3
 
     def test_json_file_parsing(self, tmp_path):
         path = tmp_path / "cfg.json"
