@@ -29,6 +29,8 @@ from .workload import Direction, Trace
 
 # A flat series must clear this autocorrelation to count as periodic.
 PERIOD_STRENGTH_THRESHOLD = 0.3
+# The most buckets bucket_counts makes; detect_period is quadratic in them.
+MAX_BUCKETS = 2**20
 _MIN_PERIOD_SAMPLES = 8
 
 
@@ -189,6 +191,10 @@ def bucket_counts(
             raise ValueError("cannot infer duration from an empty trace")
         duration_ms = int(trace.t_ms[-1]) + 1
     n_buckets = -(-duration_ms // bucket_ms)
+    if n_buckets > MAX_BUCKETS:
+        raise ValueError(
+            f"{n_buckets} buckets of {bucket_ms} ms exceed MAX_BUCKETS ({MAX_BUCKETS})"
+        )
     times = trace.t_ms
     if direction is not None:
         times = times[trace.in_direction(direction)]

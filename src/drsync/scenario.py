@@ -46,7 +46,7 @@ from .protocol import (
 )
 from .qon import DEFAULT_WEIGHTS, RiskAssessment, SessionMetrics, assess
 from .rng import TAG_CHANNEL, TAG_TRAJECTORY, mix64, substream
-from .spec import ConfigError
+from .spec import INVALID, ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -59,6 +59,10 @@ DR_PACKET_BYTES = 100
 
 # A connection counts as recoverable when most packets still get through.
 RECOVERABLE_LOSS_LIMIT = 0.5
+
+# The most ticks a run may have.  A compare, which holds two runs at once,
+# stays under about 1 GiB at this cap (extrapolated from 1/16 of it).
+MAX_TICKS = 500_000
 
 
 @dataclass(frozen=True)
@@ -136,9 +140,15 @@ class ScenarioConfig:
     @staticmethod
     def _relations(v: dict) -> list[str]:
         duration, tick = v["duration_ms"], v["protocol"].tick_ms
+        if INVALID in (duration, tick):
+            return []
         if duration < tick:
             return [
                 f"duration_ms: must cover at least one tick ({tick} ms), got {duration}"
+            ]
+        if duration // tick >= MAX_TICKS:
+            return [
+                f"duration_ms: must be < {MAX_TICKS} ticks of {tick} ms, got {duration}"
             ]
         return []
 
@@ -220,7 +230,6 @@ def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
     """
     started = time.monotonic()
     cfg = cfg if mode is None else replace(cfg, mode=mode)
-    mode = cfg.mode
 
     script = _load_trajectory(cfg)
     chan = _resolve_channel(cfg)
@@ -239,7 +248,7 @@ def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
             sends.append((dr.seq, t))
             dr_by_seq[dr.seq] = dr
 
-    if mode == MODE_RELIABLE:
+    if cfg.mode == MODE_RELIABLE:
         events = reliable_run(chan, ReliableOrdered(rto_ms=cfg.rto_ms), sends)
     else:
         events = unreliable_run(chan, cfg.dejitter, sends)
@@ -267,10 +276,10 @@ def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
     summary = _summary_dict(cfg, report, counts, sends, session, risk)
     log.info(
         "run %s seed=%d: %d ticks, %d sends, mean error %s (%.2fs)",
-        mode, cfg.seed, len(ticks), len(sends), summary["export_error"]["mean"],
+        cfg.mode, cfg.seed, len(ticks), len(sends), summary["export_error"]["mean"],
         time.monotonic() - started,
     )
-    return RunResult(cfg, mode, report, events, sends, summary)
+    return RunResult(cfg, cfg.mode, report, events, sends, summary)
 
 
 def _session_metrics(
@@ -301,6 +310,10 @@ def _session_metrics(
         mean_j = math.fsum(jitters) / len(jitters)
         var_j = math.fsum((j - mean_j) ** 2 for j in jitters) / len(jitters)
     else:
+        log.warning(
+            "run %s seed=%d: no packet arrived, so rtt_mean_ms is twice the base "
+            "latency, not a measurement", cfg.mode, cfg.seed,
+        )
         mean_j, var_j = 0.0, 0.0
     session = SessionMetrics(
         rtt_mean_ms=2.0 * chan.base_latency_ms + mean_j,

@@ -42,6 +42,11 @@ from .spec import INVALID
 # The most data packets one side of a connection may send in one tick.  A
 # profile above it is rejected: generation time grows with the rate.
 MAX_PACKETS_PER_TICK = 1000
+# The most client ticks (clients times ticks) one trace may have.  A preset's
+# trace stays under about 1 GiB at this cap (extrapolated from 1/16 of it).
+MAX_CLIENT_TICKS = 2_000_000
+# Rows that iterating a Trace converts to Python values at a time.
+_ITER_ROWS = 4096
 
 
 class Direction(enum.Enum):
@@ -227,7 +232,10 @@ class Trace:
         return row
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return map(TraceRecord, *self._columns(_DIRECTIONS, (False, True)))
+        flags = (False, True)
+        for start in range(0, len(self), _ITER_ROWS):
+            chunk = self._columns(_DIRECTIONS, flags, slice(start, start + _ITER_ROWS))
+            yield from map(TraceRecord, *chunk)
 
     def _columns(
         self, directions: Sequence[Any], flags: Any, rows: Any = slice(None)
@@ -337,14 +345,16 @@ def generate_trace(
     """
     if n_clients < 0:
         raise ValueError(f"n_clients must be >= 0, got {n_clients}")
-    if duration_ms < profile.tick_period_ms:
-        raise ValueError(
-            f"duration_ms must be >= tick_period_ms ({profile.tick_period_ms}), "
-            f"got {duration_ms}"
-        )
-
     tick = profile.tick_period_ms
+    if duration_ms < tick:
+        raise ValueError(
+            f"duration_ms must be >= tick_period_ms ({tick}), got {duration_ms}"
+        )
     n_ticks = duration_ms // tick
+    if n_clients * n_ticks > MAX_CLIENT_TICKS:
+        raise ValueError(
+            f"clients * ticks must be <= {MAX_CLIENT_TICKS}, got {n_clients * n_ticks}"
+        )
     event = profile.global_event
     event_ticks: set[int] = set()
     if event.period_ms > 0 and event.participation > 0:

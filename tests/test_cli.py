@@ -1,6 +1,10 @@
 """End-to-end checks of the console entry point, run in process."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +24,8 @@ from drsync.scenario import (
 )
 from drsync.workload import read_trace_csv
 
-FAST_MANEUVER = Path(__file__).resolve().parent.parent / "configs" / "fast_maneuver.json"
+ROOT = Path(__file__).resolve().parent.parent
+FAST_MANEUVER = ROOT / "configs" / "fast_maneuver.json"
 
 
 @pytest.fixture
@@ -119,6 +124,29 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["transmissions"] == 16 * summary["sends"]
+
+    @pytest.mark.parametrize("level", ["off", "info", "debug"])
+    def test_dead_link_warns_on_stderr(self, tmp_path, level):
+        # Nothing arrives, so the summary's RTT is twice the base latency, not
+        # a measurement.  The summary keeps it; a warning on stderr says so.
+        data = json.loads(FAST_MANEUVER.read_text())
+        data["channel"]["loss_rate"] = 1.0
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps(data))
+        env = {**os.environ, "DRSYNC_LOG": level, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "drsync", "simulate", "--config", str(path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0
+        # The stdout pinned before the warning was added.
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "bee6ad3204f5a3059a81be1504406576c74a9ea43302812685688612036cb4f7"
+        )
+        assert proc.stderr.startswith(
+            "WARNING drsync.scenario: run unreliable_dr seed=1: no packet arrived, "
+            "so rtt_mean_ms is twice the base latency, not a measurement\n"
+        )
 
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "mangled.json"

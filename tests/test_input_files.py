@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drsync import spec
+from drsync import analysis, scenario, spec, workload
 from drsync.cli import main
 from drsync.qon import (
     DEFAULT_WEIGHTS,
@@ -32,6 +32,7 @@ from drsync.scenario import (
     TrajectoryGenConfig,
     TrajectorySource,
     comparison_scenario,
+    config_from_dict,
     config_to_dict,
 )
 from drsync.workload import (
@@ -230,6 +231,61 @@ class TestCliDefects:
         assert code == 1
         assert out == ""
         assert err == "error: fit diverged: learn_rate 1e+308 is too large\n"
+
+
+class TestCaps:
+    """At each cap the input is accepted; one past it ends in exit 1 with an
+    ``error:`` line, before the run, trace or buckets are built."""
+
+    def test_ticks_per_run(self, tmp_path):
+        data = config_to_dict(comparison_scenario())  # 50 ms ticks
+        data["duration_ms"] = (scenario.MAX_TICKS - 1) * 50  # ticks 0 .. cap - 1
+        assert config_from_dict(data).duration_ms == data["duration_ms"]
+        data["duration_ms"] += 50
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["simulate", "--config", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid config\n")
+        assert f"duration_ms: must be < {scenario.MAX_TICKS} ticks of 50 ms" in err
+
+    @pytest.mark.parametrize("small", [True, False], ids=["small", "real"])
+    def test_client_ticks_per_trace(self, tmp_path, monkeypatch, small):
+        cap = 40 if small else workload.MAX_CLIENT_TICKS
+        monkeypatch.setattr(workload, "MAX_CLIENT_TICKS", cap)
+        out = tmp_path / "trace.csv"
+        argv = ["generate", "--preset", "fps", "--out", str(out), "--clients"]
+        if small:  # cheap to build at the cap: 1 client, 40 ticks of 50 ms
+            assert run_cli([*argv, "1", "--duration-ms", "2000"])[0] == 0
+            assert len(out.read_text().splitlines()) > 40
+            out.unlink()
+        code, _, err = run_cli([*argv, str(cap + 1), "--duration-ms", "50"])
+        assert code == 1
+        assert err == f"error: clients * ticks must be <= {cap}, got {cap + 1}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("small", [True, False], ids=["small", "real"])
+    def test_buckets_per_analysis(self, tmp_path, monkeypatch, small):
+        cap = 64 if small else analysis.MAX_BUCKETS
+        monkeypatch.setattr(analysis, "MAX_BUCKETS", cap)
+        path = tmp_path / "trace.csv"
+
+        def analyze(last_t_ms):
+            path.write_text(
+                "t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack\n"
+                "0,c0,c2s,10,40,false\n"
+                "1,c0,s2c,10,40,false\n"
+                f"{last_t_ms},c0,c2s,10,40,false\n"
+            )
+            return run_cli(["analyze", "--trace", str(path), "--bucket-ms", "1"])
+
+        if small:  # cheap to scan at the cap: buckets 0 .. 63
+            assert analyze(cap - 1)[0] == 0
+        code, out, err = analyze(cap)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {cap + 1} buckets of 1 ms exceed MAX_BUCKETS ({cap})\n"
+        )
 
 
 # --- fuzzing every input file through the CLI ----------------------------

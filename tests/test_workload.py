@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from drsync import workload
 from drsync.workload import (
     BurstModel,
     Direction,
@@ -290,6 +291,25 @@ class TestTrace:
         assert trace.conn_ids == ("b", "a")
         for row in (trace[0], *trace):
             assert [type(v) for v in row] == [int, str, Direction, int, int, bool]
+
+    def test_iteration_converts_one_chunk_at_a_time(self, monkeypatch):
+        # A scan that stops at the first row must not convert the whole trace.
+        chunk = workload._ITER_ROWS
+        rows = [(t, "c0", Direction.CLIENT_TO_SERVER, t % 7, 40, t % 3 == 0)
+                for t in range(2 * chunk + 1)]
+        trace = Trace(rows)
+        converted = []
+        columns = Trace._columns
+
+        def spy(self, directions, flags, rows=slice(None)):
+            converted.append(len(self.t_ms[rows]))
+            return columns(self, directions, flags, rows)
+
+        monkeypatch.setattr(Trace, "_columns", spy)
+        assert any(rec.direction is Direction.CLIENT_TO_SERVER for rec in trace)
+        assert converted == [chunk]
+        assert list(trace) == rows
+        assert converted[1:] == [chunk, chunk, 1]
 
     def test_rows_must_be_in_time_order(self):
         with pytest.raises(ValueError, match="row 3 goes back"):
