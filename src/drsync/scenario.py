@@ -148,7 +148,8 @@ class ScenarioConfig:
             ]
         if duration // tick >= MAX_TICKS:
             return [
-                f"duration_ms: must be < {MAX_TICKS} ticks of {tick} ms, got {duration}"
+                f"duration_ms: must be < {MAX_TICKS * tick} ({MAX_TICKS} ticks), "
+                f"got {duration}"
             ]
         return []
 

@@ -343,7 +343,6 @@ def _parse(cls: type, data: Any, path: str, problems: list[str]) -> Any:
         except ConfigError:
             pass  # judged again below, to mark the fields that failed
     problems.extend(prefix + p for p in _judge(cls, values))
-    # The parts, so that the parent's relations can read the good ones.
     return _Parts(**values)
 
 

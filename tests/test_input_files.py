@@ -247,7 +247,8 @@ class TestCaps:
         code, out, err = run_cli(["simulate", "--config", str(path)])
         assert (code, out) == (1, "")
         assert err.startswith("error: invalid config\n")
-        assert f"duration_ms: must be < {scenario.MAX_TICKS} ticks of 50 ms" in err
+        cap_ms = scenario.MAX_TICKS * 50
+        assert f"duration_ms: must be < {cap_ms} ({scenario.MAX_TICKS} ticks)" in err
 
     @pytest.mark.parametrize("small", [True, False], ids=["small", "real"])
     def test_client_ticks_per_trace(self, tmp_path, monkeypatch, small):
@@ -283,9 +284,7 @@ class TestCaps:
             assert analyze(cap - 1)[0] == 0
         code, out, err = analyze(cap)
         assert (code, out) == (1, "")
-        assert err == (
-            f"error: {cap + 1} buckets of 1 ms exceed MAX_BUCKETS ({cap})\n"
-        )
+        assert err == f"error: {cap + 1} buckets of 1 ms exceed MAX_BUCKETS ({cap})\n"
 
 
 # --- fuzzing every input file through the CLI ----------------------------
@@ -400,35 +399,40 @@ def test_fuzzed_csv_inputs_never_escape_main(inputs, data):
 # --- parse judges through the constructor ----------------------------------
 
 
-def _built_with(obj, path, raw):
-    """``obj`` rebuilt through its constructors with the JSON value at ``path``
-    replaced by ``raw``: the field that holds it gets its rule's ``load`` of
-    the field's new JSON value, and each section up the way is rebuilt."""
+def _field_at(obj, path):
+    """The declared field of ``obj`` holding JSON ``path``: ``(field, rule,
+    key)``, or None when ``path`` names a section of dotted keys."""
     for f, rule, key in spec._specs(obj):
-        n = len(key)
-        if list(path[:n]) != key:
-            continue
-        if isinstance(rule, spec.Nested):
-            try:
-                section = _built_with(getattr(obj, f.name), path[n:], raw)
-            except ConfigError as exc:
-                raise ConfigError([f"{'.'.join(key)}.{p}" for p in exc.problems])
-            return replace(obj, **{f.name: section})
-        value = rule.dump(getattr(obj, f.name))
-        value = _set(value, path[n:], raw) if path[n:] else raw
-        return replace(obj, **{f.name: rule.load(value, "", [])})
-    raise LookupError(path)  # a section of dotted keys, not a field
+        if list(path[: len(key)]) == key:
+            return f, rule, key
+    return None
 
 
 def _is_leaf(obj, path) -> bool:
     """Whether ``path`` lies in a field that is not a section."""
-    for f, rule, key in spec._specs(obj):
-        n = len(key)
-        if list(path[:n]) == key:
-            if isinstance(rule, spec.Nested):
-                return len(path) > n and _is_leaf(getattr(obj, f.name), path[n:])
-            return True
-    return False
+    found = _field_at(obj, path)
+    if found is None:
+        return False
+    f, rule, key = found
+    if isinstance(rule, spec.Nested):
+        return len(path) > len(key) and _is_leaf(getattr(obj, f.name), path[len(key):])
+    return True
+
+
+def _built_with(obj, path, raw):
+    """``obj`` rebuilt through its constructors with the JSON value at leaf
+    ``path`` replaced by ``raw``: its field gets the rule's ``load`` of the
+    field's new JSON value, and each section up the way is rebuilt."""
+    f, rule, key = _field_at(obj, path)
+    rest = path[len(key):]
+    if isinstance(rule, spec.Nested):
+        try:
+            section = _built_with(getattr(obj, f.name), rest, raw)
+        except ConfigError as exc:
+            raise ConfigError([f"{'.'.join(key)}.{p}" for p in exc.problems])
+        return replace(obj, **{f.name: section})
+    value = _set(rule.dump(getattr(obj, f.name)), rest, raw) if rest else raw
+    return replace(obj, **{f.name: rule.load(value, "", [])})
 
 
 @pytest.mark.parametrize(
