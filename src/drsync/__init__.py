@@ -21,6 +21,7 @@ from .core import (
     Vec3,
     deviation,
     extrapolate,
+    sample_positions,
     sample_trajectory,
 )
 from .protocol import (
@@ -29,8 +30,11 @@ from .protocol import (
     ReceiverState,
     SenderState,
     compute_export_error,
+    export_error_report,
     receiver_apply,
+    receiver_run,
     render_position,
+    sender_run,
     sender_tick,
 )
 from .netsim import (

@@ -24,10 +24,17 @@ import bisect
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from . import spec
 
 # Milliseconds, non-negative. Kept as int so tick grids compare exactly.
 TimeMs = int
+
+# The latest time a trajectory or a run may reach.  Up to here every time
+# and time difference is exact as a float64, so the array stages divide
+# exactly what the scalar functions divide.
+MAX_TIME_MS = 2**53
 
 _MS_PER_S = 1000.0
 
@@ -89,9 +96,10 @@ def deviation(true_pos: Vec3, predicted_pos: Vec3) -> float:
 class TrajectoryScript:
     """Ground-truth motion as straight segments between timed waypoints.
 
-    Waypoint times must be strictly increasing, every coordinate must be
-    finite and there must be at least two waypoints; positions between
-    waypoints are linear interpolations.
+    Waypoint times must be strictly increasing and within ``[0,
+    MAX_TIME_MS]``, every coordinate must be finite and there must be at
+    least two waypoints; positions between waypoints are linear
+    interpolations.
     """
 
     def __init__(self, waypoints: list[tuple[TimeMs, Vec3]]):
@@ -107,6 +115,10 @@ class TrajectoryScript:
                 )
         if times[0] < 0:
             raise ValueError(f"waypoint times must be >= 0, got {times[0]}")
+        if times[-1] > MAX_TIME_MS:
+            raise ValueError(
+                f"waypoint times must be <= {MAX_TIME_MS}, got {times[-1]}"
+            )
         for t, pos in waypoints:
             if not all(map(math.isfinite, pos)):
                 raise ValueError(
@@ -114,6 +126,9 @@ class TrajectoryScript:
                 )
         self.waypoints: tuple[tuple[TimeMs, Vec3], ...] = tuple(waypoints)
         self._times: list[TimeMs] = times
+        # The same waypoints as arrays, for sample_positions.
+        self._t = np.array(times, dtype=np.int64)
+        self._p = np.array([pos for _, pos in waypoints], dtype=np.float64)
 
     @property
     def start_ms(self) -> TimeMs:
@@ -163,3 +178,30 @@ def sample_trajectory(script: TrajectoryScript, t: TimeMs) -> Vec3:
         return p0
     frac = (t - t0) / (t1 - t0)
     return p0 + (p1 - p0).scaled(frac)
+
+
+def sample_positions(script: TrajectoryScript, ticks: np.ndarray) -> np.ndarray:
+    """Positions at each tick of an ascending int64 array, as ``(n, 3)``.
+
+    This is the array form of :func:`sample_trajectory`: each position is
+    computed with the scalar function's float operations in their order, so
+    it is equal bit for bit.  A tick on a waypoint, or at or after the last
+    one, takes the waypoint itself (a ``-0.0`` stays ``-0.0``).  An overflow
+    gives infinity with numpy's usual warning; the caller chooses whether to
+    hear it.
+    """
+    if ticks[0] < script.start_ms or ticks[-1] > script.end_ms:
+        raise ValueError(
+            f"ticks [{ticks[0]}, {ticks[-1]}] outside trajectory range "
+            f"[{script.start_ms}, {script.end_ms}]"
+        )
+    times, points = script._t, script._p
+    i = np.searchsorted(times, ticks, side="right") - 1
+    last = len(times) - 1
+    seg = np.minimum(i, last - 1)
+    t0 = times[seg]
+    frac = (ticks - t0) / (times[seg + 1] - t0)
+    p0 = points[seg]
+    between = p0 + (points[seg + 1] - p0) * frac[:, None]
+    exact = (i == last) | (ticks == times[i])
+    return np.where(exact[:, None], points[i], between)

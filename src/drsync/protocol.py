@@ -11,6 +11,14 @@ extrapolating it forward.  Export error is the per-tick distance between the
 sender's truth and the receiver's rendered position; ticks before the first
 snapshot arrives are warm-up and are excluded from the aggregates but
 reported separately.
+
+Each stage has two forms.  The scalar functions (:func:`sender_tick`,
+:func:`receiver_apply`, :func:`render_position` and
+:func:`compute_export_error`) take one tick or one snapshot at a time and
+are the reference model.  The array forms (:func:`sender_run`,
+:func:`receiver_run` and :func:`export_error_report`) take a whole run at
+once, do the same float operations in the same order, and are what
+:func:`~drsync.scenario.run_simulation` uses.
 """
 
 from __future__ import annotations
@@ -19,8 +27,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import spec
 from .core import _MS_PER_S, DRVector, TimeMs, Vec3, ZERO, deviation, extrapolate
+from .netsim import DeliveryEvent
 
 
 @dataclass(frozen=True)
@@ -168,8 +179,13 @@ def compute_export_error(
                 f"tick grids differ: true tick {t_true} vs rendered tick {t_rend}"
             )
         series.append((t_true, None if rendered is None else deviation(pos, rendered)))
-    errors = [err for _, err in series if err is not None]
+    return _report(entity_id, series, [err for _, err in series if err is not None])
 
+
+def _report(
+    entity_id: str, series: list[tuple[TimeMs, float | None]], errors: list[float]
+) -> ExportErrorReport:
+    """The report of ``series``, whose non-warm-up errors are ``errors``."""
     report = ExportErrorReport(
         entity_id=entity_id,
         series=series,
@@ -189,6 +205,87 @@ def compute_export_error(
         report.max = max(errors)
         report.p95 = percentile_95(errors)
     return report
+
+
+def sender_run(
+    cfg: ProtocolConfig, ticks: np.ndarray, positions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sender_tick` at every tick of a run: what it sends, and velocities.
+
+    ``ticks`` is the run's ascending int64 grid from 0 and ``positions`` the
+    ``(n, 3)`` truth at each tick.  Returns the indices of the ticks that
+    send (snapshot ``seq`` ``s`` is sent at tick ``sent[s - 1]``) and the
+    ``(n, 3)`` velocity a snapshot would claim at each tick.
+    """
+    velocities = np.zeros_like(positions)
+    velocities[1:] = (positions[1:] - positions[:-1]) * (_MS_PER_S / cfg.tick_ms)
+    ts = ticks.tolist()
+    xs, ys, zs = positions.T.tolist()
+    us, vs, ws = velocities.T.tolist()
+    threshold, gap = cfg.threshold, cfg.min_send_interval_ms
+    # The last snapshot sent: its tick, position and velocity.
+    t0, x0, y0, z0, u0, v0, w0 = ts[0], xs[0], ys[0], zs[0], us[0], vs[0], ws[0]
+    sent = [0]
+    for k in range(1, len(ts)):
+        elapsed = ts[k] - t0
+        if elapsed < gap:
+            continue
+        dt = elapsed / _MS_PER_S
+        dx = xs[k] - (x0 + u0 * dt)
+        dy = ys[k] - (y0 + v0 * dt)
+        dz = zs[k] - (z0 + w0 * dt)
+        if math.sqrt(dx * dx + dy * dy + dz * dz) > threshold:
+            sent.append(k)
+            t0, x0, y0, z0, u0, v0, w0 = ts[k], xs[k], ys[k], zs[k], us[k], vs[k], ws[k]
+    return np.array(sent, dtype=np.intp), velocities
+
+
+def receiver_run(
+    ticks: np.ndarray,
+    events: Sequence[DeliveryEvent],
+    sent: np.ndarray,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+) -> tuple[int, np.ndarray]:
+    """:func:`receiver_apply` and :func:`render_position` at every tick of a run.
+
+    ``events`` are the run's deliveries, applied in ``(deliver_ms, seq)``
+    order; ``sent``, ``positions`` and ``velocities`` are
+    :func:`sender_run`'s.  Returns the warm-up ticks before the first
+    delivery, and the ``(n - warmup, 3)`` positions rendered after them.
+    """
+    last = int(ticks[-1])  # later deliveries never reach the screen
+    delivered = [
+        (ev.deliver_ms, ev.seq)
+        for ev in events
+        if ev.deliver_ms is not None and ev.deliver_ms <= last
+    ]
+    deliver_ms, seq = np.array(delivered, dtype=np.int64).reshape(-1, 2).T
+    order = np.lexsort((seq, deliver_ms))
+    # The newest seq applied after each delivery; 0 before the first.
+    newest = np.concatenate(([0], np.maximum.accumulate(seq[order])))
+    shown = newest[np.searchsorted(deliver_ms[order], ticks, side="right")]
+    warmup = int(np.count_nonzero(shown == 0))  # shown never falls
+    k = sent[shown[warmup:] - 1]
+    t_sent = ticks[k]
+    dt = (np.maximum(ticks[warmup:], t_sent) - t_sent) / _MS_PER_S
+    return warmup, positions[k] + velocities[k] * dt[:, None]
+
+
+def export_error_report(
+    ticks: np.ndarray,
+    positions: np.ndarray,
+    warmup: int,
+    rendered: np.ndarray,
+    entity_id: str = "player-0",
+) -> ExportErrorReport:
+    """:func:`compute_export_error` of :func:`receiver_run`'s output."""
+    d = positions[warmup:] - rendered
+    errors = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]).tolist()
+    times = ticks.tolist()
+    series: list[tuple[TimeMs, float | None]] = [(t, None) for t in times[:warmup]]
+    series += zip(times[warmup:], errors)
+    return _report(entity_id, series, errors)
 
 
 def write_export_error_csv(report: ExportErrorReport, path: str) -> None:

@@ -21,8 +21,10 @@ import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import spec
-from .core import TimeMs, TrajectoryScript, Vec3, sample_trajectory
+from .core import MAX_TIME_MS, TimeMs, TrajectoryScript, Vec3, sample_positions
 from .netsim import (
     ChannelConfig,
     DejitterConfig,
@@ -36,12 +38,9 @@ from .netsim import (
 from .protocol import (
     ExportErrorReport,
     ProtocolConfig,
-    ReceiverState,
-    SenderState,
-    compute_export_error,
-    receiver_apply,
-    render_position,
-    sender_tick,
+    export_error_report,
+    receiver_run,
+    sender_run,
     write_export_error_csv,
 )
 from .qon import DEFAULT_WEIGHTS, RiskAssessment, SessionMetrics, assess
@@ -146,6 +145,8 @@ class ScenarioConfig:
             return [
                 f"duration_ms: must cover at least one tick ({tick} ms), got {duration}"
             ]
+        if duration > MAX_TIME_MS:
+            return [f"duration_ms: must be <= {MAX_TIME_MS}, got {duration}"]
         if duration // tick >= MAX_TICKS:
             return [
                 f"duration_ms: must be < {MAX_TICKS * tick} ({MAX_TICKS} ticks), "
@@ -213,7 +214,13 @@ def _resolve_channel(cfg: ScenarioConfig) -> ChannelConfig:
 
 @dataclass
 class RunResult:
-    """Everything a simulation run produced, plus the JSON-ready summary."""
+    """Everything a simulation run produced, plus the JSON-ready summary.
+
+    ``timings`` maps each stage of the run (``trajectory``, ``sample``,
+    ``sender``, ``transport``, ``receiver``, ``export_error``, ``summary``)
+    to its wall-clock seconds.  It is the one field that differs between
+    reruns, and no output file holds it.
+    """
 
     config: ScenarioConfig  # its ``mode`` is the transport that ran
     mode: str
@@ -221,6 +228,7 @@ class RunResult:
     events: list[DeliveryEvent]
     sends: list[tuple[int, TimeMs]]
     summary: dict
+    timings: dict[str, float]
 
 
 def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
@@ -228,46 +236,46 @@ def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
 
     ``mode`` overrides ``cfg.mode`` (used by :func:`run_compare` to run both
     transports over one config); the config's own check judges it.
+
+    The stages work on arrays over the whole tick grid.  They give the same
+    sends, events and report as a loop over the scalar stage functions
+    (``sample_trajectory``, ``sender_tick``, ``receiver_apply``,
+    ``render_position`` and ``compute_export_error``), which the tests hold
+    them to.
     """
-    started = time.monotonic()
     cfg = cfg if mode is None else replace(cfg, mode=mode)
+    timings: dict[str, float] = {}
+    lap_start = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal lap_start
+        now = time.perf_counter()
+        timings[stage] = now - lap_start
+        lap_start = now
 
     script = _load_trajectory(cfg)
-    chan = _resolve_channel(cfg)
-    tick = cfg.protocol.tick_ms
-    ticks = [k * tick for k in range(cfg.duration_ms // tick + 1)]
-
-    sender = SenderState(entity_id=cfg.entity_id)
-    true_series: list[tuple[TimeMs, Vec3]] = []
-    sends: list[tuple[int, TimeMs]] = []
-    dr_by_seq = {}
-    for t in ticks:
-        pos = sample_trajectory(script, t)
-        true_series.append((t, pos))
-        dr = sender_tick(sender, cfg.protocol, pos, t)
-        if dr is not None:
-            sends.append((dr.seq, t))
-            dr_by_seq[dr.seq] = dr
-
-    if cfg.mode == MODE_RELIABLE:
-        events = reliable_run(chan, ReliableOrdered(rto_ms=cfg.rto_ms), sends)
-    else:
-        events = unreliable_run(chan, cfg.dejitter, sends)
-
-    deliveries = sorted(
-        (ev for ev in events if ev.deliver_ms is not None),
-        key=lambda ev: (ev.deliver_ms, ev.seq),
-    )
-    receiver = ReceiverState()
-    rendered: list[tuple[TimeMs, Vec3 | None]] = []
-    di = 0
-    for t in ticks:
-        while di < len(deliveries) and deliveries[di].deliver_ms <= t:
-            receiver_apply(receiver, dr_by_seq[deliveries[di].seq])
-            di += 1
-        rendered.append((t, render_position(receiver, t)))
-
-    report = compute_export_error(true_series, rendered, entity_id=cfg.entity_id)
+    lap("trajectory")
+    # An overflow (huge coordinates) is reported by the export error's check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tick = cfg.protocol.tick_ms
+        ticks = np.arange(cfg.duration_ms // tick + 1, dtype=np.int64) * tick
+        positions = sample_positions(script, ticks)
+        lap("sample")
+        sent, velocities = sender_run(cfg.protocol, ticks, positions)
+        sends = list(enumerate(ticks[sent].tolist(), start=1))
+        lap("sender")
+        chan = _resolve_channel(cfg)
+        if cfg.mode == MODE_RELIABLE:
+            events = reliable_run(chan, ReliableOrdered(rto_ms=cfg.rto_ms), sends)
+        else:
+            events = unreliable_run(chan, cfg.dejitter, sends)
+        lap("transport")
+        warmup, rendered = receiver_run(ticks, events, sent, positions, velocities)
+        lap("receiver")
+        report = export_error_report(
+            ticks, positions, warmup, rendered, entity_id=cfg.entity_id
+        )
+        lap("export_error")
     session, counts = _session_metrics(cfg, chan, events)
     risk = assess(
         DEFAULT_WEIGHTS,
@@ -275,12 +283,17 @@ def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
         connectivity_recoverable=session.loss_rate < RECOVERABLE_LOSS_LIMIT,
     )
     summary = _summary_dict(cfg, report, counts, sends, session, risk)
+    lap("summary")
     log.info(
         "run %s seed=%d: %d ticks, %d sends, mean error %s (%.2fs)",
         cfg.mode, cfg.seed, len(ticks), len(sends), summary["export_error"]["mean"],
-        time.monotonic() - started,
+        sum(timings.values()),
     )
-    return RunResult(cfg, cfg.mode, report, events, sends, summary)
+    log.debug(
+        "run %s seed=%d stage seconds: %s", cfg.mode, cfg.seed,
+        " ".join(f"{stage}={s:.6f}" for stage, s in timings.items()),
+    )
+    return RunResult(cfg, cfg.mode, report, events, sends, summary, timings)
 
 
 def _session_metrics(

@@ -45,6 +45,10 @@ MAX_PACKETS_PER_TICK = 1000
 # The most client ticks (clients times ticks) one trace may have.  A preset's
 # trace stays under about 1 GiB at this cap (extrapolated from 1/16 of it).
 MAX_CLIENT_TICKS = 2_000_000
+# The most data packets one trace may have at its profile's peak rates: the
+# client's and the server's per client tick, plus one event action.  Both
+# presets at MAX_CLIENT_TICKS stay within it (mmorpg reaches it exactly).
+MAX_TRACE_PACKETS = 8_000_000
 # Rows that iterating a Trace converts to Python values at a time.
 _ITER_ROWS = 4096
 
@@ -354,6 +358,13 @@ def generate_trace(
     if n_clients * n_ticks > MAX_CLIENT_TICKS:
         raise ValueError(
             f"clients * ticks must be <= {MAX_CLIENT_TICKS}, got {n_clients * n_ticks}"
+        )
+    rate, scale_hi = profile.burst.rate_multiplier, profile.server_scale_range[1]
+    per_tick = math.ceil(rate) + 1 + math.ceil(rate * max(1.0, scale_hi))
+    if n_clients * n_ticks * per_tick > MAX_TRACE_PACKETS:
+        raise ValueError(
+            f"clients * ticks * {per_tick} peak packets per client tick must be "
+            f"<= {MAX_TRACE_PACKETS}, got {n_clients * n_ticks * per_tick}"
         )
     event = profile.global_event
     event_ticks: set[int] = set()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -147,6 +148,33 @@ class TestSimulate:
             "WARNING drsync.scenario: run unreliable_dr seed=1: no packet arrived, "
             "so rtt_mean_ms is twice the base latency, not a measurement\n"
         )
+
+    def test_stage_timings_only_on_stderr_at_debug(self, config_path, tmp_path):
+        # The timings are wall-clock, so they must stay out of stdout and the
+        # output tree, which are byte-identical across reruns.
+        def simulate(level):
+            out = tmp_path / level
+            env = {**os.environ, "DRSYNC_LOG": level, "PYTHONPATH": str(ROOT / "src")}
+            proc = subprocess.run(
+                [sys.executable, "-m", "drsync", "simulate", "--config", config_path,
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert proc.returncode == 0
+            tree = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            return proc.stdout, tree, proc.stderr
+
+        off_out, off_tree, off_err = simulate("off")
+        debug_out, debug_tree, debug_err = simulate("debug")
+        assert (debug_out, debug_tree) == (off_out, off_tree)
+        assert off_err == ""
+        stages = ("trajectory", "sample", "sender", "transport", "receiver",
+                  "export_error", "summary")
+        timing_line = re.compile(
+            r"DEBUG drsync\.scenario: run unreliable_dr seed=5 stage seconds: "
+            + " ".join(rf"{stage}=\d+\.\d{{6}}" for stage in stages) + "\n"
+        )
+        assert len(timing_line.findall(debug_err)) == 1
 
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "mangled.json"

@@ -10,6 +10,8 @@ import copy
 import io
 import json
 import re
+import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from drsync import analysis, scenario, spec, workload
+from drsync import analysis, core, scenario, spec, workload
 from drsync.cli import main
 from drsync.qon import (
     DEFAULT_WEIGHTS,
@@ -218,11 +220,16 @@ class TestCliDefects:
         # Every coordinate is finite, but the squared distance overflows.
         path = tmp_path / "trajectory.csv"
         path.write_text(TRAJECTORY_CSV.replace("9.0", "1e200"))
-        code, out, err = run_cli(simulate_trajectory_argv(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(simulate_trajectory_argv(path))
         assert code == 1
         assert "Infinity" not in out
         assert err.startswith("error: export error at t_ms=")
         assert "trajectory coordinates are too large" in err
+        # The array stages overflow quietly; the check above reports it.
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_diverging_fit_names_the_learn_rate(self, tmp_path):
         path = tmp_path / "sessions.csv"
@@ -264,6 +271,60 @@ class TestCaps:
         assert code == 1
         assert err == f"error: clients * ticks must be <= {cap}, got {cap + 1}\n"
         assert not out.exists()
+
+    def test_times_per_run(self, tmp_path):
+        # Past 2**53 ms a time is no longer exact as a float64.
+        cap = core.MAX_TIME_MS
+        data = config_to_dict(comparison_scenario())
+        data["protocol"]["tick_ms"] = 2**50
+        data["duration_ms"] = cap  # 9 ticks
+        assert config_from_dict(data).duration_ms == cap
+        data["duration_ms"] += 1
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps(data))
+        code, out, err = run_cli(["simulate", "--config", str(config)])
+        assert (code, out) == (1, "")
+        assert f"duration_ms: must be <= {cap}, got {cap + 1}" in err
+        path = tmp_path / "trajectory.csv"
+        path.write_text(TRAJECTORY_CSV.replace("2000,", f"{cap + 1},"))
+        code, out, err = run_cli(simulate_trajectory_argv(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: invalid input file\n  - {path}: waypoint times must be "
+            f"<= {cap}, got {cap + 1}\n"
+        )
+
+    def test_peak_packets_per_trace(self, tmp_path):
+        # 1 client x 4,000 ticks is far below MAX_CLIENT_TICKS, but at 1000
+        # packets per tick per side it would be about 8 million rows.
+        data = fps_profile()
+        data["burst"]["rate_multiplier"] = 1000.0
+        profile = tmp_path / "fps.json"
+        profile.write_text(json.dumps(data))
+        out = tmp_path / "trace.csv"
+        started = time.monotonic()
+        code, _, err = run_cli(
+            ["generate", "--profile", str(profile), "--clients", "1",
+             "--duration-ms", "200000", "--out", str(out)]
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 1
+        assert err == (
+            "error: clients * ticks * 2001 peak packets per client tick must be "
+            f"<= {workload.MAX_TRACE_PACKETS}, got {4000 * 2001}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["mmorpg", "fps"])
+    def test_presets_at_the_client_tick_cap_fit_the_packet_cap(self, monkeypatch, name):
+        # Both caps scaled down by one factor: 40 client ticks still pass.
+        factor = workload.MAX_CLIENT_TICKS // 40
+        monkeypatch.setattr(workload, "MAX_CLIENT_TICKS", 40)
+        monkeypatch.setattr(
+            workload, "MAX_TRACE_PACKETS", workload.MAX_TRACE_PACKETS // factor
+        )
+        profile = preset(name)
+        assert len(generate_trace(profile, 1, 40 * profile.tick_period_ms, seed=1))
 
     @pytest.mark.parametrize("small", [True, False], ids=["small", "real"])
     def test_buckets_per_analysis(self, tmp_path, monkeypatch, small):

@@ -1,0 +1,242 @@
+"""The array stages of ``run_simulation`` equal the scalar reference model.
+
+``run_simulation`` samples, sends, receives and measures on arrays over the
+whole tick grid.  The scalar stage functions, called once per tick or per
+snapshot, are the reference: the loop below is the one the benchmark's
+traced replay runs, and every run must give ``==``-equal sends, delivery
+events and export-error report.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from drsync import scenario
+from drsync.core import TrajectoryScript, Vec3, sample_positions, sample_trajectory
+from drsync.netsim import (
+    DejitterConfig,
+    LatePolicy,
+    ReliableOrdered,
+    reliable_run,
+    unreliable_run,
+)
+from drsync.protocol import (
+    ProtocolConfig,
+    ReceiverState,
+    SenderState,
+    compute_export_error,
+    receiver_apply,
+    render_position,
+    sender_tick,
+)
+from drsync.scenario import (
+    MODE_RELIABLE,
+    MODE_UNRELIABLE,
+    ChannelSpec,
+    ScenarioConfig,
+    TrajectoryGenConfig,
+    TrajectorySource,
+    run_simulation,
+)
+
+
+def scalar_run(cfg: ScenarioConfig):
+    """Sends, events and report from the scalar stage functions, tick by tick."""
+    script = scenario._load_trajectory(cfg)
+    chan = scenario._resolve_channel(cfg)
+    tick = cfg.protocol.tick_ms
+    ticks = [k * tick for k in range(cfg.duration_ms // tick + 1)]
+    true_series = [(t, sample_trajectory(script, t)) for t in ticks]
+    sender = SenderState(entity_id=cfg.entity_id)
+    sends, dr_by_seq = [], {}
+    for t, pos in true_series:
+        dr = sender_tick(sender, cfg.protocol, pos, t)
+        if dr is not None:
+            sends.append((dr.seq, t))
+            dr_by_seq[dr.seq] = dr
+    if cfg.mode == MODE_RELIABLE:
+        events = reliable_run(chan, ReliableOrdered(rto_ms=cfg.rto_ms), sends)
+    else:
+        events = unreliable_run(chan, cfg.dejitter, sends)
+    deliveries = sorted(
+        (ev for ev in events if ev.deliver_ms is not None),
+        key=lambda ev: (ev.deliver_ms, ev.seq),
+    )
+    receiver = ReceiverState()
+    rendered = []
+    di = 0
+    for t in ticks:
+        while di < len(deliveries) and deliveries[di].deliver_ms <= t:
+            receiver_apply(receiver, dr_by_seq[deliveries[di].seq])
+            di += 1
+        rendered.append((t, render_position(receiver, t)))
+    report = compute_export_error(true_series, rendered, entity_id=cfg.entity_id)
+    return sends, events, report
+
+
+coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e6, -1e6]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+# A waypoint gap in ticks (so the next waypoint sits on a tick) or in ms.
+gap = st.tuples(st.booleans(), st.integers(min_value=1, max_value=40))
+
+run_spec = st.fixed_dictionaries(
+    {
+        "tick_ms": st.integers(min_value=1, max_value=120),
+        "ticks": st.integers(min_value=0, max_value=150),
+        "extra_ms": st.integers(min_value=0, max_value=119),
+        "threshold": st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=20.0)
+        ),
+        "min_send_interval_ms": st.sampled_from([0, 0, 1, 50, 120, 400]),
+        # 2**70: every delivery is past the run, and past int64.
+        "latency": st.one_of(
+            st.integers(min_value=0, max_value=300), st.just(2**70)
+        ),
+        "jitter": st.integers(min_value=0, max_value=200),
+        "loss": st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.95, 1.0]),
+        "mode": st.sampled_from([MODE_UNRELIABLE, MODE_RELIABLE]),
+        "rto_ms": st.integers(min_value=1, max_value=500),
+        "playout": st.integers(min_value=0, max_value=150),
+        "late_policy": st.sampled_from(list(LatePolicy)),
+        "seed": st.integers(min_value=0, max_value=2**32),
+        # None: the built-in generator; else waypoint gaps and coordinates.
+        "waypoints": st.one_of(
+            st.none(),
+            st.lists(
+                st.tuples(gap, coordinate, coordinate, coordinate),
+                min_size=2,
+                max_size=25,
+            ),
+        ),
+    }
+)
+
+BASE = {
+    "tick_ms": 50, "ticks": 60, "extra_ms": 0, "threshold": 1.0,
+    "min_send_interval_ms": 0, "latency": 100, "jitter": 40, "loss": 0.1,
+    "mode": MODE_UNRELIABLE, "rto_ms": 400, "playout": 80,
+    "late_policy": LatePolicy.DELIVER_LATE, "seed": 1, "waypoints": None,
+}
+ON_TICKS = [
+    ((True, 3), -0.0, 0.0, -0.0),
+    ((True, 1), 5.0, -0.0, 2.5),
+    ((False, 17), -0.0, -0.0, 0.0),
+    ((True, 7), 1e6, -3.0, -0.0),
+    ((True, 2), -0.0, 4.0, 4.0),
+]
+
+
+def build_config(spec: dict, folder: Path) -> ScenarioConfig:
+    """The scenario ``spec`` describes; a trajectory file is written to ``folder``."""
+    tick = spec["tick_ms"]
+    duration = (spec["ticks"] + 1) * tick + spec["extra_ms"]
+    if spec["waypoints"] is None:
+        source = TrajectorySource(
+            generator=TrajectoryGenConfig(
+                box_size=200.0, speed_min=5.0, speed_max=80.0,
+                waypoint_interval_min_ms=50, waypoint_interval_max_ms=600,
+            )
+        )
+    else:
+        rows, t = [], 0
+        for (on_tick, n), x, y, z in spec["waypoints"]:
+            rows.append(f"{t},{x!r},{y!r},{z!r}")
+            t += n * tick if on_tick else n
+        # The last waypoint lies past the run's end, or on its last tick and
+        # then one more at its end.
+        t = max(t, duration - duration % tick)
+        rows.append(f"{t},1.0,-0.0,2.0")
+        if t < duration:
+            rows.append(f"{duration},1.0,-0.0,2.0")
+        path = folder / "trajectory.csv"
+        path.write_text("t_ms,x,y,z\n" + "\n".join(rows) + "\n")
+        source = TrajectorySource(file=str(path))
+    return ScenarioConfig(
+        seed=spec["seed"],
+        duration_ms=duration,
+        trajectory=source,
+        protocol=ProtocolConfig(
+            threshold=spec["threshold"],
+            tick_ms=tick,
+            min_send_interval_ms=spec["min_send_interval_ms"],
+        ),
+        channel=ChannelSpec(
+            base_latency_ms=spec["latency"],
+            jitter_max_ms=spec["jitter"],
+            loss_rate=spec["loss"],
+        ),
+        mode=spec["mode"],
+        rto_ms=spec["rto_ms"],
+        dejitter=DejitterConfig(
+            playout_delay_ms=spec["playout"], late_policy=spec["late_policy"]
+        ),
+    )
+
+
+@given(spec=run_spec)
+@example(spec={**BASE, "threshold": 0.0, "min_send_interval_ms": 150})
+@example(spec={**BASE, "late_policy": LatePolicy.DROP, "jitter": 200})
+@example(spec={**BASE, "mode": MODE_RELIABLE, "loss": 0.95})
+@example(spec={**BASE, "tick_ms": 10, "ticks": 80, "waypoints": ON_TICKS})
+@example(spec={**BASE, "loss": 1.0})
+@settings(derandomize=True, max_examples=120, deadline=None)
+def test_array_core_equals_scalar_stages(spec):
+    with tempfile.TemporaryDirectory() as folder:
+        cfg = build_config(spec, Path(folder))
+        result = run_simulation(cfg)
+        sends, events, report = scalar_run(cfg)
+    assert result.sends == sends
+    assert result.events == events
+    assert result.report == report
+    for t, err in result.report.series:
+        assert type(t) is int
+        assert err is None or type(err) is float
+    assert all(type(seq) is int and type(t) is int for seq, t in result.sends)
+    assert list(result.timings) == [
+        "trajectory", "sample", "sender", "transport", "receiver",
+        "export_error", "summary",
+    ]
+
+
+def test_required_cases_happen():
+    """Each ``@example`` above reaches the case it is there for."""
+    def run(**kw):
+        with tempfile.TemporaryDirectory() as folder:
+            return run_simulation(build_config({**BASE, **kw}, Path(folder)))
+
+    gated = run(threshold=0.0, min_send_interval_ms=150)
+    assert [t for _, t in gated.sends[:3]] == [0, 150, 300]
+    dropped = run(late_policy=LatePolicy.DROP, jitter=200)
+    assert any(ev.arrive_ms is not None and ev.deliver_ms is None for ev in dropped.events)
+    given_up = run(mode=MODE_RELIABLE, loss=0.95)
+    assert any(ev.arrive_ms is None for ev in given_up.events)
+    assert any(ev.deliver_ms is not None for ev in given_up.events)
+    dead = run(loss=1.0)
+    assert dead.report.warmup_ticks == len(dead.report.series)
+    assert dead.report.mean is None
+
+
+def test_sampling_is_bitwise_equal_on_and_between_waypoints():
+    # A -0.0 coordinate survives only when a waypoint is returned as it is,
+    # not computed as ``p0 + (p1 - p0) * 0``.  Tick 71 is the last waypoint.
+    script = TrajectoryScript(
+        [
+            (0, Vec3(-0.0, 1.0, -0.0)),
+            (30, Vec3(0.5, -0.0, 3.0)),
+            (70, Vec3(-0.0, -0.0, -0.0)),
+            (71, Vec3(1e300, -1e300, 2.0)),
+        ]
+    )
+    ticks = np.arange(0, 72, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays = sample_positions(script, ticks).tolist()
+    scalars = [list(sample_trajectory(script, t)) for t in range(72)]
+    assert repr(arrays) == repr(scalars)
+    assert math.copysign(1.0, arrays[70][0]) == -1.0
+
