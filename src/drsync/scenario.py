@@ -62,6 +62,9 @@ RECOVERABLE_LOSS_LIMIT = 0.5
 # The most ticks a run may have.  A compare, which holds two runs at once,
 # stays under about 1 GiB at this cap (extrapolated from 1/16 of it).
 MAX_TICKS = 500_000
+# The most waypoints a generated trajectory may have; generating that many
+# takes about 2 s and 210 MiB (measured on a 2-vCPU Xeon guest).
+MAX_WAYPOINTS = 500_000
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,15 @@ class ScenarioConfig:
                 f"duration_ms: must be < {MAX_TICKS * tick} ({MAX_TICKS} ticks), "
                 f"got {duration}"
             ]
+        src = v["trajectory"]
+        if isinstance(src, TrajectorySource) and src.generator is not None:
+            interval = src.generator.waypoint_interval_min_ms
+            if duration // interval >= MAX_WAYPOINTS:
+                return [
+                    f"duration_ms: must be < {MAX_WAYPOINTS * interval} "
+                    f"({MAX_WAYPOINTS} waypoints at the generator's "
+                    f"waypoint_interval_min_ms), got {duration}"
+                ]
         return []
 
 

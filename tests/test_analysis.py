@@ -2,10 +2,17 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drsync.analysis import (
+    _BLOCK,
+    PERIOD_STRENGTH_THRESHOLD,
     CountSeries,
+    PeriodEstimate,
+    _lag_products,
     autocorr,
     bucket_counts,
     compute_stats,
@@ -250,6 +257,110 @@ class TestDetectPeriod:
         assert estimate is not None
         assert estimate.lag_buckets * series.bucket_ms == 300
         assert estimate.strength > 0.9
+
+
+# --- the FFT period detector against the lag-by-lag scan ----------------------
+
+# Series lengths whose lags fall on the FFT's block edges.
+BLOCK_EDGES = [8, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+
+
+def scan_period(xs) -> PeriodEstimate | None:
+    """The lag-by-lag scan detect_period replaced: one dot per lag 1..n//2."""
+    x = np.asarray(xs, dtype=float)
+    n = x.size
+    centered = x - x.mean()
+    denom = float(np.dot(centered, centered))
+    if denom == 0.0:
+        return None
+    best_lag = 0
+    best_r = -math.inf
+    for lag in range(1, n // 2 + 1):
+        r = float(np.dot(centered[: n - lag], centered[lag:])) / denom
+        if r > best_r:
+            best_r = r
+            best_lag = lag
+    if best_r <= PERIOD_STRENGTH_THRESHOLD:
+        return None
+    return PeriodEstimate(lag_buckets=best_lag, strength=best_r)
+
+
+def make_series(family: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if family == "periodic":  # bucketed ticks over Poisson background
+        period = int(rng.integers(2, 40))
+        return rng.poisson(1.0, n) + rng.integers(1, 6) * (np.arange(n) % period == 0)
+    if family == "poisson":
+        return rng.poisson(rng.uniform(0.1, 20.0), n).astype(float)
+    if family == "spikes":
+        x = np.zeros(n)
+        x[rng.integers(0, n, size=rng.integers(1, 8))] = 1.0
+        return x
+    # Near ties: a [s, -s] pair at offsets o, o + a and o + a + b of a zero
+    # series.  Its mean is exactly 0, and lags a, b and a + b all come to
+    # exactly 1/3; tiny noise makes the tie a near tie.
+    x = np.zeros(n)
+    a, b = rng.integers(2, max(3, n // 4), size=2)
+    o = int(rng.integers(0, n - a - b - 1))
+    s = float(rng.integers(1, 4))
+    for start in (o, o + a, o + a + b):
+        x[start : start + 2] = (s, -s)
+    if family == "near-ties":
+        x += rng.normal(0.0, 1e-12, n)
+    return x
+
+
+@given(
+    n=st.sampled_from(BLOCK_EDGES) | st.integers(2, 3 * _BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["periodic", "poisson", "spikes"]),
+    whole=st.booleans(),
+)
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_lag_products_match_dots(n, seed, family, whole):
+    x = make_series(family, n, seed)
+    centered = x - x.mean()
+    denom = float(np.dot(centered, centered))
+    max_lag = n - 1 if whole else n // 2
+    products = _lag_products(centered, max_lag)
+    dots = [float(np.dot(centered[: n - k], centered[k:])) for k in range(max_lag + 1)]
+    assert products.shape == (max_lag + 1,)
+    assert np.all(np.abs(products - dots) <= 1e-12 * denom)
+
+
+@given(
+    n=st.sampled_from(BLOCK_EDGES) | st.integers(8, 2 * _BLOCK + 1),
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["periodic", "poisson", "spikes", "ties", "near-ties"]),
+)
+@example(n=64, seed=5, family="ties")
+@example(n=_BLOCK + 1, seed=3, family="near-ties")
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_detect_period_equals_the_lag_scan(n, seed, family):
+    x = make_series(family, n, seed)
+    estimate = detect_period(x.tolist())
+    assert estimate == scan_period(x)
+    if estimate is not None:
+        # One centring, one exact dot: the strength is autocorr's value.
+        assert estimate.strength == autocorr(x.tolist(), estimate.lag_buckets)
+
+
+def test_exact_tie_goes_to_the_smallest_lag():
+    x = make_series("ties", 64, 5)
+    r = [autocorr(x, lag) for lag in range(1, 33)]
+    tied = [lag for lag, value in enumerate(r, start=1) if value == 1 / 3]
+    assert len(tied) == 3 and max(r) == 1 / 3
+    assert detect_period(x) == PeriodEstimate(lag_buckets=tied[0], strength=1 / 3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_huge_values_give_the_scans_result():
+    # The squares are finite but the raw FFT products would overflow.
+    x = [1e152, 0.0, 0.0] * 1000
+    assert detect_period(x) == scan_period(x) == PeriodEstimate(3, 0.9990000000000002)
+    # The sum of squares overflows; neither detector sees a period.
+    x = [1e200, 0.0] * 8
+    assert detect_period(x) is None and scan_period(x) is None
 
 
 def test_mmorpg_global_events_visible_in_autocorrelation():

@@ -35,6 +35,7 @@ from drsync.scenario import (
     TrajectorySource,
     comparison_scenario,
     config_from_dict,
+    config_from_json,
     config_to_dict,
 )
 from drsync.workload import (
@@ -272,11 +273,42 @@ class TestCaps:
         assert err == f"error: clients * ticks must be <= {cap}, got {cap + 1}\n"
         assert not out.exists()
 
+    def test_waypoints_per_run(self, tmp_path):
+        data = config_to_dict(comparison_scenario())  # waypoints every 80..200 ms
+        data["protocol"]["tick_ms"] = 1000
+        data["trajectory"]["generator"]["waypoint_interval_min_ms"] = 1
+        data["duration_ms"] = scenario.MAX_WAYPOINTS - 1
+        assert config_from_dict(data).duration_ms == data["duration_ms"]
+        data["duration_ms"] += 1
+        with pytest.raises(ConfigError, match="500000 waypoints"):
+            config_from_dict(data)
+        # 1,001 ticks, but about 8 * 10**12 waypoints.
+        data = config_to_dict(comparison_scenario())
+        data["protocol"]["tick_ms"] = 2**40
+        data["duration_ms"] = 2**40 * 1000
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        started = time.monotonic()
+        code, out, err = run_cli(["simulate", "--config", str(path)])
+        assert time.monotonic() - started < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid config\n")
+        cap_ms = scenario.MAX_WAYPOINTS * 80
+        assert f"duration_ms: must be < {cap_ms} ({scenario.MAX_WAYPOINTS} waypoints" in err
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        fast_maneuver = config_from_json(str(configs / "fast_maneuver.json"))
+        assert fast_maneuver.trajectory.generator is not None
+        default = comparison_scenario()
+        assert config_from_dict(config_to_dict(default)) == default
+
     def test_times_per_run(self, tmp_path):
         # Past 2**53 ms a time is no longer exact as a float64.
         cap = core.MAX_TIME_MS
         data = config_to_dict(comparison_scenario())
         data["protocol"]["tick_ms"] = 2**50
+        # Waypoints every 2**40 ms keep MAX_WAYPOINTS out of the way.
+        data["trajectory"]["generator"]["waypoint_interval_min_ms"] = 2**40
+        data["trajectory"]["generator"]["waypoint_interval_max_ms"] = 2**40
         data["duration_ms"] = cap  # 9 ticks
         assert config_from_dict(data).duration_ms == cap
         data["duration_ms"] += 1
@@ -341,8 +373,7 @@ class TestCaps:
             )
             return run_cli(["analyze", "--trace", str(path), "--bucket-ms", "1"])
 
-        if small:  # cheap to scan at the cap: buckets 0 .. 63
-            assert analyze(cap - 1)[0] == 0
+        assert analyze(cap - 1)[0] == 0  # about 1 s at the real cap
         code, out, err = analyze(cap)
         assert (code, out) == (1, "")
         assert err == f"error: {cap + 1} buckets of 1 ms exceed MAX_BUCKETS ({cap})\n"
