@@ -42,14 +42,17 @@ from .spec import INVALID
 # The most data packets one side of a connection may send in one tick.  A
 # profile above it is rejected: generation time grows with the rate.
 MAX_PACKETS_PER_TICK = 1000
-# The most client ticks (clients times ticks) one trace may have.  A preset's
-# trace stays under about 1 GiB at this cap (extrapolated from 1/16 of it).
+# The most client ticks (clients times ticks) one trace may have.  For the
+# mmorpg preset at 1/16 and 1/4 of this cap (424,076 and 1,693,098 rows),
+# ``generate`` peaked at 90 and 270 MiB and ``analyze`` at 61 and 146 MiB;
+# at the cap that is about 1 GiB and 0.5 GiB (extrapolated, not measured).
 MAX_CLIENT_TICKS = 2_000_000
 # The most data packets one trace may have at its profile's peak rates: the
 # client's and the server's per client tick, plus one event action.  Both
 # presets at MAX_CLIENT_TICKS stay within it (mmorpg reaches it exactly).
 MAX_TRACE_PACKETS = 8_000_000
-# Rows that iterating a Trace converts to Python values at a time.
+# Rows that iterating a Trace converts to Python values at a time, and that
+# read_trace_csv parses at a time.
 _ITER_ROWS = 4096
 
 
@@ -194,8 +197,10 @@ class Trace:
     ``is_ack`` a bool array, ``direction`` an index into ``tuple(Direction)``
     and ``conn`` an index into ``conn_ids``, the connection names in order
     of first appearance.  It is built from ``(t_ms, conn_id, direction,
-    payload_bytes, header_bytes, is_ack)`` rows in time order; ``len``,
-    indexing and iteration give them back as :class:`TraceRecord` tuples.
+    payload_bytes, header_bytes, is_ack)`` rows in time order, or from its
+    columns by :meth:`from_columns`; both check the same ranges and order.
+    ``len``, indexing and iteration give rows back as :class:`TraceRecord`
+    tuples.
     """
 
     def __init__(self, rows: Sequence[tuple]) -> None:
@@ -209,6 +214,38 @@ class Trace:
             t, payload, header = (column(k, np.int64) for k in (0, 3, 4))
         except OverflowError:
             raise ValueError(_OUT_OF_RANGE) from None
+        ids: dict[str, int] = {}
+        conn = column(1, np.int64, lambda c: ids.setdefault(c, len(ids)))
+        direction = column(2, np.int8, _DIRECTIONS.index)
+        self._set_columns(
+            t, conn, tuple(ids), direction, payload, header, column(5, bool)
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        t_ms: Any,
+        conn: Any,
+        conn_ids: Sequence[str],
+        direction: Any,
+        payload_bytes: Any,
+        header_bytes: Any,
+        is_ack: Any,
+    ) -> Trace:
+        """A trace of the columns described above, with the range and time
+        order checks of ``Trace(rows)``."""
+        trace = cls.__new__(cls)
+        trace._set_columns(
+            t_ms, conn, conn_ids, direction, payload_bytes, header_bytes, is_ack
+        )
+        return trace
+
+    def _set_columns(
+        self, t, conn, conn_ids, direction, payload, header, is_ack
+    ) -> None:
+        t, conn, payload, header = (
+            np.asarray(c, np.int64) for c in (t, conn, payload, header)
+        )
         if len(t) and (
             min(t.min(), payload.min(), header.min()) < 0
             or max(payload.max(), header.max()) >= _MAX_BYTES
@@ -217,12 +254,10 @@ class Trace:
         back = np.flatnonzero(t[1:] < t[:-1])
         if back.size:
             raise ValueError(f"rows must be in time order; row {back[0] + 1} goes back")
-        ids: dict[str, int] = {}
         self.t_ms, self.payload_bytes, self.header_bytes = t, payload, header
-        self.conn = column(1, np.int64, lambda c: ids.setdefault(c, len(ids)))
-        self.conn_ids = tuple(ids)
-        self.direction = column(2, np.int8, _DIRECTIONS.index)
-        self.is_ack = column(5, bool)
+        self.conn, self.conn_ids = conn, tuple(conn_ids)
+        self.direction = np.asarray(direction, np.int8)
+        self.is_ack = np.asarray(is_ack, bool)
 
     def in_direction(self, direction: Direction | str) -> np.ndarray:
         """Bool mask of the rows sent in ``direction``."""
@@ -457,8 +492,62 @@ def write_trace_csv(trace: Trace, path: str) -> None:
     spec.write_csv(path, _TRACE_FIELDS, rows)
 
 
+# A trace CSV row as numpy parses it.  The string cells stay Python strings,
+# so the exact-match tables below judge them as the row reader does.
+_TRACE_DTYPE = np.dtype(
+    [
+        (name, object if name in ("conn_id", "direction", "is_ack") else np.int64)
+        for name in _TRACE_FIELDS
+    ]
+)
+_DIRECTION_CODES = {d.value: i for i, d in enumerate(_DIRECTIONS)}
+
+
+def _codes(table: dict, cells: np.ndarray, dtype: Any) -> np.ndarray:
+    """``table[cell]`` for each cell; a cell not in it raises ``KeyError``."""
+    cells = cells.tolist()
+    return np.fromiter(map(table.__getitem__, cells), dtype, len(cells))
+
+
 def read_trace_csv(path: str) -> Trace:
-    """Inverse of :func:`write_trace_csv`; the rows must be sorted by time."""
+    """Inverse of :func:`write_trace_csv`; the rows must be sorted by time.
+
+    numpy's parser reads the file ``_ITER_ROWS`` rows at a time, and each
+    block becomes columns before the next is read.  A file it declines, or
+    that fails a check, is read again row by row, and that reader's error
+    names the row.
+    """
+    ids: dict[str, int] = {}
+
+    def columns(block: np.ndarray) -> tuple[np.ndarray, ...]:
+        try:
+            conn = _codes(ids, block["conn_id"], np.int64)
+        except KeyError:  # a connection first seen in this block
+            for name in block["conn_id"].tolist():
+                ids.setdefault(name, len(ids))
+            conn = _codes(ids, block["conn_id"], np.int64)
+        # Copies, not views, so that the block and its strings can go.
+        return (
+            block["t_ms"].copy(),
+            conn,
+            _codes(_DIRECTION_CODES, block["direction"], np.int8),
+            block["payload_bytes"].copy(),
+            block["header_bytes"].copy(),
+            _codes(spec.FLAGS, block["is_ack"], bool),
+        )
+
+    blocks = spec.read_csv_blocks(path, _TRACE_FIELDS, _TRACE_DTYPE, _ITER_ROWS, columns)
+    if blocks is not None:
+        t, conn, direction, payload, header, is_ack = map(np.concatenate, zip(*blocks))
+        try:
+            return Trace.from_columns(t, conn, ids, direction, payload, header, is_ack)
+        except ValueError:
+            pass
+    return _read_trace_rows(path)
+
+
+def _read_trace_rows(path: str) -> Trace:
+    """:func:`read_trace_csv` through :func:`spec.read_csv`, one row at a time."""
     last_t, names = 0, {}
 
     def record(row: list[str]) -> tuple:

@@ -6,11 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from drsync import workload
 from drsync.cli import main
 from drsync.netsim import DejitterConfig
 from drsync.protocol import ProtocolConfig
@@ -293,6 +295,36 @@ class TestGenerateAnalyze:
 
     def test_analyze_missing_trace_is_io_error(self, tmp_path):
         assert main(["analyze", "--trace", str(tmp_path / "gone.csv")]) == 2
+
+    @pytest.mark.parametrize("blocks", [0, 2])
+    def test_analyze_reads_whole_blocks_without_warnings(
+        self, capsys, tmp_path, monkeypatch, blocks
+    ):
+        # numpy warns when a block finds no rows: here the last read does.
+        rows = blocks * workload._ITER_ROWS
+        header = "t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack\n"
+        path = tmp_path / "trace.csv"
+        path.write_text(header + "".join(
+            f"{k},c0,{('c2s', 's2c')[k % 2]},10,40,false\n" for k in range(rows)
+        ))
+
+        def no_rows(path):
+            raise AssertionError("the row reader ran")
+
+        monkeypatch.setattr(workload, "_read_trace_rows", no_rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            code = main(["analyze", "--trace", str(path)])
+            assert warnings.filters == filters  # the reader's filters are gone
+        out, err = capsys.readouterr()
+        assert caught == []
+        if rows:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["directions"]["c2s"]["packets"] == rows // 2
+        else:  # the one line is the error for an empty trace
+            assert (code, out) == (1, "")
+            assert err == "error: trace has no packets in the requested direction(s)\n"
 
 
 class TestPredictFit:

@@ -16,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from drsync import analysis, core, scenario, spec, workload
@@ -553,3 +553,124 @@ def test_parse_judges_as_the_constructor_does(cls, obj):
             except ConfigError as exc:
                 built = exc.problems
             assert parsed == built, (path, junk)
+
+
+# --- the trace reader's numpy blocks agree with its row reader --------------
+
+TRACE_HEADER = "t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack"
+BLOCK = workload._ITER_ROWS
+# Cells that only Python's int reads, that numpy reads but int does not
+# ("\x1c7" and "\u01fe", which numpy can take for 462), or that are
+# padded, quoted or out of range.
+NUMBER_CELLS = [
+    *JUNK_CELLS, "1_000", "١٢", "\u01fe", str(2**63), str(2**63 - 1), str(2**32),
+    " 12", "+5", "-0", "\x0c7 ", "\x1c7", "7\x1f", '"9"', '"\n9"', "0" * 20 + "3",
+]
+# One cell past csv's field limit, which numpy's parser does not have.
+LONG_CELLS = ["0" * 2**17 + "7", '"' + "a," * 2**16 + 'a"']
+STRING_CELLS = {
+    # "\udcff" is written as the byte 0xff, which no reader decodes.
+    1: [*JUNK_CELLS, '"a,b"', '"a""b"', '"a\nb"', '"a\r\nb"', 'a"b', '"a"b', " c0", "",
+        "\udcff"],
+    2: [*JUNK_CELLS, " c2s", "c2s ", '"s2c"', "C2S", "c2s\x00"],
+    5: [*JUNK_CELLS, " false", "false ", '"true"', "True"],
+}
+LINE_ENDS = ["\r\n", "\r", "\n\n", "\n\r\n", "\n \n", "\n\t\n", ",\n"]
+
+
+def trace_text(rows: int, edits) -> str:
+    """A sorted trace CSV of ``rows`` data rows with ``edits`` made.
+
+    An edit ``(row, col, cell)`` puts ``cell`` in column ``col`` of data row
+    ``row`` (counted from 1); ``(row, None, end)`` ends that row's line
+    with ``end`` instead of ``\\n``.
+    """
+    cells = [
+        [str(k // 3), f"c{k % 3}", ("c2s", "s2c")[k % 2], str(k % 50), "40",
+         ("false", "true")[k % 4 == 0]]
+        for k in range(rows)
+    ]
+    ends = ["\n"] * rows
+    for row, col, text in edits:
+        if col is None:
+            ends[row - 1] = text
+        else:
+            cells[row - 1][col] = text
+    return TRACE_HEADER + "\n" + "".join(
+        ",".join(row) + end for row, end in zip(cells, ends)
+    )
+
+
+@st.composite
+def trace_files(draw):
+    rows = draw(st.one_of(
+        st.integers(0, 12), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1])
+    ))
+    edits = []
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.one_of(
+            st.integers(1, rows), st.sampled_from([1, rows, min(rows, BLOCK)])
+        ))
+        col = draw(st.sampled_from([0, 1, 2, 3, 4, 5, None]))
+        if col is None:
+            text = draw(st.sampled_from(LINE_ENDS))
+        else:
+            text = draw(st.sampled_from(STRING_CELLS.get(col, NUMBER_CELLS)))
+        edits.append((row, col, text))
+    return rows, edits
+
+
+def read_outcome(read, path):
+    """The columns and names a reader gives, or its error text."""
+    try:
+        trace = read(str(path))
+    except spec.InputFileError as exc:
+        return str(exc)
+    columns = ("t_ms", "conn", "direction", "payload_bytes", "header_bytes", "is_ack")
+    return [
+        (getattr(trace, c).dtype, getattr(trace, c).tolist()) for c in columns
+    ], trace.conn_ids
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@example(case=(BLOCK + 1, [(BLOCK, 3, "x")]))
+@example(case=(BLOCK + 1, [(BLOCK + 1, 4, "1_000")]))
+@example(case=(9000, [(9000, 0, str(2**63))]))
+@example(case=(2 * BLOCK, [(BLOCK + 1, 0, "0")]))  # goes back across a block edge
+@example(case=(3, [(2, 2, " c2s"), (3, 5, " false")]))
+@example(case=(3, [(1, 1, '"a,b"'), (2, 1, '"a""b"'), (3, 1, '"a\nb"')]))
+@example(case=(3, [(1, 0, "١٢"), (2, None, "\r\n"), (3, None, "\n \n")]))
+@example(case=(3, [(2, 3, "\u01fe")]))
+@example(case=(3, [(3, 1, "\udcff")]))
+@example(case=(3, [(2, 4, "\x1c7")]))
+@example(case=(2, [(1, 3, LONG_CELLS[0])]))
+@example(case=(2, [(2, 1, LONG_CELLS[1])]))
+@given(case=trace_files())
+def test_block_reader_reads_a_trace_as_the_row_reader(tmp_path_factory, case):
+    # The fast reader must give the row reader's trace or its error text.
+    path = tmp_path_factory.getbasetemp() / "blocks.csv"
+    path.write_bytes(trace_text(*case).encode("utf-8", "surrogateescape"))
+    expected = read_outcome(workload._read_trace_rows, path)
+    assert read_outcome(workload.read_trace_csv, path) == expected
+
+
+def test_block_reader_reads_a_plain_trace_without_the_row_reader(
+    tmp_path, monkeypatch
+):
+    # Quoted names and CRLF line ends stay on numpy's path.
+    edits = [(1, 1, '"a,b"'), (2, None, "\r\n"), (BLOCK + 1, 1, '"x""y"')]
+    path = tmp_path / "trace.csv"
+    path.write_text(trace_text(2 * BLOCK + 1, edits), newline="")
+    expected = read_outcome(workload._read_trace_rows, path)
+
+    def no_rows(path):
+        raise AssertionError("the row reader ran")
+
+    monkeypatch.setattr(workload, "_read_trace_rows", no_rows)
+    assert read_outcome(workload.read_trace_csv, path) == expected
+    assert expected[1] == ("a,b", "c1", "c2", "c0", "x\"y")
