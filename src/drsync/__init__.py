@@ -45,6 +45,7 @@ from .netsim import (
     ReliableOrdered,
     channel_transmit,
     dejitter_deliver,
+    first_attempts,
     reliable_run,
     unreliable_run,
 )

@@ -2,13 +2,22 @@
 
 The channel applies two impairments per transmission, drawn in a fixed,
 documented order: first a Bernoulli loss test against ``loss_rate``, then an
-integer jitter uniform on ``{0..jitter_max_ms}``.  Draws come from a
-``random.Random`` derived per transmission from ``(seed, seq, attempt)`` by
-:func:`drsync.rng.substream`, so the impairment of any given transmission is a
-pure function of the channel seed and never depends on how other packets
-fared.  Two runs over the same channel seed therefore impair the first
-attempt of each packet identically, whichever transport is in use; only
-retransmissions consume extra draws.
+integer jitter uniform on ``{0..jitter_max_ms}``.  The draws of a
+transmission are those of ``random.Random(mix64(seed, seq, attempt))``
+(:func:`drsync.rng.substream`), so the impairment of any given transmission
+is a pure function of the channel seed and never depends on how other
+packets fared.  Two runs over the same channel seed therefore impair the
+first attempt of each packet identically, whichever transport is in use;
+only retransmissions consume extra draws.  :func:`first_attempts` draws
+those first attempts once, and both transports accept its result.
+
+:func:`channel_transmit` over a :func:`~drsync.rng.substream` is the
+reference for one transmission.  The transports get the same draws without
+building a generator per transmission: one ``random.Random`` per run is
+reseeded for each key through the C-level seed that ``random.Random(int)``
+calls, the loss is its ``random()`` and the jitter its ``getrandbits`` with
+rejection, as ``randint`` draws it; the first attempts' keys are mixed in
+one array pass.
 
 Transports:
 
@@ -31,13 +40,22 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import spec
 from .core import TimeMs
-from .rng import substream
+from .rng import mix64, mix64_array
 
 # Attempts after the first before a reliable transport gives a packet up;
 # Linux's default ``tcp_retries2``.
 MAX_RETRANSMISSIONS = 15
+
+# The seed ``random.Random(int)`` runs (``_random.Random.seed``); it sets the
+# same generator state without building a new object.
+_C_SEED = random.Random.__mro__[1].seed
+
+# Per packet, whether its first transmission was lost and the jitter drawn.
+FirstAttempts = tuple[list[bool], list[int]]
 
 
 @dataclass(frozen=True)
@@ -145,64 +163,105 @@ def _check_sends(sends: list[tuple[int, TimeMs]]) -> None:
         prev_t = t
 
 
-def _first_arrival(
-    chan: ChannelConfig, seq: int, send_ms: TimeMs, rto_ms: int, retries: int
-) -> tuple[TimeMs | None, int]:
-    """Transmit one packet until it arrives or ``retries`` retransmissions fail.
+def _transmission(chan: ChannelConfig):
+    """A function from a transmission's key to its ``(lost, jitter)`` draws.
 
-    Attempt ``k`` leaves at ``send_ms + k * rto_ms``.  Returns the arrival
-    time, None if every attempt was lost, and the retransmissions made.
+    It gives what :func:`channel_transmit` draws from ``random.Random(key)``,
+    reseeding one generator instead of building one per transmission.
     """
-    for attempt in range(retries + 1):
-        arrive = channel_transmit(
-            chan, substream(chan.seed, seq, attempt), send_ms + attempt * rto_ms
+    rng = random.Random()
+    loss_rate, jitter_max = chan.loss_rate, chan.jitter_max_ms
+    uniform, bits = rng.random, rng.getrandbits
+    # randint(0, jitter_max) is getrandbits(k) redrawn until below the span.
+    span = jitter_max + 1
+    k = span.bit_length()
+
+    def draw(key: int) -> tuple[bool, int]:
+        _C_SEED(rng, key)
+        lost = uniform() < loss_rate
+        jitter = bits(k)
+        while jitter >= span:
+            jitter = bits(k)
+        return lost, jitter
+
+    return draw
+
+
+def first_attempts(chan: ChannelConfig, n: int) -> FirstAttempts:
+    """The ``(lost, jitter)`` draws of the first transmission of seqs 1..n."""
+    keys = mix64_array(chan.seed, np.arange(1, n + 1, dtype=np.uint64), 0)
+    draws = list(map(_transmission(chan), keys.tolist()))
+    return [lost for lost, _ in draws], [jitter for _, jitter in draws]
+
+
+def _first_draws(
+    chan: ChannelConfig, sends: list[tuple[int, TimeMs]], first: FirstAttempts | None
+) -> FirstAttempts:
+    _check_sends(sends)
+    if first is None:
+        return first_attempts(chan, len(sends))
+    if not len(first[0]) == len(first[1]) == len(sends):
+        raise ValueError(
+            f"first attempts cover {len(first[0])} packets, not {len(sends)}"
         )
-        if arrive is not None:
-            return arrive, attempt
-    return None, retries
+    return first
 
 
 def reliable_run(
-    chan: ChannelConfig, transport: ReliableOrdered, sends: list[tuple[int, TimeMs]]
+    chan: ChannelConfig,
+    transport: ReliableOrdered,
+    sends: list[tuple[int, TimeMs]],
+    first: FirstAttempts | None = None,
 ) -> list[DeliveryEvent]:
     """Deliver packets in order, retransmitting losses every ``rto_ms``.
 
     ``sends`` is a list of ``(seq, send_ms)`` with seqs contiguous from 1 and
-    monotone times.  A packet still lost after ``MAX_RETRANSMISSIONS``
+    monotone times.  Attempt ``k`` of a packet leaves at ``send_ms + k *
+    rto_ms``.  A packet still lost after ``MAX_RETRANSMISSIONS``
     retransmissions is given up and holds back nothing behind it.
+    ``first`` is :func:`first_attempts` of ``chan`` for these sends, if the
+    caller already has it.
     """
-    _check_sends(sends)
+    all_lost, all_jitter = _first_draws(chan, sends, first)
+    draw = _transmission(chan)
+    base, rto, seed = chan.base_latency_ms, transport.rto_ms, chan.seed
     events: list[DeliveryEvent] = []
     prev_deliver: TimeMs = 0
-    for seq, send_ms in sends:
-        arrive, retransmissions = _first_arrival(
-            chan, seq, send_ms, transport.rto_ms, MAX_RETRANSMISSIONS
-        )
-        deliver = None
-        if arrive is not None:
+    for (seq, send_ms), lost, jitter in zip(sends, all_lost, all_jitter):
+        attempt = 0
+        while lost and attempt < MAX_RETRANSMISSIONS:
+            attempt += 1
+            lost, jitter = draw(mix64(seed, seq, attempt))
+        arrive = deliver = None
+        if not lost:
+            arrive = send_ms + attempt * rto + base + jitter
             # In-order release: nothing overtakes an earlier packet.
             deliver = prev_deliver = max(arrive, prev_deliver)
-        events.append(
-            DeliveryEvent(seq, send_ms, arrive, deliver, False, retransmissions)
-        )
+        events.append(DeliveryEvent(seq, send_ms, arrive, deliver, False, attempt))
     return events
 
 
 def unreliable_run(
-    chan: ChannelConfig, dejitter: DejitterConfig, sends: list[tuple[int, TimeMs]]
+    chan: ChannelConfig,
+    dejitter: DejitterConfig,
+    sends: list[tuple[int, TimeMs]],
+    first: FirstAttempts | None = None,
 ) -> list[DeliveryEvent]:
     """Send each packet once; survivors pass the de-jitter buffer.
 
     Loss leaves a hole (``arrive_ms`` and ``deliver_ms`` both None); a
     late-dropped packet keeps its arrival time but has no delivery.
+    ``first`` is as for :func:`reliable_run`.
     """
-    _check_sends(sends)
+    all_lost, all_jitter = _first_draws(chan, sends, first)
+    base = chan.base_latency_ms
     events: list[DeliveryEvent] = []
-    for seq, send_ms in sends:
-        arrive, _ = _first_arrival(chan, seq, send_ms, 0, 0)
-        deliver, late = None, False
-        if arrive is not None:
-            slot = dejitter_deliver(dejitter, chan.base_latency_ms, send_ms, arrive)
+    for (seq, send_ms), lost, jitter in zip(sends, all_lost, all_jitter):
+        arrive = deliver = None
+        late = False
+        if not lost:
+            arrive = send_ms + base + jitter
+            slot = dejitter_deliver(dejitter, base, send_ms, arrive)
             deliver, late = (None, True) if slot is None else slot
         events.append(DeliveryEvent(seq, send_ms, arrive, deliver, late, 0))
     return events

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 
 # Stream tags used across the package.  Values are arbitrary but frozen:
@@ -35,6 +37,30 @@ def mix64(*parts: int) -> int:
         acc = (acc ^ (acc >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
         acc = (acc ^ (acc >> 27)) * 0x94D049BB133111EB & _MASK64
         acc ^= acc >> 31
+    return acc
+
+
+def mix64_array(*parts: int | np.ndarray) -> np.ndarray:
+    """:func:`mix64` over arrays: element ``i`` is ``mix64`` of the parts at ``i``.
+
+    A part is a Python int of any size, masked to 64 bits as ``mix64`` masks
+    it, or an array of non-negative integers, which broadcast together.
+    """
+    arrays = [
+        np.asarray(p, dtype=np.uint64)
+        if isinstance(p, np.ndarray)
+        else np.uint64(p & _MASK64)
+        for p in parts
+    ]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    acc = np.full(shape, 0x9E3779B97F4A7C15, dtype=np.uint64)
+    for part in arrays:
+        acc ^= part
+        acc ^= acc >> np.uint64(30)
+        acc *= np.uint64(0xBF58476D1CE4E5B9)
+        acc ^= acc >> np.uint64(27)
+        acc *= np.uint64(0x94D049BB133111EB)
+        acc ^= acc >> np.uint64(31)
     return acc
 
 

@@ -11,6 +11,9 @@ non-reproducible (wall-clock timing) stays out of the files.
 several seeds.  Because channel impairments are derived per ``(seed, seq,
 attempt)``, both transports face identical loss and jitter on every first
 transmission, making the per-seed comparison a genuinely paired experiment.
+The stages that do not depend on the transport (trajectory, sampling,
+sender, the resolved channel and its first-attempt draws) are therefore
+built once per seed and given to both runs.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,8 +33,10 @@ from .netsim import (
     ChannelConfig,
     DejitterConfig,
     DeliveryEvent,
+    FirstAttempts,
     LatePolicy,
     ReliableOrdered,
+    first_attempts,
     reliable_run,
     unreliable_run,
     write_delivery_csv,
@@ -243,11 +249,59 @@ class RunResult:
     timings: dict[str, float]
 
 
-def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
+class _SharedStages(NamedTuple):
+    """The stages of a run that do not depend on its transport mode."""
+
+    config: ScenarioConfig  # the config they were built from
+    ticks: np.ndarray
+    positions: np.ndarray
+    sent: np.ndarray
+    velocities: np.ndarray
+    sends: list[tuple[int, TimeMs]]
+    chan: ChannelConfig
+    first: FirstAttempts
+
+
+_SHARED_STAGES = ("trajectory", "sample", "sender")
+
+
+def _shared_stages(
+    cfg: ScenarioConfig, lap: Callable[[str], None]
+) -> _SharedStages:
+    """Build the mode-free stages, calling ``lap`` after each of ``_SHARED_STAGES``.
+
+    The channel's first-attempt draws come after the last lap, so a run that
+    builds these stages itself counts them in its ``transport`` time.
+    """
+    script = _load_trajectory(cfg)
+    lap("trajectory")
+    # An overflow (huge coordinates) is reported by the export error's check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tick = cfg.protocol.tick_ms
+        ticks = np.arange(cfg.duration_ms // tick + 1, dtype=np.int64) * tick
+        positions = sample_positions(script, ticks)
+        lap("sample")
+        sent, velocities = sender_run(cfg.protocol, ticks, positions)
+    sends = list(enumerate(ticks[sent].tolist(), start=1))
+    lap("sender")
+    chan = _resolve_channel(cfg)
+    first = first_attempts(chan, len(sends))
+    return _SharedStages(cfg, ticks, positions, sent, velocities, sends, chan, first)
+
+
+def run_simulation(
+    cfg: ScenarioConfig,
+    mode: str | None = None,
+    *,
+    _shared: _SharedStages | None = None,
+) -> RunResult:
     """Run one scenario end to end and return its result bundle.
 
     ``mode`` overrides ``cfg.mode`` (used by :func:`run_compare` to run both
     transports over one config); the config's own check judges it.
+    ``_shared`` holds stages already built from ``cfg`` under any mode; the
+    run then spends almost no time in them, and raises ``ValueError`` if
+    they were built from a config that differs in more than the mode.
 
     The stages work on arrays over the whole tick grid.  They give the same
     sends, events and report as a loop over the scalar stage functions
@@ -265,23 +319,20 @@ def run_simulation(cfg: ScenarioConfig, mode: str | None = None) -> RunResult:
         timings[stage] = now - lap_start
         lap_start = now
 
-    script = _load_trajectory(cfg)
-    lap("trajectory")
-    # An overflow (huge coordinates) is reported by the export error's check.
+    if _shared is None:
+        _shared = _shared_stages(cfg, lap)
+    elif replace(_shared.config, mode=cfg.mode) != cfg:
+        raise ValueError("shared stages were built from another config")
+    else:
+        for stage in _SHARED_STAGES:
+            lap(stage)
+    _, ticks, positions, sent, velocities, sends, chan, first = _shared
+    if cfg.mode == MODE_RELIABLE:
+        events = reliable_run(chan, ReliableOrdered(rto_ms=cfg.rto_ms), sends, first)
+    else:
+        events = unreliable_run(chan, cfg.dejitter, sends, first)
+    lap("transport")
     with np.errstate(over="ignore", invalid="ignore"):
-        tick = cfg.protocol.tick_ms
-        ticks = np.arange(cfg.duration_ms // tick + 1, dtype=np.int64) * tick
-        positions = sample_positions(script, ticks)
-        lap("sample")
-        sent, velocities = sender_run(cfg.protocol, ticks, positions)
-        sends = list(enumerate(ticks[sent].tolist(), start=1))
-        lap("sender")
-        chan = _resolve_channel(cfg)
-        if cfg.mode == MODE_RELIABLE:
-            events = reliable_run(chan, ReliableOrdered(rto_ms=cfg.rto_ms), sends)
-        else:
-            events = unreliable_run(chan, cfg.dejitter, sends)
-        lap("transport")
         warmup, rendered = receiver_run(ticks, events, sent, positions, velocities)
         lap("receiver")
         report = export_error_report(
@@ -425,6 +476,11 @@ def run_compare(
     one self-contained paired trial; an explicit ``channel.seed`` in the
     config is ignored.  Needs at least two seeds to say anything about
     variability across trials.
+
+    Each seed's trajectory, sampled positions, sends, channel and
+    first-attempt draws are built once and passed to both
+    :func:`run_simulation` calls, whose results equal those of runs that
+    build them alone.
     """
     if len(seeds) < 2:
         raise ValueError(
@@ -438,9 +494,10 @@ def run_compare(
         variant = replace(
             cfg, seed=seed, channel=replace(cfg.channel, seed=None)
         )
+        shared = _shared_stages(variant, lambda stage: None)
         results = {}
         for mode in (MODE_UNRELIABLE, MODE_RELIABLE):
-            result = run_simulation(variant, mode=mode)
+            result = run_simulation(variant, mode=mode, _shared=shared)
             if result.report.mean is None:
                 raise ValueError(
                     f"seed {seed} mode {mode}: no post-warm-up ticks to compare"

@@ -51,6 +51,12 @@ class InputFileError(ConfigError):
     what = "input file"
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    # The decoder reads the file in chunks, so where the bad byte sits (its
+    # row, or its place in the file) is not known here.
+    return f"{path}: not UTF-8 text ({exc.reason})"
+
+
 class _Invalid:
     """A field value that broke its own rule.
 
@@ -383,6 +389,8 @@ def load_json(path: str) -> Any:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError([_not_utf8(path, exc)]) from exc
 
 
 def write_json(data: dict, path: str) -> None:
@@ -412,7 +420,8 @@ def read_csv(
     ``builders`` maps every accepted header to a function of one row's
     cells.  Blank lines are skipped.  A wrong header, a row of the wrong
     width, or a ``ValueError`` from the builder ends as an
-    :class:`InputFileError` that names the file and row.
+    :class:`InputFileError` that names the file and row; a file that is
+    not UTF-8 text ends as one that names only the file.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -428,6 +437,8 @@ def read_csv(
                     out.append(build(row))
                 elif row:
                     raise ValueError(f"expected {width} cells, got {len(row)}")
+        except UnicodeDecodeError as exc:
+            raise InputFileError([_not_utf8(path, exc)]) from exc
         except (ValueError, csv.Error) as exc:
             raise InputFileError([f"{path} row {reader.line_num}: {exc}"]) from exc
     return out

@@ -194,6 +194,30 @@ class TestCliDefects:
         assert err.startswith("error: invalid input file\n")
         assert "row 3" in err and "payload_bytes" in err
 
+    def test_trace_that_is_not_utf8_names_no_row(self, tmp_path):
+        # The decoder reads ahead of csv's row count, so no row is named.
+        path = tmp_path / "trace.csv"
+        path.write_bytes(
+            b"t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack\n"
+            + b"".join(b"%d00,c0,c2s,10,40,false\n" % k for k in (1, 2, 3))
+            + b"400,c\xff,c2s,10,40,false\n"
+        )
+        code, out, err = run_cli(["analyze", "--trace", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: invalid input file\n  - {path}: not UTF-8 text "
+            "(invalid start byte)\n"
+        )
+
+    def test_config_that_is_not_utf8_is_an_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seed": "\xff"}')
+        code, out, err = run_cli(["simulate", "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: invalid config\n  - {path}: not UTF-8 text")
+
     def test_unsorted_trace_names_the_row(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(

@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from drsync import netsim
 from drsync.netsim import (
     MAX_RETRANSMISSIONS,
     ChannelConfig,
@@ -9,12 +13,13 @@ from drsync.netsim import (
     ReliableOrdered,
     channel_transmit,
     dejitter_deliver,
+    first_attempts,
     read_delivery_csv,
     reliable_run,
     unreliable_run,
     write_delivery_csv,
 )
-from drsync.rng import substream
+from drsync.rng import mix64, mix64_array, substream
 
 THREE_SENDS = [(1, 0), (2, 100), (3, 200)]
 
@@ -73,6 +78,126 @@ class TestTransmissionRng:
         reference.random()  # loss draw happens even at loss_rate 0
         expected_jitter = reference.randint(0, 30)
         assert arrive == 110 + expected_jitter
+
+
+# --- the transports' draws equal the reference ------------------------------
+
+def reference_arrival(cfg, seq, send_ms, rto_ms, retries):
+    """Arrival and retransmissions of one packet, one generator per attempt."""
+    for attempt in range(retries + 1):
+        arrive = channel_transmit(
+            cfg, substream(cfg.seed, seq, attempt), send_ms + attempt * rto_ms
+        )
+        if arrive is not None:
+            return arrive, attempt
+    return None, retries
+
+
+def reference_reliable(cfg, rto_ms, sends):
+    events, prev_deliver = [], 0
+    for seq, send_ms in sends:
+        arrive, retransmissions = reference_arrival(
+            cfg, seq, send_ms, rto_ms, MAX_RETRANSMISSIONS
+        )
+        deliver = None
+        if arrive is not None:
+            deliver = prev_deliver = max(arrive, prev_deliver)
+        events.append(
+            DeliveryEvent(seq, send_ms, arrive, deliver, False, retransmissions)
+        )
+    return events
+
+
+def reference_unreliable(cfg, dejitter, sends):
+    events = []
+    for seq, send_ms in sends:
+        arrive, _ = reference_arrival(cfg, seq, send_ms, 0, 0)
+        deliver, late = None, False
+        if arrive is not None:
+            slot = dejitter_deliver(dejitter, cfg.base_latency_ms, send_ms, arrive)
+            deliver, late = (None, True) if slot is None else slot
+        events.append(DeliveryEvent(seq, send_ms, arrive, deliver, late, 0))
+    return events
+
+
+JITTERS = [0, 1, 40, 2**32 - 1, 2**32, 2**40]
+
+channels = st.builds(
+    ChannelConfig,
+    base_latency_ms=st.integers(0, 300),
+    jitter_max_ms=st.one_of(st.sampled_from(JITTERS), st.integers(0, 1000)),
+    loss_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    # Above 2**64 the channel seed is masked, as mix64 masks it.
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**80)),
+)
+send_lists = st.lists(st.integers(0, 60), max_size=30).map(
+    lambda gaps: [(i, t) for i, t in enumerate(np.cumsum(gaps).tolist(), start=1)]
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(
+    cfg=chan(base=10, jitter=2**32, loss=0.5, seed=2**64 + 3),
+    sends=THREE_SENDS,
+    rto_ms=200,
+    playout=30,
+    policy=LatePolicy.DROP,
+)
+@given(
+    cfg=channels,
+    sends=send_lists,
+    rto_ms=st.integers(1, 500),
+    playout=st.integers(0, 200),
+    policy=st.sampled_from(list(LatePolicy)),
+)
+def test_transports_draw_as_one_generator_per_transmission(
+    cfg, sends, rto_ms, playout, policy
+):
+    first = first_attempts(cfg, len(sends))
+    for (seq, send_ms), lost, jitter in zip(sends, *first):
+        reference = channel_transmit(cfg, substream(cfg.seed, seq, 0), send_ms)
+        assert (None if lost else send_ms + cfg.base_latency_ms + jitter) == reference
+    draw = netsim._transmission(cfg)
+    for attempt in range(MAX_RETRANSMISSIONS + 1):
+        lost, jitter = draw(mix64(cfg.seed, 1, attempt))
+        reference = channel_transmit(cfg, substream(cfg.seed, 1, attempt), 0)
+        assert (None if lost else cfg.base_latency_ms + jitter) == reference
+
+    transport = ReliableOrdered(rto_ms=rto_ms)
+    reliable = reference_reliable(cfg, rto_ms, sends)
+    assert reliable_run(cfg, transport, sends) == reliable
+    assert reliable_run(cfg, transport, sends, first=first) == reliable
+    dejitter = DejitterConfig(playout_delay_ms=playout, late_policy=policy)
+    unreliable = reference_unreliable(cfg, dejitter, sends)
+    assert unreliable_run(cfg, dejitter, sends) == unreliable
+    assert unreliable_run(cfg, dejitter, sends, first=first) == unreliable
+
+
+def test_first_attempts_must_cover_the_sends():
+    first = first_attempts(chan(), 2)
+    with pytest.raises(ValueError, match="cover 2 packets, not 3"):
+        reliable_run(chan(), ReliableOrdered(rto_ms=100), THREE_SENDS, first=first)
+    with pytest.raises(ValueError, match="cover 2 packets, not 3"):
+        unreliable_run(chan(), DejitterConfig(), THREE_SENDS, first=first)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    parts=st.lists(
+        st.one_of(
+            st.integers(0, 2**64 - 1),
+            st.integers(2**64, 2**100),
+            st.lists(st.integers(0, 2**63 - 1), min_size=5, max_size=5),
+        ),
+        max_size=4,
+    )
+)
+def test_vectorized_mix64_equals_the_scalar_one(parts):
+    arrays = [np.array(p, dtype=np.int64) if isinstance(p, list) else p for p in parts]
+    mixed = mix64_array(*arrays)
+    for i in range(5 if any(isinstance(p, list) for p in parts) else 1):
+        scalars = [p[i] if isinstance(p, list) else p for p in parts]
+        assert int(mixed.flat[i]) == mix64(*scalars)
 
 
 class TestHandWorkedDeliveries:

@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from drsync import spec
+from drsync import scenario, spec
 from drsync.core import TrajectoryScript, Vec3
 from drsync.netsim import DejitterConfig, LatePolicy, read_delivery_csv
 from drsync.protocol import ProtocolConfig
 from drsync.scenario import (
+    MODE_RELIABLE,
+    MODE_UNRELIABLE,
     ChannelSpec,
     ConfigError,
     ScenarioConfig,
@@ -250,6 +252,68 @@ class TestRunCompare:
         )
         rows = run_compare(cfg, [7, 8])
         assert rows[0].mean_unreliable != rows[1].mean_unreliable
+
+
+class TestSharedStages:
+    """run_compare builds the mode-free stages once per seed; nothing changes."""
+
+    def compare_results(self, cfg, seeds, monkeypatch):
+        captured = []
+        original = scenario.run_simulation
+
+        def capture(*args, **kwargs):
+            captured.append(original(*args, **kwargs))
+            return captured[-1]
+
+        monkeypatch.setattr(scenario, "run_simulation", capture)
+        run_compare(cfg, seeds)
+        return captured
+
+    @pytest.mark.parametrize("source", ["generated", "file"])
+    def test_shared_runs_equal_runs_alone(self, source, tmp_path, monkeypatch):
+        cfg = replace(comparison_scenario(), duration_ms=6_000)
+        if source == "file":
+            script = generate_trajectory(
+                cfg.trajectory.generator, cfg.duration_ms, seed=9
+            )
+            path = tmp_path / "traj.csv"
+            path.write_text(
+                "t_ms,x,y,z\n"
+                + "".join(f"{t},{p.x!r},{p.y!r},{p.z!r}\n" for t, p in script.waypoints)
+            )
+            cfg = replace(cfg, trajectory=TrajectorySource(file=str(path)))
+        results = self.compare_results(cfg, [4, 5], monkeypatch)
+        assert [(r.config.seed, r.mode) for r in results] == [
+            (seed, mode) for seed in (4, 5) for mode in (MODE_UNRELIABLE, MODE_RELIABLE)
+        ]
+        monkeypatch.undo()
+        for shared in results:
+            variant = replace(
+                cfg, seed=shared.config.seed, channel=replace(cfg.channel, seed=None)
+            )
+            alone = run_simulation(variant, mode=shared.mode)
+            assert shared.config == alone.config
+            assert shared.sends == alone.sends
+            assert shared.events == alone.events
+            assert shared.report == alone.report
+            assert shared.summary == alone.summary
+            assert list(shared.timings) == list(alone.timings) == [
+                "trajectory", "sample", "sender", "transport", "receiver",
+                "export_error", "summary",
+            ]
+
+    def test_stages_from_another_config_are_refused(self):
+        cfg = quiet_config()
+        shared = scenario._shared_stages(cfg, lambda stage: None)
+        run_simulation(cfg, mode=MODE_RELIABLE, _shared=shared)  # mode may differ
+        for other in (
+            replace(cfg, seed=4),
+            replace(cfg, duration_ms=4000),
+            replace(cfg, channel=replace(cfg.channel, seed=7)),
+            replace(cfg, protocol=ProtocolConfig(threshold=2.0, tick_ms=100)),
+        ):
+            with pytest.raises(ValueError, match="built from another config"):
+                run_simulation(other, _shared=shared)
 
 
 class TestConfigParsing:
