@@ -224,8 +224,7 @@ def autocorr(series: CountSeries | Sequence[float], lag: int) -> float:
         raise ValueError("series has zero variance; autocorrelation undefined")
     if lag == 0:
         return 1.0
-    num = float(np.dot(centered[: n - lag], centered[lag:]))
-    return num / denom
+    return _exact_r(centered, denom, lag)
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,7 @@ def detect_period(
     best_lag = 0
     best_r = -math.inf
     for lag in (np.flatnonzero(approx >= top - tolerance) + 1).tolist():
-        r = float(np.dot(centered[: n - lag], centered[lag:])) / denom
+        r = _exact_r(centered, denom, lag)
         if r > best_r:
             best_r = r
             best_lag = lag
@@ -284,6 +283,12 @@ def _centered(x: np.ndarray) -> tuple[np.ndarray, float]:
     """The series minus its mean, and that difference's sum of squares."""
     centered = x - x.mean()
     return centered, float(np.dot(centered, centered))
+
+
+def _exact_r(centered: np.ndarray, denom: float, lag: int) -> float:
+    """The autocorrelation at ``lag`` of a :func:`_centered` series, by exact dot."""
+    n = centered.size
+    return float(np.dot(centered[: n - lag], centered[lag:])) / denom
 
 
 def _lag_products(centered: np.ndarray, max_lag: int) -> np.ndarray:

@@ -11,13 +11,10 @@ first attempt of each packet identically, whichever transport is in use;
 only retransmissions consume extra draws.  :func:`first_attempts` draws
 those first attempts once, and both transports accept its result.
 
-:func:`channel_transmit` over a :func:`~drsync.rng.substream` is the
-reference for one transmission.  The transports get the same draws without
-building a generator per transmission: one ``random.Random`` per run is
-reseeded for each key through the C-level seed that ``random.Random(int)``
-calls, the loss is its ``random()`` and the jitter its ``getrandbits`` with
-rejection, as ``randint`` draws it; the first attempts' keys are mixed in
-one array pass.
+Every transmission is :func:`channel_transmit`.  Rather than build a
+generator per transmission, each call keeps one ``random.Random`` and
+reseeds it with ``seed(key)``, which sets the state ``random.Random(key)``
+starts from; the first attempts' keys are mixed in one array pass.
 
 Transports:
 
@@ -50,12 +47,8 @@ from .rng import mix64, mix64_array
 # Linux's default ``tcp_retries2``.
 MAX_RETRANSMISSIONS = 15
 
-# The seed ``random.Random(int)`` runs (``_random.Random.seed``); it sets the
-# same generator state without building a new object.
-_C_SEED = random.Random.__mro__[1].seed
-
-# Per packet, whether its first transmission was lost and the jitter drawn.
-FirstAttempts = tuple[list[bool], list[int]]
+# Per packet, the arrival time of its first transmission, or None if lost.
+FirstAttempts = list[TimeMs | None]
 
 
 @dataclass(frozen=True)
@@ -163,47 +156,28 @@ def _check_sends(sends: list[tuple[int, TimeMs]]) -> None:
         prev_t = t
 
 
-def _transmission(chan: ChannelConfig):
-    """A function from a transmission's key to its ``(lost, jitter)`` draws.
-
-    It gives what :func:`channel_transmit` draws from ``random.Random(key)``,
-    reseeding one generator instead of building one per transmission.
-    """
+def first_attempts(
+    chan: ChannelConfig, sends: list[tuple[int, TimeMs]]
+) -> FirstAttempts:
+    """The arrival time of each send's first transmission, or None if it was lost."""
+    _check_sends(sends)
+    keys = mix64_array(chan.seed, np.arange(1, len(sends) + 1, dtype=np.uint64), 0)
     rng = random.Random()
-    loss_rate, jitter_max = chan.loss_rate, chan.jitter_max_ms
-    uniform, bits = rng.random, rng.getrandbits
-    # randint(0, jitter_max) is getrandbits(k) redrawn until below the span.
-    span = jitter_max + 1
-    k = span.bit_length()
-
-    def draw(key: int) -> tuple[bool, int]:
-        _C_SEED(rng, key)
-        lost = uniform() < loss_rate
-        jitter = bits(k)
-        while jitter >= span:
-            jitter = bits(k)
-        return lost, jitter
-
-    return draw
-
-
-def first_attempts(chan: ChannelConfig, n: int) -> FirstAttempts:
-    """The ``(lost, jitter)`` draws of the first transmission of seqs 1..n."""
-    keys = mix64_array(chan.seed, np.arange(1, n + 1, dtype=np.uint64), 0)
-    draws = list(map(_transmission(chan), keys.tolist()))
-    return [lost for lost, _ in draws], [jitter for _, jitter in draws]
+    arrivals: FirstAttempts = []
+    for key, (_, send_ms) in zip(keys.tolist(), sends):
+        rng.seed(key)
+        arrivals.append(channel_transmit(chan, rng, send_ms))
+    return arrivals
 
 
 def _first_draws(
     chan: ChannelConfig, sends: list[tuple[int, TimeMs]], first: FirstAttempts | None
 ) -> FirstAttempts:
-    _check_sends(sends)
     if first is None:
-        return first_attempts(chan, len(sends))
-    if not len(first[0]) == len(first[1]) == len(sends):
-        raise ValueError(
-            f"first attempts cover {len(first[0])} packets, not {len(sends)}"
-        )
+        return first_attempts(chan, sends)
+    _check_sends(sends)
+    if len(first) != len(sends):
+        raise ValueError(f"first attempts cover {len(first)} packets, not {len(sends)}")
     return first
 
 
@@ -222,19 +196,19 @@ def reliable_run(
     ``first`` is :func:`first_attempts` of ``chan`` for these sends, if the
     caller already has it.
     """
-    all_lost, all_jitter = _first_draws(chan, sends, first)
-    draw = _transmission(chan)
-    base, rto, seed = chan.base_latency_ms, transport.rto_ms, chan.seed
+    arrivals = _first_draws(chan, sends, first)
+    rng = random.Random()
+    rto, seed = transport.rto_ms, chan.seed
     events: list[DeliveryEvent] = []
     prev_deliver: TimeMs = 0
-    for (seq, send_ms), lost, jitter in zip(sends, all_lost, all_jitter):
+    for (seq, send_ms), arrive in zip(sends, arrivals):
         attempt = 0
-        while lost and attempt < MAX_RETRANSMISSIONS:
+        while arrive is None and attempt < MAX_RETRANSMISSIONS:
             attempt += 1
-            lost, jitter = draw(mix64(seed, seq, attempt))
-        arrive = deliver = None
-        if not lost:
-            arrive = send_ms + attempt * rto + base + jitter
+            rng.seed(mix64(seed, seq, attempt))
+            arrive = channel_transmit(chan, rng, send_ms + attempt * rto)
+        deliver = None
+        if arrive is not None:
             # In-order release: nothing overtakes an earlier packet.
             deliver = prev_deliver = max(arrive, prev_deliver)
         events.append(DeliveryEvent(seq, send_ms, arrive, deliver, False, attempt))
@@ -253,14 +227,12 @@ def unreliable_run(
     late-dropped packet keeps its arrival time but has no delivery.
     ``first`` is as for :func:`reliable_run`.
     """
-    all_lost, all_jitter = _first_draws(chan, sends, first)
+    arrivals = _first_draws(chan, sends, first)
     base = chan.base_latency_ms
     events: list[DeliveryEvent] = []
-    for (seq, send_ms), lost, jitter in zip(sends, all_lost, all_jitter):
-        arrive = deliver = None
-        late = False
-        if not lost:
-            arrive = send_ms + base + jitter
+    for (seq, send_ms), arrive in zip(sends, arrivals):
+        deliver, late = None, False
+        if arrive is not None:
             slot = dejitter_deliver(dejitter, base, send_ms, arrive)
             deliver, late = (None, True) if slot is None else slot
         events.append(DeliveryEvent(seq, send_ms, arrive, deliver, late, 0))

@@ -179,10 +179,6 @@ def generate_trajectory(
     """Seeded random-waypoint walk covering at least ``duration_ms``."""
     rng = substream(seed, TAG_TRAJECTORY)
     box = gen.box_size
-
-    def clamp(v: float) -> float:
-        return min(box, max(0.0, v))
-
     pos = Vec3(
         rng.uniform(0.0, box), rng.uniform(0.0, box), rng.uniform(0.0, box)
     )
@@ -199,9 +195,9 @@ def generate_trajectory(
                 break
         step = speed * dt / 1000.0
         pos = Vec3(
-            clamp(pos.x + dx / norm * step),
-            clamp(pos.y + dy / norm * step),
-            clamp(pos.z + dz / norm * step),
+            min(box, max(0.0, pos.x + dx / norm * step)),
+            min(box, max(0.0, pos.y + dy / norm * step)),
+            min(box, max(0.0, pos.z + dz / norm * step)),
         )
         t += dt
         waypoints.append((t, pos))
@@ -285,7 +281,7 @@ def _shared_stages(
     sends = list(enumerate(ticks[sent].tolist(), start=1))
     lap("sender")
     chan = _resolve_channel(cfg)
-    first = first_attempts(chan, len(sends))
+    first = first_attempts(chan, sends)
     return _SharedStages(cfg, ticks, positions, sent, velocities, sends, chan, first)
 
 

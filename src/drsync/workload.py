@@ -374,6 +374,21 @@ def _tick_sends(
     return count, state_on
 
 
+def _event_ticks(period_ms: int, tick: int, n_ticks: int) -> set[int]:
+    """The ticks below ``n_ticks`` that hold a global event.
+
+    Events fire at every multiple of ``period_ms`` and snap to the next tick
+    boundary, so tick k holds one when a multiple lies in
+    ``((k - 1) * tick, k * tick]``.  The cost is O(ticks), however many
+    events fall in a tick.
+    """
+    return {
+        k
+        for k in range(1, n_ticks)
+        if k * tick // period_ms > (k - 1) * tick // period_ms
+    }
+
+
 def generate_trace(
     profile: WorkloadProfile, n_clients: int, duration_ms: int, seed: int
 ) -> Trace:
@@ -403,12 +418,8 @@ def generate_trace(
         )
     event = profile.global_event
     event_ticks: set[int] = set()
-    if event.period_ms > 0 and event.participation > 0:
-        e = event.period_ms
-        while e < duration_ms:
-            # Events snap to the next tick boundary.
-            event_ticks.add(-(-e // tick))
-            e += event.period_ms
+    if n_clients and event.period_ms > 0 and event.participation > 0:
+        event_ticks = _event_ticks(event.period_ms, tick, n_ticks)
     epoch_ticks = max(1, profile.server_epoch_ms // tick)
 
     rows: list[tuple] = []

@@ -241,6 +241,38 @@ class TestGenerateAnalyze:
         assert trace_path.read_text() == header
         assert len(read_trace_csv(str(trace_path))) == 0
 
+    @pytest.mark.parametrize(
+        "source, clients, duration_ms",
+        [
+            (["--preset", "mmorpg"], "0", "100000000000000"),
+            # Events every ms, but only 1,000 ticks.
+            (["--profile", "event_every_ms.json"], "1", "1000000000000"),
+        ],
+    )
+    def test_generate_costs_ticks_not_events(
+        self, tmp_path, source, clients, duration_ms
+    ):
+        (tmp_path / "event_every_ms.json").write_text(
+            json.dumps(
+                {
+                    "tick_period_ms": 10**9,
+                    "payload_size_dist": {"body": [[20, 1.0]]},
+                    "global_event": {"period_ms": 1, "participation": 0.5},
+                }
+            )
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "drsync", "generate", *source, "--clients",
+             clients, "--duration-ms", duration_ms, "--out", "trace.csv"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=2,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "trace.csv").read_text().splitlines()
+        assert rows[0] == "t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack"
+        assert (len(rows) == 1) == (clients == "0")
+
     def test_analyze_detects_tick_period(self, capsys, tmp_path):
         trace_path = tmp_path / "steady.csv"
         profile = tmp_path / "profile.json"

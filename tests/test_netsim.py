@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drsync import netsim
 from drsync.netsim import (
     MAX_RETRANSMISSIONS,
     ChannelConfig,
@@ -153,15 +152,11 @@ send_lists = st.lists(st.integers(0, 60), max_size=30).map(
 def test_transports_draw_as_one_generator_per_transmission(
     cfg, sends, rto_ms, playout, policy
 ):
-    first = first_attempts(cfg, len(sends))
-    for (seq, send_ms), lost, jitter in zip(sends, *first):
-        reference = channel_transmit(cfg, substream(cfg.seed, seq, 0), send_ms)
-        assert (None if lost else send_ms + cfg.base_latency_ms + jitter) == reference
-    draw = netsim._transmission(cfg)
-    for attempt in range(MAX_RETRANSMISSIONS + 1):
-        lost, jitter = draw(mix64(cfg.seed, 1, attempt))
-        reference = channel_transmit(cfg, substream(cfg.seed, 1, attempt), 0)
-        assert (None if lost else cfg.base_latency_ms + jitter) == reference
+    first = first_attempts(cfg, sends)
+    assert first == [
+        channel_transmit(cfg, substream(cfg.seed, seq, 0), send_ms)
+        for seq, send_ms in sends
+    ]
 
     transport = ReliableOrdered(rto_ms=rto_ms)
     reliable = reference_reliable(cfg, rto_ms, sends)
@@ -174,11 +169,13 @@ def test_transports_draw_as_one_generator_per_transmission(
 
 
 def test_first_attempts_must_cover_the_sends():
-    first = first_attempts(chan(), 2)
+    first = first_attempts(chan(), THREE_SENDS[:2])
     with pytest.raises(ValueError, match="cover 2 packets, not 3"):
         reliable_run(chan(), ReliableOrdered(rto_ms=100), THREE_SENDS, first=first)
     with pytest.raises(ValueError, match="cover 2 packets, not 3"):
         unreliable_run(chan(), DejitterConfig(), THREE_SENDS, first=first)
+    with pytest.raises(ValueError, match="contiguous"):
+        first_attempts(chan(), THREE_SENDS[1:])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from drsync import workload
 from drsync.workload import (
@@ -201,6 +203,31 @@ class TestGenerateTrace:
         assert cleaned.burst.p_enter == 0.0
         assert cleaned.global_event.period_ms == 0
         assert cleaned.tick_period_ms == preset("mmorpg").tick_period_ms
+
+
+def event_ticks_by_event(period_ms, tick, duration_ms):
+    """The event ticks as the generator first found them, one step per event."""
+    ticks, e = set(), period_ms
+    while e < duration_ms:
+        ticks.add(-(-e // tick))  # the next tick boundary
+        e += period_ms
+    return ticks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    tick=st.one_of(st.integers(1, 50), st.integers(1, 10**12)),
+    period_ms=st.one_of(st.integers(1, 50), st.integers(1, 10**13)),
+    n_ticks=st.integers(1, 200),
+    extra=st.integers(0, 10**12),
+)
+def test_event_ticks_match_the_walk_over_events(tick, period_ms, n_ticks, extra):
+    duration_ms = n_ticks * tick + extra % tick
+    assume(duration_ms // period_ms <= 20_000)  # the walk's step count
+    by_event = event_ticks_by_event(period_ms, tick, duration_ms)
+    assert workload._event_ticks(period_ms, tick, n_ticks) == {
+        k for k in by_event if k < n_ticks
+    }
 
 
 class TestPresets:
