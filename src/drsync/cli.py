@@ -9,7 +9,6 @@ defaults to ``off``.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -27,7 +26,6 @@ from .qon import (
     read_sessions_csv,
     weights_from_json,
     weights_to_dict,
-    weights_to_json,
 )
 from .scenario import (
     ConfigError,
@@ -90,8 +88,7 @@ def _cmd_simulate(args) -> int:
     result = run_simulation(cfg)
     if args.out is not None:
         write_run_outputs(result, args.out)
-    json.dump(result.summary, sys.stdout, indent=2, sort_keys=True)
-    print()
+    spec.write_json(result.summary, sys.stdout)
     return 0
 
 
@@ -106,8 +103,7 @@ def _cmd_compare(args) -> int:
     cfg = config_from_json(args.config)
     seeds = _parse_seeds(args.seeds)
     rows = run_compare(cfg, seeds, out_dir=args.out)
-    json.dump(compare_payload(rows), sys.stdout, indent=2, sort_keys=True)
-    print()
+    spec.write_json(compare_payload(rows), sys.stdout)
     return 0
 
 
@@ -166,8 +162,7 @@ def _cmd_analyze(args) -> int:
             "bucket_ms": args.bucket_ms,
         }
     )
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    print()
+    spec.write_json(report, sys.stdout)
     return 0
 
 
@@ -197,11 +192,9 @@ def _cmd_predict(args) -> int:
 def _cmd_fit(args) -> int:
     labeled = read_sessions_csv(args.data)
     weights = fit_weights(labeled, learn_rate=args.learn_rate, epochs=args.epochs)
-    if args.out is None:
-        json.dump(weights_to_dict(weights), sys.stdout, indent=2, sort_keys=True)
-        print()
-    else:
-        weights_to_json(weights, args.out)
+    spec.write_json(
+        weights_to_dict(weights), sys.stdout if args.out is None else args.out
+    )
     return 0
 
 

@@ -46,6 +46,10 @@ from .rng import mix64, mix64_array
 # Attempts after the first before a reliable transport gives a packet up;
 # Linux's default ``tcp_retries2``.
 MAX_RETRANSMISSIONS = 15
+# The largest base latency and jitter bound.  It leaves room for latencies
+# past int64 and keeps the run summary's RTT mean and spread finite floats
+# over scenario.MAX_TICKS sends.
+MAX_DELAY_MS = 2**256
 
 # Per packet, the arrival time of its first transmission, or None if lost.
 FirstAttempts = list[TimeMs | None]
@@ -55,8 +59,8 @@ FirstAttempts = list[TimeMs | None]
 class ChannelConfig:
     """One-way impaired link: fixed base delay, bounded jitter, Bernoulli loss."""
 
-    base_latency_ms: int = spec.field(spec.Int(ge=0))
-    jitter_max_ms: int = spec.field(spec.Int(ge=0))
+    base_latency_ms: int = spec.field(spec.Int(ge=0, le=MAX_DELAY_MS))
+    jitter_max_ms: int = spec.field(spec.Int(ge=0, le=MAX_DELAY_MS))
     loss_rate: float = spec.field(spec.Real(ge=0, le=1))
     seed: int = spec.field(spec.Int(ge=0))
 

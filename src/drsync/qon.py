@@ -36,6 +36,9 @@ JITTER_SCALE_MS = 100.0
 DECISION_THRESHOLD = 0.5
 PREMATURE_WINDOW_MIN = 5
 LATENCY_KNEE_MS = 100.0
+# The most epochs fit_weights runs: 50 times the default.  The default 2,000
+# epochs on 20,000 sessions take about 0.2 s.
+MAX_EPOCHS = 100_000
 
 
 class SessionMetrics(NamedTuple):
@@ -220,8 +223,10 @@ def fit_weights(
         )
     if not 0 < learn_rate < math.inf:
         raise ValueError(f"learn_rate must be finite and > 0, got {learn_rate}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    if not 1 <= epochs <= MAX_EPOCHS:
+        raise ValueError(
+            f"epochs must be in [1, MAX_EPOCHS ({MAX_EPOCHS})], got {epochs}"
+        )
 
     x, y = _design_matrix(labeled)
     v = np.zeros(4, dtype=float)

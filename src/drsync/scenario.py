@@ -80,8 +80,9 @@ class TrajectoryGenConfig:
     box_size: float = spec.field(spec.Real(gt=0), 1000.0)
     speed_min: float = spec.field(spec.Real(gt=0), 1.0)
     speed_max: float = spec.field(spec.Real(gt=0), 10.0)
-    waypoint_interval_min_ms: int = spec.field(spec.Int(ge=1), 2000)
-    waypoint_interval_max_ms: int = spec.field(spec.Int(ge=1), 5000)
+    # No waypoint may lie past MAX_TIME_MS, so no interval is longer.
+    waypoint_interval_min_ms: int = spec.field(spec.Int(ge=1, le=MAX_TIME_MS), 2000)
+    waypoint_interval_max_ms: int = spec.field(spec.Int(ge=1, le=MAX_TIME_MS), 5000)
 
     __post_init__ = spec.check
 

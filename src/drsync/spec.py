@@ -93,14 +93,15 @@ class _Rule:
 
 @dataclasses.dataclass(frozen=True)
 class Int(_Rule):
-    """An integer, not a bool, with an optional lower bound."""
+    """An integer, not a bool, with optional bounds."""
 
     ge: int | None = None
+    le: int | None = None
 
     def problem(self, v: Any) -> str | None:
         if isinstance(v, bool) or not isinstance(v, int):
             return f"must be an integer, got {v!r}"
-        return _bounds(v, self.ge, None, None)
+        return _bounds(v, self.ge, None, self.le)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,6 +131,8 @@ def _bounds(v, ge, gt, le) -> str | None:
         return f"must be >= {ge}, got {v!r}"
     if gt is not None and v <= gt:
         return f"must be > {gt}, got {v!r}"
+    if le is not None and v > le:
+        return f"must be <= {le}, got {v!r}"
     return None
 
 
@@ -393,10 +396,15 @@ def load_json(path: str) -> Any:
             raise ConfigError([_not_utf8(path, exc)]) from exc
 
 
-def write_json(data: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def write_json(data: dict, dest: str | IO[str]) -> None:
+    """Write ``data`` as indented JSON with sorted keys and a final newline,
+    to a path or an open text file."""
+    if not hasattr(dest, "write"):
+        with open(dest, "w") as fh:
+            write_json(data, fh)
+        return
+    json.dump(data, dest, indent=2, sort_keys=True)
+    dest.write("\n")
 
 
 # The cells a flag may hold, matched exactly, and how a flag is written.

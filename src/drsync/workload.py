@@ -54,6 +54,11 @@ MAX_TRACE_PACKETS = 8_000_000
 # Rows that iterating a Trace converts to Python values at a time, and that
 # read_trace_csv parses at a time.
 _ITER_ROWS = 4096
+# The int64 columns' bounds; sizes stay below 2**32 so that the byte sum of
+# 2**31 packets fits too.
+_MAX_T_MS, _MAX_BYTES = 2**63, 2**32
+# A packet size in a profile: one that Trace accepts.
+_SIZE = spec.Int(ge=0, le=_MAX_BYTES - 1)
 
 
 class Direction(enum.Enum):
@@ -71,11 +76,11 @@ class PayloadSizeDist:
     """
 
     body: tuple[tuple[int, float], ...] = spec.field(
-        spec.Seq(spec.Pair(spec.Int(ge=0), spec.Real(ge=0)))
+        spec.Seq(spec.Pair(_SIZE, spec.Real(ge=0)))
     )
     tail_prob: float = spec.field(spec.Real(ge=0, le=1), 0.0)
     tail_range: tuple[int, int] = spec.field(
-        spec.Pair(spec.Int(ge=0), spec.Int(ge=0), ordered=True), (0, 0)
+        spec.Pair(_SIZE, _SIZE, ordered=True), (0, 0)
     )
 
     __post_init__ = spec.check
@@ -138,7 +143,7 @@ class WorkloadProfile:
     tick_period_ms: int = spec.field(spec.Int(ge=1))
     payload_size_dist: PayloadSizeDist = spec.field(spec.Nested(PayloadSizeDist))
     burst: BurstModel = spec.field(spec.Nested(BurstModel), BurstModel())
-    header_bytes: int = spec.field(spec.Int(ge=0), 40)
+    header_bytes: int = spec.field(_SIZE, 40)
     ack_every_n: int = spec.field(spec.Int(ge=1), 2)
     global_event: GlobalEventModel = spec.field(
         spec.Nested(GlobalEventModel), GlobalEventModel()
@@ -182,9 +187,6 @@ class TraceRecord(NamedTuple):
 
 # The direction column holds each row's index into this tuple.
 _DIRECTIONS = tuple(Direction)
-# The int64 columns' bounds; sizes stay below 2**32 so that the byte sum of
-# 2**31 packets fits too.
-_MAX_T_MS, _MAX_BYTES = 2**63, 2**32
 _OUT_OF_RANGE = (
     "t_ms must be in [0, 2**63), payload_bytes and header_bytes in [0, 2**32)"
 )
@@ -374,35 +376,21 @@ def _tick_sends(
     return count, state_on
 
 
-def _event_ticks(period_ms: int, tick: int, n_ticks: int) -> set[int]:
-    """The ticks below ``n_ticks`` that hold a global event.
-
-    Events fire at every multiple of ``period_ms`` and snap to the next tick
-    boundary, so tick k holds one when a multiple lies in
-    ``((k - 1) * tick, k * tick]``.  The cost is O(ticks), however many
-    events fall in a tick.
-    """
-    return {
-        k
-        for k in range(1, n_ticks)
-        if k * tick // period_ms > (k - 1) * tick // period_ms
-    }
-
-
 def generate_trace(
     profile: WorkloadProfile, n_clients: int, duration_ms: int, seed: int
 ) -> Trace:
     """Generate a full bidirectional trace, sorted by timestamp.
 
     ``n_clients == 0`` legitimately yields an empty trace.  Duration must
-    cover at least one tick.
+    cover at least one tick and be below 2**63, the bound on ``t_ms``.
     """
     if n_clients < 0:
         raise ValueError(f"n_clients must be >= 0, got {n_clients}")
     tick = profile.tick_period_ms
-    if duration_ms < tick:
+    if not tick <= duration_ms < _MAX_T_MS:
         raise ValueError(
-            f"duration_ms must be >= tick_period_ms ({tick}), got {duration_ms}"
+            f"duration_ms must be in [tick_period_ms ({tick}), 2**63), "
+            f"got {duration_ms}"
         )
     n_ticks = duration_ms // tick
     if n_clients * n_ticks > MAX_CLIENT_TICKS:
@@ -417,9 +405,7 @@ def generate_trace(
             f"<= {MAX_TRACE_PACKETS}, got {n_clients * n_ticks * per_tick}"
         )
     event = profile.global_event
-    event_ticks: set[int] = set()
-    if n_clients and event.period_ms > 0 and event.participation > 0:
-        event_ticks = _event_ticks(event.period_ms, tick, n_ticks)
+    period = event.period_ms if event.participation > 0 else 0  # 0: no events
     epoch_ticks = max(1, profile.server_epoch_ms // tick)
 
     rows: list[tuple] = []
@@ -438,7 +424,14 @@ def generate_trace(
             t = k * tick
 
             n_client, client_on = _tick_sends(client_rng, client_on, profile.burst, 1.0)
-            if k in event_ticks and event_rng.random() < event.participation:
+            # Events fire at every multiple of the period and snap to the next
+            # tick boundary: tick k > 0 holds one when a multiple lies in
+            # ((k - 1) * tick, k * tick].
+            if (
+                period and k
+                and t // period > (t - tick) // period
+                and event_rng.random() < event.participation
+            ):
                 n_client += 1  # flash crowd: one forced action even when idle
             client_data = _emit(
                 rows, profile, t, conn_id, _CLIENT_SIDE, client_rng, n_client,

@@ -209,6 +209,19 @@ class TestCompare:
         assert main(["compare", "--config", config_path, "--seeds", "1,x"]) == 1
         assert "--seeds" in capsys.readouterr().err
 
+    def test_no_post_warm_up_ticks_is_an_error(self, capsys, tmp_path):
+        # Nothing arrives, so no tick leaves warm-up.
+        cfg = comparison_scenario()
+        cfg = replace(cfg, channel=replace(cfg.channel, loss_rate=1.0))
+        path = tmp_path / "dead.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        assert main(["compare", "--config", str(path), "--seeds", "1,2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: seed 1 mode unreliable_dr: no post-warm-up ticks to compare\n"
+        )
+
 
 class TestGenerateAnalyze:
     def test_generate_then_analyze(self, capsys, tmp_path):
@@ -307,6 +320,21 @@ class TestGenerateAnalyze:
         assert list(report["directions"]) == ["c2s"]
         assert report["period"] is not None
         assert report["period"]["lag_ms"] == 300
+
+    def test_analyze_series_too_short_for_a_period(self, capsys, tmp_path):
+        # 20 s in buckets of 5 s: 4 buckets, under the 8 a verdict needs.
+        trace_path = tmp_path / "short.csv"
+        assert main(
+            ["generate", "--preset", "mmorpg", "--clients", "2",
+             "--duration-ms", "20000", "--out", str(trace_path)]
+        ) == 0
+        capsys.readouterr()
+        assert main(
+            ["analyze", "--trace", str(trace_path), "--bucket-ms", "5000"]
+        ) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report["directions"]) == {"c2s", "s2c"}
+        assert report["period"] is None
 
     def test_generate_unknown_preset(self, capsys, tmp_path):
         code = main(

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from drsync import analysis, core, scenario, spec, workload
+from drsync import analysis, core, netsim, qon, scenario, spec, workload
 from drsync.cli import main
 from drsync.qon import (
     DEFAULT_WEIGHTS,
@@ -403,12 +403,163 @@ class TestCaps:
         assert err == f"error: {cap + 1} buckets of 1 ms exceed MAX_BUCKETS ({cap})\n"
 
 
+class TestHugeIntegers:
+    """An integer too large for a float, an int64 or the work a run may do
+    ends within 1 s in exit 1 with an ``error:`` line that names its field
+    or flag; the largest accepted value still runs."""
+
+    def run_fast(self, argv):
+        started = time.monotonic()
+        code, out, err = run_cli(argv)
+        assert time.monotonic() - started < 1.0
+        return code, out, err
+
+    def scenario_file(self, tmp_path, **channel) -> str:
+        data = config_to_dict(replace(comparison_scenario(), duration_ms=2000))
+        data["channel"].update(channel)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command, name, value",
+        [
+            ("simulate", "jitter_max_ms", 2**600),
+            ("simulate", "base_latency_ms", 10**400),
+            ("compare", "base_latency_ms", 10**400),
+            ("simulate", "base_latency_ms", 2**1023),
+        ],
+    )
+    def test_channel_delay_past_the_bound(self, tmp_path, command, name, value):
+        argv = [command, "--config", self.scenario_file(tmp_path, **{name: value})]
+        if command == "compare":
+            argv += ["--seeds", "1,2"]
+        code, out, err = self.run_fast(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid config\n")
+        assert f"channel.{name}: must be in [0, {netsim.MAX_DELAY_MS}], got" in err
+
+    @pytest.mark.parametrize("latency", [2**70, netsim.MAX_DELAY_MS])
+    def test_channel_delay_at_the_bound_runs(self, tmp_path, latency):
+        config = self.scenario_file(
+            tmp_path, base_latency_ms=latency, jitter_max_ms=netsim.MAX_DELAY_MS
+        )
+        code, out, err = self.run_fast(["simulate", "--config", config])
+        assert code == 0, err
+        assert not NON_FINITE.search(out), out
+        session = json.loads(out)["session_metrics"]
+        assert session["rtt_mean_ms"] >= 2.0 * latency
+        assert 0 < session["rtt_jitter_ms"] < session["rtt_mean_ms"]
+
+    def generate(self, tmp_path, edit, duration_ms=100_000):
+        data = profile_to_dict(preset("mmorpg"))
+        edit(data)
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(data))
+        out = tmp_path / "trace.csv"
+        result = self.run_fast(
+            ["generate", "--profile", str(profile), "--clients", "2",
+             "--duration-ms", str(duration_ms), "--out", str(out)]
+        )
+        return (*result, out)
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("header_bytes", lambda d: d.update(header_bytes=2**40)),
+            (
+                "payload_size_dist.tail_range[1]",
+                lambda d: d["payload_size_dist"].update(tail_range=[80, 2**70]),
+            ),
+            (
+                "payload_size_dist.body[0][0]",
+                lambda d: d["payload_size_dist"]["body"][0].__setitem__(0, 2**32),
+            ),
+        ],
+    )
+    def test_profile_size_past_the_bound(self, tmp_path, name, edit):
+        code, out, err, trace = self.generate(tmp_path, edit)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid config\n")
+        assert f"  - {name}: must be in [0, {2**32 - 1}], got" in err
+        assert not trace.exists()
+
+    def test_profile_sizes_at_the_bound_generate(self, tmp_path):
+        def edit(data):
+            data["header_bytes"] = 2**32 - 1
+            data["payload_size_dist"]["tail_range"] = [2**32 - 2, 2**32 - 1]
+            data["payload_size_dist"]["body"][0][0] = 2**32 - 1
+
+        code, _, err, trace = self.generate(tmp_path, edit)
+        assert code == 0, err
+        assert workload.read_trace_csv(str(trace)).header_bytes.max() == 2**32 - 1
+
+    def test_duration_past_int64_is_rejected_before_generating(self, tmp_path):
+        code, out, err, trace = self.generate(
+            tmp_path, lambda d: d.update(tick_period_ms=2**70), duration_ms=10**24
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: duration_ms must be in [tick_period_ms ({2**70}), 2**63), "
+            f"got {10**24}\n"
+        )
+        assert not trace.exists()
+
+    @pytest.fixture
+    def trace_path(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(generate_trace(preset("mmorpg"), 2, 20_000, seed=1), str(path))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--bucket-ms", 2**63), ("--duration-ms", 10**320)]
+    )
+    def test_analyze_window_past_int64(self, trace_path, flag, value):
+        code, out, err = self.run_fast(
+            ["analyze", "--trace", trace_path, flag, str(value)]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {flag[2:].replace('-', '_')} must be in ")
+
+    def test_analyze_bucket_at_the_bound(self, trace_path):
+        code, out, err = self.run_fast(
+            ["analyze", "--trace", trace_path, "--bucket-ms", str(2**63 - 1)]
+        )
+        assert code == 0, err
+        assert json.loads(out)["period"] is None
+
+    def test_fit_epochs_past_the_cap(self, tmp_path):
+        path = tmp_path / "sessions.csv"
+        write_sessions_csv(generate_labeled_sessions(50, 3), str(path))
+        code, out, err = self.run_fast(
+            ["fit", "--data", str(path), "--epochs", "100000000000"]
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: epochs must be in [1, MAX_EPOCHS ({qon.MAX_EPOCHS})], "
+            "got 100000000000\n"
+        )
+        code, out, err = run_cli(
+            ["fit", "--data", str(path), "--epochs", str(qon.MAX_EPOCHS)]
+        )
+        assert code == 0, err
+
+
+def test_int_upper_bound_is_reported_like_a_real_one():
+    assert spec.Int(le=5).problem(6) == "must be <= 5, got 6"
+    assert spec.Int(ge=0, le=5).problem(6) == "must be in [0, 5], got 6"
+    assert spec.Int(le=5).problem(5) is None
+
+
 # --- fuzzing every input file through the CLI ----------------------------
 
 JUNK_JSON = [
-    "x", -3, 1.7, None, [], {}, True, float("nan"), float("inf"), 1e308, -1e308
+    "x", -3, 1.7, None, [], {}, True, float("nan"), float("inf"), 1e308, -1e308,
+    2**64, 2**600, 2**1100,
 ]
-JUNK_CELLS = ["x", "-3", "1.7", "", "[]", "{}", "true", "NaN", "inf", "1e308"]
+JUNK_CELLS = [
+    "x", "-3", "1.7", "", "[]", "{}", "true", "NaN", "inf", "1e308", str(2**64)
+]
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 

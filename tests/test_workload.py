@@ -224,10 +224,16 @@ def event_ticks_by_event(period_ms, tick, duration_ms):
 def test_event_ticks_match_the_walk_over_events(tick, period_ms, n_ticks, extra):
     duration_ms = n_ticks * tick + extra % tick
     assume(duration_ms // period_ms <= 20_000)  # the walk's step count
+    # Only events send: each event tick gives the client one packet.
+    profile = steady_profile(
+        tick=tick,
+        burst=BurstModel(rate_multiplier=0.0),
+        global_event=GlobalEventModel(period_ms=period_ms, participation=1.0),
+    )
+    trace = generate_trace(profile, n_clients=1, duration_ms=duration_ms, seed=3)
+    ticks = (trace.t_ms // tick).tolist()
     by_event = event_ticks_by_event(period_ms, tick, duration_ms)
-    assert workload._event_ticks(period_ms, tick, n_ticks) == {
-        k for k in by_event if k < n_ticks
-    }
+    assert ticks == sorted(k for k in by_event if k < n_ticks)
 
 
 class TestPresets:
