@@ -25,16 +25,13 @@ import numpy as np
 
 from . import spec
 from .protocol import nearest_rank
-from .workload import Direction, Trace
+from .workload import MAX_T_MS, Direction, Trace
 
 # A flat series must clear this autocorrelation to count as periodic.
 PERIOD_STRENGTH_THRESHOLD = 0.3
 # The most buckets bucket_counts makes; detect_period takes about 1 s at the
 # cap, 8 ms at 75,000 buckets.
 MAX_BUCKETS = 2**20
-# Every t_ms is below 2**63, so no window needs to be longer, and a longer
-# one would reach numpy and float conversions as an overflow.
-_MAX_MS = 2**63
 _MIN_PERIOD_SAMPLES = 8
 # Lags per block of detect_period's FFT correlation, whose FFTs are 2 * _BLOCK
 # long: a few 128 KiB arrays at any series length.
@@ -111,7 +108,7 @@ def compute_stats(
             raise ValueError(
                 "trace has no time span; pass duration_ms explicitly"
             )
-    elif not 0 < duration_ms <= _MAX_MS:
+    elif not 0 < duration_ms <= MAX_T_MS:
         raise ValueError(f"duration_ms must be in (0, 2**63], got {duration_ms}")
 
     mask = trace.in_direction(direction)
@@ -191,13 +188,15 @@ def bucket_counts(
     duration_ms: int | None = None,
 ) -> CountSeries:
     """Aggregate a trace into per-bucket packet counts."""
-    if not 1 <= bucket_ms < _MAX_MS:
+    # Every t_ms is below MAX_T_MS, so no window needs to be longer, and a
+    # longer one would reach numpy and float conversions as an overflow.
+    if not 1 <= bucket_ms < MAX_T_MS:
         raise ValueError(f"bucket_ms must be in [1, 2**63), got {bucket_ms}")
     if duration_ms is None:
         if not len(trace):
             raise ValueError("cannot infer duration from an empty trace")
         duration_ms = int(trace.t_ms[-1]) + 1
-    elif duration_ms > _MAX_MS:
+    elif duration_ms > MAX_T_MS:
         raise ValueError(f"duration_ms must be <= 2**63, got {duration_ms}")
     n_buckets = -(-duration_ms // bucket_ms)
     if n_buckets > MAX_BUCKETS:

@@ -164,12 +164,23 @@ class ScenarioConfig:
             ]
         src = v["trajectory"]
         if isinstance(src, TrajectorySource) and src.generator is not None:
-            interval = src.generator.waypoint_interval_min_ms
-            if duration // interval >= MAX_WAYPOINTS:
+            lo = src.generator.waypoint_interval_min_ms
+            hi = src.generator.waypoint_interval_max_ms
+            if duration // lo >= MAX_WAYPOINTS:
                 return [
-                    f"duration_ms: must be < {MAX_WAYPOINTS * interval} "
+                    f"duration_ms: must be < {MAX_WAYPOINTS * lo} "
                     f"({MAX_WAYPOINTS} waypoints at the generator's "
                     f"waypoint_interval_min_ms), got {duration}"
+                ]
+            # k steps reach any time in [k * lo, k * hi], so the last step
+            # starts at duration_ms - 1 at the latest, or at k * hi for the
+            # most steps k that fit below duration_ms.
+            last = min(duration - 1, (duration - 1) // lo * hi) + hi
+            if last > MAX_TIME_MS:
+                return [
+                    "trajectory.generator.waypoint_interval_max_ms: must keep "
+                    f"the last waypoint <= {MAX_TIME_MS} (it may reach {last} "
+                    f"at this duration_ms), got {hi}"
                 ]
         return []
 

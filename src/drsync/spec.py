@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
+import itertools
 import json
 import sys
 import types
@@ -386,7 +387,9 @@ def dump(obj: Any) -> dict:
 
 
 def load_json(path: str) -> Any:
-    """The parsed JSON of a file; malformed JSON raises :class:`ConfigError`."""
+    """The parsed JSON of a file; malformed JSON, an integer longer than
+    Python converts or nesting deeper than it recurses raises
+    :class:`ConfigError`."""
     with open(path) as fh:
         try:
             return json.load(fh)
@@ -394,6 +397,8 @@ def load_json(path: str) -> Any:
             raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
         except UnicodeDecodeError as exc:
             raise ConfigError([_not_utf8(path, exc)]) from exc
+        except (ValueError, RecursionError) as exc:  # too long a number, too deep
+            raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
 
 
 def write_json(data: dict, dest: str | IO[str]) -> None:
@@ -458,28 +463,6 @@ def read_csv(
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
-def _scan_for_numpy(path: str) -> bool | None:
-    """Whether ``path`` holds a ``"``, or ``None`` if numpy's parser might
-    read one of its number cells otherwise than :func:`read_csv` and ``int``.
-
-    They differ on non-ASCII text, on ``_NUMPY_ONLY_SPACE`` and on a cell
-    longer than csv's field limit, which numpy lacks.  Every aligned window
-    of half that limit must hold a comma, so no cell without one is as long;
-    a cell with a comma is quoted, and no number.
-    """
-    window = max(1, csv.field_size_limit() // 2)
-    quoted = False
-    with open(path, newline="") as fh:  # decoded as read_csv decodes it
-        for text in iter(lambda: fh.read(8 * window), ""):
-            if not text.isascii() or any(c in text for c in _NUMPY_ONLY_SPACE):
-                return None
-            full = len(text) - len(text) % window
-            if any(text.find(",", i, i + window) < 0 for i in range(0, full, window)):
-                return None
-            quoted = quoted or '"' in text
-    return quoted
-
-
 def read_csv_blocks(
     path: str,
     header: Sequence[str],
@@ -487,7 +470,7 @@ def read_csv_blocks(
     rows: int,
     convert: Callable[[np.ndarray], T],
 ) -> list[T] | None:
-    """The data rows of a CSV file parsed by numpy, ``rows`` at a time.
+    """The data rows of a CSV file parsed by numpy, ``rows`` lines at a time.
 
     Each block, a structured array of ``dtype``, goes through ``convert``
     before the next is read, so only one block of cells is alive at a time;
@@ -495,18 +478,16 @@ def read_csv_blocks(
     they then hold each cell exactly as :func:`read_csv` does.
 
     Returns ``None`` when the file might not read as :func:`read_csv` reads
-    it: a header other than ``header`` exactly, a character or cell length
-    on which numpy and ``int`` or csv differ, or anything numpy's parser or
-    ``convert`` declines with a ``ValueError``, ``KeyError`` or warning.
-    The caller then reads the file with :func:`read_csv`, which judges it.
+    it: a header other than ``header`` exactly; a block with non-ASCII text,
+    a character of ``_NUMPY_ONLY_SPACE``, a ``"`` or a line longer than
+    csv's field limit, on which numpy and ``int`` or csv differ; or anything
+    numpy's parser or ``convert`` declines with a ``ValueError``,
+    ``KeyError`` or warning.  The caller then reads the file with
+    :func:`read_csv`, which judges it.
     """
     limit = csv.field_size_limit()
-    strings = [name for name in dtype.names if dtype[name] == object]
     out = []
     try:
-        quoted = _scan_for_numpy(path)
-        if quoted is None:
-            return None
         with open(path, newline="") as fh, warnings.catch_warnings():
             # numpy 1.23 reads an integer cell such as "1.7" through a float,
             # with a DeprecationWarning; as an error, it declines the file.
@@ -516,16 +497,19 @@ def read_csv_blocks(
             if fh.readline().rstrip("\r\n") != ",".join(header):
                 return None
             while True:
-                block = np.loadtxt(
-                    fh, dtype, delimiter=",", comments=None, quotechar='"',
-                    max_rows=rows, ndmin=1,
-                )
-                if quoted and any(
-                    len(cell) > limit for name in strings for cell in block[name]
+                lines = list(itertools.islice(fh, rows))
+                text = "".join(lines)
+                # No cell of a line within csv's field limit passes it.  A
+                # cell in quotes may span lines, which numpy parses one by one.
+                if (
+                    not text.isascii()
+                    or any(c in text for c in _NUMPY_ONLY_SPACE + '"')
+                    or any(len(line) > limit for line in lines)
                 ):
                     return None
+                block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
                 out.append(convert(block))
-                if len(block) < rows:
+                if len(lines) < rows:
                     return out
     except (ValueError, KeyError, Warning):  # a UnicodeDecodeError too
         return None

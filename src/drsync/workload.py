@@ -51,12 +51,12 @@ MAX_CLIENT_TICKS = 2_000_000
 # client's and the server's per client tick, plus one event action.  Both
 # presets at MAX_CLIENT_TICKS stay within it (mmorpg reaches it exactly).
 MAX_TRACE_PACKETS = 8_000_000
-# Rows that iterating a Trace converts to Python values at a time, and that
-# read_trace_csv parses at a time.
+# Rows that iterating a Trace converts to Python values at a time, and lines
+# that read_trace_csv parses at a time.
 _ITER_ROWS = 4096
-# The int64 columns' bounds; sizes stay below 2**32 so that the byte sum of
-# 2**31 packets fits too.
-_MAX_T_MS, _MAX_BYTES = 2**63, 2**32
+# The int64 columns' bounds: every t_ms is below MAX_T_MS, and sizes stay
+# below 2**32 so that the byte sum of 2**31 packets fits too.
+MAX_T_MS, _MAX_BYTES = 2**63, 2**32
 # A packet size in a profile: one that Trace accepts.
 _SIZE = spec.Int(ge=0, le=_MAX_BYTES - 1)
 
@@ -387,7 +387,7 @@ def generate_trace(
     if n_clients < 0:
         raise ValueError(f"n_clients must be >= 0, got {n_clients}")
     tick = profile.tick_period_ms
-    if not tick <= duration_ms < _MAX_T_MS:
+    if not tick <= duration_ms < MAX_T_MS:
         raise ValueError(
             f"duration_ms must be in [tick_period_ms ({tick}), 2**63), "
             f"got {duration_ms}"
@@ -516,7 +516,7 @@ def _codes(table: dict, cells: np.ndarray, dtype: Any) -> np.ndarray:
 def read_trace_csv(path: str) -> Trace:
     """Inverse of :func:`write_trace_csv`; the rows must be sorted by time.
 
-    numpy's parser reads the file ``_ITER_ROWS`` rows at a time, and each
+    numpy's parser reads the file ``_ITER_ROWS`` lines at a time, and each
     block becomes columns before the next is read.  A file it declines, or
     that fails a check, is read again row by row, and that reader's error
     names the row.
@@ -558,7 +558,7 @@ def _read_trace_rows(path: str) -> Trace:
         nonlocal last_t
         t, payload, header = int(row[0]), int(row[3]), int(row[4])
         sizes_ok = 0 <= payload < _MAX_BYTES and 0 <= header < _MAX_BYTES
-        if not (sizes_ok and 0 <= t < _MAX_T_MS):
+        if not (sizes_ok and 0 <= t < MAX_T_MS):
             raise ValueError(_OUT_OF_RANGE)
         if t < last_t:
             raise ValueError(

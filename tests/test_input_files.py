@@ -218,6 +218,35 @@ class TestCliDefects:
         assert out == ""
         assert err.startswith(f"error: invalid config\n  - {path}: not UTF-8 text")
 
+    @pytest.mark.parametrize("command", ["simulate", "predict", "generate"])
+    @pytest.mark.parametrize("kind", ["lists", "objects", "digits"])
+    def test_json_past_pythons_limits_is_an_error(self, tmp_path, command, kind):
+        # Nesting deeper than Python recurses, or an integer longer than it
+        # converts (4,300 digits), in the file that each command reads.
+        path = tmp_path / "input.json"
+        if command == "simulate":
+            data = config_to_dict(replace(comparison_scenario(), duration_ms=2000))
+            data["channel"]["base_latency_ms"] = "DIGITS"
+            argv = ["simulate", "--config", str(path)]
+        elif command == "predict":
+            data = {**weights_to_dict(DEFAULT_WEIGHTS), "bias": "DIGITS"}
+            metrics = tmp_path / "m.csv"
+            metrics.write_text(METRICS_CSV)
+            argv = ["predict", "--metrics", str(metrics), "--weights", str(path)]
+        else:
+            data = {**fps_profile(), "header_bytes": "DIGITS"}
+            argv = ["generate", "--profile", str(path), "--clients", "1",
+                    "--duration-ms", "1000", "--out", str(tmp_path / "t.csv")]
+        path.write_text({
+            "lists": "[" * 100_000,
+            "objects": '{"a": ' * 100_000,
+            "digits": json.dumps(data).replace('"DIGITS"', "7" * 5001),
+        }[kind])
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: invalid config\n  - {path}: not valid JSON (")
+        assert "Traceback" not in err
+
     def test_unsorted_trace_names_the_row(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(
@@ -450,6 +479,39 @@ class TestHugeIntegers:
         session = json.loads(out)["session_metrics"]
         assert session["rtt_mean_ms"] >= 2.0 * latency
         assert 0 < session["rtt_jitter_ms"] < session["rtt_mean_ms"]
+
+    def walker_file(self, tmp_path, duration_ms, intervals) -> str:
+        data = config_to_dict(comparison_scenario())
+        data["duration_ms"], data["protocol"]["tick_ms"] = duration_ms, 2**45
+        generator = data["trajectory"]["generator"]
+        generator["waypoint_interval_min_ms"] = intervals[0]
+        generator["waypoint_interval_max_ms"] = intervals[1]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_last_waypoint_past_the_time_bound(self, tmp_path):
+        config = self.walker_file(tmp_path, 2**53, [2**50, 2**51])
+        code, out, err = self.run_fast(["simulate", "--config", config])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: invalid config\n"
+            "  - trajectory.generator.waypoint_interval_max_ms: must keep the "
+            f"last waypoint <= {core.MAX_TIME_MS} (it may reach "
+            f"{2**53 - 1 + 2**51} at this duration_ms), got {2**51}\n"
+        )
+
+    def test_last_waypoint_at_the_time_bound_runs(self, tmp_path):
+        # A waypoint at 2**52, 1 ms short of duration_ms, and one at 2**53.
+        config = self.walker_file(tmp_path, 2**52 + 1, [2**52, 2**52])
+        code, _, err = self.run_fast(["simulate", "--config", config])
+        assert code == 0, err
+        gen = config_from_json(config).trajectory.generator
+        assert scenario.generate_trajectory(gen, 2**52 + 1, 1).end_ms == core.MAX_TIME_MS
+        config = self.walker_file(tmp_path, 2**52 + 1, [2**52, 2**52 + 1])
+        code, _, err = self.run_fast(["simulate", "--config", config])
+        assert code == 1
+        assert f"(it may reach {2**53 + 1} at this duration_ms)" in err
 
     def generate(self, tmp_path, edit, duration_ms=100_000):
         data = profile_to_dict(preset("mmorpg"))
@@ -736,10 +798,11 @@ TRACE_HEADER = "t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack"
 BLOCK = workload._ITER_ROWS
 # Cells that only Python's int reads, that numpy reads but int does not
 # ("\x1c7" and "\u01fe", which numpy can take for 462), or that are
-# padded, quoted or out of range.
+# padded, quoted, out of range or hold other control or number syntax.
 NUMBER_CELLS = [
     *JUNK_CELLS, "1_000", "١٢", "\u01fe", str(2**63), str(2**63 - 1), str(2**32),
     " 12", "+5", "-0", "\x0c7 ", "\x1c7", "7\x1f", '"9"', '"\n9"', "0" * 20 + "3",
+    "5\x00", "\x0b5", "0x5", "5#",
 ]
 # One cell past csv's field limit, which numpy's parser does not have.
 LONG_CELLS = ["0" * 2**17 + "7", '"' + "a," * 2**16 + 'a"']
@@ -750,7 +813,12 @@ STRING_CELLS = {
     2: [*JUNK_CELLS, " c2s", "c2s ", '"s2c"', "C2S", "c2s\x00"],
     5: [*JUNK_CELLS, " false", "false ", '"true"', "True"],
 }
-LINE_ENDS = ["\r\n", "\r", "\n\n", "\n\r\n", "\n \n", "\n\t\n", ",\n"]
+# Line ends that csv and numpy take for one, and characters that
+# str.splitlines would take for one but the file's line reader does not.
+LINE_ENDS = [
+    "\r\n", "\r", "\n\n", "\n\r\n", "\n \n", "\n\t\n", ",\n",
+    "\x0b", "\x0c", "\x1c", "\x85",
+]
 
 
 def trace_text(rows: int, edits) -> str:
@@ -825,6 +893,8 @@ def read_outcome(read, path):
 @example(case=(3, [(2, 4, "\x1c7")]))
 @example(case=(2, [(1, 3, LONG_CELLS[0])]))
 @example(case=(2, [(2, 1, LONG_CELLS[1])]))
+@example(case=(BLOCK + 1, [(BLOCK + 1, 3, "5\x00")]))
+@example(case=(3, [(1, None, "\x0c")]))
 @given(case=trace_files())
 def test_block_reader_reads_a_trace_as_the_row_reader(tmp_path_factory, case):
     # The fast reader must give the row reader's trace or its error text.
@@ -837,15 +907,45 @@ def test_block_reader_reads_a_trace_as_the_row_reader(tmp_path_factory, case):
 def test_block_reader_reads_a_plain_trace_without_the_row_reader(
     tmp_path, monkeypatch
 ):
-    # Quoted names and CRLF line ends stay on numpy's path.
-    edits = [(1, 1, '"a,b"'), (2, None, "\r\n"), (BLOCK + 1, 1, '"x""y"')]
-    path = tmp_path / "trace.csv"
-    path.write_text(trace_text(2 * BLOCK + 1, edits), newline="")
-    expected = read_outcome(workload._read_trace_rows, path)
+    # CRLF line ends, and the traces that generate writes, stay on numpy's
+    # path across more than two blocks, which reads each file once.
+    paths = [tmp_path / "crlf.csv"]
+    paths[0].write_text(
+        trace_text(2 * BLOCK + 1, []).replace("\n", "\r\n"), newline=""
+    )
+    for name in ("mmorpg", "fps"):
+        paths.append(tmp_path / f"{name}.csv")
+        write_trace_csv(generate_trace(preset(name), 4, 90_000, seed=1), str(paths[-1]))
+    expected = [read_outcome(workload._read_trace_rows, path) for path in paths]
+    assert all(len(columns[0][1]) > 2 * BLOCK for columns, _ in expected)
 
     def no_rows(path):
         raise AssertionError("the row reader ran")
 
+    opened = []
+
+    def logged_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
     monkeypatch.setattr(workload, "_read_trace_rows", no_rows)
+    monkeypatch.setattr(spec, "open", logged_open, raising=False)
+    assert [read_outcome(workload.read_trace_csv, path) for path in paths] == expected
+    assert opened == [str(path) for path in paths]
+
+
+def test_block_reader_leaves_quoted_names_to_the_row_reader(tmp_path, monkeypatch):
+    edits = [(1, 1, '"a,b"'), (2, None, "\r\n"), (BLOCK + 1, 1, '"x""y"')]
+    path = tmp_path / "trace.csv"
+    path.write_text(trace_text(2 * BLOCK + 1, edits), newline="")
+    expected = read_outcome(workload._read_trace_rows, path)
+    assert expected[1] == ("a,b", "c1", "c2", "c0", 'x"y')
+    read_rows, calls = workload._read_trace_rows, []
+
+    def spy(path):
+        calls.append(path)
+        return read_rows(path)
+
+    monkeypatch.setattr(workload, "_read_trace_rows", spy)
     assert read_outcome(workload.read_trace_csv, path) == expected
-    assert expected[1] == ("a,b", "c1", "c2", "c0", "x\"y")
+    assert calls == [str(path)]
