@@ -108,8 +108,8 @@ def compute_stats(
             raise ValueError(
                 "trace has no time span; pass duration_ms explicitly"
             )
-    elif not 0 < duration_ms <= MAX_T_MS:
-        raise ValueError(f"duration_ms must be in (0, 2**63], got {duration_ms}")
+    else:
+        _check_duration(duration_ms)
 
     mask = trace.in_direction(direction)
     sizes = trace.payload_bytes[mask] + trace.header_bytes[mask]
@@ -132,6 +132,12 @@ def compute_stats(
         n_clients=len(trace.conn_ids),
         size_counts=Counter(dict(zip(values.tolist(), counts.tolist()))),
     )
+
+
+def _check_duration(duration_ms: int) -> None:
+    """Reject an explicit observation window outside ``(0, MAX_T_MS]``."""
+    if not 0 < duration_ms <= MAX_T_MS:
+        raise ValueError(f"duration_ms must be in (0, 2**63], got {duration_ms}")
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,7 @@ class CountSeries(NamedTuple):
     """Packet counts per fixed-width time bucket; :func:`bucket_counts` makes it."""
 
     bucket_ms: int
-    counts: tuple[float, ...]
+    counts: np.ndarray  # read-only float64, one entry per bucket
 
 
 def bucket_counts(
@@ -196,8 +202,8 @@ def bucket_counts(
         if not len(trace):
             raise ValueError("cannot infer duration from an empty trace")
         duration_ms = int(trace.t_ms[-1]) + 1
-    elif duration_ms > MAX_T_MS:
-        raise ValueError(f"duration_ms must be <= 2**63, got {duration_ms}")
+    else:
+        _check_duration(duration_ms)
     n_buckets = -(-duration_ms // bucket_ms)
     if n_buckets > MAX_BUCKETS:
         raise ValueError(
@@ -208,7 +214,9 @@ def bucket_counts(
         times = times[trace.in_direction(direction)]
     buckets = times // bucket_ms
     counts = np.bincount(buckets[buckets < n_buckets], minlength=n_buckets)
-    return CountSeries(bucket_ms=bucket_ms, counts=tuple(counts.astype(float).tolist()))
+    counts = counts.astype(float)
+    counts.flags.writeable = False
+    return CountSeries(bucket_ms=bucket_ms, counts=counts)
 
 
 def autocorr(series: CountSeries | Sequence[float], lag: int) -> float:

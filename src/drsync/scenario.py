@@ -242,10 +242,11 @@ def _resolve_channel(cfg: ScenarioConfig) -> ChannelConfig:
 class RunResult:
     """Everything a simulation run produced, plus the JSON-ready summary.
 
-    ``timings`` maps each stage of the run (``trajectory``, ``sample``,
-    ``sender``, ``transport``, ``receiver``, ``export_error``, ``summary``)
-    to its wall-clock seconds.  It is the one field that differs between
-    reruns, and no output file holds it.
+    ``timings`` maps each stage the run ran to its wall-clock seconds:
+    ``trajectory``, ``sample``, ``sender``, ``transport``, ``receiver``,
+    ``export_error`` and ``summary``, or only the last four when the run was
+    handed shared stages.  It is the one field that differs between reruns,
+    and no output file holds it.
     """
 
     config: ScenarioConfig  # its ``mode`` is the transport that ran
@@ -270,13 +271,10 @@ class _SharedStages(NamedTuple):
     first: FirstAttempts
 
 
-_SHARED_STAGES = ("trajectory", "sample", "sender")
-
-
 def _shared_stages(
     cfg: ScenarioConfig, lap: Callable[[str], None]
 ) -> _SharedStages:
-    """Build the mode-free stages, calling ``lap`` after each of ``_SHARED_STAGES``.
+    """Build the mode-free stages, calling ``lap`` after trajectory, sample and sender.
 
     The channel's first-attempt draws come after the last lap, so a run that
     builds these stages itself counts them in its ``transport`` time.
@@ -308,8 +306,9 @@ def run_simulation(
     ``mode`` overrides ``cfg.mode`` (used by :func:`run_compare` to run both
     transports over one config); the config's own check judges it.
     ``_shared`` holds stages already built from ``cfg`` under any mode; the
-    run then spends almost no time in them, and raises ``ValueError`` if
-    they were built from a config that differs in more than the mode.
+    run then skips them and leaves them out of its ``timings``, and raises
+    ``ValueError`` if they were built from a config that differs in more
+    than the mode.
 
     The stages work on arrays over the whole tick grid.  They give the same
     sends, events and report as a loop over the scalar stage functions
@@ -331,9 +330,6 @@ def run_simulation(
         _shared = _shared_stages(cfg, lap)
     elif replace(_shared.config, mode=cfg.mode) != cfg:
         raise ValueError("shared stages were built from another config")
-    else:
-        for stage in _SHARED_STAGES:
-            lap(stage)
     _, ticks, positions, sent, velocities, sends, chan, first = _shared
     if cfg.mode == MODE_RELIABLE:
         events = reliable_run(chan, ReliableOrdered(rto_ms=cfg.rto_ms), sends, first)

@@ -393,11 +393,11 @@ def load_json(path: str) -> Any:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:  # a ValueError, so it comes first
             raise ConfigError([_not_utf8(path, exc)]) from exc
-        except (ValueError, RecursionError) as exc:  # too long a number, too deep
+        # Malformed JSON and too long a number raise ValueError; too deep
+        # nesting raises RecursionError.
+        except (ValueError, RecursionError) as exc:
             raise ConfigError([f"{path}: not valid JSON ({exc})"]) from exc
 
 

@@ -23,6 +23,9 @@ from drsync.analysis import (
 from drsync.workload import Direction, Trace, TraceRecord, generate_trace, preset
 
 
+WINDOW_ERROR = r"^duration_ms must be in \(0, 2\*\*63\], got {}$"
+
+
 def rec(t, conn="c0000", direction=Direction.CLIENT_TO_SERVER, payload=20,
         header=40, ack=False):
     return TraceRecord(
@@ -116,8 +119,9 @@ class TestComputeStats:
             for r in rows:
                 counts[r.t_ms // 100] += 1
             series = bucket_counts(trace, 100, direction=direction, duration_ms=20_000)
-            assert series.counts == tuple(counts)
-            assert all(type(c) is float for c in series.counts)
+            assert series.counts.tolist() == counts
+            assert series.counts.dtype == np.float64
+            assert not series.counts.flags.writeable
 
             times = [r.t_ms for r in rows if r.conn_id == "c0001"]
             gaps = [b - a for a, b in zip(times, times[1:])]
@@ -140,6 +144,24 @@ class TestComputeStats:
         hist = stats.size_histogram(bucket_bytes=8)
         # Wire sizes are 40, 47, 48, 64: [40,48) holds two, then one each.
         assert hist == [(40, 48, 2), (48, 56, 1), (64, 72, 1)]
+        with pytest.raises(ValueError, match=r"^bucket_bytes must be >= 1, got 0$"):
+            stats.size_histogram(0)
+
+    def test_packets_without_bytes_are_refused(self):
+        trace = Trace([rec(0, payload=0, header=0)])
+        with pytest.raises(
+            ValueError, match="^trace packets in direction c2s carry no bytes$"
+        ):
+            compute_stats(trace, "c2s", duration_ms=10)
+
+    @pytest.mark.parametrize("duration_ms", [0, -5, -500, 2**63 + 1])
+    def test_window_out_of_range(self, duration_ms):
+        with pytest.raises(ValueError, match=WINDOW_ERROR.format(duration_ms)):
+            compute_stats(Trace([rec(0)]), "c2s", duration_ms=duration_ms)
+
+    def test_window_at_the_limit(self):
+        stats = compute_stats(Trace([rec(0)]), "c2s", duration_ms=2**63)
+        assert stats.duration_ms == 2**63
 
     def test_histogram_csv(self, tmp_path):
         stats = compute_stats(Trace([rec(0, payload=0), rec(1, payload=8)]), "c2s",
@@ -185,6 +207,15 @@ class TestBucketCounts:
             bucket_counts(Trace([rec(0)]), bucket_ms=0, duration_ms=100)
         with pytest.raises(ValueError):
             bucket_counts(Trace([]), bucket_ms=100)
+
+    @pytest.mark.parametrize("duration_ms", [0, -5, -500, 2**63 + 1])
+    def test_window_out_of_range(self, duration_ms):
+        with pytest.raises(ValueError, match=WINDOW_ERROR.format(duration_ms)):
+            bucket_counts(Trace([rec(0)]), bucket_ms=100, duration_ms=duration_ms)
+
+    def test_window_at_the_limit(self):
+        series = bucket_counts(Trace([rec(0)]), bucket_ms=2**62, duration_ms=2**63)
+        assert series.counts.tolist() == [1.0, 0.0]
 
 
 class TestAutocorr:
@@ -351,6 +382,14 @@ def test_exact_tie_goes_to_the_smallest_lag():
     tied = [lag for lag, value in enumerate(r, start=1) if value == 1 / 3]
     assert len(tied) == 3 and max(r) == 1 / 3
     assert detect_period(x) == PeriodEstimate(lag_buckets=tied[0], strength=1 / 3)
+
+
+def test_best_value_at_the_threshold_is_no_period():
+    # The FFT estimate clears the threshold within its tolerance; the exact
+    # best value, 0.3 at lag 1, does not.
+    x = [3, 3, 1, 0, 1, 3, 2, 3]
+    assert max(autocorr(x, lag) for lag in range(1, 5)) == PERIOD_STRENGTH_THRESHOLD
+    assert detect_period(x) is None and scan_period(x) is None
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from drsync.core import (
     ZERO,
     deviation,
     extrapolate,
+    sample_positions,
     sample_trajectory,
 )
 from drsync.protocol import compute_export_error
@@ -131,6 +133,14 @@ class TestTrajectoryScript:
             sample_trajectory(script, 99)
         with pytest.raises(ValueError):
             sample_trajectory(script, 201)
+
+    def test_sampling_ticks_past_the_script(self):
+        script = TrajectoryScript([(0, ZERO), (100, vec(1, 0, 0))])
+        ticks = np.array([0, 200], dtype=np.int64)
+        with pytest.raises(
+            ValueError, match=r"^ticks \[0, 200\] outside trajectory range \[0, 100\]$"
+        ):
+            sample_positions(script, ticks)
 
     @given(t=st.integers(min_value=0, max_value=3000))
     @settings(derandomize=True, max_examples=50)

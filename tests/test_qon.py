@@ -140,6 +140,16 @@ class TestFitting:
         data = generate_labeled_sessions(50, seed=1)
         assert log_loss(ZERO_W, data) == pytest.approx(math.log(2), abs=1e-12)
 
+    def test_empty_dataset_is_refused(self):
+        with pytest.raises(
+            ValueError, match="^cannot evaluate log-loss on an empty dataset$"
+        ):
+            log_loss(ZERO_W, [])
+        with pytest.raises(
+            ValueError, match="^cannot evaluate gradient on an empty dataset$"
+        ):
+            log_loss_gradient(ZERO_W, [])
+
     def test_gradient_at_zero_hand_value(self):
         m = metrics(rtt=250.0, jitter=40.0, loss=0.2)
         grad = log_loss_gradient(ZERO_W, [(m, True)])
@@ -219,6 +229,10 @@ class TestSessionGeneration:
         assert a == b
         quit_fraction = sum(quit for _, quit in a) / len(a)
         assert 0.3 <= quit_fraction <= 0.7
+
+    def test_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            generate_labeled_sessions(-1, 1)
 
     def test_elapsed_reflects_quit_minute(self):
         for m, quit in generate_labeled_sessions(300, seed=5):

@@ -75,6 +75,17 @@ class TestPayloadSizeDist:
         tail_fraction = sum(v != 10 for v in draws) / len(draws)
         assert 0.17 <= tail_fraction <= 0.23
 
+    def test_draw_past_the_rounded_sum_takes_the_last_size(self):
+        # The probabilities sum to 1.0 exactly, but adding them in order ends
+        # at 0.9999999999999999, below the largest draw random() can return.
+        dist = PayloadSizeDist(body=tuple((size, 0.1) for size in range(1, 11)))
+
+        class LargestDraw:
+            def random(self):
+                return 1 - 2**-53
+
+        assert dist.sample(LargestDraw()) == 10
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             BurstModel(p_enter=1.5)
