@@ -23,12 +23,13 @@ are :class:`TraceRecord` tuples, built only when a caller asks for them.
 
 from __future__ import annotations
 
+import array
 import enum
 import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from itertools import starmap
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -43,9 +44,9 @@ from .spec import INVALID
 # profile above it is rejected: generation time grows with the rate.
 MAX_PACKETS_PER_TICK = 1000
 # The most client ticks (clients times ticks) one trace may have.  For the
-# mmorpg preset at 1/16 and 1/4 of this cap (424,076 and 1,693,098 rows),
-# ``generate`` peaked at 90 and 270 MiB and ``analyze`` at 61 and 146 MiB;
-# at the cap that is about 1 GiB and 0.5 GiB (extrapolated, not measured).
+# mmorpg preset at 1/16 and 1/4 of this cap (424,170 and 1,692,563 rows),
+# ``generate`` peaked at 60 and 146 MiB and ``analyze`` at 64 and 156 MiB;
+# at the cap that is about 0.5 GiB each (extrapolated, not measured).
 MAX_CLIENT_TICKS = 2_000_000
 # The most data packets one trace may have at its profile's peak rates: the
 # client's and the server's per client tick, plus one event action.  Both
@@ -197,69 +198,41 @@ class Trace:
 
     ``t_ms``, ``payload_bytes`` and ``header_bytes`` are int64 arrays,
     ``is_ack`` a bool array, ``direction`` an index into ``tuple(Direction)``
-    and ``conn`` an index into ``conn_ids``, the connection names in order
-    of first appearance.  It is built from ``(t_ms, conn_id, direction,
-    payload_bytes, header_bytes, is_ack)`` rows in time order, or from its
-    columns by :meth:`from_columns`; both check the same ranges and order.
-    ``len``, indexing and iteration give rows back as :class:`TraceRecord`
-    tuples.
+    and ``conn`` an index into ``conn_ids``, the connection names.  It is
+    built from these columns only, which must be 1-D, of one length, in
+    range and in time order.  ``len``, indexing and iteration give rows
+    back as :class:`TraceRecord` tuples.
     """
 
-    def __init__(self, rows: Sequence[tuple]) -> None:
-        def column(field: int, dtype: Any, convert: Any = None) -> np.ndarray:
-            cells = map(itemgetter(field), rows)
-            if convert is not None:
-                cells = map(convert, cells)
-            return np.fromiter(cells, dtype, len(rows))
-
-        try:
-            t, payload, header = (column(k, np.int64) for k in (0, 3, 4))
-        except OverflowError:
-            raise ValueError(_OUT_OF_RANGE) from None
-        ids: dict[str, int] = {}
-        conn = column(1, np.int64, lambda c: ids.setdefault(c, len(ids)))
-        direction = column(2, np.int8, _DIRECTIONS.index)
-        self._set_columns(
-            t, conn, tuple(ids), direction, payload, header, column(5, bool)
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
-        t_ms: Any,
-        conn: Any,
-        conn_ids: Sequence[str],
-        direction: Any,
-        payload_bytes: Any,
-        header_bytes: Any,
-        is_ack: Any,
-    ) -> Trace:
-        """A trace of the columns described above, with the range and time
-        order checks of ``Trace(rows)``."""
-        trace = cls.__new__(cls)
-        trace._set_columns(
-            t_ms, conn, conn_ids, direction, payload_bytes, header_bytes, is_ack
-        )
-        return trace
-
-    def _set_columns(
-        self, t, conn, conn_ids, direction, payload, header, is_ack
+    def __init__(
+        self, t_ms, conn, conn_ids, direction, payload_bytes, header_bytes, is_ack
     ) -> None:
-        t, conn, payload, header = (
-            np.asarray(c, np.int64) for c in (t, conn, payload, header)
-        )
+        try:
+            t, conn, payload, header = (
+                np.asarray(c, np.int64)
+                for c in (t_ms, conn, payload_bytes, header_bytes)
+            )
+        except OverflowError:  # a Python int past int64
+            raise ValueError(_OUT_OF_RANGE) from None
+        direction, is_ack = np.asarray(direction), np.asarray(is_ack, bool)
+        columns = (conn, direction, payload, header, is_ack)
+        if t.ndim != 1 or any(c.shape != t.shape for c in columns):
+            raise ValueError("the columns must be 1-D and all one length")
         if len(t) and (
             min(t.min(), payload.min(), header.min()) < 0
             or max(payload.max(), header.max()) >= _MAX_BYTES
         ):
             raise ValueError(_OUT_OF_RANGE)
+        if len(t) and (conn.min() < 0 or conn.max() >= len(conn_ids)):
+            raise ValueError("conn codes must be in [0, len(conn_ids))")
+        if not ((direction == 0) | (direction == 1)).all():
+            raise ValueError("direction codes must be 0 or 1")
         back = np.flatnonzero(t[1:] < t[:-1])
         if back.size:
             raise ValueError(f"rows must be in time order; row {back[0] + 1} goes back")
         self.t_ms, self.payload_bytes, self.header_bytes = t, payload, header
         self.conn, self.conn_ids = conn, tuple(conn_ids)
-        self.direction = np.asarray(direction, np.int8)
-        self.is_ack = np.asarray(is_ack, bool)
+        self.direction, self.is_ack = direction.astype(np.int8), is_ack
 
     def in_direction(self, direction: Direction | str) -> np.ndarray:
         """Bool mask of the rows sent in ``direction``."""
@@ -273,10 +246,14 @@ class Trace:
         return row
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        flags = (False, True)
+        return starmap(TraceRecord, self._rows(_DIRECTIONS, (False, True)))
+
+    def _rows(self, directions: Sequence[Any], flags: Any) -> Iterator[tuple]:
+        """The rows as :meth:`_columns` spells them, ``_ITER_ROWS`` converted
+        at a time."""
         for start in range(0, len(self), _ITER_ROWS):
-            chunk = self._columns(_DIRECTIONS, flags, slice(start, start + _ITER_ROWS))
-            yield from map(TraceRecord, *chunk)
+            rows = slice(start, start + _ITER_ROWS)
+            yield from zip(*self._columns(directions, flags, rows))
 
     def _columns(
         self, directions: Sequence[Any], flags: Any, rows: Any = slice(None)
@@ -408,9 +385,13 @@ def generate_trace(
     period = event.period_ms if event.participation > 0 else 0  # 0: no events
     epoch_ticks = max(1, profile.server_epoch_ms // tick)
 
-    rows: list[tuple] = []
+    # The t_ms, direction code, payload and is_ack of every packet, client
+    # by client in generation order, as int64, int8, int64 and int8 arrays
+    # that numpy reads in place (18 bytes a packet, no Python object), and
+    # where each client's packets end.
+    columns = tuple(map(array.array, "qbqb"))
+    ends = []
     for idx in range(n_clients):
-        conn_id = f"c{idx:04d}"
         client_rng = substream(seed, TAG_CLIENT, idx)
         server_rng = substream(seed, TAG_SERVER, idx)
         event_rng = substream(seed, TAG_EVENTS, idx)
@@ -434,8 +415,7 @@ def generate_trace(
             ):
                 n_client += 1  # flash crowd: one forced action even when idle
             client_data = _emit(
-                rows, profile, t, conn_id, _CLIENT_SIDE, client_rng, n_client,
-                client_data,
+                columns, profile, t, _CLIENT_SIDE, client_rng, n_client, client_data
             )
 
             if k % epoch_ticks == 0:
@@ -444,25 +424,36 @@ def generate_trace(
                 server_rng, server_on, profile.burst, nearby
             )
             server_data = _emit(
-                rows, profile, t, conn_id, _SERVER_SIDE, server_rng, n_server,
-                server_data,
+                columns, profile, t, _SERVER_SIDE, server_rng, n_server, server_data
             )
+        ends.append(len(columns[0]))
 
-    rows.sort(key=itemgetter(0))  # stable: generation order breaks ties
-    return Trace(rows)
+    t, direction, payload, is_ack = map(np.asarray, columns)
+    order = np.argsort(t, kind="stable")  # generation order breaks ties
+    client = np.repeat(np.arange(n_clients), np.diff([0, *ends]))[order]
+    # Connections are numbered in order of first appearance, so a client
+    # that sends nothing has no name.
+    named = client[np.sort(np.unique(client, return_index=True)[1])]
+    conn = np.empty(n_clients, np.int64)
+    conn[named] = np.arange(len(named))
+    header = np.full(len(t), profile.header_bytes, np.int64)
+    return Trace(
+        t[order], conn[client], [f"c{idx:04d}" for idx in named.tolist()],
+        direction[order], payload[order], header, is_ack[order],
+    )
 
 
-# The (data, ack) directions of each side of a connection.
-_CLIENT_SIDE = (Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT)
-_SERVER_SIDE = (Direction.SERVER_TO_CLIENT, Direction.CLIENT_TO_SERVER)
+# The (data, ack) direction codes, indices into tuple(Direction), of each
+# side of a connection.
+_CLIENT_SIDE = (0, 1)
+_SERVER_SIDE = (1, 0)
 
 
 def _emit(
-    rows: list[tuple],
+    columns: tuple[array.array, ...],
     profile: WorkloadProfile,
     t: TimeMs,
-    conn_id: str,
-    side: tuple[Direction, Direction],
+    side: tuple[int, int],
     rng: random.Random,
     n_data: int,
     sent: int,
@@ -473,14 +464,19 @@ def _emit(
     one is acknowledged by a header-only packet in the other direction.
     Returns the new count.
     """
+    times, directions, payloads, acks = columns
     data_dir, ack_dir = side
-    header = profile.header_bytes
     for _ in range(n_data):
-        payload = profile.payload_size_dist.sample(rng)
-        rows.append((t, conn_id, data_dir, payload, header, False))
+        times.append(t)
+        directions.append(data_dir)
+        payloads.append(profile.payload_size_dist.sample(rng))
+        acks.append(False)
         sent += 1
         if sent % profile.ack_every_n == 0:
-            rows.append((t, conn_id, ack_dir, 0, header, True))
+            times.append(t)
+            directions.append(ack_dir)
+            payloads.append(0)
+            acks.append(True)
     return sent
 
 
@@ -492,8 +488,7 @@ _TRACE_FIELDS = (
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Write ``t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack``."""
     directions = [d.value for d in _DIRECTIONS]
-    rows = zip(*trace._columns(directions, spec.FLAG_TEXT))
-    spec.write_csv(path, _TRACE_FIELDS, rows)
+    spec.write_csv(path, _TRACE_FIELDS, trace._rows(directions, spec.FLAG_TEXT))
 
 
 # A trace CSV row as numpy parses it.  The string cells stay Python strings,
@@ -544,7 +539,7 @@ def read_trace_csv(path: str) -> Trace:
     if blocks is not None:
         t, conn, direction, payload, header, is_ack = map(np.concatenate, zip(*blocks))
         try:
-            return Trace.from_columns(t, conn, ids, direction, payload, header, is_ack)
+            return Trace(t, conn, ids, direction, payload, header, is_ack)
         except ValueError:
             pass
     return _read_trace_rows(path)
@@ -552,7 +547,7 @@ def read_trace_csv(path: str) -> Trace:
 
 def _read_trace_rows(path: str) -> Trace:
     """:func:`read_trace_csv` through :func:`spec.read_csv`, one row at a time."""
-    last_t, names = 0, {}
+    last_t, ids = 0, {}
 
     def record(row: list[str]) -> tuple:
         nonlocal last_t
@@ -566,12 +561,13 @@ def _read_trace_rows(path: str) -> Trace:
                 "a trace must be sorted by time"
             )
         last_t = t
-        direction, is_ack = Direction(row[2]), spec.flag(row[5])
-        # One string per connection, not per row, while all rows are held.
-        conn_id = names.setdefault(row[1], row[1])
-        return t, conn_id, direction, payload, header, is_ack
+        direction = _DIRECTIONS.index(Direction(row[2]))
+        is_ack = spec.flag(row[5])
+        return t, ids.setdefault(row[1], len(ids)), direction, payload, header, is_ack
 
-    return Trace(spec.read_csv(path, {_TRACE_FIELDS: record}))
+    rows = spec.read_csv(path, {_TRACE_FIELDS: record})
+    t, conn, direction, payload, header, is_ack = zip(*rows) if rows else [()] * 6
+    return Trace(t, conn, ids, direction, payload, header, is_ack)
 
 
 def profile_to_dict(profile: WorkloadProfile) -> dict:

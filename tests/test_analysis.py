@@ -34,6 +34,16 @@ def rec(t, conn="c0000", direction=Direction.CLIENT_TO_SERVER, payload=20,
     )
 
 
+def trace_of(rows):
+    """A Trace of ``(t_ms, conn_id, direction, payload_bytes, header_bytes,
+    is_ack)`` rows, its connections numbered in order of first appearance."""
+    ids = {}
+    conn = [ids.setdefault(row[1], len(ids)) for row in rows]
+    direction = [list(Direction).index(row[2]) for row in rows]
+    t, _, _, payload, header, is_ack = zip(*rows) if rows else [()] * 6
+    return Trace(t, conn, ids, direction, payload, header, is_ack)
+
+
 def brute_autocorr(xs, lag):
     """Straight-from-the-definition reference, no vectorization."""
     n = len(xs)
@@ -45,7 +55,7 @@ def brute_autocorr(xs, lag):
 
 class TestComputeStats:
     def test_hand_example(self):
-        trace = Trace([rec(0, payload=20), rec(1000, payload=2, ack=True)])
+        trace = trace_of([rec(0, payload=20), rec(1000, payload=2, ack=True)])
         stats = compute_stats(trace, Direction.CLIENT_TO_SERVER)
         assert stats.packets == 2
         assert stats.total_bytes == 102
@@ -58,13 +68,13 @@ class TestComputeStats:
         assert stats.mean_client_bandwidth_bps == 102 * 8 / 1.0
 
     def test_direction_accepts_string(self):
-        trace = Trace([rec(0), rec(500)])
+        trace = trace_of([rec(0), rec(500)])
         by_enum = compute_stats(trace, Direction.CLIENT_TO_SERVER)
         by_str = compute_stats(trace, "c2s")
         assert by_enum == by_str
 
     def test_fraction_below_is_strict(self):
-        trace = Trace([rec(0, payload=20), rec(100, payload=2)])  # wire sizes 60, 42
+        trace = trace_of([rec(0, payload=20), rec(100, payload=2)])  # wire sizes 60, 42
         stats = compute_stats(trace, "c2s", duration_ms=1000)
         assert stats.fraction_below(71) == 1.0
         assert stats.fraction_below(60) == 0.5  # 60 is not below 60
@@ -73,18 +83,18 @@ class TestComputeStats:
 
     def test_explicit_duration_required_for_zero_span(self):
         with pytest.raises(ValueError):
-            compute_stats(Trace([rec(0)]), "c2s")
-        stats = compute_stats(Trace([rec(0)]), "c2s", duration_ms=1000)
+            compute_stats(trace_of([rec(0)]), "c2s")
+        stats = compute_stats(trace_of([rec(0)]), "c2s", duration_ms=1000)
         assert stats.mean_client_bandwidth_bps == 60 * 8
 
     def test_empty_and_missing_direction(self):
         with pytest.raises(ValueError):
-            compute_stats(Trace([]), "c2s")
+            compute_stats(trace_of([]), "c2s")
         with pytest.raises(ValueError):
-            compute_stats(Trace([rec(0)]), "s2c", duration_ms=100)
+            compute_stats(trace_of([rec(0)]), "s2c", duration_ms=100)
 
     def test_bandwidth_divides_across_clients(self):
-        trace = Trace([rec(0, conn="c0000"), rec(1000, conn="c0001")])
+        trace = trace_of([rec(0, conn="c0000"), rec(1000, conn="c0001")])
         stats = compute_stats(trace, "c2s")
         # 120 bytes over 1 s shared by 2 clients.
         assert stats.mean_client_bandwidth_bps == 120 * 8 / 2
@@ -92,7 +102,7 @@ class TestComputeStats:
     def test_n_clients_counts_connections_in_either_direction(self):
         # c0001 only receives; it still counts as a client of the c2s side.
         receiver = rec(1000, conn="c0001", direction=Direction.SERVER_TO_CLIENT)
-        trace = Trace([rec(0), receiver])
+        trace = trace_of([rec(0), receiver])
         stats = compute_stats(trace, "c2s")
         assert stats.packets == 1
         assert stats.n_clients == 2
@@ -138,8 +148,8 @@ class TestComputeStats:
             }
 
     def test_size_histogram_buckets(self):
-        trace = Trace([rec(0, payload=0), rec(1, payload=7), rec(2, payload=8),
-                       rec(3, payload=24)])
+        trace = trace_of([rec(0, payload=0), rec(1, payload=7), rec(2, payload=8),
+                          rec(3, payload=24)])
         stats = compute_stats(trace, "c2s", duration_ms=10)
         hist = stats.size_histogram(bucket_bytes=8)
         # Wire sizes are 40, 47, 48, 64: [40,48) holds two, then one each.
@@ -148,7 +158,7 @@ class TestComputeStats:
             stats.size_histogram(0)
 
     def test_packets_without_bytes_are_refused(self):
-        trace = Trace([rec(0, payload=0, header=0)])
+        trace = trace_of([rec(0, payload=0, header=0)])
         with pytest.raises(
             ValueError, match="^trace packets in direction c2s carry no bytes$"
         ):
@@ -157,15 +167,15 @@ class TestComputeStats:
     @pytest.mark.parametrize("duration_ms", [0, -5, -500, 2**63 + 1])
     def test_window_out_of_range(self, duration_ms):
         with pytest.raises(ValueError, match=WINDOW_ERROR.format(duration_ms)):
-            compute_stats(Trace([rec(0)]), "c2s", duration_ms=duration_ms)
+            compute_stats(trace_of([rec(0)]), "c2s", duration_ms=duration_ms)
 
     def test_window_at_the_limit(self):
-        stats = compute_stats(Trace([rec(0)]), "c2s", duration_ms=2**63)
+        stats = compute_stats(trace_of([rec(0)]), "c2s", duration_ms=2**63)
         assert stats.duration_ms == 2**63
 
     def test_histogram_csv(self, tmp_path):
-        stats = compute_stats(Trace([rec(0, payload=0), rec(1, payload=8)]), "c2s",
-                              duration_ms=10)
+        trace = trace_of([rec(0, payload=0), rec(1, payload=8)])
+        stats = compute_stats(trace, "c2s", duration_ms=10)
         path = tmp_path / "hist.csv"
         write_histogram_csv(stats, str(path))
         assert path.read_text() == "bucket_low,bucket_high,count\n40,48,1\n48,56,1\n"
@@ -173,7 +183,7 @@ class TestComputeStats:
 
 class TestInterarrival:
     def test_hand_example(self):
-        trace = Trace([rec(0), rec(100), rec(300)])
+        trace = trace_of([rec(0), rec(100), rec(300)])
         stats = interarrival_stats(trace, "c0000", "c2s")
         assert stats.samples == 2
         assert stats.mean_ms == 150.0
@@ -182,39 +192,39 @@ class TestInterarrival:
 
     def test_needs_two_packets(self):
         with pytest.raises(ValueError):
-            interarrival_stats(Trace([rec(0)]), "c0000", "c2s")
+            interarrival_stats(trace_of([rec(0)]), "c0000", "c2s")
 
     def test_filters_by_connection(self):
-        trace = Trace([rec(0), rec(40, conn="c0001"), rec(100)])
+        trace = trace_of([rec(0), rec(40, conn="c0001"), rec(100)])
         stats = interarrival_stats(trace, "c0000", "c2s")
         assert stats.mean_ms == 100.0
 
 
 class TestBucketCounts:
     def test_hand_example(self):
-        trace = Trace([rec(0), rec(50), rec(150)])
+        trace = trace_of([rec(0), rec(50), rec(150)])
         series = bucket_counts(trace, bucket_ms=100, duration_ms=300)
         assert series.bucket_ms == 100
         assert list(series.counts) == [2, 1, 0]
 
     def test_direction_filter(self):
-        trace = Trace([rec(0), rec(0, direction=Direction.SERVER_TO_CLIENT)])
+        trace = trace_of([rec(0), rec(0, direction=Direction.SERVER_TO_CLIENT)])
         series = bucket_counts(trace, bucket_ms=50, direction="s2c", duration_ms=50)
         assert list(series.counts) == [1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bucket_counts(Trace([rec(0)]), bucket_ms=0, duration_ms=100)
+            bucket_counts(trace_of([rec(0)]), bucket_ms=0, duration_ms=100)
         with pytest.raises(ValueError):
-            bucket_counts(Trace([]), bucket_ms=100)
+            bucket_counts(trace_of([]), bucket_ms=100)
 
     @pytest.mark.parametrize("duration_ms", [0, -5, -500, 2**63 + 1])
     def test_window_out_of_range(self, duration_ms):
         with pytest.raises(ValueError, match=WINDOW_ERROR.format(duration_ms)):
-            bucket_counts(Trace([rec(0)]), bucket_ms=100, duration_ms=duration_ms)
+            bucket_counts(trace_of([rec(0)]), bucket_ms=100, duration_ms=duration_ms)
 
     def test_window_at_the_limit(self):
-        series = bucket_counts(Trace([rec(0)]), bucket_ms=2**62, duration_ms=2**63)
+        series = bucket_counts(trace_of([rec(0)]), bucket_ms=2**62, duration_ms=2**63)
         assert series.counts.tolist() == [1.0, 0.0]
 
 

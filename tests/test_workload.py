@@ -1,10 +1,12 @@
 import random
+from operator import itemgetter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drsync import workload
+from drsync.rng import TAG_CLIENT, TAG_EVENTS, TAG_SERVER, substream
 from drsync.workload import (
     BurstModel,
     Direction,
@@ -12,6 +14,7 @@ from drsync.workload import (
     PayloadSizeDist,
     Trace,
     WorkloadProfile,
+    _tick_sends,
     generate_trace,
     preset,
     preset_names,
@@ -24,6 +27,7 @@ from drsync.workload import (
     write_trace_csv,
 )
 
+C2S, S2C = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
 NO_ACKS = 10**9  # first ack would need a billion packets
 
 
@@ -35,6 +39,16 @@ def steady_profile(tick=100, ack_every_n=NO_ACKS, **kw) -> WorkloadProfile:
         ack_every_n=ack_every_n,
         **kw,
     )
+
+
+def trace_from_rows(rows):
+    """A Trace of ``(t_ms, conn_id, direction, payload_bytes, header_bytes,
+    is_ack)`` rows, its connections numbered in order of first appearance."""
+    ids = {}
+    conn = [ids.setdefault(row[1], len(ids)) for row in rows]
+    direction = [list(Direction).index(row[2]) for row in rows]
+    t, _, _, payload, header, is_ack = zip(*rows) if rows else [()] * 6
+    return Trace(t, conn, ids, direction, payload, header, is_ack)
 
 
 def packets(trace, direction=None, is_ack=None, t_ms=None):
@@ -247,6 +261,132 @@ def test_event_ticks_match_the_walk_over_events(tick, period_ms, n_ticks, extra)
     assert ticks == sorted(k for k in by_event if k < n_ticks)
 
 
+def generate_rows(profile, n_clients, duration_ms, seed):
+    """The generator as it was before it appended columns, kept as the
+    reference: one row tuple per packet, sorted by time at the end."""
+    tick, event = profile.tick_period_ms, profile.global_event
+    period = event.period_ms if event.participation > 0 else 0
+    epoch_ticks = max(1, profile.server_epoch_ms // tick)
+    rows = []
+
+    def emit(t, conn_id, data_dir, ack_dir, rng, n_data, sent):
+        for _ in range(n_data):
+            payload = profile.payload_size_dist.sample(rng)
+            rows.append((t, conn_id, data_dir, payload, profile.header_bytes, False))
+            sent += 1
+            if sent % profile.ack_every_n == 0:
+                rows.append((t, conn_id, ack_dir, 0, profile.header_bytes, True))
+        return sent
+
+    for idx in range(n_clients):
+        conn_id = f"c{idx:04d}"
+        client_rng = substream(seed, TAG_CLIENT, idx)
+        server_rng = substream(seed, TAG_SERVER, idx)
+        event_rng = substream(seed, TAG_EVENTS, idx)
+        client_on = server_on = True
+        nearby, client_data, server_data = 1.0, 0, 0
+        for k in range(duration_ms // tick):
+            t = k * tick
+            n_client, client_on = _tick_sends(client_rng, client_on, profile.burst, 1.0)
+            if (
+                period and k
+                and t // period > (t - tick) // period
+                and event_rng.random() < event.participation
+            ):
+                n_client += 1
+            client_data = emit(t, conn_id, C2S, S2C, client_rng, n_client, client_data)
+            if k % epoch_ticks == 0:
+                nearby = server_rng.uniform(*profile.server_scale_range)
+            n_server, server_on = _tick_sends(
+                server_rng, server_on, profile.burst, nearby
+            )
+            server_data = emit(t, conn_id, S2C, C2S, server_rng, n_server, server_data)
+    rows.sort(key=itemgetter(0))  # stable: generation order breaks ties
+    return rows
+
+
+@st.composite
+def profiles(draw):
+    """Small profiles: payload 0 data packets, acks on every packet, event
+    periods on and off the tick grid, and clients that send little or nothing."""
+    tick = draw(st.integers(1, 200))
+    sizes = draw(st.lists(st.integers(0, 300), min_size=1, max_size=4))
+    tail_prob = draw(st.sampled_from([0.0, 0.25]))
+    low = draw(st.integers(0, 500))
+    scale_low = draw(st.floats(0, 2))
+    return WorkloadProfile(
+        tick_period_ms=tick,
+        payload_size_dist=PayloadSizeDist(
+            body=tuple((size, (1 - tail_prob) / len(sizes)) for size in sizes),
+            tail_prob=tail_prob,
+            tail_range=(low, low + draw(st.integers(0, 500))),
+        ),
+        burst=BurstModel(
+            p_enter=draw(st.sampled_from([0.0, 0.05, 0.5, 1.0])),
+            p_exit=draw(st.sampled_from([0.0, 0.3, 1.0])),
+            rate_multiplier=draw(st.floats(0, 3)),
+        ),
+        header_bytes=draw(st.integers(0, 100)),
+        ack_every_n=draw(st.integers(1, 4)),
+        global_event=GlobalEventModel(
+            period_ms=draw(st.one_of(
+                st.just(0), st.integers(1, 10).map(lambda m: m * tick),
+                st.integers(1, 1000),
+            )),
+            participation=draw(st.floats(0, 1)),
+        ),
+        server_scale_range=(scale_low, scale_low + draw(st.floats(0, 2))),
+        server_epoch_ms=draw(st.integers(1, 2000)),
+    )
+
+
+def sparse_profile(rate):
+    """Clients that often fall silent (``rate`` 0: they send only on events)."""
+    return WorkloadProfile(
+        tick_period_ms=100,
+        payload_size_dist=PayloadSizeDist(body=((0, 0.5), (5, 0.5))),
+        burst=BurstModel(p_enter=0.05, p_exit=0.5, rate_multiplier=rate),
+        ack_every_n=1,
+        global_event=GlobalEventModel(period_ms=250, participation=0.3),
+    )
+
+
+TRACE_COLUMNS = ("t_ms", "conn", "direction", "payload_bytes", "header_bytes", "is_ack")
+EXAMPLES = {
+    "silent at first": (sparse_profile(0.3), 6, 20, 0, 2),
+    "never sends": (sparse_profile(0.0), 6, 10, 0, 1),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    profile=st.one_of(st.sampled_from([preset("mmorpg"), preset("fps")]), profiles()),
+    n_clients=st.integers(0, 7),
+    n_ticks=st.integers(1, 60),
+    extra=st.integers(0, 10**6),
+    seed=st.integers(0, 2**64),
+)
+@example(*EXAMPLES["silent at first"])
+@example(*EXAMPLES["never sends"])
+def test_columns_match_the_row_generator(profile, n_clients, n_ticks, extra, seed):
+    duration_ms = n_ticks * profile.tick_period_ms + extra % profile.tick_period_ms
+    trace = generate_trace(profile, n_clients, duration_ms, seed)
+    rows = trace_from_rows(generate_rows(profile, n_clients, duration_ms, seed))
+    assert trace.conn_ids == rows.conn_ids
+    for name in TRACE_COLUMNS:
+        got, want = getattr(trace, name), getattr(rows, name)
+        assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+
+
+def test_the_examples_reach_their_cases():
+    late, silent = (
+        generate_trace(profile, n_clients, n_ticks * profile.tick_period_ms, seed)
+        for profile, n_clients, n_ticks, _, seed in EXAMPLES.values()
+    )
+    assert late.conn_ids[0] != "c0000"
+    assert 0 < len(silent.conn_ids) < 6
+
+
 class TestPresets:
     def test_names(self):
         assert preset_names() == ["fps", "mmorpg"]
@@ -319,14 +459,23 @@ class TestTraceCsv:
 
 class TestTrace:
     ROWS = [
-        (0, "b", Direction.CLIENT_TO_SERVER, 12, 40, False),
-        (0, "a", Direction.SERVER_TO_CLIENT, 0, 40, True),
-        (100, "b", Direction.SERVER_TO_CLIENT, 200, 28, False),
-        (250, "a", Direction.CLIENT_TO_SERVER, 7, 40, False),
+        (0, "b", C2S, 12, 40, False),
+        (0, "a", S2C, 0, 40, True),
+        (100, "b", S2C, 200, 28, False),
+        (250, "a", C2S, 7, 40, False),
     ]
+    COLUMNS = dict(
+        t_ms=[0, 0, 100],
+        conn=[0, 1, 0],
+        conn_ids=("b", "a"),
+        direction=[0, 1, 1],
+        payload_bytes=[12, 0, 200],
+        header_bytes=[40, 40, 28],
+        is_ack=[False, True, False],
+    )
 
     def test_rows_come_back_as_built(self):
-        trace = Trace(self.ROWS)
+        trace = trace_from_rows(self.ROWS)
         assert len(trace) == 4
         assert list(trace) == self.ROWS
         assert [trace[i] for i in range(4)] == self.ROWS
@@ -335,13 +484,17 @@ class TestTrace:
         assert trace.conn_ids == ("b", "a")
         for row in (trace[0], *trace):
             assert [type(v) for v in row] == [int, str, Direction, int, int, bool]
+        assert list(Trace(**self.COLUMNS)) == self.ROWS[:3]
 
-    def test_iteration_converts_one_chunk_at_a_time(self, monkeypatch):
-        # A scan that stops at the first row must not convert the whole trace.
+    @staticmethod
+    def long_trace():
         chunk = workload._ITER_ROWS
-        rows = [(t, "c0", Direction.CLIENT_TO_SERVER, t % 7, 40, t % 3 == 0)
-                for t in range(2 * chunk + 1)]
-        trace = Trace(rows)
+        rows = [(t, "c0", C2S, t % 7, 40, t % 3 == 0) for t in range(2 * chunk + 1)]
+        return rows, trace_from_rows(rows)
+
+    @staticmethod
+    def spy_on_columns(monkeypatch):
+        """The number of rows each call of ``Trace._columns`` converts."""
         converted = []
         columns = Trace._columns
 
@@ -350,14 +503,31 @@ class TestTrace:
             return columns(self, directions, flags, rows)
 
         monkeypatch.setattr(Trace, "_columns", spy)
-        assert any(rec.direction is Direction.CLIENT_TO_SERVER for rec in trace)
+        return converted
+
+    def test_iteration_converts_one_chunk_at_a_time(self, monkeypatch):
+        # A scan that stops at the first row must not convert the whole trace.
+        chunk = workload._ITER_ROWS
+        rows, trace = self.long_trace()
+        converted = self.spy_on_columns(monkeypatch)
+        assert any(rec.direction is C2S for rec in trace)
         assert converted == [chunk]
         assert list(trace) == rows
         assert converted[1:] == [chunk, chunk, 1]
 
+    def test_writing_converts_one_chunk_at_a_time(self, monkeypatch, tmp_path):
+        chunk = workload._ITER_ROWS
+        rows, trace = self.long_trace()
+        converted = self.spy_on_columns(monkeypatch)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        assert converted == [chunk, chunk, 1]
+        monkeypatch.undo()
+        assert list(read_trace_csv(str(path))) == rows
+
     def test_rows_must_be_in_time_order(self):
         with pytest.raises(ValueError, match="row 3 goes back"):
-            Trace([*self.ROWS[:3], self.ROWS[0]])
+            trace_from_rows([*self.ROWS[:3], self.ROWS[0]])
 
     @pytest.mark.parametrize(
         "field, value", [(0, -1), (0, 2**63), (3, -1), (3, 2**32), (4, 2**32)]
@@ -366,4 +536,24 @@ class TestTrace:
         row = list(self.ROWS[0])
         row[field] = value
         with pytest.raises(ValueError, match="payload_bytes and header_bytes in"):
-            Trace([tuple(row)])
+            trace_from_rows([tuple(row)])
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            (dict(is_ack=[False, True]), "1-D and all one length"),
+            (dict(payload_bytes=[12, 0, 200, 5]), "1-D and all one length"),
+            (dict(t_ms=[[0, 0, 100]]), "1-D and all one length"),
+            (dict(t_ms=0, conn=0, direction=0, payload_bytes=0, header_bytes=0,
+                  is_ack=False), "1-D and all one length"),
+            (dict(conn=[0, 5, 0], conn_ids=("b",)), r"conn codes must be in"),
+            (dict(conn=[0, -1, 0]), r"conn codes must be in"),
+            (dict(conn_ids=()), r"conn codes must be in"),
+            (dict(direction=[0, 7, 1]), "direction codes must be 0 or 1"),
+            (dict(direction=[0, 256, 1]), "direction codes must be 0 or 1"),
+            (dict(direction=[0, -1, 1]), "direction codes must be 0 or 1"),
+        ],
+    )
+    def test_columns_that_do_not_fit_are_rejected(self, change, error):
+        with pytest.raises(ValueError, match=error):
+            Trace(**{**self.COLUMNS, **change})
