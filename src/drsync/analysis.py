@@ -329,6 +329,5 @@ def write_histogram_csv(
     stats: TraceStats, path: str, bucket_bytes: int = 8
 ) -> None:
     """Write the wire-size histogram as ``bucket_low,bucket_high,count``."""
-    spec.write_csv(
-        path, ("bucket_low", "bucket_high", "count"), stats.size_histogram(bucket_bytes)
-    )
+    columns = spec.transpose(stats.size_histogram(bucket_bytes), 3)
+    spec.write_csv(path, ("bucket_low", "bucket_high", "count"), columns)

@@ -20,6 +20,7 @@ from .analysis import bucket_counts, compute_stats, detect_period
 from .qon import (
     DECISION_THRESHOLD,
     DEFAULT_WEIGHTS,
+    Action,
     assess,
     fit_weights,
     read_metrics_csv,
@@ -181,10 +182,17 @@ def _cmd_predict(args) -> int:
             )
         except ValueError as exc:
             raise ValueError(f"{args.metrics} data row {n}: {exc}") from None
+    actions = list(Action)
     spec.write_csv(
         sys.stdout if args.out is None else args.out,
         ("risk_score", "premature_flag", "action"),
-        ((r.score, spec.FLAG_TEXT[r.premature_flag], r.action.value) for r in results),
+        [
+            [r.score for r in results],
+            spec.flags([r.premature_flag for r in results]),
+            spec.Table(
+                [actions.index(r.action) for r in results], [a.value for a in actions]
+            ),
+        ],
     )
     return 0
 

@@ -251,12 +251,9 @@ def write_delivery_csv(events: list[DeliveryEvent], path: str) -> None:
 
     Absent times serialize as empty fields; booleans as ``true``/``false``.
     """
-    flag = spec.FLAG_TEXT
-    rows = (
-        (e.seq, e.send_ms, e.arrive_ms, e.deliver_ms, flag[e.late], e.retransmissions)
-        for e in events
-    )
-    spec.write_csv(path, _EVENT_FIELDS, rows)
+    seq, send, arrive, deliver, late, retrans = spec.transpose(events, 6)
+    columns = [seq, send, arrive, deliver, spec.flags(late), retrans]
+    spec.write_csv(path, _EVENT_FIELDS, columns)
 
 
 def read_delivery_csv(path: str) -> list[DeliveryEvent]:

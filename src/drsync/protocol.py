@@ -290,6 +290,6 @@ def export_error_report(
 
 def write_export_error_csv(report: ExportErrorReport, path: str) -> None:
     """Write the error series as ``t_ms,entity_id,error`` (empty error = warm-up)."""
-    entity = report.entity_id
-    rows = ((t, entity, err) for t, err in report.series)
-    spec.write_csv(path, ("t_ms", "entity_id", "error"), rows)
+    t_ms, errors = spec.transpose(report.series, 2)
+    entity = spec.Table(np.zeros(len(t_ms), np.intp), [report.entity_id])
+    spec.write_csv(path, ("t_ms", "entity_id", "error"), [t_ms, entity, errors])

@@ -302,12 +302,9 @@ _SESSION_FIELDS = (*_METRICS_FIELDS, "quit_premature")
 
 def write_sessions_csv(sessions: list[LabeledSession], path: str) -> None:
     """Write ``rtt_mean_ms,rtt_jitter_ms,loss_rate,elapsed_min,quit_premature``."""
-    flag = spec.FLAG_TEXT
-    rows = (
-        (m.rtt_mean_ms, m.rtt_jitter_ms, m.loss_rate, m.elapsed_min, flag[quit_early])
-        for m, quit_early in sessions
-    )
-    spec.write_csv(path, _SESSION_FIELDS, rows)
+    metrics, quit_early = spec.transpose(sessions, 2)
+    columns = spec.transpose(metrics, len(_METRICS_FIELDS))
+    spec.write_csv(path, _SESSION_FIELDS, [*columns, spec.flags(quit_early)])
 
 
 def _metrics(row: list[str]) -> SessionMetrics:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -544,7 +544,8 @@ def compare_payload(rows: list[CompareRow]) -> dict:
 
 def _write_compare_outputs(rows: list[CompareRow], out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    spec.write_csv(str(out / "comparison.csv"), _COMPARE_FIELDS, map(astuple, rows))
+    columns = [[getattr(row, name) for row in rows] for name in _COMPARE_FIELDS]
+    spec.write_csv(str(out / "comparison.csv"), _COMPARE_FIELDS, columns)
     spec.write_json(compare_payload(rows), str(out / "comparison.json"))
 
 

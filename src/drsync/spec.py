@@ -14,7 +14,9 @@ CSV readers share :func:`read_csv` and the cell converters ``int``,
 its cells.  :func:`read_csv_blocks` is a faster path through numpy's parser
 for files that :func:`read_csv` would read the same way; a reader falls back
 to :func:`read_csv` whenever it declines.  Every CSV output goes through
-:func:`write_csv`.
+:func:`write_csv`, which takes columns, not rows, and formats a block of
+rows at a time; a string column is a :class:`Table` of codes into a few
+texts, each quoted once by ``csv.writer``.
 """
 
 from __future__ import annotations
@@ -28,12 +30,15 @@ import sys
 import types
 import warnings
 from collections.abc import Callable, Iterable, Sequence
-from typing import IO, Any, TypeVar
+from typing import IO, Any, NamedTuple, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 _MISSING = dataclasses.MISSING
+# Rows that write_csv formats at a time; the trace reader parses, and a
+# Trace converts, as many at a time.
+_ITER_ROWS = 4096
 
 
 class ConfigError(ValueError):
@@ -412,9 +417,10 @@ def write_json(data: dict, dest: str | IO[str]) -> None:
     dest.write("\n")
 
 
-# The cells a flag may hold, matched exactly, and how a flag is written.
+# The cells a flag may hold, matched exactly, and how a flag is written:
+# its index into FLAG_TEXTS.
 FLAGS = {"true": True, "false": False}
-FLAG_TEXT = {value: text for text, value in FLAGS.items()}
+FLAG_TEXTS = ("false", "true")
 
 
 def flag(cell: str) -> bool:
@@ -457,10 +463,12 @@ def read_csv(
     return out
 
 
-# numpy's integer parser strips these control characters around a number as
-# whitespace, where ``int`` rejects them in an ASCII cell.  It also reads
-# some non-ASCII letters as digits (``"\u01fe"`` as 462 with glibc).
-_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# Characters on which numpy's parser and the row reader differ.  numpy's
+# integer parser strips the last four around a number as whitespace, where
+# ``int`` rejects them in an ASCII cell; it also reads some non-ASCII
+# letters as digits (``"\u01fe"`` as 462 with glibc).  A fixed-width string
+# field drops trailing NULs.  csv reads a ``"`` as a quote.
+_DECLINED = '"\x00\x1c\x1d\x1e\x1f'
 
 
 def read_csv_blocks(
@@ -468,25 +476,23 @@ def read_csv_blocks(
     header: Sequence[str],
     dtype: np.dtype,
     rows: int,
-    convert: Callable[[np.ndarray], T],
-) -> list[T] | None:
-    """The data rows of a CSV file parsed by numpy, ``rows`` lines at a time.
+    take: Callable[[np.ndarray], None],
+) -> bool:
+    """Parse the data rows of a CSV file with numpy, ``rows`` lines at a time.
 
-    Each block, a structured array of ``dtype``, goes through ``convert``
-    before the next is read, so only one block of cells is alive at a time;
-    the results come back in order.  Give string fields the ``object`` type:
-    they then hold each cell exactly as :func:`read_csv` does.
+    Each block, a structured array of ``dtype``, goes to ``take`` before the
+    next is read, so only one block of cells is alive at a time.  A string
+    field of the ``object`` type holds each cell exactly as :func:`read_csv`
+    does; one of a fixed width ``U<n>`` holds its first ``n`` characters.
 
-    Returns ``None`` when the file might not read as :func:`read_csv` reads
-    it: a header other than ``header`` exactly; a block with non-ASCII text,
-    a character of ``_NUMPY_ONLY_SPACE``, a ``"`` or a line longer than
-    csv's field limit, on which numpy and ``int`` or csv differ; or anything
-    numpy's parser or ``convert`` declines with a ``ValueError``,
-    ``KeyError`` or warning.  The caller then reads the file with
-    :func:`read_csv`, which judges it.
+    Returns whether the whole file was read.  It is not when the file might
+    not read as :func:`read_csv` reads it: a header other than ``header``
+    exactly; a block with non-ASCII text, a character of ``_DECLINED`` or
+    a line longer than csv's field limit; or anything numpy's parser or
+    ``take`` declines with a ``ValueError``, ``KeyError`` or warning.  The
+    caller then reads the file with :func:`read_csv`, which judges it.
     """
     limit = csv.field_size_limit()
-    out = []
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
             # numpy 1.23 reads an integer cell such as "1.7" through a float,
@@ -495,39 +501,118 @@ def read_csv_blocks(
             # Blank lines and the end of the input; read_csv skips both too.
             warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
             if fh.readline().rstrip("\r\n") != ",".join(header):
-                return None
+                return False
             while True:
                 lines = list(itertools.islice(fh, rows))
                 text = "".join(lines)
-                # No cell of a line within csv's field limit passes it.  A
-                # cell in quotes may span lines, which numpy parses one by one.
+                # No cell of a line within csv's field limit passes it, and
+                # no line is longer than the block.  A cell in quotes may
+                # span lines, which numpy parses one by one.
                 if (
                     not text.isascii()
-                    or any(c in text for c in _NUMPY_ONLY_SPACE + '"')
-                    or any(len(line) > limit for line in lines)
+                    or any(c in text for c in _DECLINED)
+                    or len(text) > limit and max(map(len, lines)) > limit
                 ):
-                    return None
-                block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
-                out.append(convert(block))
+                    return False
+                take(np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1))
                 if len(lines) < rows:
-                    return out
+                    return True
     except (ValueError, KeyError, Warning):  # a UnicodeDecodeError too
-        return None
+        return False
+
+
+class Table(NamedTuple):
+    """A column of strings from a small set, for :func:`write_csv`: each
+    row's index into ``texts``, as ints or bools."""
+
+    codes: Sequence[Any] | np.ndarray
+    texts: Sequence[str]
+
+
+def flags(values: Sequence[bool] | np.ndarray) -> Table:
+    """A column of flags, written ``true`` or ``false``."""
+    return Table(values, FLAG_TEXTS)
+
+
+def transpose(rows: Sequence[Sequence[Any]], width: int) -> list[tuple]:
+    """The ``width`` columns of ``rows``, each a tuple."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+class _Lines(list):
+    """A list that a ``csv.writer`` writes its lines into."""
+
+    write = list.append
+
+
+def _table_cells(texts: Sequence[str], end: str) -> np.ndarray:
+    """Each text as ``csv.writer`` writes it among other cells, then ``end``.
+
+    A trailing empty cell keeps a lone ``""`` from being quoted.
+    """
+    lines = _Lines()
+    csv.writer(lines, lineterminator="\n").writerows((text, "") for text in texts)
+    return np.array([line[:-2] + end for line in lines], object)  # less ",\n"
+
+
+def _cells(column: Any, end: str, rows: slice) -> Sequence[str]:
+    """The texts of ``rows`` of one column, each followed by ``end``; a
+    :class:`Table`'s texts have been through :func:`_table_cells`."""
+    if isinstance(column, Table):
+        return column.texts[np.asarray(column.codes[rows], np.intp)]
+    block = column[rows]
+    if isinstance(block, np.ndarray) and block.dtype.kind in "iu":
+        # Each distinct int is formatted once.
+        values, inverse = np.unique(block, return_inverse=True)
+        return np.array([str(v) + end for v in values.tolist()], object)[inverse]
+    # Floats are formatted one by one, never by value: -0.0 == 0.0.  As in
+    # csv.writer, a value is its str, which for a float is its repr.
+    if isinstance(block, np.ndarray):
+        block = block.tolist()
+    return [("" if v is None else str(v)) + end for v in block]
+
+
+def _format_block(columns: Sequence[tuple[Any, str]], start: int, stop: int) -> str:
+    """Rows ``start`` to ``stop`` of each ``(column, end)`` as CSV lines."""
+    grid = np.empty((stop - start, len(columns)), object)
+    rows = slice(start, stop)
+    for j, (column, end) in enumerate(columns):
+        grid[:, j] = _cells(column, end, rows)
+    if len(columns) == 1:
+        # csv.writer quotes a lone empty cell, so that its line is not blank.
+        grid[grid[:, 0] == "\n", 0] = '""\n'
+    return "".join(grid.ravel().tolist())
 
 
 def write_csv(
-    dest: str | IO[str], header: Sequence[str], rows: Iterable[Sequence[Any]]
+    dest: str | IO[str], header: Sequence[str], columns: Sequence[Any]
 ) -> None:
-    """Write a header and rows to a path or an open text file.
+    """Write a header and columns of one length to a path or an open text
+    file, the same bytes as ``csv.writer(dest, lineterminator="\\n")``
+    writes for the rows.
 
-    ``None`` is written as an empty cell and a float as its ``repr``, so
-    :func:`read_csv` reads back the same values; flags are written through
-    :data:`FLAG_TEXT`.  Lines end in ``\\n``.
+    A column is a :class:`Table` of strings (flags are the table
+    :func:`flags`), a numpy array of numbers, or a sequence of numbers and
+    ``None``.  ``None`` is written as an empty cell and a number as its
+    ``str``, which for a float is its ``repr``, so :func:`read_csv` reads
+    back the same values.  Each block of ``_ITER_ROWS`` rows is formatted
+    column by column, each cell with the ``,`` or line end after it, and
+    written as one string.  An array's distinct ints are formatted once per
+    block, and a table's texts once per file, by ``csv.writer`` itself.
     """
+    lengths = {len(c.codes) if isinstance(c, Table) else len(c) for c in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"the columns must be of one length, got {sorted(lengths)}")
     if not hasattr(dest, "write"):
         with open(dest, "w", newline="") as fh:
-            write_csv(fh, header, rows)
+            write_csv(fh, header, columns)
         return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(dest, lineterminator="\n").writerow(header)
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    columns = [
+        (Table(c.codes, _table_cells(c.texts, end)) if isinstance(c, Table) else c, end)
+        for c, end in zip(columns, ends)
+    ]
+    n = lengths.pop() if lengths else 0
+    for start in range(0, n, _ITER_ROWS):
+        dest.write(_format_block(columns, start, min(start + _ITER_ROWS, n)))

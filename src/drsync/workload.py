@@ -29,15 +29,14 @@ import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
-from itertools import starmap
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import spec
 from .core import TimeMs
 from .rng import TAG_CLIENT, TAG_EVENTS, TAG_SERVER, substream
-from .spec import INVALID
+from .spec import _ITER_ROWS, INVALID
 
 
 # The most data packets one side of a connection may send in one tick.  A
@@ -45,16 +44,13 @@ from .spec import INVALID
 MAX_PACKETS_PER_TICK = 1000
 # The most client ticks (clients times ticks) one trace may have.  For the
 # mmorpg preset at 1/16 and 1/4 of this cap (424,170 and 1,692,563 rows),
-# ``generate`` peaked at 60 and 146 MiB and ``analyze`` at 64 and 156 MiB;
+# ``generate`` peaked at 60 and 146 MiB and ``analyze`` at 54 and 125 MiB;
 # at the cap that is about 0.5 GiB each (extrapolated, not measured).
 MAX_CLIENT_TICKS = 2_000_000
 # The most data packets one trace may have at its profile's peak rates: the
 # client's and the server's per client tick, plus one event action.  Both
 # presets at MAX_CLIENT_TICKS stay within it (mmorpg reaches it exactly).
 MAX_TRACE_PACKETS = 8_000_000
-# Rows that iterating a Trace converts to Python values at a time, and lines
-# that read_trace_csv parses at a time.
-_ITER_ROWS = 4096
 # The int64 columns' bounds: every t_ms is below MAX_T_MS, and sizes stay
 # below 2**32 so that the byte sum of 2**31 packets fits too.
 MAX_T_MS, _MAX_BYTES = 2**63, 2**32
@@ -242,31 +238,23 @@ class Trace:
         return len(self.t_ms)
 
     def __getitem__(self, i: int) -> TraceRecord:
-        (row,) = map(TraceRecord, *self._columns(_DIRECTIONS, (False, True), [i]))
+        (row,) = map(TraceRecord, *self._columns([i]))
         return row
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return starmap(TraceRecord, self._rows(_DIRECTIONS, (False, True)))
-
-    def _rows(self, directions: Sequence[Any], flags: Any) -> Iterator[tuple]:
-        """The rows as :meth:`_columns` spells them, ``_ITER_ROWS`` converted
-        at a time."""
         for start in range(0, len(self), _ITER_ROWS):
             rows = slice(start, start + _ITER_ROWS)
-            yield from zip(*self._columns(directions, flags, rows))
+            yield from map(TraceRecord, *self._columns(rows))
 
-    def _columns(
-        self, directions: Sequence[Any], flags: Any, rows: Any = slice(None)
-    ) -> list[Iterable]:
-        """The fields of ``rows`` as plain Python values, the direction index
-        and the ack flag spelt by indexing ``directions`` and ``flags``."""
+    def _columns(self, rows: slice | list[int]) -> list[Iterable]:
+        """The fields of ``rows`` as the Python values of a :class:`TraceRecord`."""
         return [
             self.t_ms[rows].tolist(),
             map(self.conn_ids.__getitem__, self.conn[rows].tolist()),
-            map(directions.__getitem__, self.direction[rows].tolist()),
+            map(_DIRECTIONS.__getitem__, self.direction[rows].tolist()),
             self.payload_bytes[rows].tolist(),
             self.header_bytes[rows].tolist(),
-            map(flags.__getitem__, self.is_ack[rows].tolist()),
+            self.is_ack[rows].tolist(),
         ]
 
 
@@ -483,61 +471,100 @@ def _emit(
 _TRACE_FIELDS = (
     "t_ms", "conn_id", "direction", "payload_bytes", "header_bytes", "is_ack"
 )
+_DIRECTION_TEXTS = tuple(d.value for d in _DIRECTIONS)
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
     """Write ``t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack``."""
-    directions = [d.value for d in _DIRECTIONS]
-    spec.write_csv(path, _TRACE_FIELDS, trace._rows(directions, spec.FLAG_TEXT))
+    columns = [
+        trace.t_ms,
+        spec.Table(trace.conn, trace.conn_ids),
+        spec.Table(trace.direction, _DIRECTION_TEXTS),
+        trace.payload_bytes,
+        trace.header_bytes,
+        spec.flags(trace.is_ack),
+    ]
+    spec.write_csv(path, _TRACE_FIELDS, columns)
 
 
-# A trace CSV row as numpy parses it.  The string cells stay Python strings,
-# so the exact-match tables below judge them as the row reader does.
+# A trace CSV row as numpy parses it.  A connection name stays a Python
+# string, exactly as the row reader reads it.  A direction or flag cell is
+# read one character wider than its longest valid text, so that a longer
+# cell, cut to that width, matches no valid text either.
 _TRACE_DTYPE = np.dtype(
     [
-        (name, object if name in ("conn_id", "direction", "is_ack") else np.int64)
-        for name in _TRACE_FIELDS
+        ("t_ms", np.int64),
+        ("conn_id", object),
+        ("direction", f"U{max(map(len, _DIRECTION_TEXTS)) + 1}"),
+        ("payload_bytes", np.int64),
+        ("header_bytes", np.int64),
+        ("is_ack", f"U{max(map(len, spec.FLAG_TEXTS)) + 1}"),
     ]
 )
-_DIRECTION_CODES = {d.value: i for i, d in enumerate(_DIRECTIONS)}
 
 
-def _codes(table: dict, cells: np.ndarray, dtype: Any) -> np.ndarray:
-    """``table[cell]`` for each cell; a cell not in it raises ``KeyError``."""
-    cells = cells.tolist()
-    return np.fromiter(map(table.__getitem__, cells), dtype, len(cells))
+def _code(cells: np.ndarray, texts: tuple[str, str]) -> np.ndarray:
+    """Whether each cell reads ``texts[1]``; a cell that reads neither text
+    raises ``ValueError``."""
+    code = cells == texts[1]
+    if not (code | (cells == texts[0])).all():
+        raise ValueError(f"a cell is not one of {texts}")
+    return code
+
+
+class _Columns:
+    """Columns that grow by doubling as blocks of rows are added to them."""
+
+    def __init__(self, dtypes: Sequence[np.dtype]) -> None:
+        self.arrays = [np.empty(0, dtype) for dtype in dtypes]
+        self.rows = 0
+
+    def add(self, *blocks: np.ndarray) -> None:
+        start, stop = self.rows, self.rows + len(blocks[0])
+        for i, (array, block) in enumerate(zip(self.arrays, blocks)):
+            if stop > len(array):
+                # One column at a time, so that only one is ever held twice.
+                grown = np.empty(max(stop, 2 * len(array)), array.dtype)
+                grown[:start] = array[:start]
+                self.arrays[i] = array = grown
+            array[start:stop] = block
+        self.rows = stop
+
+    def finished(self) -> list[np.ndarray]:
+        """The columns, as views of the rows added."""
+        return [array[: self.rows] for array in self.arrays]
 
 
 def read_trace_csv(path: str) -> Trace:
     """Inverse of :func:`write_trace_csv`; the rows must be sorted by time.
 
     numpy's parser reads the file ``_ITER_ROWS`` lines at a time, and each
-    block becomes columns before the next is read.  A file it declines, or
-    that fails a check, is read again row by row, and that reader's error
-    names the row.
+    block is added to the final columns before the next is read.  A file it
+    declines, or that fails a check, is read again row by row, and that
+    reader's error names the row.
     """
     ids: dict[str, int] = {}
+    columns = _Columns([np.int64, np.int64, np.int8, np.int64, np.int64, bool])
 
-    def columns(block: np.ndarray) -> tuple[np.ndarray, ...]:
+    def take(block: np.ndarray) -> None:
+        names = block["conn_id"].tolist()
         try:
-            conn = _codes(ids, block["conn_id"], np.int64)
+            conn = np.fromiter(map(ids.__getitem__, names), np.int64, len(names))
         except KeyError:  # a connection first seen in this block
-            for name in block["conn_id"].tolist():
-                ids.setdefault(name, len(ids))
-            conn = _codes(ids, block["conn_id"], np.int64)
-        # Copies, not views, so that the block and its strings can go.
-        return (
-            block["t_ms"].copy(),
+            conn = np.fromiter(
+                (ids.setdefault(name, len(ids)) for name in names), np.int64, len(names)
+            )
+        columns.add(
+            block["t_ms"],
             conn,
-            _codes(_DIRECTION_CODES, block["direction"], np.int8),
-            block["payload_bytes"].copy(),
-            block["header_bytes"].copy(),
-            _codes(spec.FLAGS, block["is_ack"], bool),
+            _code(block["direction"], _DIRECTION_TEXTS),
+            block["payload_bytes"],
+            block["header_bytes"],
+            _code(block["is_ack"], spec.FLAG_TEXTS),
         )
 
-    blocks = spec.read_csv_blocks(path, _TRACE_FIELDS, _TRACE_DTYPE, _ITER_ROWS, columns)
-    if blocks is not None:
-        t, conn, direction, payload, header, is_ack = map(np.concatenate, zip(*blocks))
+    if spec.read_csv_blocks(path, _TRACE_FIELDS, _TRACE_DTYPE, _ITER_ROWS, take):
+        t, conn, direction, payload, header, is_ack = columns.finished()
         try:
             return Trace(t, conn, ids, direction, payload, header, is_ack)
         except ValueError:

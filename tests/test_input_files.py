@@ -810,8 +810,12 @@ STRING_CELLS = {
     # "\udcff" is written as the byte 0xff, which no reader decodes.
     1: [*JUNK_CELLS, '"a,b"', '"a""b"', '"a\nb"', '"a\r\nb"', 'a"b', '"a"b', " c0", "",
         "\udcff"],
-    2: [*JUNK_CELLS, " c2s", "c2s ", '"s2c"', "C2S", "c2s\x00"],
-    5: [*JUNK_CELLS, " false", "false ", '"true"', "True"],
+    # Near misses of the fixed-width direction and flag fields: one character
+    # more than a valid text, a trailing NUL (which such a field drops) or
+    # nothing at all.
+    2: [*JUNK_CELLS, " c2s", "c2s ", '"s2c"', "C2S", "c2s\x00", "c2sx", "s2c ", ""],
+    5: [*JUNK_CELLS, " false", "false ", '"true"', "True", "truee", "TRUE", "",
+        "true\x00"],
 }
 # Line ends that csv and numpy take for one, and characters that
 # str.splitlines would take for one but the file's line reader does not.
@@ -886,6 +890,9 @@ def read_outcome(read, path):
 @example(case=(9000, [(9000, 0, str(2**63))]))
 @example(case=(2 * BLOCK, [(BLOCK + 1, 0, "0")]))  # goes back across a block edge
 @example(case=(3, [(2, 2, " c2s"), (3, 5, " false")]))
+@example(case=(BLOCK + 1, [(BLOCK + 1, 2, "c2sx")]))
+@example(case=(BLOCK + 1, [(BLOCK + 1, 5, "truee")]))
+@example(case=(3, [(2, 2, "c2s\x00"), (3, 5, "")]))
 @example(case=(3, [(1, 1, '"a,b"'), (2, 1, '"a""b"'), (3, 1, '"a\nb"')]))
 @example(case=(3, [(1, 0, "١٢"), (2, None, "\r\n"), (3, None, "\n \n")]))
 @example(case=(3, [(2, 3, "\u01fe")]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from drsync import workload
+from drsync import spec, workload
 from drsync.rng import TAG_CLIENT, TAG_EVENTS, TAG_SERVER, substream
 from drsync.workload import (
     BurstModel,
@@ -498,9 +498,9 @@ class TestTrace:
         converted = []
         columns = Trace._columns
 
-        def spy(self, directions, flags, rows=slice(None)):
+        def spy(self, rows):
             converted.append(len(self.t_ms[rows]))
-            return columns(self, directions, flags, rows)
+            return columns(self, rows)
 
         monkeypatch.setattr(Trace, "_columns", spy)
         return converted
@@ -516,12 +516,19 @@ class TestTrace:
         assert converted[1:] == [chunk, chunk, 1]
 
     def test_writing_converts_one_chunk_at_a_time(self, monkeypatch, tmp_path):
+        # The writer formats the columns a block of rows at a time.
         chunk = workload._ITER_ROWS
         rows, trace = self.long_trace()
-        converted = self.spy_on_columns(monkeypatch)
+        formatted, format_block = [], spec._format_block
+
+        def spy(columns, start, stop):
+            formatted.append(stop - start)
+            return format_block(columns, start, stop)
+
+        monkeypatch.setattr(spec, "_format_block", spy)
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, str(path))
-        assert converted == [chunk, chunk, 1]
+        assert formatted == [chunk, chunk, 1]
         monkeypatch.undo()
         assert list(read_trace_csv(str(path))) == rows
 
