@@ -17,6 +17,7 @@ from dataclasses import replace
 
 from . import __version__, spec
 from .analysis import bucket_counts, compute_stats, detect_period
+from .core import Stopwatch
 from .qon import (
     DECISION_THRESHOLD,
     DEFAULT_WEIGHTS,
@@ -113,11 +114,15 @@ def _cmd_generate(args) -> int:
         profile = profile_from_json(args.profile)
     else:
         profile = preset(args.preset)
+    watch = Stopwatch()
     trace = generate_trace(
-        profile, n_clients=args.clients, duration_ms=args.duration_ms, seed=args.seed
+        profile, n_clients=args.clients, duration_ms=args.duration_ms, seed=args.seed,
+        lap=watch.lap,
     )
     write_trace_csv(trace, args.out)
+    watch.lap("write")
     log.info("wrote %d packets to %s", len(trace), args.out)
+    log.debug("generate seed=%d stage seconds: %s", args.seed, watch)
     return 0
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -205,3 +206,24 @@ def sample_positions(script: TrajectoryScript, ticks: np.ndarray) -> np.ndarray:
     between = p0 + (points[seg + 1] - p0) * frac[:, None]
     exact = (i == last) | (ticks == times[i])
     return np.where(exact[:, None], points[i], between)
+
+
+class Stopwatch:
+    """Wall-clock seconds per stage of a run, for logs and ``RunResult``.
+
+    Each :meth:`lap` records the seconds since the previous lap, or since
+    the stopwatch was made, under its stage name.
+    """
+
+    def __init__(self) -> None:
+        self.timings: dict[str, float] = {}
+        self._start = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.timings[stage] = now - self._start
+        self._start = now
+
+    def __str__(self) -> str:
+        """``stage=seconds`` pairs, as the ``stage seconds:`` log lines give them."""
+        return " ".join(f"{stage}={s:.6f}" for stage, s in self.timings.items())

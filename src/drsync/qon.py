@@ -39,6 +39,11 @@ LATENCY_KNEE_MS = 100.0
 # The most epochs fit_weights runs: 50 times the default.  The default 2,000
 # epochs on 20,000 sessions take about 0.2 s.
 MAX_EPOCHS = 100_000
+# The most sessions times epochs fit_weights runs: 12.5 times 20,000
+# sessions at the default 2,000 epochs.  On 2 vCPUs of a Xeon a session-epoch
+# took 12 ns from 20,000 to 250,000 sessions and 63 ns at 1,000,000; at the
+# cap, 250,000 sessions at 2,000 epochs and 5,000 at MAX_EPOCHS took 6.2 s.
+MAX_FIT_STEPS = 500_000_000
 
 
 class SessionMetrics(NamedTuple):
@@ -226,6 +231,11 @@ def fit_weights(
     if not 1 <= epochs <= MAX_EPOCHS:
         raise ValueError(
             f"epochs must be in [1, MAX_EPOCHS ({MAX_EPOCHS})], got {epochs}"
+        )
+    if len(labeled) * epochs > MAX_FIT_STEPS:
+        raise ValueError(
+            f"sessions * epochs must be <= MAX_FIT_STEPS ({MAX_FIT_STEPS}), "
+            f"got {len(labeled)} * {epochs} = {len(labeled) * epochs}"
         )
 
     x, y = _design_matrix(labeled)

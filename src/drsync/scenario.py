@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -28,7 +27,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import spec
-from .core import MAX_TIME_MS, TimeMs, TrajectoryScript, Vec3, sample_positions
+from .core import (
+    MAX_TIME_MS,
+    Stopwatch,
+    TimeMs,
+    TrajectoryScript,
+    Vec3,
+    sample_positions,
+)
 from .netsim import (
     ChannelConfig,
     DejitterConfig,
@@ -317,15 +323,8 @@ def run_simulation(
     them to.
     """
     cfg = cfg if mode is None else replace(cfg, mode=mode)
-    timings: dict[str, float] = {}
-    lap_start = time.perf_counter()
-
-    def lap(stage: str) -> None:
-        nonlocal lap_start
-        now = time.perf_counter()
-        timings[stage] = now - lap_start
-        lap_start = now
-
+    watch = Stopwatch()
+    lap, timings = watch.lap, watch.timings
     if _shared is None:
         _shared = _shared_stages(cfg, lap)
     elif replace(_shared.config, mode=cfg.mode) != cfg:
@@ -356,10 +355,7 @@ def run_simulation(
         cfg.mode, cfg.seed, len(ticks), len(sends), summary["export_error"]["mean"],
         sum(timings.values()),
     )
-    log.debug(
-        "run %s seed=%d stage seconds: %s", cfg.mode, cfg.seed,
-        " ".join(f"{stage}={s:.6f}" for stage, s in timings.items()),
-    )
+    log.debug("run %s seed=%d stage seconds: %s", cfg.mode, cfg.seed, watch)
     return RunResult(cfg, cfg.mode, report, events, sends, summary, timings)
 
 

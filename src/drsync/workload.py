@@ -17,17 +17,22 @@ to send in the same tick.
 
 All randomness is drawn from substreams derived from ``(seed, stream tag,
 client index)``, so traces are bit-reproducible and independent of
-generation order.  A trace is a :class:`Trace` of numpy columns; its rows
-are :class:`TraceRecord` tuples, built only when a caller asks for them.
+generation order.  One Python loop per client makes every draw, tick by
+tick, and records only each side's data count and payloads; acks take no
+draw, so numpy places them afterwards.  A trace is a :class:`Trace` of
+numpy columns; its rows are :class:`TraceRecord` tuples, built only when a
+caller asks for them.
 """
 
 from __future__ import annotations
 
 import array
+import bisect
 import enum
+import itertools
 import math
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -43,9 +48,10 @@ from .spec import _ITER_ROWS, INVALID
 # profile above it is rejected: generation time grows with the rate.
 MAX_PACKETS_PER_TICK = 1000
 # The most client ticks (clients times ticks) one trace may have.  For the
-# mmorpg preset at 1/16 and 1/4 of this cap (424,170 and 1,692,563 rows),
-# ``generate`` peaked at 60 and 146 MiB and ``analyze`` at 54 and 125 MiB;
-# at the cap that is about 0.5 GiB each (extrapolated, not measured).
+# mmorpg preset (10 clients) at 1/16 and 1/4 of this cap (424,170 and
+# 1,692,563 rows), ``generate`` took 0.85 and 2.5 s and peaked at 61 and
+# 146 MiB, and ``analyze`` peaked at 54 and 125 MiB; at the cap ``generate``
+# took 10 s and peaked at 490 MiB (a 2-vCPU Xeon).
 MAX_CLIENT_TICKS = 2_000_000
 # The most data packets one trace may have at its profile's peak rates: the
 # client's and the server's per client tick, plus one event action.  Both
@@ -319,35 +325,25 @@ def preset_names() -> list[str]:
     return sorted(_PRESETS)
 
 
-def _tick_sends(
-    rng: random.Random, state_on: bool, burst: BurstModel, scale: float
-) -> tuple[int, bool]:
-    """Advance one client-tick of the activity machine; return (packets, new state)."""
-    if burst.p_enter > 0:
-        u = rng.random()
-        if state_on:
-            state_on = u >= burst.p_exit
-        else:
-            state_on = u < burst.p_enter
-    else:
-        state_on = True
-    if not state_on:
-        return 0, state_on
-    rate = burst.rate_multiplier * scale
-    count = int(rate)
-    frac = rate - count
-    if frac > 0 and rng.random() < frac:
-        count += 1
-    return count, state_on
-
-
 def generate_trace(
-    profile: WorkloadProfile, n_clients: int, duration_ms: int, seed: int
+    profile: WorkloadProfile,
+    n_clients: int,
+    duration_ms: int,
+    seed: int,
+    lap: Callable[[str], None] = lambda stage: None,
 ) -> Trace:
     """Generate a full bidirectional trace, sorted by timestamp.
 
     ``n_clients == 0`` legitimately yields an empty trace.  Duration must
     cover at least one tick and be below 2**63, the bound on ``t_ms``.
+
+    Each client is drawn by one loop over its ticks (:func:`_client_draws`)
+    that records only how many data packets each side sends in each tick
+    and their payloads.  Acks take no draw, so numpy places them after the
+    loop (:func:`_append_packets`).  Clients are appended to four typed
+    columns one at a time, and the columns are sorted once at the end.
+    ``lap`` is called with ``"draw"`` when every client is drawn and with
+    ``"sort"`` when the trace is built, for the caller's stage timings.
     """
     if n_clients < 0:
         raise ValueError(f"n_clients must be >= 0, got {n_clients}")
@@ -369,9 +365,6 @@ def generate_trace(
             f"clients * ticks * {per_tick} peak packets per client tick must be "
             f"<= {MAX_TRACE_PACKETS}, got {n_clients * n_ticks * per_tick}"
         )
-    event = profile.global_event
-    period = event.period_ms if event.participation > 0 else 0  # 0: no events
-    epoch_ticks = max(1, profile.server_epoch_ms // tick)
 
     # The t_ms, direction code, payload and is_ack of every packet, client
     # by client in generation order, as int64, int8, int64 and int8 arrays
@@ -380,41 +373,9 @@ def generate_trace(
     columns = tuple(map(array.array, "qbqb"))
     ends = []
     for idx in range(n_clients):
-        client_rng = substream(seed, TAG_CLIENT, idx)
-        server_rng = substream(seed, TAG_SERVER, idx)
-        event_rng = substream(seed, TAG_EVENTS, idx)
-
-        client_on = True
-        server_on = True
-        nearby = 1.0
-        client_data = 0
-        server_data = 0
-        for k in range(n_ticks):
-            t = k * tick
-
-            n_client, client_on = _tick_sends(client_rng, client_on, profile.burst, 1.0)
-            # Events fire at every multiple of the period and snap to the next
-            # tick boundary: tick k > 0 holds one when a multiple lies in
-            # ((k - 1) * tick, k * tick].
-            if (
-                period and k
-                and t // period > (t - tick) // period
-                and event_rng.random() < event.participation
-            ):
-                n_client += 1  # flash crowd: one forced action even when idle
-            client_data = _emit(
-                columns, profile, t, _CLIENT_SIDE, client_rng, n_client, client_data
-            )
-
-            if k % epoch_ticks == 0:
-                nearby = server_rng.uniform(*profile.server_scale_range)
-            n_server, server_on = _tick_sends(
-                server_rng, server_on, profile.burst, nearby
-            )
-            server_data = _emit(
-                columns, profile, t, _SERVER_SIDE, server_rng, n_server, server_data
-            )
+        _append_packets(columns, profile, *_client_draws(profile, n_ticks, seed, idx))
         ends.append(len(columns[0]))
+    lap("draw")
 
     t, direction, payload, is_ack = map(np.asarray, columns)
     order = np.argsort(t, kind="stable")  # generation order breaks ties
@@ -425,47 +386,144 @@ def generate_trace(
     conn = np.empty(n_clients, np.int64)
     conn[named] = np.arange(len(named))
     header = np.full(len(t), profile.header_bytes, np.int64)
-    return Trace(
+    trace = Trace(
         t[order], conn[client], [f"c{idx:04d}" for idx in named.tolist()],
         direction[order], payload[order], header, is_ack[order],
     )
+    lap("sort")
+    return trace
 
 
-# The (data, ack) direction codes, indices into tuple(Direction), of each
-# side of a connection.
-_CLIENT_SIDE = (0, 1)
-_SERVER_SIDE = (1, 0)
+def _client_draws(
+    profile: WorkloadProfile, n_ticks: int, seed: int, idx: int
+) -> tuple[array.array, array.array]:
+    """Draw client ``idx``'s data packets: the count each side sends in each
+    tick, client side first (``2k`` and ``2k + 1`` for tick ``k``), and
+    their payloads in that order.
+
+    Each side steps its activity machine once per tick from its own
+    substream: one draw for the state when ``p_enter > 0``, and one for the
+    fraction of the rate when the state is ON and the rate is not whole.
+    The server's rate is scaled by a multiplier from ``server_scale_range``,
+    drawn at the start of each epoch before that tick's state draw.  An
+    event adds one client packet.
+    A payload is drawn as :meth:`PayloadSizeDist.sample` draws it, from the
+    side's substream right after that side's state and rate draws.
+    """
+    tick, burst, dist = profile.tick_period_ms, profile.burst, profile.payload_size_dist
+    p_enter, p_exit, rate = burst.p_enter, burst.p_exit, burst.rate_multiplier
+    event = profile.global_event
+    period = event.period_ms if event.participation > 0 else 0  # 0: no events
+    participation = event.participation
+    epoch_ticks = max(1, profile.server_epoch_ms // tick)
+    scale_lo, scale_hi = profile.server_scale_range
+    tail_prob, (tail_lo, tail_hi) = dist.tail_prob, dist.tail_range
+    # sample's running sums of the body, added in its order: a draw takes the
+    # first size whose sum exceeds it, and one at or past the last sum (which
+    # can round below 1) takes the last size.
+    sums = list(itertools.accumulate(prob for _, prob in dist.body))
+    sizes = [size for size, _ in dist.body]
+    sizes.append(sizes[-1])
+
+    client_rng = substream(seed, TAG_CLIENT, idx)
+    server_rng = substream(seed, TAG_SERVER, idx)
+    client_random, client_randint = client_rng.random, client_rng.randint
+    server_random, server_randint = server_rng.random, server_rng.randint
+    server_uniform = server_rng.uniform
+    event_random = substream(seed, TAG_EVENTS, idx).random
+
+    # At most MAX_PACKETS_PER_TICK + 2 a side and tick, and sizes below 2**32.
+    counts, payloads = array.array("H"), array.array("I")
+    add_count, add_payload = counts.append, payloads.append
+    client_whole = int(rate)
+    client_frac = rate - client_whole
+    client_on = server_on = True
+    for k in range(n_ticks):
+        t = k * tick
+        if p_enter > 0:
+            u = client_random()
+            client_on = u >= p_exit if client_on else u < p_enter
+        n = 0
+        if client_on:
+            n = client_whole
+            if client_frac > 0 and client_random() < client_frac:
+                n += 1
+        # Events fire at every multiple of the period and snap to the next
+        # tick boundary: tick k > 0 holds one when a multiple lies in
+        # ((k - 1) * tick, k * tick].
+        if (
+            period and k
+            and t // period > (t - tick) // period
+            and event_random() < participation
+        ):
+            n += 1  # flash crowd: one forced action even when idle
+        add_count(n)
+        for _ in range(n):
+            u = client_random()
+            if u < tail_prob:
+                add_payload(client_randint(tail_lo, tail_hi))
+            else:
+                add_payload(sizes[bisect.bisect_right(sums, u - tail_prob)])
+
+        if k % epoch_ticks == 0:
+            server_rate = rate * server_uniform(scale_lo, scale_hi)
+            server_whole = int(server_rate)
+            server_frac = server_rate - server_whole
+        if p_enter > 0:
+            u = server_random()
+            server_on = u >= p_exit if server_on else u < p_enter
+        n = 0
+        if server_on:
+            n = server_whole
+            if server_frac > 0 and server_random() < server_frac:
+                n += 1
+        add_count(n)
+        for _ in range(n):
+            u = server_random()
+            if u < tail_prob:
+                add_payload(server_randint(tail_lo, tail_hi))
+            else:
+                add_payload(sizes[bisect.bisect_right(sums, u - tail_prob)])
+    return counts, payloads
 
 
-def _emit(
+def _append_packets(
     columns: tuple[array.array, ...],
     profile: WorkloadProfile,
-    t: TimeMs,
-    side: tuple[int, int],
-    rng: random.Random,
-    n_data: int,
-    sent: int,
-) -> int:
-    """Append one side's ``n_data`` packets at ``t`` and the acks they trigger.
+    counts: array.array,
+    payloads: array.array,
+) -> None:
+    """Append one client's data packets, drawn by :func:`_client_draws`,
+    and the acks they trigger to ``columns``.
 
-    ``sent`` counts the side's earlier data packets; each ``ack_every_n``-th
-    one is acknowledged by a header-only packet in the other direction.
-    Returns the new count.
+    Each side's ``ack_every_n``-th data packet is acknowledged by a
+    header-only packet right after it, in the other direction.
     """
-    times, directions, payloads, acks = columns
-    data_dir, ack_dir = side
-    for _ in range(n_data):
-        times.append(t)
-        directions.append(data_dir)
-        payloads.append(profile.payload_size_dist.sample(rng))
-        acks.append(False)
-        sent += 1
-        if sent % profile.ack_every_n == 0:
-            times.append(t)
-            directions.append(ack_dir)
-            payloads.append(0)
-            acks.append(True)
-    return sent
+    # Each data packet's slot: 2k + side for tick k, where the side, 0 for
+    # the client and 1 for the server, is its direction code.
+    slot = np.repeat(np.arange(len(counts)), np.frombuffer(counts, np.ushort))
+    side = slot & 1
+    # Each packet's number within its side, from 1.  An ack_every_n above
+    # every number acks nothing, so it is cut to one above them all (an
+    # int64 holds that, but not every ack_every_n).
+    server = np.cumsum(side)
+    client = np.arange(1, len(slot) + 1) - server
+    every = min(profile.ack_every_n, len(slot) + 1)
+    acked = np.where(side, server, client) % every == 0
+    # A data packet with k acks before it lands k rows on, its ack right after.
+    ack_rows = np.flatnonzero(acked)
+    ack_rows += np.arange(1, len(ack_rows) + 1)
+    slot = np.repeat(slot, acked + 1)
+    is_ack = np.zeros(len(slot), bool)
+    is_ack[ack_rows] = True
+    payload = np.zeros(len(slot), np.int64)
+    payload[~is_ack] = np.frombuffer(payloads, np.uintc)
+
+    times, directions, sizes, acks = columns
+    times.frombytes(((slot >> 1) * profile.tick_period_ms).view(np.uint8))
+    directions.frombytes(((slot & 1) ^ is_ack).astype(np.int8).view(np.uint8))
+    sizes.frombytes(payload.view(np.uint8))
+    acks.frombytes(is_ack.view(np.uint8))
 
 
 _TRACE_FIELDS = (

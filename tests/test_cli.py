@@ -243,6 +243,29 @@ class TestGenerateAnalyze:
         assert stats["n_clients"] == 5
         assert "period" in report
 
+    def test_stage_timings_only_on_stderr_at_debug(self, tmp_path):
+        def generate(level):
+            out = tmp_path / f"{level}.csv"
+            env = {**os.environ, "DRSYNC_LOG": level, "PYTHONPATH": str(ROOT / "src")}
+            proc = subprocess.run(
+                [sys.executable, "-m", "drsync", "generate", "--preset", "mmorpg",
+                 "--clients", "2", "--duration-ms", "20000", "--seed", "3",
+                 "--out", str(out)],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert proc.returncode == 0
+            return proc.stdout, out.read_bytes(), proc.stderr
+
+        off_out, off_trace, off_err = generate("off")
+        debug_out, debug_trace, debug_err = generate("debug")
+        assert (debug_out, debug_trace) == (off_out, off_trace)
+        assert off_err == ""
+        timing_line = re.compile(
+            r"DEBUG drsync\.cli: generate seed=3 stage seconds: "
+            r"draw=\d+\.\d{6} sort=\d+\.\d{6} write=\d+\.\d{6}\n"
+        )
+        assert len(timing_line.findall(debug_err)) == 1
+
     def test_generate_zero_clients_writes_header_only(self, tmp_path):
         trace_path = tmp_path / "trace.csv"
         code = main(

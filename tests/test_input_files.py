@@ -606,6 +606,20 @@ class TestHugeIntegers:
         )
         assert code == 0, err
 
+    def test_fit_steps_past_the_cap(self, tmp_path):
+        # At MAX_EPOCHS, one session more than the cap allows.
+        sessions = qon.MAX_FIT_STEPS // qon.MAX_EPOCHS + 1
+        path = tmp_path / "sessions.csv"
+        write_sessions_csv(generate_labeled_sessions(sessions, 3), str(path))
+        code, out, err = self.run_fast(
+            ["fit", "--data", str(path), "--epochs", str(qon.MAX_EPOCHS)]
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: sessions * epochs must be <= MAX_FIT_STEPS ({qon.MAX_FIT_STEPS}), "
+            f"got {sessions} * {qon.MAX_EPOCHS} = {sessions * qon.MAX_EPOCHS}\n"
+        )
+
 
 def test_int_upper_bound_is_reported_like_a_real_one():
     assert spec.Int(le=5).problem(6) == "must be <= 5, got 6"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from drsync import qon
 from drsync.qon import (
     Action,
     CALIBRATION_PARAMS,
@@ -187,6 +188,17 @@ class TestFitting:
     def test_fit_is_deterministic(self):
         data = generate_labeled_sessions(200, seed=9)
         assert fit_weights(data, epochs=200) == fit_weights(data, epochs=200)
+
+    def test_fit_work_is_capped(self, monkeypatch):
+        data = generate_labeled_sessions(50, seed=2)
+        monkeypatch.setattr(qon, "MAX_FIT_STEPS", 50 * 200)
+        fit_weights(data, epochs=200)  # at the cap
+        with pytest.raises(
+            ValueError, match=r"MAX_FIT_STEPS \(10000\), got 50 \* 201 = 10050$"
+        ):
+            fit_weights(data, epochs=201)
+        with pytest.raises(ValueError, match="MAX_FIT_STEPS"):
+            fit_weights(data + data[:1], epochs=200)
 
     def test_fit_rejects_degenerate_data(self):
         with pytest.raises(ValueError):

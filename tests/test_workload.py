@@ -1,4 +1,8 @@
+import itertools
+import math
 import random
+from collections import Counter
+from dataclasses import replace
 from operator import itemgetter
 
 import pytest
@@ -14,7 +18,6 @@ from drsync.workload import (
     PayloadSizeDist,
     Trace,
     WorkloadProfile,
-    _tick_sends,
     generate_trace,
     preset,
     preset_names,
@@ -261,6 +264,28 @@ def test_event_ticks_match_the_walk_over_events(tick, period_ms, n_ticks, extra)
     assert ticks == sorted(k for k in by_event if k < n_ticks)
 
 
+def _tick_sends(
+    rng: random.Random, state_on: bool, burst: BurstModel, scale: float
+) -> tuple[int, bool]:
+    """Advance one client-tick of the activity machine; return (packets, new state)."""
+    if burst.p_enter > 0:
+        u = rng.random()
+        if state_on:
+            state_on = u >= burst.p_exit
+        else:
+            state_on = u < burst.p_enter
+    else:
+        state_on = True
+    if not state_on:
+        return 0, state_on
+    rate = burst.rate_multiplier * scale
+    count = int(rate)
+    frac = rate - count
+    if frac > 0 and rng.random() < frac:
+        count += 1
+    return count, state_on
+
+
 def generate_rows(profile, n_clients, duration_ms, seed):
     """The generator as it was before it appended columns, kept as the
     reference: one row tuple per packet, sorted by time at the end."""
@@ -351,10 +376,44 @@ def sparse_profile(rate):
     )
 
 
+TEN_TENTHS = PayloadSizeDist(body=tuple((size, 0.1) for size in range(1, 11)))
+
+
+def sized_profile(dist, **kw):
+    """The mmorpg preset with another payload size distribution."""
+    return replace(preset("mmorpg"), payload_size_dist=dist, **kw)
+
+
 TRACE_COLUMNS = ("t_ms", "conn", "direction", "payload_bytes", "header_bytes", "is_ack")
 EXAMPLES = {
     "silent at first": (sparse_profile(0.3), 6, 20, 0, 2),
     "never sends": (sparse_profile(0.0), 6, 10, 0, 1),
+    "only tail sizes": (
+        sized_profile(
+            PayloadSizeDist(body=((7, 0.0),), tail_prob=1.0, tail_range=(3, 900))
+        ), 3, 40, 0, 4,
+    ),
+    "one tail size": (
+        sized_profile(
+            PayloadSizeDist(body=((7, 0.5),), tail_prob=0.5, tail_range=(42, 42))
+        ), 3, 40, 0, 5,
+    ),
+    # A draw past the body's rounded sum is too rare for a seed to reach;
+    # test_size_lookup_matches_sample_on_every_edge makes one.
+    "ten tenths": (sized_profile(TEN_TENTHS), 3, 60, 0, 6),
+    "two a tick": (
+        sized_profile(
+            TEN_TENTHS,
+            burst=BurstModel(p_enter=0.2, p_exit=0.1, rate_multiplier=2.0),
+            server_scale_range=(1.0, 1.0),
+        ), 3, 40, 0, 7,
+    ),
+    "on every other tick": (
+        sized_profile(
+            TEN_TENTHS, burst=BurstModel(p_enter=1.0, p_exit=1.0, rate_multiplier=1.0)
+        ), 2, 40, 0, 8,
+    ),
+    "no acks": (sized_profile(TEN_TENTHS, ack_every_n=2**70), 3, 40, 0, 9),
 }
 
 
@@ -368,6 +427,12 @@ EXAMPLES = {
 )
 @example(*EXAMPLES["silent at first"])
 @example(*EXAMPLES["never sends"])
+@example(*EXAMPLES["only tail sizes"])
+@example(*EXAMPLES["one tail size"])
+@example(*EXAMPLES["ten tenths"])
+@example(*EXAMPLES["two a tick"])
+@example(*EXAMPLES["on every other tick"])
+@example(*EXAMPLES["no acks"])
 def test_columns_match_the_row_generator(profile, n_clients, n_ticks, extra, seed):
     duration_ms = n_ticks * profile.tick_period_ms + extra % profile.tick_period_ms
     trace = generate_trace(profile, n_clients, duration_ms, seed)
@@ -379,12 +444,83 @@ def test_columns_match_the_row_generator(profile, n_clients, n_ticks, extra, see
 
 
 def test_the_examples_reach_their_cases():
-    late, silent = (
-        generate_trace(profile, n_clients, n_ticks * profile.tick_period_ms, seed)
-        for profile, n_clients, n_ticks, _, seed in EXAMPLES.values()
-    )
-    assert late.conn_ids[0] != "c0000"
-    assert 0 < len(silent.conn_ids) < 6
+    traces = {
+        name: generate_trace(profile, n_clients, n_ticks * profile.tick_period_ms, seed)
+        for name, (profile, n_clients, n_ticks, _, seed) in EXAMPLES.items()
+    }
+    assert traces["silent at first"].conn_ids[0] != "c0000"
+    assert 0 < len(traces["never sends"].conn_ids) < 6
+
+    def data_sizes(name):
+        trace = traces[name]
+        return set(trace.payload_bytes[~trace.is_ack].tolist())
+
+    tail = data_sizes("only tail sizes")
+    assert len(tail) > 10 and min(tail) >= 3 and max(tail) <= 900
+    assert data_sizes("one tail size") == {7, 42}
+    assert data_sizes("ten tenths") == set(range(1, 11))
+    # With a whole rate and no scale there is no fraction draw: an ON side
+    # sends exactly two packets a tick (events add one on the client side).
+    two = packets(traces["two a tick"], S2C, is_ack=False)
+    assert set(Counter((r.t_ms, r.conn_id) for r in two).values()) == {2}
+    # p_enter = p_exit = 1 switches every tick: ON only on odd ticks.
+    flips = traces["on every other tick"]
+    ticks = flips.t_ms[flips.in_direction(S2C) & ~flips.is_ack] // 100
+    assert len(ticks) and (ticks % 2 == 1).all()
+    assert not traces["no acks"].is_ack.any()
+
+
+class ScriptedRng:
+    """A stand-in substream: ``random`` returns ``draws`` in turn, ``randint``
+    its upper bound and ``uniform`` its lower one."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+    def randint(self, lo, hi):
+        return hi
+
+    def uniform(self, lo, hi):
+        return lo
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        TEN_TENTHS,
+        PayloadSizeDist(
+            body=((5, 0.125), (9, 0.0), (13, 0.375), (17, 0.25)),
+            tail_prob=0.25,
+            tail_range=(80, 90),
+        ),
+    ],
+)
+def test_size_lookup_matches_sample_on_every_edge(monkeypatch, dist):
+    # A draw on a running sum of the body takes the next size, and one at or
+    # past the last sum takes the last size: ten 0.1s sum to 1 - 2**-53, the
+    # largest draw, not to 1.
+    edges, acc = [dist.tail_prob], 0.0
+    for _, prob in dist.body:
+        acc += prob
+        edges.append(acc + dist.tail_prob)
+    draws = [0.0, 1 - 2**-53]
+    for u in edges:
+        if u < 1:
+            draws += [math.nextafter(u, 0), u]
+    sample_rng = ScriptedRng(draws)
+    want = [dist.sample(sample_rng) for _ in draws]
+
+    def scripted_substream(seed, tag, idx):
+        return ScriptedRng(draws if tag == TAG_CLIENT else itertools.repeat(0.0))
+
+    monkeypatch.setattr(workload, "substream", scripted_substream)
+    profile = WorkloadProfile(tick_period_ms=1, payload_size_dist=dist)
+    trace = generate_trace(profile, n_clients=1, duration_ms=len(draws), seed=0)
+    c2s = trace.in_direction(C2S) & ~trace.is_ack
+    assert trace.payload_bytes[c2s].tolist() == want
 
 
 class TestPresets:
