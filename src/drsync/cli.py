@@ -141,7 +141,9 @@ def _direction_stats(trace, direction, duration_ms) -> dict:
 
 
 def _cmd_analyze(args) -> int:
+    watch = Stopwatch()
     trace = read_trace_csv(args.trace)
+    watch.lap("read")
     directions = [args.direction] if args.direction else ["c2s", "s2c"]
     report: dict = {"directions": {}}
     for direction in directions:
@@ -151,13 +153,16 @@ def _cmd_analyze(args) -> int:
             )
     if not report["directions"]:
         raise ValueError("trace has no packets in the requested direction(s)")
+    watch.lap("stats")
     series = bucket_counts(
         trace, bucket_ms=args.bucket_ms, duration_ms=args.duration_ms
     )
+    watch.lap("bucket")
     try:
         estimate = detect_period(series.counts)
     except ValueError:
         estimate = None  # series too short or flat for a verdict
+    watch.lap("period")
     report["period"] = (
         None
         if estimate is None
@@ -169,6 +174,7 @@ def _cmd_analyze(args) -> int:
         }
     )
     spec.write_json(report, sys.stdout)
+    log.debug("analyze stage seconds: %s", watch)
     return 0
 
 
@@ -203,11 +209,17 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    watch = Stopwatch()
     labeled = read_sessions_csv(args.data)
-    weights = fit_weights(labeled, learn_rate=args.learn_rate, epochs=args.epochs)
+    watch.lap("read")
+    weights = fit_weights(
+        labeled, learn_rate=args.learn_rate, epochs=args.epochs, lap=watch.lap
+    )
     spec.write_json(
         weights_to_dict(weights), sys.stdout if args.out is None else args.out
     )
+    watch.lap("write")
+    log.debug("fit stage seconds: %s", watch)
     return 0
 
 

@@ -10,7 +10,10 @@ Predictor: a logistic score over normalized session metrics (RTT scaled by
 gradient descent on mean log-loss.  The default weights were produced by
 :func:`calibrate_default_weights` (fixed dataset seed and hyperparameters)
 and are committed as constants; the calibration function stays here so the
-numbers can be regenerated and audited.
+numbers can be regenerated and audited.  The fit works on columns: numpy
+parses the sessions CSV a block at a time, and each epoch of the descent
+writes into the same two buffers, one operation of the gradient's formula
+at a time, so the weights keep their bits.
 
 Actions: when the score crosses the decision threshold, a session on a
 recoverable connection is reconnected automatically; otherwise the player
@@ -20,14 +23,18 @@ gets a heads-up message about their network.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import spec
+from .spec import _ITER_ROWS
 
 # Feature normalization constants shared by scoring and fitting.
 RTT_SCALE_MS = 500.0
@@ -37,12 +44,13 @@ DECISION_THRESHOLD = 0.5
 PREMATURE_WINDOW_MIN = 5
 LATENCY_KNEE_MS = 100.0
 # The most epochs fit_weights runs: 50 times the default.  The default 2,000
-# epochs on 20,000 sessions take about 0.2 s.
+# epochs on 20,000 sessions take about 0.4 s.
 MAX_EPOCHS = 100_000
 # The most sessions times epochs fit_weights runs: 12.5 times 20,000
-# sessions at the default 2,000 epochs.  On 2 vCPUs of a Xeon a session-epoch
-# took 12 ns from 20,000 to 250,000 sessions and 63 ns at 1,000,000; at the
-# cap, 250,000 sessions at 2,000 epochs and 5,000 at MAX_EPOCHS took 6.2 s.
+# sessions at the default 2,000 epochs.  On 2 vCPUs of a Xeon the descent
+# took 10-13 ns a session-epoch from 20,000 to 1,000,000 sessions, and the
+# design matrix 0.45 us a session.  At the cap, `drsync fit` took 6.5-6.8 s
+# on 250,000 sessions at 2,000 epochs and 6.4 s on 5,000 at MAX_EPOCHS.
 MAX_FIT_STEPS = 500_000_000
 
 
@@ -167,10 +175,21 @@ LabeledSession = tuple[SessionMetrics, bool]
 
 
 def _design_matrix(labeled: list[LabeledSession]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.array(
-        [(1.0, *_features(m)) for m, _ in labeled], dtype=float
-    )  # bias column first
-    y = np.array([1.0 if quit else 0.0 for _, quit in labeled], dtype=float)
+    """The C-ordered ``(n, 4)`` features, bias column first, and the labels.
+
+    The metrics go through one ``np.fromiter``, and the RTT and jitter
+    columns are divided by their scales as :func:`_features` divides each.
+    """
+    n = len(labeled)
+    metrics = np.fromiter(
+        itertools.chain.from_iterable(m for m, _ in labeled), float, 4 * n
+    ).reshape(n, 4)
+    x = np.empty((n, 4))
+    x[:, 0] = 1.0
+    np.divide(metrics[:, 0], RTT_SCALE_MS, out=x[:, 1])
+    x[:, 2] = metrics[:, 2]
+    np.divide(metrics[:, 1], JITTER_SCALE_MS, out=x[:, 3])
+    y = np.fromiter((1.0 if quit else 0.0 for _, quit in labeled), float, n)
     return x, y
 
 
@@ -199,25 +218,46 @@ def log_loss_gradient(
     if not labeled:
         raise ValueError("cannot evaluate gradient on an empty dataset")
     x, y = _design_matrix(labeled)
-    return _pack(_gradient(x, y, _unpack(w)))
+    g = np.empty(4)
+    _gradient(x, y, _unpack(w), np.empty(len(y)), g)
+    return _pack(g)
 
 
-def _gradient(x: np.ndarray, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    p = 1.0 / (1.0 + np.exp(-(x @ v)))
-    return x.T @ (p - y) / len(y)
+def _gradient(
+    x: np.ndarray, y: np.ndarray, v: np.ndarray, r: np.ndarray, g: np.ndarray
+) -> None:
+    """Write the gradient of the mean log-loss at ``v`` into ``g``.
+
+    ``r`` is scratch, an ``n``-vector.  Each step is one operation of
+    ``x.T @ (1.0 / (1.0 + np.exp(-(x @ v))) - y) / n``, in that order, so
+    the bits do not depend on the buffers; ``x.T`` stays a view, which
+    keeps ``matmul`` on the same BLAS kernel.
+    """
+    np.matmul(x, v, out=r)
+    np.negative(r, out=r)
+    np.exp(r, out=r)
+    np.add(1.0, r, out=r)
+    np.divide(1.0, r, out=r)
+    np.subtract(r, y, out=r)
+    np.matmul(x.T, r, out=g)
+    np.divide(g, len(y), out=g)
 
 
 def fit_weights(
     labeled: list[LabeledSession],
     learn_rate: float = 1.0,
     epochs: int = 2000,
+    lap: Callable[[str], None] = lambda stage: None,
 ) -> PredictorWeights:
     """Fit predictor weights by full-batch gradient descent from zero init.
 
     Deterministic: same data and hyperparameters give identical weights.
     Refuses degenerate datasets (empty, or only one label present) because
     the loss would push weights to infinity or the fit would be vacuous, and
-    raises when the descent diverges (the learn rate is too large).
+    raises when the descent diverges (the learn rate is too large).  Each
+    epoch writes into the same two buffers.  ``lap`` is called with
+    ``"design"`` once the design matrix is built, and with ``"descent"``
+    after the last epoch.
     """
     if not labeled:
         raise ValueError("cannot fit weights on an empty dataset")
@@ -239,10 +279,15 @@ def fit_weights(
         )
 
     x, y = _design_matrix(labeled)
+    lap("design")
     v = np.zeros(4, dtype=float)
+    r, g = np.empty(len(y)), np.empty(4)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
-            v -= learn_rate * _gradient(x, y, v)
+            _gradient(x, y, v, r, g)
+            np.multiply(learn_rate, g, out=g)
+            np.subtract(v, g, out=v)
+    lap("descent")
     if not np.isfinite(v).all():
         raise ValueError(f"fit diverged: learn_rate {learn_rate!r} is too large")
     return _pack(v)
@@ -331,8 +376,52 @@ def _metrics(row: list[str]) -> SessionMetrics:
     return m
 
 
+# A sessions CSV row as numpy parses it: four floats and a flag cell.
+_SESSION_DTYPE = np.dtype(
+    [(name, np.float64) for name in _METRICS_FIELDS]
+    + [("quit_premature", spec.text_field(spec.FLAG_TEXTS))]
+)
+# Builds a SessionMetrics from a tuple without NamedTuple._make's length
+# check, which cost more than the rest of a block's conversion.
+_new_metrics = functools.partial(tuple.__new__, SessionMetrics)
+
+
+def _block_sessions(block: np.ndarray) -> Iterator[LabeledSession]:
+    """The sessions of one parsed block, each checked as :func:`_metrics`
+    and :func:`spec.flag` check a row; a failed check raises ``ValueError``."""
+    rtt, jitter, loss, elapsed = (block[name] for name in _METRICS_FIELDS)
+    if not (
+        ((0.0 <= rtt) & (rtt < math.inf)).all()
+        and ((0.0 <= jitter) & (jitter < math.inf)).all()
+        and ((0.0 <= loss) & (loss <= 1.0)).all()
+        and ((0.0 <= elapsed) & (elapsed < math.inf)).all()
+    ):
+        raise ValueError("a metric is out of range")
+    quit_early = spec.codes(block["quit_premature"], spec.FLAG_TEXTS)
+    metrics = block[list(_METRICS_FIELDS)].tolist()  # tuples of Python floats
+    return zip(map(_new_metrics, metrics), quit_early.tolist())
+
+
 def read_sessions_csv(path: str) -> list[LabeledSession]:
-    """Inverse of :func:`write_sessions_csv`."""
+    """Inverse of :func:`write_sessions_csv`.
+
+    numpy's parser reads the file ``_ITER_ROWS`` lines at a time, and each
+    block is checked and turned into sessions before the next is read.  A
+    file it declines, or that fails a check, is read again row by row, and
+    that reader's error names the row.
+    """
+    sessions: list[LabeledSession] = []
+
+    def take(block: np.ndarray) -> None:
+        sessions.extend(_block_sessions(block))
+
+    if spec.read_csv_blocks(path, _SESSION_FIELDS, _SESSION_DTYPE, _ITER_ROWS, take):
+        return sessions
+    return _read_session_rows(path)
+
+
+def _read_session_rows(path: str) -> list[LabeledSession]:
+    """:func:`read_sessions_csv` through :func:`spec.read_csv`, one row at a time."""
     return spec.read_csv(
         path, {_SESSION_FIELDS: lambda row: (_metrics(row), spec.flag(row[4]))}
     )

@@ -521,6 +521,24 @@ def read_csv_blocks(
         return False
 
 
+def text_field(texts: Sequence[str]) -> str:
+    """The fixed-width numpy field for cells that must read one of ``texts``.
+
+    It is one character wider than the longest text, so that a longer cell,
+    cut to that width, matches none of them.
+    """
+    return f"U{max(map(len, texts)) + 1}"
+
+
+def codes(cells: np.ndarray, texts: tuple[str, str]) -> np.ndarray:
+    """Whether each cell reads ``texts[1]``; a cell that reads neither text
+    raises ``ValueError``."""
+    code = cells == texts[1]
+    if not (code | (cells == texts[0])).all():
+        raise ValueError(f"a cell is not one of {texts}")
+    return code
+
+
 class Table(NamedTuple):
     """A column of strings from a small set, for :func:`write_csv`: each
     row's index into ``texts``, as ints or bools."""

@@ -546,28 +546,17 @@ def write_trace_csv(trace: Trace, path: str) -> None:
 
 
 # A trace CSV row as numpy parses it.  A connection name stays a Python
-# string, exactly as the row reader reads it.  A direction or flag cell is
-# read one character wider than its longest valid text, so that a longer
-# cell, cut to that width, matches no valid text either.
+# string, exactly as the row reader reads it.
 _TRACE_DTYPE = np.dtype(
     [
         ("t_ms", np.int64),
         ("conn_id", object),
-        ("direction", f"U{max(map(len, _DIRECTION_TEXTS)) + 1}"),
+        ("direction", spec.text_field(_DIRECTION_TEXTS)),
         ("payload_bytes", np.int64),
         ("header_bytes", np.int64),
-        ("is_ack", f"U{max(map(len, spec.FLAG_TEXTS)) + 1}"),
+        ("is_ack", spec.text_field(spec.FLAG_TEXTS)),
     ]
 )
-
-
-def _code(cells: np.ndarray, texts: tuple[str, str]) -> np.ndarray:
-    """Whether each cell reads ``texts[1]``; a cell that reads neither text
-    raises ``ValueError``."""
-    code = cells == texts[1]
-    if not (code | (cells == texts[0])).all():
-        raise ValueError(f"a cell is not one of {texts}")
-    return code
 
 
 class _Columns:
@@ -615,10 +604,10 @@ def read_trace_csv(path: str) -> Trace:
         columns.add(
             block["t_ms"],
             conn,
-            _code(block["direction"], _DIRECTION_TEXTS),
+            spec.codes(block["direction"], _DIRECTION_TEXTS),
             block["payload_bytes"],
             block["header_bytes"],
-            _code(block["is_ack"], spec.FLAG_TEXTS),
+            spec.codes(block["is_ack"], spec.FLAG_TEXTS),
         )
 
     if spec.read_csv_blocks(path, _TRACE_FIELDS, _TRACE_DTYPE, _ITER_ROWS, take):

@@ -46,6 +46,18 @@ def config_path(tmp_path):
     return str(path)
 
 
+def run_logged(level, argv):
+    """Run ``drsync`` in a child process at log level ``level``; its stdout
+    and stderr."""
+    env = {**os.environ, "DRSYNC_LOG": level, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "drsync", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr
+
+
 class TestParsing:
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -246,15 +258,12 @@ class TestGenerateAnalyze:
     def test_stage_timings_only_on_stderr_at_debug(self, tmp_path):
         def generate(level):
             out = tmp_path / f"{level}.csv"
-            env = {**os.environ, "DRSYNC_LOG": level, "PYTHONPATH": str(ROOT / "src")}
-            proc = subprocess.run(
-                [sys.executable, "-m", "drsync", "generate", "--preset", "mmorpg",
-                 "--clients", "2", "--duration-ms", "20000", "--seed", "3",
-                 "--out", str(out)],
-                capture_output=True, text=True, env=env, check=False,
+            stdout, stderr = run_logged(
+                level,
+                ["generate", "--preset", "mmorpg", "--clients", "2",
+                 "--duration-ms", "20000", "--seed", "3", "--out", str(out)],
             )
-            assert proc.returncode == 0
-            return proc.stdout, out.read_bytes(), proc.stderr
+            return stdout, out.read_bytes(), stderr
 
         off_out, off_trace, off_err = generate("off")
         debug_out, debug_trace, debug_err = generate("debug")
@@ -265,6 +274,25 @@ class TestGenerateAnalyze:
             r"draw=\d+\.\d{6} sort=\d+\.\d{6} write=\d+\.\d{6}\n"
         )
         assert len(timing_line.findall(debug_err)) == 1
+
+    def test_analyze_stage_timings_only_on_stderr_at_debug(self, tmp_path):
+        trace_path = tmp_path / "trace.csv"
+        assert main(
+            ["generate", "--preset", "fps", "--clients", "2",
+             "--duration-ms", "20000", "--seed", "3", "--out", str(trace_path)]
+        ) == 0
+        runs = {
+            level: run_logged(level, ["analyze", "--trace", str(trace_path),
+                                      "--bucket-ms", "2"])
+            for level in ("off", "debug")
+        }
+        assert runs["off"] == (runs["debug"][0], "")
+        assert json.loads(runs["off"][0])["period"] is not None
+        timing_line = re.compile(
+            r"DEBUG drsync\.cli: analyze stage seconds: read=\d+\.\d{6} "
+            r"stats=\d+\.\d{6} bucket=\d+\.\d{6} period=\d+\.\d{6}\n"
+        )
+        assert len(timing_line.findall(runs["debug"][1])) == 1
 
     def test_generate_zero_clients_writes_header_only(self, tmp_path):
         trace_path = tmp_path / "trace.csv"
@@ -481,6 +509,30 @@ class TestPredictFit:
         assert main(["fit", "--data", str(data_path), "--epochs", "200"]) == 0
         fitted = json.loads(capsys.readouterr().out)
         assert set(fitted) == {"bias", "w_latency", "w_loss", "w_jitter"}
+
+    def test_fit_stage_timings_only_on_stderr_at_debug(self, tmp_path):
+        data_path = tmp_path / "sessions.csv"
+        write_sessions_csv(generate_labeled_sessions(n=200, seed=13), str(data_path))
+        fit = ["fit", "--data", str(data_path), "--epochs", "50"]
+        runs = {}
+        for level in ("off", "debug"):
+            out = tmp_path / f"{level}.json"
+            runs[level] = (
+                run_logged(level, fit),
+                run_logged(level, [*fit, "--out", str(out)]),
+                out.read_bytes(),
+            )
+        (off_stdout, off_err), (off_out, off_out_err), off_file = runs["off"]
+        (debug_stdout, debug_err), (debug_out, debug_out_err), debug_file = runs["debug"]
+        assert (debug_stdout, debug_out, debug_file) == (off_stdout, off_out, off_file)
+        assert off_file.decode() == off_stdout and off_out == ""
+        assert off_err == off_out_err == ""
+        timing_line = re.compile(
+            r"DEBUG drsync\.cli: fit stage seconds: read=\d+\.\d{6} "
+            r"design=\d+\.\d{6} descent=\d+\.\d{6} write=\d+\.\d{6}\n"
+        )
+        for err in (debug_err, debug_out_err):
+            assert len(timing_line.findall(err)) == 1
 
     def test_fit_rejects_one_class_data(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"

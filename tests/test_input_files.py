@@ -970,3 +970,130 @@ def test_block_reader_leaves_quoted_names_to_the_row_reader(tmp_path, monkeypatc
     monkeypatch.setattr(workload, "_read_trace_rows", spy)
     assert read_outcome(workload.read_trace_csv, path) == expected
     assert calls == [str(path)]
+
+
+# --- the sessions reader's numpy blocks agree with its row reader -----------
+
+SESSIONS_HEADER = "rtt_mean_ms,rtt_jitter_ms,loss_rate,elapsed_min,quit_premature"
+# Cells that float() reads and numpy's parser may not ("1_0", " 1.5"), that
+# are out of range or overflow to infinity, or that are quoted or not
+# numbers at all.
+FLOAT_CELLS = [
+    *JUNK_CELLS, "5e-324", "1e400", "-1e400", "1E5", "1e+05", ".5", "5.", "+1.5",
+    " 1.5", "1.5 ", "1_0", "nan", "-nan", "inf", "-inf", "Infinity", "-1", "-0.0",
+    "True", '"1.5"', '"0.5', "0x1p-2", "1.5\x0c", "\x0b0.25", "0" * 30 + "1",
+]
+FLAG_CELLS = [
+    *JUNK_CELLS, "false", " true", "true ", '"true"', "True", "TRUE", "truee",
+    "falsee", "fals", "1", "",
+]
+
+
+def sessions_text(rows: int, edits) -> str:
+    """A sessions CSV of ``rows`` data rows with ``edits`` made, as
+    :func:`trace_text` makes them."""
+    cells = [
+        [repr(k * 0.37 % 400), repr(k % 7 / 3), repr(k % 10 / 10), repr(float(k % 6)),
+         ("false", "true")[k % 3 == 0]]
+        for k in range(rows)
+    ]
+    ends = ["\n"] * rows
+    for row, col, text in edits:
+        if col is None:
+            ends[row - 1] = text
+        else:
+            cells[row - 1][col] = text
+    return SESSIONS_HEADER + "\n" + "".join(
+        ",".join(row) + end for row, end in zip(cells, ends)
+    )
+
+
+@st.composite
+def session_files(draw):
+    rows = draw(st.one_of(
+        st.integers(0, 12), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1])
+    ))
+    edits = []
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        row = draw(st.one_of(
+            st.integers(1, rows), st.sampled_from([1, rows, min(rows, BLOCK)])
+        ))
+        col = draw(st.sampled_from([0, 1, 2, 3, 4, None]))
+        if col is None:
+            text = draw(st.sampled_from(LINE_ENDS))
+        elif col == 4:
+            text = draw(st.sampled_from(FLAG_CELLS))
+        else:
+            text = draw(st.one_of(
+                st.floats().map(repr),
+                st.floats(0.0, 1.0).map(repr),
+                st.sampled_from(FLOAT_CELLS),
+            ))
+        edits.append((row, col, text))
+    return rows, edits
+
+
+def sessions_outcome(read, path):
+    """Each session's metrics as the hex of their bits, with their types, and
+    its flag; or the reader's error text."""
+    try:
+        sessions = read(str(path))
+    except spec.InputFileError as exc:
+        return str(exc)
+    return [
+        (type(m), [(type(v), float.hex(v)) for v in m], type(quit), quit)
+        for m, quit in sessions
+    ]
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@example(case=(3, [(1, 0, "5e-324"), (2, 1, "1e308"), (3, 3, "-0.0")]))
+@example(case=(3, [(1, 0, "1E5"), (2, 1, "1e+05"), (3, 2, ".5"), (3, 3, "5.")]))
+@example(case=(3, [(1, 2, "+1.5"), (2, 0, " 1.5"), (3, 1, "1_0")]))
+@example(case=(3, [(2, 2, "1.5")]))
+@example(case=(3, [(1, 0, "-1")]))
+@example(case=(3, [(2, 1, "1e400")]))
+@example(case=(3, [(3, 3, "inf")]))
+@example(case=(3, [(2, 0, "nan")]))
+@example(case=(3, [(3, 4, "TRUE")]))
+@example(case=(3, [(1, 4, "True"), (2, 2, "True")]))
+@example(case=(3, [(1, 0, '"1.5"'), (2, 4, '"true"')]))
+@example(case=(3, [(1, None, "\r\n"), (2, None, "\n\n"), (3, None, "\r\n")]))
+@example(case=(3, [(2, None, "\n \n")]))
+@example(case=(BLOCK + 1, [(BLOCK + 1, 2, "2.0")]))
+@example(case=(BLOCK + 1, [(BLOCK + 1, 4, "truee")]))
+@example(case=(BLOCK + 1, [(BLOCK, 1, "-5"), (BLOCK + 1, None, "\r\n")]))
+@given(case=session_files())
+def test_block_reader_reads_sessions_as_the_row_reader(tmp_path_factory, case):
+    # The fast reader must give the row reader's sessions, bit for bit, or
+    # its error text.
+    path = tmp_path_factory.getbasetemp() / "sessions.csv"
+    path.write_text(sessions_text(*case), newline="")
+    expected = sessions_outcome(qon._read_session_rows, path)
+    assert sessions_outcome(qon.read_sessions_csv, path) == expected
+
+
+def test_block_reader_reads_plain_sessions_without_the_row_reader(
+    tmp_path, monkeypatch
+):
+    # CRLF line ends, blank lines, and the sessions that the writer writes,
+    # stay on numpy's path across more than two blocks.
+    paths = [tmp_path / "crlf.csv", tmp_path / "written.csv"]
+    paths[0].write_text(
+        sessions_text(2 * BLOCK + 1, [(BLOCK, None, "\n\n")]).replace("\n", "\r\n"),
+        newline="",
+    )
+    write_sessions_csv(generate_labeled_sessions(2 * BLOCK + 1, 5), str(paths[1]))
+    expected = [sessions_outcome(qon._read_session_rows, path) for path in paths]
+    assert all(len(sessions) == 2 * BLOCK + 1 for sessions in expected)
+
+    def no_rows(path):
+        raise AssertionError("the row reader ran")
+
+    monkeypatch.setattr(qon, "_read_session_rows", no_rows)
+    assert [sessions_outcome(qon.read_sessions_csv, path) for path in paths] == expected

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from drsync import qon
 from drsync.qon import (
@@ -220,6 +223,120 @@ class TestFitting:
             (risk_score(w, m) >= 0.5) == quit for m, quit in test
         )
         assert hits / len(test) >= 0.75
+
+
+    def test_fit_laps_its_stages(self):
+        laps = []
+        fit_weights(generate_labeled_sessions(20, seed=1), epochs=5, lap=laps.append)
+        assert laps == ["design", "descent"]
+
+
+# The descent as it was before it wrote into reused buffers, word for word:
+# every epoch allocates its arrays.  It is the oracle for the bits.
+def list_design_matrix(labeled):
+    x = np.array(
+        [(1.0, *qon._features(m)) for m, _ in labeled], dtype=float
+    )  # bias column first
+    y = np.array([1.0 if quit else 0.0 for _, quit in labeled], dtype=float)
+    return x, y
+
+
+def allocating_gradient(x, y, v):
+    p = 1.0 / (1.0 + np.exp(-(x @ v)))
+    return x.T @ (p - y) / len(y)
+
+
+def allocating_fit(labeled, learn_rate, epochs):
+    x, y = list_design_matrix(labeled)
+    v = np.zeros(4, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            v -= learn_rate * allocating_gradient(x, y, v)
+    if not np.isfinite(v).all():
+        raise ValueError(f"fit diverged: learn_rate {learn_rate!r} is too large")
+    return qon._pack(v)
+
+
+@st.composite
+def labeled_datasets(draw):
+    """2 to 500 sessions with both labels, from a drawn seed and scales."""
+    n = draw(st.one_of(st.integers(2, 500), st.sampled_from([2, 3, 500])))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rtt_max = draw(st.sampled_from([1.0, 120.0, 400.0, 5000.0, 1e6]))
+    jitter_max = draw(st.sampled_from([0.0, 30.0, 100.0, 1e4]))
+    quit_share = draw(st.floats(0.0, 1.0))
+    sessions = [
+        (
+            SessionMetrics(
+                rng.uniform(0.0, rtt_max),
+                rng.uniform(0.0, jitter_max),
+                rng.random(),
+                float(rng.randint(1, 5)),
+            ),
+            rng.random() < quit_share,
+        )
+        for _ in range(n)
+    ]
+    sessions[0] = (sessions[0][0], True)
+    sessions[1] = (sessions[1][0], False)
+    return sessions
+
+
+def weights_bits(w):
+    return [float.hex(getattr(w, f)) for f in ("bias", "w_latency", "w_loss", "w_jitter")]
+
+
+def fit_outcome(fit, labeled, learn_rate, epochs):
+    try:
+        return weights_bits(fit(labeled, learn_rate=learn_rate, epochs=epochs))
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestDescentOracle:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @example(
+        labeled=[(metrics(rtt=1e4), True), (metrics(loss=-0.0), False)],
+        learn_rate=1e308,
+        epochs=3,
+    )
+    @example(
+        labeled=generate_labeled_sessions(500, seed=4), learn_rate=1.0, epochs=60
+    )
+    @given(
+        labeled=labeled_datasets(),
+        learn_rate=st.one_of(
+            st.floats(1e-3, 10.0), st.floats(1e-3, 1e308), st.sampled_from([1e308])
+        ),
+        epochs=st.integers(1, 60),
+    )
+    def test_descent_gives_the_allocating_descents_bits(
+        self, labeled, learn_rate, epochs
+    ):
+        expected = fit_outcome(allocating_fit, labeled, learn_rate, epochs)
+        assert fit_outcome(fit_weights, labeled, learn_rate, epochs) == expected
+
+        x, y = qon._design_matrix(labeled)
+        list_x, list_y = list_design_matrix(labeled)
+        assert x.flags.c_contiguous and x.shape == list_x.shape
+        assert (x.tobytes(), y.tobytes()) == (list_x.tobytes(), list_y.tobytes())
+        v = np.array([0.5, -1.0, 2.0, 0.25])
+        with np.errstate(over="ignore"):
+            gradient = log_loss_gradient(qon._pack(v), labeled)
+            expected = qon._pack(allocating_gradient(list_x, list_y, v))
+        assert weights_bits(gradient) == weights_bits(expected)
+
+    def test_the_examples_diverge_and_converge(self):
+        # The oracle above sees both outcomes.
+        diverging = [(metrics(rtt=1e4), True), (metrics(loss=-0.0), False)]
+        with pytest.raises(ValueError, match="^fit diverged"):
+            fit_weights(diverging, learn_rate=1e308, epochs=3)
+        fit_weights(generate_labeled_sessions(500, seed=4), epochs=60)
 
 
 class TestDefaultWeights:
