@@ -211,8 +211,8 @@ def sample_positions(script: TrajectoryScript, ticks: np.ndarray) -> np.ndarray:
 class Stopwatch:
     """Wall-clock seconds per stage of a run, for logs and ``RunResult``.
 
-    Each :meth:`lap` records the seconds since the previous lap, or since
-    the stopwatch was made, under its stage name.
+    Each :meth:`lap` adds the seconds since the previous lap, or since the
+    stopwatch was made, to its stage's total.
     """
 
     def __init__(self) -> None:
@@ -221,7 +221,7 @@ class Stopwatch:
 
     def lap(self, stage: str) -> None:
         now = time.perf_counter()
-        self.timings[stage] = now - self._start
+        self.timings[stage] = self.timings.get(stage, 0.0) + now - self._start
         self._start = now
 
     def __str__(self) -> str:

@@ -11,10 +11,13 @@ first attempt of each packet identically, whichever transport is in use;
 only retransmissions consume extra draws.  :func:`first_attempts` draws
 those first attempts once, and both transports accept its result.
 
-Every transmission is :func:`channel_transmit`.  Rather than build a
+Every retransmission is :func:`channel_transmit`.  Rather than build a
 generator per transmission, each call keeps one ``random.Random`` and
 reseeds it with ``seed(key)``, which sets the state ``random.Random(key)``
-starts from; the first attempts' keys are mixed in one array pass.
+starts from.  First attempts are the same draws taken in bulk: their keys
+are mixed in one array pass, and from :data:`BATCH_MIN_KEYS` keys on,
+:func:`drsync.rng.mt_first_words` seeds them all at once and the draws are
+read off its words.
 
 Transports:
 
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import spec
 from .core import TimeMs
-from .rng import mix64, mix64_array
+from .rng import mix64, mix64_array, mt_first_words
 
 # Attempts after the first before a reliable transport gives a packet up;
 # Linux's default ``tcp_retries2``.
@@ -50,6 +53,16 @@ MAX_RETRANSMISSIONS = 15
 # past int64 and keeps the run summary's RTT mean and spread finite floats
 # over scenario.MAX_TICKS sends.
 MAX_DELAY_MS = 2**256
+
+# From this many keys on, a batch of first attempts is seeded at once by
+# rng.mt_first_words; below it, reseeding one random.Random per key is faster
+# (they cross at 800 to 1,000 keys on a 2-vCPU Xeon guest).
+BATCH_MIN_KEYS = 1_000
+# Keys per mt_first_words call, which bounds the memory it works in.
+_CHUNK_KEYS = 2**15
+# Words drawn per key: two for the loss draw, the rest for the jitter's
+# tries.  A jitter still rejected after them is drawn again by reseeding.
+_FIRST_WORDS = 8
 
 # Per packet, the arrival time of its first transmission, or None if lost.
 FirstAttempts = list[TimeMs | None]
@@ -161,11 +174,39 @@ def _check_sends(sends: list[tuple[int, TimeMs]]) -> None:
 
 
 def first_attempts(
-    chan: ChannelConfig, sends: list[tuple[int, TimeMs]]
+    runs: list[tuple[ChannelConfig, list[tuple[int, TimeMs]]]],
+) -> list[FirstAttempts]:
+    """For each ``(chan, sends)`` pair, the arrival time of each send's first
+    transmission, or None if it was lost.
+
+    From :data:`BATCH_MIN_KEYS` keys in all, every key's first words come
+    from one :func:`drsync.rng.mt_first_words` pass, and each draw is read
+    off them as ``channel_transmit`` takes it (:func:`_read_draws`).
+    """
+    keys = []
+    for chan, sends in runs:
+        _check_sends(sends)
+        seqs = np.arange(1, len(sends) + 1, dtype=np.uint64)
+        keys.append(mix64_array(chan.seed, seqs, 0))
+    total = sum(map(len, keys))
+    if total < BATCH_MIN_KEYS:
+        return [_transmit_each(*run, k) for run, k in zip(runs, keys)]
+    words = np.empty((_FIRST_WORDS, total), np.uint32)
+    every = np.concatenate(keys)
+    for start in range(0, total, _CHUNK_KEYS):
+        chunk = every[start : start + _CHUNK_KEYS]
+        words[:, start : start + len(chunk)] = mt_first_words(chunk, _FIRST_WORDS)
+    arrivals, start = [], 0
+    for (chan, sends), k in zip(runs, keys):
+        arrivals.append(_read_draws(chan, sends, k, words[:, start : start + len(k)]))
+        start += len(k)
+    return arrivals
+
+
+def _transmit_each(
+    chan: ChannelConfig, sends: list[tuple[int, TimeMs]], keys: np.ndarray
 ) -> FirstAttempts:
-    """The arrival time of each send's first transmission, or None if it was lost."""
-    _check_sends(sends)
-    keys = mix64_array(chan.seed, np.arange(1, len(sends) + 1, dtype=np.uint64), 0)
+    """Each send's first transmission, reseeding one ``random.Random`` per key."""
     rng = random.Random()
     arrivals: FirstAttempts = []
     for key, (_, send_ms) in zip(keys.tolist(), sends):
@@ -174,11 +215,47 @@ def first_attempts(
     return arrivals
 
 
+def _read_draws(
+    chan: ChannelConfig,
+    sends: list[tuple[int, TimeMs]],
+    keys: np.ndarray,
+    words: np.ndarray,
+) -> FirstAttempts:
+    """:func:`channel_transmit`'s draws for each key, read off its first ``words``.
+
+    ``random()`` is words 0 and 1 as ``genrand_res53`` joins them.
+    ``randint(0, jitter_max_ms)`` is ``getrandbits(k)``, for ``k`` the bit
+    length of ``jitter_max_ms + 1``, retried while it is too large; each try
+    is the top ``k`` bits of the next word while ``k <= 32``.  A channel
+    with wider jitter, and a kept packet whose every try was rejected, go
+    through :func:`channel_transmit` instead.
+    """
+    width = chan.jitter_max_ms + 1
+    if width.bit_length() > 32:
+        return _transmit_each(chan, sends, keys)
+    u = ((words[0] >> 5) * 67108864.0 + (words[1] >> 6)) * (1.0 / 9007199254740992.0)
+    lost = u < chan.loss_rate
+    tries = words[2:] >> np.uint32(32 - width.bit_length())
+    accepted = tries < np.uint32(width)
+    jitter = tries[accepted.argmax(axis=0), np.arange(len(keys))]
+    base = chan.base_latency_ms
+    arrivals: FirstAttempts = [
+        None if is_lost else send_ms + base + j
+        for (_, send_ms), is_lost, j in zip(sends, lost.tolist(), jitter.tolist())
+    ]
+    redraw = np.flatnonzero(~lost & ~accepted.any(axis=0))
+    if len(redraw):
+        again = _transmit_each(chan, [sends[i] for i in redraw], keys[redraw])
+        for i, arrive in zip(redraw.tolist(), again):
+            arrivals[i] = arrive
+    return arrivals
+
+
 def _first_draws(
     chan: ChannelConfig, sends: list[tuple[int, TimeMs]], first: FirstAttempts | None
 ) -> FirstAttempts:
     if first is None:
-        return first_attempts(chan, sends)
+        return first_attempts([(chan, sends)])[0]
     _check_sends(sends)
     if len(first) != len(sends):
         raise ValueError(f"first attempts cover {len(first)} packets, not {len(sends)}")
@@ -197,8 +274,8 @@ def reliable_run(
     monotone times.  Attempt ``k`` of a packet leaves at ``send_ms + k *
     rto_ms``.  A packet still lost after ``MAX_RETRANSMISSIONS``
     retransmissions is given up and holds back nothing behind it.
-    ``first`` is :func:`first_attempts` of ``chan`` for these sends, if the
-    caller already has it.
+    ``first`` is the :func:`first_attempts` of ``chan`` and these sends, if
+    the caller already has them.
     """
     arrivals = _first_draws(chan, sends, first)
     rng = random.Random()

@@ -6,6 +6,7 @@ integers (master seed, stream tag, sequence number, ...) into a single
 well-mixed 64-bit value using the splitmix64 finalizer.  Deriving substreams
 this way makes each stream independent of how many draws any other stream
 consumed, so results are reproducible regardless of generation order.
+:func:`mt_first_words` gives the first words of many such streams at once.
 """
 
 from __future__ import annotations
@@ -67,3 +68,120 @@ def mix64_array(*parts: int | np.ndarray) -> np.ndarray:
 def substream(*parts: int) -> random.Random:
     """Return a ``random.Random`` seeded from the mixed parts."""
     return random.Random(mix64(*parts))
+
+
+# MT19937's state size and twist offset (Matsumoto and Nishimura, ACM TOMACS
+# 1998), and the words of ``init_genrand(19650218)``, where CPython's
+# ``init_by_array`` starts.
+_MT_N, _MT_M = 624, 397
+
+
+def _init_genrand(s: int) -> list[int]:
+    mt = [s]
+    for i in range(1, _MT_N):
+        mt.append((1812433253 * (mt[-1] ^ (mt[-1] >> 30)) + i) & 0xFFFFFFFF)
+    return mt
+
+
+_MT_INIT = np.array(_init_genrand(19650218), dtype=np.uint32)
+
+
+def mt_first_words(keys: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` words of ``random.Random(key).getrandbits(32)`` for each key.
+
+    ``keys`` is a uint64 array; row ``w`` of the returned ``(n, len(keys))``
+    uint32 array holds word ``w`` of every key, for ``1 <= n <= 227``.
+
+    CPython seeds an int key with ``init_by_array`` over its 32-bit words,
+    low word first: one word below 2**32, two below 2**64.  Either way its
+    two loops take the same 1,247 steps, which differ between keys only in
+    the key word the first loop adds, so each step runs once over all keys
+    as uint32 columns.  The second loop reads the words the first left
+    behind; rather than keep 624 words per key, a replay of the first loop
+    runs beside it.  The first ``n`` outputs of the first twist read only
+    words ``0..n`` and ``397..396+n`` of the seeded state, so only those are
+    kept, and only they are twisted and tempered.
+    """
+    if not 1 <= n <= _MT_N - _MT_M:
+        raise ValueError(f"n must be in [1, {_MT_N - _MT_M}], got {n}")
+    u32, g = np.uint32, list(_MT_INIT)  # as uint32 scalars
+    keys = np.asarray(keys, dtype=np.uint64)
+    lo = (keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    hi = (keys >> np.uint64(32)).astype(np.uint32)
+    # The first loop's step j adds key word j % length, plus j % length.
+    adds = (lo, np.where(hi != 0, hi + u32(1), lo))
+    shift, xor, mul = np.right_shift, np.bitwise_xor, np.multiply
+    add, sub = np.add, np.subtract
+    c30, c1, c2 = u32(30), u32(1664525), u32(1566083941)
+
+    # First loop: step s writes word s for s = 1..623, then wraps, copying
+    # word 623 to word 0, and step 624 writes word 1 again.
+    g0 = int(g[0])
+    first = lo + u32(((g0 ^ (g0 >> 30)) * 1664525 ^ int(g[1])) & 0xFFFFFFFF)
+    r, t = first.copy(), np.empty(len(keys), np.uint32)
+    for i in range(2, _MT_N):
+        shift(r, c30, out=t)
+        xor(t, r, out=t)
+        mul(t, c1, out=t)
+        xor(t, g[i], out=r)
+        add(r, adds[(i - 1) & 1], out=r)
+    shift(r, c30, out=t)
+    xor(t, r, out=t)
+    mul(t, c1, out=t)
+    xor(t, first, out=t)
+    word1 = add(t, adds[1])
+
+    # Second loop from word 2: its chain ``p`` is row 1 of ``s``, and row 0,
+    # ``r``, replays the first loop's word at the same place, so that one
+    # shift, xor and multiply serve both.
+    s = np.empty((2, len(keys)), np.uint32)
+    s[0], s[1] = first, word1
+    r, p = s
+    ts = np.empty_like(s)
+    mults = np.array([[c1], [c2]], np.uint32)
+    kept = np.empty((2 * n + 1, len(keys)), np.uint32)  # words 0..n, 397..396+n
+    kept[0] = 0x80000000  # init_by_array's last act sets word 0's top bit
+    for i in range(2, _MT_N):
+        shift(s, c30, out=ts)
+        xor(ts, s, out=s)
+        mul(s, mults, out=s)
+        xor(r, g[i], out=r)
+        add(r, adds[(i - 1) & 1], out=r)
+        xor(p, r, out=p)
+        sub(p, u32(i), out=p)
+        if i <= n:
+            kept[i] = p
+        elif _MT_M <= i < _MT_M + n:
+            kept[n + 1 + i - _MT_M] = p
+    # It wraps too: word 0 is now word 623, and step 623 writes word 1.
+    shift(p, c30, out=t)
+    xor(t, p, out=t)
+    mul(t, c2, out=t)
+    xor(t, word1, out=t)
+    sub(t, u32(1), out=kept[1])
+    del s, ts, r, p, first, word1, adds, lo, hi  # freed before the twist's rows
+
+    # Twist and temper one output row at a time, in two scratch columns.
+    out = np.empty((n, len(keys)), np.uint32)
+    y = np.empty(len(keys), np.uint32)
+    for w, o in enumerate(out):
+        np.bitwise_and(kept[w], u32(0x80000000), out=y)
+        np.bitwise_and(kept[w + 1], u32(0x7FFFFFFF), out=t)
+        y |= t
+        shift(y, u32(1), out=o)
+        o ^= kept[n + 1 + w]
+        y &= u32(1)
+        y *= u32(0x9908B0DF)
+        o ^= y
+        # Tempering.
+        shift(o, u32(11), out=t)
+        o ^= t
+        np.left_shift(o, u32(7), out=t)
+        t &= u32(0x9D2C5680)
+        o ^= t
+        np.left_shift(o, u32(15), out=t)
+        t &= u32(0xEFC60000)
+        o ^= t
+        shift(o, u32(18), out=t)
+        o ^= t
+    return out

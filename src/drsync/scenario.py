@@ -13,7 +13,9 @@ attempt)``, both transports face identical loss and jitter on every first
 transmission, making the per-seed comparison a genuinely paired experiment.
 The stages that do not depend on the transport (trajectory, sampling,
 sender, the resolved channel and its first-attempt draws) are therefore
-built once per seed and given to both runs.
+built once per seed and given to both runs.  Consecutive seeds are built in
+batches, whose first attempts are drawn in one
+:func:`~drsync.netsim.first_attempts` call.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ RECOVERABLE_LOSS_LIMIT = 0.5
 # The most ticks a run may have.  A compare, which holds two runs at once,
 # stays under about 1 GiB at this cap (extrapolated from 1/16 of it).
 MAX_TICKS = 500_000
+# run_compare builds consecutive seeds' mode-free stages until they hold this
+# many sends, then draws their first attempts together.
+COMPARE_BATCH_SENDS = 8_192
 # The most waypoints a generated trajectory may have; generating that many
 # takes about 2 s and 210 MiB (measured on a 2-vCPU Xeon guest).
 MAX_WAYPOINTS = 500_000
@@ -194,21 +199,57 @@ class ScenarioConfig:
 def generate_trajectory(
     gen: TrajectoryGenConfig, duration_ms: int, seed: int
 ) -> TrajectoryScript:
-    """Seeded random-waypoint walk covering at least ``duration_ms``."""
+    """Seeded random-waypoint walk covering at least ``duration_ms``.
+
+    The walk draws from ``substream(seed, TAG_TRAJECTORY)``: a start
+    uniform in the box, then per waypoint an interval by ``randint``, a
+    speed by ``uniform`` and a direction from three ``gauss`` draws,
+    resampled in the rare case that they are all near zero.  Those methods
+    are written out here over the generator's ``random`` and
+    ``getrandbits``, in CPython's operations and order: ``uniform(a, b)``
+    is ``a + (b - a) * random()``; ``randint`` is ``getrandbits`` of the
+    width's bit length, retried while too large; and ``gauss`` makes a
+    Box–Muller pair and keeps its second value for the next call.
+    """
     rng = substream(seed, TAG_TRAJECTORY)
+    random, getrandbits = rng.random, rng.getrandbits
     box = gen.box_size
     pos = Vec3(
-        rng.uniform(0.0, box), rng.uniform(0.0, box), rng.uniform(0.0, box)
+        0.0 + (box - 0.0) * random(),
+        0.0 + (box - 0.0) * random(),
+        0.0 + (box - 0.0) * random(),
     )
     waypoints: list[tuple[TimeMs, Vec3]] = [(0, pos)]
+    dt_min = gen.waypoint_interval_min_ms
+    dt_width = gen.waypoint_interval_max_ms - dt_min + 1
+    dt_bits = dt_width.bit_length()
+    speed_min, speed_span = gen.speed_min, gen.speed_max - gen.speed_min
+    tau, sqrt, log, cos, sin = math.tau, math.sqrt, math.log, math.cos, math.sin
+    # gauss returns 0 + z * 1, which differs from z only in turning -0.0
+    # into 0.0; the walk uses each draw squared or as a step added to a
+    # coordinate that is never -0.0, so it cannot tell the two apart.
+    spare = None  # gauss's kept second value
     t = 0
     while t < duration_ms:
-        dt = rng.randint(gen.waypoint_interval_min_ms, gen.waypoint_interval_max_ms)
-        speed = rng.uniform(gen.speed_min, gen.speed_max)
-        # Uniform random direction; resample the rare near-zero draw.
+        r = getrandbits(dt_bits)
+        while r >= dt_width:
+            r = getrandbits(dt_bits)
+        dt = dt_min + r
+        speed = speed_min + speed_span * random()
         while True:
-            dx, dy, dz = rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)
-            norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if spare is None:
+                x2pi = random() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                dx, dy = cos(x2pi) * g2rad, sin(x2pi) * g2rad
+                x2pi = random() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                dz, spare = cos(x2pi) * g2rad, sin(x2pi) * g2rad
+            else:
+                x2pi = random() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - random()))
+                dx, dy, dz = spare, cos(x2pi) * g2rad, sin(x2pi) * g2rad
+                spare = None
+            norm = sqrt(dx * dx + dy * dy + dz * dz)
             if norm > 1e-9:
                 break
         step = speed * dt / 1000.0
@@ -274,7 +315,7 @@ class _SharedStages(NamedTuple):
     velocities: np.ndarray
     sends: list[tuple[int, TimeMs]]
     chan: ChannelConfig
-    first: FirstAttempts
+    first: FirstAttempts | None
 
 
 def _shared_stages(
@@ -282,8 +323,8 @@ def _shared_stages(
 ) -> _SharedStages:
     """Build the mode-free stages, calling ``lap`` after trajectory, sample and sender.
 
-    The channel's first-attempt draws come after the last lap, so a run that
-    builds these stages itself counts them in its ``transport`` time.
+    ``first`` is left None, so a run given these stages draws its first
+    attempts in its ``transport`` stage; :func:`run_compare` fills it in.
     """
     script = _load_trajectory(cfg)
     lap("trajectory")
@@ -297,8 +338,7 @@ def _shared_stages(
     sends = list(enumerate(ticks[sent].tolist(), start=1))
     lap("sender")
     chan = _resolve_channel(cfg)
-    first = first_attempts(chan, sends)
-    return _SharedStages(cfg, ticks, positions, sent, velocities, sends, chan, first)
+    return _SharedStages(cfg, ticks, positions, sent, velocities, sends, chan, None)
 
 
 def run_simulation(
@@ -480,7 +520,10 @@ def run_compare(
     Each seed's trajectory, sampled positions, sends, channel and
     first-attempt draws are built once and passed to both
     :func:`run_simulation` calls, whose results equal those of runs that
-    build them alone.
+    build them alone.  Consecutive seeds are built until they hold
+    :data:`COMPARE_BATCH_SENDS` sends, or the seeds run out; their first
+    attempts are then drawn in one call, and each seed is run and written in
+    turn.  Each batch logs its stage seconds at ``DEBUG``.
     """
     if len(seeds) < 2:
         raise ValueError(
@@ -490,38 +533,54 @@ def run_compare(
         raise ValueError("comparison seeds must be distinct")
 
     rows: list[CompareRow] = []
-    for seed in seeds:
+    batch: list[_SharedStages] = []
+    watch = Stopwatch()
+    for i, seed in enumerate(seeds):
         variant = replace(
             cfg, seed=seed, channel=replace(cfg.channel, seed=None)
         )
-        shared = _shared_stages(variant, lambda stage: None)
-        results = {}
-        for mode in (MODE_UNRELIABLE, MODE_RELIABLE):
-            result = run_simulation(variant, mode=mode, _shared=shared)
-            if result.report.mean is None:
-                raise ValueError(
-                    f"seed {seed} mode {mode}: no post-warm-up ticks to compare"
-                )
-            results[mode] = result
-            if out_dir is not None:
-                write_run_outputs(result, Path(out_dir) / f"seed_{seed}" / mode)
-        unrel = results[MODE_UNRELIABLE].report
-        rel = results[MODE_RELIABLE].report
-        rows.append(
-            CompareRow(
-                seed=seed,
-                mean_unreliable=unrel.mean,
-                mean_reliable=rel.mean,
-                mean_diff=rel.mean - unrel.mean,
-                max_unreliable=unrel.max,
-                max_reliable=rel.max,
-                p95_unreliable=unrel.p95,
-                p95_reliable=rel.p95,
-            )
+        batch.append(_shared_stages(variant, watch.lap))
+        if i + 1 < len(seeds) and sum(len(b.sends) for b in batch) < COMPARE_BATCH_SENDS:
+            continue
+        firsts = first_attempts([(b.chan, b.sends) for b in batch])
+        watch.lap("draws")
+        log.debug(
+            "compare seeds=%s stage seconds: %s",
+            ",".join(str(b.config.seed) for b in batch), watch,
         )
+        for shared, first in zip(batch, firsts):
+            rows.append(_compare_seed(shared._replace(first=first), out_dir))
+        batch, watch = [], Stopwatch()
     if out_dir is not None:
         _write_compare_outputs(rows, Path(out_dir))
     return rows
+
+
+def _compare_seed(shared: _SharedStages, out_dir: str | Path | None) -> CompareRow:
+    """Run both transports over one seed's shared stages and pair their errors."""
+    seed = shared.config.seed
+    results = {}
+    for mode in (MODE_UNRELIABLE, MODE_RELIABLE):
+        result = run_simulation(shared.config, mode=mode, _shared=shared)
+        if result.report.mean is None:
+            raise ValueError(
+                f"seed {seed} mode {mode}: no post-warm-up ticks to compare"
+            )
+        results[mode] = result
+        if out_dir is not None:
+            write_run_outputs(result, Path(out_dir) / f"seed_{seed}" / mode)
+    unrel = results[MODE_UNRELIABLE].report
+    rel = results[MODE_RELIABLE].report
+    return CompareRow(
+        seed=seed,
+        mean_unreliable=unrel.mean,
+        mean_reliable=rel.mean,
+        mean_diff=rel.mean - unrel.mean,
+        max_unreliable=unrel.max,
+        max_reliable=rel.max,
+        p95_unreliable=unrel.p95,
+        p95_reliable=rel.p95,
+    )
 
 
 _COMPARE_FIELDS = [f.name for f in fields(CompareRow)]

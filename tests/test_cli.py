@@ -213,6 +213,33 @@ class TestCompare:
         assert (tmp_path / "runs" / "comparison.csv").exists()
         assert (tmp_path / "runs" / "seed_1" / "reliable_ordered" / "summary.json").exists()
 
+    def test_stage_timings_only_on_stderr_at_debug(self, config_path, tmp_path):
+        def compare(level):
+            out = tmp_path / level
+            stdout, stderr = run_logged(
+                level,
+                ["compare", "--config", config_path, "--seeds", "3,1,2",
+                 "--out", str(out)],
+            )
+            tree = {
+                str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()
+            }
+            return stdout, tree, stderr
+
+        off_out, off_tree, off_err = compare("off")
+        debug_out, debug_tree, debug_err = compare("debug")
+        assert (debug_out, debug_tree) == (off_out, off_tree)
+        assert len(off_tree) == 2 + 3 * 2 * 4
+        assert off_err == ""
+        # The three seeds hold fewer than 160 sends, so they make one batch.
+        batch_line = re.compile(
+            r"DEBUG drsync\.scenario: compare seeds=3,1,2 stage seconds: "
+            r"trajectory=\d+\.\d{6} sample=\d+\.\d{6} sender=\d+\.\d{6} "
+            r"draws=\d+\.\d{6}\n"
+        )
+        assert len(batch_line.findall(debug_err)) == 1
+
     def test_single_seed_rejected(self, capsys, config_path):
         assert main(["compare", "--config", config_path, "--seeds", "1"]) == 1
         assert "seeds" in capsys.readouterr().err

@@ -1,8 +1,12 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drsync import netsim
 from drsync.netsim import (
     MAX_RETRANSMISSIONS,
     ChannelConfig,
@@ -18,7 +22,7 @@ from drsync.netsim import (
     unreliable_run,
     write_delivery_csv,
 )
-from drsync.rng import mix64, mix64_array, substream
+from drsync.rng import mix64, mix64_array, mt_first_words, substream
 
 THREE_SENDS = [(1, 0), (2, 100), (3, 200)]
 
@@ -152,7 +156,7 @@ send_lists = st.lists(st.integers(0, 60), max_size=30).map(
 def test_transports_draw_as_one_generator_per_transmission(
     cfg, sends, rto_ms, playout, policy
 ):
-    first = first_attempts(cfg, sends)
+    [first] = first_attempts([(cfg, sends)])
     assert first == [
         channel_transmit(cfg, substream(cfg.seed, seq, 0), send_ms)
         for seq, send_ms in sends
@@ -168,14 +172,70 @@ def test_transports_draw_as_one_generator_per_transmission(
     assert unreliable_run(cfg, dejitter, sends, first=first) == unreliable
 
 
+def reference_first(cfg, sends):
+    return [channel_transmit(cfg, substream(cfg.seed, seq, 0), t) for seq, t in sends]
+
+
+batch_channels = st.builds(
+    ChannelConfig,
+    base_latency_ms=st.sampled_from([0, 100, 2**70]),
+    jitter_max_ms=st.one_of(
+        st.sampled_from([0, 1, 40, 2**31, 2**32 - 2, 2**32 - 1, 2**40]),
+        st.integers(0, 1000),
+    ),
+    loss_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**80)),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    runs=st.lists(st.tuples(batch_channels, send_lists), min_size=1, max_size=3),
+    min_keys=st.sampled_from([0, 10**9]),
+    # With 3 words a jitter gets one try, so many run out of words.
+    words=st.sampled_from([3, 8]),
+    chunk=st.sampled_from([7, 2**15]),
+)
+def test_batched_first_attempts_draw_as_channel_transmit(runs, min_keys, words, chunk):
+    # min_keys 0 puts every batch past the crossover, 10**9 none.
+    with mock.patch.multiple(
+        netsim, BATCH_MIN_KEYS=min_keys, _FIRST_WORDS=words, _CHUNK_KEYS=chunk
+    ):
+        batched = first_attempts(runs)
+    assert batched == [reference_first(cfg, sends) for cfg, sends in runs]
+
+
+def test_a_jitter_rejected_in_every_word_is_drawn_again():
+    # At jitter_max_ms 0 a try is rejected when its word's top bit is set.
+    cfg = chan(jitter=0, seed=21)
+    sends = [(seq, 10 * seq) for seq in range(1, 501)]
+    keys = mix64_array(cfg.seed, np.arange(1, 501, dtype=np.uint64), 0)
+    tries = mt_first_words(keys, netsim._FIRST_WORDS)[2:]
+    assert (tries >> 31).all(axis=0).any()
+    with mock.patch.object(netsim, "BATCH_MIN_KEYS", 0):
+        assert first_attempts([(cfg, sends)]) == [reference_first(cfg, sends)]
+
+
+def test_the_batched_loss_draw_is_random_to_the_last_bit():
+    # A packet is lost when random() < loss_rate, so a loss rate at its
+    # random() keeps it and the next float up loses it.
+    sends = [(seq, 10 * seq) for seq in range(1, 65)]
+    with mock.patch.object(netsim, "BATCH_MIN_KEYS", 0):
+        for seq in (1, 64):
+            u = substream(5, seq, 0).random()
+            for loss, lost in ((u, False), (math.nextafter(u, 1.0), True)):
+                [first] = first_attempts([(chan(loss=loss, seed=5), sends)])
+                assert (first[seq - 1] is None) == lost
+
+
 def test_first_attempts_must_cover_the_sends():
-    first = first_attempts(chan(), THREE_SENDS[:2])
+    [first] = first_attempts([(chan(), THREE_SENDS[:2])])
     with pytest.raises(ValueError, match="cover 2 packets, not 3"):
         reliable_run(chan(), ReliableOrdered(rto_ms=100), THREE_SENDS, first=first)
     with pytest.raises(ValueError, match="cover 2 packets, not 3"):
         unreliable_run(chan(), DejitterConfig(), THREE_SENDS, first=first)
     with pytest.raises(ValueError, match="contiguous"):
-        first_attempts(chan(), THREE_SENDS[1:])
+        first_attempts([(chan(), THREE_SENDS[1:])])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

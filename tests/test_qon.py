@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -377,6 +378,32 @@ class TestSerialization:
         path = tmp_path / "sessions.csv"
         write_sessions_csv(data, str(path))
         assert read_sessions_csv(str(path)) == data
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_sessions_read_restores_the_collector(self, tmp_path, collecting):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_sessions_csv(generate_labeled_sessions(10, seed=6), str(good))
+        bad.write_text(good.read_text() + "1.0,2.0,0.3,4.0,maybe\n")
+        paused = []
+        real_read = qon.spec.read_csv_blocks
+
+        def read(*args):
+            paused.append(not gc.isenabled())
+            return real_read(*args)
+
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(qon.spec, "read_csv_blocks", read)
+                assert len(read_sessions_csv(str(good))) == 10
+                assert gc.isenabled() == collecting
+                with pytest.raises(ValueError, match="row 12"):
+                    read_sessions_csv(str(bad))
+                assert gc.isenabled() == collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert paused == [True, True]
 
     def test_metrics_csv_with_optional_column(self, tmp_path):
         path = tmp_path / "metrics.csv"

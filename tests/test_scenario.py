@@ -1,13 +1,18 @@
 import json
+import logging
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from drsync import scenario, spec
+from drsync import netsim, scenario, spec
 from drsync.core import TrajectoryScript, Vec3
 from drsync.netsim import DejitterConfig, LatePolicy, read_delivery_csv
 from drsync.protocol import ProtocolConfig
+from drsync.rng import TAG_TRAJECTORY, substream
 from drsync.scenario import (
     MODE_RELIABLE,
     MODE_UNRELIABLE,
@@ -47,6 +52,61 @@ def quiet_config(**kw) -> ScenarioConfig:
     )
     defaults.update(kw)
     return ScenarioConfig(**defaults)
+
+
+def reference_trajectory(gen, duration_ms, seed):
+    """The walk through ``random.Random``'s own methods, as
+    :func:`generate_trajectory` draws it."""
+    rng = substream(seed, TAG_TRAJECTORY)
+    box = gen.box_size
+    pos = Vec3(
+        rng.uniform(0.0, box), rng.uniform(0.0, box), rng.uniform(0.0, box)
+    )
+    waypoints = [(0, pos)]
+    t = 0
+    while t < duration_ms:
+        dt = rng.randint(gen.waypoint_interval_min_ms, gen.waypoint_interval_max_ms)
+        speed = rng.uniform(gen.speed_min, gen.speed_max)
+        while True:
+            dx, dy, dz = rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)
+            norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if norm > 1e-9:
+                break
+        step = speed * dt / 1000.0
+        pos = Vec3(
+            min(box, max(0.0, pos.x + dx / norm * step)),
+            min(box, max(0.0, pos.y + dy / norm * step)),
+            min(box, max(0.0, pos.z + dz / norm * step)),
+        )
+        t += dt
+        waypoints.append((t, pos))
+    return TrajectoryScript(waypoints)
+
+
+@st.composite
+def generators(draw):
+    speeds = sorted(draw(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=2)))
+    lo = draw(st.integers(1, 2**40))
+    hi = draw(st.one_of(st.just(lo), st.integers(lo, lo + 2000), st.integers(lo, 2**41)))
+    return TrajectoryGenConfig(
+        box_size=draw(st.floats(1e-3, 1e6)),
+        speed_min=speeds[0],
+        speed_max=speeds[1],
+        waypoint_interval_min_ms=lo,
+        waypoint_interval_max_ms=hi,
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(gen=comparison_scenario().trajectory.generator, steps=200, seed=4)
+@example(gen=TrajectoryGenConfig(waypoint_interval_max_ms=2000), steps=30, seed=1)
+@given(gen=generators(), steps=st.integers(1, 60), seed=st.integers(0, 2**64))
+def test_trajectory_draws_as_random_random(gen, steps, seed):
+    duration_ms = steps * gen.waypoint_interval_min_ms
+    script = generate_trajectory(gen, duration_ms, seed)
+    assert repr(script.waypoints) == repr(
+        reference_trajectory(gen, duration_ms, seed).waypoints
+    )
 
 
 class TestTrajectoryGenerator:
@@ -271,6 +331,25 @@ class TestSharedStages:
 
     @pytest.mark.parametrize("source", ["generated", "file"])
     def test_shared_runs_equal_runs_alone(self, source, tmp_path, monkeypatch):
+        self.check_shared_runs(source, [4, 5], tmp_path, monkeypatch)
+
+    @pytest.mark.parametrize("source", ["generated", "file"])
+    def test_shared_runs_across_two_batches_equal_runs_alone(
+        self, source, tmp_path, monkeypatch, caplog
+    ):
+        # Each seed has about 70 sends, so seeds 4 and 5 fill the first batch
+        # and 6 makes the second; the batched kernel draws both.
+        monkeypatch.setattr(scenario, "COMPARE_BATCH_SENDS", 100)
+        monkeypatch.setattr(netsim, "BATCH_MIN_KEYS", 0)
+        caplog.set_level(logging.DEBUG, logger="drsync.scenario")
+        self.check_shared_runs(source, [4, 5, 6], tmp_path, monkeypatch)
+        batches = [
+            r.getMessage().split()[1] for r in caplog.records
+            if r.getMessage().startswith("compare seeds=")
+        ]
+        assert batches == ["seeds=4,5", "seeds=6"]
+
+    def check_shared_runs(self, source, seeds, tmp_path, monkeypatch):
         cfg = replace(comparison_scenario(), duration_ms=6_000)
         if source == "file":
             script = generate_trajectory(
@@ -282,9 +361,9 @@ class TestSharedStages:
                 + "".join(f"{t},{p.x!r},{p.y!r},{p.z!r}\n" for t, p in script.waypoints)
             )
             cfg = replace(cfg, trajectory=TrajectorySource(file=str(path)))
-        results = self.compare_results(cfg, [4, 5], monkeypatch)
+        results = self.compare_results(cfg, seeds, monkeypatch)
         assert [(r.config.seed, r.mode) for r in results] == [
-            (seed, mode) for seed in (4, 5) for mode in (MODE_UNRELIABLE, MODE_RELIABLE)
+            (seed, mode) for seed in seeds for mode in (MODE_UNRELIABLE, MODE_RELIABLE)
         ]
         monkeypatch.undo()
         for shared in results:
