@@ -76,9 +76,13 @@ RECOVERABLE_LOSS_LIMIT = 0.5
 # The most ticks a run may have.  A compare, which holds two runs at once,
 # stays under about 1 GiB at this cap (extrapolated from 1/16 of it).
 MAX_TICKS = 500_000
-# run_compare builds consecutive seeds' mode-free stages until they hold this
-# many sends, then draws their first attempts together.
+# run_compare builds consecutive seeds' mode-free stages until they hold
+# COMPARE_BATCH_SENDS sends or COMPARE_BATCH_TICKS ticks, then draws their
+# first attempts together.  Their arrays take at most 64 bytes a tick, and a
+# batch holds fewer than 2 * COMPARE_BATCH_TICKS ticks, so a batch adds at
+# most about 64 MB beside the two runs.
 COMPARE_BATCH_SENDS = 8_192
+COMPARE_BATCH_TICKS = MAX_TICKS
 # The most waypoints a generated trajectory may have; generating that many
 # takes about 2 s and 210 MiB (measured on a 2-vCPU Xeon guest).
 MAX_WAYPOINTS = 500_000
@@ -521,9 +525,10 @@ def run_compare(
     first-attempt draws are built once and passed to both
     :func:`run_simulation` calls, whose results equal those of runs that
     build them alone.  Consecutive seeds are built until they hold
-    :data:`COMPARE_BATCH_SENDS` sends, or the seeds run out; their first
-    attempts are then drawn in one call, and each seed is run and written in
-    turn.  Each batch logs its stage seconds at ``DEBUG``.
+    :data:`COMPARE_BATCH_SENDS` sends or :data:`COMPARE_BATCH_TICKS` ticks,
+    or the seeds run out; their first attempts are then drawn in one call,
+    and each seed is run and written in turn, its stages dropped once it is
+    done.  Each batch logs its stage seconds at ``DEBUG``.
     """
     if len(seeds) < 2:
         raise ValueError(
@@ -540,7 +545,11 @@ def run_compare(
             cfg, seed=seed, channel=replace(cfg.channel, seed=None)
         )
         batch.append(_shared_stages(variant, watch.lap))
-        if i + 1 < len(seeds) and sum(len(b.sends) for b in batch) < COMPARE_BATCH_SENDS:
+        if (
+            i + 1 < len(seeds)
+            and sum(len(b.sends) for b in batch) < COMPARE_BATCH_SENDS
+            and sum(len(b.ticks) for b in batch) < COMPARE_BATCH_TICKS
+        ):
             continue
         firsts = first_attempts([(b.chan, b.sends) for b in batch])
         watch.lap("draws")
@@ -548,16 +557,19 @@ def run_compare(
             "compare seeds=%s stage seconds: %s",
             ",".join(str(b.config.seed) for b in batch), watch,
         )
-        for shared, first in zip(batch, firsts):
-            rows.append(_compare_seed(shared._replace(first=first), out_dir))
-        batch, watch = [], Stopwatch()
+        pending, batch, watch = list(zip(batch, firsts)), [], Stopwatch()
+        while pending:
+            rows.append(_compare_seed(*pending.pop(0), out_dir))
     if out_dir is not None:
         _write_compare_outputs(rows, Path(out_dir))
     return rows
 
 
-def _compare_seed(shared: _SharedStages, out_dir: str | Path | None) -> CompareRow:
+def _compare_seed(
+    shared: _SharedStages, first: FirstAttempts, out_dir: str | Path | None
+) -> CompareRow:
     """Run both transports over one seed's shared stages and pair their errors."""
+    shared = shared._replace(first=first)
     seed = shared.config.seed
     results = {}
     for mode in (MODE_UNRELIABLE, MODE_RELIABLE):

@@ -343,11 +343,24 @@ class TestSharedStages:
         monkeypatch.setattr(netsim, "BATCH_MIN_KEYS", 0)
         caplog.set_level(logging.DEBUG, logger="drsync.scenario")
         self.check_shared_runs(source, [4, 5, 6], tmp_path, monkeypatch)
-        batches = [
+        assert self.batches(caplog) == ["seeds=4,5", "seeds=6"]
+
+    def test_batch_closes_on_ticks_when_sends_are_few(self, monkeypatch, caplog):
+        # Nothing passes the threshold, so each seed sends only tick 0; its
+        # 51 ticks close the batch long before its sends would.
+        cfg = quiet_config(protocol=ProtocolConfig(threshold=1e12, tick_ms=100))
+        monkeypatch.setattr(scenario, "COMPARE_BATCH_TICKS", 100)
+        caplog.set_level(logging.DEBUG, logger="drsync.scenario")
+        results = self.compare_results(cfg, [4, 5, 6, 7, 8], monkeypatch)
+        assert [len(r.sends) for r in results] == [1] * 10
+        assert self.batches(caplog) == ["seeds=4,5", "seeds=6,7", "seeds=8"]
+
+    @staticmethod
+    def batches(caplog):
+        return [
             r.getMessage().split()[1] for r in caplog.records
             if r.getMessage().startswith("compare seeds=")
         ]
-        assert batches == ["seeds=4,5", "seeds=6"]
 
     def check_shared_runs(self, source, seeds, tmp_path, monkeypatch):
         cfg = replace(comparison_scenario(), duration_ms=6_000)
