@@ -29,6 +29,7 @@ from .qon import (
     weights_from_json,
     weights_to_dict,
 )
+from .rng import check_seed
 from .scenario import (
     ConfigError,
     compare_payload,
@@ -38,6 +39,7 @@ from .scenario import (
     write_run_outputs,
 )
 from .workload import (
+    DIRECTION_TEXTS,
     generate_trace,
     preset,
     profile_from_json,
@@ -86,6 +88,7 @@ def _probability(text: str) -> float:
 def _cmd_simulate(args) -> int:
     cfg = config_from_json(args.config)
     if args.seed is not None:
+        check_seed(args.seed, "--seed")
         cfg = replace(cfg, seed=args.seed)
     result = run_simulation(cfg)
     if args.out is not None:
@@ -126,31 +129,24 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _direction_stats(trace, direction, duration_ms) -> dict:
-    stats = compute_stats(trace, direction, duration_ms=duration_ms)
-    return {
-        "packets": stats.packets,
-        "total_bytes": stats.total_bytes,
-        "header_byte_fraction": stats.header_byte_fraction,
-        "ack_byte_fraction": stats.ack_byte_fraction,
-        "ack_packet_fraction": stats.ack_packet_fraction,
-        "mean_client_bandwidth_bps": stats.mean_client_bandwidth_bps,
-        "n_clients": stats.n_clients,
-        "duration_ms": stats.duration_ms,
-    }
+# What analyze reports of each direction: TraceStats fields and properties.
+_DIRECTION_STATS = (
+    "packets", "total_bytes", "header_byte_fraction", "ack_byte_fraction",
+    "ack_packet_fraction", "mean_client_bandwidth_bps", "n_clients", "duration_ms",
+)
 
 
 def _cmd_analyze(args) -> int:
     watch = Stopwatch()
     trace = read_trace_csv(args.trace)
     watch.lap("read")
-    directions = [args.direction] if args.direction else ["c2s", "s2c"]
     report: dict = {"directions": {}}
-    for direction in directions:
+    for direction in [args.direction] if args.direction else DIRECTION_TEXTS:
         if trace.in_direction(direction).any():
-            report["directions"][direction] = _direction_stats(
-                trace, direction, args.duration_ms
-            )
+            stats = compute_stats(trace, direction, duration_ms=args.duration_ms)
+            report["directions"][direction] = {
+                key: getattr(stats, key) for key in _DIRECTION_STATS
+            }
     if not report["directions"]:
         raise ValueError("trace has no packets in the requested direction(s)")
     watch.lap("stats")
@@ -179,12 +175,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    watch = Stopwatch()
     weights = DEFAULT_WEIGHTS
     if args.weights is not None:
         weights = weights_from_json(args.weights)
+    rows = read_metrics_csv(args.metrics)
+    watch.lap("read")
     # Every row is scored before any is written, so a bad row leaves no output.
     results = []
-    for n, (metrics, recoverable) in enumerate(read_metrics_csv(args.metrics), 1):
+    for n, (metrics, recoverable) in enumerate(rows, 1):
         # Unknown recovery state gets the conservative path: a message works
         # whether or not the connection came back.
         try:
@@ -193,6 +192,7 @@ def _cmd_predict(args) -> int:
             )
         except ValueError as exc:
             raise ValueError(f"{args.metrics} data row {n}: {exc}") from None
+    watch.lap("score")
     actions = list(Action)
     spec.write_csv(
         sys.stdout if args.out is None else args.out,
@@ -205,6 +205,8 @@ def _cmd_predict(args) -> int:
             ),
         ],
     )
+    watch.lap("write")
+    log.debug("predict stage seconds: %s", watch)
     return 0
 
 
@@ -254,7 +256,7 @@ def _build_parser() -> _Parser:
 
     ana = sub.add_parser("analyze", help="summarize a traffic trace")
     ana.add_argument("--trace", required=True, help="trace CSV path")
-    ana.add_argument("--direction", choices=["c2s", "s2c"])
+    ana.add_argument("--direction", choices=DIRECTION_TEXTS)
     ana.add_argument("--bucket-ms", type=int, default=100)
     ana.add_argument(
         "--duration-ms", type=int, help="override the duration inferred from the trace"

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import spec
 from .core import TimeMs
-from .rng import mix64, mix64_array, mt_first_words
+from .rng import SEED, mix64, mix64_array, mt_first_words
 
 # Attempts after the first before a reliable transport gives a packet up;
 # Linux's default ``tcp_retries2``.
@@ -75,7 +75,7 @@ class ChannelConfig:
     base_latency_ms: int = spec.field(spec.Int(ge=0, le=MAX_DELAY_MS))
     jitter_max_ms: int = spec.field(spec.Int(ge=0, le=MAX_DELAY_MS))
     loss_rate: float = spec.field(spec.Real(ge=0, le=1))
-    seed: int = spec.field(spec.Int(ge=0))
+    seed: int = spec.field(SEED)
 
     __post_init__ = spec.check
 

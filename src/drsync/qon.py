@@ -35,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spec
-from .spec import _ITER_ROWS
 
 # Feature normalization constants shared by scoring and fitting.
 RTT_SCALE_MS = 500.0
@@ -353,6 +352,8 @@ DEFAULT_WEIGHTS = PredictorWeights(
 
 
 _METRICS_FIELDS = ("rtt_mean_ms", "rtt_jitter_ms", "loss_rate", "elapsed_min")
+# Each metric's top: a metric read from a CSV must be finite and in [0, top].
+_METRIC_TOPS = (math.inf, math.inf, 1.0, math.inf)
 _SESSION_FIELDS = (*_METRICS_FIELDS, "quit_premature")
 
 
@@ -363,18 +364,15 @@ def write_sessions_csv(sessions: list[LabeledSession], path: str) -> None:
     spec.write_csv(path, _SESSION_FIELDS, [*columns, spec.flags(quit_early)])
 
 
-def _metrics(row: list[str]) -> SessionMetrics:
-    """The metrics of one CSV row, each checked; the comparisons reject NaN."""
+def _metrics(row: list[str]) -> tuple[SessionMetrics, bool | None]:
+    """The metrics of one CSV row, each checked against :data:`_METRIC_TOPS`
+    (the comparisons reject NaN), and its flag, or None if it has none."""
     m = SessionMetrics(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
-    if not 0.0 <= m.rtt_mean_ms < math.inf:
-        raise ValueError(f"rtt_mean_ms must be in [0, inf), got {m.rtt_mean_ms}")
-    if not 0.0 <= m.rtt_jitter_ms < math.inf:
-        raise ValueError(f"rtt_jitter_ms must be in [0, inf), got {m.rtt_jitter_ms}")
-    if not 0.0 <= m.loss_rate <= 1.0:
-        raise ValueError(f"loss_rate must be in [0, 1], got {m.loss_rate}")
-    if not 0.0 <= m.elapsed_min < math.inf:
-        raise ValueError(f"elapsed_min must be in [0, inf), got {m.elapsed_min}")
-    return m
+    for name, top, v in zip(_METRICS_FIELDS, _METRIC_TOPS, m):
+        if not (0.0 <= v <= top and v < math.inf):
+            span = "[0, inf)" if top == math.inf else f"[0, {top:g}]"
+            raise ValueError(f"{name} must be in {span}, got {v}")
+    return m, spec.flag(row[4]) if len(row) > 4 else None
 
 
 # A sessions CSV row as numpy parses it: four floats and a flag cell.
@@ -390,14 +388,10 @@ _new_metrics = functools.partial(tuple.__new__, SessionMetrics)
 def _block_sessions(block: np.ndarray) -> Iterator[LabeledSession]:
     """The sessions of one parsed block, each checked as :func:`_metrics`
     and :func:`spec.flag` check a row; a failed check raises ``ValueError``."""
-    rtt, jitter, loss, elapsed = (block[name] for name in _METRICS_FIELDS)
-    if not (
-        ((0.0 <= rtt) & (rtt < math.inf)).all()
-        and ((0.0 <= jitter) & (jitter < math.inf)).all()
-        and ((0.0 <= loss) & (loss <= 1.0)).all()
-        and ((0.0 <= elapsed) & (elapsed < math.inf)).all()
-    ):
-        raise ValueError("a metric is out of range")
+    for name, top in zip(_METRICS_FIELDS, _METRIC_TOPS):
+        v = block[name]
+        if not ((0.0 <= v) & (v <= top) & (v < math.inf)).all():
+            raise ValueError("a metric is out of range")
     quit_early = spec.codes(block["quit_premature"], spec.FLAG_TEXTS)
     metrics = block[list(_METRICS_FIELDS)].tolist()  # tuples of Python floats
     return zip(map(_new_metrics, metrics), quit_early.tolist())
@@ -423,9 +417,7 @@ def read_sessions_csv(path: str) -> list[LabeledSession]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        read = spec.read_csv_blocks(
-            path, _SESSION_FIELDS, _SESSION_DTYPE, _ITER_ROWS, take
-        )
+        read = spec.read_csv_blocks(path, _SESSION_FIELDS, _SESSION_DTYPE, take)
     finally:
         if collecting:
             gc.enable()
@@ -434,23 +426,13 @@ def read_sessions_csv(path: str) -> list[LabeledSession]:
 
 def _read_session_rows(path: str) -> list[LabeledSession]:
     """:func:`read_sessions_csv` through :func:`spec.read_csv`, one row at a time."""
-    return spec.read_csv(
-        path, {_SESSION_FIELDS: lambda row: (_metrics(row), spec.flag(row[4]))}
-    )
+    return spec.read_csv(path, {_SESSION_FIELDS: _metrics})
 
 
 def read_metrics_csv(path: str) -> list[tuple[SessionMetrics, bool | None]]:
     """Read unlabeled metrics; an optional ``connectivity_recoverable`` column rides along."""
-    return spec.read_csv(
-        path,
-        {
-            _METRICS_FIELDS: lambda row: (_metrics(row), None),
-            (*_METRICS_FIELDS, "connectivity_recoverable"): lambda row: (
-                _metrics(row),
-                spec.flag(row[4]),
-            ),
-        },
-    )
+    recoverable = (*_METRICS_FIELDS, "connectivity_recoverable")
+    return spec.read_csv(path, {_METRICS_FIELDS: _metrics, recoverable: _metrics})
 
 
 def weights_to_dict(w: PredictorWeights) -> dict:

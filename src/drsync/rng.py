@@ -6,7 +6,8 @@ integers (master seed, stream tag, sequence number, ...) into a single
 well-mixed 64-bit value using the splitmix64 finalizer.  Deriving substreams
 this way makes each stream independent of how many draws any other stream
 consumed, so results are reproducible regardless of generation order.
-:func:`mt_first_words` gives the first words of many such streams at once.
+Every seed the package takes keeps :data:`SEED`.  :func:`mt_first_words`
+gives the first words of many such streams at once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import random
 
 import numpy as np
 
+from . import spec
+
 _MASK64 = (1 << 64) - 1
+
+# The seed rule of every config and command: the values mix64 tells apart,
+# as it masks each part to 64 bits (a wider seed was a second name for one).
+SEED = spec.Int(ge=0, le=_MASK64)
 
 # Stream tags used across the package.  Values are arbitrary but frozen:
 # changing them changes every seeded result.
@@ -39,6 +46,13 @@ def mix64(*parts: int) -> int:
         acc = (acc ^ (acc >> 27)) * 0x94D049BB133111EB & _MASK64
         acc ^= acc >> 31
     return acc
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Raise ``ValueError``, naming ``name``, if ``seed`` breaks :data:`SEED`."""
+    msg = SEED.problem(seed)
+    if msg is not None:
+        raise ValueError(f"{name}: {msg}")
 
 
 def mix64_array(*parts: int | np.ndarray) -> np.ndarray:

@@ -58,7 +58,7 @@ from .protocol import (
     write_export_error_csv,
 )
 from .qon import DEFAULT_WEIGHTS, RiskAssessment, SessionMetrics, assess
-from .rng import TAG_CHANNEL, TAG_TRAJECTORY, mix64, substream
+from .rng import SEED, TAG_CHANNEL, TAG_TRAJECTORY, check_seed, mix64, substream
 from .spec import INVALID, ConfigError
 
 log = logging.getLogger(__name__)
@@ -73,14 +73,15 @@ DR_PACKET_BYTES = 100
 # A connection counts as recoverable when most packets still get through.
 RECOVERABLE_LOSS_LIMIT = 0.5
 
-# The most ticks a run may have.  A compare, which holds two runs at once,
-# stays under about 1 GiB at this cap (extrapolated from 1/16 of it).
+# The most ticks a run may have.  At this cap a two-seed compare peaked at
+# 375 MiB in 16.8 s on comparison_scenario() (a send on 56% of ticks), and at
+# 268 MiB in 7.6 s with one send per seed (tools/worst_case.py, 2-vCPU Xeon).
 MAX_TICKS = 500_000
 # run_compare builds consecutive seeds' mode-free stages until they hold
 # COMPARE_BATCH_SENDS sends or COMPARE_BATCH_TICKS ticks, then draws their
-# first attempts together.  Their arrays take at most 64 bytes a tick, and a
-# batch holds fewer than 2 * COMPARE_BATCH_TICKS ticks, so a batch adds at
-# most about 64 MB beside the two runs.
+# first attempts together.  A seed's stages take 56 bytes a tick and 165 a
+# send (tracemalloc), and the seeds before a batch's last hold fewer than
+# MAX_TICKS ticks and 8,192 sends: at most about 30 MB beside the last seed's.
 COMPARE_BATCH_SENDS = 8_192
 COMPARE_BATCH_TICKS = MAX_TICKS
 # The most waypoints a generated trajectory may have; generating that many
@@ -145,8 +146,8 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int = spec.field(spec.Int(ge=0))
-    duration_ms: int = spec.field(spec.Int())
+    seed: int = spec.field(SEED)
+    duration_ms: int = spec.field(spec.Int(le=MAX_TIME_MS))
     trajectory: TrajectorySource = spec.field(spec.Nested(TrajectorySource))
     protocol: ProtocolConfig = spec.field(spec.Nested(ProtocolConfig))
     channel: ChannelSpec = spec.field(spec.Nested(ChannelSpec))
@@ -170,8 +171,6 @@ class ScenarioConfig:
             return [
                 f"duration_ms: must cover at least one tick ({tick} ms), got {duration}"
             ]
-        if duration > MAX_TIME_MS:
-            return [f"duration_ms: must be <= {MAX_TIME_MS}, got {duration}"]
         if duration // tick >= MAX_TICKS:
             return [
                 f"duration_ms: must be < {MAX_TICKS * tick} ({MAX_TICKS} ticks), "
@@ -518,8 +517,9 @@ def run_compare(
 
     Channel seeds are always derived from the run seed here so each seed is
     one self-contained paired trial; an explicit ``channel.seed`` in the
-    config is ignored.  Needs at least two seeds to say anything about
-    variability across trials.
+    config is ignored.  Needs at least two distinct seeds to say anything
+    about variability across trials, each within :data:`~drsync.rng.SEED`;
+    they are checked before anything is built or written.
 
     Each seed's trajectory, sampled positions, sends, channel and
     first-attempt draws are built once and passed to both
@@ -534,6 +534,8 @@ def run_compare(
         raise ValueError(
             f"comparison needs at least 2 seeds to be meaningful, got {len(seeds)}"
         )
+    for i, seed in enumerate(seeds):
+        check_seed(seed, f"seeds[{i}]")
     if len(set(seeds)) != len(seeds):
         raise ValueError("comparison seeds must be distinct")
 
@@ -557,19 +559,18 @@ def run_compare(
             "compare seeds=%s stage seconds: %s",
             ",".join(str(b.config.seed) for b in batch), watch,
         )
-        pending, batch, watch = list(zip(batch, firsts)), [], Stopwatch()
-        while pending:
-            rows.append(_compare_seed(*pending.pop(0), out_dir))
+        while batch:
+            rows.append(
+                _compare_seed(batch.pop(0)._replace(first=firsts.pop(0)), out_dir)
+            )
+        watch = Stopwatch()
     if out_dir is not None:
         _write_compare_outputs(rows, Path(out_dir))
     return rows
 
 
-def _compare_seed(
-    shared: _SharedStages, first: FirstAttempts, out_dir: str | Path | None
-) -> CompareRow:
+def _compare_seed(shared: _SharedStages, out_dir: str | Path | None) -> CompareRow:
     """Run both transports over one seed's shared stages and pair their errors."""
-    shared = shared._replace(first=first)
     seed = shared.config.seed
     results = {}
     for mode in (MODE_UNRELIABLE, MODE_RELIABLE):

@@ -36,8 +36,8 @@ import numpy as np
 
 T = TypeVar("T")
 _MISSING = dataclasses.MISSING
-# Rows that write_csv formats at a time; the trace reader parses, and a
-# Trace converts, as many at a time.
+# Rows that write_csv formats, read_csv_blocks parses and a Trace converts
+# at a time.
 _ITER_ROWS = 4096
 
 
@@ -417,17 +417,15 @@ def write_json(data: dict, dest: str | IO[str]) -> None:
     dest.write("\n")
 
 
-# The cells a flag may hold, matched exactly, and how a flag is written:
-# its index into FLAG_TEXTS.
-FLAGS = {"true": True, "false": False}
+# The cells a flag may hold, matched exactly: a flag is its index here.
 FLAG_TEXTS = ("false", "true")
 
 
 def flag(cell: str) -> bool:
     """A CSV cell that must read ``true`` or ``false``."""
     try:
-        return FLAGS[cell]
-    except KeyError:
+        return bool(FLAG_TEXTS.index(cell))
+    except ValueError:
         raise ValueError(f"must be true or false, got {cell!r}") from None
 
 
@@ -475,10 +473,9 @@ def read_csv_blocks(
     path: str,
     header: Sequence[str],
     dtype: np.dtype,
-    rows: int,
     take: Callable[[np.ndarray], None],
 ) -> bool:
-    """Parse the data rows of a CSV file with numpy, ``rows`` lines at a time.
+    """Parse the data rows of a CSV file with numpy, ``_ITER_ROWS`` lines at a time.
 
     Each block, a structured array of ``dtype``, goes to ``take`` before the
     next is read, so only one block of cells is alive at a time.  A string
@@ -503,7 +500,7 @@ def read_csv_blocks(
             if fh.readline().rstrip("\r\n") != ",".join(header):
                 return False
             while True:
-                lines = list(itertools.islice(fh, rows))
+                lines = list(itertools.islice(fh, _ITER_ROWS))
                 text = "".join(lines)
                 # No cell of a line within csv's field limit passes it, and
                 # no line is longer than the block.  A cell in quotes may
@@ -515,7 +512,7 @@ def read_csv_blocks(
                 ):
                     return False
                 take(np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1))
-                if len(lines) < rows:
+                if len(lines) < _ITER_ROWS:
                     return True
     except (ValueError, KeyError, Warning):  # a UnicodeDecodeError too
         return False

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import spec
 from .core import TimeMs
-from .rng import TAG_CLIENT, TAG_EVENTS, TAG_SERVER, substream
+from .rng import TAG_CLIENT, TAG_EVENTS, TAG_SERVER, check_seed, substream
 from .spec import _ITER_ROWS, INVALID
 
 
@@ -190,6 +190,7 @@ class TraceRecord(NamedTuple):
 
 # The direction column holds each row's index into this tuple.
 _DIRECTIONS = tuple(Direction)
+DIRECTION_TEXTS = tuple(d.value for d in _DIRECTIONS)
 _OUT_OF_RANGE = (
     "t_ms must be in [0, 2**63), payload_bytes and header_bytes in [0, 2**32)"
 )
@@ -335,7 +336,8 @@ def generate_trace(
     """Generate a full bidirectional trace, sorted by timestamp.
 
     ``n_clients == 0`` legitimately yields an empty trace.  Duration must
-    cover at least one tick and be below 2**63, the bound on ``t_ms``.
+    cover at least one tick and be below 2**63, the bound on ``t_ms``, and
+    ``seed`` must keep :data:`drsync.rng.SEED`.
 
     Each client is drawn by one loop over its ticks (:func:`_client_draws`)
     that records only how many data packets each side sends in each tick
@@ -345,6 +347,7 @@ def generate_trace(
     ``lap`` is called with ``"draw"`` when every client is drawn and with
     ``"sort"`` when the trace is built, for the caller's stage timings.
     """
+    check_seed(seed)
     if n_clients < 0:
         raise ValueError(f"n_clients must be >= 0, got {n_clients}")
     tick = profile.tick_period_ms
@@ -529,7 +532,6 @@ def _append_packets(
 _TRACE_FIELDS = (
     "t_ms", "conn_id", "direction", "payload_bytes", "header_bytes", "is_ack"
 )
-_DIRECTION_TEXTS = tuple(d.value for d in _DIRECTIONS)
 
 
 def write_trace_csv(trace: Trace, path: str) -> None:
@@ -537,7 +539,7 @@ def write_trace_csv(trace: Trace, path: str) -> None:
     columns = [
         trace.t_ms,
         spec.Table(trace.conn, trace.conn_ids),
-        spec.Table(trace.direction, _DIRECTION_TEXTS),
+        spec.Table(trace.direction, DIRECTION_TEXTS),
         trace.payload_bytes,
         trace.header_bytes,
         spec.flags(trace.is_ack),
@@ -551,7 +553,7 @@ _TRACE_DTYPE = np.dtype(
     [
         ("t_ms", np.int64),
         ("conn_id", object),
-        ("direction", spec.text_field(_DIRECTION_TEXTS)),
+        ("direction", spec.text_field(DIRECTION_TEXTS)),
         ("payload_bytes", np.int64),
         ("header_bytes", np.int64),
         ("is_ack", spec.text_field(spec.FLAG_TEXTS)),
@@ -604,13 +606,13 @@ def read_trace_csv(path: str) -> Trace:
         columns.add(
             block["t_ms"],
             conn,
-            spec.codes(block["direction"], _DIRECTION_TEXTS),
+            spec.codes(block["direction"], DIRECTION_TEXTS),
             block["payload_bytes"],
             block["header_bytes"],
             spec.codes(block["is_ack"], spec.FLAG_TEXTS),
         )
 
-    if spec.read_csv_blocks(path, _TRACE_FIELDS, _TRACE_DTYPE, _ITER_ROWS, take):
+    if spec.read_csv_blocks(path, _TRACE_FIELDS, _TRACE_DTYPE, take):
         t, conn, direction, payload, header, is_ack = columns.finished()
         try:
             return Trace(t, conn, ids, direction, payload, header, is_ack)

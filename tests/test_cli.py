@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from drsync import workload
+from drsync import scenario, workload
 from drsync.cli import main
 from drsync.netsim import DejitterConfig
 from drsync.protocol import ProtocolConfig
@@ -82,6 +82,89 @@ class TestParsing:
             main(["--version"])
         assert exc_info.value.code == 0
         assert "DRSYNC_LOG" in capsys.readouterr().err
+
+
+# Seeds are integers in [0, 2**64); a seed past either end is refused.
+GOOD_SEEDS, BAD_SEEDS = [0, 2**64 - 1], [-1, 2**64]
+
+
+def out_of_range(seed):
+    return f"must be in [0, {2**64 - 1}], got {seed}"
+
+
+class TestSeedRange:
+    """Every config and command takes a seed in [0, 2**64); one outside ends
+    with exit 1 and an error that names its field or flag."""
+
+    def config_with(self, config_path, tmp_path, key, seed):
+        data = json.loads(Path(config_path).read_text())
+        (data["channel"] if key == "channel.seed" else data)["seed"] = seed
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("key", ["seed", "channel.seed"])
+    @pytest.mark.parametrize("seed", GOOD_SEEDS + BAD_SEEDS)
+    def test_config_seed(self, capsys, config_path, tmp_path, key, seed):
+        path = self.config_with(config_path, tmp_path, key, seed)
+        code = main(["simulate", "--config", path])
+        captured = capsys.readouterr()
+        if seed in GOOD_SEEDS:
+            assert code == 0
+            summary = json.loads(captured.out)
+            assert summary["seed"] == (seed if key == "seed" else 5)
+        else:
+            assert (code, captured.out) == (1, "")
+            assert captured.err == (
+                f"error: invalid config\n  - {key}: {out_of_range(seed)}\n"
+            )
+
+    @pytest.mark.parametrize("seed", GOOD_SEEDS + BAD_SEEDS)
+    def test_simulate_seed_flag(self, capsys, config_path, seed):
+        code = main(["simulate", "--config", config_path, "--seed", str(seed)])
+        captured = capsys.readouterr()
+        if seed in GOOD_SEEDS:
+            assert code == 0
+            assert json.loads(captured.out)["seed"] == seed
+        else:
+            assert (code, captured.out) == (1, "")
+            assert captured.err == f"error: --seed: {out_of_range(seed)}\n"
+
+    @pytest.mark.parametrize("seed", GOOD_SEEDS + BAD_SEEDS)
+    def test_compare_seeds(self, capsys, config_path, tmp_path, monkeypatch, seed):
+        # One seed a batch, so seed 1 would run and be written before the
+        # second seed's stages are built.
+        monkeypatch.setattr(scenario, "COMPARE_BATCH_SENDS", 1)
+        out = tmp_path / "runs"
+        code = main(
+            ["compare", "--config", config_path, "--seeds", f"1,{seed}",
+             "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        if seed in GOOD_SEEDS:
+            assert code == 0
+            assert json.loads(captured.out)["seeds"] == [1, seed]
+            assert (out / f"seed_{seed}" / "reliable_ordered" / "summary.json").exists()
+        else:
+            assert (code, captured.out) == (1, "")
+            assert captured.err == f"error: seeds[1]: {out_of_range(seed)}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("seed", GOOD_SEEDS + BAD_SEEDS)
+    def test_generate_seed_flag(self, capsys, tmp_path, seed):
+        out = tmp_path / "trace.csv"
+        code = main(
+            ["generate", "--preset", "fps", "--clients", "2", "--duration-ms",
+             "1000", "--seed", str(seed), "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        if seed in GOOD_SEEDS:
+            assert code == 0
+            assert len(read_trace_csv(str(out))) > 0
+        else:
+            assert code == 1
+            assert captured.err == f"error: seed: {out_of_range(seed)}\n"
+            assert not out.exists()
 
 
 class TestSimulate:
@@ -537,16 +620,17 @@ class TestPredictFit:
         fitted = json.loads(capsys.readouterr().out)
         assert set(fitted) == {"bias", "w_latency", "w_loss", "w_jitter"}
 
-    def test_fit_stage_timings_only_on_stderr_at_debug(self, tmp_path):
-        data_path = tmp_path / "sessions.csv"
-        write_sessions_csv(generate_labeled_sessions(n=200, seed=13), str(data_path))
-        fit = ["fit", "--data", str(data_path), "--epochs", "50"]
+    @staticmethod
+    def check_timings_only_on_stderr_at_debug(tmp_path, argv, stages):
+        """Run ``argv`` to stdout and to ``--out`` at log levels off and
+        debug: the outputs agree byte for byte, and only debug's stderr has
+        one line of the command's ``stages``."""
         runs = {}
         for level in ("off", "debug"):
-            out = tmp_path / f"{level}.json"
+            out = tmp_path / f"{level}.out"
             runs[level] = (
-                run_logged(level, fit),
-                run_logged(level, [*fit, "--out", str(out)]),
+                run_logged(level, argv),
+                run_logged(level, [*argv, "--out", str(out)]),
                 out.read_bytes(),
             )
         (off_stdout, off_err), (off_out, off_out_err), off_file = runs["off"]
@@ -555,11 +639,26 @@ class TestPredictFit:
         assert off_file.decode() == off_stdout and off_out == ""
         assert off_err == off_out_err == ""
         timing_line = re.compile(
-            r"DEBUG drsync\.cli: fit stage seconds: read=\d+\.\d{6} "
-            r"design=\d+\.\d{6} descent=\d+\.\d{6} write=\d+\.\d{6}\n"
+            rf"DEBUG drsync\.cli: {argv[0]} stage seconds: "
+            + " ".join(rf"{stage}=\d+\.\d{{6}}" for stage in stages) + "\n"
         )
         for err in (debug_err, debug_out_err):
             assert len(timing_line.findall(err)) == 1
+
+    def test_fit_stage_timings_only_on_stderr_at_debug(self, tmp_path):
+        data_path = tmp_path / "sessions.csv"
+        write_sessions_csv(generate_labeled_sessions(n=200, seed=13), str(data_path))
+        self.check_timings_only_on_stderr_at_debug(
+            tmp_path, ["fit", "--data", str(data_path), "--epochs", "50"],
+            ("read", "design", "descent", "write"),
+        )
+
+    def test_predict_stage_timings_only_on_stderr_at_debug(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text(self.METRICS)
+        self.check_timings_only_on_stderr_at_debug(
+            tmp_path, ["predict", "--metrics", str(path)], ("read", "score", "write")
+        )
 
     def test_fit_rejects_one_class_data(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"

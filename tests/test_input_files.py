@@ -627,6 +627,14 @@ def test_int_upper_bound_is_reported_like_a_real_one():
     assert spec.Int(le=5).problem(5) is None
 
 
+def test_flag_reads_exactly_the_flag_texts():
+    assert [spec.flag(text) for text in spec.FLAG_TEXTS] == [False, True]
+    for cell in ("True", "TRUE", " true", "1", "", "yes"):
+        with pytest.raises(ValueError) as exc_info:
+            spec.flag(cell)
+        assert str(exc_info.value) == f"must be true or false, got {cell!r}"
+
+
 # --- fuzzing every input file through the CLI ----------------------------
 
 JUNK_JSON = [

@@ -130,8 +130,7 @@ channels = st.builds(
     base_latency_ms=st.integers(0, 300),
     jitter_max_ms=st.one_of(st.sampled_from(JITTERS), st.integers(0, 1000)),
     loss_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    # Above 2**64 the channel seed is masked, as mix64 masks it.
-    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**80)),
+    seed=st.integers(0, 2**64 - 1),
 )
 send_lists = st.lists(st.integers(0, 60), max_size=30).map(
     lambda gaps: [(i, t) for i, t in enumerate(np.cumsum(gaps).tolist(), start=1)]
@@ -140,7 +139,7 @@ send_lists = st.lists(st.integers(0, 60), max_size=30).map(
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @example(
-    cfg=chan(base=10, jitter=2**32, loss=0.5, seed=2**64 + 3),
+    cfg=chan(base=10, jitter=2**32, loss=0.5, seed=2**64 - 1),
     sends=THREE_SENDS,
     rto_ms=200,
     playout=30,
@@ -184,7 +183,7 @@ batch_channels = st.builds(
         st.integers(0, 1000),
     ),
     loss_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**80)),
+    seed=st.integers(0, 2**64 - 1),
 )
 
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +68,66 @@ class TestSessionMetrics:
                         read(str(path))
                     (problem,) = exc_info.value.problems
                     assert problem.startswith(f"{path} row 3: {column} must be in ")
+
+
+# Each metric's range as the readers' messages write it.
+METRIC_RANGES = {
+    "rtt_mean_ms": "[0, inf)",
+    "rtt_jitter_ms": "[0, inf)",
+    "loss_rate": "[0, 1]",
+    "elapsed_min": "[0, inf)",
+}
+
+
+def bad_cell(column, kind):
+    """A cell of ``kind`` out of ``column``'s range, and how the message
+    writes its value.  Above a top of inf there is only inf: 1e400 reads so."""
+    above = ("1.0000000000000002",) * 2 if column == "loss_rate" else ("1e400", "inf")
+    return {
+        "below 0": ("-1", "-1.0"),
+        "above the top": above,
+        "nan": ("nan", "nan"),
+        "inf": ("inf", "inf"),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["below 0", "above the top", "nan", "inf"])
+@pytest.mark.parametrize("column", list(METRIC_RANGES))
+def test_every_reader_states_each_metric_bound_alike(tmp_path, column, kind):
+    cell, written = bad_cell(column, kind)
+    header = "rtt_mean_ms,rtt_jitter_ms,loss_rate,elapsed_min"
+    row = dict(zip(header.split(","), ["50.0", "5.0", "0.01", "5.0"]), **{column: cell})
+    message = f"{column} must be in {METRIC_RANGES[column]}, got {written}"
+    readers = {
+        "fit's block reader": (read_sessions_csv, ",quit_premature", ",true"),
+        "fit's row reader": (qon._read_session_rows, ",quit_premature", ",false"),
+        "predict's reader": (read_metrics_csv, "", ""),
+    }
+    for read, extra_head, extra_cell in readers.values():
+        path = tmp_path / "metrics.csv"
+        path.write_text(f"{header}{extra_head}\n{','.join(row.values())}{extra_cell}\n")
+        with pytest.raises(ConfigError) as exc_info:
+            read(str(path))
+        assert exc_info.value.problems == [f"{path} row 2: {message}"]
+    # The block reader's own check refuses the value too.
+    block = np.array([(50.0, 5.0, 0.01, 5.0, "true")], qon._SESSION_DTYPE)
+    block[column] = float(cell)
+    with pytest.raises(ValueError, match="a metric is out of range"):
+        qon._block_sessions(block)
+
+
+def test_each_metric_bound_is_inclusive(tmp_path):
+    top = sys.float_info.max
+    path = tmp_path / "sessions.csv"
+    path.write_text(
+        "rtt_mean_ms,rtt_jitter_ms,loss_rate,elapsed_min,quit_premature\n"
+        f"0,0,0,0,true\n{top!r},{top!r},1,{top!r},false\n"
+    )
+    want = [
+        (SessionMetrics(0.0, 0.0, 0.0, 0.0), True),
+        (SessionMetrics(top, top, 1.0, top), False),
+    ]
+    assert read_sessions_csv(str(path)) == qon._read_session_rows(str(path)) == want
 
 
 class TestQuitModel:

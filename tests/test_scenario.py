@@ -285,6 +285,18 @@ class TestRunCompare:
         with pytest.raises(ValueError):
             run_compare(cfg, [1, 1])
 
+    def test_seed_outside_the_rule_raises_before_any_run(self, monkeypatch):
+        # mix64 masks a seed to 64 bits, so 2**64 + 1 would rerun seed 1.
+        built = []
+        monkeypatch.setattr(scenario, "_shared_stages", lambda *a: built.append(a))
+        for seeds, bad in (([1, 2**64 + 1], 1), ([-1, 2], 0)):
+            with pytest.raises(
+                ValueError,
+                match=rf"^seeds\[{bad}\]: must be in \[0, {2**64 - 1}\], got {seeds[bad]}$",
+            ):
+                run_compare(quiet_config(), seeds)
+        assert built == []
+
     def test_rows_pair_both_transports(self, tmp_path):
         cfg = replace(comparison_scenario(), duration_ms=20_000)
         rows = run_compare(cfg, [4, 5], out_dir=tmp_path)

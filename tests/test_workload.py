@@ -131,6 +131,16 @@ class TestGenerateTrace:
             generate_trace(profile, n_clients=1, duration_ms=99, seed=0)
         assert len(generate_trace(profile, n_clients=0, duration_ms=1000, seed=0)) == 0
 
+    def test_seed_must_be_below_2_to_the_64(self):
+        # mix64 masks a seed to 64 bits, so -5 would draw seed 2**64 - 5.
+        profile = steady_profile()
+        for seed in (0, 2**64 - 1):
+            assert len(generate_trace(profile, 1, 1000, seed)) > 0
+        for seed in (-1, -5, 2**64):
+            with pytest.raises(ValueError) as exc_info:
+                generate_trace(profile, 1, 1000, seed)
+            assert str(exc_info.value) == f"seed: must be in [0, {2**64 - 1}], got {seed}"
+
     def test_always_on_profile_is_exactly_periodic(self):
         trace = generate_trace(steady_profile(), n_clients=1, duration_ms=3000, seed=4)
         c2s = packets(trace, Direction.CLIENT_TO_SERVER)
@@ -423,7 +433,7 @@ EXAMPLES = {
     n_clients=st.integers(0, 7),
     n_ticks=st.integers(1, 60),
     extra=st.integers(0, 10**6),
-    seed=st.integers(0, 2**64),
+    seed=st.integers(0, 2**64 - 1),
 )
 @example(*EXAMPLES["silent at first"])
 @example(*EXAMPLES["never sends"])
