@@ -40,12 +40,13 @@ from .protocol import (
 from .netsim import (
     ChannelConfig,
     DejitterConfig,
+    Deliveries,
     DeliveryEvent,
     LatePolicy,
     ReliableOrdered,
     channel_transmit,
     dejitter_deliver,
-    first_attempts,
+    draw,
     reliable_run,
     unreliable_run,
 )

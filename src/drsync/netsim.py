@@ -8,16 +8,14 @@ transmission are those of ``random.Random(mix64(seed, seq, attempt))``
 is a pure function of the channel seed and never depends on how other
 packets fared.  Two runs over the same channel seed therefore impair the
 first attempt of each packet identically, whichever transport is in use;
-only retransmissions consume extra draws.  :func:`first_attempts` draws
-those first attempts once, and both transports accept its result.
+only retransmissions consume extra draws.
 
-Every retransmission is :func:`channel_transmit`.  Rather than build a
-generator per transmission, each call keeps one ``random.Random`` and
-reseeds it with ``seed(key)``, which sets the state ``random.Random(key)``
-starts from.  First attempts are the same draws taken in bulk: their keys
-are mixed in one array pass, and from :data:`BATCH_MIN_KEYS` keys on,
-:func:`drsync.rng.mt_first_words` seeds them all at once and the draws are
-read off its words.
+Every transmission is drawn by :func:`draw`, one attempt of many packets at
+a time.  It mixes their keys in one array pass.  From :data:`BATCH_MIN_KEYS`
+keys on, :func:`drsync.rng.mt_first_words` seeds them all at once and the
+draws are read off its words; below that, one ``random.Random`` is reseeded
+with each key, which sets the state ``random.Random(key)`` starts from, and
+:func:`channel_transmit` takes the draws.
 
 Transports:
 
@@ -26,7 +24,8 @@ Transports:
   :data:`MAX_RETRANSMISSIONS` times, then releases packets to the
   application strictly in order, so one straggler holds back everything
   behind it.  A packet lost on every attempt is given up: it gets no arrival
-  or delivery and holds back nothing.
+  or delivery and holds back nothing.  It retransmits in rounds: round ``k``
+  draws attempt ``k`` of every packet still lost.
 * ``unreliable_run`` sends each packet once; losses simply vanish.
   Survivors pass through a de-jitter buffer that holds early arrivals until
   a playout deadline of ``send + base_latency + playout_delay``; later
@@ -36,7 +35,9 @@ Transports:
 from __future__ import annotations
 
 import enum
+import itertools
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from . import spec
 from .core import TimeMs
-from .rng import SEED, mix64, mix64_array, mt_first_words
+from .rng import SEED, mix64_array, mt_first_words
 
 # Attempts after the first before a reliable transport gives a packet up;
 # Linux's default ``tcp_retries2``.
@@ -54,18 +55,15 @@ MAX_RETRANSMISSIONS = 15
 # over scenario.MAX_TICKS sends.
 MAX_DELAY_MS = 2**256
 
-# From this many keys on, a batch of first attempts is seeded at once by
-# rng.mt_first_words; below it, reseeding one random.Random per key is faster
-# (they cross at 800 to 1,000 keys on a 2-vCPU Xeon guest).
+# From this many keys on, a draw is seeded at once by rng.mt_first_words;
+# below it, reseeding one random.Random per key is faster (they cross at 800
+# to 1,000 keys on a 2-vCPU Xeon guest).
 BATCH_MIN_KEYS = 1_000
 # Keys per mt_first_words call, which bounds the memory it works in.
 _CHUNK_KEYS = 2**15
 # Words drawn per key: two for the loss draw, the rest for the jitter's
 # tries.  A jitter still rejected after them is drawn again by reseeding.
 _FIRST_WORDS = 8
-
-# Per packet, the arrival time of its first transmission, or None if lost.
-FirstAttempts = list[TimeMs | None]
 
 
 @dataclass(frozen=True)
@@ -123,6 +121,34 @@ class DeliveryEvent(NamedTuple):
     retransmissions: int
 
 
+def _or_none(times: np.ndarray) -> np.ndarray:
+    """``times`` as Python ints, with None for each absent (-1) time."""
+    return np.where(times < 0, None, times)
+
+
+class Deliveries(NamedTuple):
+    """A run's :class:`DeliveryEvent` columns but ``seq``, seq ``i + 1`` in
+    row ``i``; the times share one dtype, and -1 marks an absent one."""
+
+    send_ms: np.ndarray
+    arrive_ms: np.ndarray
+    deliver_ms: np.ndarray
+    late: np.ndarray
+    retransmissions: np.ndarray
+
+    def events(self) -> list[DeliveryEvent]:
+        send, arrive, deliver, late, retransmissions = self
+        columns = (send, _or_none(arrive), _or_none(deliver), late, retransmissions)
+        cells = [column.tolist() for column in columns]
+        return list(map(DeliveryEvent, itertools.count(1), *cells))
+
+
+def _time_dtype(most: int) -> type:
+    """int64 for times up to ``most`` if it holds them, else ``object``: a
+    base latency alone may pass int64, and Python ints cannot overflow."""
+    return np.int64 if most < 2**63 else object
+
+
 def channel_transmit(
     cfg: ChannelConfig, rng: random.Random, send_ms: TimeMs
 ) -> TimeMs | None:
@@ -159,69 +185,45 @@ def dejitter_deliver(
     return arrive_ms, True
 
 
-def _check_sends(sends: list[tuple[int, TimeMs]]) -> None:
-    prev_t: TimeMs | None = None
-    for i, (seq, t) in enumerate(sends):
-        if seq != i + 1:
-            raise ValueError(
-                f"send seqs must be contiguous from 1, got seq={seq} at index {i}"
-            )
-        if prev_t is not None and t < prev_t:
-            raise ValueError(
-                f"send times must be monotone, got {t} after {prev_t}"
-            )
-        prev_t = t
-
-
-def first_attempts(
-    runs: list[tuple[ChannelConfig, list[tuple[int, TimeMs]]]],
-) -> list[FirstAttempts]:
-    """For each ``(chan, sends)`` pair, the arrival time of each send's first
-    transmission, or None if it was lost.
+def draw(
+    runs: Sequence[tuple[ChannelConfig, np.ndarray]], attempt: int
+) -> list[np.ndarray]:
+    """For each ``(chan, seqs)`` pair, the delay of transmission ``attempt``
+    of each seq through ``chan``: its base latency plus jitter, or -1 if lost.
 
     From :data:`BATCH_MIN_KEYS` keys in all, every key's first words come
     from one :func:`drsync.rng.mt_first_words` pass, and each draw is read
     off them as ``channel_transmit`` takes it (:func:`_read_draws`).
     """
-    keys = []
-    for chan, sends in runs:
-        _check_sends(sends)
-        seqs = np.arange(1, len(sends) + 1, dtype=np.uint64)
-        keys.append(mix64_array(chan.seed, seqs, 0))
+    keys = [mix64_array(chan.seed, seqs, attempt) for chan, seqs in runs]
     total = sum(map(len, keys))
     if total < BATCH_MIN_KEYS:
-        return [_transmit_each(*run, k) for run, k in zip(runs, keys)]
+        return [_transmit_each(chan, k) for (chan, _), k in zip(runs, keys)]
     words = np.empty((_FIRST_WORDS, total), np.uint32)
     every = np.concatenate(keys)
     for start in range(0, total, _CHUNK_KEYS):
         chunk = every[start : start + _CHUNK_KEYS]
         words[:, start : start + len(chunk)] = mt_first_words(chunk, _FIRST_WORDS)
-    arrivals, start = [], 0
-    for (chan, sends), k in zip(runs, keys):
-        arrivals.append(_read_draws(chan, sends, k, words[:, start : start + len(k)]))
+    delays, start = [], 0
+    for (chan, _), k in zip(runs, keys):
+        delays.append(_read_draws(chan, k, words[:, start : start + len(k)]))
         start += len(k)
-    return arrivals
+    return delays
 
 
-def _transmit_each(
-    chan: ChannelConfig, sends: list[tuple[int, TimeMs]], keys: np.ndarray
-) -> FirstAttempts:
-    """Each send's first transmission, reseeding one ``random.Random`` per key."""
+def _transmit_each(chan: ChannelConfig, keys: np.ndarray) -> np.ndarray:
+    """Each key's delay, reseeding one ``random.Random`` per key."""
     rng = random.Random()
-    arrivals: FirstAttempts = []
-    for key, (_, send_ms) in zip(keys.tolist(), sends):
+    delays = []
+    for key in keys.tolist():
         rng.seed(key)
-        arrivals.append(channel_transmit(chan, rng, send_ms))
-    return arrivals
+        arrive = channel_transmit(chan, rng, 0)
+        delays.append(-1 if arrive is None else arrive)
+    return np.array(delays, _time_dtype(chan.base_latency_ms + chan.jitter_max_ms))
 
 
-def _read_draws(
-    chan: ChannelConfig,
-    sends: list[tuple[int, TimeMs]],
-    keys: np.ndarray,
-    words: np.ndarray,
-) -> FirstAttempts:
-    """:func:`channel_transmit`'s draws for each key, read off its first ``words``.
+def _read_draws(chan: ChannelConfig, keys: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """:func:`channel_transmit`'s delay for each key, read off its first ``words``.
 
     ``random()`` is words 0 and 1 as ``genrand_res53`` joins them.
     ``randint(0, jitter_max_ms)`` is ``getrandbits(k)``, for ``k`` the bit
@@ -232,109 +234,136 @@ def _read_draws(
     """
     width = chan.jitter_max_ms + 1
     if width.bit_length() > 32:
-        return _transmit_each(chan, sends, keys)
+        return _transmit_each(chan, keys)
     u = ((words[0] >> 5) * 67108864.0 + (words[1] >> 6)) * (1.0 / 9007199254740992.0)
     lost = u < chan.loss_rate
     tries = words[2:] >> np.uint32(32 - width.bit_length())
     accepted = tries < np.uint32(width)
     jitter = tries[accepted.argmax(axis=0), np.arange(len(keys))]
-    base = chan.base_latency_ms
-    arrivals: FirstAttempts = [
-        None if is_lost else send_ms + base + j
-        for (_, send_ms), is_lost, j in zip(sends, lost.tolist(), jitter.tolist())
-    ]
+    dtype = _time_dtype(chan.base_latency_ms + chan.jitter_max_ms)
+    delays = np.where(lost, -1, jitter.astype(dtype) + chan.base_latency_ms)
     redraw = np.flatnonzero(~lost & ~accepted.any(axis=0))
-    if len(redraw):
-        again = _transmit_each(chan, [sends[i] for i in redraw], keys[redraw])
-        for i, arrive in zip(redraw.tolist(), again):
-            arrivals[i] = arrive
-    return arrivals
+    delays[redraw] = _transmit_each(chan, keys[redraw])
+    return delays
 
 
-def _first_draws(
-    chan: ChannelConfig, sends: list[tuple[int, TimeMs]], first: FirstAttempts | None
-) -> FirstAttempts:
-    if first is None:
-        return first_attempts([(chan, sends)])[0]
-    _check_sends(sends)
-    if len(first) != len(sends):
-        raise ValueError(f"first attempts cover {len(first)} packets, not {len(sends)}")
-    return first
+def reliable(
+    chan: ChannelConfig,
+    transport: ReliableOrdered,
+    send_ms: np.ndarray,
+    first: np.ndarray,
+) -> Deliveries:
+    """:func:`reliable_run` of the send times ``send_ms``, whose first
+    attempts' delays are ``first``; round ``k`` draws attempt ``k`` of every
+    packet still lost."""
+    rto, n = transport.rto_ms, len(send_ms)
+    wait = MAX_RETRANSMISSIONS * rto + chan.base_latency_ms + chan.jitter_max_ms
+    dtype = _time_dtype(int(send_ms.max(initial=0)) + wait)
+    send, delay = send_ms.astype(dtype, copy=False), first.astype(dtype, copy=False)
+    arrive = np.where(delay < 0, -1, send + delay)
+    retransmissions = np.zeros(n, np.int64)
+    lost, attempt = np.flatnonzero(delay < 0), 0
+    while len(lost) and attempt < MAX_RETRANSMISSIONS:
+        attempt += 1
+        retransmissions[lost] = attempt
+        [delay] = draw([(chan, lost + 1)], attempt)
+        got = delay >= 0
+        arrive[lost[got]] = send[lost[got]] + attempt * rto + delay[got].astype(dtype)
+        lost = lost[~got]
+    # In-order release: nothing overtakes an earlier packet, and a packet
+    # given up (-1) holds nothing back.
+    deliver = np.maximum.accumulate(arrive)
+    deliver[arrive < 0] = -1
+    return Deliveries(send, arrive, deliver, np.zeros(n, bool), retransmissions)
+
+
+def unreliable(
+    chan: ChannelConfig,
+    dejitter: DejitterConfig,
+    send_ms: np.ndarray,
+    first: np.ndarray,
+) -> Deliveries:
+    """:func:`unreliable_run` of ``send_ms`` and ``first``, as for :func:`reliable`."""
+    hold = chan.base_latency_ms + dejitter.playout_delay_ms
+    wait = max(hold, chan.base_latency_ms + chan.jitter_max_ms)
+    dtype = _time_dtype(int(send_ms.max(initial=0)) + wait)
+    send, delay = send_ms.astype(dtype, copy=False), first.astype(dtype, copy=False)
+    arrived = delay >= 0
+    arrive = np.where(arrived, send + delay, -1)
+    playout = send + hold
+    late = arrived & (arrive > playout)
+    deliver = np.where(late, arrive, playout)
+    deliver[~arrived] = -1
+    if dejitter.late_policy is LatePolicy.DROP:
+        deliver[late] = -1
+    return Deliveries(send, arrive, deliver, late, np.zeros(len(send), np.int64))
 
 
 def reliable_run(
     chan: ChannelConfig,
     transport: ReliableOrdered,
     sends: list[tuple[int, TimeMs]],
-    first: FirstAttempts | None = None,
 ) -> list[DeliveryEvent]:
     """Deliver packets in order, retransmitting losses every ``rto_ms``.
 
     ``sends`` is a list of ``(seq, send_ms)`` with seqs contiguous from 1 and
-    monotone times.  Attempt ``k`` of a packet leaves at ``send_ms + k *
-    rto_ms``.  A packet still lost after ``MAX_RETRANSMISSIONS``
+    monotone times from 0.  Attempt ``k`` of a packet leaves at ``send_ms +
+    k * rto_ms``.  A packet still lost after ``MAX_RETRANSMISSIONS``
     retransmissions is given up and holds back nothing behind it.
-    ``first`` is the :func:`first_attempts` of ``chan`` and these sends, if
-    the caller already has them.
     """
-    arrivals = _first_draws(chan, sends, first)
-    rng = random.Random()
-    rto, seed = transport.rto_ms, chan.seed
-    events: list[DeliveryEvent] = []
-    prev_deliver: TimeMs = 0
-    for (seq, send_ms), arrive in zip(sends, arrivals):
-        attempt = 0
-        while arrive is None and attempt < MAX_RETRANSMISSIONS:
-            attempt += 1
-            rng.seed(mix64(seed, seq, attempt))
-            arrive = channel_transmit(chan, rng, send_ms + attempt * rto)
-        deliver = None
-        if arrive is not None:
-            # In-order release: nothing overtakes an earlier packet.
-            deliver = prev_deliver = max(arrive, prev_deliver)
-        events.append(DeliveryEvent(seq, send_ms, arrive, deliver, False, attempt))
-    return events
+    return reliable(chan, transport, *_columns(chan, sends)).events()
 
 
 def unreliable_run(
     chan: ChannelConfig,
     dejitter: DejitterConfig,
     sends: list[tuple[int, TimeMs]],
-    first: FirstAttempts | None = None,
 ) -> list[DeliveryEvent]:
     """Send each packet once; survivors pass the de-jitter buffer.
 
     Loss leaves a hole (``arrive_ms`` and ``deliver_ms`` both None); a
     late-dropped packet keeps its arrival time but has no delivery.
-    ``first`` is as for :func:`reliable_run`.
+    ``sends`` is as for :func:`reliable_run`.
     """
-    arrivals = _first_draws(chan, sends, first)
-    base = chan.base_latency_ms
-    events: list[DeliveryEvent] = []
-    for (seq, send_ms), arrive in zip(sends, arrivals):
-        deliver, late = None, False
-        if arrive is not None:
-            slot = dejitter_deliver(dejitter, base, send_ms, arrive)
-            deliver, late = (None, True) if slot is None else slot
-        events.append(DeliveryEvent(seq, send_ms, arrive, deliver, late, 0))
-    return events
+    return unreliable(chan, dejitter, *_columns(chan, sends)).events()
+
+
+def _columns(
+    chan: ChannelConfig, sends: list[tuple[int, TimeMs]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The send times of the checked ``sends``, and their first attempts'
+    delays through ``chan``."""
+    prev_t: TimeMs = 0
+    for i, (seq, t) in enumerate(sends):
+        if seq != i + 1:
+            raise ValueError(
+                f"send seqs must be contiguous from 1, got seq={seq} at index {i}"
+            )
+        if t < prev_t:
+            raise ValueError(
+                f"send times must be >= 0 and monotone, got {t} after {prev_t}"
+            )
+        prev_t = t
+    [first] = draw([(chan, np.arange(1, len(sends) + 1))], 0)
+    return np.array([t for _, t in sends], _time_dtype(prev_t)), first
 
 
 _EVENT_FIELDS = ("seq", "send_ms", "arrive_ms", "deliver_ms", "late", "retransmissions")
 
 
-def write_delivery_csv(events: list[DeliveryEvent], path: str) -> None:
-    """Write events as ``seq,send_ms,arrive_ms,deliver_ms,late,retransmissions``.
+def write_delivery_csv(deliveries: Deliveries, path: str) -> None:
+    """Write deliveries as ``seq,send_ms,arrive_ms,deliver_ms,late,retransmissions``.
 
     Absent times serialize as empty fields; booleans as ``true``/``false``.
     """
-    seq, send, arrive, deliver, late, retrans = spec.transpose(events, 6)
-    columns = [seq, send, arrive, deliver, spec.flags(late), retrans]
-    spec.write_csv(path, _EVENT_FIELDS, columns)
+    send, arrive, deliver, late, retransmissions = deliveries
+    seq = np.arange(1, len(send) + 1)
+    columns = [seq, send, _or_none(arrive), _or_none(deliver), spec.flags(late)]
+    spec.write_csv(path, _EVENT_FIELDS, [*columns, retransmissions])
 
 
 def read_delivery_csv(path: str) -> list[DeliveryEvent]:
-    """Inverse of :func:`write_delivery_csv`."""
+    """Inverse of :func:`write_delivery_csv`, as :meth:`Deliveries.events`."""
 
     def event(row: list[str]) -> DeliveryEvent:
         seq, send, arrive, deliver, late, retrans = row

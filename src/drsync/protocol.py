@@ -31,7 +31,6 @@ import numpy as np
 
 from . import spec
 from .core import _MS_PER_S, DRVector, TimeMs, Vec3, ZERO, deviation, extrapolate
-from .netsim import DeliveryEvent
 
 
 @dataclass(frozen=True)
@@ -242,29 +241,27 @@ def sender_run(
 
 def receiver_run(
     ticks: np.ndarray,
-    events: Sequence[DeliveryEvent],
+    deliver_ms: np.ndarray,
     sent: np.ndarray,
     positions: np.ndarray,
     velocities: np.ndarray,
 ) -> tuple[int, np.ndarray]:
     """:func:`receiver_apply` and :func:`render_position` at every tick of a run.
 
-    ``events`` are the run's deliveries, applied in ``(deliver_ms, seq)``
-    order; ``sent``, ``positions`` and ``velocities`` are
+    ``deliver_ms`` is the run's :attr:`~drsync.netsim.Deliveries.deliver_ms`
+    (seq ``i + 1`` in row ``i``, -1 for none), applied in ``(deliver_ms,
+    seq)`` order; ``sent``, ``positions`` and ``velocities`` are
     :func:`sender_run`'s.  Returns the warm-up ticks before the first
     delivery, and the ``(n - warmup, 3)`` positions rendered after them.
     """
-    last = int(ticks[-1])  # later deliveries never reach the screen
-    delivered = [
-        (ev.deliver_ms, ev.seq)
-        for ev in events
-        if ev.deliver_ms is not None and ev.deliver_ms <= last
-    ]
-    deliver_ms, seq = np.array(delivered, dtype=np.int64).reshape(-1, 2).T
-    order = np.lexsort((seq, deliver_ms))
+    # Deliveries after the last tick never reach the screen.
+    shown_by = (deliver_ms >= 0) & (deliver_ms <= int(ticks[-1]))
+    deliver = deliver_ms[shown_by].astype(np.int64)
+    order = np.argsort(deliver, kind="stable")  # seqs ascend already
+    seq = np.flatnonzero(shown_by)[order] + 1
     # The newest seq applied after each delivery; 0 before the first.
-    newest = np.concatenate(([0], np.maximum.accumulate(seq[order])))
-    shown = newest[np.searchsorted(deliver_ms[order], ticks, side="right")]
+    newest = np.concatenate(([0], np.maximum.accumulate(seq)))
+    shown = newest[np.searchsorted(deliver[order], ticks, side="right")]
     warmup = int(np.count_nonzero(shown == 0))  # shown never falls
     k = sent[shown[warmup:] - 1]
     t_sent = ticks[k]

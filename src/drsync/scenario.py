@@ -14,17 +14,20 @@ transmission, making the per-seed comparison a genuinely paired experiment.
 The stages that do not depend on the transport (trajectory, sampling,
 sender, the resolved channel and its first-attempt draws) are therefore
 built once per seed and given to both runs.  Consecutive seeds are built in
-batches, whose first attempts are drawn in one
-:func:`~drsync.netsim.first_attempts` call.
+batches, whose first attempts are drawn in one :func:`~drsync.netsim.draw`
+call.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import math
+import shutil
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,13 +43,13 @@ from .core import (
 from .netsim import (
     ChannelConfig,
     DejitterConfig,
+    Deliveries,
     DeliveryEvent,
-    FirstAttempts,
     LatePolicy,
     ReliableOrdered,
-    first_attempts,
-    reliable_run,
-    unreliable_run,
+    draw,
+    reliable,
+    unreliable,
     write_delivery_csv,
 )
 from .protocol import (
@@ -57,7 +60,7 @@ from .protocol import (
     sender_run,
     write_export_error_csv,
 )
-from .qon import DEFAULT_WEIGHTS, RiskAssessment, SessionMetrics, assess
+from .qon import DEFAULT_WEIGHTS, SessionMetrics, assess
 from .rng import SEED, TAG_CHANNEL, TAG_TRAJECTORY, check_seed, mix64, substream
 from .spec import INVALID, ConfigError
 
@@ -79,7 +82,7 @@ RECOVERABLE_LOSS_LIMIT = 0.5
 MAX_TICKS = 500_000
 # run_compare builds consecutive seeds' mode-free stages until they hold
 # COMPARE_BATCH_SENDS sends or COMPARE_BATCH_TICKS ticks, then draws their
-# first attempts together.  A seed's stages take 56 bytes a tick and 165 a
+# first attempts together.  A seed's stages take 56 bytes a tick and 16 a
 # send (tracemalloc), and the seeds before a batch's last hold fewer than
 # MAX_TICKS ticks and 8,192 sends: at most about 30 MB beside the last seed's.
 COMPARE_BATCH_SENDS = 8_192
@@ -288,7 +291,7 @@ def _resolve_channel(cfg: ScenarioConfig) -> ChannelConfig:
     return ChannelConfig(**{**asdict(cfg.channel), "seed": seed})
 
 
-@dataclass
+@dataclass(eq=False)  # its columns are arrays, which == compares elementwise
 class RunResult:
     """Everything a simulation run produced, plus the JSON-ready summary.
 
@@ -296,16 +299,24 @@ class RunResult:
     ``trajectory``, ``sample``, ``sender``, ``transport``, ``receiver``,
     ``export_error`` and ``summary``, or only the last four when the run was
     handed shared stages.  It is the one field that differs between reruns,
-    and no output file holds it.
+    and no output file holds it.  ``events`` and ``sends`` are lists built
+    from ``deliveries`` when they are first read.
     """
 
     config: ScenarioConfig  # its ``mode`` is the transport that ran
     mode: str
     report: ExportErrorReport
-    events: list[DeliveryEvent]
-    sends: list[tuple[int, TimeMs]]
+    deliveries: Deliveries
     summary: dict
     timings: dict[str, float]
+
+    @functools.cached_property
+    def events(self) -> list[DeliveryEvent]:
+        return self.deliveries.events()
+
+    @functools.cached_property
+    def sends(self) -> list[tuple[int, TimeMs]]:
+        return list(enumerate(self.deliveries.send_ms.tolist(), start=1))
 
 
 class _SharedStages(NamedTuple):
@@ -316,9 +327,8 @@ class _SharedStages(NamedTuple):
     positions: np.ndarray
     sent: np.ndarray
     velocities: np.ndarray
-    sends: list[tuple[int, TimeMs]]
     chan: ChannelConfig
-    first: FirstAttempts | None
+    first: np.ndarray | None  # the first attempts' delays, once drawn
 
 
 def _shared_stages(
@@ -338,10 +348,9 @@ def _shared_stages(
         positions = sample_positions(script, ticks)
         lap("sample")
         sent, velocities = sender_run(cfg.protocol, ticks, positions)
-    sends = list(enumerate(ticks[sent].tolist(), start=1))
     lap("sender")
     chan = _resolve_channel(cfg)
-    return _SharedStages(cfg, ticks, positions, sent, velocities, sends, chan, None)
+    return _SharedStages(cfg, ticks, positions, sent, velocities, chan, None)
 
 
 def run_simulation(
@@ -372,60 +381,57 @@ def run_simulation(
         _shared = _shared_stages(cfg, lap)
     elif replace(_shared.config, mode=cfg.mode) != cfg:
         raise ValueError("shared stages were built from another config")
-    _, ticks, positions, sent, velocities, sends, chan, first = _shared
+    _, ticks, positions, sent, velocities, chan, first = _shared
+    if first is None:
+        [first] = draw([(chan, np.arange(1, len(sent) + 1))], 0)
     if cfg.mode == MODE_RELIABLE:
-        events = reliable_run(chan, ReliableOrdered(rto_ms=cfg.rto_ms), sends, first)
+        transport = ReliableOrdered(rto_ms=cfg.rto_ms)
+        deliveries = reliable(chan, transport, ticks[sent], first)
     else:
-        events = unreliable_run(chan, cfg.dejitter, sends, first)
+        deliveries = unreliable(chan, cfg.dejitter, ticks[sent], first)
     lap("transport")
     with np.errstate(over="ignore", invalid="ignore"):
-        warmup, rendered = receiver_run(ticks, events, sent, positions, velocities)
+        warmup, rendered = receiver_run(
+            ticks, deliveries.deliver_ms, sent, positions, velocities
+        )
         lap("receiver")
         report = export_error_report(
             ticks, positions, warmup, rendered, entity_id=cfg.entity_id
         )
         lap("export_error")
-    session, counts = _session_metrics(cfg, chan, events)
-    risk = assess(
-        DEFAULT_WEIGHTS,
-        session,
-        connectivity_recoverable=session.loss_rate < RECOVERABLE_LOSS_LIMIT,
-    )
-    summary = _summary_dict(cfg, report, counts, sends, session, risk)
+    summary = _summary(cfg, chan, report, deliveries)
     lap("summary")
     log.info(
         "run %s seed=%d: %d ticks, %d sends, mean error %s (%.2fs)",
-        cfg.mode, cfg.seed, len(ticks), len(sends), summary["export_error"]["mean"],
+        cfg.mode, cfg.seed, len(ticks), len(sent), summary["export_error"]["mean"],
         sum(timings.values()),
     )
     log.debug("run %s seed=%d stage seconds: %s", cfg.mode, cfg.seed, watch)
-    return RunResult(cfg, cfg.mode, report, events, sends, summary, timings)
+    return RunResult(cfg, cfg.mode, report, deliveries, summary, timings)
 
 
-def _session_metrics(
-    cfg: ScenarioConfig, chan: ChannelConfig, events: list[DeliveryEvent]
-) -> tuple[SessionMetrics, dict]:
-    """Session metrics and the summary's delivery counters, in one pass.
+def _summary(
+    cfg: ScenarioConfig,
+    chan: ChannelConfig,
+    report: ExportErrorReport,
+    deliveries: Deliveries,
+) -> dict:
+    """The run's counters, export error, session metrics and risk.
 
-    The metrics are what a session monitor would compute.  Observed RTT is
-    twice the base latency plus the mean one-way jitter of packets that
-    arrived; jitter spread is the population stddev.
+    The session metrics are what a session monitor would compute.  Observed
+    RTT is twice the base latency plus the mean one-way jitter of packets
+    that arrived; jitter spread is the population stddev.
     """
-    jitters: list[int] = []
-    transmissions = lost = delivered = late = dropped_late = 0
-    for ev in events:
-        transmissions += ev.retransmissions + 1
-        lost += ev.retransmissions
-        late += ev.late
-        if ev.deliver_ms is not None:
-            delivered += 1
-        if ev.arrive_ms is None:
-            lost += 1
-            continue
-        if ev.deliver_ms is None:
-            dropped_late += 1
-        attempt_send = ev.send_ms + ev.retransmissions * cfg.rto_ms
-        jitters.append(ev.arrive_ms - attempt_send - chan.base_latency_ms)
+    send, arrive, deliver, late, retransmissions = deliveries
+    arrived = arrive >= 0
+    transmissions = len(send) + int(retransmissions.sum())
+    # The attempt that arrived left retransmissions * rto_ms after the send;
+    # only a reliable run retransmits, and its times' dtype holds that.
+    jitter = arrive[arrived] - send[arrived] - chan.base_latency_ms
+    if transmissions > len(send):
+        jitter -= retransmissions[arrived].astype(jitter.dtype) * cfg.rto_ms
+    jitters = jitter.tolist()
+    lost = transmissions - len(jitters)
     if jitters:
         mean_j = math.fsum(jitters) / len(jitters)
         var_j = math.fsum((j - mean_j) ** 2 for j in jitters) / len(jitters)
@@ -441,31 +447,22 @@ def _session_metrics(
         loss_rate=lost / transmissions if transmissions else 0.0,
         elapsed_min=cfg.duration_ms / 60_000.0,
     )
-    counts = {
-        "transmissions": transmissions,
-        "delivered": delivered,
-        "lost_transmissions": lost,
-        "late_count": late,
-        "dropped_late": dropped_late,
-        "dr_bytes_total": transmissions * DR_PACKET_BYTES,
-    }
-    return session, counts
-
-
-def _summary_dict(
-    cfg: ScenarioConfig,
-    report: ExportErrorReport,
-    counts: dict,
-    sends: list,
-    session: SessionMetrics,
-    risk: RiskAssessment,
-) -> dict:
+    risk = assess(
+        DEFAULT_WEIGHTS,
+        session,
+        connectivity_recoverable=session.loss_rate < RECOVERABLE_LOSS_LIMIT,
+    )
     return {
         "transport": cfg.mode,
         "seed": cfg.seed,
         "ticks": len(report.series),
-        "sends": len(sends),
-        **counts,
+        "sends": len(send),
+        "transmissions": transmissions,
+        "delivered": int(np.count_nonzero(deliver >= 0)),
+        "lost_transmissions": lost,
+        "late_count": int(np.count_nonzero(late)),
+        "dropped_late": int(np.count_nonzero(arrived & (deliver < 0))),
+        "dr_bytes_total": transmissions * DR_PACKET_BYTES,
         "export_error": {
             "mean": report.mean,
             "max": report.max,
@@ -491,7 +488,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_export_error_csv(result.report, str(out / "export_error.csv"))
-    write_delivery_csv(result.events, str(out / "deliveries.csv"))
+    write_delivery_csv(result.deliveries, str(out / "deliveries.csv"))
     spec.write_json(config_to_dict(result.config), str(out / "resolved_config.json"))
     spec.write_json(result.summary, str(out / "summary.json"))
 
@@ -528,7 +525,8 @@ def run_compare(
     :data:`COMPARE_BATCH_SENDS` sends or :data:`COMPARE_BATCH_TICKS` ticks,
     or the seeds run out; their first attempts are then drawn in one call,
     and each seed is run and written in turn, its stages dropped once it is
-    done.  Each batch logs its stage seconds at ``DEBUG``.
+    done.  Each batch logs its stage seconds at ``DEBUG``.  A call that
+    raises removes each file and folder it made in ``out_dir``.
     """
     if len(seeds) < 2:
         raise ValueError(
@@ -542,34 +540,54 @@ def run_compare(
     rows: list[CompareRow] = []
     batch: list[_SharedStages] = []
     watch = Stopwatch()
-    for i, seed in enumerate(seeds):
-        variant = replace(
-            cfg, seed=seed, channel=replace(cfg.channel, seed=None)
-        )
-        batch.append(_shared_stages(variant, watch.lap))
-        if (
-            i + 1 < len(seeds)
-            and sum(len(b.sends) for b in batch) < COMPARE_BATCH_SENDS
-            and sum(len(b.ticks) for b in batch) < COMPARE_BATCH_TICKS
-        ):
-            continue
-        firsts = first_attempts([(b.chan, b.sends) for b in batch])
-        watch.lap("draws")
-        log.debug(
-            "compare seeds=%s stage seconds: %s",
-            ",".join(str(b.config.seed) for b in batch), watch,
-        )
-        while batch:
-            rows.append(
-                _compare_seed(batch.pop(0)._replace(first=firsts.pop(0)), out_dir)
+    out = None if out_dir is None else Path(out_dir)
+    with contextlib.nullcontext() if out is None else _undone_on_failure(out):
+        for i, seed in enumerate(seeds):
+            variant = replace(cfg, seed=seed, channel=replace(cfg.channel, seed=None))
+            batch.append(_shared_stages(variant, watch.lap))
+            if (
+                i + 1 < len(seeds)
+                and sum(len(b.sent) for b in batch) < COMPARE_BATCH_SENDS
+                and sum(len(b.ticks) for b in batch) < COMPARE_BATCH_TICKS
+            ):
+                continue
+            runs = [(b.chan, np.arange(1, len(b.sent) + 1)) for b in batch]
+            firsts = draw(runs, 0)
+            watch.lap("draws")
+            log.debug(
+                "compare seeds=%s stage seconds: %s",
+                ",".join(str(b.config.seed) for b in batch), watch,
             )
-        watch = Stopwatch()
-    if out_dir is not None:
-        _write_compare_outputs(rows, Path(out_dir))
+            while batch:
+                rows.append(
+                    _compare_seed(batch.pop(0)._replace(first=firsts.pop(0)), out)
+                )
+            watch = Stopwatch()
+        if out is not None:
+            _write_compare_outputs(rows, out)
     return rows
 
 
-def _compare_seed(shared: _SharedStages, out_dir: str | Path | None) -> CompareRow:
+@contextlib.contextmanager
+def _undone_on_failure(out: Path) -> Iterator[None]:
+    """If the block raises, remove each file and folder it made in ``out``."""
+    top = out  # or its outermost folder that is yet to be made
+    while not top.parent.exists():
+        top = top.parent
+    before = {top, *top.rglob("*")} if top.exists() else set()
+    try:
+        yield
+    except BaseException:
+        # A new folder holds only new files.
+        for path in {top, *top.rglob("*")} - before:
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                path.unlink(missing_ok=True)
+        raise
+
+
+def _compare_seed(shared: _SharedStages, out: Path | None) -> CompareRow:
     """Run both transports over one seed's shared stages and pair their errors."""
     seed = shared.config.seed
     results = {}
@@ -580,8 +598,8 @@ def _compare_seed(shared: _SharedStages, out_dir: str | Path | None) -> CompareR
                 f"seed {seed} mode {mode}: no post-warm-up ticks to compare"
             )
         results[mode] = result
-        if out_dir is not None:
-            write_run_outputs(result, Path(out_dir) / f"seed_{seed}" / mode)
+        if out is not None:
+            write_run_outputs(result, out / f"seed_{seed}" / mode)
     unrel = results[MODE_UNRELIABLE].report
     rel = results[MODE_RELIABLE].report
     return CompareRow(

@@ -31,7 +31,6 @@ import bisect
 import enum
 import itertools
 import math
-import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -96,18 +95,6 @@ class PayloadSizeDist:
         if abs(mass - 1.0) > 1e-9:
             return [f"body: probabilities plus tail_prob must sum to 1, got {mass}"]
         return []
-
-    def sample(self, rng: random.Random) -> int:
-        u = rng.random()
-        if u < self.tail_prob:
-            return rng.randint(self.tail_range[0], self.tail_range[1])
-        u -= self.tail_prob
-        acc = 0.0
-        for size, prob in self.body:
-            acc += prob
-            if u < acc:
-                return size
-        return self.body[-1][0]
 
     def mean(self) -> float:
         lo, hi = self.tail_range
@@ -410,8 +397,9 @@ def _client_draws(
     The server's rate is scaled by a multiplier from ``server_scale_range``,
     drawn at the start of each epoch before that tick's state draw.  An
     event adds one client packet.
-    A payload is drawn as :meth:`PayloadSizeDist.sample` draws it, from the
-    side's substream right after that side's state and rate draws.
+    Each payload then takes one ``random()`` from the side's substream, right
+    after that side's state and rate draws: below ``tail_prob`` its size is a
+    ``randint`` over ``tail_range``, else a body size (see ``sums`` below).
     """
     tick, burst, dist = profile.tick_period_ms, profile.burst, profile.payload_size_dist
     p_enter, p_exit, rate = burst.p_enter, burst.p_exit, burst.rate_multiplier
@@ -421,9 +409,9 @@ def _client_draws(
     epoch_ticks = max(1, profile.server_epoch_ms // tick)
     scale_lo, scale_hi = profile.server_scale_range
     tail_prob, (tail_lo, tail_hi) = dist.tail_prob, dist.tail_range
-    # sample's running sums of the body, added in its order: a draw takes the
-    # first size whose sum exceeds it, and one at or past the last sum (which
-    # can round below 1) takes the last size.
+    # The body's running sums, added in its order: a draw less tail_prob
+    # takes the first size whose sum exceeds it, and one at or past the last
+    # sum (which can round below 1) takes the last size.
     sums = list(itertools.accumulate(prob for _, prob in dist.body))
     sizes = [size for size, _ in dist.body]
     sizes.append(sizes[-1])

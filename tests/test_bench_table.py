@@ -1,0 +1,82 @@
+"""Every committed ``BENCH_<n>.json`` keeps one schema, and
+``tools/bench_table.py`` pairs its runs."""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location(
+    "bench_table", ROOT / "tools" / "bench_table.py"
+)
+bench_table = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_table)
+
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+BENCHMARK = bench_table.load_benchmark()
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_committed_file_keeps_the_schema(path):
+    assert bench_table.problems(json.loads(path.read_text()), BENCHMARK) == []
+
+
+def run(side, pair, op_s, trace=0):
+    if trace:
+        metrics = {"netsim.transport_s": {"value": op_s, "unit": "s"}}
+    else:
+        metrics = {
+            m["name"]: {"value": 1.0, "unit": m["unit"]}
+            for m in BENCHMARK["end_to_end"]
+        }
+        metrics["op_s"]["value"] = op_s
+    return {
+        "side": side, "pair": pair, "workload": "sim-fast-lossy", "seed": 1,
+        "trace": trace, "result": {
+            "correct": True, "attempted": 3, "failed": 0, "metrics": metrics,
+        },
+    }
+
+
+DOC = {
+    "host": "h", "command": "c", "method": "m",
+    "runs": [
+        run("parent", 1, 0.30), run("change", 1, 0.20),
+        run("change", 2, 0.25), run("parent", 2, 0.25),
+        run("parent", 3, 0.40), run("change", 3, 0.50),
+        run("parent", 1, 0.1, trace=1), run("change", 1, 0.1, trace=1),
+    ],
+}
+
+
+def test_the_schema_names_each_break():
+    assert bench_table.problems(DOC, BENCHMARK) == []
+    doc = copy.deepcopy(DOC)
+    del doc["host"]
+    doc["runs"][0]["side"] = "other"
+    del doc["runs"][1]["result"]["metrics"]["op_s"]
+    doc["runs"][2]["colour"] = "red"
+    doc["runs"][6]["result"]["metrics"]["op_s"] = {"value": 1.0, "unit": "s"}
+    assert bench_table.problems(doc, BENCHMARK) == [
+        "host: missing or not text",
+        "runs[0]: side 'other' or trace 0",
+        "runs[1].result.metrics: ['peak_rss_mb', 'setup_s', 'work_per_s']",
+        "runs[2]: keys ['colour', 'pair', 'result', 'seed', 'side', 'trace',"
+        " 'workload']",
+        "runs[6].result.metrics: ['netsim.transport_s', 'op_s']",
+    ]
+
+
+def test_rows_give_medians_pairs_and_wins():
+    lines = bench_table.rows([(21, DOC)], BENCHMARK)
+    assert lines[0][6:] == ["metric", "parent", "change", "wins"]
+    by_metric = {line[6]: line for line in lines[1:]}
+    # op_s: 0.30, 0.25, 0.40 against 0.20, 0.25, 0.50; the tie wins nothing.
+    assert by_metric["op_s"] == [
+        "21", "-", "sim-fast-lossy", "1", "0", "3", "op_s", "0.3", "0.25", "1/3",
+    ]
+    assert by_metric["(per-layer)"][:6] == ["21", "-", "sim-fast-lossy", "1", "1", "1"]
+    assert len(lines) == 1 + len(BENCHMARK["end_to_end"]) + 1

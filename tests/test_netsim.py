@@ -11,12 +11,13 @@ from drsync.netsim import (
     MAX_RETRANSMISSIONS,
     ChannelConfig,
     DejitterConfig,
+    Deliveries,
     DeliveryEvent,
     LatePolicy,
     ReliableOrdered,
     channel_transmit,
     dejitter_deliver,
-    first_attempts,
+    draw,
     read_delivery_csv,
     reliable_run,
     unreliable_run,
@@ -61,6 +62,8 @@ class TestConfigValidation:
     def test_send_times_must_not_go_backwards(self):
         with pytest.raises(ValueError):
             unreliable_run(chan(), DejitterConfig(playout_delay_ms=0), [(1, 100), (2, 50)])
+        with pytest.raises(ValueError, match=">= 0"):
+            unreliable_run(chan(), DejitterConfig(), [(1, -5)])
 
 
 class TestTransmissionRng:
@@ -123,11 +126,20 @@ def reference_unreliable(cfg, dejitter, sends):
     return events
 
 
+def reference_delays(cfg, seqs, attempt):
+    """Each seq's delay on ``attempt``, or -1 if lost, one generator each."""
+    arrivals = [
+        channel_transmit(cfg, substream(cfg.seed, seq, attempt), 0) for seq in seqs
+    ]
+    return [-1 if arrive is None else arrive for arrive in arrivals]
+
+
 JITTERS = [0, 1, 40, 2**32 - 1, 2**32, 2**40]
 
 channels = st.builds(
     ChannelConfig,
-    base_latency_ms=st.integers(0, 300),
+    # 2**62 leaves int64 room for the delay, not for 2**70 retransmissions.
+    base_latency_ms=st.one_of(st.integers(0, 300), st.sampled_from([2**62, 2**70])),
     jitter_max_ms=st.one_of(st.sampled_from(JITTERS), st.integers(0, 1000)),
     loss_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     seed=st.integers(0, 2**64 - 1),
@@ -144,35 +156,38 @@ send_lists = st.lists(st.integers(0, 60), max_size=30).map(
     rto_ms=200,
     playout=30,
     policy=LatePolicy.DROP,
+    min_keys=0,
+)
+@example(
+    cfg=chan(base=2**62, jitter=40, loss=0.9, seed=3),
+    sends=THREE_SENDS,
+    rto_ms=2**70,
+    playout=2**63,
+    policy=LatePolicy.DELIVER_LATE,
+    min_keys=10**9,
 )
 @given(
     cfg=channels,
     sends=send_lists,
-    rto_ms=st.integers(1, 500),
-    playout=st.integers(0, 200),
+    rto_ms=st.one_of(st.integers(1, 500), st.just(2**70)),
+    playout=st.one_of(st.integers(0, 200), st.just(2**63)),
     policy=st.sampled_from(list(LatePolicy)),
+    # 0 puts every draw, down to a round of one key, past the crossover.
+    min_keys=st.sampled_from([0, 10**9]),
 )
 def test_transports_draw_as_one_generator_per_transmission(
-    cfg, sends, rto_ms, playout, policy
+    cfg, sends, rto_ms, playout, policy, min_keys
 ):
-    [first] = first_attempts([(cfg, sends)])
-    assert first == [
-        channel_transmit(cfg, substream(cfg.seed, seq, 0), send_ms)
-        for seq, send_ms in sends
-    ]
-
-    transport = ReliableOrdered(rto_ms=rto_ms)
-    reliable = reference_reliable(cfg, rto_ms, sends)
-    assert reliable_run(cfg, transport, sends) == reliable
-    assert reliable_run(cfg, transport, sends, first=first) == reliable
-    dejitter = DejitterConfig(playout_delay_ms=playout, late_policy=policy)
-    unreliable = reference_unreliable(cfg, dejitter, sends)
-    assert unreliable_run(cfg, dejitter, sends) == unreliable
-    assert unreliable_run(cfg, dejitter, sends, first=first) == unreliable
-
-
-def reference_first(cfg, sends):
-    return [channel_transmit(cfg, substream(cfg.seed, seq, 0), t) for seq, t in sends]
+    seqs = [seq for seq, _ in sends]
+    with mock.patch.object(netsim, "BATCH_MIN_KEYS", min_keys):
+        [first] = draw([(cfg, np.array(seqs))], 0)
+        assert first.tolist() == reference_delays(cfg, seqs, 0)
+        transport = ReliableOrdered(rto_ms=rto_ms)
+        reliable = reliable_run(cfg, transport, sends)
+        dejitter = DejitterConfig(playout_delay_ms=playout, late_policy=policy)
+        unreliable = unreliable_run(cfg, dejitter, sends)
+    assert reliable == reference_reliable(cfg, rto_ms, sends)
+    assert unreliable == reference_unreliable(cfg, dejitter, sends)
 
 
 batch_channels = st.builds(
@@ -189,52 +204,52 @@ batch_channels = st.builds(
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
-    runs=st.lists(st.tuples(batch_channels, send_lists), min_size=1, max_size=3),
+    runs=st.lists(
+        st.tuples(
+            batch_channels, st.lists(st.integers(1, 2**40), max_size=30, unique=True)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    attempt=st.sampled_from([0, 1, MAX_RETRANSMISSIONS]),
     min_keys=st.sampled_from([0, 10**9]),
     # With 3 words a jitter gets one try, so many run out of words.
     words=st.sampled_from([3, 8]),
     chunk=st.sampled_from([7, 2**15]),
 )
-def test_batched_first_attempts_draw_as_channel_transmit(runs, min_keys, words, chunk):
+def test_batched_draws_equal_channel_transmit(runs, attempt, min_keys, words, chunk):
     # min_keys 0 puts every batch past the crossover, 10**9 none.
     with mock.patch.multiple(
         netsim, BATCH_MIN_KEYS=min_keys, _FIRST_WORDS=words, _CHUNK_KEYS=chunk
     ):
-        batched = first_attempts(runs)
-    assert batched == [reference_first(cfg, sends) for cfg, sends in runs]
+        batched = draw([(cfg, np.array(seqs, np.int64)) for cfg, seqs in runs], attempt)
+    assert [delays.tolist() for delays in batched] == [
+        reference_delays(cfg, seqs, attempt) for cfg, seqs in runs
+    ]
 
 
 def test_a_jitter_rejected_in_every_word_is_drawn_again():
     # At jitter_max_ms 0 a try is rejected when its word's top bit is set.
     cfg = chan(jitter=0, seed=21)
-    sends = [(seq, 10 * seq) for seq in range(1, 501)]
-    keys = mix64_array(cfg.seed, np.arange(1, 501, dtype=np.uint64), 0)
+    seqs = np.arange(1, 501)
+    keys = mix64_array(cfg.seed, seqs, 0)
     tries = mt_first_words(keys, netsim._FIRST_WORDS)[2:]
     assert (tries >> 31).all(axis=0).any()
     with mock.patch.object(netsim, "BATCH_MIN_KEYS", 0):
-        assert first_attempts([(cfg, sends)]) == [reference_first(cfg, sends)]
+        [delays] = draw([(cfg, seqs)], 0)
+    assert delays.tolist() == reference_delays(cfg, seqs.tolist(), 0)
 
 
 def test_the_batched_loss_draw_is_random_to_the_last_bit():
     # A packet is lost when random() < loss_rate, so a loss rate at its
     # random() keeps it and the next float up loses it.
-    sends = [(seq, 10 * seq) for seq in range(1, 65)]
+    seqs = np.arange(1, 65)
     with mock.patch.object(netsim, "BATCH_MIN_KEYS", 0):
         for seq in (1, 64):
             u = substream(5, seq, 0).random()
             for loss, lost in ((u, False), (math.nextafter(u, 1.0), True)):
-                [first] = first_attempts([(chan(loss=loss, seed=5), sends)])
-                assert (first[seq - 1] is None) == lost
-
-
-def test_first_attempts_must_cover_the_sends():
-    [first] = first_attempts([(chan(), THREE_SENDS[:2])])
-    with pytest.raises(ValueError, match="cover 2 packets, not 3"):
-        reliable_run(chan(), ReliableOrdered(rto_ms=100), THREE_SENDS, first=first)
-    with pytest.raises(ValueError, match="cover 2 packets, not 3"):
-        unreliable_run(chan(), DejitterConfig(), THREE_SENDS, first=first)
-    with pytest.raises(ValueError, match="contiguous"):
-        first_attempts([(chan(), THREE_SENDS[1:])])
+                [delays] = draw([(chan(loss=loss, seed=5), seqs)], 0)
+                assert (delays[seq - 1] < 0) == lost
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -389,22 +404,39 @@ class TestChannelBehavior:
 
 class TestDeliveryCsv:
     def test_round_trip_preserves_everything(self, tmp_path):
-        cfg = chan(base=20, jitter=70, loss=0.4, seed=99)
-        sends = [(i, i * 25) for i in range(1, 101)]
-        events = unreliable_run(cfg, DejitterConfig(playout_delay_ms=30), sends)
-        path = tmp_path / "d.csv"
-        write_delivery_csv(events, str(path))
-        assert read_delivery_csv(str(path)) == events
+        send_ms = np.arange(1, 101) * 25
+        dejitter = DejitterConfig(playout_delay_ms=30)
+        transport = ReliableOrdered(rto_ms=40)
+        # A base of 2**70 puts every time past int64, into Python ints.
+        for base in (20, 2**70):
+            cfg = chan(base=base, jitter=70, loss=0.4, seed=99)
+            [first] = draw([(cfg, np.arange(1, 101))], 0)
+            for deliveries in (
+                netsim.unreliable(cfg, dejitter, send_ms, first),
+                netsim.reliable(cfg, transport, send_ms, first),
+            ):
+                path = tmp_path / "d.csv"
+                write_delivery_csv(deliveries, str(path))
+                assert read_delivery_csv(str(path)) == deliveries.events()
 
     def test_none_fields_round_trip(self, tmp_path):
-        events = [
+        deliveries = Deliveries(
+            send_ms=np.array([0, 10]),
+            arrive_ms=np.array([-1, 55]),
+            deliver_ms=np.array([-1, -1]),
+            late=np.array([False, True]),
+            retransmissions=np.array([0, 0]),
+        )
+        path = tmp_path / "d.csv"
+        write_delivery_csv(deliveries, str(path))
+        assert path.read_text().splitlines() == [
+            "seq,send_ms,arrive_ms,deliver_ms,late,retransmissions",
+            "1,0,,,false,0",
+            "2,10,55,,true,0",
+        ]
+        assert read_delivery_csv(str(path)) == deliveries.events() == [
             DeliveryEvent(seq=1, send_ms=0, arrive_ms=None, deliver_ms=None,
                           late=False, retransmissions=0),
             DeliveryEvent(seq=2, send_ms=10, arrive_ms=55, deliver_ms=None,
                           late=True, retransmissions=0),
         ]
-        path = tmp_path / "d.csv"
-        write_delivery_csv(events, str(path))
-        text = path.read_text()
-        assert text.splitlines()[0] == "seq,send_ms,arrive_ms,deliver_ms,late,retransmissions"
-        assert read_delivery_csv(str(path)) == events

@@ -315,6 +315,25 @@ class TestRunCompare:
         assert table[0].startswith("seed,mean_unreliable,mean_reliable,")
         assert len(table) == 3
 
+    def test_a_failed_compare_removes_what_it_wrote(self, tmp_path):
+        # Only tick 0 sends; seed 2 loses that packet under unreliable_dr
+        # after seed 1 has written its tree.
+        cfg = replace(
+            comparison_scenario(),
+            duration_ms=20_000,
+            protocol=ProtocolConfig(threshold=1e12, tick_ms=50),
+        )
+        kept = tmp_path / "kept"
+        (kept / "seed_1" / "unreliable_dr").mkdir(parents=True)
+        (kept / "notes.txt").write_text("mine")
+        before = sorted(kept.rglob("*"))
+        for out in (tmp_path / "qout", tmp_path / "new" / "qout", kept):
+            with pytest.raises(ValueError, match="seed 2 mode unreliable_dr: no post"):
+                run_compare(cfg, [1, 2], out_dir=out)
+        assert sorted(tmp_path.iterdir()) == [kept]
+        assert sorted(kept.rglob("*")) == before
+        assert (kept / "notes.txt").read_text() == "mine"
+
     def test_compare_ignores_pinned_channel_seed(self):
         # Per-seed pairing must rederive the channel from each run seed.
         cfg = replace(

@@ -94,15 +94,16 @@ run_spec = st.fixed_dictionaries(
             st.just(0.0), st.floats(min_value=0.0, max_value=20.0)
         ),
         "min_send_interval_ms": st.sampled_from([0, 0, 1, 50, 120, 400]),
-        # 2**70: every delivery is past the run, and past int64.
+        # 2**70: every delivery is past the run, and past int64; 2**62
+        # fits int64 until a retransmission or the playout adds to it.
         "latency": st.one_of(
-            st.integers(min_value=0, max_value=300), st.just(2**70)
+            st.integers(min_value=0, max_value=300), st.sampled_from([2**62, 2**70])
         ),
         "jitter": st.integers(min_value=0, max_value=200),
         "loss": st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.95, 1.0]),
         "mode": st.sampled_from([MODE_UNRELIABLE, MODE_RELIABLE]),
-        "rto_ms": st.integers(min_value=1, max_value=500),
-        "playout": st.integers(min_value=0, max_value=150),
+        "rto_ms": st.one_of(st.integers(min_value=1, max_value=500), st.just(2**70)),
+        "playout": st.one_of(st.integers(min_value=0, max_value=150), st.just(2**63)),
         "late_policy": st.sampled_from(list(LatePolicy)),
         "seed": st.integers(min_value=0, max_value=2**32),
         # None: the built-in generator; else waypoint gaps and coordinates.
@@ -185,6 +186,9 @@ def build_config(spec: dict, folder: Path) -> ScenarioConfig:
 @example(spec={**BASE, "mode": MODE_RELIABLE, "loss": 0.95})
 @example(spec={**BASE, "tick_ms": 10, "ticks": 80, "waypoints": ON_TICKS})
 @example(spec={**BASE, "loss": 1.0})
+@example(spec={**BASE, "mode": MODE_RELIABLE, "loss": 0.5, "latency": 2**62,
+               "rto_ms": 2**70})
+@example(spec={**BASE, "latency": 2**62, "playout": 2**63})
 @settings(derandomize=True, max_examples=120, deadline=None)
 def test_array_core_equals_scalar_stages(spec):
     with tempfile.TemporaryDirectory() as folder:
@@ -220,6 +224,12 @@ def test_required_cases_happen():
     dead = run(loss=1.0)
     assert dead.report.warmup_ticks == len(dead.report.series)
     assert dead.report.mean is None
+    # Times past int64 run on Python ints, retransmissions and playouts too.
+    wide = run(mode=MODE_RELIABLE, loss=0.5, latency=2**62, rto_ms=2**70)
+    assert wide.deliveries.arrive_ms.dtype == object
+    assert wide.summary["transmissions"] > wide.summary["sends"]
+    held = run(latency=2**62, playout=2**63)
+    assert held.deliveries.deliver_ms.dtype == object
 
 
 def test_sampling_is_bitwise_equal_on_and_between_waypoints():

@@ -87,7 +87,7 @@ class TestPayloadSizeDist:
     def test_samples_stay_in_support(self):
         dist = PayloadSizeDist(body=((10, 0.8),), tail_prob=0.2, tail_range=(100, 200))
         rng = random.Random(1)
-        draws = [dist.sample(rng) for _ in range(5000)]
+        draws = [sample_size(dist, rng) for _ in range(5000)]
         assert all(v == 10 or 100 <= v <= 200 for v in draws)
         tail_fraction = sum(v != 10 for v in draws) / len(draws)
         assert 0.17 <= tail_fraction <= 0.23
@@ -101,7 +101,7 @@ class TestPayloadSizeDist:
             def random(self):
                 return 1 - 2**-53
 
-        assert dist.sample(LargestDraw()) == 10
+        assert sample_size(dist, LargestDraw()) == 10
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -274,6 +274,22 @@ def test_event_ticks_match_the_walk_over_events(tick, period_ms, n_ticks, extra)
     assert ticks == sorted(k for k in by_event if k < n_ticks)
 
 
+def sample_size(dist: PayloadSizeDist, rng: random.Random) -> int:
+    """One payload size from ``dist``: one ``random()``, then, below
+    ``tail_prob``, a ``randint`` over ``tail_range``; otherwise the first body
+    size whose running sum of probabilities exceeds the rest of the draw."""
+    u = rng.random()
+    if u < dist.tail_prob:
+        return rng.randint(dist.tail_range[0], dist.tail_range[1])
+    u -= dist.tail_prob
+    acc = 0.0
+    for size, prob in dist.body:
+        acc += prob
+        if u < acc:
+            return size
+    return dist.body[-1][0]
+
+
 def _tick_sends(
     rng: random.Random, state_on: bool, burst: BurstModel, scale: float
 ) -> tuple[int, bool]:
@@ -306,7 +322,7 @@ def generate_rows(profile, n_clients, duration_ms, seed):
 
     def emit(t, conn_id, data_dir, ack_dir, rng, n_data, sent):
         for _ in range(n_data):
-            payload = profile.payload_size_dist.sample(rng)
+            payload = sample_size(profile.payload_size_dist, rng)
             rows.append((t, conn_id, data_dir, payload, profile.header_bytes, False))
             sent += 1
             if sent % profile.ack_every_n == 0:
@@ -521,7 +537,7 @@ def test_size_lookup_matches_sample_on_every_edge(monkeypatch, dist):
         if u < 1:
             draws += [math.nextafter(u, 0), u]
     sample_rng = ScriptedRng(draws)
-    want = [dist.sample(sample_rng) for _ in draws]
+    want = [sample_size(dist, sample_rng) for _ in draws]
 
     def scripted_substream(seed, tag, idx):
         return ScriptedRng(draws if tag == TAG_CLIENT else itertools.repeat(0.0))
