@@ -21,8 +21,10 @@ error leaves (:func:`~drsync.protocol.compute_export_error`); a snapshot's
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import time
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -100,44 +102,67 @@ class TrajectoryScript:
     Waypoint times must be strictly increasing and within ``[0,
     MAX_TIME_MS]``, every coordinate must be finite and there must be at
     least two waypoints; positions between waypoints are linear
-    interpolations.
+    interpolations.  A script keeps its waypoints as two arrays, the int64
+    times ``_t`` and the ``(n, 3)`` float64 positions ``_p``;
+    :attr:`waypoints` is built from them when first read.
     """
 
-    def __init__(self, waypoints: list[tuple[TimeMs, Vec3]]):
-        if len(waypoints) < 2:
-            raise ValueError(
-                f"trajectory needs at least 2 waypoints, got {len(waypoints)}"
-            )
+    def __init__(self, waypoints: Sequence[tuple[TimeMs, Vec3]]):
         times = [t for t, _ in waypoints]
-        for a, b in zip(times, times[1:]):
-            if b <= a:
-                raise ValueError(
-                    f"waypoint times must be strictly increasing, got {a} then {b}"
-                )
-        if times[0] < 0:
-            raise ValueError(f"waypoint times must be >= 0, got {times[0]}")
-        if times[-1] > MAX_TIME_MS:
+        try:
+            t_ms = np.array(times, dtype=np.int64)
+        except OverflowError:  # past int64, which the checks reject by value
+            t_ms = np.array(times, dtype=object)
+        points = np.array([pos for _, pos in waypoints], dtype=np.float64)
+        self._set(t_ms, points.reshape(len(times), 3))
+
+    @classmethod
+    def from_columns(cls, t_ms: np.ndarray, points: np.ndarray) -> TrajectoryScript:
+        """The script of int64 times ``t_ms`` and ``(n, 3)`` float64 ``points``."""
+        script = cls.__new__(cls)
+        script._set(t_ms, points)
+        return script
+
+    def _set(self, t_ms: np.ndarray, points: np.ndarray) -> None:
+        if len(t_ms) < 2:
+            raise ValueError(f"trajectory needs at least 2 waypoints, got {len(t_ms)}")
+        back = np.flatnonzero(t_ms[1:] <= t_ms[:-1])
+        if len(back):
+            k = back[0]
             raise ValueError(
-                f"waypoint times must be <= {MAX_TIME_MS}, got {times[-1]}"
+                "waypoint times must be strictly increasing, "
+                f"got {int(t_ms[k])} then {int(t_ms[k + 1])}"
             )
-        for t, pos in waypoints:
-            if not all(map(math.isfinite, pos)):
-                raise ValueError(
-                    f"waypoint at t_ms={t}: coordinates must be finite, got {pos}"
-                )
-        self.waypoints: tuple[tuple[TimeMs, Vec3], ...] = tuple(waypoints)
-        self._times: list[TimeMs] = times
-        # The same waypoints as arrays, for sample_positions.
-        self._t = np.array(times, dtype=np.int64)
-        self._p = np.array([pos for _, pos in waypoints], dtype=np.float64)
+        if t_ms[0] < 0:
+            raise ValueError(f"waypoint times must be >= 0, got {int(t_ms[0])}")
+        if t_ms[-1] > MAX_TIME_MS:
+            raise ValueError(
+                f"waypoint times must be <= {MAX_TIME_MS}, got {int(t_ms[-1])}"
+            )
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if len(bad):
+            k = bad[0]
+            raise ValueError(
+                f"waypoint at t_ms={int(t_ms[k])}: coordinates must be finite, "
+                f"got {Vec3._make(points[k].tolist())}"
+            )
+        self._t, self._p = t_ms, points
+
+    @functools.cached_property
+    def waypoints(self) -> tuple[tuple[TimeMs, Vec3], ...]:
+        return tuple(zip(self._times, map(Vec3._make, self._p.tolist())))
+
+    @functools.cached_property
+    def _times(self) -> list[TimeMs]:
+        return self._t.tolist()
 
     @property
     def start_ms(self) -> TimeMs:
-        return self.waypoints[0][0]
+        return int(self._t[0])
 
     @property
     def end_ms(self) -> TimeMs:
-        return self.waypoints[-1][0]
+        return int(self._t[-1])
 
     @classmethod
     def from_csv(cls, path: str) -> TrajectoryScript:
@@ -158,7 +183,7 @@ class TrajectoryScript:
 
     def __repr__(self) -> str:
         return (
-            f"TrajectoryScript({len(self.waypoints)} waypoints, "
+            f"TrajectoryScript({len(self._t)} waypoints, "
             f"[{self.start_ms}..{self.end_ms}] ms)"
         )
 
@@ -202,10 +227,13 @@ def sample_positions(script: TrajectoryScript, ticks: np.ndarray) -> np.ndarray:
     seg = np.minimum(i, last - 1)
     t0 = times[seg]
     frac = (ticks - t0) / (times[seg + 1] - t0)
-    p0 = points[seg]
-    between = p0 + (points[seg + 1] - p0) * frac[:, None]
-    exact = (i == last) | (ticks == times[i])
-    return np.where(exact[:, None], points[i], between)
+    # p0 + (p1 - p0) * frac, with each segment's p1 - p0 taken once.
+    out = np.diff(points, axis=0)[seg]
+    out *= frac[:, None]
+    out += points[seg]
+    exact = np.flatnonzero((i == last) | (ticks == times[i]))
+    out[exact] = points[i[exact]]
+    return out
 
 
 class Stopwatch:

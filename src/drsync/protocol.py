@@ -23,9 +23,10 @@ once, do the same float operations in the same order, and are what
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,26 +129,83 @@ def render_position(state: ReceiverState, t: TimeMs) -> Vec3 | None:
     return extrapolate(state.latest, max(t, state.latest.t_sent))
 
 
-@dataclass
 class ExportErrorReport:
     """Per-tick export error series plus aggregates over the non-warm-up ticks.
 
-    ``series`` holds one entry per tick: the error, or None during warm-up.
-    Aggregates are None when every tick was warm-up.
+    A report keeps two columns: ``t_ms``, every tick as int64, and
+    ``errors``, the float64 error at each tick after the leading warm-up
+    ones.  ``series`` holds one entry per tick, the error or None during
+    warm-up; it is built from the columns when first read, and the columns
+    from it when it is given.  Aggregates are None when every tick was
+    warm-up.
     """
 
-    entity_id: str
-    series: list[tuple[TimeMs, float | None]] = field(default_factory=list)
-    mean: float | None = None
-    max: float | None = None
-    p95: float | None = None
-    samples_count: int = 0
-    warmup_ticks: int = 0
+    __hash__ = None  # mutable, and == compares the columns
+
+    def __init__(
+        self,
+        entity_id: str,
+        series: Sequence[tuple[TimeMs, float | None]] = (),
+        mean: float | None = None,
+        max: float | None = None,
+        p95: float | None = None,
+        samples_count: int = 0,
+        warmup_ticks: int = 0,
+    ):
+        self.entity_id = entity_id
+        self.mean, self.max, self.p95 = mean, max, p95
+        self.samples_count, self.warmup_ticks = samples_count, warmup_ticks
+        self.t_ms, self.errors = _columns(series)
+
+    @functools.cached_property
+    def series(self) -> list[tuple[TimeMs, float | None]]:
+        times = self.t_ms.tolist()
+        warmup = len(times) - len(self.errors)
+        series: list[tuple[TimeMs, float | None]] = [(t, None) for t in times[:warmup]]
+        series += zip(times[warmup:], self.errors.tolist())
+        return series
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.entity_id, self.mean, self.max, self.p95)
+            == (other.entity_id, other.mean, other.max, other.p95)
+            and (self.samples_count, self.warmup_ticks)
+            == (other.samples_count, other.warmup_ticks)
+            and np.array_equal(self.t_ms, other.t_ms)
+            and np.array_equal(self.errors, other.errors)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"ExportErrorReport(entity_id={self.entity_id!r}, ticks={len(self.t_ms)}, "
+            f"mean={self.mean!r}, max={self.max!r}, p95={self.p95!r}, "
+            f"samples_count={self.samples_count!r}, warmup_ticks={self.warmup_ticks!r})"
+        )
+
+
+def _columns(
+    series: Sequence[tuple[TimeMs, float | None]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``t_ms`` and ``errors`` columns of a series whose warm-up leads."""
+    times, errors = spec.transpose(series, 2)
+    warmup = errors.count(None)
+    if None in errors[warmup:]:
+        rendered = next(k for k, e in enumerate(errors) if e is not None)
+        t = times[errors.index(None, rendered)]
+        raise ValueError(f"warm-up tick t_ms={t} follows a rendered tick")
+    return np.array(times, dtype=np.int64), np.array(errors[warmup:], dtype=np.float64)
+
+
+def _rank(n: int, q: float) -> int:
+    """Index of the nearest-rank ``q`` quantile (0 < q <= 1) of ``n`` sorted values."""
+    return max(1, math.ceil(q * n)) - 1
 
 
 def nearest_rank(ordered: Sequence[float], q: float) -> float:
     """Nearest-rank ``q`` quantile (0 < q <= 1) of a non-empty sorted sequence."""
-    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+    return ordered[_rank(len(ordered), q)]
 
 
 def percentile_95(values: list[float]) -> float:
@@ -163,7 +221,8 @@ def compute_export_error(
     """Per-tick distance between truth and the rendered view, with aggregates.
 
     Both series must cover exactly the same tick instants; anything else is a
-    data-alignment bug in the caller.  A non-finite mean (an overflow from huge
+    data-alignment bug in the caller, and so is a tick with nothing rendered
+    after one with a position.  A non-finite mean (an overflow from huge
     coordinates) is a ``ValueError`` naming the first non-finite tick.
     """
     if len(true_series) != len(rendered_series):
@@ -178,32 +237,35 @@ def compute_export_error(
                 f"tick grids differ: true tick {t_true} vs rendered tick {t_rend}"
             )
         series.append((t_true, None if rendered is None else deviation(pos, rendered)))
-    return _report(entity_id, series, [err for _, err in series if err is not None])
+    return _report(entity_id, *_columns(series))
 
 
-def _report(
-    entity_id: str, series: list[tuple[TimeMs, float | None]], errors: list[float]
-) -> ExportErrorReport:
-    """The report of ``series``, whose non-warm-up errors are ``errors``."""
+def _report(entity_id: str, t_ms: np.ndarray, errors: np.ndarray) -> ExportErrorReport:
+    """The report of the ticks ``t_ms``, whose last ``len(errors)`` have ``errors``."""
     report = ExportErrorReport(
-        entity_id=entity_id,
-        series=series,
-        samples_count=len(errors),
-        warmup_ticks=len(series) - len(errors),
+        entity_id, samples_count=len(errors), warmup_ticks=len(t_ms) - len(errors)
     )
-    if errors:
+    report.t_ms, report.errors = t_ms, errors
+    if len(errors):
         # fsum keeps the mean correctly rounded and therefore reproducible by
         # any other exact-summation implementation.
-        report.mean = math.fsum(errors) / len(errors)
+        report.mean = math.fsum(errors.tolist()) / len(errors)
         if not math.isfinite(report.mean):
-            bad = next(t for t, e in series if e is not None and not math.isfinite(e))
+            bad = report.warmup_ticks + np.flatnonzero(~np.isfinite(errors))[0]
             raise ValueError(
-                f"export error at t_ms={bad} is not finite: "
+                f"export error at t_ms={int(t_ms[bad])} is not finite: "
                 "trajectory coordinates are too large"
             )
-        report.max = max(errors)
-        report.p95 = percentile_95(errors)
+        report.max = float(errors.max())
+        # The element a sort would put at the nearest rank.
+        k = _rank(len(errors), 0.95)
+        report.p95 = float(np.partition(errors, k)[k])
     return report
+
+
+# sender_run turns this many ticks at a time into Python numbers, so that
+# its lists hold one chunk of the run rather than all of it.
+_SENDER_CHUNK = 8_192
 
 
 def sender_run(
@@ -218,24 +280,29 @@ def sender_run(
     """
     velocities = np.zeros_like(positions)
     velocities[1:] = (positions[1:] - positions[:-1]) * (_MS_PER_S / cfg.tick_ms)
-    ts = ticks.tolist()
-    xs, ys, zs = positions.T.tolist()
-    us, vs, ws = velocities.T.tolist()
     threshold, gap = cfg.threshold, cfg.min_send_interval_ms
     # The last snapshot sent: its tick, position and velocity.
-    t0, x0, y0, z0, u0, v0, w0 = ts[0], xs[0], ys[0], zs[0], us[0], vs[0], ws[0]
+    t0 = int(ticks[0])
+    (x0, y0, z0), (u0, v0, w0) = positions[0].tolist(), velocities[0].tolist()
     sent = [0]
-    for k in range(1, len(ts)):
-        elapsed = ts[k] - t0
-        if elapsed < gap:
-            continue
-        dt = elapsed / _MS_PER_S
-        dx = xs[k] - (x0 + u0 * dt)
-        dy = ys[k] - (y0 + v0 * dt)
-        dz = zs[k] - (z0 + w0 * dt)
-        if math.sqrt(dx * dx + dy * dy + dz * dz) > threshold:
-            sent.append(k)
-            t0, x0, y0, z0, u0, v0, w0 = ts[k], xs[k], ys[k], zs[k], us[k], vs[k], ws[k]
+    # The ticks after the first, as Python numbers one chunk at a time.
+    for start in range(1, len(ticks), _SENDER_CHUNK):
+        rows = slice(start, start + _SENDER_CHUNK)
+        ts = ticks[rows].tolist()
+        xs, ys, zs = positions[rows].T.tolist()
+        us, vs, ws = velocities[rows].T.tolist()
+        for k in range(len(ts)):
+            elapsed = ts[k] - t0
+            if elapsed < gap:
+                continue
+            dt = elapsed / _MS_PER_S
+            dx = xs[k] - (x0 + u0 * dt)
+            dy = ys[k] - (y0 + v0 * dt)
+            dz = zs[k] - (z0 + w0 * dt)
+            if math.sqrt(dx * dx + dy * dy + dz * dz) > threshold:
+                sent.append(start + k)
+                t0, x0, y0, z0 = ts[k], xs[k], ys[k], zs[k]
+                u0, v0, w0 = us[k], vs[k], ws[k]
     return np.array(sent, dtype=np.intp), velocities
 
 
@@ -278,15 +345,13 @@ def export_error_report(
 ) -> ExportErrorReport:
     """:func:`compute_export_error` of :func:`receiver_run`'s output."""
     d = positions[warmup:] - rendered
-    errors = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]).tolist()
-    times = ticks.tolist()
-    series: list[tuple[TimeMs, float | None]] = [(t, None) for t in times[:warmup]]
-    series += zip(times[warmup:], errors)
-    return _report(entity_id, series, errors)
+    errors = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+    return _report(entity_id, ticks, errors)
 
 
 def write_export_error_csv(report: ExportErrorReport, path: str) -> None:
     """Write the error series as ``t_ms,entity_id,error`` (empty error = warm-up)."""
-    t_ms, errors = spec.transpose(report.series, 2)
-    entity = spec.Table(np.zeros(len(t_ms), np.intp), [report.entity_id])
-    spec.write_csv(path, ("t_ms", "entity_id", "error"), [t_ms, entity, errors])
+    n = len(report.t_ms)
+    errors = [None] * (n - len(report.errors)) + report.errors.tolist()
+    entity = spec.Table(np.zeros(n, np.intp), [report.entity_id])
+    spec.write_csv(path, ("t_ms", "entity_id", "error"), [report.t_ms, entity, errors])

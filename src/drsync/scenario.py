@@ -37,7 +37,6 @@ from .core import (
     Stopwatch,
     TimeMs,
     TrajectoryScript,
-    Vec3,
     sample_positions,
 )
 from .netsim import (
@@ -77,8 +76,8 @@ DR_PACKET_BYTES = 100
 RECOVERABLE_LOSS_LIMIT = 0.5
 
 # The most ticks a run may have.  At this cap a two-seed compare peaked at
-# 375 MiB in 16.8 s on comparison_scenario() (a send on 56% of ticks), and at
-# 268 MiB in 7.6 s with one send per seed (tools/worst_case.py, 2-vCPU Xeon).
+# 167 MiB in 10.3 s on comparison_scenario() (a send on 56% of ticks), and at
+# 126 MiB in 5.7 s with one send per seed (tools/worst_case.py, 2-vCPU Xeon).
 MAX_TICKS = 500_000
 # run_compare builds consecutive seeds' mode-free stages until they hold
 # COMPARE_BATCH_SENDS sends or COMPARE_BATCH_TICKS ticks, then draws their
@@ -88,7 +87,7 @@ MAX_TICKS = 500_000
 COMPARE_BATCH_SENDS = 8_192
 COMPARE_BATCH_TICKS = MAX_TICKS
 # The most waypoints a generated trajectory may have; generating that many
-# takes about 2 s and 210 MiB (measured on a 2-vCPU Xeon guest).
+# takes about 2.5 s and 133 MiB (measured on a 2-vCPU Xeon guest).
 MAX_WAYPOINTS = 500_000
 
 
@@ -220,12 +219,10 @@ def generate_trajectory(
     rng = substream(seed, TAG_TRAJECTORY)
     random, getrandbits = rng.random, rng.getrandbits
     box = gen.box_size
-    pos = Vec3(
-        0.0 + (box - 0.0) * random(),
-        0.0 + (box - 0.0) * random(),
-        0.0 + (box - 0.0) * random(),
-    )
-    waypoints: list[tuple[TimeMs, Vec3]] = [(0, pos)]
+    x = 0.0 + (box - 0.0) * random()
+    y = 0.0 + (box - 0.0) * random()
+    z = 0.0 + (box - 0.0) * random()
+    ts, xs, ys, zs = [0], [x], [y], [z]
     dt_min = gen.waypoint_interval_min_ms
     dt_width = gen.waypoint_interval_max_ms - dt_min + 1
     dt_bits = dt_width.bit_length()
@@ -259,14 +256,17 @@ def generate_trajectory(
             if norm > 1e-9:
                 break
         step = speed * dt / 1000.0
-        pos = Vec3(
-            min(box, max(0.0, pos.x + dx / norm * step)),
-            min(box, max(0.0, pos.y + dy / norm * step)),
-            min(box, max(0.0, pos.z + dz / norm * step)),
-        )
+        x = min(box, max(0.0, x + dx / norm * step))
+        y = min(box, max(0.0, y + dy / norm * step))
+        z = min(box, max(0.0, z + dz / norm * step))
         t += dt
-        waypoints.append((t, pos))
-    return TrajectoryScript(waypoints)
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
+        zs.append(z)
+    return TrajectoryScript.from_columns(
+        np.array(ts, dtype=np.int64), np.column_stack((xs, ys, zs))
+    )
 
 
 def _load_trajectory(cfg: ScenarioConfig) -> TrajectoryScript:
@@ -455,7 +455,7 @@ def _summary(
     return {
         "transport": cfg.mode,
         "seed": cfg.seed,
-        "ticks": len(report.series),
+        "ticks": report.samples_count + report.warmup_ticks,
         "sends": len(send),
         "transmissions": transmissions,
         "delivered": int(np.count_nonzero(deliver >= 0)),

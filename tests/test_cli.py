@@ -304,6 +304,24 @@ class TestSimulate:
 
 
 class TestCompare:
+    def test_compare_at_a_sixteenth_of_the_cap(self, tmp_path):
+        # In a child process on a 2-vCPU Xeon guest this took 0.8-1.2 s and
+        # peaked at 43 MiB (tools/worst_case.py compare --fraction 16).
+        cfg = comparison_scenario()
+        ticks = scenario.MAX_TICKS // 16
+        cfg = replace(cfg, duration_ms=(ticks - 1) * cfg.protocol.tick_ms)
+        (tmp_path / "cmp.json").write_text(json.dumps(config_to_dict(cfg)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "drsync", "compare", "--config", "cmp.json",
+             "--seeds", "1,2", "--out", "runs"],
+            capture_output=True, text=True, cwd=tmp_path, timeout=15, check=False,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [row["seed"] for row in json.loads(proc.stdout)["rows"]] == [1, 2]
+        summary = tmp_path / "runs" / "seed_2" / "unreliable_dr" / "summary.json"
+        assert json.loads(summary.read_text())["ticks"] == ticks
+
     def test_happy_path(self, capsys, tmp_path):
         cfg = replace(comparison_scenario(), duration_ms=20_000)
         path = tmp_path / "cmp.json"

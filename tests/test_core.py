@@ -174,6 +174,97 @@ class TestTrajectoryScript:
             TrajectoryScript.from_csv(str(path))
 
 
+def _columns(waypoints):
+    t_ms = np.array([t for t, _ in waypoints], dtype=np.int64)
+    return t_ms, np.array([p for _, p in waypoints], dtype=np.float64).reshape(-1, 3)
+
+
+def _write_csv(path, waypoints):
+    rows = "".join(f"{t},{x!r},{y!r},{z!r}\n" for t, (x, y, z) in waypoints)
+    path.write_text("t_ms,x,y,z\n" + rows)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestColumnBuiltScript:
+    """A script built from arrays is the script built from its waypoint list."""
+
+    WAYPOINTS = [(0, vec(-0.0, 1.5, 2)), (500, vec(3, 4, 5)), (1500, vec(-1, 0, 0.25))]
+
+    def test_same_waypoints_repr_and_range(self, tmp_path):
+        listed = TrajectoryScript(self.WAYPOINTS)
+        built = TrajectoryScript.from_columns(*_columns(self.WAYPOINTS))
+        path = tmp_path / "traj.csv"
+        _write_csv(path, self.WAYPOINTS)
+        for script in (listed, built, TrajectoryScript.from_csv(str(path))):
+            assert repr(script.waypoints) == repr(tuple(self.WAYPOINTS))
+            assert all(type(t) is int for t, _ in script.waypoints)
+            assert repr(script) == "TrajectoryScript(3 waypoints, [0..1500] ms)"
+            assert (script.start_ms, script.end_ms) == (0, 1500)
+            assert type(script.start_ms) is int and type(script.end_ms) is int
+            assert repr(sample_trajectory(script, 0)) == repr(self.WAYPOINTS[0][1])
+
+    def test_waypoints_are_built_when_first_read(self):
+        script = TrajectoryScript.from_columns(*_columns(self.WAYPOINTS))
+        assert "waypoints" not in vars(script)
+        assert sample_trajectory(script, 1000) == vec(1, 2, 2.625)
+        assert "waypoints" in vars(script)
+
+    @pytest.mark.parametrize(
+        "waypoints, message",
+        [
+            ([(0, ZERO)], "trajectory needs at least 2 waypoints, got 1"),
+            (
+                [(0, ZERO), (100, ZERO), (100, ZERO), (50, ZERO)],
+                "waypoint times must be strictly increasing, got 100 then 100",
+            ),
+            ([(-5, ZERO), (100, ZERO)], "waypoint times must be >= 0, got -5"),
+            (
+                [(0, ZERO), (2**53 + 1, ZERO)],
+                f"waypoint times must be <= {2**53}, got {2**53 + 1}",
+            ),
+            (
+                [(0, ZERO), (500, vec(1, NAN, 2)), (700, vec(INF, 0, 0))],
+                "waypoint at t_ms=500: coordinates must be finite, "
+                "got Vec3(x=1.0, y=nan, z=2.0)",
+            ),
+        ],
+    )
+    def test_same_error_messages(self, tmp_path, waypoints, message):
+        with pytest.raises(ValueError) as listed:
+            TrajectoryScript(waypoints)
+        with pytest.raises(ValueError) as built:
+            TrajectoryScript.from_columns(*_columns(waypoints))
+        path = tmp_path / "traj.csv"
+        _write_csv(path, waypoints)
+        with pytest.raises(ValueError) as read:
+            TrajectoryScript.from_csv(str(path))
+        assert str(listed.value) == str(built.value) == message
+        assert read.value.problems == [f"{path}: {message}"]
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([0, 2**70], f"waypoint times must be <= {2**53}, got {2**70}"),
+            (
+                [0, 2**70, 5],
+                f"waypoint times must be strictly increasing, got {2**70} then 5",
+            ),
+            ([-(2**70), 5], f"waypoint times must be >= 0, got {-(2**70)}"),
+        ],
+    )
+    def test_times_past_int64_are_named(self, tmp_path, times, message):
+        waypoints = [(t, ZERO) for t in times]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrajectoryScript(waypoints)
+        path = tmp_path / "traj.csv"
+        _write_csv(path, waypoints)
+        with pytest.raises(ValueError) as read:
+            TrajectoryScript.from_csv(str(path))
+        assert read.value.problems == [f"{path}: {message}"]
+
+
 def test_export_error_rejects_an_overflowed_distance():
     # Each coordinate is finite, but squaring the 1e200 offset overflows.
     truth = [(0, ZERO), (100, ZERO)]

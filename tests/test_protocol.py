@@ -226,6 +226,25 @@ class TestExportError:
         assert percentile_95(values) == percentile_95(shuffled)
         assert percentile_95(values) == sorted(values)[95]  # rank 96 of 101
 
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(derandomize=True, max_examples=60)
+    def test_aggregates_are_those_of_the_sorted_errors(self, errors):
+        # One tick each, at the origin, rendered `error` away along x.
+        truth = [(10 * k, ZERO) for k in range(len(errors))]
+        rendered = [(10 * k, vec(e)) for k, e in enumerate(errors)]
+        report = compute_export_error(truth, rendered)
+        errors = [e for _, e in report.series]  # a tiny error squares to 0
+        assert report.p95 == percentile_95(errors)
+        assert report.max == max(errors)
+        assert report.mean == math.fsum(errors) / len(errors)
+        assert all(type(v) is float for v in (report.mean, report.max, report.p95))
+
     def test_mean_uses_exact_summation(self):
         # fsum keeps the mean stable no matter how the terms are ordered.
         true_series = [(k * 10, vec(0)) for k in range(1000)]

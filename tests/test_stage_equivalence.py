@@ -10,12 +10,14 @@ events and export-error report.
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drsync import scenario
+from drsync import protocol, scenario
 from drsync.core import TrajectoryScript, Vec3, sample_positions, sample_trajectory
 from drsync.netsim import (
     DejitterConfig,
@@ -25,13 +27,16 @@ from drsync.netsim import (
     unreliable_run,
 )
 from drsync.protocol import (
+    ExportErrorReport,
     ProtocolConfig,
     ReceiverState,
     SenderState,
     compute_export_error,
     receiver_apply,
     render_position,
+    sender_run,
     sender_tick,
+    write_export_error_csv,
 )
 from drsync.scenario import (
     MODE_RELIABLE,
@@ -250,3 +255,88 @@ def test_sampling_is_bitwise_equal_on_and_between_waypoints():
     assert repr(arrays) == repr(scalars)
     assert math.copysign(1.0, arrays[70][0]) == -1.0
 
+
+@given(
+    tick_ms=st.integers(min_value=1, max_value=120),
+    steps=st.lists(
+        st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=40
+    ),
+    threshold=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=20.0)),
+    gap=st.sampled_from([0, 1, 50, 120, 400]),
+)
+@example(tick_ms=50, steps=[(0.0, 0.0, 0.0)] * 3 + [(1.0, 0.0, 0.0)] * 9,
+         threshold=0.0, gap=120)
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_sender_chunks_give_the_unchunked_sends(tick_ms, steps, threshold, gap):
+    """The state carried across chunk edges gives the sends of one chunk."""
+    cfg = ProtocolConfig(threshold=threshold, tick_ms=tick_ms, min_send_interval_ms=gap)
+    ticks = np.arange(len(steps), dtype=np.int64) * tick_ms
+    positions = np.cumsum(np.array(steps, dtype=np.float64), axis=0)
+    with mock.patch.object(protocol, "_SENDER_CHUNK", len(steps)):
+        whole, velocities = sender_run(cfg, ticks, positions)
+    for chunk in (1, 2, 7):
+        with mock.patch.object(protocol, "_SENDER_CHUNK", chunk):
+            sent, chunked_velocities = sender_run(cfg, ticks, positions)
+        assert sent.tolist() == whole.tolist()
+        assert chunked_velocities.tobytes() == velocities.tobytes()
+
+
+class TestReportColumns:
+    """``run_simulation``'s report keeps columns; its ``series`` is built on reading."""
+
+    @staticmethod
+    def runs(folder):
+        cfg = build_config({**BASE, "ticks": 90}, Path(folder))
+        return run_simulation(cfg), scalar_run(cfg)[2]
+
+    def test_equal_to_the_list_built_report_whichever_is_read_first(self):
+        with tempfile.TemporaryDirectory() as folder:
+            for first in ("array", "list"):
+                result, listed = self.runs(folder)
+                arrays = result.report
+                assert arrays.warmup_ticks > 0 and arrays.samples_count > 0
+                assert "series" not in vars(arrays) and "series" not in vars(listed)
+                (arrays if first == "array" else listed).series
+                assert arrays == listed and listed == arrays
+                assert arrays.series == listed.series
+
+    def test_keyword_built_report_equals_its_source(self):
+        with tempfile.TemporaryDirectory() as folder:
+            result, _ = self.runs(folder)
+        report = result.report
+        rebuilt = ExportErrorReport(
+            entity_id=report.entity_id,
+            series=report.series,
+            mean=report.mean,
+            max=report.max,
+            p95=report.p95,
+            samples_count=report.samples_count,
+            warmup_ticks=report.warmup_ticks,
+        )
+        assert rebuilt == report
+        assert rebuilt != ExportErrorReport(report.entity_id, series=report.series)
+
+    def test_run_leaves_series_unbuilt(self):
+        with tempfile.TemporaryDirectory() as folder:
+            result, _ = self.runs(folder)
+            scenario.write_run_outputs(result, Path(folder) / "out")
+        assert "series" not in vars(result.report)
+
+    def test_csv_bytes_equal_from_both_forms(self):
+        with tempfile.TemporaryDirectory() as folder:
+            result, listed = self.runs(folder)
+            keyword = ExportErrorReport(result.report.entity_id, listed.series)
+            written = []
+            for n, report in enumerate((result.report, listed, keyword)):
+                path = Path(folder) / f"export_error_{n}.csv"
+                write_export_error_csv(report, str(path))
+                written.append(path.read_bytes())
+        assert written[0] == written[1] == written[2]
+        assert written[0].startswith(b"t_ms,entity_id,error\n0,player-0,\n")
+
+    def test_warm_up_must_lead(self):
+        truth = [(t, Vec3(0.0, 0.0, 0.0)) for t in (0, 10, 20)]
+        rendered = [(0, None), (10, Vec3(1.0, 0.0, 0.0)), (20, None)]
+        message = "^warm-up tick t_ms=20 follows a rendered tick$"
+        with pytest.raises(ValueError, match=message):
+            compute_export_error(truth, rendered)

@@ -2,17 +2,24 @@
 
     python3 tools/worst_case.py run -- COMMAND [ARG ...]
     python3 tools/worst_case.py compare --fraction 16 [--threshold T] [--seeds S]
+    python3 tools/worst_case.py simulate --fraction 16
 
 ``run`` starts ``COMMAND`` with its stdout sent to ``/dev/null`` and waits
 for it with ``os.wait4``, whose resource usage holds the child's own peak
 resident set (``ru_maxrss``), not this script's.  It prints one JSON line:
 the command, its exit status, ``wall_s`` and ``peak_rss_mib``.
 
+``compare`` and ``simulate`` run ``comparison_scenario()`` cut to
+``1/FRACTION`` of ``scenario.MAX_TICKS`` ticks, each the same way.
+
 ``compare`` runs ``drsync compare`` over two seeds (``--seeds``, 1,2 by
-default) with an output tree in a temporary directory, on
-``comparison_scenario()`` cut to ``1/FRACTION`` of ``scenario.MAX_TICKS``
-ticks; ``--threshold`` replaces the protocol's threshold (1e12 sends only
-tick 0, so a seed whose one packet is lost has no error to compare).
+default) with an output tree in a temporary directory; ``--threshold``
+replaces the protocol's threshold (1e12 sends only tick 0, so a seed whose
+one packet is lost has no error to compare).
+
+``simulate`` runs ``drsync simulate`` under ``reliable_ordered`` at a
+``loss_rate`` of 0.95, the costliest accepted run: a packet is sent 11
+times on average.
 """
 
 from __future__ import annotations
@@ -47,25 +54,52 @@ def measure(command: list[str], env: dict[str, str] | None = None) -> dict:
     }
 
 
-def compare(fraction: int, threshold: float | None, seeds: str) -> dict:
-    sys.path.insert(0, str(SRC))
-    from drsync.scenario import MAX_TICKS, comparison_scenario, config_to_dict
+def scenario():
+    """``drsync.scenario`` from this checkout, imported only when needed."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    from drsync import scenario
 
-    cfg = comparison_scenario()
-    ticks = MAX_TICKS // fraction  # duration_ms // tick_ms + 1 of them
-    cfg = replace(cfg, duration_ms=(ticks - 1) * cfg.protocol.tick_ms)
-    if threshold is not None:
-        cfg = replace(cfg, protocol=replace(cfg.protocol, threshold=threshold))
+    return scenario
+
+
+def cut(fraction: int):
+    """``comparison_scenario()`` at ``1/fraction`` of ``MAX_TICKS`` ticks."""
+    cfg = scenario().comparison_scenario()
+    ticks = scenario().MAX_TICKS // fraction  # duration_ms // tick_ms + 1 of them
+    return replace(cfg, duration_ms=(ticks - 1) * cfg.protocol.tick_ms)
+
+
+def measure_drsync(cfg, command: str, *args: str) -> dict:
+    """``drsync COMMAND --config <cfg> ARGS``, the config in a temporary file."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "scenario.json"
-        path.write_text(json.dumps(config_to_dict(cfg)))
+        path.write_text(json.dumps(scenario().config_to_dict(cfg)))
         result = measure(
-            [sys.executable, "-m", "drsync", "compare", "--config", str(path),
-             "--seeds", seeds, "--out", str(Path(work) / "runs")],
+            [sys.executable, "-m", "drsync", command, "--config", str(path),
+             *args],
             env,
         )
-    return {"ticks": ticks, "threshold": cfg.protocol.threshold, **result}
+    ticks = cfg.duration_ms // cfg.protocol.tick_ms + 1
+    return {"ticks": ticks, **result}
+
+
+def compare(fraction: int, threshold: float | None, seeds: str) -> dict:
+    cfg = cut(fraction)
+    if threshold is not None:
+        cfg = replace(cfg, protocol=replace(cfg.protocol, threshold=threshold))
+    with tempfile.TemporaryDirectory() as out:
+        result = measure_drsync(cfg, "compare", "--seeds", seeds, "--out", out)
+    return {"ticks": result["ticks"], "threshold": cfg.protocol.threshold, **result}
+
+
+def simulate(fraction: int) -> dict:
+    cfg = cut(fraction)
+    cfg = replace(
+        cfg, mode=scenario().MODE_RELIABLE, channel=replace(cfg.channel, loss_rate=0.95)
+    )
+    return measure_drsync(cfg, "simulate")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -77,16 +111,20 @@ def main(argv: list[str] | None = None) -> int:
     cmp_.add_argument("--fraction", type=int, required=True, help="of MAX_TICKS")
     cmp_.add_argument("--threshold", type=float)
     cmp_.add_argument("--seeds", default="1,2")
+    sim = sub.add_parser("simulate", help="measure the costliest simulate")
+    sim.add_argument("--fraction", type=int, required=True, help="of MAX_TICKS")
     args = parser.parse_args(argv)
     if args.what == "run":
         command = args.command[1:] if args.command[:1] == ["--"] else args.command
         if not command:
             parser.error("run needs a command")
         result = measure(command)
-    else:
-        if args.fraction < 1:
-            parser.error("--fraction must be >= 1")
+    elif args.fraction < 1:
+        parser.error("--fraction must be >= 1")
+    elif args.what == "compare":
         result = compare(args.fraction, args.threshold, args.seeds)
+    else:
+        result = simulate(args.fraction)
     print(json.dumps(result))
     return 0 if result["exit"] == 0 else 1
 
