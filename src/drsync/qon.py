@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import spec
+from .rng import check_seed
 
 # Feature normalization constants shared by scoring and fitting.
 RTT_SCALE_MS = 500.0
@@ -304,35 +305,34 @@ def generate_labeled_sessions(n: int, seed: int) -> list[LabeledSession]:
 
     Half the population gets clean connections, half impaired ones, so both
     labels are well represented.  A session is labeled True when the
-    per-minute quit draw fires within the premature window.
+    per-minute quit draw fires within the premature window; ``seed`` must
+    keep :data:`drsync.rng.SEED`.  The loop writes out ``rng.uniform`` and
+    :func:`ground_truth_quit`, taking :func:`quit_probability` once a session.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    rng = random.Random(seed)
+    check_seed(seed)
+    q0, a, b = CALIBRATION_PARAMS.q0, CALIBRATION_PARAMS.a, CALIBRATION_PARAMS.b
+    minutes = [float(minute) for minute in range(1, PREMATURE_WINDOW_MIN + 1)]
+    draw = random.Random(seed).random
     sessions: list[LabeledSession] = []
     for _ in range(n):
-        if rng.random() < 0.5:
-            m = SessionMetrics(
-                rtt_mean_ms=rng.uniform(20.0, 120.0),
-                rtt_jitter_ms=rng.uniform(0.0, 30.0),
-                loss_rate=rng.uniform(0.0, 0.05),
-                elapsed_min=0.0,
-            )
+        if draw() < 0.5:
+            rtt = 20.0 + (120.0 - 20.0) * draw()
+            jitter = 0.0 + (30.0 - 0.0) * draw()
+            loss = 0.0 + (0.05 - 0.0) * draw()
         else:
-            m = SessionMetrics(
-                rtt_mean_ms=rng.uniform(150.0, 400.0),
-                rtt_jitter_ms=rng.uniform(20.0, 100.0),
-                loss_rate=rng.uniform(0.05, 0.4),
-                elapsed_min=0.0,
-            )
-        quit_early = False
-        elapsed = PREMATURE_WINDOW_MIN
-        for minute in range(1, PREMATURE_WINDOW_MIN + 1):
-            if ground_truth_quit(CALIBRATION_PARAMS, m, rng):
-                quit_early = True
-                elapsed = minute
+            rtt = 150.0 + (400.0 - 150.0) * draw()
+            jitter = 20.0 + (100.0 - 20.0) * draw()
+            loss = 0.05 + (0.4 - 0.05) * draw()
+        q = q0 + a * loss + b * max(0.0, rtt - LATENCY_KNEE_MS) / 100.0
+        q = min(1.0, max(0.0, q))
+        for minute in minutes:
+            if draw() < q:
+                sessions.append((_new_metrics((rtt, jitter, loss, minute)), True))
                 break
-        sessions.append((m._replace(elapsed_min=float(elapsed)), quit_early))
+        else:  # no quit: minute is the window's last
+            sessions.append((_new_metrics((rtt, jitter, loss, minute)), False))
     return sessions
 
 

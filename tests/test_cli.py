@@ -653,6 +653,20 @@ class TestPredictFit:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 4
 
+    def test_fit_at_a_sixteenth_of_the_cap(self):
+        # 15,625 sessions at the default 2,000 epochs.  On a 2-vCPU Xeon
+        # guest the tool took 1.3 s, of which the fit's child 0.5-0.7 s.
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "worst_case.py"), "fit",
+             "--fraction", "16"],
+            capture_output=True, text=True, timeout=15, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["exit"] == 0
+        assert (result["sessions"], result["epochs"]) == (15_625, 2000)
+        assert 0 < result["floor_rss_mib"] < result["peak_rss_mib"]
+
     def test_fit_to_stdout(self, capsys, tmp_path):
         sessions = generate_labeled_sessions(n=200, seed=13)
         data_path = tmp_path / "sessions.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -32,6 +33,7 @@ from drsync.qon import (
     weights_to_json,
     write_sessions_csv,
 )
+from drsync.rng import SEED
 from drsync.spec import ConfigError
 
 
@@ -413,7 +415,60 @@ class TestDefaultWeights:
         assert risk_score(DEFAULT_WEIGHTS, bad) > 0.7
 
 
+def reference_sessions(n: int, seed: int) -> list:
+    """``generate_labeled_sessions`` over the scalar model: three
+    ``rng.uniform`` draws, one :func:`ground_truth_quit` a minute of the
+    premature window, then the metrics rebuilt with the quit minute."""
+    rng = random.Random(seed)
+    sessions = []
+    for _ in range(n):
+        if rng.random() < 0.5:
+            m = metrics(rng.uniform(20.0, 120.0), rng.uniform(0.0, 30.0),
+                        rng.uniform(0.0, 0.05), 0.0)
+        else:
+            m = metrics(rng.uniform(150.0, 400.0), rng.uniform(20.0, 100.0),
+                        rng.uniform(0.05, 0.4), 0.0)
+        quit_early, elapsed = False, qon.PREMATURE_WINDOW_MIN
+        for minute in range(1, qon.PREMATURE_WINDOW_MIN + 1):
+            if ground_truth_quit(qon.CALIBRATION_PARAMS, m, rng):
+                quit_early, elapsed = True, minute
+                break
+        sessions.append((m._replace(elapsed_min=float(elapsed)), quit_early))
+    return sessions
+
+
+def assert_sessions_are_the_references(n, seed):
+    got, expected = generate_labeled_sessions(n, seed), reference_sessions(n, seed)
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
 class TestSessionGeneration:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @example(n=400, seed=0)
+    @example(n=400, seed=2**64 - 1)
+    @example(n=400, seed=qon.CALIBRATION_SEED)
+    @given(n=st.integers(0, 400), seed=st.integers(SEED.ge, SEED.le))
+    def test_sessions_are_the_scalar_models(self, n, seed):
+        assert_sessions_are_the_references(n, seed)
+
+    @pytest.mark.parametrize("q0", [2.0, -1.0])
+    def test_sessions_are_the_scalar_models_at_either_clamp(self, q0):
+        # The committed params keep q inside [0, 1]; these push every
+        # session's q past 1 (everyone quits in minute 1) or below 0.
+        params = dataclasses.replace(CALIBRATION_PARAMS, q0=q0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qon, "CALIBRATION_PARAMS", params)
+            assert_sessions_are_the_references(400, 3)
+            quits = {quit for _, quit in generate_labeled_sessions(400, 3)}
+        assert quits == {q0 > 1.0}
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_a_seed_outside_the_seed_rule_is_refused(self, seed):
+        # random.Random seeds on abs(seed), so -5 would alias seed 5.
+        with pytest.raises(ValueError, match="^seed: must be"):
+            generate_labeled_sessions(50, seed)
+
     def test_deterministic_and_balanced(self):
         a = generate_labeled_sessions(500, seed=4)
         b = generate_labeled_sessions(500, seed=4)

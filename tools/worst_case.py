@@ -3,11 +3,16 @@
     python3 tools/worst_case.py run -- COMMAND [ARG ...]
     python3 tools/worst_case.py compare --fraction 16 [--threshold T] [--seeds S]
     python3 tools/worst_case.py simulate --fraction 16
+    python3 tools/worst_case.py fit --fraction 16
 
 ``run`` starts ``COMMAND`` with its stdout sent to ``/dev/null`` and waits
 for it with ``os.wait4``, whose resource usage holds the child's own peak
-resident set (``ru_maxrss``), not this script's.  It prints one JSON line:
-the command, its exit status, ``wall_s`` and ``peak_rss_mib``.
+resident set (``ru_maxrss``).  It prints one JSON line: the command, its
+exit status, ``wall_s``, ``peak_rss_mib`` and ``floor_rss_mib``.  The
+child's peak starts at this script's own peak resident set, since the child
+shares its memory until it runs the command; ``floor_rss_mib`` is the peak
+of ``true`` started the same way, so a ``peak_rss_mib`` near it tells
+little about the command.
 
 ``compare`` and ``simulate`` run ``comparison_scenario()`` cut to
 ``1/FRACTION`` of ``scenario.MAX_TICKS`` ticks, each the same way.
@@ -20,6 +25,11 @@ one packet is lost has no error to compare).
 ``simulate`` runs ``drsync simulate`` under ``reliable_ordered`` at a
 ``loss_rate`` of 0.95, the costliest accepted run: a packet is sent 11
 times on average.
+
+``fit`` runs ``drsync fit`` at its default 2,000 epochs on
+``generate_labeled_sessions(qon.MAX_FIT_STEPS // 2000 // FRACTION, 1)``,
+which a child process writes to a temporary CSV, so that this script
+imports neither drsync nor numpy and its floor stays that of ``run``.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -34,23 +45,38 @@ from dataclasses import replace
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+FIT_EPOCHS = 2000  # drsync fit's default
+# Writes the sessions of fit's worst case at ``argv[2]`` and prints how many.
+WRITE_SESSIONS = (
+    "import sys; from drsync import qon; "
+    f"n = qon.MAX_FIT_STEPS // {FIT_EPOCHS} // int(sys.argv[1]); "
+    "qon.write_sessions_csv(qon.generate_labeled_sessions(n, 1), sys.argv[2]); "
+    "print(n)"
+)
+
+
+def spawn(command: list[str], env: dict[str, str]) -> tuple[int, float]:
+    """Run ``command``, its stdout sent to ``/dev/null``, to its end; its
+    wait status and peak resident set in MiB."""
+    devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    pid = os.posix_spawnp(command[0], command, env, file_actions=devnull)
+    _, status, usage = os.wait4(pid, 0)
+    return status, round(usage.ru_maxrss / 1024, 1)  # ru_maxrss is KiB
 
 
 def measure(command: list[str], env: dict[str, str] | None = None) -> dict:
-    """Run ``command`` to its end; its exit status, wall time and peak RSS."""
-    devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    """Run ``command`` to its end; its exit status, wall time and peak RSS,
+    and the peak RSS of ``true`` started the same way."""
+    env = os.environ if env is None else env
     start = time.perf_counter()
-    pid = os.posix_spawnp(
-        command[0], command, os.environ if env is None else env,
-        file_actions=devnull,
-    )
-    _, status, usage = os.wait4(pid, 0)
+    status, peak = spawn(command, env)
     wall = time.perf_counter() - start
     return {
         "command": command,
         "exit": os.waitstatus_to_exitcode(status),
         "wall_s": round(wall, 3),
-        "peak_rss_mib": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is KiB
+        "peak_rss_mib": peak,
+        "floor_rss_mib": spawn(["true"], env)[1],
     }
 
 
@@ -70,16 +96,19 @@ def cut(fraction: int):
     return replace(cfg, duration_ms=(ticks - 1) * cfg.protocol.tick_ms)
 
 
+def drsync_env() -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(SRC)}
+
+
 def measure_drsync(cfg, command: str, *args: str) -> dict:
     """``drsync COMMAND --config <cfg> ARGS``, the config in a temporary file."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "scenario.json"
         path.write_text(json.dumps(scenario().config_to_dict(cfg)))
         result = measure(
             [sys.executable, "-m", "drsync", command, "--config", str(path),
              *args],
-            env,
+            drsync_env(),
         )
     ticks = cfg.duration_ms // cfg.protocol.tick_ms + 1
     return {"ticks": ticks, **result}
@@ -102,6 +131,21 @@ def simulate(fraction: int) -> dict:
     return measure_drsync(cfg, "simulate")
 
 
+def fit(fraction: int) -> dict:
+    """``drsync fit`` on ``1/fraction`` of the sessions ``MAX_FIT_STEPS``
+    allows at the default epochs."""
+    env = drsync_env()
+    with tempfile.TemporaryDirectory() as work:
+        data = str(Path(work) / "sessions.csv")
+        written = subprocess.run(
+            [sys.executable, "-c", WRITE_SESSIONS, str(fraction), data],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        sessions = int(written.stdout)
+        result = measure([sys.executable, "-m", "drsync", "fit", "--data", data], env)
+    return {"sessions": sessions, "epochs": FIT_EPOCHS, **result}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="what", required=True)
@@ -113,6 +157,10 @@ def main(argv: list[str] | None = None) -> int:
     cmp_.add_argument("--seeds", default="1,2")
     sim = sub.add_parser("simulate", help="measure the costliest simulate")
     sim.add_argument("--fraction", type=int, required=True, help="of MAX_TICKS")
+    fit_ = sub.add_parser("fit", help="measure fit at MAX_FIT_STEPS")
+    fit_.add_argument(
+        "--fraction", type=int, required=True, help="of MAX_FIT_STEPS' sessions"
+    )
     args = parser.parse_args(argv)
     if args.what == "run":
         command = args.command[1:] if args.command[:1] == ["--"] else args.command
@@ -123,8 +171,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--fraction must be >= 1")
     elif args.what == "compare":
         result = compare(args.fraction, args.threshold, args.seeds)
-    else:
+    elif args.what == "simulate":
         result = simulate(args.fraction)
+    else:
+        result = fit(args.fraction)
     print(json.dumps(result))
     return 0 if result["exit"] == 0 else 1
 
