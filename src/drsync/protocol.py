@@ -130,49 +130,55 @@ def render_position(state: ReceiverState, t: TimeMs) -> Vec3 | None:
 
 
 class ExportErrorReport:
-    """Per-tick export error series plus aggregates over the non-warm-up ticks.
+    """The per-tick export error of a run: two columns and their aggregates.
 
-    A report keeps two columns: ``t_ms``, every tick as int64, and
-    ``errors``, the float64 error at each tick after the leading warm-up
-    ones.  ``series`` holds one entry per tick, the error or None during
-    warm-up; it is built from the columns when first read, and the columns
-    from it when it is given.  Aggregates are None when every tick was
-    warm-up.
+    ``t_ms`` holds every tick as int64, and ``errors`` the float64 error at
+    each tick after the leading warm-up ones.  The rest follows from them:
+    ``samples_count`` and ``warmup_ticks`` count the two kinds of tick, and
+    ``mean``, ``max`` and ``p95`` (None if every tick was warm-up) are taken
+    over ``errors``; a non-finite mean is a ``ValueError``.  ``series``, a
+    ``(t_ms, error or None)`` pair per tick, is built when first read.
     """
 
     __hash__ = None  # mutable, and == compares the columns
 
     def __init__(
-        self,
-        entity_id: str,
-        series: Sequence[tuple[TimeMs, float | None]] = (),
-        mean: float | None = None,
-        max: float | None = None,
-        p95: float | None = None,
-        samples_count: int = 0,
-        warmup_ticks: int = 0,
+        self, entity_id: str, t_ms: Sequence[TimeMs], errors: Sequence[float]
     ):
         self.entity_id = entity_id
-        self.mean, self.max, self.p95 = mean, max, p95
-        self.samples_count, self.warmup_ticks = samples_count, warmup_ticks
-        self.t_ms, self.errors = _columns(series)
+        self.t_ms = t_ms = np.asarray(t_ms, dtype=np.int64)
+        self.errors = errors = np.asarray(errors, dtype=np.float64)
+        self.samples_count = n = len(errors)
+        self.warmup_ticks = len(t_ms) - n
+        if self.warmup_ticks < 0:
+            raise ValueError(f"{n} errors for {len(t_ms)} ticks")
+        self.mean = self.max = self.p95 = None
+        if not n:
+            return
+        # fsum keeps the mean correctly rounded and therefore reproducible by
+        # any other exact-summation implementation.
+        self.mean = math.fsum(errors.tolist()) / n
+        if not math.isfinite(self.mean):
+            bad = self.warmup_ticks + np.flatnonzero(~np.isfinite(errors))[0]
+            raise ValueError(
+                f"export error at t_ms={int(t_ms[bad])} is not finite: "
+                "trajectory coordinates are too large"
+            )
+        self.max = float(errors.max())
+        # The element a sort would put at the nearest rank.
+        k = _rank(n, 0.95)
+        self.p95 = float(np.partition(errors, k)[k])
 
     @functools.cached_property
     def series(self) -> list[tuple[TimeMs, float | None]]:
-        times = self.t_ms.tolist()
-        warmup = len(times) - len(self.errors)
-        series: list[tuple[TimeMs, float | None]] = [(t, None) for t in times[:warmup]]
-        series += zip(times[warmup:], self.errors.tolist())
-        return series
+        errors = [None] * self.warmup_ticks + self.errors.tolist()
+        return list(zip(self.t_ms.tolist(), errors))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
-            (self.entity_id, self.mean, self.max, self.p95)
-            == (other.entity_id, other.mean, other.max, other.p95)
-            and (self.samples_count, self.warmup_ticks)
-            == (other.samples_count, other.warmup_ticks)
+            self.entity_id == other.entity_id
             and np.array_equal(self.t_ms, other.t_ms)
             and np.array_equal(self.errors, other.errors)
         )
@@ -183,19 +189,6 @@ class ExportErrorReport:
             f"mean={self.mean!r}, max={self.max!r}, p95={self.p95!r}, "
             f"samples_count={self.samples_count!r}, warmup_ticks={self.warmup_ticks!r})"
         )
-
-
-def _columns(
-    series: Sequence[tuple[TimeMs, float | None]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The ``t_ms`` and ``errors`` columns of a series whose warm-up leads."""
-    times, errors = spec.transpose(series, 2)
-    warmup = errors.count(None)
-    if None in errors[warmup:]:
-        rendered = next(k for k, e in enumerate(errors) if e is not None)
-        t = times[errors.index(None, rendered)]
-        raise ValueError(f"warm-up tick t_ms={t} follows a rendered tick")
-    return np.array(times, dtype=np.int64), np.array(errors[warmup:], dtype=np.float64)
 
 
 def _rank(n: int, q: float) -> int:
@@ -230,37 +223,22 @@ def compute_export_error(
             "tick grids differ: "
             f"{len(true_series)} true vs {len(rendered_series)} rendered samples"
         )
-    series: list[tuple[TimeMs, float | None]] = []
+    times: list[TimeMs] = []
+    errors: list[float] = []
+    late = None  # the first warm-up tick after a rendered one
     for (t_true, pos), (t_rend, rendered) in zip(true_series, rendered_series):
         if t_true != t_rend:
             raise ValueError(
                 f"tick grids differ: true tick {t_true} vs rendered tick {t_rend}"
             )
-        series.append((t_true, None if rendered is None else deviation(pos, rendered)))
-    return _report(entity_id, *_columns(series))
-
-
-def _report(entity_id: str, t_ms: np.ndarray, errors: np.ndarray) -> ExportErrorReport:
-    """The report of the ticks ``t_ms``, whose last ``len(errors)`` have ``errors``."""
-    report = ExportErrorReport(
-        entity_id, samples_count=len(errors), warmup_ticks=len(t_ms) - len(errors)
-    )
-    report.t_ms, report.errors = t_ms, errors
-    if len(errors):
-        # fsum keeps the mean correctly rounded and therefore reproducible by
-        # any other exact-summation implementation.
-        report.mean = math.fsum(errors.tolist()) / len(errors)
-        if not math.isfinite(report.mean):
-            bad = report.warmup_ticks + np.flatnonzero(~np.isfinite(errors))[0]
-            raise ValueError(
-                f"export error at t_ms={int(t_ms[bad])} is not finite: "
-                "trajectory coordinates are too large"
-            )
-        report.max = float(errors.max())
-        # The element a sort would put at the nearest rank.
-        k = _rank(len(errors), 0.95)
-        report.p95 = float(np.partition(errors, k)[k])
-    return report
+        times.append(t_true)
+        if rendered is not None:
+            errors.append(deviation(pos, rendered))
+        elif errors and late is None:
+            late = t_true
+    if late is not None:
+        raise ValueError(f"warm-up tick t_ms={late} follows a rendered tick")
+    return ExportErrorReport(entity_id, times, errors)
 
 
 # sender_run turns this many ticks at a time into Python numbers, so that
@@ -346,7 +324,7 @@ def export_error_report(
     """:func:`compute_export_error` of :func:`receiver_run`'s output."""
     d = positions[warmup:] - rendered
     errors = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-    return _report(entity_id, ticks, errors)
+    return ExportErrorReport(entity_id, ticks, errors)
 
 
 def write_export_error_csv(report: ExportErrorReport, path: str) -> None:

@@ -541,7 +541,8 @@ def run_compare(
     batch: list[_SharedStages] = []
     watch = Stopwatch()
     out = None if out_dir is None else Path(out_dir)
-    with contextlib.nullcontext() if out is None else _undone_on_failure(out):
+    undo = contextlib.nullcontext() if out is None else _undone_on_failure(out, seeds)
+    with undo:
         for i, seed in enumerate(seeds):
             variant = replace(cfg, seed=seed, channel=replace(cfg.channel, seed=None))
             batch.append(_shared_stages(variant, watch.lap))
@@ -569,17 +570,27 @@ def run_compare(
 
 
 @contextlib.contextmanager
-def _undone_on_failure(out: Path) -> Iterator[None]:
-    """If the block raises, remove each file and folder it made in ``out``."""
+def _undone_on_failure(out: Path, seeds: list[int]) -> Iterator[None]:
+    """If the block raises, remove each file and folder that a compare of
+    ``seeds`` may write in ``out`` and that was not there before."""
     top = out  # or its outermost folder that is yet to be made
     while not top.parent.exists():
         top = top.parent
-    before = {top, *top.rglob("*")} if top.exists() else set()
+    paths = [top]
+    if top.exists():  # top is out
+        folders = [out / f"seed_{seed}" for seed in seeds]
+        runs = [f / mode for f in folders for mode in (MODE_UNRELIABLE, MODE_RELIABLE)]
+        paths = [out / "comparison.csv", out / "comparison.json", *folders, *runs]
+        names = (  # what write_run_outputs writes in a run's folder
+            "export_error.csv", "deliveries.csv", "resolved_config.json", "summary.json"
+        )
+        paths += [run / name for run in runs for name in names]
+    before = {path for path in paths if path.exists()}
     try:
         yield
     except BaseException:
         # A new folder holds only new files.
-        for path in {top, *top.rglob("*")} - before:
+        for path in set(paths) - before:
             if path.is_dir():
                 shutil.rmtree(path, ignore_errors=True)
             else:

@@ -47,10 +47,10 @@ from .spec import _ITER_ROWS, INVALID
 # profile above it is rejected: generation time grows with the rate.
 MAX_PACKETS_PER_TICK = 1000
 # The most client ticks (clients times ticks) one trace may have.  For the
-# mmorpg preset (10 clients) at 1/16 and 1/4 of this cap (424,170 and
-# 1,692,563 rows), ``generate`` took 0.85 and 2.5 s and peaked at 61 and
-# 146 MiB, and ``analyze`` peaked at 54 and 125 MiB; at the cap ``generate``
-# took 10 s and peaked at 490 MiB (a 2-vCPU Xeon).
+# mmorpg preset (10 clients) at 1/16 and 1/4 of this cap and at the cap,
+# ``generate`` took 0.46, 1.3 and 4.6 s and peaked at 61, 147 and 490 MiB,
+# and ``analyze`` of its trace took 0.40, 1.0 and 3.5 s and peaked at 55,
+# 121 and 371 MiB (``tools/worst_case.py``, a 2-vCPU Xeon).
 MAX_CLIENT_TICKS = 2_000_000
 # The most data packets one trace may have at its profile's peak rates: the
 # client's and the server's per client tick, plus one event action.  Both

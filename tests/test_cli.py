@@ -58,6 +58,19 @@ def run_logged(level, argv):
     return proc.stdout, proc.stderr
 
 
+def worst_case(*args):
+    """``tools/worst_case.py ARGS`` in a child process with a 15 s timeout;
+    its result, whose command must have exited 0."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "worst_case.py"), *args],
+        capture_output=True, text=True, timeout=15, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["exit"] == 0
+    return result
+
+
 class TestParsing:
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
@@ -304,6 +317,16 @@ class TestSimulate:
 
 
 class TestCompare:
+    @pytest.mark.parametrize("what", ["compare", "simulate"])
+    def test_the_tool_spawns_from_a_bare_interpreter(self, what):
+        # The tool imports neither drsync nor numpy, so the floor under a
+        # compare's or a simulate's peak is that of any other command.
+        result = worst_case(what, "--fraction", "16")
+        bare = worst_case("run", "--", "true")
+        assert result["ticks"] == scenario.MAX_TICKS // 16
+        assert abs(result["floor_rss_mib"] - bare["floor_rss_mib"]) <= 2
+        assert result["floor_rss_mib"] < result["peak_rss_mib"]
+
     def test_compare_at_a_sixteenth_of_the_cap(self, tmp_path):
         # In a child process on a 2-vCPU Xeon guest this took 0.8-1.2 s and
         # peaked at 43 MiB (tools/worst_case.py compare --fraction 16).
@@ -387,6 +410,16 @@ class TestCompare:
 
 
 class TestGenerateAnalyze:
+    @pytest.mark.parametrize("what", ["generate", "analyze"])
+    def test_at_a_sixteenth_of_the_cap(self, what):
+        # The mmorpg preset at 10 clients and seed 1: 424,170 rows.  On a
+        # 2-vCPU Xeon guest generate took 0.5 s and analyze 0.4 s in the
+        # tool's child, which peaked at 61 and 54 MiB.
+        result = worst_case(what, "--fraction", "16")
+        assert result["client_ticks"] == workload.MAX_CLIENT_TICKS // 16
+        assert result["command"][3] == what
+        assert 0 < result["floor_rss_mib"] < result["peak_rss_mib"]
+
     def test_generate_then_analyze(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.csv"
         code = main(
@@ -656,14 +689,7 @@ class TestPredictFit:
     def test_fit_at_a_sixteenth_of_the_cap(self):
         # 15,625 sessions at the default 2,000 epochs.  On a 2-vCPU Xeon
         # guest the tool took 1.3 s, of which the fit's child 0.5-0.7 s.
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "tools" / "worst_case.py"), "fit",
-             "--fraction", "16"],
-            capture_output=True, text=True, timeout=15, check=False,
-        )
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout)
-        assert result["exit"] == 0
+        result = worst_case("fit", "--fraction", "16")
         assert (result["sessions"], result["epochs"]) == (15_625, 2000)
         assert 0 < result["floor_rss_mib"] < result["peak_rss_mib"]
 

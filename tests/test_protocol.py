@@ -264,13 +264,13 @@ class TestExportError:
         assert rows[1]["error"] == repr(0.5)
 
     def test_report_is_frozen_snapshot(self):
-        report = ExportErrorReport(
-            entity_id="e",
-            series=[(0, None)],
-            mean=None,
-            max=None,
-            p95=None,
-            samples_count=0,
-            warmup_ticks=1,
-        )
+        # One warm-up tick and no error: the aggregates are None.
+        report = ExportErrorReport("e", [0], [])
         assert report.entity_id == "e"
+        assert (report.samples_count, report.warmup_ticks) == (0, 1)
+        assert (report.mean, report.max, report.p95) == (None, None, None)
+        assert report.series == [(0, None)]
+
+    def test_report_needs_a_tick_for_each_error(self):
+        with pytest.raises(ValueError, match="^2 errors for 1 ticks$"):
+            ExportErrorReport("e", [0], [0.5, 0.5])

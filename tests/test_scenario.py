@@ -3,6 +3,7 @@ import logging
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -333,6 +334,33 @@ class TestRunCompare:
         assert sorted(tmp_path.iterdir()) == [kept]
         assert sorted(kept.rglob("*")) == before
         assert (kept / "notes.txt").read_text() == "mine"
+
+    def test_a_failed_compare_lists_no_folder_it_did_not_make(
+        self, tmp_path, monkeypatch
+    ):
+        # The same failure as above, in an --out that holds an unrelated
+        # subtree: the undo must neither list nor touch it.
+        cfg = replace(
+            comparison_scenario(),
+            duration_ms=20_000,
+            protocol=ProtocolConfig(threshold=1e12, tick_ms=50),
+        )
+        out = tmp_path / "out"
+        (out / "mine" / "deep").mkdir(parents=True)
+        (out / "mine" / "deep" / "notes.txt").write_text("mine")
+
+        def listed(folder, *args, **kwargs):
+            raise AssertionError(f"listed {folder}")
+
+        for name in ("rglob", "glob", "iterdir"):
+            monkeypatch.setattr(Path, name, listed)
+        with pytest.raises(ValueError, match="seed 2 mode unreliable_dr: no post"):
+            run_compare(cfg, [1, 2], out_dir=out)
+        monkeypatch.undo()
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == [
+            Path("mine"), Path("mine/deep"), Path("mine/deep/notes.txt")
+        ]
+        assert (out / "mine" / "deep" / "notes.txt").read_text() == "mine"
 
     def test_compare_ignores_pinned_channel_seed(self):
         # Per-seed pairing must rederive the channel from each run seed.

@@ -300,21 +300,33 @@ class TestReportColumns:
                 assert arrays == listed and listed == arrays
                 assert arrays.series == listed.series
 
-    def test_keyword_built_report_equals_its_source(self):
+    def test_column_built_report_equals_its_source(self):
         with tempfile.TemporaryDirectory() as folder:
             result, _ = self.runs(folder)
         report = result.report
-        rebuilt = ExportErrorReport(
-            entity_id=report.entity_id,
-            series=report.series,
-            mean=report.mean,
-            max=report.max,
-            p95=report.p95,
-            samples_count=report.samples_count,
-            warmup_ticks=report.warmup_ticks,
-        )
-        assert rebuilt == report
-        assert rebuilt != ExportErrorReport(report.entity_id, series=report.series)
+        for columns in (
+            (report.t_ms, report.errors),
+            (report.t_ms.tolist(), report.errors.tolist()),
+        ):
+            rebuilt = ExportErrorReport(report.entity_id, *columns)
+            assert rebuilt == report and report == rebuilt
+            assert repr(rebuilt) == repr(report)
+            assert rebuilt.series == report.series
+
+    def test_one_ulp_one_tick_or_the_entity_tells_reports_apart(self):
+        with tempfile.TemporaryDirectory() as folder:
+            result, _ = self.runs(folder)
+        report = result.report
+        errors = report.errors.copy()
+        errors[-1] = np.nextafter(errors[-1], np.inf)
+        ticks = report.t_ms.copy()
+        ticks[-1] += 1
+        for other in (
+            ExportErrorReport(report.entity_id, report.t_ms, errors),
+            ExportErrorReport(report.entity_id, ticks, report.errors),
+            ExportErrorReport("player-1", report.t_ms, report.errors),
+        ):
+            assert other != report and report != other
 
     def test_run_leaves_series_unbuilt(self):
         with tempfile.TemporaryDirectory() as folder:
@@ -325,9 +337,14 @@ class TestReportColumns:
     def test_csv_bytes_equal_from_both_forms(self):
         with tempfile.TemporaryDirectory() as folder:
             result, listed = self.runs(folder)
-            keyword = ExportErrorReport(result.report.entity_id, listed.series)
+            # The columns of the list-built report's series.
+            rebuilt = ExportErrorReport(
+                result.report.entity_id,
+                [t for t, _ in listed.series],
+                [e for _, e in listed.series if e is not None],
+            )
             written = []
-            for n, report in enumerate((result.report, listed, keyword)):
+            for n, report in enumerate((result.report, listed, rebuilt)):
                 path = Path(folder) / f"export_error_{n}.csv"
                 write_export_error_csv(report, str(path))
                 written.append(path.read_bytes())
@@ -338,5 +355,12 @@ class TestReportColumns:
         truth = [(t, Vec3(0.0, 0.0, 0.0)) for t in (0, 10, 20)]
         rendered = [(0, None), (10, Vec3(1.0, 0.0, 0.0)), (20, None)]
         message = "^warm-up tick t_ms=20 follows a rendered tick$"
+        with pytest.raises(ValueError, match=message):
+            compute_export_error(truth, rendered)
+
+    def test_a_grid_mismatch_wins_over_a_late_warm_up_tick(self):
+        truth = [(t, Vec3(0.0, 0.0, 0.0)) for t in (0, 10, 20, 30)]
+        rendered = [(0, None), (10, Vec3(1.0, 0.0, 0.0)), (20, None), (31, None)]
+        message = "^tick grids differ: true tick 30 vs rendered tick 31$"
         with pytest.raises(ValueError, match=message):
             compute_export_error(truth, rendered)

@@ -3,6 +3,8 @@
     python3 tools/worst_case.py run -- COMMAND [ARG ...]
     python3 tools/worst_case.py compare --fraction 16 [--threshold T] [--seeds S]
     python3 tools/worst_case.py simulate --fraction 16
+    python3 tools/worst_case.py generate --fraction 16
+    python3 tools/worst_case.py analyze --fraction 16
     python3 tools/worst_case.py fit --fraction 16
 
 ``run`` starts ``COMMAND`` with its stdout sent to ``/dev/null`` and waits
@@ -12,7 +14,9 @@ exit status, ``wall_s``, ``peak_rss_mib`` and ``floor_rss_mib``.  The
 child's peak starts at this script's own peak resident set, since the child
 shares its memory until it runs the command; ``floor_rss_mib`` is the peak
 of ``true`` started the same way, so a ``peak_rss_mib`` near it tells
-little about the command.
+little about the command.  This script imports neither drsync nor numpy:
+whatever a subcommand needs from drsync, a child process reads or writes,
+so that every subcommand's floor is that of ``run``.
 
 ``compare`` and ``simulate`` run ``comparison_scenario()`` cut to
 ``1/FRACTION`` of ``scenario.MAX_TICKS`` ticks, each the same way.
@@ -26,10 +30,14 @@ one packet is lost has no error to compare).
 ``loss_rate`` of 0.95, the costliest accepted run: a packet is sent 11
 times on average.
 
+``generate`` runs ``drsync generate`` of the mmorpg preset at 10 clients and
+seed 1 for ``workload.MAX_CLIENT_TICKS // FRACTION`` client ticks, into a
+temporary file; ``analyze`` runs ``drsync analyze`` of that trace, which a
+child process generates first.
+
 ``fit`` runs ``drsync fit`` at its default 2,000 epochs on
 ``generate_labeled_sessions(qon.MAX_FIT_STEPS // 2000 // FRACTION, 1)``,
-which a child process writes to a temporary CSV, so that this script
-imports neither drsync nor numpy and its floor stays that of ``run``.
+which a child process writes to a temporary CSV.
 """
 
 from __future__ import annotations
@@ -41,11 +49,21 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIT_EPOCHS = 2000  # drsync fit's default
+# Prints MAX_TICKS and the config file of comparison_scenario().
+SCENARIO = (
+    "import json; from drsync import scenario as s; "
+    "print(json.dumps([s.MAX_TICKS, s.config_to_dict(s.comparison_scenario())]))"
+)
+TRACE_CLIENTS = 10
+# Prints MAX_CLIENT_TICKS and the mmorpg preset's tick.
+TRACE_FIGURES = (
+    "from drsync import workload as w; "
+    "print([w.MAX_CLIENT_TICKS, w.preset('mmorpg').tick_period_ms])"
+)
 # Writes the sessions of fit's worst case at ``argv[2]`` and prints how many.
 WRITE_SESSIONS = (
     "import sys; from drsync import qon; "
@@ -80,69 +98,87 @@ def measure(command: list[str], env: dict[str, str] | None = None) -> dict:
     }
 
 
-def scenario():
-    """``drsync.scenario`` from this checkout, imported only when needed."""
-    if str(SRC) not in sys.path:
-        sys.path.insert(0, str(SRC))
-    from drsync import scenario
-
-    return scenario
-
-
-def cut(fraction: int):
-    """``comparison_scenario()`` at ``1/fraction`` of ``MAX_TICKS`` ticks."""
-    cfg = scenario().comparison_scenario()
-    ticks = scenario().MAX_TICKS // fraction  # duration_ms // tick_ms + 1 of them
-    return replace(cfg, duration_ms=(ticks - 1) * cfg.protocol.tick_ms)
-
-
 def drsync_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": str(SRC)}
 
 
-def measure_drsync(cfg, command: str, *args: str) -> dict:
+def child_output(code: str, *args: str) -> str:
+    """What the Python ``code``, run with drsync importable, prints."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=drsync_env(), check=True, capture_output=True, text=True,
+    ).stdout
+
+
+def drsync(*args: str) -> list[str]:
+    return [sys.executable, "-m", "drsync", *args]
+
+
+def cut(fraction: int) -> dict:
+    """``comparison_scenario()`` at ``1/fraction`` of ``MAX_TICKS`` ticks, as
+    the JSON of its config file."""
+    max_ticks, cfg = json.loads(child_output(SCENARIO))
+    ticks = max_ticks // fraction  # duration_ms // tick_ms + 1 of them
+    cfg["duration_ms"] = (ticks - 1) * cfg["protocol"]["tick_ms"]
+    return cfg
+
+
+def measure_drsync(cfg: dict, command: str, *args: str) -> dict:
     """``drsync COMMAND --config <cfg> ARGS``, the config in a temporary file."""
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "scenario.json"
-        path.write_text(json.dumps(scenario().config_to_dict(cfg)))
-        result = measure(
-            [sys.executable, "-m", "drsync", command, "--config", str(path),
-             *args],
-            drsync_env(),
-        )
-    ticks = cfg.duration_ms // cfg.protocol.tick_ms + 1
+        path.write_text(json.dumps(cfg))
+        result = measure(drsync(command, "--config", str(path), *args), drsync_env())
+    ticks = cfg["duration_ms"] // cfg["protocol"]["tick_ms"] + 1
     return {"ticks": ticks, **result}
 
 
 def compare(fraction: int, threshold: float | None, seeds: str) -> dict:
     cfg = cut(fraction)
     if threshold is not None:
-        cfg = replace(cfg, protocol=replace(cfg.protocol, threshold=threshold))
+        cfg["protocol"]["threshold"] = threshold
     with tempfile.TemporaryDirectory() as out:
         result = measure_drsync(cfg, "compare", "--seeds", seeds, "--out", out)
-    return {"ticks": result["ticks"], "threshold": cfg.protocol.threshold, **result}
+    threshold = cfg["protocol"]["threshold"]
+    return {"ticks": result["ticks"], "threshold": threshold, **result}
 
 
 def simulate(fraction: int) -> dict:
     cfg = cut(fraction)
-    cfg = replace(
-        cfg, mode=scenario().MODE_RELIABLE, channel=replace(cfg.channel, loss_rate=0.95)
-    )
+    cfg["transport"]["mode"] = "reliable_ordered"
+    cfg["channel"]["loss_rate"] = 0.95
     return measure_drsync(cfg, "simulate")
+
+
+def trace(what: str, fraction: int) -> dict:
+    """``drsync generate`` of the mmorpg preset at ``1/fraction`` of
+    ``MAX_CLIENT_TICKS``, or ``drsync analyze`` of what it writes."""
+    max_client_ticks, tick_ms = json.loads(child_output(TRACE_FIGURES))
+    duration_ms = max_client_ticks // fraction // TRACE_CLIENTS * tick_ms
+    env = drsync_env()
+    with tempfile.TemporaryDirectory() as work:
+        path = str(Path(work) / "trace.csv")
+        generate = drsync(
+            "generate", "--preset", "mmorpg", "--clients", str(TRACE_CLIENTS),
+            "--duration-ms", str(duration_ms), "--seed", "1", "--out", path,
+        )
+        if what == "analyze":
+            subprocess.run(generate, env=env, check=True)
+            result = measure(drsync("analyze", "--trace", path), env)
+        else:
+            result = measure(generate, env)
+        trace_bytes = os.path.getsize(path) if os.path.exists(path) else None
+    client_ticks = duration_ms // tick_ms * TRACE_CLIENTS
+    return {"client_ticks": client_ticks, "trace_bytes": trace_bytes, **result}
 
 
 def fit(fraction: int) -> dict:
     """``drsync fit`` on ``1/fraction`` of the sessions ``MAX_FIT_STEPS``
     allows at the default epochs."""
-    env = drsync_env()
     with tempfile.TemporaryDirectory() as work:
         data = str(Path(work) / "sessions.csv")
-        written = subprocess.run(
-            [sys.executable, "-c", WRITE_SESSIONS, str(fraction), data],
-            env=env, check=True, capture_output=True, text=True,
-        )
-        sessions = int(written.stdout)
-        result = measure([sys.executable, "-m", "drsync", "fit", "--data", data], env)
+        sessions = int(child_output(WRITE_SESSIONS, str(fraction), data))
+        result = measure(drsync("fit", "--data", data), drsync_env())
     return {"sessions": sessions, "epochs": FIT_EPOCHS, **result}
 
 
@@ -157,6 +193,11 @@ def main(argv: list[str] | None = None) -> int:
     cmp_.add_argument("--seeds", default="1,2")
     sim = sub.add_parser("simulate", help="measure the costliest simulate")
     sim.add_argument("--fraction", type=int, required=True, help="of MAX_TICKS")
+    for what in ("generate", "analyze"):
+        trace_ = sub.add_parser(what, help=f"measure {what} of an mmorpg trace")
+        trace_.add_argument(
+            "--fraction", type=int, required=True, help="of MAX_CLIENT_TICKS"
+        )
     fit_ = sub.add_parser("fit", help="measure fit at MAX_FIT_STEPS")
     fit_.add_argument(
         "--fraction", type=int, required=True, help="of MAX_FIT_STEPS' sessions"
@@ -173,6 +214,8 @@ def main(argv: list[str] | None = None) -> int:
         result = compare(args.fraction, args.threshold, args.seeds)
     elif args.what == "simulate":
         result = simulate(args.fraction)
+    elif args.what in ("generate", "analyze"):
+        result = trace(args.what, args.fraction)
     else:
         result = fit(args.fraction)
     print(json.dumps(result))
