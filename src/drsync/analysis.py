@@ -112,7 +112,8 @@ def compute_stats(
         _check_duration(duration_ms)
 
     mask = trace.in_direction(direction)
-    sizes = trace.payload_bytes[mask] + trace.header_bytes[mask]
+    headers = trace.header_bytes[mask]
+    sizes = trace.payload_bytes[mask] + headers
     ack_sizes = sizes[trace.is_ack[mask]]
     total_bytes = int(sizes.sum())
     if not len(sizes):
@@ -125,7 +126,7 @@ def compute_stats(
         direction=direction,
         packets=len(sizes),
         total_bytes=total_bytes,
-        header_bytes=int(trace.header_bytes[mask].sum()),
+        header_bytes=int(headers.sum()),
         ack_bytes=int(ack_sizes.sum()),
         ack_packets=len(ack_sizes),
         duration_ms=duration_ms,

@@ -206,8 +206,10 @@ def sample_trajectory(script: TrajectoryScript, t: TimeMs) -> Vec3:
     return p0 + (p1 - p0).scaled(frac)
 
 
-def sample_positions(script: TrajectoryScript, ticks: np.ndarray) -> np.ndarray:
-    """Positions at each tick of an ascending int64 array, as ``(n, 3)``.
+def sample_positions(
+    script: TrajectoryScript, ticks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions at each tick of an ascending int64 array, and their segments.
 
     This is the array form of :func:`sample_trajectory`: each position is
     computed with the scalar function's float operations in their order, so
@@ -215,6 +217,11 @@ def sample_positions(script: TrajectoryScript, ticks: np.ndarray) -> np.ndarray:
     one, takes the waypoint itself (a ``-0.0`` stays ``-0.0``).  An overflow
     gives infinity with numpy's usual warning; the caller chooses whether to
     hear it.
+
+    Returns the ``(n, 3)`` positions and, for each tick, the index of the
+    last waypoint at or before it.  Within a run of equal indices the
+    positions are that segment's interpolation, and past the last waypoint
+    they are constant: :func:`~drsync.protocol.sender_run` relies on it.
     """
     if ticks[0] < script.start_ms or ticks[-1] > script.end_ms:
         raise ValueError(
@@ -233,7 +240,7 @@ def sample_positions(script: TrajectoryScript, ticks: np.ndarray) -> np.ndarray:
     out += points[seg]
     exact = np.flatnonzero((i == last) | (ticks == times[i]))
     out[exact] = points[i[exact]]
-    return out
+    return out, i
 
 
 class Stopwatch:

@@ -345,9 +345,9 @@ def _shared_stages(
     with np.errstate(over="ignore", invalid="ignore"):
         tick = cfg.protocol.tick_ms
         ticks = np.arange(cfg.duration_ms // tick + 1, dtype=np.int64) * tick
-        positions = sample_positions(script, ticks)
+        positions, segments = sample_positions(script, ticks)
         lap("sample")
-        sent, velocities = sender_run(cfg.protocol, ticks, positions)
+        sent, velocities = sender_run(cfg.protocol, ticks, positions, segments)
     lap("sender")
     chan = _resolve_channel(cfg)
     return _SharedStages(cfg, ticks, positions, sent, velocities, chan, None)

@@ -250,10 +250,41 @@ def test_sampling_is_bitwise_equal_on_and_between_waypoints():
     )
     ticks = np.arange(0, 72, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        arrays = sample_positions(script, ticks).tolist()
+        positions, segments = sample_positions(script, ticks)
+    arrays = positions.tolist()
     scalars = [list(sample_trajectory(script, t)) for t in range(72)]
     assert repr(arrays) == repr(scalars)
     assert math.copysign(1.0, arrays[70][0]) == -1.0
+    # Each tick's segment is its last waypoint at or before it.
+    assert segments.tolist() == [0] * 30 + [1] * 40 + [2, 3]
+
+
+def tick_sends(cfg: ProtocolConfig, ticks: np.ndarray, positions: np.ndarray):
+    """The rows at which a loop of ``sender_tick`` sends."""
+    state = SenderState()
+    return [
+        k
+        for k, (t, pos) in enumerate(zip(ticks.tolist(), positions.tolist()))
+        if sender_tick(state, cfg, Vec3._make(pos), t) is not None
+    ]
+
+
+def sampled_run(tick_ms: int, waypoints, past: int = 0):
+    """Ticks, positions and segments of a script of ``(gap_ms, x, y, z)``
+    waypoints, sampled to its last waypoint and held there ``past`` ticks."""
+    rows, t = [], 0
+    for gap_ms, *point in waypoints:
+        rows.append((t, Vec3(*point)))
+        t += gap_ms
+    script = TrajectoryScript(rows)
+    ticks = np.arange(script.end_ms // tick_ms + 1, dtype=np.int64) * tick_ms
+    with np.errstate(over="ignore", invalid="ignore"):
+        positions, segments = sample_positions(script, ticks)
+    # Past the last waypoint the truth stays there, in the last segment.
+    ticks = np.arange(len(ticks) + past, dtype=np.int64) * tick_ms
+    positions = np.concatenate((positions, np.repeat(positions[-1:], past, axis=0)))
+    segments = np.concatenate((segments, np.full(past, len(rows) - 1)))
+    return ticks, positions, segments
 
 
 @given(
@@ -272,13 +303,141 @@ def test_sender_chunks_give_the_unchunked_sends(tick_ms, steps, threshold, gap):
     cfg = ProtocolConfig(threshold=threshold, tick_ms=tick_ms, min_send_interval_ms=gap)
     ticks = np.arange(len(steps), dtype=np.int64) * tick_ms
     positions = np.cumsum(np.array(steps, dtype=np.float64), axis=0)
+    # A random walk is no segment's interpolation: one segment a tick.
+    segments = np.arange(len(steps))
     with mock.patch.object(protocol, "_SENDER_CHUNK", len(steps)):
-        whole, velocities = sender_run(cfg, ticks, positions)
+        whole, velocities = sender_run(cfg, ticks, positions, segments)
     for chunk in (1, 2, 7):
         with mock.patch.object(protocol, "_SENDER_CHUNK", chunk):
-            sent, chunked_velocities = sender_run(cfg, ticks, positions)
+            sent, chunked_velocities = sender_run(cfg, ticks, positions, segments)
         assert sent.tolist() == whole.tolist()
         assert chunked_velocities.tobytes() == velocities.tobytes()
+
+
+# A waypoint gap: whole ticks, then an offset (taken modulo the tick) off
+# the grid; short segments mix with ones long enough to skip.
+long_gap = st.tuples(
+    st.one_of(st.integers(min_value=1, max_value=7), st.integers(min_value=8, max_value=60)),
+    st.integers(min_value=0, max_value=119),
+)
+unit = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+)
+
+
+@given(
+    tick_ms=st.integers(min_value=1, max_value=100),
+    scale=st.sampled_from([1.0, 1e3, 1e6, 1e9, 1e12, 1e15, 1e307, 1e308]),
+    waypoints=st.lists(st.tuples(long_gap, unit, unit, unit), min_size=2, max_size=10),
+    past=st.integers(min_value=0, max_value=20),
+    threshold=st.one_of(
+        st.sampled_from([0.0, 1e-9, 1e6, 1e12, 1e300]),
+        st.floats(min_value=0.0, max_value=1e3),
+    ),
+    relative=st.booleans(),
+    gap=st.sampled_from([0, 1, 50, 120, 400, 1000]),
+    chunk=st.sampled_from([1, 7, 8_192]),
+)
+@example(tick_ms=50, scale=1e3, waypoints=[((40, 0), 0.0, 0.0, 0.0),
+         ((40, 0), 1.0, 0.0, 0.0), ((40, 0), 1.0, 1.0, 0.0)],
+         past=20, threshold=5.0, relative=False, gap=0, chunk=7)
+@example(tick_ms=50, scale=10.0, waypoints=[((4, 0), 0.0, 0.0, 0.0),
+         ((40, 0), 1.0, 0.0, 0.0), ((1, 0), 0.0, 0.0, 0.0)],
+         past=0, threshold=0.5, relative=False, gap=400, chunk=8_192)
+# The squares of these deviations are subnormal: one inside the segment
+# computes above the threshold while both ends compute below it.
+@example(tick_ms=1, scale=1.0, waypoints=[((1, 0), 0.0, 0.0, 0.0),
+         ((14, 0), 1.404610405483608e-161, -7.095896103645665e-162,
+          -1.698380973324435e-161),
+         ((1, 0), 1.395068145950433e-161, -7.096057906972382e-162,
+          -1.7021919818452273e-161), ((1, 0), 0.0, 0.0, 0.0)],
+         past=0, threshold=2.315e-161, relative=False, gap=0, chunk=8_192)
+@example(tick_ms=1, scale=1e308, waypoints=[((30, 0), -1.0, 0.0, 1.0),
+         ((30, 0), 1.0, 0.0, -1.0)], past=10, threshold=1e300,
+         relative=False, gap=0, chunk=8_192)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_sender_skips_give_the_sends_of_sender_tick(
+    tick_ms, scale, waypoints, past, threshold, relative, gap, chunk
+):
+    """sender_run, skipping straight stretches, sends where sender_tick does.
+
+    Waypoints sit on and off the tick grid, the truth may stay at the last
+    one for ``past`` ticks, and coordinates reach 1e15, or overflow to
+    infinity from 1e307 up; a ``relative`` threshold is a share of the scale.
+    """
+    if relative:
+        threshold = min(threshold * scale / 1e3, 1e300)
+    cfg = ProtocolConfig(threshold=threshold, tick_ms=tick_ms, min_send_interval_ms=gap)
+    spaced = [
+        (n * tick_ms + off % tick_ms, x * scale, y * scale, z * scale)
+        for (n, off), x, y, z in waypoints
+    ]
+    ticks, positions, segments = sampled_run(tick_ms, spaced, past)
+    with mock.patch.object(protocol, "_SENDER_CHUNK", chunk), np.errstate(
+        over="ignore", invalid="ignore"
+    ):
+        sent, _ = sender_run(cfg, ticks, positions, segments)
+        assert sent.tolist() == tick_sends(cfg, ticks, positions)
+
+
+def test_sender_skip_cases_happen():
+    """The first ``@example`` above skips, past its last waypoint too, and
+    the 1e308 one overflows."""
+    cfg = ProtocolConfig(threshold=5.0, tick_ms=50)
+    ticks, positions, segments = sampled_run(
+        50, [(2000, 0.0, 0.0, 0.0), (2000, 1e3, 0.0, 0.0), (2000, 1e3, 1e3, 0.0)], 20
+    )
+    skipped = []
+    check = protocol._cannot_send
+
+    def spy(arrays, a, b, *rest):
+        skips = check(arrays, a, b, *rest)
+        if skips:
+            skipped.append((a, b))
+        return skips
+
+    with mock.patch.object(protocol, "_cannot_send", spy):
+        sender_run(cfg, ticks, positions, segments)
+    # Row 80 is the last waypoint; the truth stops there, so row 81 sends.
+    assert skipped == [(2, 39), (42, 79), (82, 100)]
+    _, positions, _ = sampled_run(1, [(30, -1e308, 0.0, 1e308), (30, 1e308, 0.0, -1e308)])
+    assert np.isinf(positions).any()
+
+
+@given(
+    tick_ms=st.integers(min_value=1, max_value=100),
+    # 1e-155: the squares of a deviation are subnormal.
+    scale=st.sampled_from([1e-155, 1.0, 1e3, 1e6, 1e9, 1e12, 1e15]),
+    speed=st.floats(min_value=0.5, max_value=2.0),
+    pause=st.integers(min_value=1, max_value=30),
+    ulps=st.integers(min_value=-64, max_value=64),
+    gap=st.sampled_from([0, 0, 50]),
+)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_sender_skips_hold_at_a_grazing_threshold(tick_ms, scale, speed, pause, ulps, gap):
+    """A deviation that stays within rounding of the threshold for a whole
+    segment sends where sender_tick does.
+
+    The truth moves along x, and a send on the first segment takes up its
+    velocity.  It pauses for ``pause`` ticks and moves on at the same speed,
+    so on the last segment it lags the prediction by a constant distance,
+    give or take the rounding of two float paths; the threshold is that
+    distance, moved by a few ulps.
+    """
+    move, pause = 40 * tick_ms, pause * tick_ms
+    v = speed * scale / move  # per ms, so that a move spans about ``scale``
+    waypoints = [
+        (move, 0.0, 0.0, 0.0),
+        (pause, v * move, 0.0, 0.0),
+        (move, v * move, 0.0, 0.0),
+        (tick_ms, v * (2 * move), 0.0, 0.0),
+    ]
+    ticks, positions, segments = sampled_run(tick_ms, waypoints)
+    threshold = v * pause * (1 + ulps * 2.0**-52)
+    cfg = ProtocolConfig(threshold=threshold, tick_ms=tick_ms, min_send_interval_ms=gap)
+    sent, _ = sender_run(cfg, ticks, positions, segments)
+    assert sent.tolist() == tick_sends(cfg, ticks, positions)
 
 
 class TestReportColumns:
