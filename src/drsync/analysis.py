@@ -29,8 +29,8 @@ from .workload import MAX_T_MS, Direction, Trace
 
 # A flat series must clear this autocorrelation to count as periodic.
 PERIOD_STRENGTH_THRESHOLD = 0.3
-# The most buckets bucket_counts makes; detect_period takes about 1 s at the
-# cap, 8 ms at 75,000 buckets.
+# The most buckets bucket_counts makes; detect_period takes about 0.4 s and
+# 34 MiB of block spectra at the cap, 12 ms at 75,000 buckets.
 MAX_BUCKETS = 2**20
 _MIN_PERIOD_SAMPLES = 8
 # Lags per block of detect_period's FFT correlation, whose FFTs are 2 * _BLOCK
@@ -310,17 +310,20 @@ def _lag_products(centered: np.ndarray, max_lag: int) -> np.ndarray:
     Lag block ``k0`` correlates each data block ``c[j : j + B]`` with
     ``c[j + k0 : j + k0 + 2B - 1]``; at FFT length ``2B`` no product wraps
     round, so one inverse FFT of the summed spectra gives lags
-    ``k0 .. k0 + B - 1`` exactly but for rounding.
+    ``k0 .. k0 + B - 1`` exactly but for rounding.  ``j`` and ``j + k0`` are
+    both multiples of ``B``, so each block's two spectra are taken once, in
+    about 32 bytes a point.
     """
     n = centered.size
     size = 2 * _BLOCK
+    starts = range(0, n, _BLOCK)
+    data = [np.fft.rfft(centered[j : j + _BLOCK], size).conj() for j in starts]
+    shifted = [np.fft.rfft(centered[j : j + size - 1], size) for j in starts]
     out = np.empty(max_lag + 1)
     for k0 in range(0, max_lag + 1, _BLOCK):
         spectrum = np.zeros(_BLOCK + 1, dtype=complex)
-        for j in range(0, n - k0, _BLOCK):
-            data = np.fft.rfft(centered[j : j + _BLOCK], size)
-            shifted = np.fft.rfft(centered[j + k0 : j + k0 + size - 1], size)
-            spectrum += data.conj() * shifted
+        for b in range((n - k0 + _BLOCK - 1) // _BLOCK):
+            spectrum += data[b] * shifted[b + k0 // _BLOCK]
         lags = np.fft.irfft(spectrum, size)[: min(_BLOCK, max_lag + 1 - k0)]
         out[k0 : k0 + lags.size] = lags
     return out

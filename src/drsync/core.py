@@ -209,38 +209,43 @@ def sample_trajectory(script: TrajectoryScript, t: TimeMs) -> Vec3:
 def sample_positions(
     script: TrajectoryScript, ticks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions at each tick of an ascending int64 array, and their segments.
+    """Positions at each tick of an ascending int64 array, and ticks per segment.
 
     This is the array form of :func:`sample_trajectory`: each position is
     computed with the scalar function's float operations in their order, so
-    it is equal bit for bit.  A tick on a waypoint, or at or after the last
-    one, takes the waypoint itself (a ``-0.0`` stays ``-0.0``).  An overflow
-    gives infinity with numpy's usual warning; the caller chooses whether to
-    hear it.
+    it is equal bit for bit.  A tick on a waypoint takes the waypoint itself
+    (a ``-0.0`` stays ``-0.0``).  An overflow gives infinity with numpy's
+    usual warning; the caller chooses whether to hear it.
 
-    Returns the ``(n, 3)`` positions and, for each tick, the index of the
-    last waypoint at or before it.  Within a run of equal indices the
-    positions are that segment's interpolation, and past the last waypoint
-    they are constant: :func:`~drsync.protocol.sender_run` relies on it.
+    Returns the ``(3, n)`` positions, one row per coordinate, and for each
+    waypoint the number of ticks from it up to the next one (for the last,
+    the tick on it, if any).  Within each such run of ticks the positions
+    are that segment's interpolation: :func:`~drsync.protocol.sender_run`
+    relies on it.
     """
     if ticks[0] < script.start_ms or ticks[-1] > script.end_ms:
         raise ValueError(
             f"ticks [{ticks[0]}, {ticks[-1]}] outside trajectory range "
             f"[{script.start_ms}, {script.end_ms}]"
         )
-    times, points = script._t, script._p
-    i = np.searchsorted(times, ticks, side="right") - 1
-    last = len(times) - 1
-    seg = np.minimum(i, last - 1)
-    t0 = times[seg]
-    frac = (ticks - t0) / (times[seg + 1] - t0)
+    times, points = script._t, script._p.T
+    # The first tick at or after each waypoint.  The ticks never go back, so
+    # each segment's come in one run; one on the last waypoint continues the
+    # last segment's.
+    first = np.searchsorted(ticks, times)
+    runs = np.diff(first, append=len(ticks))
+    spans = runs[:-1].copy()
+    spans[-1] += runs[-1]
+    t0 = np.repeat(times[:-1], spans)
+    frac = (ticks - t0) / np.repeat(np.diff(times), spans)
     # p0 + (p1 - p0) * frac, with each segment's p1 - p0 taken once.
-    out = np.diff(points, axis=0)[seg]
-    out *= frac[:, None]
-    out += points[seg]
-    exact = np.flatnonzero((i == last) | (ticks == times[i]))
-    out[exact] = points[i[exact]]
-    return out, i
+    out = np.repeat(np.diff(points, axis=1), spans, axis=1)
+    out *= frac
+    out += np.repeat(points[:, :-1], spans, axis=1)
+    # A tick on a waypoint takes the waypoint itself.
+    on = np.flatnonzero(ticks[np.minimum(first, len(ticks) - 1)] == times)
+    out[:, first[on]] = points[:, on]
+    return out, runs
 
 
 class Stopwatch:

@@ -15,7 +15,7 @@ a time.  It mixes their keys in one array pass.  From :data:`BATCH_MIN_KEYS`
 keys on, :func:`drsync.rng.mt_first_words` seeds them all at once and the
 draws are read off its words; below that, one ``random.Random`` is reseeded
 with each key, which sets the state ``random.Random(key)`` starts from, and
-:func:`channel_transmit` takes the draws.
+the draws are taken as :func:`channel_transmit` takes them.
 
 Transports:
 
@@ -212,13 +212,29 @@ def draw(
 
 
 def _transmit_each(chan: ChannelConfig, keys: np.ndarray) -> np.ndarray:
-    """Each key's delay, reseeding one ``random.Random`` per key."""
+    """Each key's delay, reseeding one ``random.Random`` per key.
+
+    :func:`channel_transmit`'s draws are written out over the generator's
+    ``random`` and ``getrandbits``, in CPython's operations and order:
+    ``randint(0, jitter_max_ms)`` is ``getrandbits`` of the bit length of
+    ``jitter_max_ms + 1``, retried while too large.  ``random.Random.seed``
+    of an int checks its type and hands it to the C generator's ``seed``,
+    which is called here directly.
+    """
     rng = random.Random()
+    seed = super(random.Random, rng).seed
+    random_, getrandbits = rng.random, rng.getrandbits
+    loss, base = chan.loss_rate, chan.base_latency_ms
+    width = chan.jitter_max_ms + 1
+    bits = width.bit_length()
     delays = []
     for key in keys.tolist():
-        rng.seed(key)
-        arrive = channel_transmit(chan, rng, 0)
-        delays.append(-1 if arrive is None else arrive)
+        seed(key)
+        lost = random_() < loss
+        jitter = getrandbits(bits)
+        while jitter >= width:
+            jitter = getrandbits(bits)
+        delays.append(-1 if lost else base + jitter)
     return np.array(delays, _time_dtype(chan.base_latency_ms + chan.jitter_max_ms))
 
 
@@ -360,20 +376,3 @@ def write_delivery_csv(deliveries: Deliveries, path: str) -> None:
     seq = np.arange(1, len(send) + 1)
     columns = [seq, send, _or_none(arrive), _or_none(deliver), spec.flags(late)]
     spec.write_csv(path, _EVENT_FIELDS, [*columns, retransmissions])
-
-
-def read_delivery_csv(path: str) -> list[DeliveryEvent]:
-    """Inverse of :func:`write_delivery_csv`, as :meth:`Deliveries.events`."""
-
-    def event(row: list[str]) -> DeliveryEvent:
-        seq, send, arrive, deliver, late, retrans = row
-        return DeliveryEvent(
-            seq=int(seq),
-            send_ms=int(send),
-            arrive_ms=int(arrive) if arrive else None,
-            deliver_ms=int(deliver) if deliver else None,
-            late=spec.flag(late),
-            retransmissions=int(retrans),
-        )
-
-    return spec.read_csv(path, {_EVENT_FIELDS: event})

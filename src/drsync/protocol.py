@@ -157,8 +157,9 @@ class ExportErrorReport:
         if not n:
             return
         # fsum keeps the mean correctly rounded and therefore reproducible by
-        # any other exact-summation implementation.
-        self.mean = math.fsum(errors.tolist()) / n
+        # any other exact-summation implementation; a memoryview hands it the
+        # floats without a list of them.
+        self.mean = math.fsum(memoryview(errors)) / n
         if not math.isfinite(self.mean):
             bad = self.warmup_ticks + np.flatnonzero(~np.isfinite(errors))[0]
             raise ValueError(
@@ -202,11 +203,6 @@ def nearest_rank(ordered: Sequence[float], q: float) -> float:
     return ordered[_rank(len(ordered), q)]
 
 
-def percentile_95(values: list[float]) -> float:
-    """Nearest-rank 95th percentile of a non-empty list."""
-    return nearest_rank(sorted(values), 0.95)
-
-
 def compute_export_error(
     true_series: list[tuple[TimeMs, Vec3]],
     rendered_series: list[tuple[TimeMs, Vec3 | None]],
@@ -246,11 +242,14 @@ def compute_export_error(
 # its lists hold one chunk of the run rather than all of it.
 _SENDER_CHUNK = 8_192
 
-# sender_run tries to skip the rest of a segment only when at least this many
-# of its ticks are left: a check costs about what testing 8 ticks one by one
-# does.  Measured on walkers with 12- to 64-tick segments, cuts from 8 to 40
-# ticks gave the sender 0.81-0.88 of the plain loop's time (geometric mean),
-# and 8 keeps all of the benchmark walker's 38- to 100-tick segments.
+# The fewest ticks a check may skip: a check costs about what testing a few
+# ticks one by one does.  Only a segment of twice as many ticks is checked
+# from its first tick, since after a corner that check mostly fails, and
+# the check after the first send must still find that many ticks to skip.
+# On walkers with 12- to 64-tick segments at thresholds 0.2, 1 and 5 the
+# sender took at most 1.11 of the plain loop's time (geometric mean 0.75,
+# medians of 5 processes that interleave the two), and 16 keeps all of the
+# benchmark walker's 38- to 100-tick segments.
 _SKIP_MIN_TICKS = 8
 # How far below the threshold both ends must lie, per unit of the threshold
 # plus the largest operand: 2**13 units of 2**-53, some 80 times the
@@ -263,81 +262,91 @@ _SKIP_THRESHOLDS = (2.0**-400, 2.0**400)
 
 
 def sender_run(
-    cfg: ProtocolConfig,
-    ticks: np.ndarray,
-    positions: np.ndarray,
-    segments: np.ndarray,
+    cfg: ProtocolConfig, positions: np.ndarray, runs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`sender_tick` at every tick of a run: what it sends, and velocities.
 
-    ``ticks`` is the run's grid, ``0, tick_ms, 2 * tick_ms, ...`` as int64,
-    and ``positions`` the ``(n, 3)`` truth at each tick; ``segments`` is the
-    trajectory segment of each tick, as :func:`~drsync.core.sample_positions`
-    returns both.  The caller promises that within a run of equal indices
-    the positions are that segment's interpolation (a constant past the
-    last waypoint).  Returns the indices of the ticks that send (snapshot
-    ``seq`` ``s`` is sent at tick ``sent[s - 1]``) and the ``(n, 3)``
-    velocity a snapshot would claim at each tick.
+    ``positions`` is the ``(3, n)`` truth at the run's ticks ``0, tick_ms,
+    2 * tick_ms, ...``, and ``runs`` counts the ticks of each trajectory
+    segment in turn, as :func:`~drsync.core.sample_positions` returns both.
+    The caller promises that within each run the positions are that
+    segment's interpolation (a constant past the last waypoint).  Returns
+    the indices of the ticks that send (snapshot ``seq`` ``s`` is sent at
+    tick ``sent[s - 1]``) and the ``(3, len(sent))`` velocity each snapshot
+    claims: ``sender_tick``'s backward difference, and none at the first.
 
     The ticks are tested one by one, as :func:`sender_tick` tests them,
-    except the rest of a segment at least ``_SKIP_MIN_TICKS`` ticks long,
-    from its first tick or from a send, whose two ends show that none of it
-    can send (see :func:`_cannot_send`).
+    except in a segment at least ``2 * _SKIP_MIN_TICKS`` ticks long: there
+    the rest of it from its first tick, or from a send that leaves at least
+    ``_SKIP_MIN_TICKS`` ticks, is skipped when its two ends show that none
+    of it can send (see :func:`_cannot_send`).
     """
-    velocities = np.zeros_like(positions)
-    velocities[1:] = (positions[1:] - positions[:-1]) * (_MS_PER_S / cfg.tick_ms)
-    arrays = ticks, positions, velocities
-    test = cfg.threshold, cfg.min_send_interval_ms
+    tick = cfg.tick_ms
+    test = cfg.threshold, cfg.min_send_interval_ms, tick
     sent = [0]
-    last = _row(arrays, 0)  # the last snapshot sent
+    last = (0, *positions[:, 0].tolist(), 0.0, 0.0, 0.0)
     # The first row of each long segment, and one past its last.
-    edges = np.flatnonzero(segments[1:] != segments[:-1]) + 1
-    bounds = np.concatenate(([0], edges, [len(ticks)]))
-    long = np.flatnonzero(np.diff(bounds) >= _SKIP_MIN_TICKS)
+    stops = np.cumsum(runs)
     lo, hi = _SKIP_THRESHOLDS
-    if not lo <= cfg.threshold < hi:
-        long = long[:0]  # walk every tick
-    starts, stops = bounds[long], bounds[long + 1]
-    scales = np.abs(positions[starts]).max(axis=1)  # NaN stays NaN
+    long = (runs >= 2 * _SKIP_MIN_TICKS) & (lo <= cfg.threshold < hi)
+    starts, stops = stops[long] - runs[long], stops[long]
+    ends = np.concatenate((starts, stops - 1))
+    scales = np.abs(positions[:, ends]).max(axis=0)  # NaN stays NaN
+    scales = np.maximum(scales[: len(starts)], scales[len(starts) :])
+    # Each check's ends as Python numbers: the first row to test (row 0
+    # always sends) and the segment's last.
+    firsts = np.maximum(starts, 1)
+    nears = zip((firsts * tick).tolist(), *positions[:, firsts].tolist())
+    fars = zip(((stops - 1) * tick).tolist(), *positions[:, stops - 1].tolist())
     k = 1
-    for start, stop, scale in zip(starts.tolist(), stops.tolist(), scales.tolist()):
-        if k < start:
-            last = _walk(arrays, k, start, test, last, sent)
-            k = start
-        while stop - k >= _SKIP_MIN_TICKS:
-            if _cannot_send(arrays, k, stop - 1, cfg.threshold, last, scale):
-                k = stop
-                break
-            k, last = _step(arrays, k, stop, test, last, sent)
-    _walk(arrays, k, len(ticks), test, last, sent)
-    return np.array(sent, dtype=np.intp), velocities
-
-
-def _row(arrays: tuple[np.ndarray, ...], k: int) -> tuple:
-    """Row ``k``'s tick, position and velocity as Python numbers."""
-    ticks, positions, velocities = arrays
-    return (int(ticks[k]), *positions[k].tolist(), *velocities[k].tolist())
+    for first, stop, near, far, scale in zip(
+        firsts.tolist(), stops.tolist(), nears, fars, scales.tolist()
+    ):
+        if k < first:
+            last = _walk(positions, k, first, test, last, sent)
+        k = stop
+        if not _cannot_send(near, far, cfg.threshold, last, scale):
+            last = _walk(positions, first, stop, test, last, sent, (far, scale))
+    _walk(positions, k, positions.shape[1], test, last, sent)
+    sent = np.array(sent, dtype=np.intp)
+    # Column -1 stands in for the first send's row before, and is zeroed.
+    velocities = (positions[:, sent] - positions[:, sent - 1]) * (_MS_PER_S / tick)
+    velocities[:, 0] = 0.0
+    return sent, velocities
 
 
 def _walk(
-    arrays: tuple[np.ndarray, ...],
+    positions: np.ndarray,
     k: int,
     stop: int,
-    test: tuple[float, int],
+    test: tuple[float, int, int],
     last: tuple,
     sent: list[int],
+    skip: tuple[tuple, float] | None = None,
 ) -> tuple:
-    """Test rows ``k`` to ``stop - 1`` one by one, converted ``_SENDER_CHUNK``
-    at a time; append each send to ``sent`` and return the last one."""
-    ticks, positions, velocities = arrays
-    threshold, gap = test
+    """Test rows ``k >= 1`` to ``stop - 1`` one by one, converted
+    ``_SENDER_CHUNK`` at a time; append each send to ``sent`` and return the
+    last one: its tick, position and velocity, the backward difference that
+    ``sender_tick`` takes.
+
+    With ``skip``, the segment's last row and scale, the rows are all of one
+    segment, and after a send that leaves at least ``_SKIP_MIN_TICKS`` rows
+    the walk stops if :func:`_cannot_send` shows that none of them can send.
+    Such a walk converts ``2 * _SKIP_MIN_TICKS`` rows first, as it may soon
+    stop.
+    """
+    threshold, gap, tick = test
+    per_s = _MS_PER_S / tick
+    far, scale = skip or (None, None)
+    size = _SENDER_CHUNK if skip is None else 2 * _SKIP_MIN_TICKS
     t0, x0, y0, z0, u0, v0, w0 = last
-    for base in range(k, stop, _SENDER_CHUNK):
-        rows = slice(base, min(stop, base + _SENDER_CHUNK))
-        ts = ticks[rows].tolist()
-        xs, ys, zs = positions[rows].T.tolist()
-        us, vs, ws = velocities[rows].T.tolist()
-        for j in range(len(ts)):
+    base = k - 1  # each list leads with the row before, for the velocity
+    while base + 1 < stop:
+        end = min(stop, base + 1 + size)
+        size = _SENDER_CHUNK
+        ts = list(range(base * tick, end * tick, tick))
+        xs, ys, zs = positions[:, base:end].tolist()
+        for j in range(1, len(ts)):
             elapsed = ts[j] - t0
             if elapsed < gap:
                 continue
@@ -348,57 +357,44 @@ def _walk(
             if math.sqrt(dx * dx + dy * dy + dz * dz) > threshold:
                 sent.append(base + j)
                 t0, x0, y0, z0 = ts[j], xs[j], ys[j], zs[j]
-                u0, v0, w0 = us[j], vs[j], ws[j]
+                u0 = (x0 - xs[j - 1]) * per_s
+                v0 = (y0 - ys[j - 1]) * per_s
+                w0 = (z0 - zs[j - 1]) * per_s
+                if (
+                    far is not None
+                    and stop - (base + j) > _SKIP_MIN_TICKS
+                    and j + 1 < len(ts)
+                ):
+                    near = ts[j + 1], xs[j + 1], ys[j + 1], zs[j + 1]
+                    last = t0, x0, y0, z0, u0, v0, w0
+                    if _cannot_send(near, far, threshold, last, scale):
+                        return last
+        base = end - 1
     return t0, x0, y0, z0, u0, v0, w0
 
 
-def _step(
-    arrays: tuple[np.ndarray, ...],
-    k: int,
-    stop: int,
-    test: tuple[float, int],
-    last: tuple,
-    sent: list[int],
-) -> tuple[int, tuple]:
-    """Test rows ``k`` to ``stop - 1`` one by one, read singly, up to the
-    first send; return the row after it (or ``stop``) and the last send."""
-    ticks, positions, _ = arrays
-    threshold, gap = test
-    t0, x0, y0, z0, u0, v0, w0 = last
-    for j in range(k, stop):
-        elapsed = int(ticks[j]) - t0
-        if elapsed < gap:
-            continue
-        dt = elapsed / _MS_PER_S
-        x, y, z = positions[j].tolist()
-        dx, dy, dz = x - (x0 + u0 * dt), y - (y0 + v0 * dt), z - (z0 + w0 * dt)
-        if math.sqrt(dx * dx + dy * dy + dz * dz) > threshold:
-            sent.append(j)
-            return j + 1, _row(arrays, j)
-    return stop, last
-
-
 def _cannot_send(
-    arrays: tuple[np.ndarray, ...],
-    a: int,
-    b: int,
-    threshold: float,
-    last: tuple,
-    scale: float,
+    near: tuple, far: tuple, threshold: float, last: tuple, scale: float
 ) -> bool:
-    """Whether no row from ``a`` to ``b``, all of one segment, can send.
+    """Whether no row from ``near`` to ``far``, all of one segment, can send.
+
+    ``near`` and ``far`` are those rows' tick and position, and ``last`` the
+    last send's tick, position and velocity, all as Python numbers; ``scale``
+    is the largest coordinate of the truth at the segment's first and last
+    ticks.
 
     On one segment the truth is affine in ``t``, and so is the prediction
     from the last send, so their exact distance is convex there and largest
-    at ``a`` or ``b``.  Both ends are evaluated with the per-tick test's
-    float operations.  If both are at most ``threshold - _SKIP_MARGIN *
-    (threshold + M)``, no row between them computes a deviation above
+    at ``near`` or ``far``.  Both ends are evaluated with the per-tick
+    test's float operations.  If both are at most ``threshold - _SKIP_MARGIN
+    * (threshold + M)``, no row between them computes a deviation above
     ``threshold``:
 
-    - ``M`` is the largest magnitude among the ends' operands: the truth,
-      the last send's position and ``velocity * dt`` (taken apart, since
-      ``x0 + u0 * dt`` can cancel), and ``scale``, the largest coordinate of
-      the truth at the segment's first tick.
+    - ``M`` bounds the magnitude of every operand: the truth, the last
+      send's position and ``velocity * dt`` (taken apart, since ``x0 + u0 *
+      dt`` can cancel).  It is the largest of ``scale`` and the norms of the
+      last send's position and of ``velocity * dt`` at ``far``, the end
+      where ``dt`` is largest.
     - Every operand between the ends is affine in ``t``, so its magnitude
       is at most the larger of its magnitudes at the ends.
     - A sampled position ``p0 + (p1 - p0) * frac`` lies a few ulps of
@@ -410,26 +406,28 @@ def _cannot_send(
       deviation lies within some ``100 * 2**-53 * (threshold + M)`` of the
       exact one: the margin holds twice that with room to spare.
     - The margin is relative, which fails where squares underflow or
-      overflow; ``_SKIP_THRESHOLDS`` keeps those thresholds out.
+      overflow; ``_SKIP_THRESHOLDS`` keeps those thresholds out.  A norm
+      whose squares underflow is below ``2**-500``, which such a threshold
+      outweighs, and one whose squares overflow is infinite.
 
     A NaN or infinite operand makes an end's deviation or ``M`` non-finite,
     and a non-finite one never skips.
     """
-    ticks, positions, _ = arrays
     t0, x0, y0, z0, u0, v0, w0 = last
-    m = max(scale, abs(x0), abs(y0), abs(z0))
-    deviations = []
-    for k in (b, a):  # the far end fails more often
-        dt = (int(ticks[k]) - t0) / _MS_PER_S
-        x, y, z = positions[k].tolist()
-        px, py, pz = u0 * dt, v0 * dt, w0 * dt
-        dx, dy, dz = x - (x0 + px), y - (y0 + py), z - (z0 + pz)
-        d = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if not d <= threshold:
-            return False
-        deviations.append(d)
-        m = max(m, abs(x), abs(y), abs(z), abs(px), abs(py), abs(pz))
-    return max(deviations) <= threshold - _SKIP_MARGIN * (threshold + m)
+    t, x, y, z = far
+    dt = (t - t0) / _MS_PER_S
+    px, py, pz = u0 * dt, v0 * dt, w0 * dt
+    dx, dy, dz = x - (x0 + px), y - (y0 + py), z - (z0 + pz)
+    d_far = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if not d_far <= threshold:  # the far end fails more often
+        return False
+    t, x, y, z = near
+    dt = (t - t0) / _MS_PER_S
+    dx, dy, dz = x - (x0 + u0 * dt), y - (y0 + v0 * dt), z - (z0 + w0 * dt)
+    d_near = math.sqrt(dx * dx + dy * dy + dz * dz)
+    m2 = max(x0 * x0 + y0 * y0 + z0 * z0, px * px + py * py + pz * pz)
+    m = max(scale, math.sqrt(m2))
+    return max(d_far, d_near) <= threshold - _SKIP_MARGIN * (threshold + m)
 
 
 def receiver_run(
@@ -443,9 +441,10 @@ def receiver_run(
 
     ``deliver_ms`` is the run's :attr:`~drsync.netsim.Deliveries.deliver_ms`
     (seq ``i + 1`` in row ``i``, -1 for none), applied in ``(deliver_ms,
-    seq)`` order; ``sent``, ``positions`` and ``velocities`` are
-    :func:`sender_run`'s.  Returns the warm-up ticks before the first
-    delivery, and the ``(n - warmup, 3)`` positions rendered after them.
+    seq)`` order; ``positions`` is the ``(3, n)`` truth, and ``sent`` and
+    ``velocities`` are :func:`sender_run`'s.  Returns the warm-up ticks
+    before the first delivery, and the ``(3, n - warmup)`` positions
+    rendered after them.
     """
     # Deliveries after the last tick never reach the screen.
     shown_by = (deliver_ms >= 0) & (deliver_ms <= int(ticks[-1]))
@@ -455,11 +454,15 @@ def receiver_run(
     # The newest seq applied after each delivery; 0 before the first.
     newest = np.concatenate(([0], np.maximum.accumulate(seq)))
     shown = newest[np.searchsorted(deliver[order], ticks, side="right")]
-    warmup = int(np.count_nonzero(shown == 0))  # shown never falls
-    k = sent[shown[warmup:] - 1]
-    t_sent = ticks[k]
+    warmup = int(np.count_nonzero(shown == 0))
+    # shown never falls, so the ticks that show each send come in one run.
+    runs = np.bincount(shown[warmup:] - 1, minlength=len(sent))
+    t_sent = np.repeat(ticks[sent], runs)
     dt = (np.maximum(ticks[warmup:], t_sent) - t_sent) / _MS_PER_S
-    return warmup, positions[k] + velocities[k] * dt[:, None]
+    rendered = np.repeat(velocities, runs, axis=1)
+    rendered *= dt
+    origins = np.repeat(positions[:, sent], runs, axis=1)
+    return warmup, np.add(origins, rendered, out=rendered)
 
 
 def export_error_report(
@@ -470,9 +473,11 @@ def export_error_report(
     entity_id: str = "player-0",
 ) -> ExportErrorReport:
     """:func:`compute_export_error` of :func:`receiver_run`'s output."""
-    d = positions[warmup:] - rendered
-    errors = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-    return ExportErrorReport(entity_id, ticks, errors)
+    d = positions[:, warmup:] - rendered
+    d *= d
+    errors = d[0] + d[1]
+    errors += d[2]
+    return ExportErrorReport(entity_id, ticks, np.sqrt(errors, out=errors))
 
 
 def write_export_error_csv(report: ExportErrorReport, path: str) -> None:

@@ -76,16 +76,23 @@ DR_PACKET_BYTES = 100
 RECOVERABLE_LOSS_LIMIT = 0.5
 
 # The most ticks a run may have.  At this cap a two-seed compare peaked at
-# 167 MiB in 10.3 s on comparison_scenario() (a send on 56% of ticks), and at
-# 126 MiB in 5.7 s with one send per seed (tools/worst_case.py, 2-vCPU Xeon).
+# 157 MiB in 9.0 s on comparison_scenario() (a send on 56% of ticks), and at
+# 107 MiB in 5.6 s with one send per seed (tools/worst_case.py, 2-vCPU Xeon).
 MAX_TICKS = 500_000
 # run_compare builds consecutive seeds' mode-free stages until they hold
 # COMPARE_BATCH_SENDS sends or COMPARE_BATCH_TICKS ticks, then draws their
-# first attempts together.  A seed's stages take 56 bytes a tick and 16 a
-# send (tracemalloc), and the seeds before a batch's last hold fewer than
-# MAX_TICKS ticks and 8,192 sends: at most about 30 MB beside the last seed's.
+# first attempts together.  A seed's stages take 32 bytes a tick and 40 a
+# send (their arrays), and the seeds before a batch's last hold fewer than
+# MAX_TICKS ticks and 8,192 sends: at most about 17 MB beside the last seed's.
 COMPARE_BATCH_SENDS = 8_192
 COMPARE_BATCH_TICKS = MAX_TICKS
+# A compare's seeds may hold at most MAX_COMPARE_WORK ticks, each seed
+# counted COMPARE_SEED_TICKS ticks over its own for building and writing it:
+# on comparison_scenario() with its output tree a seed costs about 4 ms and
+# a tick about 9 us (a 2-vCPU Xeon guest).  The bound admits two seeds at
+# MAX_TICKS, which took 9.0 s, and 1,668 seeds of 100 ticks took 6.8 s.
+COMPARE_SEED_TICKS = 500
+MAX_COMPARE_WORK = 2 * (MAX_TICKS + COMPARE_SEED_TICKS)
 # The most waypoints a generated trajectory may have; generating that many
 # takes about 2.5 s and 133 MiB (measured on a 2-vCPU Xeon guest).
 MAX_WAYPOINTS = 500_000
@@ -326,7 +333,7 @@ class _SharedStages(NamedTuple):
     ticks: np.ndarray
     positions: np.ndarray
     sent: np.ndarray
-    velocities: np.ndarray
+    velocities: np.ndarray  # each send's
     chan: ChannelConfig
     first: np.ndarray | None  # the first attempts' delays, once drawn
 
@@ -345,9 +352,9 @@ def _shared_stages(
     with np.errstate(over="ignore", invalid="ignore"):
         tick = cfg.protocol.tick_ms
         ticks = np.arange(cfg.duration_ms // tick + 1, dtype=np.int64) * tick
-        positions, segments = sample_positions(script, ticks)
+        positions, runs = sample_positions(script, ticks)
         lap("sample")
-        sent, velocities = sender_run(cfg.protocol, ticks, positions, segments)
+        sent, velocities = sender_run(cfg.protocol, positions, runs)
     lap("sender")
     chan = _resolve_channel(cfg)
     return _SharedStages(cfg, ticks, positions, sent, velocities, chan, None)
@@ -515,8 +522,10 @@ def run_compare(
     Channel seeds are always derived from the run seed here so each seed is
     one self-contained paired trial; an explicit ``channel.seed`` in the
     config is ignored.  Needs at least two distinct seeds to say anything
-    about variability across trials, each within :data:`~drsync.rng.SEED`;
-    they are checked before anything is built or written.
+    about variability across trials, each within :data:`~drsync.rng.SEED`,
+    and at most :data:`MAX_COMPARE_WORK` ticks of work, each seed counted
+    :data:`COMPARE_SEED_TICKS` over its run's ticks; they are checked before
+    anything is built or written.
 
     Each seed's trajectory, sampled positions, sends, channel and
     first-attempt draws are built once and passed to both
@@ -536,6 +545,14 @@ def run_compare(
         check_seed(seed, f"seeds[{i}]")
     if len(set(seeds)) != len(seeds):
         raise ValueError("comparison seeds must be distinct")
+    ticks = cfg.duration_ms // cfg.protocol.tick_ms + 1
+    work = len(seeds) * (ticks + COMPARE_SEED_TICKS)
+    if work > MAX_COMPARE_WORK:
+        raise ValueError(
+            f"comparison of {len(seeds)} seeds at {ticks} ticks each must keep "
+            f"seeds * (ticks + {COMPARE_SEED_TICKS}) <= {MAX_COMPARE_WORK}, "
+            f"got {work}"
+        )
 
     rows: list[CompareRow] = []
     batch: list[_SharedStages] = []

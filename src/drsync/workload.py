@@ -32,7 +32,7 @@ import enum
 import itertools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -650,12 +650,3 @@ def profile_to_json(profile: WorkloadProfile, path: str) -> None:
 
 def profile_from_json(path: str) -> WorkloadProfile:
     return profile_from_dict(spec.load_json(path))
-
-
-def without_bursts_and_events(profile: WorkloadProfile) -> WorkloadProfile:
-    """Copy of ``profile`` with the activity machine and global events disabled."""
-    return replace(
-        profile,
-        burst=replace(profile.burst, p_enter=0.0, p_exit=0.0),
-        global_event=GlobalEventModel(),
-    )

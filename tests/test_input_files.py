@@ -326,6 +326,38 @@ class TestCaps:
         assert err == f"error: clients * ticks must be <= {cap}, got {cap + 1}\n"
         assert not out.exists()
 
+    def test_work_per_compare(self, tmp_path, monkeypatch):
+        # 21 ticks a seed: two seeds are 2 * (21 + COMPARE_SEED_TICKS) of work.
+        data = config_to_dict(comparison_scenario())
+        data["duration_ms"] = 1000
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        work = 2 * (21 + scenario.COMPARE_SEED_TICKS)
+        argv = ["compare", "--config", str(path), "--seeds", "1,2", "--out"]
+        monkeypatch.setattr(scenario, "MAX_COMPARE_WORK", work - 1)
+        code, out, err = run_cli([*argv, str(tmp_path / "past")])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: comparison of 2 seeds at 21 ticks each must keep "
+            f"seeds * (ticks + {scenario.COMPARE_SEED_TICKS}) <= {work - 1}, "
+            f"got {work}\n"
+        )
+        assert not (tmp_path / "past").exists()
+        monkeypatch.setattr(scenario, "MAX_COMPARE_WORK", work)
+        code, _, err = run_cli([*argv, str(tmp_path / "at")])
+        assert (code, err) == (0, "")
+        assert (tmp_path / "at" / "comparison.json").exists()
+
+    def test_compare_work_bound_admits_the_known_compares(self):
+        def work(seeds, ticks):
+            return seeds * (ticks + scenario.COMPARE_SEED_TICKS)
+
+        assert work(2, scenario.MAX_TICKS) <= scenario.MAX_COMPARE_WORK
+        assert work(3, scenario.MAX_TICKS) > scenario.MAX_COMPARE_WORK
+        ticks = comparison_scenario().duration_ms // 50 + 1
+        assert work(10, ticks) <= scenario.MAX_COMPARE_WORK  # README's example
+        assert work(4, 3_601) <= scenario.MAX_COMPARE_WORK  # sim-fast-lossy
+
     def test_waypoints_per_run(self, tmp_path):
         data = config_to_dict(comparison_scenario())  # waypoints every 80..200 ms
         data["protocol"]["tick_ms"] = 1000

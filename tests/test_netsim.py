@@ -1,4 +1,5 @@
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,6 @@ from drsync.netsim import (
     channel_transmit,
     dejitter_deliver,
     draw,
-    read_delivery_csv,
     reliable_run,
     unreliable_run,
     write_delivery_csv,
@@ -228,6 +228,23 @@ def test_batched_draws_equal_channel_transmit(runs, attempt, min_keys, words, ch
     ]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    base=st.sampled_from([0, 100, 2**70]),
+    jitter=st.sampled_from(JITTERS),
+    loss=st.sampled_from([0.0, 0.1, 1.0]),
+    keys=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+)
+def test_written_out_draws_equal_channel_transmit(base, jitter, loss, keys):
+    """_transmit_each, which reseeds one generator and writes out its draws,
+    gives each key the delay of channel_transmit on random.Random(key); the
+    widths past 32 bits are those _read_draws hands it."""
+    cfg = chan(base=base, jitter=jitter, loss=loss)
+    delays = netsim._transmit_each(cfg, np.array(keys, dtype=np.uint64))
+    arrivals = [channel_transmit(cfg, random.Random(key), 0) for key in keys]
+    assert delays.tolist() == [-1 if a is None else a for a in arrivals]
+
+
 def test_a_jitter_rejected_in_every_word_is_drawn_again():
     # At jitter_max_ms 0 a try is rejected when its word's top bit is set.
     cfg = chan(jitter=0, seed=21)
@@ -403,7 +420,7 @@ class TestChannelBehavior:
 
 
 class TestDeliveryCsv:
-    def test_round_trip_preserves_everything(self, tmp_path):
+    def test_round_trip_preserves_everything(self, tmp_path, read_delivery_csv):
         send_ms = np.arange(1, 101) * 25
         dejitter = DejitterConfig(playout_delay_ms=30)
         transport = ReliableOrdered(rto_ms=40)
@@ -419,7 +436,7 @@ class TestDeliveryCsv:
                 write_delivery_csv(deliveries, str(path))
                 assert read_delivery_csv(str(path)) == deliveries.events()
 
-    def test_none_fields_round_trip(self, tmp_path):
+    def test_none_fields_round_trip(self, tmp_path, read_delivery_csv):
         deliveries = Deliveries(
             send_ms=np.array([0, 10]),
             arrive_ms=np.array([-1, 55]),

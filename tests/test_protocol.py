@@ -13,7 +13,7 @@ from drsync.protocol import (
     ReceiverState,
     SenderState,
     compute_export_error,
-    percentile_95,
+    nearest_rank,
     receiver_apply,
     render_position,
     sender_tick,
@@ -213,18 +213,19 @@ class TestExportError:
 
     def test_percentile_is_nearest_rank(self):
         values = [float(v) for v in range(1, 21)]
-        assert percentile_95(values) == 19.0  # ceil(0.95 * 20) = 19
+        assert nearest_rank(values, 0.95) == 19.0  # ceil(0.95 * 20) = 19
         values = [float(v) for v in range(1, 22)]
-        assert percentile_95(values) == 20.0  # ceil(0.95 * 21) = 20
-        assert percentile_95([7.0]) == 7.0
+        assert nearest_rank(values, 0.95) == 20.0  # ceil(0.95 * 21) = 20
+        assert nearest_rank([7.0], 0.95) == 7.0
 
     def test_percentile_order_independent(self):
         rng = random.Random(3)
         values = [rng.uniform(0, 50) for _ in range(101)]
         shuffled = values[:]
         rng.shuffle(shuffled)
-        assert percentile_95(values) == percentile_95(shuffled)
-        assert percentile_95(values) == sorted(values)[95]  # rank 96 of 101
+        p95 = nearest_rank(sorted(values), 0.95)
+        assert nearest_rank(sorted(shuffled), 0.95) == p95
+        assert p95 == sorted(values)[95]  # rank 96 of 101
 
     @given(
         st.lists(
@@ -240,7 +241,7 @@ class TestExportError:
         rendered = [(10 * k, vec(e)) for k, e in enumerate(errors)]
         report = compute_export_error(truth, rendered)
         errors = [e for _, e in report.series]  # a tiny error squares to 0
-        assert report.p95 == percentile_95(errors)
+        assert report.p95 == nearest_rank(sorted(errors), 0.95)
         assert report.max == max(errors)
         assert report.mean == math.fsum(errors) / len(errors)
         assert all(type(v) is float for v in (report.mean, report.max, report.p95))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from drsync import netsim, scenario, spec
 from drsync.core import TrajectoryScript, Vec3
-from drsync.netsim import DejitterConfig, LatePolicy, read_delivery_csv
+from drsync.netsim import DejitterConfig, LatePolicy
 from drsync.protocol import ProtocolConfig
 from drsync.rng import TAG_TRAJECTORY, substream
 from drsync.scenario import (
@@ -256,7 +256,7 @@ class TestRunSimulation:
 
 
 class TestRunOutputs:
-    def test_files_are_complete_and_reloadable(self, tmp_path):
+    def test_files_are_complete_and_reloadable(self, tmp_path, read_delivery_csv):
         result = run_simulation(quiet_config())
         write_run_outputs(result, tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())

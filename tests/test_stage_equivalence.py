@@ -194,6 +194,11 @@ def build_config(spec: dict, folder: Path) -> ScenarioConfig:
 @example(spec={**BASE, "mode": MODE_RELIABLE, "loss": 0.5, "latency": 2**62,
                "rto_ms": 2**70})
 @example(spec={**BASE, "latency": 2**62, "playout": 2**63})
+# The runs' edges: the last waypoint on the last tick, deliveries after the
+# last tick, and the shortest run, two ticks between two waypoints.
+@example(spec={**BASE, "tick_ms": 10, "ticks": 80, "waypoints": ON_TICKS[:2]})
+@example(spec={**BASE, "latency": 2_000, "ticks": 60})
+@example(spec={**BASE, "ticks": 0, "waypoints": [((True, 1), 0.0, 0.0, 0.0)] * 2})
 @settings(derandomize=True, max_examples=120, deadline=None)
 def test_array_core_equals_scalar_stages(spec):
     with tempfile.TemporaryDirectory() as folder:
@@ -235,6 +240,20 @@ def test_required_cases_happen():
     assert wide.summary["transmissions"] > wide.summary["sends"]
     held = run(latency=2**62, playout=2**63)
     assert held.deliveries.deliver_ms.dtype == object
+    with tempfile.TemporaryDirectory() as folder:
+        cfg = build_config(
+            {**BASE, "tick_ms": 10, "ticks": 80, "waypoints": ON_TICKS[:2]}, Path(folder)
+        )
+        script = scenario._load_trajectory(cfg)
+    assert script.end_ms == cfg.duration_ms == 810
+    _, runs = sample_positions(script, np.arange(82, dtype=np.int64) * 10)
+    assert runs.tolist() == [3, 78, 1]  # the last tick is on the last waypoint
+    after = run(latency=2_000, ticks=60)
+    last_tick = after.report.t_ms[-1]
+    assert any(ev.deliver_ms is not None and ev.deliver_ms > last_tick for ev in after.events)
+    assert after.report.samples_count > 0
+    shortest = run(ticks=0, waypoints=[((True, 1), 0.0, 0.0, 0.0)] * 2)
+    assert shortest.report.t_ms.tolist() == [0, 50]
 
 
 def test_sampling_is_bitwise_equal_on_and_between_waypoints():
@@ -250,13 +269,13 @@ def test_sampling_is_bitwise_equal_on_and_between_waypoints():
     )
     ticks = np.arange(0, 72, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
-        positions, segments = sample_positions(script, ticks)
-    arrays = positions.tolist()
+        positions, runs = sample_positions(script, ticks)
+    arrays = positions.T.tolist()
     scalars = [list(sample_trajectory(script, t)) for t in range(72)]
     assert repr(arrays) == repr(scalars)
     assert math.copysign(1.0, arrays[70][0]) == -1.0
-    # Each tick's segment is its last waypoint at or before it.
-    assert segments.tolist() == [0] * 30 + [1] * 40 + [2, 3]
+    # Each waypoint's ticks, up to the next one or on from the last.
+    assert runs.tolist() == [30, 40, 1, 1]
 
 
 def tick_sends(cfg: ProtocolConfig, ticks: np.ndarray, positions: np.ndarray):
@@ -264,13 +283,13 @@ def tick_sends(cfg: ProtocolConfig, ticks: np.ndarray, positions: np.ndarray):
     state = SenderState()
     return [
         k
-        for k, (t, pos) in enumerate(zip(ticks.tolist(), positions.tolist()))
+        for k, (t, pos) in enumerate(zip(ticks.tolist(), positions.T.tolist()))
         if sender_tick(state, cfg, Vec3._make(pos), t) is not None
     ]
 
 
 def sampled_run(tick_ms: int, waypoints, past: int = 0):
-    """Ticks, positions and segments of a script of ``(gap_ms, x, y, z)``
+    """Ticks, positions and segment runs of a script of ``(gap_ms, x, y, z)``
     waypoints, sampled to its last waypoint and held there ``past`` ticks."""
     rows, t = [], 0
     for gap_ms, *point in waypoints:
@@ -279,12 +298,12 @@ def sampled_run(tick_ms: int, waypoints, past: int = 0):
     script = TrajectoryScript(rows)
     ticks = np.arange(script.end_ms // tick_ms + 1, dtype=np.int64) * tick_ms
     with np.errstate(over="ignore", invalid="ignore"):
-        positions, segments = sample_positions(script, ticks)
+        positions, runs = sample_positions(script, ticks)
     # Past the last waypoint the truth stays there, in the last segment.
     ticks = np.arange(len(ticks) + past, dtype=np.int64) * tick_ms
-    positions = np.concatenate((positions, np.repeat(positions[-1:], past, axis=0)))
-    segments = np.concatenate((segments, np.full(past, len(rows) - 1)))
-    return ticks, positions, segments
+    positions = np.concatenate((positions, np.repeat(positions[:, -1:], past, axis=1)), axis=1)
+    runs[-1] += past
+    return ticks, positions, runs
 
 
 @given(
@@ -301,15 +320,14 @@ def sampled_run(tick_ms: int, waypoints, past: int = 0):
 def test_sender_chunks_give_the_unchunked_sends(tick_ms, steps, threshold, gap):
     """The state carried across chunk edges gives the sends of one chunk."""
     cfg = ProtocolConfig(threshold=threshold, tick_ms=tick_ms, min_send_interval_ms=gap)
-    ticks = np.arange(len(steps), dtype=np.int64) * tick_ms
-    positions = np.cumsum(np.array(steps, dtype=np.float64), axis=0)
+    positions = np.cumsum(np.array(steps, dtype=np.float64).T, axis=1)
     # A random walk is no segment's interpolation: one segment a tick.
-    segments = np.arange(len(steps))
+    runs = np.ones(len(steps), dtype=np.int64)
     with mock.patch.object(protocol, "_SENDER_CHUNK", len(steps)):
-        whole, velocities = sender_run(cfg, ticks, positions, segments)
+        whole, velocities = sender_run(cfg, positions, runs)
     for chunk in (1, 2, 7):
         with mock.patch.object(protocol, "_SENDER_CHUNK", chunk):
-            sent, chunked_velocities = sender_run(cfg, ticks, positions, segments)
+            sent, chunked_velocities = sender_run(cfg, positions, runs)
         assert sent.tolist() == whole.tolist()
         assert chunked_velocities.tobytes() == velocities.tobytes()
 
@@ -373,11 +391,11 @@ def test_sender_skips_give_the_sends_of_sender_tick(
         (n * tick_ms + off % tick_ms, x * scale, y * scale, z * scale)
         for (n, off), x, y, z in waypoints
     ]
-    ticks, positions, segments = sampled_run(tick_ms, spaced, past)
+    ticks, positions, runs = sampled_run(tick_ms, spaced, past)
     with mock.patch.object(protocol, "_SENDER_CHUNK", chunk), np.errstate(
         over="ignore", invalid="ignore"
     ):
-        sent, _ = sender_run(cfg, ticks, positions, segments)
+        sent, _ = sender_run(cfg, positions, runs)
         assert sent.tolist() == tick_sends(cfg, ticks, positions)
 
 
@@ -385,20 +403,20 @@ def test_sender_skip_cases_happen():
     """The first ``@example`` above skips, past its last waypoint too, and
     the 1e308 one overflows."""
     cfg = ProtocolConfig(threshold=5.0, tick_ms=50)
-    ticks, positions, segments = sampled_run(
+    ticks, positions, runs = sampled_run(
         50, [(2000, 0.0, 0.0, 0.0), (2000, 1e3, 0.0, 0.0), (2000, 1e3, 1e3, 0.0)], 20
     )
     skipped = []
     check = protocol._cannot_send
 
-    def spy(arrays, a, b, *rest):
-        skips = check(arrays, a, b, *rest)
-        if skips:
-            skipped.append((a, b))
+    def spy(near, far, *rest):
+        skips = check(near, far, *rest)
+        if skips:  # as rows: a check's ends are (tick, x, y, z)
+            skipped.append((near[0] // 50, far[0] // 50))
         return skips
 
     with mock.patch.object(protocol, "_cannot_send", spy):
-        sender_run(cfg, ticks, positions, segments)
+        sender_run(cfg, positions, runs)
     # Row 80 is the last waypoint; the truth stops there, so row 81 sends.
     assert skipped == [(2, 39), (42, 79), (82, 100)]
     _, positions, _ = sampled_run(1, [(30, -1e308, 0.0, 1e308), (30, 1e308, 0.0, -1e308)])
@@ -433,10 +451,27 @@ def test_sender_skips_hold_at_a_grazing_threshold(tick_ms, scale, speed, pause, 
         (move, v * move, 0.0, 0.0),
         (tick_ms, v * (2 * move), 0.0, 0.0),
     ]
-    ticks, positions, segments = sampled_run(tick_ms, waypoints)
+    ticks, positions, runs = sampled_run(tick_ms, waypoints)
     threshold = v * pause * (1 + ulps * 2.0**-52)
     cfg = ProtocolConfig(threshold=threshold, tick_ms=tick_ms, min_send_interval_ms=gap)
-    sent, _ = sender_run(cfg, ticks, positions, segments)
+    sent, _ = sender_run(cfg, positions, runs)
+    assert sent.tolist() == tick_sends(cfg, ticks, positions)
+
+
+@pytest.mark.parametrize("segment_ticks", [12, 16, 24, 32, 64])
+@pytest.mark.parametrize("threshold", [0.2, 1.0, 5.0])
+def test_walkers_send_as_sender_tick(segment_ticks, threshold):
+    """The random-waypoint walkers whose segments are 12 to 64 ticks long,
+    over 5 minutes, send where sender_tick does."""
+    gen = TrajectoryGenConfig(
+        waypoint_interval_min_ms=50 * segment_ticks,
+        waypoint_interval_max_ms=50 * segment_ticks,
+    )
+    script = scenario.generate_trajectory(gen, 300_000, seed=1)
+    ticks = np.arange(6_001, dtype=np.int64) * 50
+    positions, runs = sample_positions(script, ticks)
+    cfg = ProtocolConfig(threshold=threshold, tick_ms=50)
+    sent, _ = sender_run(cfg, positions, runs)
     assert sent.tolist() == tick_sends(cfg, ticks, positions)
 
 

@@ -26,12 +26,20 @@ from drsync.workload import (
     profile_to_dict,
     profile_to_json,
     read_trace_csv,
-    without_bursts_and_events,
     write_trace_csv,
 )
 
 C2S, S2C = Direction.CLIENT_TO_SERVER, Direction.SERVER_TO_CLIENT
 NO_ACKS = 10**9  # first ack would need a billion packets
+
+
+def without_bursts_and_events(profile: WorkloadProfile) -> WorkloadProfile:
+    """Copy of ``profile`` with the activity machine and global events disabled."""
+    return replace(
+        profile,
+        burst=replace(profile.burst, p_enter=0.0, p_exit=0.0),
+        global_event=GlobalEventModel(),
+    )
 
 
 def steady_profile(tick=100, ack_every_n=NO_ACKS, **kw) -> WorkloadProfile:
