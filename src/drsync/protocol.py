@@ -159,12 +159,19 @@ class ExportErrorReport:
         # fsum keeps the mean correctly rounded and therefore reproducible by
         # any other exact-summation implementation; a memoryview hands it the
         # floats without a list of them.
-        self.mean = math.fsum(memoryview(errors)) / n
+        try:
+            self.mean = math.fsum(memoryview(errors)) / n
+        except OverflowError:  # the sum, not an error, passes the float range
+            self.mean = math.inf
         if not math.isfinite(self.mean):
-            bad = self.warmup_ticks + np.flatnonzero(~np.isfinite(errors))[0]
+            bad = np.flatnonzero(~np.isfinite(errors))
+            what = (
+                f"export error at t_ms={int(t_ms[self.warmup_ticks + bad[0]])}"
+                if bad.size
+                else "mean export error"
+            )
             raise ValueError(
-                f"export error at t_ms={int(t_ms[bad])} is not finite: "
-                "trajectory coordinates are too large"
+                f"{what} is not finite: trajectory coordinates are too large"
             )
         self.max = float(errors.max())
         # The element a sort would put at the nearest rank.

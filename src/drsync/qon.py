@@ -400,10 +400,11 @@ def _block_sessions(block: np.ndarray) -> Iterator[LabeledSession]:
 def read_sessions_csv(path: str) -> list[LabeledSession]:
     """Inverse of :func:`write_sessions_csv`.
 
-    numpy's parser reads the file ``_ITER_ROWS`` lines at a time, and each
-    block is checked and turned into sessions before the next is read.  A
-    file it declines, or that fails a check, is read again row by row, and
-    that reader's error names the row.
+    numpy's parser reads the file a block of lines at a time
+    (:func:`spec.read_csv_blocks`), and each block is checked and turned
+    into sessions before the next is read.  A file it declines, or that
+    fails a check, is read again row by row, and that reader's error names
+    the row.
 
     The blocks make three tuples per session, none of which can be part of
     a cycle, so the cyclic collector is paused while they are built: it

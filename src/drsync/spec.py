@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
-import itertools
 import json
 import sys
 import types
@@ -36,9 +35,12 @@ import numpy as np
 
 T = TypeVar("T")
 _MISSING = dataclasses.MISSING
-# Rows that write_csv formats, read_csv_blocks parses and a Trace converts
-# at a time.
+# Rows that write_csv formats and a Trace converts at a time.
 _ITER_ROWS = 4096
+# The most characters read_csv_blocks reads at a time: half of csv's default
+# field limit, which read no slower than the whole limit and holds half as
+# much text, and as many lines, at a time.
+_CHUNK_CHARS = 2**16
 
 
 class ConfigError(ValueError):
@@ -462,11 +464,13 @@ def read_csv(
 
 
 # Characters on which numpy's parser and the row reader differ.  numpy's
-# integer parser strips the last four around a number as whitespace, where
-# ``int`` rejects them in an ASCII cell; it also reads some non-ASCII
+# integer parser strips ``\x1c`` to ``\x1f`` around a number as whitespace,
+# where ``int`` rejects them in an ASCII cell; it also reads some non-ASCII
 # letters as digits (``"\u01fe"`` as 462 with glibc).  A fixed-width string
-# field drops trailing NULs.  csv reads a ``"`` as a quote.
-_DECLINED = '"\x00\x1c\x1d\x1e\x1f'
+# field drops trailing NULs.  csv reads a ``"`` as a quote.  ``splitlines``
+# ends a line at ``\v``, ``\f`` and ``\x1c`` to ``\x1e``, where the file's
+# lines go on.
+_DECLINED = '"\x00\x0b\x0c\x1c\x1d\x1e\x1f'
 
 
 def read_csv_blocks(
@@ -475,21 +479,27 @@ def read_csv_blocks(
     dtype: np.dtype,
     take: Callable[[np.ndarray], None],
 ) -> bool:
-    """Parse the data rows of a CSV file with numpy, ``_ITER_ROWS`` lines at a time.
+    """Parse the data rows of a CSV file with numpy, a block of lines at a time.
 
-    Each block, a structured array of ``dtype``, goes to ``take`` before the
-    next is read, so only one block of cells is alive at a time.  A string
-    field of the ``object`` type holds each cell exactly as :func:`read_csv`
-    does; one of a fixed width ``U<n>`` holds its first ``n`` characters.
+    The text after the header is read ``_CHUNK_CHARS`` characters at a time
+    (csv's field limit, if that is lower), less the unfinished line carried
+    over, and split where the file's lines end; a chunk's last line waits
+    for the next chunk unless it ends in ``\n``.  The lines before it make a
+    block, a structured array of ``dtype`` that goes to ``take`` before the
+    next chunk is read, so only one block of cells is alive at a time.  A
+    string field of the ``object`` type holds each cell exactly as
+    :func:`read_csv` does; one of a fixed width ``U<n>`` holds its first
+    ``n`` characters.
 
     Returns whether the whole file was read.  It is not when the file might
     not read as :func:`read_csv` reads it: a header other than ``header``
-    exactly; a block with non-ASCII text, a character of ``_DECLINED`` or
-    a line longer than csv's field limit; or anything numpy's parser or
-    ``take`` declines with a ``ValueError``, ``KeyError`` or warning.  The
-    caller then reads the file with :func:`read_csv`, which judges it.
+    exactly; a chunk with non-ASCII text or a character of ``_DECLINED``; a
+    line as long as a whole chunk, so that every line parsed is shorter than
+    csv's field limit; or anything numpy's parser or ``take`` declines with
+    a ``ValueError``, ``KeyError`` or warning.  The caller then reads the
+    file with :func:`read_csv`, which judges it.
     """
-    limit = csv.field_size_limit()
+    limit = min(_CHUNK_CHARS, csv.field_size_limit())
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
             # numpy 1.23 reads an integer cell such as "1.7" through a float,
@@ -499,20 +509,27 @@ def read_csv_blocks(
             warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
             if fh.readline().rstrip("\r\n") != ",".join(header):
                 return False
+            rest = ""  # the unfinished line that ends the last chunk
             while True:
-                lines = list(itertools.islice(fh, _ITER_ROWS))
-                text = "".join(lines)
-                # No cell of a line within csv's field limit passes it, and
-                # no line is longer than the block.  A cell in quotes may
-                # span lines, which numpy parses one by one.
-                if (
-                    not text.isascii()
-                    or any(c in text for c in _DECLINED)
-                    or len(text) > limit and max(map(len, lines)) > limit
-                ):
+                text = rest + fh.read(limit - len(rest))
+                # A text file's read(n) is short only at the end of the file.
+                end = len(text) < limit
+                # A character the checks decline in the rest declines the
+                # next chunk anyway.
+                if not text.isascii() or any(c in text for c in _DECLINED):
                     return False
-                take(np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1))
-                if len(lines) < _ITER_ROWS:
+                lines = text.splitlines(True)  # where the file's lines end
+                del text  # each chunk's text, lines and cells are freed early
+                # The last line waits for the next chunk unless it ends in
+                # "\n": it may be cut short, or its "\r" begin a "\r\n".
+                rest = "" if end or lines[-1].endswith("\n") else lines.pop()
+                if not lines:  # the end of the file, or a chunk of one line
+                    return end
+                block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+                del lines
+                take(block)
+                del block
+                if end:
                     return True
     except (ValueError, KeyError, Warning):  # a UnicodeDecodeError too
         return False

@@ -18,20 +18,21 @@ to send in the same tick.
 All randomness is drawn from substreams derived from ``(seed, stream tag,
 client index)``, so traces are bit-reproducible and independent of
 generation order.  One Python loop per client makes every draw, tick by
-tick, and records only each side's data count and payloads; acks take no
-draw, so numpy places them afterwards.  A trace is a :class:`Trace` of
-numpy columns; its rows are :class:`TraceRecord` tuples, built only when a
-caller asks for them.
+tick, and records only each side's data count and each payload's draws;
+numpy finds the event ticks before it and the payload sizes after it, and
+acks take no draw, so numpy places them afterwards too.  A trace is a
+:class:`Trace` of numpy columns; its rows are :class:`TraceRecord` tuples,
+built only when a caller asks for them.
 """
 
 from __future__ import annotations
 
 import array
-import bisect
 import enum
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+import os
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,9 +49,9 @@ from .spec import _ITER_ROWS, INVALID
 MAX_PACKETS_PER_TICK = 1000
 # The most client ticks (clients times ticks) one trace may have.  For the
 # mmorpg preset (10 clients) at 1/16 and 1/4 of this cap and at the cap,
-# ``generate`` took 0.46, 1.3 and 4.6 s and peaked at 61, 147 and 490 MiB,
-# and ``analyze`` of its trace took 0.40, 1.0 and 3.5 s and peaked at 55,
-# 121 and 371 MiB (``tools/worst_case.py``, a 2-vCPU Xeon).
+# ``generate`` took 0.60, 2.0 and 4.8 s and peaked at 58, 135 and 452 MiB,
+# and ``analyze`` of its trace took 0.61, 1.8 and 4.2 s and peaked at 58,
+# 123 and 381 MiB (``tools/worst_case.py``, a 2-vCPU Xeon).
 MAX_CLIENT_TICKS = 2_000_000
 # The most data packets one trace may have at its profile's peak rates: the
 # client's and the server's per client tick, plus one event action.  Both
@@ -328,9 +329,9 @@ def generate_trace(
 
     Each client is drawn by one loop over its ticks (:func:`_client_draws`)
     that records only how many data packets each side sends in each tick
-    and their payloads.  Acks take no draw, so numpy places them after the
-    loop (:func:`_append_packets`).  Clients are appended to four typed
-    columns one at a time, and the columns are sorted once at the end.
+    and their payloads' draws.  Acks take no draw, so numpy places them
+    after the loop (:func:`_append_packets`).  Clients are appended to four
+    typed columns one at a time, and the columns are sorted once at the end.
     ``lap`` is called with ``"draw"`` when every client is drawn and with
     ``"sort"`` when the trace is built, for the caller's stage timings.
     """
@@ -361,7 +362,7 @@ def generate_trace(
     # that numpy reads in place (18 bytes a packet, no Python object), and
     # where each client's packets end.
     columns = tuple(map(array.array, "qbqb"))
-    ends = []
+    ends = array.array("q")
     for idx in range(n_clients):
         _append_packets(columns, profile, *_client_draws(profile, n_ticks, seed, idx))
         ends.append(len(columns[0]))
@@ -369,15 +370,21 @@ def generate_trace(
 
     t, direction, payload, is_ack = map(np.asarray, columns)
     order = np.argsort(t, kind="stable")  # generation order breaks ties
-    client = np.repeat(np.arange(n_clients), np.diff([0, *ends]))[order]
+    rows = np.diff(ends, prepend=0)
     # Connections are numbered in order of first appearance, so a client
-    # that sends nothing has no name.
-    named = client[np.sort(np.unique(client, return_index=True)[1])]
+    # that sends nothing has no name.  A client's first generated row is
+    # also its first in time order, so the clients appear in the order in
+    # which their first rows are sorted.
+    firsts = np.subtract(ends, rows)[rows > 0]
+    is_first = np.zeros(len(t), bool)
+    is_first[firsts] = True
+    named = np.flatnonzero(rows)[np.searchsorted(firsts, order[is_first[order]])]
     conn = np.empty(n_clients, np.int64)
     conn[named] = np.arange(len(named))
+    names = [f"c{idx:04d}" for idx in named.tolist()]
     header = np.full(len(t), profile.header_bytes, np.int64)
     trace = Trace(
-        t[order], conn[client], [f"c{idx:04d}" for idx in named.tolist()],
+        t[order], np.repeat(conn, rows)[order], names,
         direction[order], payload[order], header, is_ack[order],
     )
     lap("sort")
@@ -386,7 +393,7 @@ def generate_trace(
 
 def _client_draws(
     profile: WorkloadProfile, n_ticks: int, seed: int, idx: int
-) -> tuple[array.array, array.array]:
+) -> tuple[array.array, np.ndarray]:
     """Draw client ``idx``'s data packets: the count each side sends in each
     tick, client side first (``2k`` and ``2k + 1`` for tick ``k``), and
     their payloads in that order.
@@ -400,21 +407,15 @@ def _client_draws(
     Each payload then takes one ``random()`` from the side's substream, right
     after that side's state and rate draws: below ``tail_prob`` its size is a
     ``randint`` over ``tail_range``, else a body size (see ``sums`` below).
+    The loop records only those draws; numpy looks up the body sizes after
+    it, and finds the event ticks before it.
     """
     tick, burst, dist = profile.tick_period_ms, profile.burst, profile.payload_size_dist
-    p_enter, p_exit, rate = burst.p_enter, burst.p_exit, burst.rate_multiplier
-    event = profile.global_event
-    period = event.period_ms if event.participation > 0 else 0  # 0: no events
-    participation = event.participation
+    bursty, p_enter, p_exit = burst.p_enter > 0, burst.p_enter, burst.p_exit
+    rate, participation = burst.rate_multiplier, profile.global_event.participation
     epoch_ticks = max(1, profile.server_epoch_ms // tick)
     scale_lo, scale_hi = profile.server_scale_range
     tail_prob, (tail_lo, tail_hi) = dist.tail_prob, dist.tail_range
-    # The body's running sums, added in its order: a draw less tail_prob
-    # takes the first size whose sum exceeds it, and one at or past the last
-    # sum (which can round below 1) takes the last size.
-    sums = list(itertools.accumulate(prob for _, prob in dist.body))
-    sizes = [size for size, _ in dist.body]
-    sizes.append(sizes[-1])
 
     client_rng = substream(seed, TAG_CLIENT, idx)
     server_rng = substream(seed, TAG_SERVER, idx)
@@ -423,66 +424,84 @@ def _client_draws(
     server_uniform = server_rng.uniform
     event_random = substream(seed, TAG_EVENTS, idx).random
 
-    # At most MAX_PACKETS_PER_TICK + 2 a side and tick, and sizes below 2**32.
-    counts, payloads = array.array("H"), array.array("I")
-    add_count, add_payload = counts.append, payloads.append
+    # Counts are at most MAX_PACKETS_PER_TICK + 2 a side and tick, and tail
+    # sizes below 2**32; every payload's random() is kept for the lookup.
+    counts, uniforms, tails = array.array("H"), array.array("d"), array.array("I")
+    add_count, add_uniform, add_tail = counts.append, uniforms.append, tails.append
     client_whole = int(rate)
     client_frac = rate - client_whole
     client_on = server_on = True
-    for k in range(n_ticks):
-        t = k * tick
-        if p_enter > 0:
-            u = client_random()
-            client_on = u >= p_exit if client_on else u < p_enter
-        n = 0
-        if client_on:
-            n = client_whole
-            if client_frac > 0 and client_random() < client_frac:
-                n += 1
-        # Events fire at every multiple of the period and snap to the next
-        # tick boundary: tick k > 0 holds one when a multiple lies in
-        # ((k - 1) * tick, k * tick].
-        if (
-            period and k
-            and t // period > (t - tick) // period
-            and event_random() < participation
-        ):
-            n += 1  # flash crowd: one forced action even when idle
-        add_count(n)
-        for _ in range(n):
-            u = client_random()
-            if u < tail_prob:
-                add_payload(client_randint(tail_lo, tail_hi))
-            else:
-                add_payload(sizes[bisect.bisect_right(sums, u - tail_prob)])
+    events = _event_ticks(profile, n_ticks)
+    for start in range(0, n_ticks, epoch_ticks):
+        server_rate = rate * server_uniform(scale_lo, scale_hi)
+        server_whole = int(server_rate)
+        server_frac = server_rate - server_whole
+        for fires in events[start : start + epoch_ticks]:
+            if bursty:
+                u = client_random()
+                client_on = u >= p_exit if client_on else u < p_enter
+            n = 0
+            if client_on:
+                n = client_whole
+                if client_frac and client_random() < client_frac:
+                    n += 1
+            if fires and event_random() < participation:
+                n += 1  # flash crowd: one forced action even when idle
+            add_count(n)
+            for _ in range(n):
+                u = client_random()
+                add_uniform(u)
+                if u < tail_prob:
+                    add_tail(client_randint(tail_lo, tail_hi))
 
-        if k % epoch_ticks == 0:
-            server_rate = rate * server_uniform(scale_lo, scale_hi)
-            server_whole = int(server_rate)
-            server_frac = server_rate - server_whole
-        if p_enter > 0:
-            u = server_random()
-            server_on = u >= p_exit if server_on else u < p_enter
-        n = 0
-        if server_on:
-            n = server_whole
-            if server_frac > 0 and server_random() < server_frac:
-                n += 1
-        add_count(n)
-        for _ in range(n):
-            u = server_random()
-            if u < tail_prob:
-                add_payload(server_randint(tail_lo, tail_hi))
-            else:
-                add_payload(sizes[bisect.bisect_right(sums, u - tail_prob)])
+            if bursty:
+                u = server_random()
+                server_on = u >= p_exit if server_on else u < p_enter
+            n = 0
+            if server_on:
+                n = server_whole
+                if server_frac and server_random() < server_frac:
+                    n += 1
+            add_count(n)
+            for _ in range(n):
+                u = server_random()
+                add_uniform(u)
+                if u < tail_prob:
+                    add_tail(server_randint(tail_lo, tail_hi))
+
+    # The body's running sums, added in its order: a draw less tail_prob
+    # takes the first size whose sum exceeds it, and one at or past the last
+    # sum (which can round below 1) takes the last size.
+    sums = list(itertools.accumulate(prob for _, prob in dist.body))
+    sizes = np.array([size for size, _ in dist.body] + [dist.body[-1][0]], np.int64)
+    u = np.frombuffer(uniforms)
+    payloads = sizes[np.searchsorted(sums, u - tail_prob, side="right")]
+    payloads[u < tail_prob] = np.frombuffer(tails, np.uintc)
     return counts, payloads
+
+
+def _event_ticks(profile: WorkloadProfile, n_ticks: int) -> bytes:
+    """Whether an event fires at each tick, as a byte 0 or 1 a tick.
+
+    Events fire at every multiple of the period and snap to the next tick
+    boundary: tick ``k > 0`` holds one when a multiple lies in
+    ``((k - 1) * tick, k * tick]``, so when ``t // period > (t - tick) //
+    period`` at ``t = k * tick``.  A period of 0, or one past every ``t``,
+    fires none, and so does a participation of 0, which draws nothing.
+    """
+    tick, event = profile.tick_period_ms, profile.global_event
+    fires = np.zeros(n_ticks, np.uint8)
+    if event.participation > 0 and 0 < event.period_ms < MAX_T_MS:
+        t = np.arange(n_ticks, dtype=np.int64) * tick
+        fires[1:] = np.diff(t // event.period_ms) > 0
+    return fires.tobytes()
 
 
 def _append_packets(
     columns: tuple[array.array, ...],
     profile: WorkloadProfile,
     counts: array.array,
-    payloads: array.array,
+    payloads: np.ndarray,
 ) -> None:
     """Append one client's data packets, drawn by :func:`_client_draws`,
     and the acks they trigger to ``columns``.
@@ -508,7 +527,7 @@ def _append_packets(
     is_ack = np.zeros(len(slot), bool)
     is_ack[ack_rows] = True
     payload = np.zeros(len(slot), np.int64)
-    payload[~is_ack] = np.frombuffer(payloads, np.uintc)
+    payload[~is_ack] = payloads
 
     times, directions, sizes, acks = columns
     times.frombytes(((slot >> 1) * profile.tick_period_ms).view(np.uint8))
@@ -549,41 +568,31 @@ _TRACE_DTYPE = np.dtype(
 )
 
 
-class _Columns:
-    """Columns that grow by doubling as blocks of rows are added to them."""
-
-    def __init__(self, dtypes: Sequence[np.dtype]) -> None:
-        self.arrays = [np.empty(0, dtype) for dtype in dtypes]
-        self.rows = 0
-
-    def add(self, *blocks: np.ndarray) -> None:
-        start, stop = self.rows, self.rows + len(blocks[0])
-        for i, (array, block) in enumerate(zip(self.arrays, blocks)):
-            if stop > len(array):
-                # One column at a time, so that only one is ever held twice.
-                grown = np.empty(max(stop, 2 * len(array)), array.dtype)
-                grown[:start] = array[:start]
-                self.arrays[i] = array = grown
-            array[start:stop] = block
-        self.rows = stop
-
-    def finished(self) -> list[np.ndarray]:
-        """The columns, as views of the rows added."""
-        return [array[: self.rows] for array in self.arrays]
+# The fewest characters a data row of a trace CSV takes: "0,,c2s,0,0,true"
+# and a line end.  A file of n bytes holds at most (n + 1) // this many rows
+# (a block past them would raise ValueError and go to the row reader).
+_SHORTEST_ROW = 16
 
 
 def read_trace_csv(path: str) -> Trace:
     """Inverse of :func:`write_trace_csv`; the rows must be sorted by time.
 
-    numpy's parser reads the file ``_ITER_ROWS`` lines at a time, and each
-    block is added to the final columns before the next is read.  A file it
-    declines, or that fails a check, is read again row by row, and that
-    reader's error names the row.
+    numpy's parser reads the file a block of lines at a time
+    (:func:`spec.read_csv_blocks`), and each block is written into columns
+    made before the first one, as long as the most rows the file's size
+    allows.  Only the rows written are touched, and the trace holds views
+    of them, so no row is copied twice.  A file the parser declines, or
+    that fails a check, is read again row by row, and that reader's error
+    names the row.
     """
     ids: dict[str, int] = {}
-    columns = _Columns([np.int64, np.int64, np.int8, np.int64, np.int64, bool])
+    most = (os.path.getsize(path) + 1) // _SHORTEST_ROW
+    dtypes = (np.int64, np.int64, np.int8, np.int64, np.int64, bool)
+    columns = [np.empty(most, dtype) for dtype in dtypes]
+    rows = 0
 
     def take(block: np.ndarray) -> None:
+        nonlocal rows
         names = block["conn_id"].tolist()
         try:
             conn = np.fromiter(map(ids.__getitem__, names), np.int64, len(names))
@@ -591,7 +600,7 @@ def read_trace_csv(path: str) -> Trace:
             conn = np.fromiter(
                 (ids.setdefault(name, len(ids)) for name in names), np.int64, len(names)
             )
-        columns.add(
+        fields = (
             block["t_ms"],
             conn,
             spec.codes(block["direction"], DIRECTION_TEXTS),
@@ -599,9 +608,13 @@ def read_trace_csv(path: str) -> Trace:
             block["header_bytes"],
             spec.codes(block["is_ack"], spec.FLAG_TEXTS),
         )
+        stop = rows + len(block)
+        for column, field in zip(columns, fields):
+            column[rows:stop] = field
+        rows = stop
 
     if spec.read_csv_blocks(path, _TRACE_FIELDS, _TRACE_DTYPE, take):
-        t, conn, direction, payload, header, is_ack = columns.finished()
+        t, conn, direction, payload, header, is_ack = (c[:rows] for c in columns)
         try:
             return Trace(t, conn, ids, direction, payload, header, is_ack)
         except ValueError:

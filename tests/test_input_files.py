@@ -7,6 +7,7 @@ input kind for junk and drives ``cli.main``.
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import re
@@ -849,7 +850,10 @@ def test_parse_judges_as_the_constructor_does(cls, obj):
 # --- the trace reader's numpy blocks agree with its row reader --------------
 
 TRACE_HEADER = "t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack"
+# The rows that write_csv formats and a Trace converts at a time.
 BLOCK = workload._ITER_ROWS
+# The characters that the block reader reads at a time.
+CHUNK = min(spec._CHUNK_CHARS, csv.field_size_limit())
 # Cells that only Python's int reads, that numpy reads but int does not
 # ("\x1c7" and "\u01fe", which numpy can take for 462), or that are
 # padded, quoted, out of range or hold other control or number syntax.
@@ -902,15 +906,32 @@ def trace_text(rows: int, edits) -> str:
     )
 
 
+def edge_row(text: str) -> int:
+    """The data row whose line holds the first chunk's last character."""
+    return text.split("\n", 1)[1].count("\n", 0, CHUNK - 1) + 1
+
+
+def edge_name(shift: int = 0) -> str:
+    """A ``conn_id`` that makes data row 1's line, ``\\n`` included, end
+    ``shift`` characters past the first chunk's edge."""
+    line = len(trace_text(1, [])) - len(TRACE_HEADER) - 1
+    return "c" * (CHUNK - line + 2 + shift)
+
+
+TRACE_EDGE = edge_row(trace_text(2 * BLOCK, []))
+
+
 @st.composite
 def trace_files(draw):
     rows = draw(st.one_of(
-        st.integers(0, 12), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1])
+        st.integers(0, 12),
+        st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, TRACE_EDGE, TRACE_EDGE + 1]),
     ))
     edits = []
     for _ in range(draw(st.integers(0, 3)) if rows else 0):
         row = draw(st.one_of(
-            st.integers(1, rows), st.sampled_from([1, rows, min(rows, BLOCK)])
+            st.integers(1, rows),
+            st.sampled_from([1, rows, min(rows, BLOCK), min(rows, TRACE_EDGE)]),
         ))
         col = draw(st.sampled_from([0, 1, 2, 3, 4, 5, None]))
         if col is None:
@@ -956,6 +977,24 @@ def read_outcome(read, path):
 @example(case=(2, [(2, 1, LONG_CELLS[1])]))
 @example(case=(BLOCK + 1, [(BLOCK + 1, 3, "5\x00")]))
 @example(case=(3, [(1, None, "\x0c")]))
+# The first chunk ends right after a line; within a "\r\n", after another
+# line end or after none; right after a lone "\r"; among blank lines; and
+# inside a line longer than a chunk whose cells stay within csv's limit.
+# A file ends on a chunk's edge, or without a line end.
+@example(case=(3, [(1, 1, edge_name())]))
+@example(case=(3, [(1, 1, edge_name(-1)), (1, None, "\n\r\n")]))
+@example(case=(3, [(1, 1, edge_name()), (1, None, "\r\n")]))
+@example(case=(3, [(1, 1, edge_name()), (1, None, "\r")]))
+@example(case=(3, [(1, 1, edge_name(-1)), (1, None, "\n\n\n")]))
+@example(case=(3, [(1, 1, edge_name(-1)), (1, None, "\r\n\r\n\r\n")]))
+@example(case=(3, [(1, 1, edge_name(5))]))
+@example(case=(1, [(1, 1, edge_name())]))
+@example(case=(1, [(1, 1, edge_name(1)), (1, None, "")]))
+@example(case=(TRACE_EDGE + 1, [(TRACE_EDGE + 1, None, "")]))
+@example(case=(3, [(2, None, "\r"), (3, None, "")]))
+# splitlines would end a line at "\v" and "\f", where the file's lines go on.
+@example(case=(3, [(2, 3, "5\x0b"), (3, 1, "c\x0c1")]))
+@example(case=(3, [(1, 4, "\x0b40"), (2, None, "\x0b\n")]))
 @given(case=trace_files())
 def test_block_reader_reads_a_trace_as_the_row_reader(tmp_path_factory, case):
     # The fast reader must give the row reader's trace or its error text.
@@ -993,6 +1032,40 @@ def test_block_reader_reads_a_plain_trace_without_the_row_reader(
     monkeypatch.setattr(spec, "open", logged_open, raising=False)
     assert [read_outcome(workload.read_trace_csv, path) for path in paths] == expected
     assert opened == [str(path) for path in paths]
+
+
+def test_block_reader_reads_many_chunks_without_the_row_reader(tmp_path, monkeypatch):
+    # A generated trace, with LF and with CRLF line ends, is read a chunk at
+    # a time in blocks of whole lines, and never by the row reader.
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    write_trace_csv(generate_trace(preset("mmorpg"), 4, 200_000, seed=4), str(lf))
+    text = lf.read_text()
+    crlf.write_text(text.replace("\n", "\r\n"), newline="")
+    assert len(text) > 5 * CHUNK
+    expected = read_outcome(workload._read_trace_rows, lf)
+    assert read_outcome(workload._read_trace_rows, crlf) == expected
+    read_blocks, blocks = spec.read_csv_blocks, []
+
+    def counted(path, header, dtype, take):
+        def take_counted(block):
+            blocks.append(len(block))
+            take(block)
+
+        return read_blocks(path, header, dtype, take_counted)
+
+    def no_rows(path):
+        raise AssertionError("the row reader ran")
+
+    monkeypatch.setattr(spec, "read_csv_blocks", counted)
+    monkeypatch.setattr(workload, "_read_trace_rows", no_rows)
+    for path in (lf, crlf):
+        blocks.clear()
+        assert read_outcome(workload.read_trace_csv, path) == expected
+        chars = len(path.read_bytes().split(b"\n", 1)[1])  # ASCII text
+        # Every block holds whole lines of one chunk, so there are at least
+        # chars / CHUNK of them.
+        assert len(blocks) >= chars / CHUNK and min(blocks) > 0
+        assert sum(blocks) == len(expected[0][0][1])
 
 
 def test_block_reader_leaves_quoted_names_to_the_row_reader(tmp_path, monkeypatch):
@@ -1048,15 +1121,20 @@ def sessions_text(rows: int, edits) -> str:
     )
 
 
+SESSIONS_EDGE = edge_row(sessions_text(BLOCK, []))
+
+
 @st.composite
 def session_files(draw):
     rows = draw(st.one_of(
-        st.integers(0, 12), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1])
+        st.integers(0, 12),
+        st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, SESSIONS_EDGE]),
     ))
     edits = []
     for _ in range(draw(st.integers(0, 4)) if rows else 0):
         row = draw(st.one_of(
-            st.integers(1, rows), st.sampled_from([1, rows, min(rows, BLOCK)])
+            st.integers(1, rows),
+            st.sampled_from([1, rows, min(rows, BLOCK), min(rows, SESSIONS_EDGE)]),
         ))
         col = draw(st.sampled_from([0, 1, 2, 3, 4, None]))
         if col is None:
@@ -1108,6 +1186,9 @@ def sessions_outcome(read, path):
 @example(case=(BLOCK + 1, [(BLOCK + 1, 2, "2.0")]))
 @example(case=(BLOCK + 1, [(BLOCK + 1, 4, "truee")]))
 @example(case=(BLOCK + 1, [(BLOCK, 1, "-5"), (BLOCK + 1, None, "\r\n")]))
+@example(  # a lone "\r" and an empty cell at the first chunk's edge
+    case=(SESSIONS_EDGE, [(SESSIONS_EDGE - 1, None, "\r"), (SESSIONS_EDGE, 3, "")])
+)
 @given(case=session_files())
 def test_block_reader_reads_sessions_as_the_row_reader(tmp_path_factory, case):
     # The fast reader must give the row reader's sessions, bit for bit, or

@@ -272,6 +272,20 @@ class TestExportError:
         assert (report.mean, report.max, report.p95) == (None, None, None)
         assert report.series == [(0, None)]
 
+    @pytest.mark.parametrize(
+        "errors, message",
+        [
+            ([1e308, 1e308], "^mean export error is not finite"),
+            ([math.inf, 1e308, 1e308], "^export error at t_ms=0 is not finite"),
+            ([1.0, math.nan], "^export error at t_ms=1 is not finite"),
+        ],
+    )
+    def test_non_finite_mean_is_a_value_error(self, errors, message):
+        # Finite errors whose sum passes the float range make fsum raise
+        # OverflowError; that too is a non-finite mean.
+        with pytest.raises(ValueError, match=message):
+            ExportErrorReport("p", list(range(len(errors))), errors)
+
     def test_report_needs_a_tick_for_each_error(self):
         with pytest.raises(ValueError, match="^2 errors for 1 ticks$"):
             ExportErrorReport("e", [0], [0.5, 0.5])

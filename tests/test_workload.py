@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -502,6 +503,124 @@ def test_the_examples_reach_their_cases():
     ticks = flips.t_ms[flips.in_direction(S2C) & ~flips.is_ack] // 100
     assert len(ticks) and (ticks % 2 == 1).all()
     assert not traces["no acks"].is_ack.any()
+
+
+def client_draws_by_tick(profile, n_ticks, seed, idx):
+    """The per-client draw loop as it stood before the payload sizes left it,
+    kept as the oracle: every draw in its order, the event test and the
+    epoch's scale draw made tick by tick, and each payload looked up with
+    ``bisect`` as it is drawn.  Returns each side's data count per tick,
+    client side first, and the payloads in that order."""
+    tick, burst, dist = profile.tick_period_ms, profile.burst, profile.payload_size_dist
+    p_enter, p_exit, rate = burst.p_enter, burst.p_exit, burst.rate_multiplier
+    event = profile.global_event
+    period = event.period_ms if event.participation > 0 else 0  # 0: no events
+    participation = event.participation
+    epoch_ticks = max(1, profile.server_epoch_ms // tick)
+    scale_lo, scale_hi = profile.server_scale_range
+    tail_prob, (tail_lo, tail_hi) = dist.tail_prob, dist.tail_range
+    sums = list(itertools.accumulate(prob for _, prob in dist.body))
+    sizes = [size for size, _ in dist.body]
+    sizes.append(sizes[-1])
+
+    client_rng = substream(seed, TAG_CLIENT, idx)
+    server_rng = substream(seed, TAG_SERVER, idx)
+    event_random = substream(seed, TAG_EVENTS, idx).random
+    counts, payloads = [], []
+
+    def draw_payloads(rng, n):
+        for _ in range(n):
+            u = rng.random()
+            if u < tail_prob:
+                payloads.append(rng.randint(tail_lo, tail_hi))
+            else:
+                payloads.append(sizes[bisect.bisect_right(sums, u - tail_prob)])
+
+    client_whole = int(rate)
+    client_frac = rate - client_whole
+    client_on = server_on = True
+    for k in range(n_ticks):
+        t = k * tick
+        if p_enter > 0:
+            u = client_rng.random()
+            client_on = u >= p_exit if client_on else u < p_enter
+        n = 0
+        if client_on:
+            n = client_whole
+            if client_frac > 0 and client_rng.random() < client_frac:
+                n += 1
+        if (
+            period and k
+            and t // period > (t - tick) // period
+            and event_random() < participation
+        ):
+            n += 1
+        counts.append(n)
+        draw_payloads(client_rng, n)
+
+        if k % epoch_ticks == 0:
+            server_rate = rate * server_rng.uniform(scale_lo, scale_hi)
+            server_whole = int(server_rate)
+            server_frac = server_rate - server_whole
+        if p_enter > 0:
+            u = server_rng.random()
+            server_on = u >= p_exit if server_on else u < p_enter
+        n = 0
+        if server_on:
+            n = server_whole
+            if server_frac > 0 and server_rng.random() < server_frac:
+                n += 1
+        counts.append(n)
+        draw_payloads(server_rng, n)
+    return counts, payloads
+
+
+MMORPG = preset("mmorpg")
+# 513 tail sizes: randint draws 10 bits and rejects nearly half of them.
+WIDE_TAIL = PayloadSizeDist(
+    body=((6, 0.25), (18, 0.0), (30, 0.45)), tail_prob=0.3, tail_range=(80, 80 + 512)
+)
+ORACLE_PROFILES = {
+    "mmorpg": MMORPG,
+    "fps": preset("fps"),
+    "always on": replace(MMORPG, burst=replace(MMORPG.burst, p_enter=0.0)),
+    **{
+        f"rate {r}": replace(MMORPG, burst=replace(MMORPG.burst, rate_multiplier=r))
+        for r in (0.5, 1.0, 2.3)
+    },
+    "no tail": sized_profile(TEN_TENTHS),
+    "wide tail": sized_profile(WIDE_TAIL),
+    "events off the tick grid": replace(
+        MMORPG, global_event=GlobalEventModel(period_ms=333, participation=0.6)
+    ),
+    "events faster than ticks": replace(
+        MMORPG, global_event=GlobalEventModel(period_ms=40, participation=1.0)
+    ),
+    "epoch below a tick": replace(
+        MMORPG, server_epoch_ms=30, server_scale_range=(0.2, 2.9)
+    ),
+    "every knob": WorkloadProfile(
+        tick_period_ms=7,
+        payload_size_dist=WIDE_TAIL,
+        burst=BurstModel(p_enter=0.3, p_exit=0.2, rate_multiplier=2.3),
+        global_event=GlobalEventModel(period_ms=17, participation=0.5),
+        server_scale_range=(0.5, 1.5),
+        server_epoch_ms=5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_PROFILES)
+def test_client_draws_match_the_loop_over_ticks(name):
+    profile = ORACLE_PROFILES[name]
+    for seed, idx in [(1, 0), (2, 3), (2**64 - 1, 1)]:
+        counts, payloads = workload._client_draws(profile, 700, seed, idx)
+        want_counts, want_payloads = client_draws_by_tick(profile, 700, seed, idx)
+        assert list(counts) == want_counts
+        assert payloads.tolist() == want_payloads
+    if profile.payload_size_dist.tail_prob:
+        lo, hi = profile.payload_size_dist.tail_range
+        assert any(lo <= size <= hi for size in want_payloads)
 
 
 class ScriptedRng:
