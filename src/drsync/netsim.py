@@ -367,12 +367,15 @@ def _columns(
 _EVENT_FIELDS = ("seq", "send_ms", "arrive_ms", "deliver_ms", "late", "retransmissions")
 
 
-def write_delivery_csv(deliveries: Deliveries, path: str) -> None:
+def write_delivery_csv(
+    deliveries: Deliveries, path: str, shared: spec.SharedCells | None = None
+) -> None:
     """Write deliveries as ``seq,send_ms,arrive_ms,deliver_ms,late,retransmissions``.
 
     Absent times serialize as empty fields; booleans as ``true``/``false``.
+    ``shared`` is as for :func:`~drsync.spec.write_csv`.
     """
     send, arrive, deliver, late, retransmissions = deliveries
     seq = np.arange(1, len(send) + 1)
     columns = [seq, send, _or_none(arrive), _or_none(deliver), spec.flags(late)]
-    spec.write_csv(path, _EVENT_FIELDS, [*columns, retransmissions])
+    spec.write_csv(path, _EVENT_FIELDS, [*columns, retransmissions], shared)

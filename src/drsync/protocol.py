@@ -487,9 +487,15 @@ def export_error_report(
     return ExportErrorReport(entity_id, ticks, np.sqrt(errors, out=errors))
 
 
-def write_export_error_csv(report: ExportErrorReport, path: str) -> None:
-    """Write the error series as ``t_ms,entity_id,error`` (empty error = warm-up)."""
+def write_export_error_csv(
+    report: ExportErrorReport, path: str, shared: spec.SharedCells | None = None
+) -> None:
+    """Write the error series as ``t_ms,entity_id,error`` (empty error = warm-up).
+
+    ``shared`` is as for :func:`~drsync.spec.write_csv`.
+    """
     n = len(report.t_ms)
     errors = [None] * (n - len(report.errors)) + report.errors.tolist()
     entity = spec.Table(np.zeros(n, np.intp), [report.entity_id])
-    spec.write_csv(path, ("t_ms", "entity_id", "error"), [report.t_ms, entity, errors])
+    columns = [report.t_ms, entity, errors]
+    spec.write_csv(path, ("t_ms", "entity_id", "error"), columns, shared)

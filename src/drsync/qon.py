@@ -224,6 +224,13 @@ def log_loss_gradient(
     return _pack(g)
 
 
+# The most rows of one matmul in the gradient's ``x.T @ r``.  OpenBLAS may
+# split a longer product among its threads, which changes the sum's order:
+# on a 2-vCPU Xeon the bits followed OPENBLAS_NUM_THREADS from 131,072 rows
+# up, and never up to 100,000 rows.
+_GRADIENT_ROWS = 2**15
+
+
 def _gradient(
     x: np.ndarray, y: np.ndarray, v: np.ndarray, r: np.ndarray, g: np.ndarray
 ) -> None:
@@ -232,7 +239,9 @@ def _gradient(
     ``r`` is scratch, an ``n``-vector.  Each step is one operation of
     ``x.T @ (1.0 / (1.0 + np.exp(-(x @ v))) - y) / n``, in that order, so
     the bits do not depend on the buffers; ``x.T`` stays a view, which
-    keeps ``matmul`` on the same BLAS kernel.
+    keeps ``matmul`` on the same BLAS kernel.  ``x.T @ r`` is the sum, in
+    order, of one matmul per ``_GRADIENT_ROWS`` rows, so that its bits do
+    not depend on BLAS's thread count; up to that many rows it is one call.
     """
     np.matmul(x, v, out=r)
     np.negative(r, out=r)
@@ -240,7 +249,10 @@ def _gradient(
     np.add(1.0, r, out=r)
     np.divide(1.0, r, out=r)
     np.subtract(r, y, out=r)
-    np.matmul(x.T, r, out=g)
+    np.matmul(x[:_GRADIENT_ROWS].T, r[:_GRADIENT_ROWS], out=g)
+    for start in range(_GRADIENT_ROWS, len(y), _GRADIENT_ROWS):
+        rows = slice(start, start + _GRADIENT_ROWS)
+        np.add(g, x[rows].T @ r[rows], out=g)
     np.divide(g, len(y), out=g)
 
 

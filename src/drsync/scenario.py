@@ -15,7 +15,8 @@ The stages that do not depend on the transport (trajectory, sampling,
 sender, the resolved channel and its first-attempt draws) are therefore
 built once per seed and given to both runs.  Consecutive seeds are built in
 batches, whose first attempts are drawn in one :func:`~drsync.netsim.draw`
-call.
+call.  The output cells that runs share (the tick grid, the entity, the
+seqs and a seed's send times) are formatted once per compare.
 """
 
 from __future__ import annotations
@@ -486,18 +487,28 @@ def _summary(
     }
 
 
-def write_run_outputs(result: RunResult, out_dir: str | Path) -> None:
+def write_run_outputs(
+    result: RunResult, out_dir: str | Path, *, _shared: spec.SharedCells | None = None
+) -> None:
     """Write summary.json, export_error.csv, deliveries.csv, resolved_config.json.
 
     Every file is byte-deterministic for a given config and seed; the summary
-    is recomputable from the CSVs plus the resolved config.
+    is recomputable from the CSVs plus the resolved config.  ``_shared``
+    holds cells that :func:`run_compare` formats once for all its runs; the
+    files are the same without it.  The seconds spent are logged at
+    ``DEBUG`` as the run's ``write`` stage.
     """
+    watch = Stopwatch()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_export_error_csv(result.report, str(out / "export_error.csv"))
-    write_delivery_csv(result.deliveries, str(out / "deliveries.csv"))
+    write_export_error_csv(result.report, str(out / "export_error.csv"), _shared)
+    write_delivery_csv(result.deliveries, str(out / "deliveries.csv"), _shared)
     spec.write_json(config_to_dict(result.config), str(out / "resolved_config.json"))
     spec.write_json(result.summary, str(out / "summary.json"))
+    watch.lap("write")
+    log.debug(
+        "run %s seed=%d stage seconds: %s", result.mode, result.config.seed, watch
+    )
 
 
 @dataclass(frozen=True)
@@ -534,8 +545,10 @@ def run_compare(
     :data:`COMPARE_BATCH_SENDS` sends or :data:`COMPARE_BATCH_TICKS` ticks,
     or the seeds run out; their first attempts are then drawn in one call,
     and each seed is run and written in turn, its stages dropped once it is
-    done.  Each batch logs its stage seconds at ``DEBUG``.  A call that
-    raises removes each file and folder it made in ``out_dir``.
+    done.  The runs' files are written with one :class:`~drsync.spec.SharedCells`,
+    so the cells they share are formatted once.  Each batch logs its stage
+    seconds at ``DEBUG``, as do each run's files and the comparison's.  A
+    call that raises removes each file and folder it made in ``out_dir``.
     """
     if len(seeds) < 2:
         raise ValueError(
@@ -556,6 +569,9 @@ def run_compare(
 
     rows: list[CompareRow] = []
     batch: list[_SharedStages] = []
+    # Every run has one tick grid and one entity, every deliveries.csv counts
+    # seq from 1, and a seed's two transports send from one sender.
+    shared = spec.SharedCells(("t_ms", "entity_id", "seq", "send_ms"))
     watch = Stopwatch()
     out = None if out_dir is None else Path(out_dir)
     undo = contextlib.nullcontext() if out is None else _undone_on_failure(out, seeds)
@@ -577,9 +593,8 @@ def run_compare(
                 ",".join(str(b.config.seed) for b in batch), watch,
             )
             while batch:
-                rows.append(
-                    _compare_seed(batch.pop(0)._replace(first=firsts.pop(0)), out)
-                )
+                stages = batch.pop(0)._replace(first=firsts.pop(0))
+                rows.append(_compare_seed(stages, out, shared))
             watch = Stopwatch()
         if out is not None:
             _write_compare_outputs(rows, out)
@@ -615,19 +630,22 @@ def _undone_on_failure(out: Path, seeds: list[int]) -> Iterator[None]:
         raise
 
 
-def _compare_seed(shared: _SharedStages, out: Path | None) -> CompareRow:
-    """Run both transports over one seed's shared stages and pair their errors."""
-    seed = shared.config.seed
+def _compare_seed(
+    stages: _SharedStages, out: Path | None, shared: spec.SharedCells
+) -> CompareRow:
+    """Run both transports over one seed's shared stages, write each run's
+    files with the compare's ``shared`` cells, and pair their errors."""
+    seed = stages.config.seed
     results = {}
     for mode in (MODE_UNRELIABLE, MODE_RELIABLE):
-        result = run_simulation(shared.config, mode=mode, _shared=shared)
+        result = run_simulation(stages.config, mode=mode, _shared=stages)
         if result.report.mean is None:
             raise ValueError(
                 f"seed {seed} mode {mode}: no post-warm-up ticks to compare"
             )
         results[mode] = result
         if out is not None:
-            write_run_outputs(result, out / f"seed_{seed}" / mode)
+            write_run_outputs(result, out / f"seed_{seed}" / mode, _shared=shared)
     unrel = results[MODE_UNRELIABLE].report
     rel = results[MODE_RELIABLE].report
     return CompareRow(
@@ -657,10 +675,14 @@ def compare_payload(rows: list[CompareRow]) -> dict:
 
 
 def _write_compare_outputs(rows: list[CompareRow], out: Path) -> None:
+    watch = Stopwatch()
     out.mkdir(parents=True, exist_ok=True)
     columns = [[getattr(row, name) for row in rows] for name in _COMPARE_FIELDS]
     spec.write_csv(str(out / "comparison.csv"), _COMPARE_FIELDS, columns)
+    watch.lap("comparison_csv")
     spec.write_json(compare_payload(rows), str(out / "comparison.json"))
+    watch.lap("comparison_json")
+    log.debug("compare stage seconds: %s", watch)
 
 
 def comparison_scenario() -> ScenarioConfig:

@@ -16,7 +16,8 @@ for files that :func:`read_csv` would read the same way; a reader falls back
 to :func:`read_csv` whenever it declines.  Every CSV output goes through
 :func:`write_csv`, which takes columns, not rows, and formats a block of
 rows at a time; a string column is a :class:`Table` of codes into a few
-texts, each quoted once by ``csv.writer``.
+texts, each quoted once by ``csv.writer``, and a column that many files
+write may be formatted once by :func:`cells`.
 """
 
 from __future__ import annotations
@@ -587,9 +588,68 @@ def _table_cells(texts: Sequence[str], end: str) -> np.ndarray:
     return np.array([line[:-2] + end for line in lines], object)  # less ",\n"
 
 
+class Cells(NamedTuple):
+    """A column that :func:`cells` formatted, for :func:`write_csv`: each
+    row's text with ``end``, the ``,`` or line end after it."""
+
+    texts: np.ndarray  # of str
+    end: str
+
+
+def cells(column: Any, end: str = ",") -> Cells:
+    """The texts that :func:`write_csv` writes for ``column``, each with
+    ``end`` after it, to be written in many files but formatted once."""
+    if isinstance(column, Table):
+        column = Table(column.codes, _table_cells(column.texts, end))
+    return Cells(np.asarray(_cells(column, end, slice(None)), object), end)
+
+
+class SharedCells:
+    """The cells of named columns that many :func:`write_csv` calls write.
+
+    A column named in ``names`` that is a :class:`Table` or an int array is
+    written from the cells last formatted under its name when its values
+    begin those cells' values, and is formatted and kept otherwise.  So a
+    column that repeats across files, or that begins a longer one, such as
+    ``1..n``, is formatted once.  Other columns are formatted in each file:
+    equal floats may differ in text, as ``-0.0`` and ``0.0`` do.
+    """
+
+    def __init__(self, names: Iterable[str]) -> None:
+        self._names = frozenset(names)
+        # By name: the table's texts (or None) and the end, the values, and
+        # the cells formatted from them.
+        self._kept: dict[str, tuple[tuple, np.ndarray, Cells]] = {}
+
+    def column(self, name: str, column: Any, end: str) -> Any:
+        """``column`` as ``write_csv`` writes it under ``name`` before ``end``:
+        its :class:`Cells`, or itself where it is not shared."""
+        if name not in self._names:
+            return column
+        if isinstance(column, Table):
+            key, values = (tuple(column.texts), end), np.asarray(column.codes)
+        elif isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+            key, values = (None, end), column
+        else:
+            return column
+        n = len(values)
+        kept = self._kept.get(name)
+        if kept is None or kept[0] != key or not np.array_equal(kept[1][:n], values):
+            kept = self._kept[name] = (key, values.copy(), cells(column, end))
+        return Cells(kept[2].texts[:n], end)
+
+
+def _length(column: Any) -> int:
+    if isinstance(column, Cells):
+        return len(column.texts)
+    return len(column.codes if isinstance(column, Table) else column)
+
+
 def _cells(column: Any, end: str, rows: slice) -> Sequence[str]:
     """The texts of ``rows`` of one column, each followed by ``end``; a
     :class:`Table`'s texts have been through :func:`_table_cells`."""
+    if isinstance(column, Cells):
+        return column.texts[rows]
     if isinstance(column, Table):
         return column.texts[np.asarray(column.codes[rows], np.intp)]
     block = column[rows]
@@ -617,30 +677,40 @@ def _format_block(columns: Sequence[tuple[Any, str]], start: int, stop: int) -> 
 
 
 def write_csv(
-    dest: str | IO[str], header: Sequence[str], columns: Sequence[Any]
+    dest: str | IO[str],
+    header: Sequence[str],
+    columns: Sequence[Any],
+    shared: SharedCells | None = None,
 ) -> None:
     """Write a header and columns of one length to a path or an open text
     file, the same bytes as ``csv.writer(dest, lineterminator="\\n")``
     writes for the rows.
 
     A column is a :class:`Table` of strings (flags are the table
-    :func:`flags`), a numpy array of numbers, or a sequence of numbers and
-    ``None``.  ``None`` is written as an empty cell and a number as its
-    ``str``, which for a float is its ``repr``, so :func:`read_csv` reads
-    back the same values.  Each block of ``_ITER_ROWS`` rows is formatted
-    column by column, each cell with the ``,`` or line end after it, and
-    written as one string.  An array's distinct ints are formatted once per
-    block, and a table's texts once per file, by ``csv.writer`` itself.
+    :func:`flags`), a numpy array of numbers, a sequence of numbers and
+    ``None``, or the :class:`Cells` of one of these.  ``None`` is written
+    as an empty cell and a number as its ``str``, which for a float is its
+    ``repr``, so :func:`read_csv` reads back the same values.  Each block of
+    ``_ITER_ROWS`` rows is formatted column by column, each cell with the
+    ``,`` or line end after it, and written as one string.  An array's
+    distinct ints are formatted once per block, and a table's texts once per
+    file, by ``csv.writer`` itself.  With ``shared``, the columns it shares
+    are written from cells formatted once for many files.
     """
-    lengths = {len(c.codes) if isinstance(c, Table) else len(c) for c in columns}
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    if shared is not None:
+        columns = [shared.column(*c) for c in zip(header, columns, ends)]
+    lengths = {_length(c) for c in columns}
     if len(lengths) > 1:
         raise ValueError(f"the columns must be of one length, got {sorted(lengths)}")
+    for c, end in zip(columns, ends):
+        if isinstance(c, Cells) and c.end != end:
+            raise ValueError(f"cells that end in {c.end!r} where {end!r} is written")
     if not hasattr(dest, "write"):
         with open(dest, "w", newline="") as fh:
             write_csv(fh, header, columns)
         return
     csv.writer(dest, lineterminator="\n").writerow(header)
-    ends = [","] * (len(columns) - 1) + ["\n"]
     columns = [
         (Table(c.codes, _table_cells(c.texts, end)) if isinstance(c, Table) else c, end)
         for c, end in zip(columns, ends)

@@ -24,9 +24,10 @@ def test_committed_file_keeps_the_schema(path):
     assert bench_table.problems(json.loads(path.read_text()), BENCHMARK) == []
 
 
-def run(side, pair, op_s, trace=0):
+def run(side, pair, op_s, trace=0, layers=()):
     if trace:
         metrics = {"netsim.transport_s": {"value": op_s, "unit": "s"}}
+        metrics.update({name: {"value": v, "unit": "-"} for name, v in layers})
     else:
         metrics = {
             m["name"]: {"value": 1.0, "unit": m["unit"]}
@@ -47,7 +48,10 @@ DOC = {
         run("parent", 1, 0.30), run("change", 1, 0.20),
         run("change", 2, 0.25), run("parent", 2, 0.25),
         run("parent", 3, 0.40), run("change", 3, 0.50),
-        run("parent", 1, 0.1, trace=1), run("change", 1, 0.1, trace=1),
+        run("parent", 1, 0.1, 1, [("netsim.goodput_ratio", 0.8), ("netsim.late", 3)]),
+        run("change", 1, 0.1, 1, [("netsim.goodput_ratio", 0.9)]),
+        run("parent", 2, 0.3, 1, [("netsim.goodput_ratio", 0.9), ("netsim.late", 2)]),
+        run("change", 2, 0.2, 1, [("netsim.goodput_ratio", 0.7)]),
     ],
 }
 
@@ -66,7 +70,8 @@ def test_the_schema_names_each_break():
         "runs[1].result.metrics: ['peak_rss_mb', 'setup_s', 'work_per_s']",
         "runs[2]: keys ['colour', 'pair', 'result', 'seed', 'side', 'trace',"
         " 'workload']",
-        "runs[6].result.metrics: ['netsim.transport_s', 'op_s']",
+        "runs[6].result.metrics: ['netsim.goodput_ratio', 'netsim.late',"
+        " 'netsim.transport_s', 'op_s']",
     ]
 
 
@@ -78,5 +83,11 @@ def test_rows_give_medians_pairs_and_wins():
     assert by_metric["op_s"] == [
         "21", "-", "sim-fast-lossy", "1", "0", "3", "op_s", "0.3", "0.25", "1/3",
     ]
-    assert by_metric["(per-layer)"][:6] == ["21", "-", "sim-fast-lossy", "1", "1", "1"]
-    assert len(lines) == 1 + len(BENCHMARK["end_to_end"]) + 1
+    # Per-layer metrics pair as well, each in its own direction; netsim.late
+    # is held by the parent's runs only, so it has no line.
+    assert by_metric["netsim.transport_s"] == [
+        "21", "-", "sim-fast-lossy", "1", "1", "2", "netsim.transport_s",
+        "0.2", "0.15", "1/2",
+    ]
+    assert by_metric["netsim.goodput_ratio"][7:] == ["0.85", "0.8", "1/2"]
+    assert len(lines) == 1 + len(BENCHMARK["end_to_end"]) + 2

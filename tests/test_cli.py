@@ -285,6 +285,11 @@ class TestSimulate:
             + " ".join(rf"{stage}=\d+\.\d{{6}}" for stage in stages) + "\n"
         )
         assert len(timing_line.findall(debug_err)) == 1
+        write_line = re.compile(
+            r"DEBUG drsync\.scenario: run unreliable_dr seed=5 stage seconds: "
+            r"write=\d+\.\d{6}\n"
+        )
+        assert len(write_line.findall(debug_err)) == 1
 
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         path = tmp_path / "mangled.json"
@@ -386,6 +391,18 @@ class TestCompare:
             r"draws=\d+\.\d{6}\n"
         )
         assert len(batch_line.findall(debug_err)) == 1
+        writes = re.findall(
+            r"DEBUG drsync\.scenario: run (\w+) seed=(\d) stage seconds: "
+            r"write=\d+\.\d{6}\n",
+            debug_err,
+        )
+        modes = ("unreliable_dr", "reliable_ordered")
+        assert writes == [(mode, seed) for seed in "312" for mode in modes]
+        comparison_line = re.compile(
+            r"DEBUG drsync\.scenario: compare stage seconds: "
+            r"comparison_csv=\d+\.\d{6} comparison_json=\d+\.\d{6}\n"
+        )
+        assert len(comparison_line.findall(debug_err)) == 1
 
     def test_single_seed_rejected(self, capsys, config_path):
         assert main(["compare", "--config", config_path, "--seeds", "1"]) == 1

@@ -1,8 +1,11 @@
 import dataclasses
 import gc
 import math
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,6 +404,40 @@ class TestDescentOracle:
         with pytest.raises(ValueError, match="^fit diverged"):
             fit_weights(diverging, learn_rate=1e308, epochs=3)
         fit_weights(generate_labeled_sessions(500, seed=4), epochs=60)
+
+
+def test_gradient_sums_a_matmul_per_chunk_in_order(monkeypatch):
+    monkeypatch.setattr(qon, "_GRADIENT_ROWS", 7)
+    labeled = generate_labeled_sessions(500, seed=4)
+    x, y = list_design_matrix(labeled)
+    v = np.array([0.5, -1.0, 2.0, 0.25])
+    r = 1.0 / (1.0 + np.exp(-(x @ v))) - y
+    expected = x[:7].T @ r[:7]
+    for start in range(7, len(y), 7):
+        expected = expected + x[start:start + 7].T @ r[start:start + 7]
+    gradient = log_loss_gradient(qon._pack(v), labeled)
+    assert weights_bits(gradient) == weights_bits(qon._pack(expected / len(y)))
+
+
+def test_fit_weights_do_not_follow_blas_threads():
+    # x.T @ r over 140,000 rows spans five chunks of qon._GRADIENT_ROWS.  As
+    # one matmul, the bias read 0x1.10a8415bbfeaap-4 under one OpenBLAS
+    # thread and 0x1.10a8415bbfeb0p-4 under two (a 2-vCPU Xeon guest).
+    code = (
+        "from drsync import qon; "
+        "print(qon.fit_weights(qon.generate_labeled_sessions(140_000, 1), epochs=3))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    weights = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=60, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        weights.append(proc.stdout)
+    assert weights[0] == weights[1]
 
 
 class TestDefaultWeights:

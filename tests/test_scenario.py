@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drsync import netsim, scenario, spec
+from drsync.cli import main
 from drsync.core import TrajectoryScript, Vec3
 from drsync.netsim import DejitterConfig, LatePolicy
 from drsync.protocol import ProtocolConfig
@@ -361,6 +362,56 @@ class TestRunCompare:
             Path("mine"), Path("mine/deep"), Path("mine/deep/notes.txt")
         ]
         assert (out / "mine" / "deep" / "notes.txt").read_text() == "mine"
+
+    @pytest.mark.parametrize("warmup", ["short", "long"])
+    def test_tree_equals_what_simulate_writes(self, warmup, tmp_path, monkeypatch):
+        # The runs share cells: one tick grid and entity, seq from 1, and a
+        # seed's send times.  An entity that CSV quotes; seeds whose send
+        # counts rise, then fall (69, 74, 70 and 46, 51, 49); a warm-up of
+        # 3 or 4 ticks, or of 15 or 20 behind a long latency and playout.
+        cfg = replace(comparison_scenario(), duration_ms=6_000, entity_id='p,"1"')
+        if warmup == "long":
+            cfg = replace(
+                cfg,
+                protocol=replace(cfg.protocol, threshold=3.0),
+                channel=replace(cfg.channel, base_latency_ms=700),
+                dejitter=replace(cfg.dejitter, playout_delay_ms=300),
+            )
+        seeds = [5, 8, 3]
+        formatted = []
+        cells = spec.cells
+
+        def spy(column, end):
+            formatted.append(spec._length(column))
+            return cells(column, end)
+
+        monkeypatch.setattr(spec, "cells", spy)
+        run_compare(cfg, seeds, out_dir=tmp_path / "compare")
+        monkeypatch.undo()
+        sends = []
+        for seed in seeds:
+            for mode in (MODE_UNRELIABLE, MODE_RELIABLE):
+                path = tmp_path / f"{seed}_{mode}.json"
+                spec.write_json(config_to_dict(replace(cfg, mode=mode)), str(path))
+                alone = tmp_path / f"{seed}_{mode}"
+                args = ["simulate", "--config", str(path), "--seed", str(seed)]
+                assert main([*args, "--out", str(alone)]) == 0
+                run = tmp_path / "compare" / f"seed_{seed}" / mode
+                names = sorted(p.name for p in alone.iterdir())
+                assert sorted(p.name for p in run.iterdir()) == names
+                for name in names:
+                    assert (run / name).read_bytes() == (alone / name).read_bytes()
+            summary = json.loads((alone / "summary.json").read_text())
+            sends.append(summary["sends"])
+            assert summary["export_error"]["warmup_ticks"] >= (
+                15 if warmup == "long" else 3
+            )
+        assert sends[0] < sends[1] > sends[2] != sends[0]
+        # Formatted once each: the grid and entity, seq at each new most
+        # sends, and each seed's send times.
+        ticks = 6_000 // 50 + 1
+        assert formatted == [ticks, ticks, sends[0], sends[0], sends[1], sends[1],
+                             sends[2]]
 
     def test_compare_ignores_pinned_channel_seed(self):
         # Per-seed pairing must rederive the channel from each run seed.

@@ -9,8 +9,8 @@ end-to-end metric that ``BENCHMARK.json`` declares, one line gives the
 median over the parent's runs and over the change's runs, the number of
 pairs, and the pairs in which the change did better, in the metric's
 ``better`` direction; a tie counts for neither side.  Traced runs
-(``--trace 1``) hold per-layer metrics only, so their group prints its pair
-count and no medians.
+(``--trace 1``) hold per-layer metrics, so their group prints one such line
+for each per-layer metric that every run of the group holds.
 
 Each file must keep one schema (:func:`problems`); a file that breaks it is
 reported on stderr and the exit status is 1.
@@ -103,11 +103,11 @@ def rows(docs: list[tuple[int, dict]], benchmark: dict) -> list[list[str]]:
         for (set_, workload, seed, trace), sides in groups.items():
             pairs = sorted(sides["parent"].keys() & sides["change"].keys())
             head = [str(pr), set_, workload, str(seed), str(trace), str(len(pairs))]
-            if trace:
-                lines.append(head + ["(per-layer)", "", "", ""])
-                continue
-            for metric in benchmark["end_to_end"]:
+            held = [set(m) for runs in sides.values() for m in runs.values()]
+            for metric in benchmark["per_layer" if trace else "end_to_end"]:
                 name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+                if not all(name in names for names in held):
+                    continue
                 value = {
                     side: {p: m[name]["value"] for p, m in runs.items()}
                     for side, runs in sides.items()
