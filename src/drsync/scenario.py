@@ -13,10 +13,11 @@ attempt)``, both transports face identical loss and jitter on every first
 transmission, making the per-seed comparison a genuinely paired experiment.
 The stages that do not depend on the transport (trajectory, sampling,
 sender, the resolved channel and its first-attempt draws) are therefore
-built once per seed and given to both runs.  Consecutive seeds are built in
-batches, whose first attempts are drawn in one :func:`~drsync.netsim.draw`
-call.  The output cells that runs share (the tick grid, the entity, the
-seqs and a seed's send times) are formatted once per compare.
+built once per seed and given to both runs.  Every seed is built first,
+reading a trajectory file once for all of them, and every first attempt is
+drawn in one :func:`~drsync.netsim.draw` call.  The output cells that runs
+share (the tick grid, the entity, the seqs and a seed's send times) are
+formatted once per compare.
 """
 
 from __future__ import annotations
@@ -76,24 +77,19 @@ DR_PACKET_BYTES = 100
 # A connection counts as recoverable when most packets still get through.
 RECOVERABLE_LOSS_LIMIT = 0.5
 
-# The most ticks a run may have.  At this cap a two-seed compare peaked at
-# 157 MiB in 9.0 s on comparison_scenario() (a send on 56% of ticks), and at
-# 107 MiB in 5.6 s with one send per seed (tools/worst_case.py, 2-vCPU Xeon).
+# The most ticks a run may have.  At this cap the costliest simulate
+# (reliable_ordered at a loss_rate of 0.95) took 7.8 s and peaked at 134 MiB
+# (tools/worst_case.py simulate --fraction 1, median of 3 runs on a 2-vCPU
+# Xeon guest).
 MAX_TICKS = 500_000
-# run_compare builds consecutive seeds' mode-free stages until they hold
-# COMPARE_BATCH_SENDS sends or COMPARE_BATCH_TICKS ticks, then draws their
-# first attempts together.  A seed's stages take 32 bytes a tick and 40 a
-# send (their arrays), and the seeds before a batch's last hold fewer than
-# MAX_TICKS ticks and 8,192 sends: at most about 17 MB beside the last seed's.
-COMPARE_BATCH_SENDS = 8_192
-COMPARE_BATCH_TICKS = MAX_TICKS
-# A compare's seeds may hold at most MAX_COMPARE_WORK ticks, each seed
-# counted COMPARE_SEED_TICKS ticks over its own for building and writing it:
-# on comparison_scenario() with its output tree a seed costs about 4 ms and
-# a tick about 9 us (a 2-vCPU Xeon guest).  The bound admits two seeds at
-# MAX_TICKS, which took 9.0 s, and 1,668 seeds of 100 ticks took 6.8 s.
-COMPARE_SEED_TICKS = 500
-MAX_COMPARE_WORK = 2 * (MAX_TICKS + COMPARE_SEED_TICKS)
+# A compare's seeds may hold at most MAX_TICKS ticks, each seed counted
+# COMPARE_SEED_TICKS ticks over its own for building and writing it: on
+# comparison_scenario() with its output tree a seed cost 5-16 ms, most of it
+# making its 8 files and 3 folders, and a tick 8-12 us (a 2-vCPU Xeon guest).
+# At the bound two seeds of 249,000 ticks took 5.1 s (4.1-5.8 s) at 157 MiB,
+# and 454 seeds of 101 ticks 5.1 s (3.6-6.1 s) at 38 MiB (medians of 6 runs
+# of tools/worst_case.py compare --fraction 1).
+COMPARE_SEED_TICKS = 1_000
 # The most waypoints a generated trajectory may have; generating that many
 # takes about 2.5 s and 133 MiB (measured on a 2-vCPU Xeon guest).
 MAX_WAYPOINTS = 500_000
@@ -340,14 +336,18 @@ class _SharedStages(NamedTuple):
 
 
 def _shared_stages(
-    cfg: ScenarioConfig, lap: Callable[[str], None]
+    cfg: ScenarioConfig,
+    lap: Callable[[str], None],
+    script: TrajectoryScript | None = None,
 ) -> _SharedStages:
     """Build the mode-free stages, calling ``lap`` after trajectory, sample and sender.
 
+    ``script`` is the trajectory already loaded from ``cfg``, if it was.
     ``first`` is left None, so a run given these stages draws its first
     attempts in its ``transport`` stage; :func:`run_compare` fills it in.
     """
-    script = _load_trajectory(cfg)
+    if script is None:
+        script = _load_trajectory(cfg)
     lap("trajectory")
     # An overflow (huge coordinates) is reported by the export error's check.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -534,20 +534,19 @@ def run_compare(
     one self-contained paired trial; an explicit ``channel.seed`` in the
     config is ignored.  Needs at least two distinct seeds to say anything
     about variability across trials, each within :data:`~drsync.rng.SEED`,
-    and at most :data:`MAX_COMPARE_WORK` ticks of work, each seed counted
+    and at most :data:`MAX_TICKS` ticks in all, each seed counted
     :data:`COMPARE_SEED_TICKS` over its run's ticks; they are checked before
     anything is built or written.
 
     Each seed's trajectory, sampled positions, sends, channel and
     first-attempt draws are built once and passed to both
     :func:`run_simulation` calls, whose results equal those of runs that
-    build them alone.  Consecutive seeds are built until they hold
-    :data:`COMPARE_BATCH_SENDS` sends or :data:`COMPARE_BATCH_TICKS` ticks,
-    or the seeds run out; their first attempts are then drawn in one call,
-    and each seed is run and written in turn, its stages dropped once it is
-    done.  The runs' files are written with one :class:`~drsync.spec.SharedCells`,
-    so the cells they share are formatted once.  Each batch logs its stage
-    seconds at ``DEBUG``, as do each run's files and the comparison's.  A
+    build them alone.  Every seed is built first, a trajectory file read
+    once for all of them; every first attempt is then drawn in one call, and
+    each seed is run and written in turn, its stages let go once it is done.
+    The runs' files are written with one :class:`~drsync.spec.SharedCells`,
+    so the cells they share are formatted once.  The compare logs its own
+    stage seconds at ``DEBUG`` in one line, as do each run and its files.  A
     call that raises removes each file and folder it made in ``out_dir``.
     """
     if len(seeds) < 2:
@@ -560,44 +559,45 @@ def run_compare(
         raise ValueError("comparison seeds must be distinct")
     ticks = cfg.duration_ms // cfg.protocol.tick_ms + 1
     work = len(seeds) * (ticks + COMPARE_SEED_TICKS)
-    if work > MAX_COMPARE_WORK:
+    if work > MAX_TICKS:
         raise ValueError(
             f"comparison of {len(seeds)} seeds at {ticks} ticks each must keep "
-            f"seeds * (ticks + {COMPARE_SEED_TICKS}) <= {MAX_COMPARE_WORK}, "
-            f"got {work}"
+            f"seeds * (ticks + {COMPARE_SEED_TICKS}) <= {MAX_TICKS}, got {work}"
         )
 
+    watch = Stopwatch()
+    # A file holds one trajectory for every seed; a walk is generated per seed.
+    script = None if cfg.trajectory.file is None else _load_trajectory(cfg)
+    stages = [
+        _shared_stages(
+            replace(cfg, seed=seed, channel=replace(cfg.channel, seed=None)),
+            watch.lap,
+            script,
+        )
+        for seed in seeds
+    ]
+    firsts = draw([(s.chan, np.arange(1, len(s.sent) + 1)) for s in stages], 0)
+    watch.lap("draws")
     rows: list[CompareRow] = []
-    batch: list[_SharedStages] = []
     # Every run has one tick grid and one entity, every deliveries.csv counts
     # seq from 1, and a seed's two transports send from one sender.
     shared = spec.SharedCells(("t_ms", "entity_id", "seq", "send_ms"))
-    watch = Stopwatch()
     out = None if out_dir is None else Path(out_dir)
     undo = contextlib.nullcontext() if out is None else _undone_on_failure(out, seeds)
     with undo:
-        for i, seed in enumerate(seeds):
-            variant = replace(cfg, seed=seed, channel=replace(cfg.channel, seed=None))
-            batch.append(_shared_stages(variant, watch.lap))
-            if (
-                i + 1 < len(seeds)
-                and sum(len(b.sent) for b in batch) < COMPARE_BATCH_SENDS
-                and sum(len(b.ticks) for b in batch) < COMPARE_BATCH_TICKS
-            ):
-                continue
-            runs = [(b.chan, np.arange(1, len(b.sent) + 1)) for b in batch]
-            firsts = draw(runs, 0)
-            watch.lap("draws")
-            log.debug(
-                "compare seeds=%s stage seconds: %s",
-                ",".join(str(b.config.seed) for b in batch), watch,
-            )
-            while batch:
-                stages = batch.pop(0)._replace(first=firsts.pop(0))
-                rows.append(_compare_seed(stages, out, shared))
-            watch = Stopwatch()
+        while stages:
+            seed_stages = stages.pop(0)._replace(first=firsts.pop(0))
+            rows.append(_compare_seed(seed_stages, out, shared))
         if out is not None:
-            _write_compare_outputs(rows, out)
+            watch.lap("runs")
+            del watch.timings["runs"]  # each run logs its own stages
+            out.mkdir(parents=True, exist_ok=True)
+            columns = [[getattr(row, name) for row in rows] for name in _COMPARE_FIELDS]
+            spec.write_csv(str(out / "comparison.csv"), _COMPARE_FIELDS, columns)
+            watch.lap("comparison_csv")
+            spec.write_json(compare_payload(rows), str(out / "comparison.json"))
+            watch.lap("comparison_json")
+    log.debug("compare stage seconds: %s", watch)
     return rows
 
 
@@ -672,17 +672,6 @@ def compare_payload(rows: list[CompareRow]) -> dict:
         ),
         "rows": [asdict(row) for row in rows],
     }
-
-
-def _write_compare_outputs(rows: list[CompareRow], out: Path) -> None:
-    watch = Stopwatch()
-    out.mkdir(parents=True, exist_ok=True)
-    columns = [[getattr(row, name) for row in rows] for name in _COMPARE_FIELDS]
-    spec.write_csv(str(out / "comparison.csv"), _COMPARE_FIELDS, columns)
-    watch.lap("comparison_csv")
-    spec.write_json(compare_payload(rows), str(out / "comparison.json"))
-    watch.lap("comparison_json")
-    log.debug("compare stage seconds: %s", watch)
 
 
 def comparison_scenario() -> ScenarioConfig:

@@ -144,10 +144,7 @@ class TestSeedRange:
             assert captured.err == f"error: --seed: {out_of_range(seed)}\n"
 
     @pytest.mark.parametrize("seed", GOOD_SEEDS + BAD_SEEDS)
-    def test_compare_seeds(self, capsys, config_path, tmp_path, monkeypatch, seed):
-        # One seed a batch, so seed 1 would run and be written before the
-        # second seed's stages are built.
-        monkeypatch.setattr(scenario, "COMPARE_BATCH_SENDS", 1)
+    def test_compare_seeds(self, capsys, config_path, tmp_path, seed):
         out = tmp_path / "runs"
         code = main(
             ["compare", "--config", config_path, "--seeds", f"1,{seed}",
@@ -328,15 +325,19 @@ class TestCompare:
         # compare's or a simulate's peak is that of any other command.
         result = worst_case(what, "--fraction", "16")
         bare = worst_case("run", "--", "true")
-        assert result["ticks"] == scenario.MAX_TICKS // 16
+        if what == "compare":  # a sixteenth of the bound over two seeds
+            ticks = scenario.MAX_TICKS // 16 // 2 - scenario.COMPARE_SEED_TICKS
+        else:
+            ticks = scenario.MAX_TICKS // 16
+        assert result["ticks"] == ticks
         assert abs(result["floor_rss_mib"] - bare["floor_rss_mib"]) <= 2
         assert result["floor_rss_mib"] < result["peak_rss_mib"]
 
     def test_compare_at_a_sixteenth_of_the_cap(self, tmp_path):
-        # In a child process on a 2-vCPU Xeon guest this took 0.8-1.2 s and
-        # peaked at 43 MiB (tools/worst_case.py compare --fraction 16).
+        # In a child process on a 2-vCPU Xeon guest this took 0.4-0.5 s and
+        # peaked at 39 MiB (tools/worst_case.py compare --fraction 16).
         cfg = comparison_scenario()
-        ticks = scenario.MAX_TICKS // 16
+        ticks = scenario.MAX_TICKS // 16 // 2 - scenario.COMPARE_SEED_TICKS
         cfg = replace(cfg, duration_ms=(ticks - 1) * cfg.protocol.tick_ms)
         (tmp_path / "cmp.json").write_text(json.dumps(config_to_dict(cfg)))
         proc = subprocess.run(
@@ -384,13 +385,14 @@ class TestCompare:
         assert (debug_out, debug_tree) == (off_out, off_tree)
         assert len(off_tree) == 2 + 3 * 2 * 4
         assert off_err == ""
-        # The three seeds hold fewer than 160 sends, so they make one batch.
-        batch_line = re.compile(
-            r"DEBUG drsync\.scenario: compare seeds=3,1,2 stage seconds: "
+        compare_line = re.compile(
+            r"DEBUG drsync\.scenario: compare stage seconds: "
             r"trajectory=\d+\.\d{6} sample=\d+\.\d{6} sender=\d+\.\d{6} "
-            r"draws=\d+\.\d{6}\n"
+            r"draws=\d+\.\d{6} comparison_csv=\d+\.\d{6} "
+            r"comparison_json=\d+\.\d{6}\n"
         )
-        assert len(batch_line.findall(debug_err)) == 1
+        assert len(compare_line.findall(debug_err)) == 1
+        assert debug_err.count("compare stage seconds:") == 1
         writes = re.findall(
             r"DEBUG drsync\.scenario: run (\w+) seed=(\d) stage seconds: "
             r"write=\d+\.\d{6}\n",
@@ -398,11 +400,6 @@ class TestCompare:
         )
         modes = ("unreliable_dr", "reliable_ordered")
         assert writes == [(mode, seed) for seed in "312" for mode in modes]
-        comparison_line = re.compile(
-            r"DEBUG drsync\.scenario: compare stage seconds: "
-            r"comparison_csv=\d+\.\d{6} comparison_json=\d+\.\d{6}\n"
-        )
-        assert len(comparison_line.findall(debug_err)) == 1
 
     def test_single_seed_rejected(self, capsys, config_path):
         assert main(["compare", "--config", config_path, "--seeds", "1"]) == 1

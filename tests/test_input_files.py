@@ -335,7 +335,7 @@ class TestCaps:
         path.write_text(json.dumps(data))
         work = 2 * (21 + scenario.COMPARE_SEED_TICKS)
         argv = ["compare", "--config", str(path), "--seeds", "1,2", "--out"]
-        monkeypatch.setattr(scenario, "MAX_COMPARE_WORK", work - 1)
+        monkeypatch.setattr(scenario, "MAX_TICKS", work - 1)
         code, out, err = run_cli([*argv, str(tmp_path / "past")])
         assert (code, out) == (1, "")
         assert err == (
@@ -344,7 +344,7 @@ class TestCaps:
             f"got {work}\n"
         )
         assert not (tmp_path / "past").exists()
-        monkeypatch.setattr(scenario, "MAX_COMPARE_WORK", work)
+        monkeypatch.setattr(scenario, "MAX_TICKS", work)
         code, _, err = run_cli([*argv, str(tmp_path / "at")])
         assert (code, err) == (0, "")
         assert (tmp_path / "at" / "comparison.json").exists()
@@ -353,11 +353,12 @@ class TestCaps:
         def work(seeds, ticks):
             return seeds * (ticks + scenario.COMPARE_SEED_TICKS)
 
-        assert work(2, scenario.MAX_TICKS) <= scenario.MAX_COMPARE_WORK
-        assert work(3, scenario.MAX_TICKS) > scenario.MAX_COMPARE_WORK
+        # The extremes that tools/worst_case.py compare --fraction 1 runs.
+        assert work(2, 249_000) <= scenario.MAX_TICKS < work(2, 249_001)
+        assert work(454, 101) <= scenario.MAX_TICKS < work(455, 101)
         ticks = comparison_scenario().duration_ms // 50 + 1
-        assert work(10, ticks) <= scenario.MAX_COMPARE_WORK  # README's example
-        assert work(4, 3_601) <= scenario.MAX_COMPARE_WORK  # sim-fast-lossy
+        assert work(10, ticks) <= scenario.MAX_TICKS  # README's example
+        assert work(4, 3_601) <= scenario.MAX_TICKS  # sim-fast-lossy
 
     def test_waypoints_per_run(self, tmp_path):
         data = config_to_dict(comparison_scenario())  # waypoints every 80..200 ms

@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 import random
 from dataclasses import replace
@@ -14,7 +13,7 @@ from drsync.cli import main
 from drsync.core import TrajectoryScript, Vec3
 from drsync.netsim import DejitterConfig, LatePolicy
 from drsync.protocol import ProtocolConfig
-from drsync.rng import TAG_TRAJECTORY, substream
+from drsync.rng import TAG_CHANNEL, TAG_TRAJECTORY, mix64, substream
 from drsync.scenario import (
     MODE_RELIABLE,
     MODE_UNRELIABLE,
@@ -444,33 +443,39 @@ class TestSharedStages:
         self.check_shared_runs(source, [4, 5], tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("source", ["generated", "file"])
-    def test_shared_runs_across_two_batches_equal_runs_alone(
-        self, source, tmp_path, monkeypatch, caplog
-    ):
-        # Each seed has about 70 sends, so seeds 4 and 5 fill the first batch
-        # and 6 makes the second; the batched kernel draws both.
-        monkeypatch.setattr(scenario, "COMPARE_BATCH_SENDS", 100)
+    def test_batched_draws_equal_runs_alone(self, source, tmp_path, monkeypatch):
+        # About 70 sends a seed: below BATCH_MIN_KEYS, so lower it.
         monkeypatch.setattr(netsim, "BATCH_MIN_KEYS", 0)
-        caplog.set_level(logging.DEBUG, logger="drsync.scenario")
         self.check_shared_runs(source, [4, 5, 6], tmp_path, monkeypatch)
-        assert self.batches(caplog) == ["seeds=4,5", "seeds=6"]
 
-    def test_batch_closes_on_ticks_when_sends_are_few(self, monkeypatch, caplog):
-        # Nothing passes the threshold, so each seed sends only tick 0; its
-        # 51 ticks close the batch long before its sends would.
-        cfg = quiet_config(protocol=ProtocolConfig(threshold=1e12, tick_ms=100))
-        monkeypatch.setattr(scenario, "COMPARE_BATCH_TICKS", 100)
-        caplog.set_level(logging.DEBUG, logger="drsync.scenario")
-        results = self.compare_results(cfg, [4, 5, 6, 7, 8], monkeypatch)
-        assert [len(r.sends) for r in results] == [1] * 10
-        assert self.batches(caplog) == ["seeds=4,5", "seeds=6,7", "seeds=8"]
+    def test_one_draw_holds_every_first_attempt(self, monkeypatch):
+        calls = []
+        original = scenario.draw
 
-    @staticmethod
-    def batches(caplog):
-        return [
-            r.getMessage().split()[1] for r in caplog.records
-            if r.getMessage().startswith("compare seeds=")
+        def spy(runs, attempt):
+            calls.append((attempt, [(chan.seed, seqs.tolist()) for chan, seqs in runs]))
+            return original(runs, attempt)
+
+        monkeypatch.setattr(scenario, "draw", spy)
+        cfg = replace(comparison_scenario(), duration_ms=6_000)
+        results = self.compare_results(cfg, [4, 5, 6], monkeypatch)
+        firsts = [
+            (mix64(r.config.seed, TAG_CHANNEL), list(range(1, len(r.sends) + 1)))
+            for r in results[::2]  # a seed's two runs send alike
         ]
+        assert calls == [(0, firsts)]
+
+    def test_a_trajectory_file_is_read_once(self, tmp_path, monkeypatch):
+        reads = []
+        from_csv = TrajectoryScript.from_csv
+
+        def spy(path):
+            reads.append(path)
+            return from_csv(path)
+
+        monkeypatch.setattr(TrajectoryScript, "from_csv", spy)
+        self.check_shared_runs("file", [4, 5, 6], tmp_path, monkeypatch)
+        assert reads == [str(tmp_path / "traj.csv")]
 
     def check_shared_runs(self, source, seeds, tmp_path, monkeypatch):
         cfg = replace(comparison_scenario(), duration_ms=6_000)

@@ -18,15 +18,18 @@ little about the command.  This script imports neither drsync nor numpy:
 whatever a subcommand needs from drsync, a child process reads or writes,
 so that every subcommand's floor is that of ``run``.
 
-``compare`` and ``simulate`` run ``comparison_scenario()`` cut to
-``1/FRACTION`` of ``scenario.MAX_TICKS`` ticks, each the same way.
+``compare`` and ``simulate`` run ``comparison_scenario()``, cut to the
+ticks given below, each the same way.
 
-``compare`` runs ``drsync compare`` over two seeds (``--seeds``, 1,2 by
-default) with an output tree in a temporary directory; ``--threshold``
-replaces the protocol's threshold (1e12 sends only tick 0, so a seed whose
-one packet is lost has no error to compare).
+``compare`` runs ``drsync compare`` over ``--seeds`` (1,2 by default) with
+an output tree in a temporary directory.  Each seed has ``MAX_TICKS //
+FRACTION // len(seeds) - COMPARE_SEED_TICKS`` ticks, so ``--fraction 1`` is
+a compare at its bound for any seed count.  ``--threshold`` replaces the
+protocol's threshold (1e12 sends only tick 0, so a seed whose one packet is
+lost has no error to compare).
 
-``simulate`` runs ``drsync simulate`` under ``reliable_ordered`` at a
+``simulate`` cuts the scenario to ``1/FRACTION`` of ``scenario.MAX_TICKS``
+ticks and runs ``drsync simulate`` under ``reliable_ordered`` at a
 ``loss_rate`` of 0.95, the costliest accepted run: a packet is sent 11
 times on average.
 
@@ -53,10 +56,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FIT_EPOCHS = 2000  # drsync fit's default
-# Prints MAX_TICKS and the config file of comparison_scenario().
+# Prints MAX_TICKS, COMPARE_SEED_TICKS and the config file of
+# comparison_scenario().
 SCENARIO = (
     "import json; from drsync import scenario as s; "
-    "print(json.dumps([s.MAX_TICKS, s.config_to_dict(s.comparison_scenario())]))"
+    "print(json.dumps([s.MAX_TICKS, s.COMPARE_SEED_TICKS, "
+    "s.config_to_dict(s.comparison_scenario())]))"
 )
 TRACE_CLIENTS = 10
 # Prints MAX_CLIENT_TICKS and the mmorpg preset's tick.
@@ -114,11 +119,10 @@ def drsync(*args: str) -> list[str]:
     return [sys.executable, "-m", "drsync", *args]
 
 
-def cut(fraction: int) -> dict:
-    """``comparison_scenario()`` at ``1/fraction`` of ``MAX_TICKS`` ticks, as
-    the JSON of its config file."""
-    max_ticks, cfg = json.loads(child_output(SCENARIO))
-    ticks = max_ticks // fraction  # duration_ms // tick_ms + 1 of them
+def cut(cfg: dict, ticks: int) -> dict:
+    """``cfg`` at ``ticks`` ticks (``duration_ms // tick_ms + 1`` of them)."""
+    if ticks < 1:
+        sys.exit(f"error: a run needs at least 1 tick, got {ticks}")
     cfg["duration_ms"] = (ticks - 1) * cfg["protocol"]["tick_ms"]
     return cfg
 
@@ -134,7 +138,9 @@ def measure_drsync(cfg: dict, command: str, *args: str) -> dict:
 
 
 def compare(fraction: int, threshold: float | None, seeds: str) -> dict:
-    cfg = cut(fraction)
+    """``drsync compare`` at ``1/fraction`` of its bound, shared by the seeds."""
+    max_ticks, seed_ticks, cfg = json.loads(child_output(SCENARIO))
+    cfg = cut(cfg, max_ticks // fraction // len(seeds.split(",")) - seed_ticks)
     if threshold is not None:
         cfg["protocol"]["threshold"] = threshold
     with tempfile.TemporaryDirectory() as out:
@@ -144,7 +150,8 @@ def compare(fraction: int, threshold: float | None, seeds: str) -> dict:
 
 
 def simulate(fraction: int) -> dict:
-    cfg = cut(fraction)
+    max_ticks, _, cfg = json.loads(child_output(SCENARIO))
+    cfg = cut(cfg, max_ticks // fraction)
     cfg["transport"]["mode"] = "reliable_ordered"
     cfg["channel"]["loss_rate"] = 0.95
     return measure_drsync(cfg, "simulate")
@@ -187,8 +194,10 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="what", required=True)
     run = sub.add_parser("run", help="measure any command")
     run.add_argument("command", nargs=argparse.REMAINDER)
-    cmp_ = sub.add_parser("compare", help="measure a two-seed compare")
-    cmp_.add_argument("--fraction", type=int, required=True, help="of MAX_TICKS")
+    cmp_ = sub.add_parser("compare", help="measure a compare near its bound")
+    cmp_.add_argument(
+        "--fraction", type=int, required=True, help="of the compare's bound"
+    )
     cmp_.add_argument("--threshold", type=float)
     cmp_.add_argument("--seeds", default="1,2")
     sim = sub.add_parser("simulate", help="measure the costliest simulate")
