@@ -156,11 +156,10 @@ class ExportErrorReport:
         self.mean = self.max = self.p95 = None
         if not n:
             return
-        # fsum keeps the mean correctly rounded and therefore reproducible by
-        # any other exact-summation implementation; a memoryview hands it the
-        # floats without a list of them.
+        # The exact sum, rounded once, keeps the mean reproducible by any
+        # other exact-summation implementation, math.fsum among them.
         try:
-            self.mean = math.fsum(memoryview(errors)) / n
+            self.mean = exact_sum(errors) / n
         except OverflowError:  # the sum, not an error, passes the float range
             self.mean = math.inf
         if not math.isfinite(self.mean):
@@ -198,6 +197,43 @@ class ExportErrorReport:
             f"mean={self.mean!r}, max={self.max!r}, p95={self.p95!r}, "
             f"samples_count={self.samples_count!r}, warmup_ticks={self.warmup_ticks!r})"
         )
+
+
+# Added to np.frexp's exponents, so that the least, 2**-1074's, is bin 1.
+_EXACT_BIAS = 1074
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """``math.fsum`` of a float64 array: its exact sum, rounded once, half to even.
+
+    ``np.frexp`` writes each value as ``m * 2**e`` with ``|m|`` in ``[0.5,
+    1)``, so ``m * 2**53`` is an integer.  Its high 26 and low 27 bits are
+    summed per exponent by ``np.bincount``, exactly while no bin passes
+    ``2**53``; the bins are joined as one Python int, which one true
+    division rounds.  A sum past the float range raises ``OverflowError``,
+    as ``fsum``'s does, but where ``fsum`` overflows only in between, mixed
+    signs can give a finite sum here.  With a NaN or an infinity among
+    ``values`` the result is ``fsum``'s of those alone.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        return math.fsum(values[~finite])
+    if len(values) >= 2**26:  # a bin of low bits could pass 2**53
+        return math.fsum(values)
+    m, e = np.frexp(values)
+    m *= 2.0**26
+    high = np.trunc(m)
+    m -= high
+    m *= 2.0**27  # the low bits, exactly
+    e += _EXACT_BIAS
+    highs = np.bincount(e, weights=high)
+    lows = np.bincount(e, weights=m)
+    total = 0
+    for k in np.flatnonzero((highs != 0) | (lows != 0)).tolist():
+        total += ((int(highs[k]) << 27) + int(lows[k])) << k
+    if not total:  # the sign of a zero sum is the interpreter's
+        return math.fsum(values[:1]) if np.signbit(values).all() else 0.0
+    return total / (1 << (_EXACT_BIAS + 53))
 
 
 def _rank(n: int, q: float) -> int:
@@ -349,7 +385,8 @@ def _walk(
     t0, x0, y0, z0, u0, v0, w0 = last
     base = k - 1  # each list leads with the row before, for the velocity
     while base + 1 < stop:
-        end = min(stop, base + 1 + size)
+        end = base + 1 + size
+        end = end if end < stop else stop
         size = _SENDER_CHUNK
         ts = list(range(base * tick, end * tick, tick))
         xs, ys, zs = positions[:, base:end].tolist()
@@ -432,9 +469,14 @@ def _cannot_send(
     dt = (t - t0) / _MS_PER_S
     dx, dy, dz = x - (x0 + u0 * dt), y - (y0 + v0 * dt), z - (z0 + w0 * dt)
     d_near = math.sqrt(dx * dx + dy * dy + dz * dz)
-    m2 = max(x0 * x0 + y0 * y0 + z0 * z0, px * px + py * py + pz * pz)
-    m = max(scale, math.sqrt(m2))
-    return max(d_far, d_near) <= threshold - _SKIP_MARGIN * (threshold + m)
+    # Builtin max(a, b) as the comparison it makes: b if b > a else a.
+    m2 = x0 * x0 + y0 * y0 + z0 * z0
+    v2 = px * px + py * py + pz * pz
+    m2 = v2 if v2 > m2 else m2
+    m = math.sqrt(m2)
+    m = m if m > scale else scale
+    d = d_near if d_near > d_far else d_far
+    return d <= threshold - _SKIP_MARGIN * (threshold + m)
 
 
 def receiver_run(
@@ -457,17 +499,26 @@ def receiver_run(
     shown_by = (deliver_ms >= 0) & (deliver_ms <= int(ticks[-1]))
     deliver = deliver_ms[shown_by].astype(np.int64)
     order = np.argsort(deliver, kind="stable")  # seqs ascend already
-    seq = np.flatnonzero(shown_by)[order] + 1
-    # The newest seq applied after each delivery; 0 before the first.
-    newest = np.concatenate(([0], np.maximum.accumulate(seq)))
-    shown = newest[np.searchsorted(deliver[order], ticks, side="right")]
-    warmup = int(np.count_nonzero(shown == 0))
-    # shown never falls, so the ticks that show each send come in one run.
-    runs = np.bincount(shown[warmup:] - 1, minlength=len(sent))
+    # The newest seq applied after each delivery, and the first tick to show it.
+    newest = np.maximum.accumulate(np.flatnonzero(shown_by)[order] + 1)
+    at = np.searchsorted(ticks, deliver[order], side="left")
+    warmup = int(at[0]) if len(at) else len(ticks)
+    # Where the newest seq rises, the screen shows it from that tick up to
+    # the next rise: a run of ticks per send, none for a send never shown.
+    rise = np.flatnonzero(np.diff(newest, prepend=0))
+    runs = np.zeros(len(sent), dtype=np.intp)
+    runs[newest[rise] - 1] = np.diff(at[rise], append=len(ticks))
+    # In place where it can be, and each column let go once used: fewer
+    # fresh arrays live at once, so fewer of them cost new pages.
     t_sent = np.repeat(ticks[sent], runs)
-    dt = (np.maximum(ticks[warmup:], t_sent) - t_sent) / _MS_PER_S
+    dt = np.maximum(ticks[warmup:], t_sent)
+    dt -= t_sent
+    del t_sent
+    dt = dt.astype(np.float64)  # exact: no time passes MAX_TIME_MS
+    dt /= _MS_PER_S
     rendered = np.repeat(velocities, runs, axis=1)
     rendered *= dt
+    del dt
     origins = np.repeat(positions[:, sent], runs, axis=1)
     return warmup, np.add(origins, rendered, out=rendered)
 
@@ -479,8 +530,11 @@ def export_error_report(
     rendered: np.ndarray,
     entity_id: str = "player-0",
 ) -> ExportErrorReport:
-    """:func:`compute_export_error` of :func:`receiver_run`'s output."""
-    d = positions[:, warmup:] - rendered
+    """:func:`compute_export_error` of :func:`receiver_run`'s output.
+
+    The differences are taken in ``rendered``'s buffer, which is lost.
+    """
+    d = np.subtract(positions[:, warmup:], rendered, out=rendered)
     d *= d
     errors = d[0] + d[1]
     errors += d[2]

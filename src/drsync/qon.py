@@ -77,12 +77,12 @@ class ChurnModelParams:
 
 def quit_probability(params: ChurnModelParams, m: SessionMetrics) -> float:
     """Per-minute probability that this session's player quits."""
-    q = (
-        params.q0
-        + params.a * m.loss_rate
-        + params.b * max(0.0, m.rtt_mean_ms - LATENCY_KNEE_MS) / 100.0
-    )
-    return min(1.0, max(0.0, q))
+    # max(0.0, v) and min(1.0, v) as the comparisons the builtins make.
+    over = m.rtt_mean_ms - LATENCY_KNEE_MS
+    over = over if over > 0.0 else 0.0
+    q = params.q0 + params.a * m.loss_rate + params.b * over / 100.0
+    q = q if q > 0.0 else 0.0
+    return q if q < 1.0 else 1.0
 
 
 def ground_truth_quit(
@@ -337,8 +337,11 @@ def generate_labeled_sessions(n: int, seed: int) -> list[LabeledSession]:
             rtt = 150.0 + (400.0 - 150.0) * draw()
             jitter = 20.0 + (100.0 - 20.0) * draw()
             loss = 0.05 + (0.4 - 0.05) * draw()
-        q = q0 + a * loss + b * max(0.0, rtt - LATENCY_KNEE_MS) / 100.0
-        q = min(1.0, max(0.0, q))
+        over = rtt - LATENCY_KNEE_MS
+        over = over if over > 0.0 else 0.0
+        q = q0 + a * loss + b * over / 100.0
+        q = q if q > 0.0 else 0.0
+        q = q if q < 1.0 else 1.0
         for minute in minutes:
             if draw() < q:
                 sessions.append((_new_metrics((rtt, jitter, loss, minute)), True))

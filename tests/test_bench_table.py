@@ -91,3 +91,40 @@ def test_rows_give_medians_pairs_and_wins():
     ]
     assert by_metric["netsim.goodput_ratio"][7:] == ["0.85", "0.8", "1/2"]
     assert len(lines) == 1 + len(BENCHMARK["end_to_end"]) + 2
+
+
+def layer(side, pair, wall, **stages):
+    return {"side": side, "pair": pair, "workload": "sim-slow-clean", "seed": 1,
+            "runs": 9, "wall_s": wall, "stages": stages}
+
+
+def test_layer_lines_are_optional_and_checked():
+    doc = copy.deepcopy(DOC)
+    doc["layers"] = [layer("parent", 1, 0.02, **{"simulate.sample": 0.002})]
+    assert bench_table.problems(doc, BENCHMARK) == []
+    doc["layers"].append({**layer("other", 1, 0.02), "colour": "red"})
+    doc["layers"].append(layer("change", 1, 0.02, **{"simulate.sample": "fast"}))
+    assert bench_table.problems(doc, BENCHMARK) == [
+        "layers[1]: keys ['colour', 'pair', 'runs', 'seed', 'side', 'stages',"
+        " 'wall_s', 'workload'], side or stages",
+        "layers[2]: keys ['pair', 'runs', 'seed', 'side', 'stages', 'wall_s',"
+        " 'workload'], side or stages",
+    ]
+
+
+def test_layer_rows_give_medians_pairs_and_wins():
+    doc = {**DOC, "layers": [
+        layer("parent", 1, 0.020, **{"simulate.sample": 0.0020, "simulate.sender": 0.004}),
+        layer("change", 1, 0.015, **{"simulate.sample": 0.0010}),
+        layer("parent", 2, 0.030, **{"simulate.sample": 0.0030, "simulate.sender": 0.004}),
+        layer("change", 2, 0.031, **{"simulate.sample": 0.0012}),
+    ]}
+    lines = bench_table.layer_rows([(30, doc)])
+    assert lines[0] == ["pr", "workload", "seed", "pairs", "stage", "parent",
+                        "change", "wins"]
+    # simulate.sender is held by the parent's lines only, so it has no line.
+    assert lines[1:] == [
+        ["30", "sim-slow-clean", "1", "2", "wall_s", "0.025", "0.023", "1/2"],
+        ["30", "sim-slow-clean", "1", "2", "simulate.sample", "0.0025", "0.0011", "2/2"],
+    ]
+    assert bench_table.layer_rows([(21, DOC)]) == lines[:1]

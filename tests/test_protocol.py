@@ -2,8 +2,9 @@ import csv
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drsync.core import DRVector, Vec3, ZERO
@@ -13,6 +14,7 @@ from drsync.protocol import (
     ReceiverState,
     SenderState,
     compute_export_error,
+    exact_sum,
     nearest_rank,
     receiver_apply,
     render_position,
@@ -281,11 +283,93 @@ class TestExportError:
         ],
     )
     def test_non_finite_mean_is_a_value_error(self, errors, message):
-        # Finite errors whose sum passes the float range make fsum raise
-        # OverflowError; that too is a non-finite mean.
+        # Finite errors whose sum passes the float range make the exact sum
+        # raise OverflowError; that too is a non-finite mean.
         with pytest.raises(ValueError, match=message):
             ExportErrorReport("p", list(range(len(errors))), errors)
 
     def test_report_needs_a_tick_for_each_error(self):
         with pytest.raises(ValueError, match="^2 errors for 1 ticks$"):
             ExportErrorReport("e", [0], [0.5, 0.5])
+
+
+def fsum_outcome(values):
+    """``math.fsum``'s result, or the error it raises, as a comparable value."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def exact_outcome(values):
+    try:
+        return exact_sum(np.array(values, dtype=np.float64))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+# Every kind of finite double (zeros of both signs and subnormals too) at
+# most 1e300 in magnitude, so that no sum below passes the float range.
+finite = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0]),
+)
+
+
+class TestExactSum:
+    """``exact_sum`` is ``math.fsum`` on this interpreter, bit for bit."""
+
+    @given(st.lists(finite, min_size=1, max_size=80))
+    @example([1.0, 1e100, 1.0, -1e100])
+    @example([-0.0])
+    @example([-0.0, -0.0, -5e-324, 5e-324])
+    @example([5e-324] * 3 + [-2.2250738585072014e-308])
+    @example([0.1] * 10)
+    @example([1e300, -1e300, 1e-300])
+    @settings(derandomize=True, max_examples=400)
+    def test_equals_fsum_on_finite_values(self, values):
+        assert exact_outcome(values).hex() == fsum_outcome(values).hex()
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=1e306, max_value=1.7976931348623157e308),
+                st.floats(min_value=0.0),
+                st.sampled_from([math.inf, math.nan]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @example([1.7976931348623157e308, 1.7976931348623157e308])
+    @example([1.7976931348623157e308, 2.0**970])  # the halfway case rounds up
+    @example([1.7976931348623157e308, 2.0**969])
+    @example([1e308, math.inf])
+    @example([math.nan, 1.0])
+    @settings(derandomize=True, max_examples=300)
+    def test_overflows_as_fsum_does(self, values):
+        """Over non-negative values, such as errors, both overflow together:
+        both raise, or both end non-finite, or both give one finite sum."""
+        fsum_ok, exact_ok = fsum_outcome(values), exact_outcome(values)
+        if type(fsum_ok) is float and math.isfinite(fsum_ok):
+            assert exact_ok == fsum_ok
+        else:
+            assert not (type(exact_ok) is float and math.isfinite(exact_ok))
+
+    @given(
+        st.lists(finite, min_size=1, max_size=8),
+        st.sampled_from([math.inf, -math.inf, math.nan]),
+    )
+    @settings(derandomize=True, max_examples=100)
+    def test_non_finite_values_give_fsums_special_value(self, values, special):
+        values = [*values, special]
+        assert repr(exact_outcome(values)) == repr(fsum_outcome(values))
+
+    def test_a_mixed_sign_overflow_in_between_still_sums(self):
+        # fsum raises here: its partial sum passes the float range.
+        assert exact_outcome([1e308, 1e308, -1e308]) == 1e308
+
+    def test_the_run_errors_sum_as_fsum(self):
+        rng = np.random.default_rng(1)
+        errors = np.abs(rng.normal(size=36_001)) * 3.0
+        assert exact_sum(errors) == math.fsum(errors)

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -98,9 +99,17 @@ def generators(draw):
     )
 
 
+# Steps that overflow to +-inf clamp to the walls, and so does any step
+# in a box of one subnormal.
+HUGE_STEPS = TrajectoryGenConfig(speed_min=1e307, speed_max=1e308)
+TINY_BOX = TrajectoryGenConfig(box_size=5e-324, speed_min=1e-3, speed_max=1e-3)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @example(gen=comparison_scenario().trajectory.generator, steps=200, seed=4)
 @example(gen=TrajectoryGenConfig(waypoint_interval_max_ms=2000), steps=30, seed=1)
+@example(gen=HUGE_STEPS, steps=40, seed=2)
+@example(gen=TINY_BOX, steps=40, seed=3)
 @given(gen=generators(), steps=st.integers(1, 60), seed=st.integers(0, 2**64))
 def test_trajectory_draws_as_random_random(gen, steps, seed):
     duration_ms = steps * gen.waypoint_interval_min_ms
@@ -108,6 +117,19 @@ def test_trajectory_draws_as_random_random(gen, steps, seed):
     assert repr(script.waypoints) == repr(
         reference_trajectory(gen, duration_ms, seed).waypoints
     )
+
+
+@pytest.mark.parametrize(
+    "gen", [TrajectoryGenConfig(), HUGE_STEPS, TINY_BOX], ids=["default", "huge", "tiny"]
+)
+def test_trajectory_clamps_as_builtin_min_max_over_many_seeds(gen):
+    for seed in range(40):
+        script = generate_trajectory(gen, 100_000, seed)
+        reference = reference_trajectory(gen, 100_000, seed)
+        assert np.array_equal(script._t, reference._t)
+        assert script._p.tobytes() == reference._p.tobytes()
+    if gen is HUGE_STEPS:  # the walk reaches both walls of every axis
+        assert {0.0, gen.box_size} <= set(script._p.ravel().tolist())
 
 
 class TestTrajectoryGenerator:

@@ -18,7 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drsync import protocol, scenario
-from drsync.core import TrajectoryScript, Vec3, sample_positions, sample_trajectory
+from drsync.core import (
+    DRVector,
+    TrajectoryScript,
+    Vec3,
+    sample_positions,
+    sample_trajectory,
+)
 from drsync.netsim import (
     DejitterConfig,
     LatePolicy,
@@ -33,6 +39,7 @@ from drsync.protocol import (
     SenderState,
     compute_export_error,
     receiver_apply,
+    receiver_run,
     render_position,
     sender_run,
     sender_tick,
@@ -473,6 +480,66 @@ def test_walkers_send_as_sender_tick(segment_ticks, threshold):
     cfg = ProtocolConfig(threshold=threshold, tick_ms=50)
     sent, _ = sender_run(cfg, positions, runs)
     assert sent.tolist() == tick_sends(cfg, ticks, positions)
+
+
+@st.composite
+def receptions(draw):
+    """A tick grid, the ticks that sent, and each send's delivery time or -1."""
+    tick_ms = draw(st.integers(1, 100))
+    n = draw(st.integers(2, 40))
+    sent = sorted(draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) | {0})
+    end = (n + 3) * tick_ms
+    deliver = draw(
+        st.lists(
+            st.one_of(st.just(-1), st.integers(0, end)),
+            min_size=len(sent),
+            max_size=len(sent),
+        )
+    )
+    return {"tick_ms": tick_ms, "n": n, "sent": sent, "deliver": deliver}
+
+
+def tick_renders(case, positions, velocities):
+    """The warm-up ticks and rendered positions of receiver_apply and
+    render_position, applying deliveries in (deliver_ms, seq) order."""
+    tick, sent = case["tick_ms"], case["sent"]
+    drs = [
+        DRVector("e", seq, k * tick, Vec3(*positions[:, k]), Vec3(*velocities[:, i]))
+        for i, (seq, k) in enumerate(zip(range(1, len(sent) + 1), sent))
+    ]
+    order = sorted(
+        (d, dr.seq) for d, dr in zip(case["deliver"], drs) if d >= 0
+    )
+    state, rendered, di = ReceiverState(), [], 0
+    for t in range(0, case["n"] * tick, tick):
+        while di < len(order) and order[di][0] <= t:
+            receiver_apply(state, drs[order[di][1] - 1])
+            di += 1
+        rendered.append(render_position(state, t))
+    warmup = rendered.count(None)
+    return warmup, rendered[warmup:]
+
+
+@given(case=receptions(), seed=st.integers(0, 2**32))
+# Two deliveries first shown at one tick; a stale seq delivered after a newer
+# one; deliveries after the last tick; and nothing shown at all.
+@example(case={"tick_ms": 10, "n": 5, "sent": [0, 1, 2], "deliver": [12, 15, -1]}, seed=1)
+@example(case={"tick_ms": 10, "n": 5, "sent": [0, 1, 2], "deliver": [25, 12, 31]}, seed=1)
+@example(case={"tick_ms": 10, "n": 5, "sent": [0, 1, 2], "deliver": [5, 41, 100]}, seed=1)
+@example(case={"tick_ms": 10, "n": 5, "sent": [0, 2], "deliver": [-1, 45]}, seed=1)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_receiver_run_renders_as_receiver_apply(case, seed):
+    rng = np.random.default_rng(seed)
+    positions = rng.normal(size=(3, case["n"])) * 100.0
+    velocities = rng.normal(size=(3, len(case["sent"])))
+    ticks = np.arange(case["n"], dtype=np.int64) * case["tick_ms"]
+    deliver = np.array(case["deliver"], dtype=np.int64)
+    sent = np.array(case["sent"], dtype=np.intp)
+    warmup, rendered = receiver_run(ticks, deliver, sent, positions, velocities)
+    expected_warmup, expected = tick_renders(case, positions, velocities)
+    assert warmup == expected_warmup
+    assert rendered.shape == (3, case["n"] - warmup)
+    assert [Vec3(*p) for p in rendered.T.tolist()] == expected
 
 
 class TestReportColumns:

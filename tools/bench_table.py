@@ -1,6 +1,6 @@
 """Print every committed benchmark run as one table of paired medians.
 
-    python3 tools/bench_table.py [BENCH_FILE ...]
+    python3 tools/bench_table.py [--layers] [BENCH_FILE ...]
 
 With no file named, it reads every ``BENCH_<n>.json`` at the repository
 root, in PR order.  Runs are grouped by PR, run set (where the file names
@@ -11,6 +11,11 @@ pairs, and the pairs in which the change did better, in the metric's
 ``better`` direction; a tie counts for neither side.  Traced runs
 (``--trace 1``) hold per-layer metrics, so their group prints one such line
 for each per-layer metric that every run of the group holds.
+
+With ``--layers`` it prints instead the ``layers`` lines a file may hold,
+``tools/layers.py``'s output for parent and change: for each group and
+each stage, and for the op's ``wall_s``, the medians over each side's
+lines, the pairs and the change's wins.
 
 Each file must keep one schema (:func:`problems`); a file that breaks it is
 reported on stderr and the exit status is 1.
@@ -29,6 +34,7 @@ SIDES = ("parent", "change")
 RUN_KEYS = {"side", "pair", "workload", "seed", "trace", "result"}
 OPTIONAL_RUN_KEYS = {"set", "exit"}
 RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
+LAYER_KEYS = {"side", "pair", "workload", "seed", "runs", "wall_s", "stages"}
 
 
 def load_benchmark() -> dict:
@@ -43,7 +49,9 @@ def problems(doc: object, benchmark: dict) -> list[str]:
     :data:`OPTIONAL_RUN_KEYS`; its ``side`` is ``parent`` or ``change`` and
     its ``trace`` 0 or 1.  Its result holds :data:`RESULT_KEYS`.  The metrics
     of an untraced run are the end-to-end ones of ``benchmark``, and those
-    of a traced run per-layer ones, each a ``value`` and a ``unit``.
+    of a traced run per-layer ones, each a ``value`` and a ``unit``.  An
+    optional list of ``layers`` holds :data:`LAYER_KEYS` in each line, its
+    ``stages`` mapping names to seconds.
     """
     if not isinstance(doc, dict):
         return ["not a JSON object"]
@@ -54,6 +62,14 @@ def problems(doc: object, benchmark: dict) -> list[str]:
     ]
     end_to_end = {m["name"] for m in benchmark["end_to_end"]}
     per_layer = {m["name"] for m in benchmark["per_layer"]}
+    layers = doc.get("layers", [])
+    for i, line in enumerate(layers if isinstance(layers, list) else [None]):
+        keys = set(line) if isinstance(line, dict) else set()
+        if keys != LAYER_KEYS or line["side"] not in SIDES or not (
+            isinstance(line["stages"], dict)
+            and all(isinstance(v, (int, float)) for v in line["stages"].values())
+        ):
+            found.append(f"layers[{i}]: keys {sorted(keys)}, side or stages")
     runs = doc.get("runs")
     if not isinstance(runs, list) or not runs:
         return found + ["runs: missing or empty"]
@@ -112,17 +128,46 @@ def rows(docs: list[tuple[int, dict]], benchmark: dict) -> list[list[str]]:
                     side: {p: m[name]["value"] for p, m in runs.items()}
                     for side, runs in sides.items()
                 }
-                wins = sum(
-                    sign * value["change"][p] < sign * value["parent"][p] for p in pairs
-                )
-                medians = [
-                    f"{statistics.median(value[side].values()):.4g}" for side in SIDES
-                ]
-                lines.append(head + [name, *medians, f"{wins}/{len(pairs)}"])
+                lines.append(head + [name, *_paired(value, pairs, sign)])
+    return lines
+
+
+def _paired(value: dict[str, dict[int, float]], pairs: list[int], sign: int) -> list[str]:
+    """Each side's median of ``value`` and the change's wins in ``pairs``,
+    ``sign`` being 1 where lower is better and -1 where higher is."""
+    wins = sum(sign * value["change"][p] < sign * value["parent"][p] for p in pairs)
+    medians = [f"{statistics.median(value[side].values()):.4g}" for side in SIDES]
+    return [*medians, f"{wins}/{len(pairs)}"]
+
+
+def layer_rows(docs: list[tuple[int, dict]]) -> list[list[str]]:
+    """The ``--layers`` table's lines as cells, header first."""
+    lines = [["pr", "workload", "seed", "pairs", "stage", "parent", "change", "wins"]]
+    for pr, doc in docs:
+        groups: dict[tuple, dict[str, dict[int, dict]]] = {}
+        for line in doc.get("layers", []):
+            sides = groups.setdefault(
+                (line["workload"], line["seed"]), {side: {} for side in SIDES}
+            )
+            sides[line["side"]][line["pair"]] = {
+                "wall_s": line["wall_s"], **line["stages"]
+            }
+        for (workload, seed), sides in groups.items():
+            pairs = sorted(sides["parent"].keys() & sides["change"].keys())
+            head = [str(pr), workload, str(seed), str(len(pairs))]
+            held = [s for by_pair in sides.values() for s in by_pair.values()]
+            for stage in [s for s in held[0] if all(s in names for names in held)]:
+                value = {
+                    side: {p: s[stage] for p, s in by_pair.items()}
+                    for side, by_pair in sides.items()
+                }
+                lines.append(head + [stage, *_paired(value, pairs, 1)])
     return lines
 
 
 def main(argv: list[str]) -> int:
+    show_layers = "--layers" in argv
+    argv = [a for a in argv if a != "--layers"]
     paths = [Path(a) for a in argv] or sorted(ROOT.glob("BENCH_*.json"), key=_pr)
     benchmark = load_benchmark()
     docs, status = [], 0
@@ -135,10 +180,13 @@ def main(argv: list[str]) -> int:
             status = 1
         else:
             docs.append((_pr(path), doc))
-    lines = rows(docs, benchmark)
+    if show_layers:
+        lines, right = layer_rows(docs), (0, 2, 3, 5, 6, 7)
+    else:
+        lines, right = rows(docs, benchmark), (0, 3, 4, 5, 7, 8, 9)
     widths = [max(len(line[j]) for line in lines) for j in range(len(lines[0]))]
     for line in lines:
-        cells = [c.rjust(w) if j in (0, 3, 4, 5, 7, 8, 9) else c.ljust(w)
+        cells = [c.rjust(w) if j in right else c.ljust(w)
                  for j, (c, w) in enumerate(zip(line, widths))]
         print("  ".join(cells).rstrip())
     return status
