@@ -96,6 +96,16 @@ def deviation(true_pos: Vec3, predicted_pos: Vec3) -> float:
     return math.sqrt(d.x * d.x + d.y * d.y + d.z * d.z)
 
 
+_WAYPOINT_FIELDS = ("t_ms", "x", "y", "z")
+# A waypoint row as numpy parses it.
+_WAYPOINT_DTYPE = np.dtype([("t_ms", np.int64)] + [(c, np.float64) for c in "xyz"])
+
+
+def _waypoints(block: np.ndarray) -> list[np.ndarray]:
+    """The times and ``(n, 3)`` positions of one parsed block of waypoints."""
+    return [block["t_ms"], np.stack([block["x"], block["y"], block["z"]], axis=1)]
+
+
 class TrajectoryScript:
     """Ground-truth motion as straight segments between timed waypoints.
 
@@ -166,18 +176,14 @@ class TrajectoryScript:
 
     @classmethod
     def from_csv(cls, path: str) -> TrajectoryScript:
-        """Load waypoints from a CSV file with header ``t_ms,x,y,z``."""
-        waypoints = spec.read_csv(
-            path,
-            {
-                ("t_ms", "x", "y", "z"): lambda row: (
-                    int(row[0]),
-                    Vec3(float(row[1]), float(row[2]), float(row[3])),
-                )
-            },
-        )
+        """Load waypoints from a CSV file with header ``t_ms,x,y,z``, row by
+        row where :func:`spec.read_columns` declines it."""
+        columns = spec.read_columns(path, _WAYPOINT_FIELDS, _WAYPOINT_DTYPE, _waypoints)
+        if columns is None:
+            build = lambda row: (int(row[0]), Vec3._make(map(float, row[1:])))
+            rows = spec.read_csv(path, {_WAYPOINT_FIELDS: build})
         try:
-            return cls(waypoints)
+            return cls(rows) if columns is None else cls.from_columns(*columns)
         except ValueError as exc:
             raise spec.InputFileError([f"{path}: {exc}"]) from exc
 

@@ -28,7 +28,7 @@ import gc
 import itertools
 import math
 import random
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -390,65 +390,58 @@ def _metrics(row: list[str]) -> tuple[SessionMetrics, bool | None]:
     return m, spec.flag(row[4]) if len(row) > 4 else None
 
 
-# A sessions CSV row as numpy parses it: four floats and a flag cell.
-_SESSION_DTYPE = np.dtype(
-    [(name, np.float64) for name in _METRICS_FIELDS]
-    + [("quit_premature", spec.text_field(spec.FLAG_TEXTS))]
-)
+# A metrics or sessions CSV row's fields as numpy parses them, in order.
+_FIELD_TYPES = [np.float64] * 4 + [spec.text_field(spec.FLAG_TEXTS)]
 # Builds a SessionMetrics from a tuple without NamedTuple._make's length
 # check, which cost more than the rest of a block's conversion.
 _new_metrics = functools.partial(tuple.__new__, SessionMetrics)
 
 
-def _block_sessions(block: np.ndarray) -> Iterator[LabeledSession]:
-    """The sessions of one parsed block, each checked as :func:`_metrics`
-    and :func:`spec.flag` check a row; a failed check raises ``ValueError``."""
-    for name, top in zip(_METRICS_FIELDS, _METRIC_TOPS):
-        v = block[name]
+def _metric_columns(block: np.ndarray) -> list[np.ndarray]:
+    """The columns of one parsed block, each checked as :func:`_metrics` and
+    :func:`spec.flag` check a row; a failed check raises ``ValueError``."""
+    columns = [block[name] for name in block.dtype.names]
+    for v, top in zip(columns, _METRIC_TOPS):
         if not ((0.0 <= v) & (v <= top) & (v < math.inf)).all():
             raise ValueError("a metric is out of range")
-    quit_early = spec.codes(block["quit_premature"], spec.FLAG_TEXTS)
-    metrics = block[list(_METRICS_FIELDS)].tolist()  # tuples of Python floats
-    return zip(map(_new_metrics, metrics), quit_early.tolist())
+    return columns[:4] + [spec.codes(c, spec.FLAG_TEXTS) for c in columns[4:]]
 
 
-def read_sessions_csv(path: str) -> list[LabeledSession]:
-    """Inverse of :func:`write_sessions_csv`.
+def _read_metrics(path: str, headers: tuple) -> list:
+    """The rows of a file with one of ``headers``, as :func:`_metrics` gives
+    them: through :func:`spec.read_columns`, or through :func:`spec.read_csv`
+    where it declines the file, a failed check included, so that the row
+    reader's error names the row.
 
-    numpy's parser reads the file a block of lines at a time
-    (:func:`spec.read_csv_blocks`), and each block is checked and turned
-    into sessions before the next is read.  A file it declines, or that
-    fails a check, is read again row by row, and that reader's error names
-    the row.
-
-    The blocks make three tuples per session, none of which can be part of
-    a cycle, so the cyclic collector is paused while they are built: it
-    took an eighth of the read at 20,000 sessions and a fifth at 250,000.
+    The rows make three tuples each, none of which can be part of a cycle,
+    so the cyclic collector is paused while they are built: it took an
+    eighth of the read at 20,000 sessions and a fifth at 250,000.
     """
-    sessions: list[LabeledSession] = []
-
-    def take(block: np.ndarray) -> None:
-        sessions.extend(_block_sessions(block))
-
     collecting = gc.isenabled()
     gc.disable()
     try:
-        read = spec.read_csv_blocks(path, _SESSION_FIELDS, _SESSION_DTYPE, take)
+        for header in headers:
+            dtype = np.dtype(list(zip(header, _FIELD_TYPES)))
+            columns = spec.read_columns(path, header, dtype, _metric_columns)
+            if columns is not None:
+                metrics = map(_new_metrics, zip(*(c.tolist() for c in columns[:4])))
+                flags = columns[4].tolist() if header[4:] else itertools.repeat(None)
+                return list(zip(metrics, flags))
     finally:
         if collecting:
             gc.enable()
-    return sessions if read else _read_session_rows(path)
+    return spec.read_csv(path, dict.fromkeys(headers, _metrics))
 
 
-def _read_session_rows(path: str) -> list[LabeledSession]:
-    """:func:`read_sessions_csv` through :func:`spec.read_csv`, one row at a time."""
-    return spec.read_csv(path, {_SESSION_FIELDS: _metrics})
+def read_sessions_csv(path: str) -> list[LabeledSession]:
+    """Inverse of :func:`write_sessions_csv`."""
+    return _read_metrics(path, (_SESSION_FIELDS,))
 
 
 def read_metrics_csv(path: str) -> list[tuple[SessionMetrics, bool | None]]:
     """Read unlabeled metrics; an optional ``connectivity_recoverable`` column rides along."""
     recoverable = (*_METRICS_FIELDS, "connectivity_recoverable")
-    return spec.read_csv(path, {_METRICS_FIELDS: _metrics, recoverable: _metrics})
+    return _read_metrics(path, (_METRICS_FIELDS, recoverable))
 
 
 def weights_to_dict(w: PredictorWeights) -> dict:

@@ -9,11 +9,10 @@ back.  Rules that relate fields live in a class's static
 ``_relations(values)``, which gets :data:`INVALID` for a field that broke
 its own rule.
 
-CSV readers share :func:`read_csv` and the cell converters ``int``,
-``float`` and :func:`flag`; each reader's row builder checks the ranges of
-its cells.  :func:`read_csv_blocks` is a faster path through numpy's parser
-for files that :func:`read_csv` would read the same way; a reader falls back
-to :func:`read_csv` whenever it declines.  Every CSV output goes through
+Every CSV input is read by :func:`read_columns`, through numpy's parser,
+where that reads it as :func:`read_csv` would, and by :func:`read_csv`
+otherwise: its row builders check each cell with ``int``, ``float`` and
+:func:`flag`, and its errors name the row.  Every CSV output goes through
 :func:`write_csv`, which takes columns, not rows, and formats a block of
 rows at a time; a string column is a :class:`Table` of codes into a few
 texts, each quoted once by ``csv.writer``, and a column that many files
@@ -26,6 +25,8 @@ import csv
 import dataclasses
 import enum
 import json
+import os
+import stat
 import sys
 import types
 import warnings
@@ -38,7 +39,7 @@ T = TypeVar("T")
 _MISSING = dataclasses.MISSING
 # Rows that write_csv formats and a Trace converts at a time.
 _ITER_ROWS = 4096
-# The most characters read_csv_blocks reads at a time: half of csv's default
+# The most characters read_columns reads at a time: half of csv's default
 # field limit, which read no slower than the whole limit and holds half as
 # much text, and as many lines, at a time.
 _CHUNK_CHARS = 2**16
@@ -474,33 +475,46 @@ def read_csv(
 _DECLINED = '"\x00\x0b\x0c\x1c\x1d\x1e\x1f'
 
 
-def read_csv_blocks(
+def read_columns(
     path: str,
     header: Sequence[str],
     dtype: np.dtype,
-    take: Callable[[np.ndarray], None],
-) -> bool:
-    """Parse the data rows of a CSV file with numpy, a block of lines at a time.
+    convert: Callable[[np.ndarray], list[np.ndarray]],
+) -> list[np.ndarray] | None:
+    """The columns of a CSV file's data rows, parsed by numpy a block of lines
+    at a time; or None, and then :func:`read_csv` must read the file.
 
     The text after the header is read ``_CHUNK_CHARS`` characters at a time
     (csv's field limit, if that is lower), less the unfinished line carried
     over, and split where the file's lines end; a chunk's last line waits
     for the next chunk unless it ends in ``\n``.  The lines before it make a
-    block, a structured array of ``dtype`` that goes to ``take`` before the
-    next chunk is read, so only one block of cells is alive at a time.  A
+    block, a structured array of ``dtype``, which ``convert`` checks and
+    turns into columns.  Those are written into arrays made once, as long as
+    the most rows the file's size allows (a row takes a ``,`` or line end
+    per field at least), and cut to the rows written at the end: one block
+    is alive at a time, and no row is copied twice.  A
     string field of the ``object`` type holds each cell exactly as
-    :func:`read_csv` does; one of a fixed width ``U<n>`` holds its first
-    ``n`` characters.
+    :func:`read_csv` does; one of a fixed width ``U<n>``, its first ``n``.
 
-    Returns whether the whole file was read.  It is not when the file might
-    not read as :func:`read_csv` reads it: a header other than ``header``
-    exactly; a chunk with non-ASCII text or a character of ``_DECLINED``; a
+    None is returned when the file might not read as :func:`read_csv` reads
+    it: a file that is not regular, such as a pipe, which can be read only
+    once; a header other than ``header``; a chunk with non-ASCII text, a
+    character of ``_DECLINED`` or a run of zeros too long for ``int``; a
     line as long as a whole chunk, so that every line parsed is shorter than
-    csv's field limit; or anything numpy's parser or ``take`` declines with
-    a ``ValueError``, ``KeyError`` or warning.  The caller then reads the
-    file with :func:`read_csv`, which judges it.
+    csv's field limit; or anything numpy's parser or ``convert`` declines
+    with a ``ValueError``, ``KeyError`` or warning.
     """
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    most = (info.st_size + 1) // len(dtype)
     limit = min(_CHUNK_CHARS, csv.field_size_limit())
+    # int reads no cell of more digits than its limit (0 for none), and one
+    # that numpy reads as an int64 has at most 19 digits past its zeros.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    declined = [*_DECLINED, "0" * (digits - 18)] if digits else _DECLINED
+    columns: list[np.ndarray] = []
+    rows = 0
     try:
         with open(path, newline="") as fh, warnings.catch_warnings():
             # numpy 1.23 reads an integer cell such as "1.7" through a float,
@@ -509,31 +523,39 @@ def read_csv_blocks(
             # Blank lines and the end of the input; read_csv skips both too.
             warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
             if fh.readline().rstrip("\r\n") != ",".join(header):
-                return False
-            rest = ""  # the unfinished line that ends the last chunk
-            while True:
+                return None
+            rest, end = "", False  # the unfinished line that ends the last chunk
+            while not end:
                 text = rest + fh.read(limit - len(rest))
                 # A text file's read(n) is short only at the end of the file.
                 end = len(text) < limit
                 # A character the checks decline in the rest declines the
                 # next chunk anyway.
-                if not text.isascii() or any(c in text for c in _DECLINED):
-                    return False
+                if not text.isascii() or any(c in text for c in declined):
+                    return None
                 lines = text.splitlines(True)  # where the file's lines end
-                del text  # each chunk's text, lines and cells are freed early
+                del text  # each chunk's text and lines are freed early
                 # The last line waits for the next chunk unless it ends in
                 # "\n": it may be cut short, or its "\r" begin a "\r\n".
                 rest = "" if end or lines[-1].endswith("\n") else lines.pop()
-                if not lines:  # the end of the file, or a chunk of one line
-                    return end
+                if not (lines or end):  # a chunk of one line
+                    return None
                 block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
                 del lines
-                take(block)
-                del block
-                if end:
-                    return True
+                got = convert(block)
+                if not columns:
+                    columns = [np.empty((most, *c.shape[1:]), c.dtype) for c in got]
+                stop = rows + len(got[0])
+                for column, values in zip(columns, got):
+                    column[rows:stop] = values  # a ValueError past the file's rows
+                rows = stop
     except (ValueError, KeyError, Warning):  # a UnicodeDecodeError too
-        return False
+        return None
+    # Give back the rows never written: left standing, malloc placed later
+    # objects there, and repeated trace reads peaked 5 MiB higher.
+    for column in columns:
+        column.resize((rows, *column.shape[1:]), refcheck=False)
+    return columns
 
 
 def text_field(texts: Sequence[str]) -> str:

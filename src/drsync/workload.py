@@ -31,7 +31,6 @@ import array
 import enum
 import itertools
 import math
-import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -568,31 +567,16 @@ _TRACE_DTYPE = np.dtype(
 )
 
 
-# The fewest characters a data row of a trace CSV takes: "0,,c2s,0,0,true"
-# and a line end.  A file of n bytes holds at most (n + 1) // this many rows
-# (a block past them would raise ValueError and go to the row reader).
-_SHORTEST_ROW = 16
-
-
 def read_trace_csv(path: str) -> Trace:
     """Inverse of :func:`write_trace_csv`; the rows must be sorted by time.
 
-    numpy's parser reads the file a block of lines at a time
-    (:func:`spec.read_csv_blocks`), and each block is written into columns
-    made before the first one, as long as the most rows the file's size
-    allows.  Only the rows written are touched, and the trace holds views
-    of them, so no row is copied twice.  A file the parser declines, or
-    that fails a check, is read again row by row, and that reader's error
-    names the row.
+    A file that numpy's parser (:func:`spec.read_columns`) declines, or that
+    fails a check, is read again row by row, and that reader's error names
+    the row.
     """
     ids: dict[str, int] = {}
-    most = (os.path.getsize(path) + 1) // _SHORTEST_ROW
-    dtypes = (np.int64, np.int64, np.int8, np.int64, np.int64, bool)
-    columns = [np.empty(most, dtype) for dtype in dtypes]
-    rows = 0
 
-    def take(block: np.ndarray) -> None:
-        nonlocal rows
+    def convert(block: np.ndarray) -> list[np.ndarray]:
         names = block["conn_id"].tolist()
         try:
             conn = np.fromiter(map(ids.__getitem__, names), np.int64, len(names))
@@ -600,21 +584,18 @@ def read_trace_csv(path: str) -> Trace:
             conn = np.fromiter(
                 (ids.setdefault(name, len(ids)) for name in names), np.int64, len(names)
             )
-        fields = (
+        return [
             block["t_ms"],
             conn,
             spec.codes(block["direction"], DIRECTION_TEXTS),
             block["payload_bytes"],
             block["header_bytes"],
             spec.codes(block["is_ack"], spec.FLAG_TEXTS),
-        )
-        stop = rows + len(block)
-        for column, field in zip(columns, fields):
-            column[rows:stop] = field
-        rows = stop
+        ]
 
-    if spec.read_csv_blocks(path, _TRACE_FIELDS, _TRACE_DTYPE, take):
-        t, conn, direction, payload, header, is_ack = (c[:rows] for c in columns)
+    columns = spec.read_columns(path, _TRACE_FIELDS, _TRACE_DTYPE, convert)
+    if columns is not None:
+        t, conn, direction, payload, header, is_ack = columns
         try:
             return Trace(t, conn, ids, direction, payload, header, is_ack)
         except ValueError:

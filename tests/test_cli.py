@@ -764,3 +764,60 @@ class TestPredictFit:
         )
         assert main(["fit", "--data", str(path)]) == 1
         assert "degenerate" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+class TestPipedInput:
+    """An input file that is a pipe is read once, by the row reader."""
+
+    SESSIONS = (
+        "rtt_mean_ms,rtt_jitter_ms,loss_rate,elapsed_min,quit_premature\n"
+        "40.0,2.0,0.0,30.0,false\n"
+        "450.0,80.0,0.3,5.0,true\n"
+    )
+
+    def drsync(self, *argv, stdin=None):
+        """``drsync`` in a child process, its stdin fed ``stdin``."""
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        return subprocess.run(
+            [sys.executable, "-m", "drsync", *argv],
+            input=stdin, capture_output=True, text=True, env=env, check=False,
+        )
+
+    def test_analyze_reads_a_trace_from_a_pipe(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        trace = workload.generate_trace(workload.preset("mmorpg"), 2, 5_000, seed=1)
+        workload.write_trace_csv(trace, str(path))
+        from_file = self.drsync("analyze", "--trace", str(path))
+        piped = self.drsync("analyze", "--trace", "/dev/stdin", stdin=path.read_text())
+        assert (piped.returncode, piped.stderr) == (0, "")
+        assert piped.stdout == from_file.stdout
+
+    def test_fit_names_the_bad_row_of_a_pipe(self, tmp_path):
+        bad = self.SESSIONS + "1.0,2.0,0.3,-4.0,true\n"
+        proc = self.drsync("fit", "--data", "/dev/stdin", "--out",
+                           str(tmp_path / "w.json"), stdin=bad)
+        assert proc.returncode == 1
+        problem = "/dev/stdin row 4: elapsed_min must be in [0, inf), got -4.0"
+        assert problem in proc.stderr
+
+    def test_fit_reads_a_quoted_cell_from_a_pipe(self, tmp_path):
+        # A quoted cell sends a file to the row reader, which reads it once.
+        text = self.SESSIONS + '"1.0",2.0,0.3,4.0,true\n'
+        path, piped, written = (tmp_path / n for n in ("s.csv", "p.json", "f.json"))
+        path.write_text(text)
+        fit = ("fit", "--epochs", "50", "--out")
+        assert self.drsync(*fit, str(written), "--data", str(path)).returncode == 0
+        proc = self.drsync(*fit, str(piped), "--data", "/dev/stdin", stdin=text)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert piped.read_text() == written.read_text()
+
+    def test_predict_reads_metrics_from_a_pipe(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text(TestPredictFit.METRICS)
+        from_file = self.drsync("predict", "--metrics", str(path))
+        piped = self.drsync(
+            "predict", "--metrics", "/dev/stdin", stdin=path.read_text()
+        )
+        assert (piped.returncode, piped.stderr) == (0, "")
+        assert piped.stdout == from_file.stdout

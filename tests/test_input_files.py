@@ -896,13 +896,19 @@ def trace_text(rows: int, edits) -> str:
          ("false", "true")[k % 4 == 0]]
         for k in range(rows)
     ]
-    ends = ["\n"] * rows
+    return edited_text(TRACE_HEADER, cells, edits)
+
+
+def edited_text(header: str, cells, edits) -> str:
+    """A CSV text of ``header`` and the rows of ``cells``, with ``edits``
+    made as :func:`trace_text` makes them."""
+    ends = ["\n"] * len(cells)
     for row, col, text in edits:
         if col is None:
             ends[row - 1] = text
         else:
             cells[row - 1][col] = text
-    return TRACE_HEADER + "\n" + "".join(
+    return header + "\n" + "".join(
         ",".join(row) + end for row, end in zip(cells, ends)
     )
 
@@ -972,6 +978,8 @@ def read_outcome(read, path):
 @example(case=(3, [(1, 1, '"a,b"'), (2, 1, '"a""b"'), (3, 1, '"a\nb"')]))
 @example(case=(3, [(1, 0, "١٢"), (2, None, "\r\n"), (3, None, "\n \n")]))
 @example(case=(3, [(2, 3, "\u01fe")]))
+# More digits than int reads, which numpy reads.
+@example(case=(3, [(2, 3, "0" * 5000 + "7"), (3, 0, "0" * 4300 + "1")]))
 @example(case=(3, [(3, 1, "\udcff")]))
 @example(case=(3, [(2, 4, "\x1c7")]))
 @example(case=(2, [(1, 3, LONG_CELLS[0])]))
@@ -1045,19 +1053,19 @@ def test_block_reader_reads_many_chunks_without_the_row_reader(tmp_path, monkeyp
     assert len(text) > 5 * CHUNK
     expected = read_outcome(workload._read_trace_rows, lf)
     assert read_outcome(workload._read_trace_rows, crlf) == expected
-    read_blocks, blocks = spec.read_csv_blocks, []
+    read_columns, blocks = spec.read_columns, []
 
-    def counted(path, header, dtype, take):
-        def take_counted(block):
+    def counted(path, header, dtype, convert):
+        def convert_counted(block):
             blocks.append(len(block))
-            take(block)
+            return convert(block)
 
-        return read_blocks(path, header, dtype, take_counted)
+        return read_columns(path, header, dtype, convert_counted)
 
     def no_rows(path):
         raise AssertionError("the row reader ran")
 
-    monkeypatch.setattr(spec, "read_csv_blocks", counted)
+    monkeypatch.setattr(spec, "read_columns", counted)
     monkeypatch.setattr(workload, "_read_trace_rows", no_rows)
     for path in (lf, crlf):
         blocks.clear()
@@ -1103,33 +1111,32 @@ FLAG_CELLS = [
 ]
 
 
-def sessions_text(rows: int, edits) -> str:
+def sessions_text(rows: int, edits, header: str = SESSIONS_HEADER) -> str:
     """A sessions CSV of ``rows`` data rows with ``edits`` made, as
-    :func:`trace_text` makes them."""
+    :func:`trace_text` makes them; with another ``header``, a metrics CSV
+    of its columns."""
     cells = [
         [repr(k * 0.37 % 400), repr(k % 7 / 3), repr(k % 10 / 10), repr(float(k % 6)),
-         ("false", "true")[k % 3 == 0]]
+         ("false", "true")[k % 3 == 0]][: header.count(",") + 1]
         for k in range(rows)
     ]
-    ends = ["\n"] * rows
-    for row, col, text in edits:
-        if col is None:
-            ends[row - 1] = text
-        else:
-            cells[row - 1][col] = text
-    return SESSIONS_HEADER + "\n" + "".join(
-        ",".join(row) + end for row, end in zip(cells, ends)
-    )
+    return edited_text(header, cells, edits)
 
 
+# The headers of a metrics CSV: the metrics alone, or with a flag column.
+METRICS_HEADERS = [
+    SESSIONS_HEADER.removesuffix(",quit_premature"),
+    SESSIONS_HEADER.replace("quit_premature", "connectivity_recoverable"),
+]
 SESSIONS_EDGE = edge_row(sessions_text(BLOCK, []))
+METRICS_EDGE = edge_row(sessions_text(BLOCK, [], METRICS_HEADERS[0]))
 
 
 @st.composite
-def session_files(draw):
+def session_files(draw, width=5):
     rows = draw(st.one_of(
         st.integers(0, 12),
-        st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, SESSIONS_EDGE]),
+        st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, SESSIONS_EDGE, METRICS_EDGE]),
     ))
     edits = []
     for _ in range(draw(st.integers(0, 4)) if rows else 0):
@@ -1137,7 +1144,7 @@ def session_files(draw):
             st.integers(1, rows),
             st.sampled_from([1, rows, min(rows, BLOCK), min(rows, SESSIONS_EDGE)]),
         ))
-        col = draw(st.sampled_from([0, 1, 2, 3, 4, None]))
+        col = draw(st.sampled_from([*range(width), None]))
         if col is None:
             text = draw(st.sampled_from(LINE_ENDS))
         elif col == 4:
@@ -1150,6 +1157,14 @@ def session_files(draw):
             ))
         edits.append((row, col, text))
     return rows, edits
+
+
+def by_rows(read, path):
+    """``read(path)`` with :func:`spec.read_columns` declining every file, so
+    that the row reader reads it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spec, "read_columns", lambda *args: None)
+        return read(path)
 
 
 def sessions_outcome(read, path):
@@ -1196,7 +1211,7 @@ def test_block_reader_reads_sessions_as_the_row_reader(tmp_path_factory, case):
     # its error text.
     path = tmp_path_factory.getbasetemp() / "sessions.csv"
     path.write_text(sessions_text(*case), newline="")
-    expected = sessions_outcome(qon._read_session_rows, path)
+    expected = sessions_outcome(lambda p: by_rows(qon.read_sessions_csv, p), path)
     assert sessions_outcome(qon.read_sessions_csv, path) == expected
 
 
@@ -1211,11 +1226,188 @@ def test_block_reader_reads_plain_sessions_without_the_row_reader(
         newline="",
     )
     write_sessions_csv(generate_labeled_sessions(2 * BLOCK + 1, 5), str(paths[1]))
-    expected = [sessions_outcome(qon._read_session_rows, path) for path in paths]
+    expected = [sessions_outcome(lambda p: by_rows(qon.read_sessions_csv, p), path)
+                for path in paths]
     assert all(len(sessions) == 2 * BLOCK + 1 for sessions in expected)
 
-    def no_rows(path):
+    def no_rows(path, builders):
         raise AssertionError("the row reader ran")
 
-    monkeypatch.setattr(qon, "_read_session_rows", no_rows)
+    monkeypatch.setattr(spec, "read_csv", no_rows)
     assert [sessions_outcome(qon.read_sessions_csv, path) for path in paths] == expected
+
+
+# --- the metrics and trajectory readers' numpy blocks agree with their rows --
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@example(case=(3, [(1, 0, "5e-324"), (2, 1, "1e308"), (3, 3, "-0.0")]))
+@example(case=(3, [(1, 2, "+1.5"), (2, 0, " 1.5"), (3, 1, "1_0")]))
+@example(case=(3, [(2, 1, "1e400"), (3, 3, "inf"), (1, 0, '"1.5"')]))
+@example(case=(3, [(2, 0, "nan"), (1, None, "\r\n"), (2, None, "\n \n")]))
+@example(case=(BLOCK + 1, [(BLOCK + 1, 2, "2.0")]))
+@example(case=(BLOCK + 1, [(BLOCK, 1, "-5"), (BLOCK + 1, None, "\r\n")]))
+@example(  # a lone "\r" and an empty cell at the first chunk's edge
+    case=(SESSIONS_EDGE, [(SESSIONS_EDGE - 1, None, "\r"), (SESSIONS_EDGE, 3, "")])
+)
+@example(
+    case=(METRICS_EDGE, [(METRICS_EDGE - 1, None, "\r"), (METRICS_EDGE, 3, "")])
+)
+@given(case=session_files(width=4))
+@pytest.mark.parametrize("header", METRICS_HEADERS)
+def test_block_reader_reads_metrics_as_the_row_reader(tmp_path_factory, header, case):
+    # predict's reader gives the row reader's metrics and flags, bit for bit,
+    # or its error text, under either header; a flag column's cells are as
+    # the sessions file writes them.
+    path = tmp_path_factory.getbasetemp() / "metrics.csv"
+    path.write_text(sessions_text(*case, header), newline="")
+    expected = sessions_outcome(lambda p: by_rows(qon.read_metrics_csv, p), path)
+    assert sessions_outcome(qon.read_metrics_csv, path) == expected
+
+
+def test_block_reader_reads_plain_metrics_without_the_row_reader(
+    tmp_path, monkeypatch
+):
+    # Written metrics, with and without a flag column and with LF and CRLF
+    # line ends, stay on numpy's path across many chunks.
+    sessions = generate_labeled_sessions(2 * BLOCK + 1, 5)
+    metrics, flags = spec.transpose(sessions, 2)
+    columns = spec.transpose(metrics, 4)
+    paths = []
+    for header, extra in zip(METRICS_HEADERS, ([], [spec.flags(flags)])):
+        paths.append(tmp_path / f"{len(paths)}.csv")
+        spec.write_csv(str(paths[-1]), header.split(","), [*columns, *extra])
+        paths.append(tmp_path / f"{len(paths)}.csv")
+        paths[-1].write_text(paths[-2].read_text().replace("\n", "\r\n"), newline="")
+    assert len(paths[0].read_text()) > 5 * CHUNK
+    expected = [sessions_outcome(lambda p: by_rows(qon.read_metrics_csv, p), path)
+                for path in paths]
+    assert [len(rows) for rows in expected] == [2 * BLOCK + 1] * 4
+
+    def no_rows(path, builders):
+        raise AssertionError("the row reader ran")
+
+    monkeypatch.setattr(spec, "read_csv", no_rows)
+    assert [sessions_outcome(qon.read_metrics_csv, path) for path in paths] == expected
+
+
+WAYPOINTS_HEADER = "t_ms,x,y,z"
+
+
+def waypoints_text(rows: int, edits) -> str:
+    """A trajectory CSV of ``rows`` waypoints with ``edits`` made, as
+    :func:`trace_text` makes them."""
+    cells = [
+        [str(k * 100), repr(k * 0.37 % 400), repr(-k / 3), repr(float(k % 6))]
+        for k in range(rows)
+    ]
+    return edited_text(WAYPOINTS_HEADER, cells, edits)
+
+
+def edge_time(shift: int = 0) -> str:
+    """A ``t_ms`` cell, 0 padded with zeros, that makes data row 1's line,
+    ``\\n`` included, end ``shift`` characters past the first chunk's edge."""
+    line = len(waypoints_text(1, [])) - len(WAYPOINTS_HEADER) - 1
+    return "0" * (CHUNK - line + 1 + shift)
+
+
+WAYPOINTS_EDGE = edge_row(waypoints_text(BLOCK, []))
+
+
+@st.composite
+def waypoint_files(draw):
+    rows = draw(st.one_of(
+        st.integers(0, 12),
+        st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, WAYPOINTS_EDGE]),
+    ))
+    edits = []
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = draw(st.one_of(
+            st.integers(1, rows),
+            st.sampled_from([1, rows, min(rows, BLOCK), min(rows, WAYPOINTS_EDGE)]),
+        ))
+        col = draw(st.sampled_from([0, 1, 2, 3, None]))
+        if col is None:
+            text = draw(st.sampled_from(LINE_ENDS))
+        elif col == 0:
+            text = draw(st.sampled_from(NUMBER_CELLS))
+        else:
+            text = draw(st.one_of(st.floats().map(repr), st.sampled_from(FLOAT_CELLS)))
+        edits.append((row, col, text))
+    return rows, edits
+
+
+def waypoints_outcome(read, path):
+    """A script's times and the hex of its coordinates' bits, with their
+    types; or the reader's error text."""
+    try:
+        script = read(str(path))
+    except spec.InputFileError as exc:
+        return str(exc)
+    points = [float.hex(v) for v in script._p.ravel().tolist()]
+    return script._t.dtype, script._t.tolist(), script._p.dtype, script._p.shape, points
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@example(case=(BLOCK + 1, [(BLOCK + 1, 0, "0")]))  # goes back across a block edge
+@example(case=(BLOCK + 1, [(BLOCK + 1, 3, "nan")]))
+@example(case=(3, [(3, 0, str(2**53 + 1))]))
+@example(case=(3, [(3, 0, str(2**63))]))
+@example(case=(3, [(1, 0, "-0"), (2, 0, "+100"), (3, 0, "1_000")]))
+@example(case=(3, [(1, 1, "-0.0"), (2, 2, "5e-324"), (3, 3, "1_0")]))
+@example(case=(3, [(2, 1, "1e400"), (3, 2, '"1.5"'), (1, 0, "١٢")]))
+@example(case=(3, [(1, 0, "\x1c0"), (2, 3, "1.5\x0c")]))
+@example(case=(1, []))
+# The first chunk ends right after a line; within a "\r\n", after another
+# line end or after none; right after a lone "\r"; and inside a line
+# longer than a chunk.  A file ends on a chunk's edge, or without a line end.
+@example(case=(3, [(1, 0, edge_time())]))
+@example(case=(3, [(1, 0, edge_time(-1)), (1, None, "\n\r\n")]))
+@example(case=(3, [(1, 0, edge_time()), (1, None, "\r\n")]))
+@example(case=(3, [(1, 0, edge_time()), (1, None, "\r")]))
+@example(case=(3, [(1, 0, edge_time(5))]))
+@example(case=(2, [(1, 0, edge_time(1)), (2, None, "")]))
+@example(case=(WAYPOINTS_EDGE + 1, [(WAYPOINTS_EDGE + 1, None, "")]))
+@example(  # a lone "\r" and an empty cell at the first chunk's edge
+    case=(WAYPOINTS_EDGE, [(WAYPOINTS_EDGE - 1, None, "\r"), (WAYPOINTS_EDGE, 3, "")])
+)
+@given(case=waypoint_files())
+def test_block_reader_reads_waypoints_as_the_row_reader(tmp_path_factory, case):
+    # from_csv gives the row reader's script, bit for bit, or its error text.
+    path = tmp_path_factory.getbasetemp() / "waypoints.csv"
+    path.write_text(waypoints_text(*case), newline="")
+    read = core.TrajectoryScript.from_csv
+    expected = waypoints_outcome(lambda p: by_rows(read, p), path)
+    assert waypoints_outcome(read, path) == expected
+
+
+def test_block_reader_reads_plain_waypoints_without_the_row_reader(
+    tmp_path, monkeypatch
+):
+    # A generated walk, written with LF and with CRLF line ends, stays on
+    # numpy's path across many chunks.
+    gen = scenario.TrajectoryGenConfig()
+    script = scenario.generate_trajectory(gen, 3_000 * (2 * BLOCK + 1), seed=3)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    spec.write_csv(str(lf), WAYPOINTS_HEADER.split(","), [script._t, *script._p.T])
+    crlf.write_text(lf.read_text().replace("\n", "\r\n"), newline="")
+    assert len(lf.read_text()) > 5 * CHUNK
+    read = core.TrajectoryScript.from_csv
+    expected = waypoints_outcome(lambda p: by_rows(read, p), lf)
+    assert expected[1] == script._t.tolist()
+
+    def no_rows(path, builders):
+        raise AssertionError("the row reader ran")
+
+    monkeypatch.setattr(spec, "read_csv", no_rows)
+    assert waypoints_outcome(read, lf) == waypoints_outcome(read, crlf) == expected

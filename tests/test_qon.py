@@ -75,6 +75,18 @@ class TestSessionMetrics:
                     assert problem.startswith(f"{path} row 3: {column} must be in ")
 
 
+def by_rows(read):
+    """``read`` with :func:`spec.read_columns` declining every file, so that
+    the row reader reads it."""
+
+    def read_rows(path):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qon.spec, "read_columns", lambda *args: None)
+            return read(path)
+
+    return read_rows
+
+
 # Each metric's range as the readers' messages write it.
 METRIC_RANGES = {
     "rtt_mean_ms": "[0, inf)",
@@ -105,7 +117,7 @@ def test_every_reader_states_each_metric_bound_alike(tmp_path, column, kind):
     message = f"{column} must be in {METRIC_RANGES[column]}, got {written}"
     readers = {
         "fit's block reader": (read_sessions_csv, ",quit_premature", ",true"),
-        "fit's row reader": (qon._read_session_rows, ",quit_premature", ",false"),
+        "fit's row reader": (by_rows(read_sessions_csv), ",quit_premature", ",false"),
         "predict's reader": (read_metrics_csv, "", ""),
     }
     for read, extra_head, extra_cell in readers.values():
@@ -115,10 +127,11 @@ def test_every_reader_states_each_metric_bound_alike(tmp_path, column, kind):
             read(str(path))
         assert exc_info.value.problems == [f"{path} row 2: {message}"]
     # The block reader's own check refuses the value too.
-    block = np.array([(50.0, 5.0, 0.01, 5.0, "true")], qon._SESSION_DTYPE)
+    dtype = list(zip(qon._SESSION_FIELDS, qon._FIELD_TYPES))
+    block = np.array([(50.0, 5.0, 0.01, 5.0, "true")], dtype)
     block[column] = float(cell)
     with pytest.raises(ValueError, match="a metric is out of range"):
-        qon._block_sessions(block)
+        qon._metric_columns(block)
 
 
 def test_each_metric_bound_is_inclusive(tmp_path):
@@ -132,7 +145,7 @@ def test_each_metric_bound_is_inclusive(tmp_path):
         (SessionMetrics(0.0, 0.0, 0.0, 0.0), True),
         (SessionMetrics(top, top, 1.0, top), False),
     ]
-    assert read_sessions_csv(str(path)) == qon._read_session_rows(str(path)) == want
+    assert read_sessions_csv(str(path)) == by_rows(read_sessions_csv)(str(path)) == want
 
 
 class TestQuitModel:
@@ -538,7 +551,7 @@ class TestSerialization:
         write_sessions_csv(generate_labeled_sessions(10, seed=6), str(good))
         bad.write_text(good.read_text() + "1.0,2.0,0.3,4.0,maybe\n")
         paused = []
-        real_read = qon.spec.read_csv_blocks
+        real_read = qon.spec.read_columns
 
         def read(*args):
             paused.append(not gc.isenabled())
@@ -548,7 +561,7 @@ class TestSerialization:
         (gc.enable if collecting else gc.disable)()
         try:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(qon.spec, "read_csv_blocks", read)
+                mp.setattr(qon.spec, "read_columns", read)
                 assert len(read_sessions_csv(str(good))) == 10
                 assert gc.isenabled() == collecting
                 with pytest.raises(ValueError, match="row 12"):
