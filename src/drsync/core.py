@@ -176,16 +176,10 @@ class TrajectoryScript:
 
     @classmethod
     def from_csv(cls, path: str) -> TrajectoryScript:
-        """Load waypoints from a CSV file with header ``t_ms,x,y,z``, row by
-        row where :func:`spec.read_columns` declines it."""
-        columns = spec.read_columns(path, _WAYPOINT_FIELDS, _WAYPOINT_DTYPE, _waypoints)
-        if columns is None:
-            build = lambda row: (int(row[0]), Vec3._make(map(float, row[1:])))
-            rows = spec.read_csv(path, {_WAYPOINT_FIELDS: build})
-        try:
-            return cls(rows) if columns is None else cls.from_columns(*columns)
-        except ValueError as exc:
-            raise spec.InputFileError([f"{path}: {exc}"]) from exc
+        """Load waypoints from a CSV file with header ``t_ms,x,y,z``."""
+        build = lambda row: (int(row[0]), *map(float, row[1:]))
+        layouts = {_WAYPOINT_FIELDS: (_WAYPOINT_DTYPE, build)}
+        return spec.read_columns(path, layouts, _waypoints, cls.from_columns)
 
     def __repr__(self) -> str:
         return (

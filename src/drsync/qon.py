@@ -57,7 +57,7 @@ MAX_FIT_STEPS = 500_000_000
 
 class SessionMetrics(NamedTuple):
     """Connection quality observed over one session; the CSV readers check
-    what they read (:func:`_metrics`), the rest is computed in range."""
+    what they read (:func:`_metrics_row`), the rest is computed in range."""
 
     rtt_mean_ms: float
     rtt_jitter_ms: float
@@ -379,15 +379,17 @@ def write_sessions_csv(sessions: list[LabeledSession], path: str) -> None:
     spec.write_csv(path, _SESSION_FIELDS, [*columns, spec.flags(quit_early)])
 
 
-def _metrics(row: list[str]) -> tuple[SessionMetrics, bool | None]:
+def _metrics_row(row: list[str]) -> tuple:
     """The metrics of one CSV row, each checked against :data:`_METRIC_TOPS`
-    (the comparisons reject NaN), and its flag, or None if it has none."""
-    m = SessionMetrics(float(row[0]), float(row[1]), float(row[2]), float(row[3]))
-    for name, top, v in zip(_METRICS_FIELDS, _METRIC_TOPS, m):
+    (the comparisons reject NaN), and its flag's text, checked."""
+    metrics = tuple(map(float, row[:4]))
+    for name, top, v in zip(_METRICS_FIELDS, _METRIC_TOPS, metrics):
         if not (0.0 <= v <= top and v < math.inf):
             span = "[0, inf)" if top == math.inf else f"[0, {top:g}]"
             raise ValueError(f"{name} must be in {span}, got {v}")
-    return m, spec.flag(row[4]) if len(row) > 4 else None
+    if row[4:]:
+        spec.flag(row[4])
+    return (*metrics, *row[4:])
 
 
 # A metrics or sessions CSV row's fields as numpy parses them, in order.
@@ -398,8 +400,8 @@ _new_metrics = functools.partial(tuple.__new__, SessionMetrics)
 
 
 def _metric_columns(block: np.ndarray) -> list[np.ndarray]:
-    """The columns of one parsed block, each checked as :func:`_metrics` and
-    :func:`spec.flag` check a row; a failed check raises ``ValueError``."""
+    """The columns of one parsed block, each checked as :func:`_metrics_row`
+    checks a row; a failed check raises ``ValueError``."""
     columns = [block[name] for name in block.dtype.names]
     for v, top in zip(columns, _METRIC_TOPS):
         if not ((0.0 <= v) & (v <= top) & (v < math.inf)).all():
@@ -407,30 +409,27 @@ def _metric_columns(block: np.ndarray) -> list[np.ndarray]:
     return columns[:4] + [spec.codes(c, spec.FLAG_TEXTS) for c in columns[4:]]
 
 
-def _read_metrics(path: str, headers: tuple) -> list:
-    """The rows of a file with one of ``headers``, as :func:`_metrics` gives
-    them: through :func:`spec.read_columns`, or through :func:`spec.read_csv`
-    where it declines the file, a failed check included, so that the row
-    reader's error names the row.
+def _sessions(*columns: np.ndarray) -> list[tuple[SessionMetrics, bool | None]]:
+    """Each row's metrics and its flag, or None if it has none."""
+    metrics = map(_new_metrics, zip(*(c.tolist() for c in columns[:4])))
+    flags = columns[4].tolist() if columns[4:] else itertools.repeat(None)
+    return list(zip(metrics, flags))
 
-    The rows make three tuples each, none of which can be part of a cycle,
-    so the cyclic collector is paused while they are built: it took an
-    eighth of the read at 20,000 sessions and a fifth at 250,000.
-    """
+
+def _read_metrics(path: str, headers: tuple) -> list:
+    """The rows of a file with one of ``headers``, as :func:`_sessions`
+    gives them.  The rows make three tuples each, none of which can be part
+    of a cycle, so the cyclic collector is paused while they are read and
+    built: it took an eighth of the read at 20,000 sessions and a fifth at
+    250,000."""
+    layouts = {h: (np.dtype([*zip(h, _FIELD_TYPES)]), _metrics_row) for h in headers}
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for header in headers:
-            dtype = np.dtype(list(zip(header, _FIELD_TYPES)))
-            columns = spec.read_columns(path, header, dtype, _metric_columns)
-            if columns is not None:
-                metrics = map(_new_metrics, zip(*(c.tolist() for c in columns[:4])))
-                flags = columns[4].tolist() if header[4:] else itertools.repeat(None)
-                return list(zip(metrics, flags))
+        return spec.read_columns(path, layouts, _metric_columns, _sessions)
     finally:
         if collecting:
             gc.enable()
-    return spec.read_csv(path, dict.fromkeys(headers, _metrics))
 
 
 def read_sessions_csv(path: str) -> list[LabeledSession]:

@@ -42,6 +42,7 @@ from .core import (
     sample_positions,
 )
 from .netsim import (
+    MAX_RETRANSMISSIONS,
     ChannelConfig,
     DejitterConfig,
     Deliveries,
@@ -77,10 +78,10 @@ DR_PACKET_BYTES = 100
 # A connection counts as recoverable when most packets still get through.
 RECOVERABLE_LOSS_LIMIT = 0.5
 
-# The most ticks a run may have.  At this cap the costliest simulate
-# (reliable_ordered at a loss_rate of 0.95) took 7.8 s and peaked at 134 MiB
-# (tools/worst_case.py simulate --fraction 1, median of 3 runs on a 2-vCPU
-# Xeon guest).
+# The most ticks a run may have.  At this cap the costliest simulate that
+# MAX_TRANSMISSIONS accepts (reliable_ordered, threshold 0, loss_rate 0.864)
+# took 6.3 s and peaked at 164 MiB (tools/worst_case.py simulate --fraction
+# 1, median of 3 runs on a 2-vCPU Xeon guest).
 MAX_TICKS = 500_000
 # A compare's seeds may hold at most MAX_TICKS ticks, each seed counted
 # COMPARE_SEED_TICKS ticks over its own for building and writing it: on
@@ -90,6 +91,13 @@ MAX_TICKS = 500_000
 # and 454 seeds of 101 ticks 5.1 s (3.6-6.1 s) at 38 MiB (medians of 6 runs
 # of tools/worst_case.py compare --fraction 1).
 COMPARE_SEED_TICKS = 1_000
+# The most transmissions a run, or a compare's runs together, may expect to
+# draw: under reliable_ordered each send is sent again while it is lost, up
+# to MAX_RETRANSMISSIONS times.  The transport takes about 2 us a
+# transmission.  A simulate at the cap at loss 0.95 and threshold 1 expects
+# 3,152,266 and stays within it; at threshold 0, loss 1.0 expected
+# 7,695,072 and took 14.9-15.4 s.
+MAX_TRANSMISSIONS = 3_200_000
 # The most waypoints a generated trajectory may have; generating that many
 # takes 1.1-1.4 s and 133 MiB (3 child processes on a 2-vCPU Xeon guest).
 MAX_WAYPOINTS = 500_000
@@ -303,6 +311,23 @@ def _resolve_channel(cfg: ScenarioConfig) -> ChannelConfig:
     return ChannelConfig(**{**asdict(cfg.channel), "seed": seed})
 
 
+def expected_transmissions(mode: str, loss_rate: float, sends: int) -> float:
+    """The transmissions that ``sends`` sends expect to draw under ``mode``:
+    under reliable_ordered, each attempt is lost with ``loss_rate`` and sent
+    again, up to MAX_RETRANSMISSIONS times."""
+    if mode != MODE_RELIABLE:
+        return float(sends)
+    return sends * sum(loss_rate**k for k in range(MAX_RETRANSMISSIONS + 1))
+
+
+def _check_transmissions(expected: float, what: str) -> None:
+    if expected > MAX_TRANSMISSIONS:
+        raise ValueError(
+            f"{what} must keep its expected transmissions <= {MAX_TRANSMISSIONS}, "
+            f"got {expected:.0f}"
+        )
+
+
 @dataclass(eq=False)  # its columns are arrays, which == compares elementwise
 class RunResult:
     """Everything a simulation run produced, plus the JSON-ready summary.
@@ -398,6 +423,8 @@ def run_simulation(
     elif replace(_shared.config, mode=cfg.mode) != cfg:
         raise ValueError("shared stages were built from another config")
     _, ticks, positions, sent, velocities, chan, first = _shared
+    expected = expected_transmissions(cfg.mode, chan.loss_rate, len(sent))
+    _check_transmissions(expected, f"{cfg.mode} run of {len(sent)} sends")
     if first is None:
         [first] = draw([(chan, np.arange(1, len(sent) + 1))], 0)
     if cfg.mode == MODE_RELIABLE:
@@ -544,7 +571,9 @@ def run_compare(
     about variability across trials, each within :data:`~drsync.rng.SEED`,
     and at most :data:`MAX_TICKS` ticks in all, each seed counted
     :data:`COMPARE_SEED_TICKS` over its run's ticks; they are checked before
-    anything is built or written.
+    anything is built or written.  The runs' expected transmissions, summed
+    over both transports, are checked against :data:`MAX_TRANSMISSIONS`
+    once every seed is built, before any is drawn or written.
 
     Each seed's trajectory, sampled positions, sends, channel and
     first-attempt draws are built once and passed to both
@@ -584,6 +613,12 @@ def run_compare(
         )
         for seed in seeds
     ]
+    expected = sum(
+        expected_transmissions(mode, s.chan.loss_rate, len(s.sent))
+        for s in stages
+        for mode in (MODE_UNRELIABLE, MODE_RELIABLE)
+    )
+    _check_transmissions(expected, f"comparison of {len(seeds)} seeds")
     firsts = draw([(s.chan, np.arange(1, len(s.sent) + 1)) for s in stages], 0)
     watch.lap("draws")
     rows: list[CompareRow] = []

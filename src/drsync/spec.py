@@ -9,14 +9,14 @@ back.  Rules that relate fields live in a class's static
 ``_relations(values)``, which gets :data:`INVALID` for a field that broke
 its own rule.
 
-Every CSV input is read by :func:`read_columns`, through numpy's parser,
-where that reads it as :func:`read_csv` would, and by :func:`read_csv`
-otherwise: its row builders check each cell with ``int``, ``float`` and
-:func:`flag`, and its errors name the row.  Every CSV output goes through
-:func:`write_csv`, which takes columns, not rows, and formats a block of
-rows at a time; a string column is a :class:`Table` of codes into a few
-texts, each quoted once by ``csv.writer``, and a column that many files
-write may be formatted once by :func:`cells`.
+Every CSV input is read into columns by :func:`read_columns`: by numpy's
+parser where that reads it as csv's reader would, and otherwise by csv's
+reader, a block of checked rows at a time, whose errors name the row.
+Every CSV output goes through :func:`write_csv`, which takes columns, not
+rows, and formats a block of rows at a time; a string column is a
+:class:`Table` of codes into a few texts, each quoted once by
+``csv.writer``, and a column that many files write may be formatted once by
+:func:`cells`.
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ import stat
 import sys
 import types
 import warnings
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import IO, Any, NamedTuple, TypeVar
 
 import numpy as np
 
 T = TypeVar("T")
 _MISSING = dataclasses.MISSING
-# Rows that write_csv formats and a Trace converts at a time.
+# Rows that write_csv formats, a Trace converts or read_columns stacks at once.
 _ITER_ROWS = 4096
 # The most characters read_columns reads at a time: half of csv's default
 # field limit, which read no slower than the whole limit and holds half as
@@ -433,36 +433,62 @@ def flag(cell: str) -> bool:
         raise ValueError(f"must be true or false, got {cell!r}") from None
 
 
-def read_csv(
-    path: str, builders: dict[tuple[str, ...], Callable[[list[str]], T]]
-) -> list[T]:
-    """The rows of a CSV file, each built by the builder for the file's header.
+def read_columns(
+    path: str, layouts: dict, convert: Callable, finish: Callable[..., T]
+) -> T:
+    """``finish(*columns)``, the columns of a CSV file's data rows.
 
-    ``builders`` maps every accepted header to a function of one row's
-    cells.  Blank lines are skipped.  A wrong header, a row of the wrong
-    width, or a ``ValueError`` from the builder ends as an
-    :class:`InputFileError` that names the file and row; a file that is
-    not UTF-8 text ends as one that names only the file.
+    ``layouts`` maps each accepted header to the numpy dtype of its rows and
+    a builder that checks one row's cells, as csv reads them, and gives them
+    as a tuple.  ``convert`` checks each block of rows, an array of the
+    dtype, and turns it into columns (:func:`_gather`).  numpy's parser reads
+    the file first (:func:`_parse_blocks`); where it declines, or ``finish``
+    rejects its columns with a ``ValueError``, csv's reader reads the file
+    (:func:`_read_blocks`), and each error ends as an :class:`InputFileError`
+    that names the file, and the row where a row is at fault.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader, ()))
-            if header not in builders:
-                wanted = " or ".join(",".join(h) for h in builders)
-                raise ValueError(f"header must be {wanted}, got {','.join(header)}")
-            build, width = builders[header], len(header)
-            out = []
-            for row in reader:
-                if len(row) == width:
-                    out.append(build(row))
-                elif row:
-                    raise ValueError(f"expected {width} cells, got {len(row)}")
-        except UnicodeDecodeError as exc:
-            raise InputFileError([_not_utf8(path, exc)]) from exc
-        except (ValueError, csv.Error) as exc:
-            raise InputFileError([f"{path} row {reader.line_num}: {exc}"]) from exc
-    return out
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.23 reads an integer cell such as "1.7" through a float,
+            # with a DeprecationWarning; as an error, it declines the file.
+            warnings.simplefilter("error")
+            # Blank lines and the end of the input; csv skips both too.
+            warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+            return finish(*_gather(path, _parse_blocks(path, layouts), convert))
+    except (ValueError, KeyError, Warning):  # a UnicodeDecodeError too
+        pass  # read again by rows, whose errors name the row
+    columns = _gather(path, _read_blocks(path, layouts), convert)
+    try:
+        return finish(*columns)
+    except ValueError as exc:
+        raise InputFileError([f"{path}: {exc}"]) from exc
+
+
+def _gather(path: str, blocks: Iterable[np.ndarray], convert: Callable) -> list:
+    """The columns ``convert`` makes of ``blocks``, in arrays made as long as
+    the most rows the file's size allows (a row takes a ``,`` or line end
+    per field at least), grown where it is not known, as for a pipe, and cut
+    to the rows written; ``object`` where a block's are, past int64."""
+    columns, rows = [], 0
+    for block in blocks:
+        got = convert(block)
+        if not columns:
+            info = os.stat(path)
+            most = (info.st_size + 1) // len(block.dtype) * stat.S_ISREG(info.st_mode)
+            columns = [np.empty((most, *c.shape[1:]), c.dtype) for c in got]
+        stop = rows + len(got[0])
+        for j, values in enumerate(got):
+            if values.dtype == object != columns[j].dtype:
+                columns[j] = columns[j].astype(object)
+            if stop > len(columns[j]):
+                columns[j].resize((2 * stop, *values.shape[1:]), refcheck=False)
+            columns[j][rows:stop] = values
+        rows = stop
+    # Give back the rows never written: left standing, malloc placed later
+    # objects there, and repeated trace reads peaked 5 MiB higher.
+    for column in columns:
+        column.resize((rows, *column.shape[1:]), refcheck=False)
+    return columns
 
 
 # Characters on which numpy's parser and the row reader differ.  numpy's
@@ -475,87 +501,80 @@ def read_csv(
 _DECLINED = '"\x00\x0b\x0c\x1c\x1d\x1e\x1f'
 
 
-def read_columns(
-    path: str,
-    header: Sequence[str],
-    dtype: np.dtype,
-    convert: Callable[[np.ndarray], list[np.ndarray]],
-) -> list[np.ndarray] | None:
-    """The columns of a CSV file's data rows, parsed by numpy a block of lines
-    at a time; or None, and then :func:`read_csv` must read the file.
-
-    The text after the header is read ``_CHUNK_CHARS`` characters at a time
-    (csv's field limit, if that is lower), less the unfinished line carried
-    over, and split where the file's lines end; a chunk's last line waits
-    for the next chunk unless it ends in ``\n``.  The lines before it make a
-    block, a structured array of ``dtype``, which ``convert`` checks and
-    turns into columns.  Those are written into arrays made once, as long as
-    the most rows the file's size allows (a row takes a ``,`` or line end
-    per field at least), and cut to the rows written at the end: one block
-    is alive at a time, and no row is copied twice.  A
-    string field of the ``object`` type holds each cell exactly as
-    :func:`read_csv` does; one of a fixed width ``U<n>``, its first ``n``.
-
-    None is returned when the file might not read as :func:`read_csv` reads
-    it: a file that is not regular, such as a pipe, which can be read only
-    once; a header other than ``header``; a chunk with non-ASCII text, a
-    character of ``_DECLINED`` or a run of zeros too long for ``int``; a
-    line as long as a whole chunk, so that every line parsed is shorter than
-    csv's field limit; or anything numpy's parser or ``convert`` declines
-    with a ``ValueError``, ``KeyError`` or warning.
-    """
-    info = os.stat(path)
-    if not stat.S_ISREG(info.st_mode):
-        return None
-    most = (info.st_size + 1) // len(dtype)
+def _parse_blocks(path: str, layouts: dict) -> Iterator[np.ndarray]:
+    """The blocks of :func:`read_columns`, parsed by numpy from the lines of
+    ``_CHUNK_CHARS`` characters (csv's field limit, if lower) at a time, less
+    the unfinished line carried over.  An ``object`` string field holds each
+    cell as csv reads it; a ``U<n>`` one, its first ``n``.  A ``ValueError``
+    or ``KeyError`` declines a file that might not read as csv reads it: one
+    not regular, such as a pipe, which can be read only once; a header line
+    not a key of ``layouts`` joined by commas; a chunk with non-ASCII text,
+    a character of ``_DECLINED`` or a run of zeros too long for ``int``; and
+    a line as long as a chunk, so that no line parsed passes csv's limit."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError("not a regular file")
     limit = min(_CHUNK_CHARS, csv.field_size_limit())
     # int reads no cell of more digits than its limit (0 for none), and one
     # that numpy reads as an int64 has at most 19 digits past its zeros.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     declined = [*_DECLINED, "0" * (digits - 18)] if digits else _DECLINED
-    columns: list[np.ndarray] = []
-    rows = 0
+    with open(path, newline="") as fh:
+        dtype, _ = layouts[tuple(fh.readline().rstrip("\r\n").split(","))]
+        rest, end = "", False  # the unfinished line that ends the last chunk
+        while not end:
+            text = rest + fh.read(limit - len(rest))
+            # A text file's read(n) is short only at the end of the file.
+            end = len(text) < limit
+            # A declined character in the rest declines the next chunk too.
+            if not text.isascii() or any(c in text for c in declined):
+                raise ValueError("text that csv may read otherwise")
+            lines = text.splitlines(True)  # where the file's lines end
+            del text  # each chunk's text and lines are freed early
+            # The last line waits for the next chunk unless it ends in "\n":
+            # it may be cut short, or its "\r" begin a "\r\n".
+            rest = "" if end or lines[-1].endswith("\n") else lines.pop()
+            if not (lines or end):
+                raise ValueError("a line as long as a chunk")
+            block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+            del lines
+            yield block
+
+
+def _read_blocks(path: str, layouts: dict) -> Iterator[np.ndarray]:
+    """The blocks of :func:`read_columns`, read by csv's reader: each
+    ``_ITER_ROWS`` rows that the layout's builder built, stacked by
+    :func:`_stack`.  Blank lines are skipped."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = tuple(next(reader, ()))
+            if header not in layouts:
+                wanted = " or ".join(",".join(h) for h in layouts)
+                raise ValueError(f"header must be {wanted}, got {','.join(header)}")
+            (dtype, build), width, rows = layouts[header], len(header), []
+            for row in reader:
+                if len(row) == width:
+                    rows.append(build(row))
+                elif row:
+                    raise ValueError(f"expected {width} cells, got {len(row)}")
+                if len(rows) == _ITER_ROWS:
+                    yield _stack(rows, dtype)
+                    rows = []
+            yield _stack(rows, dtype)
+        except UnicodeDecodeError as exc:
+            raise InputFileError([_not_utf8(path, exc)]) from exc
+        except (ValueError, csv.Error) as exc:
+            raise InputFileError([f"{path} row {reader.line_num}: {exc}"]) from exc
+
+
+def _stack(rows: list[tuple], dtype: np.dtype, kinds: str = "U") -> np.ndarray:
+    """``rows`` as an array of ``dtype``, whose text fields are ``object``,
+    and its ints too where one is past int64, for ``finish`` to judge."""
+    types = [object if dtype[n].kind in kinds else dtype[n] for n in dtype.names]
     try:
-        with open(path, newline="") as fh, warnings.catch_warnings():
-            # numpy 1.23 reads an integer cell such as "1.7" through a float,
-            # with a DeprecationWarning; as an error, it declines the file.
-            warnings.simplefilter("error")
-            # Blank lines and the end of the input; read_csv skips both too.
-            warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
-            if fh.readline().rstrip("\r\n") != ",".join(header):
-                return None
-            rest, end = "", False  # the unfinished line that ends the last chunk
-            while not end:
-                text = rest + fh.read(limit - len(rest))
-                # A text file's read(n) is short only at the end of the file.
-                end = len(text) < limit
-                # A character the checks decline in the rest declines the
-                # next chunk anyway.
-                if not text.isascii() or any(c in text for c in declined):
-                    return None
-                lines = text.splitlines(True)  # where the file's lines end
-                del text  # each chunk's text and lines are freed early
-                # The last line waits for the next chunk unless it ends in
-                # "\n": it may be cut short, or its "\r" begin a "\r\n".
-                rest = "" if end or lines[-1].endswith("\n") else lines.pop()
-                if not (lines or end):  # a chunk of one line
-                    return None
-                block = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
-                del lines
-                got = convert(block)
-                if not columns:
-                    columns = [np.empty((most, *c.shape[1:]), c.dtype) for c in got]
-                stop = rows + len(got[0])
-                for column, values in zip(columns, got):
-                    column[rows:stop] = values  # a ValueError past the file's rows
-                rows = stop
-    except (ValueError, KeyError, Warning):  # a UnicodeDecodeError too
-        return None
-    # Give back the rows never written: left standing, malloc placed later
-    # objects there, and repeated trace reads peaked 5 MiB higher.
-    for column in columns:
-        column.resize((rows, *column.shape[1:]), refcheck=False)
-    return columns
+        return np.array(rows, list(zip(dtype.names, types)))
+    except OverflowError:
+        return _stack(rows, dtype, "Ui")
 
 
 def text_field(texts: Sequence[str]) -> str:

@@ -53,8 +53,11 @@ MAX_PACKETS_PER_TICK = 1000
 # 123 and 381 MiB (``tools/worst_case.py``, a 2-vCPU Xeon).
 MAX_CLIENT_TICKS = 2_000_000
 # The most data packets one trace may have at its profile's peak rates: the
-# client's and the server's per client tick, plus one event action.  Both
-# presets at MAX_CLIENT_TICKS stay within it (mmorpg reaches it exactly).
+# client's and the server's per client tick, plus one event action.  It
+# counts data packets only; acks add up to one row per ack_every_n of them,
+# and with ack_every_n 1 double the rows.  Both presets at MAX_CLIENT_TICKS
+# fit it (mmorpg reaches it exactly), but not the 512 MiB budget: mmorpg's
+# 6.76 M rows took 452 MiB to generate, a dense profile's 12.0 M 788 MiB.
 MAX_TRACE_PACKETS = 8_000_000
 # The int64 columns' bounds: every t_ms is below MAX_T_MS, and sizes stay
 # below 2**32 so that the byte sum of 2**31 packets fits too.
@@ -372,12 +375,11 @@ def generate_trace(
     rows = np.diff(ends, prepend=0)
     # Connections are numbered in order of first appearance, so a client
     # that sends nothing has no name.  A client's first generated row is
-    # also its first in time order, so the clients appear in the order in
-    # which their first rows are sorted.
+    # also its first in time order, so the clients appear in the order of
+    # their first rows' times, ties broken by client index, which is
+    # generation order.
     firsts = np.subtract(ends, rows)[rows > 0]
-    is_first = np.zeros(len(t), bool)
-    is_first[firsts] = True
-    named = np.flatnonzero(rows)[np.searchsorted(firsts, order[is_first[order]])]
+    named = np.flatnonzero(rows)[np.argsort(t[firsts], kind="stable")]
     conn = np.empty(n_clients, np.int64)
     conn[named] = np.arange(len(named))
     names = [f"c{idx:04d}" for idx in named.tolist()]
@@ -570,11 +572,27 @@ _TRACE_DTYPE = np.dtype(
 def read_trace_csv(path: str) -> Trace:
     """Inverse of :func:`write_trace_csv`; the rows must be sorted by time.
 
-    A file that numpy's parser (:func:`spec.read_columns`) declines, or that
-    fails a check, is read again row by row, and that reader's error names
-    the row.
+    Connections are numbered in order of their first row.  Where numpy's
+    parser gives way, the row reader meets its names again in that order.
     """
     ids: dict[str, int] = {}
+    last_t = 0
+
+    def record(row: list[str]) -> tuple:
+        nonlocal last_t
+        t, payload, header = int(row[0]), int(row[3]), int(row[4])
+        sizes_ok = 0 <= payload < _MAX_BYTES and 0 <= header < _MAX_BYTES
+        if not (sizes_ok and 0 <= t < MAX_T_MS):
+            raise ValueError(_OUT_OF_RANGE)
+        if t < last_t:
+            raise ValueError(
+                f"t_ms {t} precedes the previous row's {last_t}; "
+                "a trace must be sorted by time"
+            )
+        last_t = t
+        Direction(row[2])  # each raises ValueError for a cell it rejects
+        spec.flag(row[5])
+        return t, row[1], row[2], payload, header, row[5]
 
     def convert(block: np.ndarray) -> list[np.ndarray]:
         names = block["conn_id"].tolist()
@@ -593,39 +611,9 @@ def read_trace_csv(path: str) -> Trace:
             spec.codes(block["is_ack"], spec.FLAG_TEXTS),
         ]
 
-    columns = spec.read_columns(path, _TRACE_FIELDS, _TRACE_DTYPE, convert)
-    if columns is not None:
-        t, conn, direction, payload, header, is_ack = columns
-        try:
-            return Trace(t, conn, ids, direction, payload, header, is_ack)
-        except ValueError:
-            pass
-    return _read_trace_rows(path)
-
-
-def _read_trace_rows(path: str) -> Trace:
-    """:func:`read_trace_csv` through :func:`spec.read_csv`, one row at a time."""
-    last_t, ids = 0, {}
-
-    def record(row: list[str]) -> tuple:
-        nonlocal last_t
-        t, payload, header = int(row[0]), int(row[3]), int(row[4])
-        sizes_ok = 0 <= payload < _MAX_BYTES and 0 <= header < _MAX_BYTES
-        if not (sizes_ok and 0 <= t < MAX_T_MS):
-            raise ValueError(_OUT_OF_RANGE)
-        if t < last_t:
-            raise ValueError(
-                f"t_ms {t} precedes the previous row's {last_t}; "
-                "a trace must be sorted by time"
-            )
-        last_t = t
-        direction = _DIRECTIONS.index(Direction(row[2]))
-        is_ack = spec.flag(row[5])
-        return t, ids.setdefault(row[1], len(ids)), direction, payload, header, is_ack
-
-    rows = spec.read_csv(path, {_TRACE_FIELDS: record})
-    t, conn, direction, payload, header, is_ack = zip(*rows) if rows else [()] * 6
-    return Trace(t, conn, ids, direction, payload, header, is_ack)
+    finish = lambda t, conn, *rest: Trace(t, conn, ids, *rest)
+    layouts = {_TRACE_FIELDS: (_TRACE_DTYPE, record)}
+    return spec.read_columns(path, layouts, convert, finish)
 
 
 def profile_to_dict(profile: WorkloadProfile) -> dict:

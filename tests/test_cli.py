@@ -327,8 +327,9 @@ class TestCompare:
         bare = worst_case("run", "--", "true")
         if what == "compare":  # a sixteenth of the bound over two seeds
             ticks = scenario.MAX_TICKS // 16 // 2 - scenario.COMPARE_SEED_TICKS
-        else:
+        else:  # every loss is accepted at a sixteenth of the cap
             ticks = scenario.MAX_TICKS // 16
+            assert result["loss"] == 1.0
         assert result["ticks"] == ticks
         assert abs(result["floor_rss_mib"] - bare["floor_rss_mib"]) <= 2
         assert result["floor_rss_mib"] < result["peak_rss_mib"]
@@ -424,14 +425,16 @@ class TestCompare:
 
 
 class TestGenerateAnalyze:
-    @pytest.mark.parametrize("what", ["generate", "analyze"])
+    @pytest.mark.parametrize("what", ["generate", "analyze", "analyze --quoted"])
     def test_at_a_sixteenth_of_the_cap(self, what):
         # The mmorpg preset at 10 clients and seed 1: 424,170 rows.  On a
         # 2-vCPU Xeon guest generate took 0.5 s and analyze 0.4 s in the
-        # tool's child, which peaked at 61 and 54 MiB.
-        result = worst_case(what, "--fraction", "16")
+        # tool's child, which peaked at 61 and 54 MiB; analyze of the trace
+        # with quoted names, which the row reader reads, 1.3 s and 56 MiB.
+        result = worst_case(*what.split(), "--fraction", "16")
         assert result["client_ticks"] == workload.MAX_CLIENT_TICKS // 16
-        assert result["command"][3] == what
+        assert result["command"][3] == what.split()[0]
+        assert result["quoted"] == what.endswith("--quoted")
         assert 0 < result["floor_rss_mib"] < result["peak_rss_mib"]
 
     def test_generate_then_analyze(self, capsys, tmp_path):
@@ -617,10 +620,10 @@ class TestGenerateAnalyze:
             f"{k},c0,{('c2s', 's2c')[k % 2]},10,40,false\n" for k in range(rows)
         ))
 
-        def no_rows(path):
+        def no_rows(*args):
             raise AssertionError("the row reader ran")
 
-        monkeypatch.setattr(workload, "_read_trace_rows", no_rows)
+        monkeypatch.setattr(workload.spec, "_read_blocks", no_rows)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             filters = list(warnings.filters)
@@ -811,6 +814,20 @@ class TestPipedInput:
         proc = self.drsync(*fit, str(piped), "--data", "/dev/stdin", stdin=text)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert piped.read_text() == written.read_text()
+
+    @pytest.mark.parametrize("flag", ["", ",connectivity_recoverable"])
+    def test_predict_names_the_bad_row_of_a_pipe(self, flag):
+        cell = ",true" if flag else ""
+        metrics = (
+            f"rtt_mean_ms,rtt_jitter_ms,loss_rate,elapsed_min{flag}\n"
+            f"40.0,2.0,0.0,30.0{cell}\n450.0,80.0,1.5,5.0{cell}\n"
+        )
+        proc = self.drsync("predict", "--metrics", "/dev/stdin", stdin=metrics)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: invalid input file\n"
+            "  - /dev/stdin row 3: loss_rate must be in [0, 1], got 1.5\n"
+        )
 
     def test_predict_reads_metrics_from_a_pipe(self, tmp_path):
         path = tmp_path / "metrics.csv"

@@ -12,6 +12,7 @@ import io
 import json
 import re
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -348,6 +349,63 @@ class TestCaps:
         code, _, err = run_cli([*argv, str(tmp_path / "at")])
         assert (code, err) == (0, "")
         assert (tmp_path / "at" / "comparison.json").exists()
+
+    @pytest.mark.parametrize("mode", ["unreliable_dr", "reliable_ordered"])
+    def test_transmissions_per_run(self, tmp_path, monkeypatch, mode):
+        # A run of 21 ticks at loss 0 expects one transmission a send.
+        data = config_to_dict(comparison_scenario())
+        data["duration_ms"], data["transport"]["mode"] = 1000, mode
+        data["channel"]["loss_rate"] = 0.0
+        cfg = config_from_dict(data)
+        sends = len(scenario.run_simulation(cfg).sends)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(data))
+        argv = ["simulate", "--config", str(path), "--out"]
+        monkeypatch.setattr(scenario, "MAX_TRANSMISSIONS", sends - 1)
+        code, out, err = run_cli([*argv, str(tmp_path / "past")])
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: {mode} run of {sends} sends must keep its expected "
+            f"transmissions <= {sends - 1}, got {sends}\n"
+        )
+        assert not (tmp_path / "past").exists()
+        monkeypatch.setattr(scenario, "MAX_TRANSMISSIONS", sends)
+        assert run_cli([*argv, str(tmp_path / "at")])[0] == 0
+        assert (tmp_path / "at" / "summary.json").exists()
+
+    def test_transmissions_per_compare(self, tmp_path, monkeypatch):
+        # At loss 0 each seed expects its sends once per transport.
+        data = config_to_dict(comparison_scenario())
+        data["duration_ms"], data["channel"]["loss_rate"] = 1000, 0.0
+        cfg = config_from_dict(data)
+        expected = sum(
+            2 * len(scenario.run_simulation(replace(cfg, seed=seed)).sends)
+            for seed in (1, 2)
+        )
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        argv = ["compare", "--config", str(path), "--seeds", "1,2", "--out"]
+        monkeypatch.setattr(scenario, "MAX_TRANSMISSIONS", expected - 1)
+        code, out, err = run_cli([*argv, str(tmp_path / "past")])
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: comparison of 2 seeds must keep its expected transmissions "
+            f"<= {expected - 1}, got {expected}\n"
+        )
+        assert not (tmp_path / "past").exists()
+        monkeypatch.setattr(scenario, "MAX_TRANSMISSIONS", expected)
+        code, _, err = run_cli([*argv, str(tmp_path / "at")])
+        assert (code, err) == (0, "")
+        assert (tmp_path / "at" / "comparison.json").exists()
+
+    def test_expected_transmissions(self):
+        expected = scenario.expected_transmissions
+        assert expected("unreliable_dr", 0.5, 10) == 10.0
+        assert expected("reliable_ordered", 0.5, 10) == 10 * (2 - 2**-15)
+        assert expected("reliable_ordered", 1.0, 10) == 160.0
+        # tools/worst_case.py simulate --fraction 1 before the bound existed:
+        # 281,516 sends at loss 0.95 stay accepted.
+        assert expected("reliable_ordered", 0.95, 281_516) <= scenario.MAX_TRANSMISSIONS
 
     def test_compare_work_bound_admits_the_known_compares(self):
         def work(seeds, ticks):
@@ -1009,7 +1067,7 @@ def test_block_reader_reads_a_trace_as_the_row_reader(tmp_path_factory, case):
     # The fast reader must give the row reader's trace or its error text.
     path = tmp_path_factory.getbasetemp() / "blocks.csv"
     path.write_bytes(trace_text(*case).encode("utf-8", "surrogateescape"))
-    expected = read_outcome(workload._read_trace_rows, path)
+    expected = read_outcome(lambda p: by_rows(workload.read_trace_csv, p), path)
     assert read_outcome(workload.read_trace_csv, path) == expected
 
 
@@ -1025,10 +1083,10 @@ def test_block_reader_reads_a_plain_trace_without_the_row_reader(
     for name in ("mmorpg", "fps"):
         paths.append(tmp_path / f"{name}.csv")
         write_trace_csv(generate_trace(preset(name), 4, 90_000, seed=1), str(paths[-1]))
-    expected = [read_outcome(workload._read_trace_rows, path) for path in paths]
+    expected = [read_outcome(lambda p: by_rows(workload.read_trace_csv, p), path) for path in paths]
     assert all(len(columns[0][1]) > 2 * BLOCK for columns, _ in expected)
 
-    def no_rows(path):
+    def no_rows(*args):
         raise AssertionError("the row reader ran")
 
     opened = []
@@ -1037,7 +1095,7 @@ def test_block_reader_reads_a_plain_trace_without_the_row_reader(
         opened.append(file)
         return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(workload, "_read_trace_rows", no_rows)
+    monkeypatch.setattr(spec, "_read_blocks", no_rows)
     monkeypatch.setattr(spec, "open", logged_open, raising=False)
     assert [read_outcome(workload.read_trace_csv, path) for path in paths] == expected
     assert opened == [str(path) for path in paths]
@@ -1051,22 +1109,22 @@ def test_block_reader_reads_many_chunks_without_the_row_reader(tmp_path, monkeyp
     text = lf.read_text()
     crlf.write_text(text.replace("\n", "\r\n"), newline="")
     assert len(text) > 5 * CHUNK
-    expected = read_outcome(workload._read_trace_rows, lf)
-    assert read_outcome(workload._read_trace_rows, crlf) == expected
+    expected = read_outcome(lambda p: by_rows(workload.read_trace_csv, p), lf)
+    assert read_outcome(lambda p: by_rows(workload.read_trace_csv, p), crlf) == expected
     read_columns, blocks = spec.read_columns, []
 
-    def counted(path, header, dtype, convert):
+    def counted(path, layouts, convert, finish):
         def convert_counted(block):
             blocks.append(len(block))
             return convert(block)
 
-        return read_columns(path, header, dtype, convert_counted)
+        return read_columns(path, layouts, convert_counted, finish)
 
-    def no_rows(path):
+    def no_rows(*args):
         raise AssertionError("the row reader ran")
 
     monkeypatch.setattr(spec, "read_columns", counted)
-    monkeypatch.setattr(workload, "_read_trace_rows", no_rows)
+    monkeypatch.setattr(spec, "_read_blocks", no_rows)
     for path in (lf, crlf):
         blocks.clear()
         assert read_outcome(workload.read_trace_csv, path) == expected
@@ -1081,15 +1139,15 @@ def test_block_reader_leaves_quoted_names_to_the_row_reader(tmp_path, monkeypatc
     edits = [(1, 1, '"a,b"'), (2, None, "\r\n"), (BLOCK + 1, 1, '"x""y"')]
     path = tmp_path / "trace.csv"
     path.write_text(trace_text(2 * BLOCK + 1, edits), newline="")
-    expected = read_outcome(workload._read_trace_rows, path)
+    expected = read_outcome(lambda p: by_rows(workload.read_trace_csv, p), path)
     assert expected[1] == ("a,b", "c1", "c2", "c0", 'x"y')
-    read_rows, calls = workload._read_trace_rows, []
+    read_rows, calls = spec._read_blocks, []
 
-    def spy(path):
+    def spy(path, *args):
         calls.append(path)
-        return read_rows(path)
+        return read_rows(path, *args)
 
-    monkeypatch.setattr(workload, "_read_trace_rows", spy)
+    monkeypatch.setattr(spec, "_read_blocks", spy)
     assert read_outcome(workload.read_trace_csv, path) == expected
     assert calls == [str(path)]
 
@@ -1160,11 +1218,15 @@ def session_files(draw, width=5):
 
 
 def by_rows(read, path):
-    """``read(path)`` with :func:`spec.read_columns` declining every file, so
-    that the row reader reads it."""
+    """``read(path)`` with numpy's parser declining every file, so that the
+    row reader reads it."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spec, "read_columns", lambda *args: None)
+        mp.setattr(spec, "_parse_blocks", decline)
         return read(path)
+
+
+def decline(*args):
+    raise ValueError("declined")
 
 
 def sessions_outcome(read, path):
@@ -1230,10 +1292,10 @@ def test_block_reader_reads_plain_sessions_without_the_row_reader(
                 for path in paths]
     assert all(len(sessions) == 2 * BLOCK + 1 for sessions in expected)
 
-    def no_rows(path, builders):
+    def no_rows(*args):
         raise AssertionError("the row reader ran")
 
-    monkeypatch.setattr(spec, "read_csv", no_rows)
+    monkeypatch.setattr(spec, "_read_blocks", no_rows)
     assert [sessions_outcome(qon.read_sessions_csv, path) for path in paths] == expected
 
 
@@ -1289,10 +1351,10 @@ def test_block_reader_reads_plain_metrics_without_the_row_reader(
                 for path in paths]
     assert [len(rows) for rows in expected] == [2 * BLOCK + 1] * 4
 
-    def no_rows(path, builders):
+    def no_rows(*args):
         raise AssertionError("the row reader ran")
 
-    monkeypatch.setattr(spec, "read_csv", no_rows)
+    monkeypatch.setattr(spec, "_read_blocks", no_rows)
     assert [sessions_outcome(qon.read_metrics_csv, path) for path in paths] == expected
 
 
@@ -1406,8 +1468,108 @@ def test_block_reader_reads_plain_waypoints_without_the_row_reader(
     expected = waypoints_outcome(lambda p: by_rows(read, p), lf)
     assert expected[1] == script._t.tolist()
 
-    def no_rows(path, builders):
+    def no_rows(*args):
         raise AssertionError("the row reader ran")
 
-    monkeypatch.setattr(spec, "read_csv", no_rows)
+    monkeypatch.setattr(spec, "_read_blocks", no_rows)
     assert waypoints_outcome(read, lf) == waypoints_outcome(read, crlf) == expected
+
+
+# --- where numpy's parser gives way, the row reader's texts and memory ------
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+@pytest.mark.parametrize(
+    "times, problem",
+    [
+        ((0, 100, 2**63), f"must be <= {core.MAX_TIME_MS}, got {2**63}"),
+        ((0, 2**64, 5), f"must be strictly increasing, got {2**64} then 5"),
+        ((-(2**63) - 1, 0, 5), f"must be >= 0, got {-(2**63) - 1}"),
+    ],
+)
+def test_a_waypoint_time_past_int64_is_judged_by_value(tmp_path, quote, times, problem):
+    # A time that no int64 holds is reported by its value, as any time out
+    # of range is, and not as an overflow; a quoted cell changes nothing.
+    path = tmp_path / "trajectory.csv"
+    rows = "".join(f"{t},{quote}1.5{quote},0,0\n" for t in times)
+    path.write_text(WAYPOINTS_HEADER + "\n" + rows)
+    with pytest.raises(spec.InputFileError) as exc_info:
+        core.TrajectoryScript.from_csv(str(path))
+    assert exc_info.value.problems == [f"{path}: waypoint times {problem}"]
+
+
+@pytest.mark.parametrize(
+    "edits, problem",
+    [
+        ([(1, 1, '"c0"'), (5, 0, "0")], "row 6: t_ms 0 precedes the previous row's 1"),
+        (
+            [(1, 1, '"c0"'), (BLOCK + 1, 0, "7")],
+            f"row {BLOCK + 2}: t_ms 7 precedes the previous row's {(BLOCK - 1) // 3}",
+        ),
+    ],
+)
+def test_an_unsorted_quoted_trace_names_the_row(tmp_path, edits, problem):
+    path = tmp_path / "trace.csv"
+    path.write_text(trace_text(2 * BLOCK, edits))
+    with pytest.raises(spec.InputFileError) as exc_info:
+        workload.read_trace_csv(str(path))
+    assert exc_info.value.problems == [
+        f"{path} {problem}; a trace must be sorted by time"
+    ]
+
+
+def test_a_trace_declined_after_some_blocks_names_connections_from_its_start(
+    tmp_path,
+):
+    # numpy's parser reads the first chunks, then meets a quote; the row
+    # reader reads the file again, and numbers the connections in order of
+    # their first row, as csv reads them.
+    rows = 3 * BLOCK
+    edits = [(k + 1, 1, f"n{(7 * k) % 11}") for k in range(rows)]
+    edits += [(2 * BLOCK + 5, 1, '"q,1"'), (2 * BLOCK + 9, 1, "n99")]
+    path = tmp_path / "trace.csv"
+    path.write_text(trace_text(rows, edits))
+    assert path.read_text().index('"') > 2 * CHUNK
+    with open(path, newline="") as fh:
+        names = [row[1] for row in csv.reader(fh)][1:]
+    firsts = list(dict.fromkeys(names))
+    trace = workload.read_trace_csv(str(path))
+    assert trace.conn_ids == tuple(firsts)
+    assert trace.conn.tolist() == [firsts.index(name) for name in names]
+    assert firsts[:3] == ["n0", "n7", "n3"] and "q,1" in firsts
+
+
+def traced_peak(read, path) -> int:
+    """The most bytes that ``read(path)`` held at once, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        read(str(path))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["trace", "waypoints"])
+def test_a_quoted_file_is_read_in_the_memory_of_a_plain_one(tmp_path, kind):
+    # The row reader that a quoted cell sends a file to holds columns, as
+    # numpy's parser does, and not a tuple per row.  Each trace row holds a
+    # payload that is not one of Python's cached small ints.
+    rows = 50_000
+    if kind == "trace":
+        read, outcome, header = workload.read_trace_csv, read_outcome, TRACE_HEADER
+        cells = [
+            [str(k // 3), f"c{k % 3}", ("c2s", "s2c")[k % 2], str(300 + k % 50),
+             "40", ("false", "true")[k % 4 == 0]]
+            for k in range(rows)
+        ]
+    else:
+        read, outcome = core.TrajectoryScript.from_csv, waypoints_outcome
+        header = WAYPOINTS_HEADER
+        cells = [[str(k * 10), str(k % 7), str(-(k % 5)), "1.5"] for k in range(rows)]
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_text(edited_text(header, copy.deepcopy(cells), []))
+    for row in cells:
+        row[1] = f'"{row[1]}"'
+    quoted.write_text(edited_text(header, cells, []))
+    assert outcome(read, quoted) == outcome(read, plain)
+    assert traced_peak(read, quoted) <= 1.5 * traced_peak(read, plain)

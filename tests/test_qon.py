@@ -76,15 +76,19 @@ class TestSessionMetrics:
 
 
 def by_rows(read):
-    """``read`` with :func:`spec.read_columns` declining every file, so that
-    the row reader reads it."""
+    """``read`` with numpy's parser declining every file, so that the row
+    reader reads it."""
 
     def read_rows(path):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qon.spec, "read_columns", lambda *args: None)
+            mp.setattr(qon.spec, "_parse_blocks", decline)
             return read(path)
 
     return read_rows
+
+
+def decline(*args):
+    raise ValueError("declined")
 
 
 # Each metric's range as the readers' messages write it.

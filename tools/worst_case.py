@@ -1,10 +1,11 @@
 """Run a command in a child process and print its wall time and peak RSS.
 
     python3 tools/worst_case.py run -- COMMAND [ARG ...]
-    python3 tools/worst_case.py compare --fraction 16 [--threshold T] [--seeds S]
+    python3 tools/worst_case.py compare --fraction 16 [--threshold T] [--loss L]
+        [--seeds S]
     python3 tools/worst_case.py simulate --fraction 16
     python3 tools/worst_case.py generate --fraction 16
-    python3 tools/worst_case.py analyze --fraction 16
+    python3 tools/worst_case.py analyze --fraction 16 [--quoted]
     python3 tools/worst_case.py fit --fraction 16
 
 ``run`` starts ``COMMAND`` with its stdout sent to ``/dev/null`` and waits
@@ -26,17 +27,19 @@ an output tree in a temporary directory.  Each seed has ``MAX_TICKS //
 FRACTION // len(seeds) - COMPARE_SEED_TICKS`` ticks, so ``--fraction 1`` is
 a compare at its bound for any seed count.  ``--threshold`` replaces the
 protocol's threshold (1e12 sends only tick 0, so a seed whose one packet is
-lost has no error to compare).
+lost has no error to compare), and ``--loss`` the channel's ``loss_rate``.
 
 ``simulate`` cuts the scenario to ``1/FRACTION`` of ``scenario.MAX_TICKS``
-ticks and runs ``drsync simulate`` under ``reliable_ordered`` at a
-``loss_rate`` of 0.95, the costliest accepted run: a packet is sent 11
-times on average.
+ticks and runs ``drsync simulate`` under ``reliable_ordered`` at threshold
+0, which sends on nearly every tick, and at the largest ``loss_rate`` whose
+expected transmissions ``scenario.MAX_TRANSMISSIONS`` accepts (1.0 where
+every loss is accepted): the costliest accepted run.
 
 ``generate`` runs ``drsync generate`` of the mmorpg preset at 10 clients and
 seed 1 for ``workload.MAX_CLIENT_TICKS // FRACTION`` client ticks, into a
 temporary file; ``analyze`` runs ``drsync analyze`` of that trace, which a
-child process generates first.
+child process generates first, and with ``--quoted`` quotes its ``conn_id``
+cells, so that the trace takes the row reader.
 
 ``fit`` runs ``drsync fit`` at its default 2,000 epochs on
 ``generate_labeled_sessions(qon.MAX_FIT_STEPS // 2000 // FRACTION, 1)``,
@@ -69,6 +72,29 @@ TRACE_FIGURES = (
     "from drsync import workload as w; "
     "print([w.MAX_CLIENT_TICKS, w.preset('mmorpg').tick_period_ms])"
 )
+# Prints the largest loss_rate whose expected transmissions MAX_TRANSMISSIONS
+# accepts for the sends of the config file at argv[1].
+LARGEST_LOSS = """
+import sys
+from drsync import scenario as s
+cfg = s.config_from_json(sys.argv[1])
+sends = len(s._shared_stages(cfg, lambda stage: None).sent)
+ok = lambda p: s.expected_transmissions(cfg.mode, p, sends) <= s.MAX_TRANSMISSIONS
+lo, hi = 0.0, 1.0
+for _ in range(60):
+    lo, hi = ((lo + hi) / 2, hi) if ok((lo + hi) / 2) else (lo, (lo + hi) / 2)
+print(repr(1.0 if ok(1.0) else lo))
+"""
+# Quotes the conn_id cell of each data row of the trace at argv[1].
+QUOTE_NAMES = """
+import os, sys
+with open(sys.argv[1]) as src, open(sys.argv[1] + ".q", "w") as out:
+    out.write(next(src))
+    for line in src:
+        t, name, rest = line.split(",", 2)
+        out.write(f'{t},"{name}",{rest}')
+os.replace(sys.argv[1] + ".q", sys.argv[1])
+"""
 # Writes the sessions of fit's worst case at ``argv[2]`` and prints how many.
 WRITE_SESSIONS = (
     "import sys; from drsync import qon; "
@@ -137,29 +163,39 @@ def measure_drsync(cfg: dict, command: str, *args: str) -> dict:
     return {"ticks": ticks, **result}
 
 
-def compare(fraction: int, threshold: float | None, seeds: str) -> dict:
+def compare(
+    fraction: int, threshold: float | None, loss: float | None, seeds: str
+) -> dict:
     """``drsync compare`` at ``1/fraction`` of its bound, shared by the seeds."""
     max_ticks, seed_ticks, cfg = json.loads(child_output(SCENARIO))
     cfg = cut(cfg, max_ticks // fraction // len(seeds.split(",")) - seed_ticks)
     if threshold is not None:
         cfg["protocol"]["threshold"] = threshold
+    if loss is not None:
+        cfg["channel"]["loss_rate"] = loss
     with tempfile.TemporaryDirectory() as out:
         result = measure_drsync(cfg, "compare", "--seeds", seeds, "--out", out)
-    threshold = cfg["protocol"]["threshold"]
-    return {"ticks": result["ticks"], "threshold": threshold, **result}
+    threshold, loss = cfg["protocol"]["threshold"], cfg["channel"]["loss_rate"]
+    return {"ticks": result["ticks"], "threshold": threshold, "loss": loss, **result}
 
 
 def simulate(fraction: int) -> dict:
     max_ticks, _, cfg = json.loads(child_output(SCENARIO))
     cfg = cut(cfg, max_ticks // fraction)
     cfg["transport"]["mode"] = "reliable_ordered"
-    cfg["channel"]["loss_rate"] = 0.95
-    return measure_drsync(cfg, "simulate")
+    cfg["protocol"]["threshold"] = 0.0
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        cfg["channel"]["loss_rate"] = float(child_output(LARGEST_LOSS, str(path)))
+    result = measure_drsync(cfg, "simulate")
+    return {"loss": cfg["channel"]["loss_rate"], **result}
 
 
-def trace(what: str, fraction: int) -> dict:
+def trace(what: str, fraction: int, quoted: bool = False) -> dict:
     """``drsync generate`` of the mmorpg preset at ``1/fraction`` of
-    ``MAX_CLIENT_TICKS``, or ``drsync analyze`` of what it writes."""
+    ``MAX_CLIENT_TICKS``, or ``drsync analyze`` of what it writes, its
+    ``conn_id`` cells ``quoted`` or not."""
     max_client_ticks, tick_ms = json.loads(child_output(TRACE_FIGURES))
     duration_ms = max_client_ticks // fraction // TRACE_CLIENTS * tick_ms
     env = drsync_env()
@@ -171,12 +207,15 @@ def trace(what: str, fraction: int) -> dict:
         )
         if what == "analyze":
             subprocess.run(generate, env=env, check=True)
+            if quoted:
+                child_output(QUOTE_NAMES, path)
             result = measure(drsync("analyze", "--trace", path), env)
         else:
             result = measure(generate, env)
         trace_bytes = os.path.getsize(path) if os.path.exists(path) else None
     client_ticks = duration_ms // tick_ms * TRACE_CLIENTS
-    return {"client_ticks": client_ticks, "trace_bytes": trace_bytes, **result}
+    figures = {"client_ticks": client_ticks, "trace_bytes": trace_bytes}
+    return {**figures, "quoted": quoted, **result}
 
 
 def fit(fraction: int) -> dict:
@@ -199,6 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         "--fraction", type=int, required=True, help="of the compare's bound"
     )
     cmp_.add_argument("--threshold", type=float)
+    cmp_.add_argument("--loss", type=float, help="the channel's loss_rate")
     cmp_.add_argument("--seeds", default="1,2")
     sim = sub.add_parser("simulate", help="measure the costliest simulate")
     sim.add_argument("--fraction", type=int, required=True, help="of MAX_TICKS")
@@ -207,6 +247,10 @@ def main(argv: list[str] | None = None) -> int:
         trace_.add_argument(
             "--fraction", type=int, required=True, help="of MAX_CLIENT_TICKS"
         )
+        if what == "analyze":
+            trace_.add_argument(
+                "--quoted", action="store_true", help="quote the conn_id cells"
+            )
     fit_ = sub.add_parser("fit", help="measure fit at MAX_FIT_STEPS")
     fit_.add_argument(
         "--fraction", type=int, required=True, help="of MAX_FIT_STEPS' sessions"
@@ -220,11 +264,11 @@ def main(argv: list[str] | None = None) -> int:
     elif args.fraction < 1:
         parser.error("--fraction must be >= 1")
     elif args.what == "compare":
-        result = compare(args.fraction, args.threshold, args.seeds)
+        result = compare(args.fraction, args.threshold, args.loss, args.seeds)
     elif args.what == "simulate":
         result = simulate(args.fraction)
     elif args.what in ("generate", "analyze"):
-        result = trace(args.what, args.fraction)
+        result = trace(args.what, args.fraction, getattr(args, "quoted", False))
     else:
         result = fit(args.fraction)
     print(json.dumps(result))
