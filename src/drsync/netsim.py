@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -368,7 +368,8 @@ _EVENT_FIELDS = ("seq", "send_ms", "arrive_ms", "deliver_ms", "late", "retransmi
 
 
 def write_delivery_csv(
-    deliveries: Deliveries, path: str, shared: spec.SharedCells | None = None
+    deliveries: Deliveries, path: str,
+    shared: Mapping[str, spec.Cells] | None = None,
 ) -> None:
     """Write deliveries as ``seq,send_ms,arrive_ms,deliver_ms,late,retransmissions``.
 

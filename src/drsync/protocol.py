@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -542,7 +542,8 @@ def export_error_report(
 
 
 def write_export_error_csv(
-    report: ExportErrorReport, path: str, shared: spec.SharedCells | None = None
+    report: ExportErrorReport, path: str,
+    shared: Mapping[str, spec.Cells] | None = None,
 ) -> None:
     """Write the error series as ``t_ms,entity_id,error`` (empty error = warm-up).
 

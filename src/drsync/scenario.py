@@ -29,7 +29,7 @@ import math
 import shutil
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -523,15 +523,18 @@ def _summary(
 
 
 def write_run_outputs(
-    result: RunResult, out_dir: str | Path, *, _shared: spec.SharedCells | None = None
+    result: RunResult,
+    out_dir: str | Path,
+    *,
+    _shared: Mapping[str, spec.Cells] | None = None,
 ) -> None:
     """Write summary.json, export_error.csv, deliveries.csv, resolved_config.json.
 
     Every file is byte-deterministic for a given config and seed; the summary
     is recomputable from the CSVs plus the resolved config.  ``_shared``
-    holds cells that :func:`run_compare` formats once for all its runs; the
-    files are the same without it.  The seconds spent are logged at
-    ``DEBUG`` as the run's ``write`` stage.
+    maps column names to the cells that :func:`run_compare` formats once
+    for all its runs; the files are the same without it.  The seconds spent
+    are logged at ``DEBUG`` as the run's ``write`` stage.
     """
     watch = Stopwatch()
     out = Path(out_dir)
@@ -581,9 +584,11 @@ def run_compare(
     build them alone.  Every seed is built first, a trajectory file read
     once for all of them; every first attempt is then drawn in one call, and
     each seed is run and written in turn, its stages let go once it is done.
-    The runs' files are written with one :class:`~drsync.spec.SharedCells`,
-    so the cells they share are formatted once.  The compare logs its own
-    stage seconds at ``DEBUG`` in one line, as do each run and its files.  A
+    The cells the runs' files share are formatted once: the ``t_ms`` and
+    ``entity_id`` of the one tick grid and entity, ``seq`` up to the most
+    sends of any seed, and each seed's ``send_ms`` for both its transports.
+    The compare logs its own stage seconds at ``DEBUG`` in one line, that
+    formatting as its ``write``, as do each run and its files.  A
     call that raises removes each file and folder it made in ``out_dir``.
     """
     if len(seeds) < 2:
@@ -622,18 +627,32 @@ def run_compare(
     firsts = draw([(s.chan, np.arange(1, len(s.sent) + 1)) for s in stages], 0)
     watch.lap("draws")
     rows: list[CompareRow] = []
-    # Every run has one tick grid and one entity, every deliveries.csv counts
-    # seq from 1, and a seed's two transports send from one sender.
-    shared = spec.SharedCells(("t_ms", "entity_id", "seq", "send_ms"))
     out = None if out_dir is None else Path(out_dir)
     undo = contextlib.nullcontext() if out is None else _undone_on_failure(out, seeds)
     with undo:
+        if out is not None:
+            # Every run has one tick grid and one entity, every deliveries.csv
+            # counts seq from 1, and a seed's two transports send alike.
+            grid = stages[0].ticks
+            entity = spec.Table(np.zeros(len(grid), np.intp), [cfg.entity_id])
+            common = {"t_ms": spec.cells(grid), "entity_id": spec.cells(entity)}
+            seq = spec.cells(np.arange(1, max(len(s.sent) for s in stages) + 1))
+            watch.lap("write")
         while stages:
             seed_stages = stages.pop(0)._replace(first=firsts.pop(0))
+            shared = None
+            if out is not None:
+                sent = seed_stages.sent
+                shared = {
+                    **common,
+                    "seq": spec.Cells(seq.texts[: len(sent)], seq.end),
+                    "send_ms": spec.cells(seed_stages.ticks[sent]),
+                }
+                watch.lap("write")
             rows.append(_compare_seed(seed_stages, out, shared))
-        if out is not None:
             watch.lap("runs")
-            del watch.timings["runs"]  # each run logs its own stages
+        del watch.timings["runs"]  # each run logs its own stages
+        if out is not None:
             out.mkdir(parents=True, exist_ok=True)
             columns = [[getattr(row, name) for row in rows] for name in _COMPARE_FIELDS]
             spec.write_csv(str(out / "comparison.csv"), _COMPARE_FIELDS, columns)
@@ -674,10 +693,10 @@ def _undone_on_failure(out: Path, seeds: list[int]) -> Iterator[None]:
 
 
 def _compare_seed(
-    stages: _SharedStages, out: Path | None, shared: spec.SharedCells
+    stages: _SharedStages, out: Path | None, shared: Mapping[str, spec.Cells] | None
 ) -> CompareRow:
     """Run both transports over one seed's shared stages, write each run's
-    files with the compare's ``shared`` cells, and pair their errors."""
+    files with the ``shared`` cells, and pair their errors."""
     seed = stages.config.seed
     results = {}
     for mode in (MODE_UNRELIABLE, MODE_RELIABLE):

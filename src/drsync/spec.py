@@ -30,7 +30,7 @@ import stat
 import sys
 import types
 import warnings
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import IO, Any, NamedTuple, TypeVar
 
 import numpy as np
@@ -645,41 +645,6 @@ def cells(column: Any, end: str = ",") -> Cells:
     return Cells(np.asarray(_cells(column, end, slice(None)), object), end)
 
 
-class SharedCells:
-    """The cells of named columns that many :func:`write_csv` calls write.
-
-    A column named in ``names`` that is a :class:`Table` or an int array is
-    written from the cells last formatted under its name when its values
-    begin those cells' values, and is formatted and kept otherwise.  So a
-    column that repeats across files, or that begins a longer one, such as
-    ``1..n``, is formatted once.  Other columns are formatted in each file:
-    equal floats may differ in text, as ``-0.0`` and ``0.0`` do.
-    """
-
-    def __init__(self, names: Iterable[str]) -> None:
-        self._names = frozenset(names)
-        # By name: the table's texts (or None) and the end, the values, and
-        # the cells formatted from them.
-        self._kept: dict[str, tuple[tuple, np.ndarray, Cells]] = {}
-
-    def column(self, name: str, column: Any, end: str) -> Any:
-        """``column`` as ``write_csv`` writes it under ``name`` before ``end``:
-        its :class:`Cells`, or itself where it is not shared."""
-        if name not in self._names:
-            return column
-        if isinstance(column, Table):
-            key, values = (tuple(column.texts), end), np.asarray(column.codes)
-        elif isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-            key, values = (None, end), column
-        else:
-            return column
-        n = len(values)
-        kept = self._kept.get(name)
-        if kept is None or kept[0] != key or not np.array_equal(kept[1][:n], values):
-            kept = self._kept[name] = (key, values.copy(), cells(column, end))
-        return Cells(kept[2].texts[:n], end)
-
-
 def _length(column: Any) -> int:
     if isinstance(column, Cells):
         return len(column.texts)
@@ -721,7 +686,7 @@ def write_csv(
     dest: str | IO[str],
     header: Sequence[str],
     columns: Sequence[Any],
-    shared: SharedCells | None = None,
+    shared: Mapping[str, Cells] | None = None,
 ) -> None:
     """Write a header and columns of one length to a path or an open text
     file, the same bytes as ``csv.writer(dest, lineterminator="\\n")``
@@ -735,13 +700,16 @@ def write_csv(
     ``_ITER_ROWS`` rows is formatted column by column, each cell with the
     ``,`` or line end after it, and written as one string.  An array's
     distinct ints are formatted once per block, and a table's texts once per
-    file, by ``csv.writer`` itself.  With ``shared``, the columns it shares
-    are written from cells formatted once for many files.
+    file, by ``csv.writer`` itself.  A column that ``shared`` names is
+    written from its cells there instead, formatted once for many files;
+    they must be of the column's length and end, and are not checked
+    against its values.
     """
     ends = [","] * (len(columns) - 1) + ["\n"]
-    if shared is not None:
-        columns = [shared.column(*c) for c in zip(header, columns, ends)]
     lengths = {_length(c) for c in columns}
+    if shared:
+        columns = [shared.get(name, c) for name, c in zip(header, columns)]
+        lengths.update(_length(c) for c in columns)
     if len(lengths) > 1:
         raise ValueError(f"the columns must be of one length, got {sorted(lengths)}")
     for c, end in zip(columns, ends):

@@ -101,14 +101,18 @@ def layer(side, pair, wall, **stages):
 def test_layer_lines_are_optional_and_checked():
     doc = copy.deepcopy(DOC)
     doc["layers"] = [layer("parent", 1, 0.02, **{"simulate.sample": 0.002})]
+    doc["layers"].append({**layer("change", 1, 0.02), "minor_faults": 601})
     assert bench_table.problems(doc, BENCHMARK) == []
-    doc["layers"].append({**layer("other", 1, 0.02), "colour": "red"})
+    doc["layers"][1:] = [{**layer("other", 1, 0.02), "colour": "red"}]
     doc["layers"].append(layer("change", 1, 0.02, **{"simulate.sample": "fast"}))
+    doc["layers"].append({**layer("change", 2, 0.02), "minor_faults": "many"})
     assert bench_table.problems(doc, BENCHMARK) == [
         "layers[1]: keys ['colour', 'pair', 'runs', 'seed', 'side', 'stages',"
-        " 'wall_s', 'workload'], side or stages",
+        " 'wall_s', 'workload'], side, stages or counts",
         "layers[2]: keys ['pair', 'runs', 'seed', 'side', 'stages', 'wall_s',"
-        " 'workload'], side or stages",
+        " 'workload'], side, stages or counts",
+        "layers[3]: keys ['minor_faults', 'pair', 'runs', 'seed', 'side', 'stages',"
+        " 'wall_s', 'workload'], side, stages or counts",
     ]
 
 
@@ -128,3 +132,11 @@ def test_layer_rows_give_medians_pairs_and_wins():
         ["30", "sim-slow-clean", "1", "2", "simulate.sample", "0.0025", "0.0011", "2/2"],
     ]
     assert bench_table.layer_rows([(21, DOC)]) == lines[:1]
+    # minor_faults is shown where every line of the group holds it.
+    for i, faults in enumerate((600, 500, 700, 600)):
+        doc["layers"][i] = {**doc["layers"][i], "minor_faults": faults}
+    assert bench_table.layer_rows([(30, doc)])[2] == [
+        "30", "sim-slow-clean", "1", "2", "minor_faults", "650", "550", "2/2"
+    ]
+    del doc["layers"][0]["minor_faults"]
+    assert bench_table.layer_rows([(30, doc)])[1:] == lines[1:]

@@ -389,7 +389,7 @@ class TestCompare:
         compare_line = re.compile(
             r"DEBUG drsync\.scenario: compare stage seconds: "
             r"trajectory=\d+\.\d{6} sample=\d+\.\d{6} sender=\d+\.\d{6} "
-            r"draws=\d+\.\d{6} comparison_csv=\d+\.\d{6} "
+            r"draws=\d+\.\d{6} write=\d+\.\d{6} comparison_csv=\d+\.\d{6} "
             r"comparison_json=\d+\.\d{6}\n"
         )
         assert len(compare_line.findall(debug_err)) == 1

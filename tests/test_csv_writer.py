@@ -140,80 +140,6 @@ def test_columns_of_different_lengths_are_rejected():
         spec.write_csv(io.StringIO(), ["a", "b"], [[1, 2], spec.flags([True])])
 
 
-def prefix(column, m):
-    """The first ``m`` rows of a column as ``columns`` draws it."""
-    if isinstance(column, spec.Table):
-        return spec.Table(column.codes[:m], column.texts)
-    return column[:m]
-
-
-@st.composite
-def files_sharing_columns(draw):
-    """Files whose columns, under one name each, often are or begin the
-    columns of one first draw, and whose order, so each column's end, varies."""
-    n = draw(st.one_of(st.sampled_from(ROW_COUNTS), st.integers(0, 9)))
-    k = draw(st.integers(1, 3))
-    base = [draw(columns(n)) for _ in range(k)]
-    files = []
-    for _ in range(draw(st.integers(1, 4))):
-        m = draw(st.integers(0, n))
-        drawn = [
-            (prefix(base[j][0], m), base[j][1][:m]) if draw(st.booleans())
-            else draw(columns(m))
-            for j in range(k)
-        ]
-        order = draw(st.permutations(range(k)))
-        cols, values = zip(*(drawn[j] for j in order))
-        files.append(([f"c{j}" for j in order], list(cols),
-                      list(zip(*values)) if m else []))
-    return files
-
-
-@settings(
-    max_examples=100,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-# An int column that begins the kept one, then one longer than it; floats
-# that are equal but written apart; a table whose texts change.
-@example(files=[
-    (["c0", "c1"], [np.arange(1, 4), np.array([0.0])[[0, 0, 0]]],
-     [(1, 0.0), (2, 0.0), (3, 0.0)]),
-    (["c0", "c1"], [np.arange(1, 3), np.array([-0.0, 0.0])], [(1, -0.0), (2, 0.0)]),
-    (["c1", "c0"], [[None], np.arange(1, 2)], [(None, 1)]),
-    (["c0", "c1"], [np.arange(1, 5), spec.Table([0] * 4, ["a"])],
-     [(i, "a") for i in range(1, 5)]),
-    (["c0", "c1"], [np.arange(1, 3), spec.Table([0, 0], ["a,b"])],
-     [(1, "a,b"), (2, "a,b")]),
-])
-@given(files=files_sharing_columns())
-def test_shared_cells_write_what_csv_writer_writes(files):
-    shared = spec.SharedCells(["c0", "c1", "c2"])
-    for header, cols, rows in files:
-        buf = io.StringIO()
-        spec.write_csv(buf, header, cols, shared)
-        assert buf.getvalue() == csv_writer_text(header, rows)
-
-
-def test_shared_cells_format_a_repeated_column_once(monkeypatch):
-    formatted = []
-    cells = spec.cells
-
-    def spy(column, end):
-        formatted.append(spec._length(column))
-        return cells(column, end)
-
-    monkeypatch.setattr(spec, "cells", spy)
-    shared = spec.SharedCells(["seq", "name"])
-    for n in (5, 3, 5, 6, 2):
-        name = spec.Table(np.zeros(n, np.intp), ["p"])
-        columns = [np.arange(1, n + 1), name, -np.arange(n)]
-        spec.write_csv(io.StringIO(), ["seq", "name", "x"], columns, shared)
-    # seq and name at 5 rows, then at 6; x is not shared.
-    assert formatted == [5, 5, 6, 6]
-
-
 def test_cells_are_written_before_their_end_only():
     column = np.array([3, -1, 3])
     buf = io.StringIO()
@@ -221,3 +147,18 @@ def test_cells_are_written_before_their_end_only():
     assert buf.getvalue() == "a,b\n3,3\n-1,-1\n3,3\n"
     with pytest.raises(ValueError, match="cells that end in ','"):
         spec.write_csv(io.StringIO(), ["a"], [spec.cells(column)])
+
+
+def test_shared_cells_of_another_length_or_end_are_rejected():
+    seq, x = np.arange(1, 4), [0.5, None, -1.0]
+    buf = io.StringIO()
+    spec.write_csv(buf, ["seq", "x"], [seq, x], {"seq": spec.cells(seq)})
+    assert buf.getvalue() == "seq,x\n1,0.5\n2,\n3,-1.0\n"
+    short = {"seq": spec.cells(seq[:2])}
+    with pytest.raises(ValueError, match="one length"):
+        spec.write_csv(io.StringIO(), ["seq", "x"], [seq, x], short)
+    # A lone column is held to the length of the column it replaces.
+    with pytest.raises(ValueError, match="one length"):
+        spec.write_csv(io.StringIO(), ["seq"], [seq], {"seq": spec.cells(seq[:2], "\n")})
+    with pytest.raises(ValueError, match="cells that end in ','"):
+        spec.write_csv(io.StringIO(), ["x", "seq"], [x, seq], {"seq": spec.cells(seq)})

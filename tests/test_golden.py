@@ -103,7 +103,8 @@ def _run(argv: list[str]) -> str:
     return buf.getvalue()
 
 
-def compute_digests(tmp: Path) -> dict[str, str]:
+def simulate_digests(tmp: Path) -> dict[str, str]:
+    """The ``simulate/*`` and ``compare/*`` digests."""
     digests = {}
     base = json.loads(CONFIG.read_text())
     for mode in ("unreliable_dr", "reliable_ordered"):
@@ -122,7 +123,12 @@ def compute_digests(tmp: Path) -> dict[str, str]:
         ["compare", "--config", str(CONFIG), "--seeds", "1,2,3", "--out", str(out)]
     )
     digests["compare/seeds_1_2_3"] = _tree_digest(out, stdout)
+    return digests
 
+
+def trace_digests(tmp: Path) -> dict[str, str]:
+    """The ``generate/*``, ``analyze/*`` and ``histogram/*`` digests."""
+    digests = {}
     trace = tmp / "trace.csv"
     _run(
         ["generate", "--preset", "mmorpg", "--clients", "5",
@@ -133,7 +139,12 @@ def compute_digests(tmp: Path) -> dict[str, str]:
     histogram = tmp / "histogram.csv"
     write_histogram_csv(compute_stats(read_trace_csv(str(trace)), "c2s"), str(histogram))
     digests["histogram/mmorpg_c2s"] = _sha(histogram.read_bytes())
+    return digests
 
+
+def qon_digests(tmp: Path) -> dict[str, str]:
+    """The ``sessions/*``, ``fit/*`` and ``predict/*`` digests."""
+    digests = {}
     sessions = tmp / "sessions.csv"
     write_sessions_csv(generate_labeled_sessions(200, 321), str(sessions))
     digests["sessions/200_321"] = _sha(sessions.read_bytes())
@@ -146,7 +157,11 @@ def compute_digests(tmp: Path) -> dict[str, str]:
     _run(["predict", "--metrics", str(metrics), "--out", str(predicted)])
     assert predicted.read_bytes() == stdout.encode(), "predict --out differs from stdout"
     digests["predict/metrics"] = _sha(stdout.encode())
+    return digests
 
+
+def compute_digests(tmp: Path) -> dict[str, str]:
+    digests = {**simulate_digests(tmp), **trace_digests(tmp), **qon_digests(tmp)}
     for name in ("mmorpg", "fps"):
         path = tmp / f"{name}.json"
         profile_to_json(preset(name), str(path))

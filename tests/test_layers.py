@@ -55,9 +55,10 @@ SHARE = 0.4
 def test_stages_fit_inside_each_op(name):
     sizes, expected = SMALL[name]
     ops = layers.measure(replace(layers.WORKLOADS[name], **sizes), seed=1, runs=2)
-    for wall, stages in ops:
+    for wall, stages, faults in ops:
         assert set(stages) == expected
         assert SHARE * wall <= sum(stages.values()) <= wall
+        assert isinstance(faults, int) and faults >= 0
 
 
 def test_the_line_holds_medians(capsys, monkeypatch):
@@ -71,3 +72,4 @@ def test_the_line_holds_medians(capsys, monkeypatch):
     }
     assert set(line["stages"]) == expected
     assert line["wall_s"] > 0
+    assert line["minor_faults"] >= 0  # a small op may reuse freed pages

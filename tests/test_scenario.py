@@ -386,10 +386,9 @@ class TestRunCompare:
 
     @pytest.mark.parametrize("warmup", ["short", "long"])
     def test_tree_equals_what_simulate_writes(self, warmup, tmp_path, monkeypatch):
-        # The runs share cells: one tick grid and entity, seq from 1, and a
-        # seed's send times.  An entity that CSV quotes; seeds whose send
-        # counts rise, then fall (69, 74, 70 and 46, 51, 49); a warm-up of
-        # 3 or 4 ticks, or of 15 or 20 behind a long latency and playout.
+        # An entity that CSV quotes; seeds whose send counts rise, then fall
+        # (69, 74, 70 and 46, 51, 49); a warm-up of 3 or 4 ticks, or of 15 or
+        # 20 behind a long latency and playout.
         cfg = replace(comparison_scenario(), duration_ms=6_000, entity_id='p,"1"')
         if warmup == "long":
             cfg = replace(
@@ -398,11 +397,33 @@ class TestRunCompare:
                 channel=replace(cfg.channel, base_latency_ms=700),
                 dejitter=replace(cfg.dejitter, playout_delay_ms=300),
             )
+        sends = self.check_tree(cfg, tmp_path, monkeypatch)
+        assert sends[0] < sends[1] > sends[2] != sends[0]
+        for seed in (5, 8, 3):
+            summary = tmp_path / f"{seed}_{MODE_RELIABLE}" / "summary.json"
+            assert json.loads(summary.read_text())["export_error"]["warmup_ticks"] >= (
+                15 if warmup == "long" else 3
+            )
+
+    def test_tree_over_a_trajectory_file_equals_what_simulate_writes(
+        self, tmp_path, monkeypatch
+    ):
+        # One trajectory for every seed, so every seed sends alike.
+        cfg = over_trajectory_file(
+            replace(comparison_scenario(), duration_ms=6_000), tmp_path / "traj.csv"
+        )
+        sends = self.check_tree(cfg, tmp_path, monkeypatch)
+        assert sends[0] == sends[1] == sends[2] > 0
+
+    def check_tree(self, cfg, tmp_path, monkeypatch):
+        """Check that each run folder of a compare of seeds 5, 8 and 3 holds
+        what ``simulate --out`` writes, and that the cells the runs share
+        were formatted once each; return each seed's send count."""
         seeds = [5, 8, 3]
         formatted = []
         cells = spec.cells
 
-        def spy(column, end):
+        def spy(column, end=","):
             formatted.append(spec._length(column))
             return cells(column, end)
 
@@ -422,17 +443,12 @@ class TestRunCompare:
                 assert sorted(p.name for p in run.iterdir()) == names
                 for name in names:
                     assert (run / name).read_bytes() == (alone / name).read_bytes()
-            summary = json.loads((alone / "summary.json").read_text())
-            sends.append(summary["sends"])
-            assert summary["export_error"]["warmup_ticks"] >= (
-                15 if warmup == "long" else 3
-            )
-        assert sends[0] < sends[1] > sends[2] != sends[0]
-        # Formatted once each: the grid and entity, seq at each new most
-        # sends, and each seed's send times.
-        ticks = 6_000 // 50 + 1
-        assert formatted == [ticks, ticks, sends[0], sends[0], sends[1], sends[1],
-                             sends[2]]
+            sends.append(json.loads((alone / "summary.json").read_text())["sends"])
+        # The grid's t_ms and entity_id once, seq once at the most sends, and
+        # each seed's send_ms once for both its transports.
+        ticks = cfg.duration_ms // cfg.protocol.tick_ms + 1
+        assert formatted == [ticks, ticks, max(sends), *sends]
+        return sends
 
     def test_compare_ignores_pinned_channel_seed(self):
         # Per-seed pairing must rederive the channel from each run seed.
@@ -443,6 +459,17 @@ class TestRunCompare:
         )
         rows = run_compare(cfg, [7, 8])
         assert rows[0].mean_unreliable != rows[1].mean_unreliable
+
+
+def over_trajectory_file(cfg: ScenarioConfig, path: Path) -> ScenarioConfig:
+    """``cfg`` reading from ``path``, written here, the walk its generator
+    draws at seed 9."""
+    script = generate_trajectory(cfg.trajectory.generator, cfg.duration_ms, seed=9)
+    path.write_text(
+        "t_ms,x,y,z\n"
+        + "".join(f"{t},{p.x!r},{p.y!r},{p.z!r}\n" for t, p in script.waypoints)
+    )
+    return replace(cfg, trajectory=TrajectorySource(file=str(path)))
 
 
 class TestSharedStages:
@@ -502,15 +529,7 @@ class TestSharedStages:
     def check_shared_runs(self, source, seeds, tmp_path, monkeypatch):
         cfg = replace(comparison_scenario(), duration_ms=6_000)
         if source == "file":
-            script = generate_trajectory(
-                cfg.trajectory.generator, cfg.duration_ms, seed=9
-            )
-            path = tmp_path / "traj.csv"
-            path.write_text(
-                "t_ms,x,y,z\n"
-                + "".join(f"{t},{p.x!r},{p.y!r},{p.z!r}\n" for t, p in script.waypoints)
-            )
-            cfg = replace(cfg, trajectory=TrajectorySource(file=str(path)))
+            cfg = over_trajectory_file(cfg, tmp_path / "traj.csv")
         results = self.compare_results(cfg, seeds, monkeypatch)
         assert [(r.config.seed, r.mode) for r in results] == [
             (seed, mode) for seed in seeds for mode in (MODE_UNRELIABLE, MODE_RELIABLE)

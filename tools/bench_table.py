@@ -14,8 +14,9 @@ for each per-layer metric that every run of the group holds.
 
 With ``--layers`` it prints instead the ``layers`` lines a file may hold,
 ``tools/layers.py``'s output for parent and change: for each group and
-each stage, and for the op's ``wall_s``, the medians over each side's
-lines, the pairs and the change's wins.
+each stage, and for the op's ``wall_s`` and, where every line of a group
+holds them, its ``minor_faults``, the medians over each side's lines, the
+pairs and the change's wins.
 
 Each file must keep one schema (:func:`problems`); a file that breaks it is
 reported on stderr and the exit status is 1.
@@ -35,6 +36,7 @@ RUN_KEYS = {"side", "pair", "workload", "seed", "trace", "result"}
 OPTIONAL_RUN_KEYS = {"set", "exit"}
 RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 LAYER_KEYS = {"side", "pair", "workload", "seed", "runs", "wall_s", "stages"}
+OPTIONAL_LAYER_KEYS = {"minor_faults"}
 
 
 def load_benchmark() -> dict:
@@ -50,8 +52,9 @@ def problems(doc: object, benchmark: dict) -> list[str]:
     its ``trace`` 0 or 1.  Its result holds :data:`RESULT_KEYS`.  The metrics
     of an untraced run are the end-to-end ones of ``benchmark``, and those
     of a traced run per-layer ones, each a ``value`` and a ``unit``.  An
-    optional list of ``layers`` holds :data:`LAYER_KEYS` in each line, its
-    ``stages`` mapping names to seconds.
+    optional list of ``layers`` holds :data:`LAYER_KEYS` in each line, and
+    may hold :data:`OPTIONAL_LAYER_KEYS`, a number each; its ``stages`` maps
+    names to seconds.
     """
     if not isinstance(doc, dict):
         return ["not a JSON object"]
@@ -65,11 +68,14 @@ def problems(doc: object, benchmark: dict) -> list[str]:
     layers = doc.get("layers", [])
     for i, line in enumerate(layers if isinstance(layers, list) else [None]):
         keys = set(line) if isinstance(line, dict) else set()
-        if keys != LAYER_KEYS or line["side"] not in SIDES or not (
-            isinstance(line["stages"], dict)
+        if not (
+            LAYER_KEYS <= keys <= LAYER_KEYS | OPTIONAL_LAYER_KEYS
+            and line["side"] in SIDES
+            and isinstance(line["stages"], dict)
             and all(isinstance(v, (int, float)) for v in line["stages"].values())
+            and all(isinstance(line[k], (int, float)) for k in keys - LAYER_KEYS)
         ):
-            found.append(f"layers[{i}]: keys {sorted(keys)}, side or stages")
+            found.append(f"layers[{i}]: keys {sorted(keys)}, side, stages or counts")
     runs = doc.get("runs")
     if not isinstance(runs, list) or not runs:
         return found + ["runs: missing or empty"]
@@ -149,8 +155,9 @@ def layer_rows(docs: list[tuple[int, dict]]) -> list[list[str]]:
             sides = groups.setdefault(
                 (line["workload"], line["seed"]), {side: {} for side in SIDES}
             )
+            optional = {k: line[k] for k in OPTIONAL_LAYER_KEYS if k in line}
             sides[line["side"]][line["pair"]] = {
-                "wall_s": line["wall_s"], **line["stages"]
+                "wall_s": line["wall_s"], **optional, **line["stages"]
             }
         for (workload, seed), sides in groups.items():
             pairs = sorted(sides["parent"].keys() & sides["change"].keys())

@@ -12,8 +12,10 @@ a run's ``RunResult.timings``, its ``write``, compare's own stages and the
 CLI's laps.  Each is summed over an op under ``<command>.<stage>``, so a
 compare adds up the stages of all its runs.
 
-It prints one JSON line: the workload, seed and runs, and the median
-seconds of the op's wall time (``wall_s``) and of each stage (``stages``).
+It prints one JSON line: the workload, seed and runs, the median seconds
+of the op's wall time (``wall_s``) and of each stage (``stages``), and the
+median of the minor page faults the op took (``minor_faults``, the rise in
+``getrusage``'s ``ru_minflt``), which counts the fresh memory it touched.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import contextlib
 import io
 import json
 import logging
+import resource
 import statistics
 import sys
 import tempfile
@@ -79,8 +82,15 @@ def commands(workload, inputs, out: Path) -> list[tuple[str, Callable[[], object
     return [(argv[0], lambda argv=argv: _cli(argv)) for argv in argvs]
 
 
-def measure(workload, seed: int, runs: int) -> list[tuple[float, dict[str, float]]]:
-    """Each op's wall seconds and its ``<command>.<stage>`` seconds."""
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def measure(
+    workload, seed: int, runs: int
+) -> list[tuple[float, dict[str, float], int]]:
+    """Each op's wall seconds, its ``<command>.<stage>`` seconds and its
+    minor page faults."""
     log = logging.getLogger("drsync")
     handler = StageLines()
     saved = log.level, log.propagate
@@ -94,15 +104,16 @@ def measure(workload, seed: int, runs: int) -> list[tuple[float, dict[str, float
             for k in range(runs):
                 out = Path(folder) / f"op{k}"
                 out.mkdir()
-                wall, stages = 0.0, {}
+                wall, stages, faults = 0.0, {}, 0
                 for command, call in commands(workload, inputs, out):
                     handler.seconds = {}
-                    started = time.perf_counter()
+                    faulted, started = _minor_faults(), time.perf_counter()
                     call()
                     wall += time.perf_counter() - started
+                    faults += _minor_faults() - faulted
                     for stage, s in handler.seconds.items():
                         stages[f"{command}.{stage}"] = s
-                ops.append((wall, stages))
+                ops.append((wall, stages, faults))
     finally:
         log.removeHandler(handler)
         log.setLevel(saved[0])
@@ -110,16 +121,19 @@ def measure(workload, seed: int, runs: int) -> list[tuple[float, dict[str, float
     return ops
 
 
-def summary(name: str, seed: int, ops: list[tuple[float, dict[str, float]]]) -> dict:
+def summary(
+    name: str, seed: int, ops: list[tuple[float, dict[str, float], int]]
+) -> dict:
     return {
         "workload": name,
         "seed": seed,
         "runs": len(ops),
-        "wall_s": statistics.median(wall for wall, _ in ops),
+        "wall_s": statistics.median(wall for wall, _, _ in ops),
         "stages": {
-            stage: statistics.median(stages[stage] for _, stages in ops)
+            stage: statistics.median(stages[stage] for _, stages, _ in ops)
             for stage in ops[0][1]
         },
+        "minor_faults": statistics.median(faults for _, _, faults in ops),
     }
 
 
