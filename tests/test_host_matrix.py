@@ -14,9 +14,8 @@ host_matrix = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(host_matrix)
 
 
-def test_nothing_moves_under_the_default_setting(capsys):
-    assert host_matrix.main(["--setting", "default", "--timeout", "120"]) == 0
-    assert capsys.readouterr().out == "default (as it is): nothing moves\n"
+def test_nothing_moves_under_the_default_setting():
+    assert host_matrix.run_setting({}, host_matrix.TIMEOUT) == "nothing moves"
 
 
 def test_each_setting_sets_one_kernel_variable():

@@ -1,7 +1,7 @@
 """Rerun the digests whose last bits may follow the host's kernels, under
 each kernel setting, and print which of them move.
 
-    python3 tools/host_matrix.py [--setting NAME ...] [--timeout S]
+    python3 tools/host_matrix.py
 
 numpy's OpenBLAS picks its ``matmul`` and ``dot`` kernel at run time, and
 numpy picks its SIMD ``exp`` at run time; ``analyze``, ``fit`` and
@@ -9,7 +9,7 @@ numpy picks its SIMD ``exp`` at run time; ``analyze``, ``fit`` and
 setting's variable in its environment, recomputes the ``analyze/*``,
 ``fit/*`` and ``predict/*`` digests of ``tests/test_golden.py`` and checks
 ``qon.calibrate_default_weights()`` against ``qon.DEFAULT_WEIGHTS``.  The
-settings, all by default:
+settings:
 
 - ``default``: the environment as it is;
 - ``haswell`` and ``prescott``: ``OPENBLAS_CORETYPE=Haswell`` or
@@ -18,13 +18,12 @@ settings, all by default:
   that the running numpy dispatches (skipped if it dispatches none).
 
 It prints one line a setting: what moved, ``nothing moves``, or why the
-child gave no answer (its exit status, or the ``--timeout`` it ran past).
+child gave no answer (its exit status, or the ``TIMEOUT`` it ran past).
 The exit status is 0 if nothing moved and every child answered, else 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import json
 import os
@@ -36,6 +35,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FAMILIES = ("analyze/", "fit/", "predict/")
 WEIGHTS = "qon.DEFAULT_WEIGHTS"
+TIMEOUT = 300.0  # seconds each child may run
+CHILD = (
+    "import json, sys; sys.path.insert(0, {!r}); import host_matrix; "
+    "print(json.dumps(host_matrix.moved()))"
+).format(str(Path(__file__).resolve().parent))
 
 
 def avx512_features() -> list[str]:
@@ -85,7 +89,7 @@ def run_setting(variables: dict[str, str], timeout: float) -> str:
     """What moved under ``variables``, in a child process, as one line."""
     try:
         child = subprocess.run(
-            [sys.executable, __file__, "--child"],
+            [sys.executable, "-c", CHILD],
             env={**os.environ, **variables},
             capture_output=True,
             text=True,
@@ -100,23 +104,10 @@ def run_setting(variables: dict[str, str], timeout: float) -> str:
     return ", ".join(names) + " move" if names else "nothing moves"
 
 
-def main(argv: list[str]) -> int:
-    if argv == ["--child"]:
-        print(json.dumps(moved()))
-        return 0
-    known = settings()
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--setting", action="append", choices=sorted(known),
-        help="a setting to run (repeatable); all by default",
-    )
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds each child may run")
-    args = parser.parse_args(argv)
+def main() -> int:
     status = 0
-    for name in args.setting or known:
-        variables = known[name]
-        line = run_setting(variables, args.timeout)
+    for name, variables in settings().items():
+        line = run_setting(variables, TIMEOUT)
         shown = " ".join(f"{k}={v!r}" for k, v in variables.items()) or "as it is"
         print(f"{name} ({shown}): {line}")
         status |= line != "nothing moves"
@@ -124,4 +115,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
