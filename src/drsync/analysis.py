@@ -29,13 +29,10 @@ from .workload import MAX_T_MS, Direction, Trace
 
 # A flat series must clear this autocorrelation to count as periodic.
 PERIOD_STRENGTH_THRESHOLD = 0.3
-# The most buckets bucket_counts makes; detect_period takes about 0.4 s and
-# 34 MiB of block spectra at the cap, 12 ms at 75,000 buckets.
+# The most buckets bucket_counts makes; detect_period takes about 0.11 s and
+# 64 MiB at the cap, 3 ms at 75,000 buckets.
 MAX_BUCKETS = 2**20
 _MIN_PERIOD_SAMPLES = 8
-# Lags per block of detect_period's FFT correlation, whose FFTs are 2 * _BLOCK
-# long: a few 128 KiB arrays at any series length.
-_BLOCK = 8192
 
 
 @dataclass
@@ -254,11 +251,10 @@ def detect_period(
     Returns the lag in ``1..n//2`` with the highest :func:`autocorr` (the
     smallest such lag on a tie) when it clears
     :data:`PERIOD_STRENGTH_THRESHOLD`; constant or unconvincing series yield
-    None.  The result equals a lag-by-lag scan's, bit for bit: a blocked
-    FFT correlation estimates every lag to within about 1e-14, and only the
-    lags within a tolerance of the best estimate get :func:`autocorr`'s
-    exact dot.  That takes about ``0.4 * (n / _BLOCK)**2`` pairs of FFTs of
-    ``2 * _BLOCK`` points, not the scan's ``n / 2`` dots of up to ``n``.
+    None.  The result equals a lag-by-lag scan's, bit for bit: one FFT pair
+    of about ``1.5 * n`` points estimates every lag to within about 1e-14,
+    not the scan's ``n / 2`` dots of up to ``n``, and only the lags within a
+    tolerance of the best estimate get :func:`autocorr`'s exact dot.
     """
     if isinstance(series, CountSeries):
         series = series.counts
@@ -305,28 +301,31 @@ def _exact_r(centered: np.ndarray, denom: float, lag: int) -> float:
 
 
 def _lag_products(centered: np.ndarray, max_lag: int) -> np.ndarray:
-    """``sum_i c[i] * c[i + k]`` for ``k = 0..max_lag``, by FFT (overlap-save).
+    """``sum_i c[i] * c[i + k]`` for ``k = 0..max_lag``, by one FFT pair.
 
-    Lag block ``k0`` correlates each data block ``c[j : j + B]`` with
-    ``c[j + k0 : j + k0 + 2B - 1]``; at FFT length ``2B`` no product wraps
-    round, so one inverse FFT of the summed spectra gives lags
-    ``k0 .. k0 + B - 1`` exactly but for rounding.  ``j`` and ``j + k0`` are
-    both multiples of ``B``, so each block's two spectra are taken once, in
-    about 32 bytes a point.
+    The inverse FFT of the power spectrum is the circular correlation, whose
+    lag ``k`` also adds ``c[i] * c[i + k - m]`` for ``i >= m - k``: each
+    ``c[i]`` there is padding when ``m >= n + max_lag``.  pocketfft is as
+    fast per point at the least such ``m`` of the form ``2^a 3^b 5^c`` as at
+    a power of two, which may be twice as long, and ten times slower at a prime.
     """
-    n = centered.size
-    size = 2 * _BLOCK
-    starts = range(0, n, _BLOCK)
-    data = [np.fft.rfft(centered[j : j + _BLOCK], size).conj() for j in starts]
-    shifted = [np.fft.rfft(centered[j : j + size - 1], size) for j in starts]
-    out = np.empty(max_lag + 1)
-    for k0 in range(0, max_lag + 1, _BLOCK):
-        spectrum = np.zeros(_BLOCK + 1, dtype=complex)
-        for b in range((n - k0 + _BLOCK - 1) // _BLOCK):
-            spectrum += data[b] * shifted[b + k0 // _BLOCK]
-        lags = np.fft.irfft(spectrum, size)[: min(_BLOCK, max_lag + 1 - k0)]
-        out[k0 : k0 + lags.size] = lags
-    return out
+    size = _smooth(centered.size + max_lag)
+    spectrum = np.fft.rfft(centered, size)
+    spectrum *= spectrum.conj()
+    return np.fft.irfft(spectrum, size)[: max_lag + 1]
+
+
+def _smooth(n: int) -> int:
+    """The least ``2^a 3^b 5^c`` at least ``n >= 1``."""
+    best = 1 << (n - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
 
 
 def write_histogram_csv(

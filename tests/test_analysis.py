@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drsync.analysis import (
-    _BLOCK,
     PERIOD_STRENGTH_THRESHOLD,
     CountSeries,
     PeriodEstimate,
     _lag_products,
+    _smooth,
     autocorr,
     bucket_counts,
     compute_stats,
@@ -302,8 +302,25 @@ class TestDetectPeriod:
 
 # --- the FFT period detector against the lag-by-lag scan ----------------------
 
-# Series lengths whose lags fall on the FFT's block edges.
-BLOCK_EDGES = [8, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+# Series lengths at the edges of the FFT's length, _smooth(n + n // 2):
+# 8 + 4 = 12 needs no padding and 9 + 4 = 13 is padded to 15; 665 + 332 = 997
+# and 666 + 333 = 999 are padded to 1000 = 2^3 5^3, which 667 + 333 is, and
+# 668 + 334 = 1002 is padded to 1024; a prime; and analyst-fine's 74,976
+# buckets, padded to 112,500 = 2^2 3^2 5^5.
+FFT_EDGES = [8, 9, 665, 666, 667, 668, 7919]
+ANALYST_FINE_BUCKETS = 74_976
+
+
+def test_smooth_is_the_least_5_smooth_number_at_or_past_n():
+    def is_smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    smooth = [m for m in range(1, 10_241) if is_smooth(m)]  # 10,240 = 2^11 5
+    for n in range(1, 10_001):
+        assert _smooth(n) == min(m for m in smooth if m >= n)
 
 
 def scan_period(xs) -> PeriodEstimate | None:
@@ -352,11 +369,12 @@ def make_series(family: str, n: int, seed: int) -> np.ndarray:
 
 
 @given(
-    n=st.sampled_from(BLOCK_EDGES) | st.integers(2, 3 * _BLOCK),
+    n=st.sampled_from(FFT_EDGES) | st.integers(2, 24_576),
     seed=st.integers(0, 2**32 - 1),
     family=st.sampled_from(["periodic", "poisson", "spikes"]),
     whole=st.booleans(),
 )
+@example(n=ANALYST_FINE_BUCKETS, seed=1, family="poisson", whole=True)
 @settings(derandomize=True, max_examples=60, deadline=None)
 def test_lag_products_match_dots(n, seed, family, whole):
     x = make_series(family, n, seed)
@@ -370,12 +388,13 @@ def test_lag_products_match_dots(n, seed, family, whole):
 
 
 @given(
-    n=st.sampled_from(BLOCK_EDGES) | st.integers(8, 2 * _BLOCK + 1),
+    n=st.sampled_from(FFT_EDGES) | st.integers(8, 16_385),
     seed=st.integers(0, 2**32 - 1),
     family=st.sampled_from(["periodic", "poisson", "spikes", "ties", "near-ties"]),
 )
 @example(n=64, seed=5, family="ties")
-@example(n=_BLOCK + 1, seed=3, family="near-ties")
+@example(n=667, seed=3, family="near-ties")
+@example(n=ANALYST_FINE_BUCKETS, seed=2, family="periodic")
 @settings(derandomize=True, max_examples=80, deadline=None)
 def test_detect_period_equals_the_lag_scan(n, seed, family):
     x = make_series(family, n, seed)

@@ -77,19 +77,22 @@ def test_the_schema_names_each_break():
 
 def test_rows_give_medians_pairs_and_wins():
     lines = bench_table.rows([(21, DOC)], BENCHMARK)
-    assert lines[0][6:] == ["metric", "parent", "change", "wins"]
+    assert lines[0][6:] == ["metric", "parent", "iqr", "change", "wins"]
     by_metric = {line[6]: line for line in lines[1:]}
     # op_s: 0.30, 0.25, 0.40 against 0.20, 0.25, 0.50; the tie wins nothing.
+    # The parent's quartiles of three runs are its least and greatest.
     assert by_metric["op_s"] == [
-        "21", "-", "sim-fast-lossy", "1", "0", "3", "op_s", "0.3", "0.25", "1/3",
+        "21", "-", "sim-fast-lossy", "1", "0", "3", "op_s", "0.3", "0.15", "0.25",
+        "1/3",
     ]
     # Per-layer metrics pair as well, each in its own direction; netsim.late
-    # is held by the parent's runs only, so it has no line.
+    # is held by the parent's runs only, so it has no line.  Of two runs, the
+    # quartiles lie a quarter of the gap beyond each (0.1 and 0.3).
     assert by_metric["netsim.transport_s"] == [
         "21", "-", "sim-fast-lossy", "1", "1", "2", "netsim.transport_s",
-        "0.2", "0.15", "1/2",
+        "0.2", "0.3", "0.15", "1/2",
     ]
-    assert by_metric["netsim.goodput_ratio"][7:] == ["0.85", "0.8", "1/2"]
+    assert by_metric["netsim.goodput_ratio"][7:] == ["0.85", "0.15", "0.8", "1/2"]
     assert len(lines) == 1 + len(BENCHMARK["end_to_end"]) + 2
 
 
@@ -125,18 +128,37 @@ def test_layer_rows_give_medians_pairs_and_wins():
     ]}
     lines = bench_table.layer_rows([(30, doc)])
     assert lines[0] == ["pr", "workload", "seed", "pairs", "stage", "parent",
-                        "change", "wins"]
+                        "iqr", "change", "wins"]
     # simulate.sender is held by the parent's lines only, so it has no line.
     assert lines[1:] == [
-        ["30", "sim-slow-clean", "1", "2", "wall_s", "0.025", "0.023", "1/2"],
-        ["30", "sim-slow-clean", "1", "2", "simulate.sample", "0.0025", "0.0011", "2/2"],
+        ["30", "sim-slow-clean", "1", "2", "wall_s", "0.025", "0.015", "0.023", "1/2"],
+        ["30", "sim-slow-clean", "1", "2", "simulate.sample", "0.0025", "0.0015",
+         "0.0011", "2/2"],
     ]
     assert bench_table.layer_rows([(21, DOC)]) == lines[:1]
     # minor_faults is shown where every line of the group holds it.
     for i, faults in enumerate((600, 500, 700, 600)):
         doc["layers"][i] = {**doc["layers"][i], "minor_faults": faults}
     assert bench_table.layer_rows([(30, doc)])[2] == [
-        "30", "sim-slow-clean", "1", "2", "minor_faults", "650", "550", "2/2"
+        "30", "sim-slow-clean", "1", "2", "minor_faults", "650", "150", "550", "2/2"
     ]
     del doc["layers"][0]["minor_faults"]
     assert bench_table.layer_rows([(30, doc)])[1:] == lines[1:]
+
+
+def test_the_parent_iqr_is_the_gap_between_its_quartiles():
+    parent = (0.10, 0.11, 0.12, 0.13, 0.14, 0.20)
+    doc = {**DOC, "runs": [run("parent", p, op_s) for p, op_s in enumerate(parent)]}
+    doc["runs"] += [run("change", p, 0.12) for p in range(len(parent))]
+    op_s = {line[6]: line for line in bench_table.rows([(34, doc)], BENCHMARK)}["op_s"]
+    # Six runs: q1 = 0.1075 and q3 = 0.155 (the exclusive method).
+    assert op_s[5:] == ["6", "op_s", "0.125", "0.0475", "0.12", "3/6"]
+    # A single run has no spread.
+    doc = {**DOC, "runs": [run("parent", 1, 0.3), run("change", 1, 0.2)]}
+    assert bench_table.rows([(34, doc)], BENCHMARK)[2][5:] == [
+        "1", "op_s", "0.3", "0", "0.2", "1/1"
+    ]
+    doc["layers"] = [layer("parent", 1, 0.02), layer("change", 1, 0.01)]
+    assert bench_table.layer_rows([(34, doc)])[1][3:] == [
+        "1", "wall_s", "0.02", "0", "0.01", "1/1"
+    ]

@@ -6,9 +6,12 @@ With no file named, it reads every ``BENCH_<n>.json`` at the repository
 root, in PR order.  Runs are grouped by PR, run set (where the file names
 sets), workload, seed and ``--trace`` setting.  For each group and each
 end-to-end metric that ``BENCHMARK.json`` declares, one line gives the
-median over the parent's runs and over the change's runs, the number of
-pairs, and the pairs in which the change did better, in the metric's
-``better`` direction; a tie counts for neither side.  Traced runs
+median over the parent's runs with their interquartile range (q3 - q1,
+``statistics.quantiles``' default method), the median over the change's
+runs, the number of pairs, and the pairs in which the change did better, in
+the metric's ``better`` direction; a tie counts for neither side.  A gain is
+told from the parent's spread when the change's median is better than the
+parent's by more than that range.  Traced runs
 (``--trace 1``) hold per-layer metrics, so their group prints one such line
 for each per-layer metric that every run of the group holds.
 
@@ -16,7 +19,7 @@ With ``--layers`` it prints instead the ``layers`` lines a file may hold,
 ``tools/layers.py``'s output for parent and change: for each group and
 each stage, and for the op's ``wall_s`` and, where every line of a group
 holds them, its ``minor_faults``, the medians over each side's lines, the
-pairs and the change's wins.
+parent's interquartile range, the pairs and the change's wins.
 
 Each file must keep one schema (:func:`problems`); a file that breaks it is
 reported on stderr and the exit status is 1.
@@ -115,7 +118,7 @@ def _pr(path: Path) -> int:
 def rows(docs: list[tuple[int, dict]], benchmark: dict) -> list[list[str]]:
     """The table's lines as cells, header first, from ``(pr, doc)`` pairs."""
     lines = [["pr", "set", "workload", "seed", "trace", "pairs", "metric",
-              "parent", "change", "wins"]]
+              "parent", "iqr", "change", "wins"]]
     for pr, doc in docs:
         groups: dict[tuple, dict[str, dict[int, dict]]] = {}
         for run in doc["runs"]:
@@ -139,16 +142,20 @@ def rows(docs: list[tuple[int, dict]], benchmark: dict) -> list[list[str]]:
 
 
 def _paired(value: dict[str, dict[int, float]], pairs: list[int], sign: int) -> list[str]:
-    """Each side's median of ``value`` and the change's wins in ``pairs``,
-    ``sign`` being 1 where lower is better and -1 where higher is."""
+    """The parent's median and interquartile range of ``value``, the change's
+    median, and the change's wins in ``pairs``, ``sign`` being 1 where lower
+    is better and -1 where higher is."""
     wins = sum(sign * value["change"][p] < sign * value["parent"][p] for p in pairs)
-    medians = [f"{statistics.median(value[side].values()):.4g}" for side in SIDES]
-    return [*medians, f"{wins}/{len(pairs)}"]
+    parent, change = (list(value[side].values()) for side in SIDES)
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else [0, 0, 0]
+    cells = (statistics.median(parent), q3 - q1, statistics.median(change))
+    return [*(f"{cell:.4g}" for cell in cells), f"{wins}/{len(pairs)}"]
 
 
 def layer_rows(docs: list[tuple[int, dict]]) -> list[list[str]]:
     """The ``--layers`` table's lines as cells, header first."""
-    lines = [["pr", "workload", "seed", "pairs", "stage", "parent", "change", "wins"]]
+    lines = [["pr", "workload", "seed", "pairs", "stage", "parent", "iqr", "change",
+              "wins"]]
     for pr, doc in docs:
         groups: dict[tuple, dict[str, dict[int, dict]]] = {}
         for line in doc.get("layers", []):
@@ -188,9 +195,9 @@ def main(argv: list[str]) -> int:
         else:
             docs.append((_pr(path), doc))
     if show_layers:
-        lines, right = layer_rows(docs), (0, 2, 3, 5, 6, 7)
+        lines, right = layer_rows(docs), (0, 2, 3, 5, 6, 7, 8)
     else:
-        lines, right = rows(docs, benchmark), (0, 3, 4, 5, 7, 8, 9)
+        lines, right = rows(docs, benchmark), (0, 3, 4, 5, 7, 8, 9, 10)
     widths = [max(len(line[j]) for line in lines) for j in range(len(lines[0]))]
     for line in lines:
         cells = [c.rjust(w) if j in right else c.ljust(w)
