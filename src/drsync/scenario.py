@@ -57,6 +57,7 @@ from .netsim import (
 from .protocol import (
     ExportErrorReport,
     ProtocolConfig,
+    exact_sum,
     export_error_report,
     receiver_run,
     sender_run,
@@ -473,11 +474,14 @@ def _summary(
     jitter = arrive[arrived] - send[arrived] - chan.base_latency_ms
     if transmissions > len(send):
         jitter -= retransmissions[arrived].astype(jitter.dtype) * cfg.rto_ms
-    jitters = jitter.tolist()
-    lost = transmissions - len(jitters)
-    if jitters:
-        mean_j = math.fsum(jitters) / len(jitters)
-        var_j = math.fsum((j - mean_j) ** 2 for j in jitters) / len(jitters)
+    lost = transmissions - len(jitter)
+    if len(jitter):
+        # fsum's bits by exact_sum, each distinct jitter's square taken once
+        # by Python's float arithmetic, as over the per-packet list.
+        values, inverse = np.unique(jitter, return_inverse=True)
+        mean_j = exact_sum(jitter.astype(float)) / len(jitter)
+        squares = np.array([(j - mean_j) ** 2 for j in values.tolist()])
+        var_j = exact_sum(squares[inverse]) / len(jitter)
     else:
         log.warning(
             "run %s seed=%d: no packet arrived, so rtt_mean_ms is twice the base "

@@ -228,6 +228,67 @@ class TestBucketCounts:
         assert series.counts.tolist() == [1.0, 0.0]
 
 
+@st.composite
+def split_traces(draw):
+    """A trace of up to 40 rows: few connections, either direction, sizes
+    from 0 to 2**32 - 1 and any ack flags; or one direction, all acks."""
+    n = draw(st.integers(0, 40))
+    column = lambda items: draw(st.lists(items, min_size=n, max_size=n))
+    one_way = draw(st.booleans())
+    direction = [0] * n if one_way else column(st.integers(0, 1))
+    acks = [True] * n if draw(st.booleans()) else column(st.booleans())
+    sizes = st.one_of(st.integers(0, 100), st.integers(0, 2**32 - 1))
+    conn = column(st.integers(0, 2))
+    times = sorted(column(st.integers(0, 10**6)))
+    return Trace(times, conn, ("c0", "c1", "c2"), direction, column(sizes),
+                 column(sizes), acks)
+
+
+def rows_where(trace, mask):
+    """The rows of ``trace`` that a boolean ``mask`` picks, by mask indexing."""
+    columns = (trace.t_ms, trace.conn, trace.direction, trace.payload_bytes,
+               trace.header_bytes, trace.is_ack)
+    t, conn, direction, payload, header, is_ack = (c[mask] for c in columns)
+    return Trace(t, conn, trace.conn_ids, direction, payload, header, is_ack)
+
+
+def outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(trace=split_traces(), bucket_ms=st.integers(1, 50_000))
+@example(trace=trace_of([]), bucket_ms=1)
+@example(trace=trace_of([rec(5, ack=True)]), bucket_ms=3)
+@example(trace=trace_of([rec(0, payload=0, header=0), rec(9)]), bucket_ms=2)
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_direction_splits_match_mask_indexing(trace, bucket_ms):
+    # Each direction split gives what x[mask] gives: the stats, counts and
+    # gaps of a trace equal those of its rows in the direction, picked by
+    # mask indexing.  Explicit windows, since a split's span is its own.
+    window = int(trace.t_ms[-1]) + 1 if len(trace) else 1
+    for direction in Direction:
+        mask = trace.in_direction(direction)
+        split = rows_where(trace, mask)
+        got = outcome(compute_stats, trace, direction, duration_ms=window)
+        if len(trace) and not mask.any():
+            assert got == f"trace has no packets in direction {direction.value}"
+        else:
+            assert got == outcome(compute_stats, split, direction, duration_ms=window)
+        counts = bucket_counts(trace, bucket_ms, direction, duration_ms=window).counts
+        assert counts.tolist() == bucket_counts(
+            split, bucket_ms, duration_ms=window
+        ).counts.tolist()
+        for conn_id in (*trace.conn_ids, "absent"):
+            code = trace.conn_ids.index(conn_id) if conn_id in trace.conn_ids else -1
+            one = rows_where(trace, mask & (trace.conn == code))
+            assert outcome(interarrival_stats, trace, conn_id, direction) == outcome(
+                interarrival_stats, one, conn_id, direction
+            )
+
+
 class TestAutocorr:
     def test_lag_zero_is_exactly_one(self):
         rng = random.Random(2)

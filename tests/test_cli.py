@@ -430,7 +430,7 @@ class TestGenerateAnalyze:
         # The mmorpg preset at 10 clients and seed 1: 424,170 rows.  On a
         # 2-vCPU Xeon guest generate took 0.5 s and analyze 0.4 s in the
         # tool's child, which peaked at 61 and 54 MiB; analyze of the trace
-        # with quoted names, which the row reader reads, 1.3 s and 56 MiB.
+        # with quoted names, which numpy's parser reads too, 0.6 s and 54 MiB.
         result = worst_case(*what.split(), "--fraction", "16")
         assert result["client_ticks"] == workload.MAX_CLIENT_TICKS // 16
         assert result["command"][3] == what.split()[0]
@@ -805,7 +805,8 @@ class TestPipedInput:
         assert problem in proc.stderr
 
     def test_fit_reads_a_quoted_cell_from_a_pipe(self, tmp_path):
-        # A quoted cell sends a file to the row reader, which reads it once.
+        # A pipe goes to the row reader, which reads it once; it reads the
+        # quoted cell as numpy's parser reads it in the file.
         text = self.SESSIONS + '"1.0",2.0,0.3,4.0,true\n'
         path, piped, written = (tmp_path / n for n in ("s.csv", "p.json", "f.json"))
         path.write_text(text)

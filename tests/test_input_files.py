@@ -1135,21 +1135,20 @@ def test_block_reader_reads_many_chunks_without_the_row_reader(tmp_path, monkeyp
         assert sum(blocks) == len(expected[0][0][1])
 
 
-def test_block_reader_leaves_quoted_names_to_the_row_reader(tmp_path, monkeypatch):
+def test_block_reader_reads_quoted_names_without_the_row_reader(tmp_path, monkeypatch):
+    # Quoted names, one with a comma and one with a doubled quote, are read
+    # by numpy's parser, as csv reads them.
     edits = [(1, 1, '"a,b"'), (2, None, "\r\n"), (BLOCK + 1, 1, '"x""y"')]
     path = tmp_path / "trace.csv"
     path.write_text(trace_text(2 * BLOCK + 1, edits), newline="")
     expected = read_outcome(lambda p: by_rows(workload.read_trace_csv, p), path)
     assert expected[1] == ("a,b", "c1", "c2", "c0", 'x"y')
-    read_rows, calls = spec._read_blocks, []
 
-    def spy(path, *args):
-        calls.append(path)
-        return read_rows(path, *args)
+    def no_rows(*args):
+        raise AssertionError("the row reader ran")
 
-    monkeypatch.setattr(spec, "_read_blocks", spy)
+    monkeypatch.setattr(spec, "_read_blocks", no_rows)
     assert read_outcome(workload.read_trace_csv, path) == expected
-    assert calls == [str(path)]
 
 
 # --- the sessions reader's numpy blocks agree with its row reader -----------
@@ -1478,6 +1477,108 @@ def test_block_reader_reads_plain_waypoints_without_the_row_reader(
 # --- where numpy's parser gives way, the row reader's texts and memory ------
 
 
+def quoted_across_edge(make, rows: int, col: int, shift: int, stray: str = ""):
+    """``make(rows, edits)``, a CSV text, with the cell in column ``col`` of
+    one data row quoted around a line end and its row's cells up to it
+    again, so that each of its two lines reads as a row by itself: the quote
+    opens in the first chunk's last whole line, whose line end is the
+    chunk's character ``CHUNK - shift``, and closes in the next chunk.
+    Blank lines before that row, which both readers skip, place it.
+    ``stray`` replaces data row 1's cell in column 1."""
+    plain = make(rows, [])
+    row = edge_row(plain) - 2
+    cells = plain.split("\n")[row].split(",")
+    head = "".join(c + "," for c in cells[:col])
+    quoted = f'"{cells[col]}\n{head}"{cells[col]}"'
+    edits = [(row, col, quoted)] + ([(1, 1, stray)] if stray else [])
+    data = make(rows, edits).split("\n", 1)[1]
+    end = data.index(quoted) + len(cells[col]) + 1  # the line end inside
+    edits.append((row - 1, None, "\n" * (CHUNK - shift - end)))
+    text = make(rows, edits)
+    data = text.split("\n", 1)[1]
+    assert data.index(quoted) + len(cells[col]) + 1 == CHUNK - shift - 1
+    assert data.count('"', CHUNK - shift) == 2
+    return text
+
+
+# Each reader, the texts it reads and the outcome that compares its results.
+EDGE_READERS = {
+    "trace": (trace_text, workload.read_trace_csv, read_outcome),
+    "sessions": (sessions_text, qon.read_sessions_csv, sessions_outcome),
+    "metrics": (
+        lambda *a: sessions_text(*a, METRICS_HEADERS[0]),
+        qon.read_metrics_csv,
+        sessions_outcome,
+    ),
+    "metrics+flag": (
+        lambda *a: sessions_text(*a, METRICS_HEADERS[1]),
+        qon.read_metrics_csv,
+        sessions_outcome,
+    ),
+    "waypoints": (waypoints_text, core.TrajectoryScript.from_csv, waypoints_outcome),
+}
+
+
+@pytest.mark.parametrize("shift", [0, 1, 3])
+@pytest.mark.parametrize(
+    "reader, col",
+    [
+        (name, col)
+        for name, (make, _, _) in EDGE_READERS.items()
+        for col in range(make(0, []).count(",") + 1)
+    ],
+)
+def test_a_quoted_cell_across_a_chunk_edge_reads_as_by_rows(
+    tmp_path, reader, col, shift
+):
+    # A chunk must not end inside a quoted cell: numpy would end the cell
+    # there, and might read the rest of it as a row of the next chunk.  Each
+    # column of each reader, with the chunk's edge right after the line end
+    # inside the cell or just past it.
+    make, read, outcome = EDGE_READERS[reader]
+    path = tmp_path / f"{reader}.csv"
+    path.write_text(quoted_across_edge(make, 2 * BLOCK, col, shift), newline="")
+    expected = outcome(lambda p: by_rows(read, p), path)
+    assert outcome(read, path) == expected
+
+
+def test_each_layout_with_an_object_field_ends_in_fixed_width_text(
+    tmp_path, monkeypatch
+):
+    # What the odd-quote decline rests on: a quote inside an unquoted cell
+    # can hide a cell left open at a chunk's edge only in a layout with an
+    # object field, and an open cell ends in a line end, which a last
+    # fixed-width text field never matches.
+    read_columns, dtypes = spec.read_columns, []
+
+    def spy(path, layouts, convert, finish):
+        dtypes.extend(dtype for dtype, _ in layouts.values())
+        return read_columns(path, layouts, convert, finish)
+
+    monkeypatch.setattr(spec, "read_columns", spy)
+    for name, (make, read, _) in EDGE_READERS.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(make(3, []))
+        read(str(path))
+    assert len(set(dtypes)) == 5  # the metrics reader takes either of two headers
+    kinds = ["".join(dtype[name].kind for name in dtype.names) for dtype in dtypes]
+    assert any("O" in k for k in kinds)
+    assert all(k.endswith("U") for k in kinds if "O" in k)
+
+
+@pytest.mark.parametrize("col", range(6))
+def test_a_quote_in_a_name_hides_no_cell_open_at_a_chunk_edge(tmp_path, col):
+    # A quote inside an unquoted name is text, so the first chunk holds an
+    # even number of quotes while a cell is open at its edge; numpy's parse
+    # of that chunk fails, and the row reader reads the file.
+    path = tmp_path / "trace.csv"
+    text = quoted_across_edge(trace_text, 2 * BLOCK, col, 0, stray='a"b')
+    assert text.split("\n", 1)[1].count('"', 0, CHUNK) == 2
+    path.write_text(text, newline="")
+    expected = read_outcome(lambda p: by_rows(workload.read_trace_csv, p), path)
+    assert read_outcome(workload.read_trace_csv, path) == expected
+
+
 @pytest.mark.parametrize("quote", ["", '"'])
 @pytest.mark.parametrize(
     "times, problem",
@@ -1521,9 +1622,9 @@ def test_an_unsorted_quoted_trace_names_the_row(tmp_path, edits, problem):
 def test_a_trace_declined_after_some_blocks_names_connections_from_its_start(
     tmp_path,
 ):
-    # numpy's parser reads the first chunks, then meets a quote; the row
-    # reader reads the file again, and numbers the connections in order of
-    # their first row, as csv reads them.
+    # numpy's parser reads the first chunks, then a quoted name, and
+    # numbers the connections in order of their first row, as csv reads
+    # them.
     rows = 3 * BLOCK
     edits = [(k + 1, 1, f"n{(7 * k) % 11}") for k in range(rows)]
     edits += [(2 * BLOCK + 5, 1, '"q,1"'), (2 * BLOCK + 9, 1, "n99")]
@@ -1539,6 +1640,34 @@ def test_a_trace_declined_after_some_blocks_names_connections_from_its_start(
     assert firsts[:3] == ["n0", "n7", "n3"] and "q,1" in firsts
 
 
+def test_a_trace_declined_mid_file_numbers_connections_from_its_start(
+    tmp_path, monkeypatch
+):
+    # numpy's parser reads the first chunks, then meets a chunk with an odd
+    # number of quotes; the row reader reads the file again, and numbers the
+    # connections in order of their first row, as csv reads them.
+    rows = 3 * BLOCK
+    edits = [(k + 1, 1, f"n{(7 * k) % 11}") for k in range(rows)]
+    edits += [(2 * BLOCK + 5, 1, 'q"1'), (2 * BLOCK + 9, 1, "n99")]
+    path = tmp_path / "trace.csv"
+    path.write_text(trace_text(rows, edits))
+    assert path.read_text().index('"') > 2 * CHUNK
+    read_rows, calls = spec._read_blocks, []
+
+    def spy(path, *args):
+        calls.append(path)
+        return read_rows(path, *args)
+
+    monkeypatch.setattr(spec, "_read_blocks", spy)
+    with open(path, newline="") as fh:
+        names = [row[1] for row in csv.reader(fh)][1:]
+    firsts = list(dict.fromkeys(names))
+    trace = workload.read_trace_csv(str(path))
+    assert calls == [str(path)]
+    assert trace.conn_ids == tuple(firsts) and 'q"1' in firsts
+    assert trace.conn.tolist() == [firsts.index(name) for name in names]
+
+
 def traced_peak(read, path) -> int:
     """The most bytes that ``read(path)`` held at once, by ``tracemalloc``."""
     tracemalloc.start()
@@ -1551,9 +1680,8 @@ def traced_peak(read, path) -> int:
 
 @pytest.mark.parametrize("kind", ["trace", "waypoints"])
 def test_a_quoted_file_is_read_in_the_memory_of_a_plain_one(tmp_path, kind):
-    # The row reader that a quoted cell sends a file to holds columns, as
-    # numpy's parser does, and not a tuple per row.  Each trace row holds a
-    # payload that is not one of Python's cached small ints.
+    # Each trace row holds a payload that is not one of Python's cached
+    # small ints.
     rows = 50_000
     if kind == "trace":
         read, outcome, header = workload.read_trace_csv, read_outcome, TRACE_HEADER
@@ -1573,3 +1701,7 @@ def test_a_quoted_file_is_read_in_the_memory_of_a_plain_one(tmp_path, kind):
     quoted.write_text(edited_text(header, cells, []))
     assert outcome(read, quoted) == outcome(read, plain)
     assert traced_peak(read, quoted) <= 1.5 * traced_peak(read, plain)
+    # The row reader, which a pipe or a declined chunk sends a file to,
+    # holds columns too, as numpy's parser does, and not a tuple per row.
+    by_rows_peak = traced_peak(lambda p: by_rows(read, p), quoted)
+    assert by_rows_peak <= 1.5 * traced_peak(read, plain)

@@ -170,6 +170,52 @@ class TestTrajectoryGenerator:
             assert speed <= 4.0 + 1e-9
 
 
+def fsum_session_metrics(deliveries, base_latency_ms: int, rto_ms: int):
+    """The RTT mean and jitter spread by fsum over a per-packet list of the
+    arrivals' jitters, Python ints, and their squared deviations."""
+    send, arrive, _, _, retransmissions = deliveries
+    arrived = arrive >= 0
+    jitter = arrive[arrived] - send[arrived] - base_latency_ms
+    if retransmissions.any():
+        jitter -= retransmissions[arrived].astype(jitter.dtype) * rto_ms
+    jitters = jitter.tolist()
+    if not jitters:
+        return 2.0 * base_latency_ms, 0.0
+    mean = math.fsum(jitters) / len(jitters)
+    var = math.fsum((j - mean) ** 2 for j in jitters) / len(jitters)
+    return 2.0 * base_latency_ms + mean, math.sqrt(var)
+
+
+@pytest.mark.parametrize("base", [20, 2**70])  # 2**70 puts the times in Python ints
+@pytest.mark.parametrize(
+    "mode, loss",
+    [(MODE_UNRELIABLE, 0.0), (MODE_UNRELIABLE, 0.4), (MODE_UNRELIABLE, 1.0),
+     (MODE_RELIABLE, 0.4), (MODE_RELIABLE, 1.0)],
+)
+def test_session_metrics_equal_fsum_over_the_arrivals(base, mode, loss):
+    # The summary squares each distinct jitter once and sums with
+    # exact_sum; its bits are those of fsum over every arrival.  Loss 1.0
+    # is a run where nothing arrived.
+    cfg = quiet_config(mode=mode)
+    chan = netsim.ChannelConfig(
+        base_latency_ms=base, jitter_max_ms=70, loss_rate=loss, seed=99
+    )
+    send = np.arange(1, 301) * 25
+    [first] = netsim.draw([(chan, np.arange(1, 301))], 0)
+    if mode == MODE_RELIABLE:
+        transport = netsim.ReliableOrdered(rto_ms=cfg.rto_ms)
+        deliveries = netsim.reliable(chan, transport, send, first)
+    else:
+        deliveries = netsim.unreliable(chan, cfg.dejitter, send, first)
+    assert (deliveries.arrive_ms.dtype == object) == (base > 2**63)
+    report = run_simulation(cfg).report
+    metrics = scenario._summary(cfg, chan, report, deliveries)["session_metrics"]
+    rtt, jitter = fsum_session_metrics(deliveries, base, cfg.rto_ms)
+    assert float.hex(metrics["rtt_mean_ms"]) == float.hex(rtt)
+    assert float.hex(metrics["rtt_jitter_ms"]) == float.hex(jitter)
+    assert (jitter == 0.0) == (loss == 1.0)
+
+
 class TestRunSimulation:
     def test_perfect_channel_tracks_within_threshold(self):
         result = run_simulation(quiet_config())

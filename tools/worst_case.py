@@ -39,7 +39,7 @@ every loss is accepted): the costliest accepted run.
 seed 1 for ``workload.MAX_CLIENT_TICKS // FRACTION`` client ticks, into a
 temporary file; ``analyze`` runs ``drsync analyze`` of that trace, which a
 child process generates first, and with ``--quoted`` quotes its ``conn_id``
-cells, so that the trace takes the row reader.
+cells, which numpy's parser reads as csv does.
 
 ``fit`` runs ``drsync fit`` at its default 2,000 epochs on
 ``generate_labeled_sessions(qon.MAX_FIT_STEPS // 2000 // FRACTION, 1)``,
