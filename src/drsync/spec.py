@@ -9,10 +9,11 @@ back.  Rules that relate fields live in a class's static
 ``_relations(values)``, which gets :data:`INVALID` for a field that broke
 its own rule.
 
-Every CSV input is read into columns by :func:`read_columns`: by numpy's
-parser, quoted cells too, where that reads it as csv's reader would, and
-otherwise by csv's reader, a block of checked rows at a time, whose errors
-name the row.
+Every CSV input, a pipe too, is opened and read once by
+:func:`read_columns` into columns: by numpy's parser, quoted cells too, a
+chunk at a time, until a chunk might not read as csv's reader reads it;
+from that chunk on, by csv's reader, a block of checked rows at a time,
+whose errors name the row.
 Every CSV output goes through :func:`write_csv`, which takes columns, not
 rows, and formats a block of rows at a time; a string column is a
 :class:`Table` of codes into a few texts, each quoted once by
@@ -25,6 +26,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import enum
+import io
+import itertools
 import json
 import os
 import stat
@@ -63,8 +66,8 @@ class InputFileError(ConfigError):
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
-    # The decoder reads the file in chunks, so where the bad byte sits (its
-    # row, or its place in the file) is not known here.
+    # No place is named: a JSON file's decoder reads it in chunks, so where
+    # the bad byte sits is not known, and a CSV file's text reads the same.
     return f"{path}: not UTF-8 text ({exc.reason})"
 
 
@@ -442,40 +445,31 @@ def read_columns(
     ``layouts`` maps each accepted header to the numpy dtype of its rows and
     a builder that checks one row's cells, as csv reads them, and gives them
     as a tuple.  ``convert`` checks each block of rows, an array of the
-    dtype, and turns it into columns (:func:`_gather`).  numpy's parser reads
-    the file first (:func:`_parse_blocks`); where it declines, or ``finish``
-    rejects its columns with a ``ValueError``, csv's reader reads the file
-    (:func:`_read_blocks`), and each error ends as an :class:`InputFileError`
-    that names the file, and the row where a row is at fault.
+    dtype, and turns it into columns; its ``ValueError`` leaves its state as
+    it was.  The file, a pipe too, is opened and read once (:func:`_blocks`).
+    Each error ends as an :class:`InputFileError` that names the file, and
+    the row where a row is at fault; ``finish`` judges what names no row.
     """
-    try:
-        with warnings.catch_warnings():
-            # numpy 1.23 reads an integer cell such as "1.7" through a float,
-            # with a DeprecationWarning; as an error, it declines the file.
-            warnings.simplefilter("error")
-            # Blank lines and the end of the input; csv skips both too.
-            warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
-            return finish(*_gather(path, _parse_blocks(path, layouts), convert))
-    except (ValueError, KeyError, Warning):  # a UnicodeDecodeError too
-        pass  # read again by rows, whose errors name the row
-    columns = _gather(path, _read_blocks(path, layouts), convert)
+    # Bytes that do not decode are kept as lone surrogates, which numpy's
+    # parser declines as non-ASCII and the row reader reports at their line.
+    with open(path, newline="", errors="surrogateescape") as fh:
+        columns = _gather(fh, _blocks(fh, layouts, convert), min(map(len, layouts)))
     try:
         return finish(*columns)
     except ValueError as exc:
         raise InputFileError([f"{path}: {exc}"]) from exc
 
 
-def _gather(path: str, blocks: Iterable[np.ndarray], convert: Callable) -> list:
-    """The columns ``convert`` makes of ``blocks``, in arrays made as long as
-    the most rows the file's size allows (a row takes a ``,`` or line end
-    per field at least), grown where it is not known, as for a pipe, and cut
-    to the rows written; ``object`` where a block's are, past int64."""
+def _gather(fh: IO[str], blocks: Iterable[list], fields: int) -> list:
+    """The columns of ``blocks``, in arrays made as long as the most rows
+    the size of ``fh`` allows (a row of ``fields`` or more takes a ``,`` or
+    line end per field), grown where it is not known, as for a pipe, and
+    cut to the rows written; ``object`` where a block's are, past int64."""
+    info = os.fstat(fh.fileno())
+    most = (info.st_size + 1) // fields * stat.S_ISREG(info.st_mode)
     columns, rows = [], 0
-    for block in blocks:
-        got = convert(block)
+    for got in blocks:
         if not columns:
-            info = os.stat(path)
-            most = (info.st_size + 1) // len(block.dtype) * stat.S_ISREG(info.st_mode)
             columns = [np.empty((most, *c.shape[1:]), c.dtype) for c in got]
         stop = rows + len(got[0])
         for j, values in enumerate(got):
@@ -501,86 +495,127 @@ def _gather(path: str, blocks: Iterable[np.ndarray], convert: Callable) -> list:
 _DECLINED = "\x00\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def _parse_blocks(path: str, layouts: dict) -> Iterator[np.ndarray]:
-    """The blocks of :func:`read_columns`, parsed by numpy from the lines of
-    ``_CHUNK_CHARS`` characters (csv's field limit, if lower) at a time, less
-    the unfinished line carried over.  An ``object`` string field holds each
-    cell as csv reads it; a ``U<n>`` one, its first ``n``.  A ``ValueError``
-    or ``KeyError`` declines a file that might not read as csv reads it: one
-    not regular, such as a pipe, which can be read only once; a header line
-    not a key of ``layouts`` joined by commas; a chunk with non-ASCII text,
-    a character of ``_DECLINED`` or a run of zeros too long for ``int``; a
-    chunk whose lines hold an odd number of ``"``, where a quoted cell may go
-    on past them; and a line as long as a chunk, so that no line parsed
-    passes csv's limit.  Quoted cells are read as csv reads them."""
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise ValueError("not a regular file")
+def _blocks(fh: IO[str], layouts: dict, convert: Callable) -> Iterator[list]:
+    """The columns that ``convert`` makes of each block of :func:`read_columns`:
+    numpy's parser reads the file a chunk at a time (:func:`_parse_chunk`)
+    until it declines a chunk, or ``convert`` rejects its block, and then
+    csv's reader reads on from that chunk (:func:`_read_rows`).  A header
+    not a key of ``layouts`` joined by commas declines the first chunk."""
     limit = min(_CHUNK_CHARS, csv.field_size_limit())
+    head = fh.readline()
+    if not head:
+        raise InputFileError([f"{fh.name}: the file is empty"])
+    layout = layouts.get(tuple(head.rstrip("\r\n").split(",")))
+    # The unfinished line that ends the last chunk, the chunk, and the data
+    # lines before it.
+    rest, text, done = "", "", 0
+    while layout:
+        text = rest + fh.read(limit - len(rest))
+        # A text file's read(n) is short only at the end of the file.
+        end = len(text) < limit
+        try:
+            block, count, rest = _parse_chunk(text, end, layout[0])
+            got = convert(block)
+        except (ValueError, Warning):
+            break
+        text = ""  # held only until its block is converted
+        yield got
+        if end:
+            return
+        done += count
+    # The row reader reads the header again, then the chunk, its unfinished
+    # line read to its end, and the lines of fh that follow.
+    text = head + text + fh.readline()
+    yield from map(convert, _read_rows(fh, text, done, layouts))
+
+
+def _parse_chunk(text: str, end: bool, dtype: np.dtype) -> tuple[np.ndarray, int, str]:
+    """numpy's block of the whole lines of ``text``, ``_CHUNK_CHARS``
+    characters of the file (csv's field limit, if lower) that begin with the
+    unfinished line of the chunk before and end the file if ``end``; their
+    number; and the unfinished line that ends it.  An ``object`` string
+    field holds each cell as csv reads it; a ``U<n>`` one, its first ``n``.
+    Quoted cells are read as csv reads them.  A ``ValueError`` or a warning
+    declines a chunk that might not read as csv reads it: one with
+    non-ASCII text, a character of ``_DECLINED`` or a run of zeros too long
+    for ``int``; one whose lines hold an odd number of ``"``, where a quoted
+    cell may go on past them; one that is one line, so that no line parsed
+    passes csv's limit; and one that numpy cannot parse."""
     # int reads no cell of more digits than its limit (0 for none), and one
     # that numpy reads as an int64 has at most 19 digits past its zeros.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     declined = [*_DECLINED, "0" * (digits - 18)] if digits else _DECLINED
-    with open(path, newline="") as fh:
-        dtype, _ = layouts[tuple(fh.readline().rstrip("\r\n").split(","))]
-        rest, end = "", False  # the unfinished line that ends the last chunk
-        while not end:
-            text = rest + fh.read(limit - len(rest))
-            # A text file's read(n) is short only at the end of the file.
-            end = len(text) < limit
-            # A declined character in the rest declines the next chunk too.
-            if not text.isascii() or any(c in text for c in declined):
-                raise ValueError("text that csv may read otherwise")
-            # ``in`` finds no quote in a plain chunk 25 times as fast as count.
-            quotes = text.count('"') if '"' in text else 0
-            lines = text.splitlines(True)  # where the file's lines end
-            del text  # each chunk's text and lines are freed early
-            # The last line waits for the next chunk unless it ends in "\n":
-            # it may be cut short, or its "\r" begin a "\r\n".
-            rest = "" if end or lines[-1].endswith("\n") else lines.pop()
-            if not (lines or end):
-                raise ValueError("a line as long as a chunk")
-            # Each quote that opens or closes a cell, or doubles one in it,
-            # flips whether a cell is open, so an odd count may leave one
-            # open past the lines, which numpy would end with them.  A quote
-            # inside an unquoted cell is text and flips nothing, but only an
-            # object field accepts such a cell, and each layout with one
-            # ends in a fixed-width text field, which an open cell, run on
-            # to the lines' last line end, never matches (an open cell
-            # before the last leaves its row short of cells).
-            if (quotes - rest.count('"')) % 2:
-                raise ValueError("a quoted cell that may go on past the chunk")
-            block = np.loadtxt(
-                lines, dtype, delimiter=",", comments=None, ndmin=1, quotechar='"'
-            )
-            del lines
-            yield block
+    # A declined character in the rest declines the next chunk too.
+    if not text.isascii() or any(c in text for c in declined):
+        raise ValueError("text that csv may read otherwise")
+    # ``in`` finds no quote in a plain chunk 25 times as fast as count.
+    quotes = text.count('"') if '"' in text else 0
+    lines = text.splitlines(True)  # where the file's lines end
+    # The last line waits for the next chunk unless it ends in "\n": it may
+    # be cut short, or its "\r" begin a "\r\n".
+    rest = "" if end or lines[-1].endswith("\n") else lines.pop()
+    if not (lines or end):
+        raise ValueError("a line as long as a chunk")
+    # Each quote that opens or closes a cell, or doubles one in it, flips
+    # whether a cell is open, so an odd count may leave one open past the
+    # lines, which numpy would end with them.  A quote inside an unquoted
+    # cell is text and flips nothing, but only an object field accepts such
+    # a cell, and each layout with one ends in a fixed-width text field,
+    # which an open cell, run on to the lines' last line end, never matches
+    # (an open cell before the last leaves its row short of cells).
+    if (quotes - rest.count('"')) % 2:
+        raise ValueError("a quoted cell that may go on past the chunk")
+    with warnings.catch_warnings():
+        # numpy 1.23 reads an integer cell such as "1.7" through a float,
+        # with a DeprecationWarning, which declines the chunk.
+        warnings.simplefilter("error")
+        # Blank lines and the end of the input; csv skips both too.
+        warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
+        block = np.loadtxt(
+            lines, dtype, delimiter=",", comments=None, ndmin=1, quotechar='"'
+        )
+    return block, len(lines), rest
 
 
-def _read_blocks(path: str, layouts: dict) -> Iterator[np.ndarray]:
-    """The blocks of :func:`read_columns`, read by csv's reader: each
-    ``_ITER_ROWS`` rows that the layout's builder built, stacked by
-    :func:`_stack`.  Blank lines are skipped."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(next(reader, ()))
-            if header not in layouts:
-                wanted = " or ".join(",".join(h) for h in layouts)
-                raise ValueError(f"header must be {wanted}, got {','.join(header)}")
-            (dtype, build), width, rows = layouts[header], len(header), []
-            for row in reader:
-                if len(row) == width:
-                    rows.append(build(row))
-                elif row:
-                    raise ValueError(f"expected {width} cells, got {len(row)}")
-                if len(rows) == _ITER_ROWS:
-                    yield _stack(rows, dtype)
-                    rows = []
-            yield _stack(rows, dtype)
-        except UnicodeDecodeError as exc:
-            raise InputFileError([_not_utf8(path, exc)]) from exc
-        except (ValueError, csv.Error) as exc:
-            raise InputFileError([f"{path} row {reader.line_num}: {exc}"]) from exc
+def _read_rows(
+    fh: IO[str], text: str, done: int, layouts: dict
+) -> Iterator[np.ndarray]:
+    """The blocks of :func:`read_columns` that csv's reader reads from
+    ``text``, the header and the whole lines that follow the file's first
+    ``done`` data lines, and from the rest of ``fh``: each ``_ITER_ROWS``
+    rows that the layout's builder built, stacked by :func:`_stack`.  Blank
+    lines are skipped, and an error names the row's line in the file."""
+    lines = itertools.chain(io.StringIO(text, newline=""), fh)
+    reader = csv.reader(_decoded(lines, fh.encoding))
+    try:
+        header = tuple(next(reader, ()))
+        if header not in layouts:
+            wanted = " or ".join(",".join(h) for h in layouts)
+            raise ValueError(f"header must be {wanted}, got {','.join(header)}")
+        (dtype, build), width, rows = layouts[header], len(header), []
+        for row in reader:
+            if len(row) == width:
+                rows.append(build(row))
+            elif row:
+                raise ValueError(f"expected {width} cells, got {len(row)}")
+            if len(rows) == _ITER_ROWS:
+                yield _stack(rows, dtype)
+                rows = []
+        yield _stack(rows, dtype)
+    except UnicodeDecodeError as exc:
+        raise InputFileError([_not_utf8(fh.name, exc)]) from exc
+    except (ValueError, csv.Error) as exc:
+        row = done + reader.line_num
+        raise InputFileError([f"{fh.name} row {row}: {exc}"]) from exc
+
+
+def _decoded(lines: Iterable[str], encoding: str) -> Iterator[str]:
+    """``lines``, read with ``surrogateescape``; bytes that did not decode
+    raise their ``UnicodeDecodeError``."""
+    for line in lines:
+        if not line.isascii():
+            line.encode(encoding, "surrogateescape").decode(encoding)
+        yield line
 
 
 def _stack(rows: list[tuple], dtype: np.dtype, kinds: str = "U") -> np.ndarray:

@@ -572,11 +572,12 @@ _TRACE_DTYPE = np.dtype(
 def read_trace_csv(path: str) -> Trace:
     """Inverse of :func:`write_trace_csv`; the rows must be sorted by time.
 
-    Connections are numbered in order of their first row.  Where numpy's
-    parser gives way, the row reader meets its names again in that order.
+    Connections are numbered in order of their first row.  A block is
+    checked before its names are numbered, so that where numpy's parser gives
+    way, the row reader goes on from the names and time the blocks left.
     """
     ids: dict[str, int] = {}
-    last_t = 0
+    last_t = converted_t = 0  # the last row's time, as built and as converted
 
     def record(row: list[str]) -> tuple:
         nonlocal last_t
@@ -595,6 +596,18 @@ def read_trace_csv(path: str) -> Trace:
         return t, row[1], row[2], payload, header, row[5]
 
     def convert(block: np.ndarray) -> list[np.ndarray]:
+        nonlocal last_t, converted_t
+        t = block["t_ms"]
+        payload, header = block["payload_bytes"], block["header_bytes"]
+        direction = spec.codes(block["direction"], DIRECTION_TEXTS)
+        is_ack = spec.codes(block["is_ack"], spec.FLAG_TEXTS)
+        if len(t):
+            # Times in order from converted_t are >= 0; a size past 2**32,
+            # or negative, sets a bit past 2**32 in the sizes or'ed.
+            sizes = (payload | header).view(np.uint64).max()
+            if t[0] < converted_t or (t[1:] < t[:-1]).any() or sizes >= _MAX_BYTES:
+                raise ValueError("a row out of range or time order")
+            last_t = converted_t = int(t[-1])
         names = block["conn_id"].tolist()
         try:
             conn = np.fromiter(map(ids.__getitem__, names), np.int64, len(names))
@@ -602,14 +615,7 @@ def read_trace_csv(path: str) -> Trace:
             conn = np.fromiter(
                 (ids.setdefault(name, len(ids)) for name in names), np.int64, len(names)
             )
-        return [
-            block["t_ms"],
-            conn,
-            spec.codes(block["direction"], DIRECTION_TEXTS),
-            block["payload_bytes"],
-            block["header_bytes"],
-            spec.codes(block["is_ack"], spec.FLAG_TEXTS),
-        ]
+        return [t, conn, direction, payload, header, is_ack]
 
     finish = lambda t, conn, *rest: Trace(t, conn, ids, *rest)
     layouts = {_TRACE_FIELDS: (_TRACE_DTYPE, record)}

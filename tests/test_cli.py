@@ -425,16 +425,21 @@ class TestCompare:
 
 
 class TestGenerateAnalyze:
-    @pytest.mark.parametrize("what", ["generate", "analyze", "analyze --quoted"])
+    @pytest.mark.parametrize(
+        "what",
+        ["generate", "analyze", "analyze --form quoted", "analyze --form piped"],
+    )
     def test_at_a_sixteenth_of_the_cap(self, what):
         # The mmorpg preset at 10 clients and seed 1: 424,170 rows.  On a
         # 2-vCPU Xeon guest generate took 0.5 s and analyze 0.4 s in the
         # tool's child, which peaked at 61 and 54 MiB; analyze of the trace
-        # with quoted names, which numpy's parser reads too, 0.6 s and 54 MiB.
+        # with quoted names, which numpy's parser reads too, 0.5 s and 54
+        # MiB, and of the trace piped to its stdin, 0.5 s and 55 MiB.
         result = worst_case(*what.split(), "--fraction", "16")
         assert result["client_ticks"] == workload.MAX_CLIENT_TICKS // 16
         assert result["command"][3] == what.split()[0]
-        assert result["quoted"] == what.endswith("--quoted")
+        assert result["form"] == (what.split()[2:] or ["plain"])[0]
+        assert (result["command"][-1] == "/dev/stdin") == what.endswith("piped")
         assert 0 < result["floor_rss_mib"] < result["peak_rss_mib"]
 
     def test_generate_then_analyze(self, capsys, tmp_path):
@@ -623,7 +628,7 @@ class TestGenerateAnalyze:
         def no_rows(*args):
             raise AssertionError("the row reader ran")
 
-        monkeypatch.setattr(workload.spec, "_read_blocks", no_rows)
+        monkeypatch.setattr(workload.spec, "_read_rows", no_rows)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             filters = list(warnings.filters)
@@ -771,7 +776,9 @@ class TestPredictFit:
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 class TestPipedInput:
-    """An input file that is a pipe is read once, by the row reader."""
+    """An input file that is a pipe is opened and read once, as a file is:
+    by numpy's parser, until it declines a chunk, and from there by the row
+    reader."""
 
     SESSIONS = (
         "rtt_mean_ms,rtt_jitter_ms,loss_rate,elapsed_min,quit_premature\n"
@@ -805,8 +812,8 @@ class TestPipedInput:
         assert problem in proc.stderr
 
     def test_fit_reads_a_quoted_cell_from_a_pipe(self, tmp_path):
-        # A pipe goes to the row reader, which reads it once; it reads the
-        # quoted cell as numpy's parser reads it in the file.
+        # numpy's parser reads the pipe, the quoted cell too, as it reads
+        # the file.
         text = self.SESSIONS + '"1.0",2.0,0.3,4.0,true\n'
         path, piped, written = (tmp_path / n for n in ("s.csv", "p.json", "f.json"))
         path.write_text(text)
@@ -828,6 +835,18 @@ class TestPipedInput:
         assert proc.stderr == (
             "error: invalid input file\n"
             "  - /dev/stdin row 3: loss_rate must be in [0, 1], got 1.5\n"
+        )
+
+    @pytest.mark.parametrize("piped", [False, True])
+    def test_an_empty_input_is_named_empty(self, tmp_path, piped):
+        # An empty file has no header, and no row to name.
+        path = tmp_path / "trace.csv"
+        path.write_text("")
+        name = "/dev/stdin" if piped else str(path)
+        proc = self.drsync("analyze", "--trace", name, stdin="")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"error: invalid input file\n  - {name}: the file is empty\n"
         )
 
     def test_predict_reads_metrics_from_a_pipe(self, tmp_path):

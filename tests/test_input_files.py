@@ -10,7 +10,9 @@ import copy
 import csv
 import io
 import json
+import os
 import re
+import threading
 import time
 import tracemalloc
 import warnings
@@ -197,7 +199,7 @@ class TestCliDefects:
         assert "row 3" in err and "payload_bytes" in err
 
     def test_trace_that_is_not_utf8_names_no_row(self, tmp_path):
-        # The decoder reads ahead of csv's row count, so no row is named.
+        # No row is named, as in a config file that is not UTF-8.
         path = tmp_path / "trace.csv"
         path.write_bytes(
             b"t_ms,conn_id,direction,payload_bytes,header_bytes,is_ack\n"
@@ -986,6 +988,46 @@ def edge_name(shift: int = 0) -> str:
 TRACE_EDGE = edge_row(trace_text(2 * BLOCK, []))
 
 
+def chunk_row(text: str, k: int) -> int:
+    """The data row whose line begins the ``k``-th chunk (from 1) that the
+    block reader reads of ``text``, whose lines end in ``\\n``."""
+    data = text.split("\n", 1)[1]
+    start = 0
+    for _ in range(k - 1):
+        start = data.rindex("\n", start, start + CHUNK) + 1
+    return data.count("\n", 0, start) + 1
+
+
+# The first data rows of the third and fourth chunks of a trace.
+TRACE_C3, TRACE_C4 = (chunk_row(trace_text(3 * BLOCK, []), k) for k in (3, 4))
+
+
+def fifo_outcome(outcome, read, path):
+    """``outcome(read, fifo)`` of a FIFO that a thread fills with the bytes
+    of ``path``, the FIFO's name put back to ``path``'s in an error text: a
+    file that can be read only once."""
+    fifo = path.with_name(path.name + ".fifo")
+    os.mkfifo(fifo)
+    data = path.read_bytes()
+
+    def write():
+        try:
+            with open(fifo, "wb") as out:
+                out.write(data)
+        except BrokenPipeError:  # the reader stopped at an error
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        got = outcome(read, fifo)
+    finally:
+        writer.join(timeout=60)
+        fifo.unlink()
+    assert not writer.is_alive()
+    return got.replace(str(fifo), str(path)) if isinstance(got, str) else got
+
+
 @st.composite
 def trace_files(draw):
     rows = draw(st.one_of(
@@ -1062,20 +1104,40 @@ def read_outcome(read, path):
 # splitlines would end a line at "\v" and "\f", where the file's lines go on.
 @example(case=(3, [(2, 3, "5\x0b"), (3, 1, "c\x0c1")]))
 @example(case=(3, [(1, 4, "\x0b40"), (2, None, "\x0b\n")]))
+# The fourth chunk, declined for a non-ASCII name, begins with a row that
+# goes back against the last row numpy read.  The third, rejected by its
+# converter for a header out of range, holds the first rows of two names.
+@example(case=(
+    3 * BLOCK,
+    [(TRACE_C4, 0, str((TRACE_C4 - 2) // 3 - 1)), (TRACE_C4 + 5, 1, "\xe91")],
+))
+@example(case=(
+    3 * BLOCK,
+    [(TRACE_C3 + 1, 1, "n7"), (TRACE_C3 + 2, 1, "n8"), (TRACE_C3 + 9, 4, "-1")],
+))
+# Blank lines, a "\r\n" and a lone "\r" in the chunks before the one that
+# holds a bad cell, which the row reader names counting their lines.
+@example(case=(
+    3 * BLOCK,
+    [(5, None, "\n\n"), (6, None, "\r\n"), (7, None, "\r"), (TRACE_C4, 3, "x")],
+))
 @given(case=trace_files())
 def test_block_reader_reads_a_trace_as_the_row_reader(tmp_path_factory, case):
-    # The fast reader must give the row reader's trace or its error text.
+    # The fast reader must give the row reader's trace or its error text,
+    # from a file and from a FIFO.
     path = tmp_path_factory.getbasetemp() / "blocks.csv"
     path.write_bytes(trace_text(*case).encode("utf-8", "surrogateescape"))
     expected = read_outcome(lambda p: by_rows(workload.read_trace_csv, p), path)
     assert read_outcome(workload.read_trace_csv, path) == expected
+    assert fifo_outcome(read_outcome, workload.read_trace_csv, path) == expected
 
 
 def test_block_reader_reads_a_plain_trace_without_the_row_reader(
     tmp_path, monkeypatch
 ):
     # CRLF line ends, and the traces that generate writes, stay on numpy's
-    # path across more than two blocks, which reads each file once.
+    # path across more than two blocks, which opens and reads each file
+    # once, a FIFO too.
     paths = [tmp_path / "crlf.csv"]
     paths[0].write_text(
         trace_text(2 * BLOCK + 1, []).replace("\n", "\r\n"), newline=""
@@ -1095,15 +1157,21 @@ def test_block_reader_reads_a_plain_trace_without_the_row_reader(
         opened.append(file)
         return open(file, *args, **kwargs)
 
-    monkeypatch.setattr(spec, "_read_blocks", no_rows)
+    monkeypatch.setattr(spec, "_read_rows", no_rows)
     monkeypatch.setattr(spec, "open", logged_open, raising=False)
     assert [read_outcome(workload.read_trace_csv, path) for path in paths] == expected
     assert opened == [str(path) for path in paths]
+    opened.clear()
+    assert [
+        fifo_outcome(read_outcome, workload.read_trace_csv, path) for path in paths
+    ] == expected
+    assert opened == [str(path) + ".fifo" for path in paths]
 
 
 def test_block_reader_reads_many_chunks_without_the_row_reader(tmp_path, monkeypatch):
-    # A generated trace, with LF and with CRLF line ends, is read a chunk at
-    # a time in blocks of whole lines, and never by the row reader.
+    # A generated trace, with LF and with CRLF line ends, from a file and
+    # from a FIFO, is read a chunk at a time in blocks of whole lines, and
+    # never by the row reader.
     lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
     write_trace_csv(generate_trace(preset("mmorpg"), 4, 200_000, seed=4), str(lf))
     text = lf.read_text()
@@ -1124,20 +1192,22 @@ def test_block_reader_reads_many_chunks_without_the_row_reader(tmp_path, monkeyp
         raise AssertionError("the row reader ran")
 
     monkeypatch.setattr(spec, "read_columns", counted)
-    monkeypatch.setattr(spec, "_read_blocks", no_rows)
+    monkeypatch.setattr(spec, "_read_rows", no_rows)
+    piped = lambda read, path: fifo_outcome(read_outcome, read, path)
     for path in (lf, crlf):
-        blocks.clear()
-        assert read_outcome(workload.read_trace_csv, path) == expected
-        chars = len(path.read_bytes().split(b"\n", 1)[1])  # ASCII text
-        # Every block holds whole lines of one chunk, so there are at least
-        # chars / CHUNK of them.
-        assert len(blocks) >= chars / CHUNK and min(blocks) > 0
-        assert sum(blocks) == len(expected[0][0][1])
+        for outcome in (read_outcome, piped):
+            blocks.clear()
+            assert outcome(workload.read_trace_csv, path) == expected
+            chars = len(path.read_bytes().split(b"\n", 1)[1])  # ASCII text
+            # Every block holds whole lines of one chunk, so there are at
+            # least chars / CHUNK of them.
+            assert len(blocks) >= chars / CHUNK and min(blocks) > 0
+            assert sum(blocks) == len(expected[0][0][1])
 
 
 def test_block_reader_reads_quoted_names_without_the_row_reader(tmp_path, monkeypatch):
     # Quoted names, one with a comma and one with a doubled quote, are read
-    # by numpy's parser, as csv reads them.
+    # by numpy's parser, as csv reads them, from a file and from a FIFO.
     edits = [(1, 1, '"a,b"'), (2, None, "\r\n"), (BLOCK + 1, 1, '"x""y"')]
     path = tmp_path / "trace.csv"
     path.write_text(trace_text(2 * BLOCK + 1, edits), newline="")
@@ -1147,8 +1217,9 @@ def test_block_reader_reads_quoted_names_without_the_row_reader(tmp_path, monkey
     def no_rows(*args):
         raise AssertionError("the row reader ran")
 
-    monkeypatch.setattr(spec, "_read_blocks", no_rows)
+    monkeypatch.setattr(spec, "_read_rows", no_rows)
     assert read_outcome(workload.read_trace_csv, path) == expected
+    assert fifo_outcome(read_outcome, workload.read_trace_csv, path) == expected
 
 
 # --- the sessions reader's numpy blocks agree with its row reader -----------
@@ -1187,6 +1258,9 @@ METRICS_HEADERS = [
 ]
 SESSIONS_EDGE = edge_row(sessions_text(BLOCK, []))
 METRICS_EDGE = edge_row(sessions_text(BLOCK, [], METRICS_HEADERS[0]))
+# The first data rows of the fourth chunk of sessions and of metrics.
+SESSIONS_C4 = chunk_row(sessions_text(2 * BLOCK, []), 4)
+METRICS_C4 = chunk_row(sessions_text(2 * BLOCK, [], METRICS_HEADERS[0]), 4)
 
 
 @st.composite
@@ -1217,10 +1291,10 @@ def session_files(draw, width=5):
 
 
 def by_rows(read, path):
-    """``read(path)`` with numpy's parser declining every file, so that the
-    row reader reads it."""
+    """``read(path)`` with numpy's parser declining every chunk, so that the
+    row reader reads the file from its header."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spec, "_parse_blocks", decline)
+        mp.setattr(spec, "_parse_chunk", decline)
         return read(path)
 
 
@@ -1266,21 +1340,26 @@ def sessions_outcome(read, path):
 @example(  # a lone "\r" and an empty cell at the first chunk's edge
     case=(SESSIONS_EDGE, [(SESSIONS_EDGE - 1, None, "\r"), (SESSIONS_EDGE, 3, "")])
 )
+# The fourth chunk, declined for a non-ASCII digit that float reads, begins
+# with a metric out of range.
+@example(case=(2 * BLOCK, [(SESSIONS_C4, 3, "-1."), (SESSIONS_C4 + 5, 3, "\u0665.0")]))
 @given(case=session_files())
 def test_block_reader_reads_sessions_as_the_row_reader(tmp_path_factory, case):
     # The fast reader must give the row reader's sessions, bit for bit, or
-    # its error text.
+    # its error text, from a file and from a FIFO.
     path = tmp_path_factory.getbasetemp() / "sessions.csv"
     path.write_text(sessions_text(*case), newline="")
     expected = sessions_outcome(lambda p: by_rows(qon.read_sessions_csv, p), path)
     assert sessions_outcome(qon.read_sessions_csv, path) == expected
+    assert fifo_outcome(sessions_outcome, qon.read_sessions_csv, path) == expected
 
 
 def test_block_reader_reads_plain_sessions_without_the_row_reader(
     tmp_path, monkeypatch
 ):
     # CRLF line ends, blank lines, and the sessions that the writer writes,
-    # stay on numpy's path across more than two blocks.
+    # stay on numpy's path across more than two blocks, from a file and from
+    # a FIFO.
     paths = [tmp_path / "crlf.csv", tmp_path / "written.csv"]
     paths[0].write_text(
         sessions_text(2 * BLOCK + 1, [(BLOCK, None, "\n\n")]).replace("\n", "\r\n"),
@@ -1294,8 +1373,11 @@ def test_block_reader_reads_plain_sessions_without_the_row_reader(
     def no_rows(*args):
         raise AssertionError("the row reader ran")
 
-    monkeypatch.setattr(spec, "_read_blocks", no_rows)
+    monkeypatch.setattr(spec, "_read_rows", no_rows)
     assert [sessions_outcome(qon.read_sessions_csv, path) for path in paths] == expected
+    assert [
+        fifo_outcome(sessions_outcome, qon.read_sessions_csv, path) for path in paths
+    ] == expected
 
 
 # --- the metrics and trajectory readers' numpy blocks agree with their rows --
@@ -1319,23 +1401,30 @@ def test_block_reader_reads_plain_sessions_without_the_row_reader(
 @example(
     case=(METRICS_EDGE, [(METRICS_EDGE - 1, None, "\r"), (METRICS_EDGE, 3, "")])
 )
+# The fourth chunk, declined for a non-ASCII digit that float reads, begins
+# with a metric out of range: the chunks of the metrics alone, and with a
+# flag column.
+@example(case=(2 * BLOCK, [(METRICS_C4, 2, "2.0"), (METRICS_C4 + 5, 3, "\u0665.0")]))
+@example(case=(2 * BLOCK, [(SESSIONS_C4, 2, "2.0"), (SESSIONS_C4 + 5, 3, "\u0665.0")]))
 @given(case=session_files(width=4))
 @pytest.mark.parametrize("header", METRICS_HEADERS)
 def test_block_reader_reads_metrics_as_the_row_reader(tmp_path_factory, header, case):
     # predict's reader gives the row reader's metrics and flags, bit for bit,
-    # or its error text, under either header; a flag column's cells are as
-    # the sessions file writes them.
+    # or its error text, under either header, from a file and from a FIFO;
+    # a flag column's cells are as the sessions file writes them.
     path = tmp_path_factory.getbasetemp() / "metrics.csv"
     path.write_text(sessions_text(*case, header), newline="")
     expected = sessions_outcome(lambda p: by_rows(qon.read_metrics_csv, p), path)
     assert sessions_outcome(qon.read_metrics_csv, path) == expected
+    assert fifo_outcome(sessions_outcome, qon.read_metrics_csv, path) == expected
 
 
 def test_block_reader_reads_plain_metrics_without_the_row_reader(
     tmp_path, monkeypatch
 ):
     # Written metrics, with and without a flag column and with LF and CRLF
-    # line ends, stay on numpy's path across many chunks.
+    # line ends, stay on numpy's path across many chunks, from a file and
+    # from a FIFO.
     sessions = generate_labeled_sessions(2 * BLOCK + 1, 5)
     metrics, flags = spec.transpose(sessions, 2)
     columns = spec.transpose(metrics, 4)
@@ -1353,8 +1442,11 @@ def test_block_reader_reads_plain_metrics_without_the_row_reader(
     def no_rows(*args):
         raise AssertionError("the row reader ran")
 
-    monkeypatch.setattr(spec, "_read_blocks", no_rows)
+    monkeypatch.setattr(spec, "_read_rows", no_rows)
     assert [sessions_outcome(qon.read_metrics_csv, path) for path in paths] == expected
+    assert [
+        fifo_outcome(sessions_outcome, qon.read_metrics_csv, path) for path in paths
+    ] == expected
 
 
 WAYPOINTS_HEADER = "t_ms,x,y,z"
@@ -1378,6 +1470,8 @@ def edge_time(shift: int = 0) -> str:
 
 
 WAYPOINTS_EDGE = edge_row(waypoints_text(BLOCK, []))
+# The first data row of the fourth chunk of a trajectory.
+WAYPOINTS_C4 = chunk_row(waypoints_text(2 * BLOCK, []), 4)
 
 
 @st.composite
@@ -1442,21 +1536,30 @@ def waypoints_outcome(read, path):
 @example(  # a lone "\r" and an empty cell at the first chunk's edge
     case=(WAYPOINTS_EDGE, [(WAYPOINTS_EDGE - 1, None, "\r"), (WAYPOINTS_EDGE, 3, "")])
 )
+# The fourth chunk, declined for a non-ASCII digit that float reads, begins
+# with a waypoint that goes back against the last one numpy read.
+@example(case=(
+    2 * BLOCK,
+    [(WAYPOINTS_C4, 0, str((WAYPOINTS_C4 - 2) * 100 - 1)),
+     (WAYPOINTS_C4 + 5, 3, "\u0665.0")],
+))
 @given(case=waypoint_files())
 def test_block_reader_reads_waypoints_as_the_row_reader(tmp_path_factory, case):
-    # from_csv gives the row reader's script, bit for bit, or its error text.
+    # from_csv gives the row reader's script, bit for bit, or its error text,
+    # from a file and from a FIFO.
     path = tmp_path_factory.getbasetemp() / "waypoints.csv"
     path.write_text(waypoints_text(*case), newline="")
     read = core.TrajectoryScript.from_csv
     expected = waypoints_outcome(lambda p: by_rows(read, p), path)
     assert waypoints_outcome(read, path) == expected
+    assert fifo_outcome(waypoints_outcome, read, path) == expected
 
 
 def test_block_reader_reads_plain_waypoints_without_the_row_reader(
     tmp_path, monkeypatch
 ):
     # A generated walk, written with LF and with CRLF line ends, stays on
-    # numpy's path across many chunks.
+    # numpy's path across many chunks, from a file and from a FIFO.
     gen = scenario.TrajectoryGenConfig()
     script = scenario.generate_trajectory(gen, 3_000 * (2 * BLOCK + 1), seed=3)
     lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
@@ -1470,8 +1573,10 @@ def test_block_reader_reads_plain_waypoints_without_the_row_reader(
     def no_rows(*args):
         raise AssertionError("the row reader ran")
 
-    monkeypatch.setattr(spec, "_read_blocks", no_rows)
+    monkeypatch.setattr(spec, "_read_rows", no_rows)
     assert waypoints_outcome(read, lf) == waypoints_outcome(read, crlf) == expected
+    assert fifo_outcome(waypoints_outcome, read, lf) == expected
+    assert fifo_outcome(waypoints_outcome, read, crlf) == expected
 
 
 # --- where numpy's parser gives way, the row reader's texts and memory ------
@@ -1644,26 +1749,34 @@ def test_a_trace_declined_mid_file_numbers_connections_from_its_start(
     tmp_path, monkeypatch
 ):
     # numpy's parser reads the first chunks, then meets a chunk with an odd
-    # number of quotes; the row reader reads the file again, and numbers the
-    # connections in order of their first row, as csv reads them.
+    # number of quotes; the row reader goes on from that chunk, once, in
+    # the file opened once, and the connections are numbered in order of
+    # their first row, as csv reads them.
     rows = 3 * BLOCK
     edits = [(k + 1, 1, f"n{(7 * k) % 11}") for k in range(rows)]
     edits += [(2 * BLOCK + 5, 1, 'q"1'), (2 * BLOCK + 9, 1, "n99")]
     path = tmp_path / "trace.csv"
     path.write_text(trace_text(rows, edits))
     assert path.read_text().index('"') > 2 * CHUNK
-    read_rows, calls = spec._read_blocks, []
+    read_rows, calls, opened = spec._read_rows, [], []
 
-    def spy(path, *args):
-        calls.append(path)
-        return read_rows(path, *args)
+    def spy(fh, text, done, layouts):
+        calls.append((fh.name, done))
+        return read_rows(fh, text, done, layouts)
 
-    monkeypatch.setattr(spec, "_read_blocks", spy)
+    def logged_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(spec, "_read_rows", spy)
+    monkeypatch.setattr(spec, "open", logged_open, raising=False)
     with open(path, newline="") as fh:
         names = [row[1] for row in csv.reader(fh)][1:]
     firsts = list(dict.fromkeys(names))
     trace = workload.read_trace_csv(str(path))
-    assert calls == [str(path)]
+    assert opened == [str(path)] and len(calls) == 1
+    # The data lines that numpy's parser read before it gave way.
+    assert calls[0][0] == str(path) and 2 * BLOCK > calls[0][1] > BLOCK
     assert trace.conn_ids == tuple(firsts) and 'q"1' in firsts
     assert trace.conn.tolist() == [firsts.index(name) for name in names]
 
@@ -1701,7 +1814,7 @@ def test_a_quoted_file_is_read_in_the_memory_of_a_plain_one(tmp_path, kind):
     quoted.write_text(edited_text(header, cells, []))
     assert outcome(read, quoted) == outcome(read, plain)
     assert traced_peak(read, quoted) <= 1.5 * traced_peak(read, plain)
-    # The row reader, which a pipe or a declined chunk sends a file to,
+    # The row reader, which a declined chunk hands the rest of a file to,
     # holds columns too, as numpy's parser does, and not a tuple per row.
     by_rows_peak = traced_peak(lambda p: by_rows(read, p), quoted)
     assert by_rows_peak <= 1.5 * traced_peak(read, plain)

@@ -76,12 +76,12 @@ class TestSessionMetrics:
 
 
 def by_rows(read):
-    """``read`` with numpy's parser declining every file, so that the row
-    reader reads it."""
+    """``read`` with numpy's parser declining every chunk, so that the row
+    reader reads the file from its header."""
 
     def read_rows(path):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(qon.spec, "_parse_blocks", decline)
+            mp.setattr(qon.spec, "_parse_chunk", decline)
             return read(path)
 
     return read_rows

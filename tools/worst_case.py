@@ -5,7 +5,7 @@
         [--seeds S]
     python3 tools/worst_case.py simulate --fraction 16
     python3 tools/worst_case.py generate --fraction 16
-    python3 tools/worst_case.py analyze --fraction 16 [--quoted]
+    python3 tools/worst_case.py analyze --fraction 16 [--form {plain,quoted,piped}]
     python3 tools/worst_case.py fit --fraction 16
 
 ``run`` starts ``COMMAND`` with its stdout sent to ``/dev/null`` and waits
@@ -38,8 +38,11 @@ every loss is accepted): the costliest accepted run.
 ``generate`` runs ``drsync generate`` of the mmorpg preset at 10 clients and
 seed 1 for ``workload.MAX_CLIENT_TICKS // FRACTION`` client ticks, into a
 temporary file; ``analyze`` runs ``drsync analyze`` of that trace, which a
-child process generates first, and with ``--quoted`` quotes its ``conn_id``
-cells, which numpy's parser reads as csv does.
+child process generates first.  ``--form`` gives the form in which it reads
+the trace: ``plain``, the file as written (the default); ``quoted``, the
+file with its ``conn_id`` cells quoted, which numpy's parser reads as csv
+does; or ``piped``, the file as written, read from ``--trace /dev/stdin``,
+the child's stdin the read end of a pipe that this script fills.
 
 ``fit`` runs ``drsync fit`` at its default 2,000 epochs on
 ``generate_labeled_sessions(qon.MAX_FIT_STEPS // 2000 // FRACTION, 1)``,
@@ -51,6 +54,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -104,21 +108,39 @@ WRITE_SESSIONS = (
 )
 
 
-def spawn(command: list[str], env: dict[str, str]) -> tuple[int, float]:
+def spawn(
+    command: list[str], env: dict[str, str], stdin: str | None = None
+) -> tuple[int, float]:
     """Run ``command``, its stdout sent to ``/dev/null``, to its end; its
-    wait status and peak resident set in MiB."""
-    devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
-    pid = os.posix_spawnp(command[0], command, env, file_actions=devnull)
+    wait status and peak resident set in MiB.  With ``stdin``, a file's
+    path, the child's stdin is the read end of a pipe that this process
+    fills with the file's bytes."""
+    actions = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    if stdin is not None:
+        # Both ends close on exec; the child keeps the copy made its stdin.
+        read_end, write_end = os.pipe()
+        actions.append((os.POSIX_SPAWN_DUP2, read_end, 0))
+    pid = os.posix_spawnp(command[0], command, env, file_actions=actions)
+    if stdin is not None:
+        os.close(read_end)
+        try:
+            with open(write_end, "wb") as pipe, open(stdin, "rb") as src:
+                shutil.copyfileobj(src, pipe)
+        except BrokenPipeError:  # the child stopped reading; its status says why
+            pass
     _, status, usage = os.wait4(pid, 0)
     return status, round(usage.ru_maxrss / 1024, 1)  # ru_maxrss is KiB
 
 
-def measure(command: list[str], env: dict[str, str] | None = None) -> dict:
-    """Run ``command`` to its end; its exit status, wall time and peak RSS,
-    and the peak RSS of ``true`` started the same way."""
+def measure(
+    command: list[str], env: dict[str, str] | None = None, stdin: str | None = None
+) -> dict:
+    """Run ``command`` to its end, its stdin piped from the file ``stdin``
+    if given; its exit status, wall time and peak RSS, and the peak RSS of
+    ``true`` started the same way."""
     env = os.environ if env is None else env
     start = time.perf_counter()
-    status, peak = spawn(command, env)
+    status, peak = spawn(command, env, stdin)
     wall = time.perf_counter() - start
     return {
         "command": command,
@@ -192,10 +214,10 @@ def simulate(fraction: int) -> dict:
     return {"loss": cfg["channel"]["loss_rate"], **result}
 
 
-def trace(what: str, fraction: int, quoted: bool = False) -> dict:
+def trace(what: str, fraction: int, form: str = "plain") -> dict:
     """``drsync generate`` of the mmorpg preset at ``1/fraction`` of
-    ``MAX_CLIENT_TICKS``, or ``drsync analyze`` of what it writes, its
-    ``conn_id`` cells ``quoted`` or not."""
+    ``MAX_CLIENT_TICKS``, or ``drsync analyze`` of what it writes, in the
+    ``form`` that the module's docstring describes."""
     max_client_ticks, tick_ms = json.loads(child_output(TRACE_FIGURES))
     duration_ms = max_client_ticks // fraction // TRACE_CLIENTS * tick_ms
     env = drsync_env()
@@ -207,15 +229,19 @@ def trace(what: str, fraction: int, quoted: bool = False) -> dict:
         )
         if what == "analyze":
             subprocess.run(generate, env=env, check=True)
-            if quoted:
+            if form == "quoted":
                 child_output(QUOTE_NAMES, path)
-            result = measure(drsync("analyze", "--trace", path), env)
+            if form == "piped":
+                command = drsync("analyze", "--trace", "/dev/stdin")
+                result = measure(command, env, stdin=path)
+            else:
+                result = measure(drsync("analyze", "--trace", path), env)
         else:
             result = measure(generate, env)
         trace_bytes = os.path.getsize(path) if os.path.exists(path) else None
     client_ticks = duration_ms // tick_ms * TRACE_CLIENTS
     figures = {"client_ticks": client_ticks, "trace_bytes": trace_bytes}
-    return {**figures, "quoted": quoted, **result}
+    return {**figures, "form": form, **result}
 
 
 def fit(fraction: int) -> dict:
@@ -249,7 +275,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         if what == "analyze":
             trace_.add_argument(
-                "--quoted", action="store_true", help="quote the conn_id cells"
+                "--form",
+                choices=("plain", "quoted", "piped"),
+                default="plain",
+                help="the trace as written, its conn_id cells quoted, or piped",
             )
     fit_ = sub.add_parser("fit", help="measure fit at MAX_FIT_STEPS")
     fit_.add_argument(
@@ -268,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.what == "simulate":
         result = simulate(args.fraction)
     elif args.what in ("generate", "analyze"):
-        result = trace(args.what, args.fraction, getattr(args, "quoted", False))
+        result = trace(args.what, args.fraction, getattr(args, "form", "plain"))
     else:
         result = fit(args.fraction)
     print(json.dumps(result))
